@@ -5,7 +5,7 @@ mixes in a clipped-cosine-weighted mean of the projected semantics on top of a
 residual connection.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -20,14 +20,13 @@ class AttentionParams:
     P_y: np.ndarray  # d' x c
 
     def __post_init__(self):
-        P_x = np.asarray(self.P_x, dtype=np.float64)
-        P_y = np.asarray(self.P_y, dtype=np.float64)
+        for f in fields(self):
+            object.__setattr__(self, f.name, np.asarray(getattr(self, f.name), dtype=np.float64))
+        P_x, P_y = self.P_x, self.P_y
         if P_x.ndim != 2 or P_y.ndim != 2 or P_x.shape[0] != P_y.shape[0]:
             raise ShapeError(f"projection shapes {P_x.shape} / {P_y.shape} do not share d'")
         if not (np.all(np.isfinite(P_x)) and np.all(np.isfinite(P_y))):
             raise ShapeError("projection matrices must be finite")
-        object.__setattr__(self, "P_x", P_x)
-        object.__setattr__(self, "P_y", P_y)
 
     @property
     def d_prime(self):
@@ -68,15 +67,24 @@ def attention_scores(Xbar, Ybar):
     return np.clip(Xn.T @ Yn, 0.0, 1.0)
 
 
+def _weighted_mean(Ybar, alpha):
+    """Column i: sum_j alpha_ij ybar_j / w_i, or 0 when w_i = sum_j alpha_ij is 0.
+
+    Returns (mix, w, safe_w) with safe_w = w where w > 0 and 1 elsewhere.
+    """
+    w = alpha.sum(axis=1)
+    safe_w = np.where(w > 0, w, 1.0)
+    mix = (Ybar @ alpha.T) / safe_w
+    mix[:, w == 0] = 0.0
+    return mix, w, safe_w
+
+
 def attentive_features(Xbar, Ybar, alpha):
     """x_i^att = weighted mean of ybar under alpha_i. plus the residual xbar_i."""
     n = Xbar.shape[1]
     if alpha.shape != (n, Ybar.shape[1]):
         raise ShapeError(f"score matrix is {alpha.shape}, expected {(n, Ybar.shape[1])}")
-    w = alpha.sum(axis=1)
-    safe = np.where(w > 0, w, 1.0)
-    mix = (Ybar @ alpha.T) / safe  # column i: sum_j alpha_ij ybar_j / w_i
-    mix[:, w == 0] = 0.0
+    mix, _, _ = _weighted_mean(Ybar, alpha)
     return mix + Xbar
 
 
@@ -101,10 +109,7 @@ def attention_grads(X, Y, params, dXatt):
     Vn, nv = _normalize_columns(V)
     C = Un.T @ Vn
     alpha = np.where(C > 0, C, 0.0)
-    w = alpha.sum(axis=1)
-    safe_w = np.where(w > 0, w, 1.0)
-    mix = (V @ alpha.T) / safe_w
-    mix[:, w == 0] = 0.0
+    mix, w, safe_w = _weighted_mean(V, alpha)
 
     G = np.asarray(dXatt, dtype=np.float64)
     dU = G.copy()  # residual path

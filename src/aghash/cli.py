@@ -12,12 +12,19 @@ import time
 _THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                 "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
 
-_VARIANTS = ("full", "no-aux", "no-att", "only-sv", "only-sa",
-             "recons-sa", "recons-sv", "recons-s", "recons-ztz", "recons-feat")
-
-_RECON_BY_VARIANT = {
-    "recons-sa": "aux", "recons-sv": "visual", "recons-s": "augmented",
-    "recons-ztz": "inner-product", "recons-feat": "feature",
+# --variant -> (graph variant, attention denoising, reconstruction target,
+# classification head kept)
+_VARIANTS = {
+    "full": ("augmented", True, "aux", True),
+    "no-aux": ("visual-only", False, "visual", False),
+    "no-att": ("augmented", False, "aux", True),
+    "only-sv": ("visual-only", True, "aux", True),
+    "only-sa": ("aux-only", True, "aux", True),
+    "recons-sa": ("augmented", True, "aux", True),
+    "recons-sv": ("augmented", True, "visual", True),
+    "recons-s": ("augmented", True, "augmented", True),
+    "recons-ztz": ("augmented", True, "inner-product", True),
+    "recons-feat": ("augmented", True, "feature", True),
 }
 
 
@@ -56,7 +63,6 @@ def _add_train_flags(p):
                    help="fixed visual-kernel bandwidth (default: median heuristic)")
     p.add_argument("--lr", type=float, default=1e-4)
     p.add_argument("--epochs", type=int, default=300)
-    p.add_argument("--batch", type=int, default=None, help="informational; training is full-batch")
     p.add_argument("--disc-steps", type=int, default=1)
     p.add_argument("--saturating", action="store_true",
                    help="use the literal log(1-D) generator objective")
@@ -130,29 +136,34 @@ def build_parser():
     return parser
 
 
-def _apply_config(args):
+def _apply_config(args, parser):
+    """Override args from the --config file, converting each value as its flag would."""
     from .errors import ConfigError
 
+    subcommands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    actions = {a.dest: a for a in subcommands.choices[args.command]._actions}
     with open(args.config, "r", encoding="ascii") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
+            where = f"{args.config}:{lineno}"
             if "=" not in line:
-                raise ConfigError(f"{args.config}:{lineno}: expected key=value, got {line!r}")
+                raise ConfigError(f"{where}: expected key=value, got {line!r}")
             key, value = (part.strip() for part in line.split("=", 1))
-            attr = key.replace("-", "_")
-            if not hasattr(args, attr):
-                raise ConfigError(f"{args.config}:{lineno}: unknown option {key!r}")
-            current = getattr(args, attr)
-            if isinstance(current, bool):
-                setattr(args, attr, value.lower() in ("1", "true", "yes"))
-            elif isinstance(current, int):
-                setattr(args, attr, int(value))
-            elif isinstance(current, float):
-                setattr(args, attr, float(value))
-            else:
-                setattr(args, attr, value)
+            action = actions.get(key.replace("-", "_"))
+            if action is None or not hasattr(args, action.dest):
+                raise ConfigError(f"{where}: unknown option {key!r}")
+            if action.nargs == 0:  # an on/off flag
+                setattr(args, action.dest, value.lower() in ("1", "true", "yes"))
+                continue
+            try:
+                converted = (action.type or str)(value)
+            except ValueError:
+                raise ConfigError(f"{where}: invalid value {value!r} for {key!r}") from None
+            if action.choices is not None and converted not in action.choices:
+                raise ConfigError(f"{where}: {key!r} must be one of {', '.join(action.choices)}")
+            setattr(args, action.dest, converted)
 
 
 def _resolved(args, keys):
@@ -197,35 +208,18 @@ def _train_setup(args):
     from .objective import Hyperparams
     from .trainer import TrainConfig
 
-    graph_variant = "augmented"
-    use_attention = True
-    lambda3 = args.lambda3
-    recon = "aux"
-    if args.variant == "no-aux":
-        graph_variant = "visual-only"
-        use_attention = False
-        lambda3 = 0.0
-        recon = "visual"
-    elif args.variant == "no-att":
-        use_attention = False
-    elif args.variant == "only-sv":
-        graph_variant = "visual-only"
-    elif args.variant == "only-sa":
-        graph_variant = "aux-only"
-    elif args.variant in _RECON_BY_VARIANT:
-        recon = _RECON_BY_VARIANT[args.variant]
-
+    graph_variant, use_attention, recon, keep_head = _VARIANTS[args.variant]
     graph_cfg = GraphConfig(mu=args.mu, bandwidth=args.bandwidth, variant=graph_variant)
-    hyper = Hyperparams(lambda1=args.lambda1, lambda2=args.lambda2, lambda3=lambda3,
-                        k=args.k, recon_target=recon)
-    train_cfg = TrainConfig(lr=args.lr, epochs=args.epochs, batch=args.batch, seed=args.seed,
+    hyper = Hyperparams(lambda1=args.lambda1, lambda2=args.lambda2,
+                        lambda3=args.lambda3 if keep_head else 0.0, k=args.k, recon_target=recon)
+    train_cfg = TrainConfig(lr=args.lr, epochs=args.epochs, seed=args.seed,
                             disc_steps=args.disc_steps, saturating=args.saturating,
                             train_attention=args.train_attention)
     return graph_cfg, hyper, train_cfg, use_attention
 
 
 _TRAIN_KEYS = ("features", "aux", "split", "r", "d-prime", "hidden", "lambda1", "lambda2",
-               "lambda3", "k", "mu", "bandwidth", "lr", "epochs", "batch", "disc-steps",
+               "lambda3", "k", "mu", "bandwidth", "lr", "epochs", "disc-steps",
                "saturating", "train-attention", "variant", "format")
 
 
@@ -411,7 +405,7 @@ def main(argv=None):
 
     try:
         if args.config:
-            _apply_config(args)
+            _apply_config(args, parser)
         return _COMMANDS[args.command](args)
     except AghashError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,7 +1,10 @@
-"""Augmented semantic graph: visual + auxiliary similarity, fusion, normalization."""
+"""Augmented semantic graph: visual + auxiliary similarity, fusion, normalization.
+
+Also the one-column extension of the training graph for out-of-sample queries.
+"""
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -30,13 +33,28 @@ class SemanticGraph:
     S: np.ndarray
     S_tilde: np.ndarray
     degrees: np.ndarray
+    Sv: np.ndarray | None = None  # visual kernel; None when the variant uses none
+    Sa: np.ndarray | None = None  # auxiliary similarity
+
+
+def sqdist(A, B):
+    """Squared Euclidean distances between the columns of A and of B, clipped at 0.
+
+    Passing the same object as A and B lets numpy compute A^T A as a
+    symmetric product.
+    """
+    d2 = (A**2).sum(axis=0)[:, None] + (B**2).sum(axis=0)[None, :] - 2.0 * (A.T @ B)
+    return np.maximum(d2, 0.0)
 
 
 def pairwise_sqdist(X):
     """Squared Euclidean distances between columns of X, clipped at 0."""
-    sq = (X**2).sum(axis=0)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (X.T @ X)
-    return np.maximum(d2, 0.0)
+    return sqdist(X, X)
+
+
+def gaussian_kernel(A, B, sigma):
+    """exp(-||a_i - b_j||^2 / (2 sigma^2)) between the columns of A and of B."""
+    return np.exp(-sqdist(A, B) / (2.0 * sigma**2))
 
 
 def median_bandwidth(X):
@@ -62,7 +80,7 @@ def visual_similarity(Xatt, bandwidth=None):
     sigma = median_bandwidth(Xatt) if bandwidth is None else float(bandwidth)
     if sigma <= 0:
         raise ParameterError(f"bandwidth must be > 0, got {sigma}")
-    Sv = np.exp(-pairwise_sqdist(Xatt) / (2.0 * sigma**2))
+    Sv = gaussian_kernel(Xatt, Xatt, sigma)
     np.fill_diagonal(Sv, 1.0)
     return Sv, sigma
 
@@ -73,11 +91,28 @@ def aux_similarity(Y):
     return Y.T @ Y
 
 
+def combine(variant, mu, visual, aux):
+    """The variant's similarity from its visual and auxiliary parts: mu*v + a, v or a.
+
+    Applies alike to full matrices, to query columns and to scalar self terms.
+    """
+    if variant == "augmented":
+        return mu * visual + aux
+    if variant == "visual-only":
+        return visual  # scale cancels under normalization, so mu is irrelevant here
+    return aux
+
+
 def fuse(Sv, Sa, mu):
     """Augmented graph mu * S_v + S_a."""
     if Sv.shape != Sa.shape:
         raise ShapeError(f"similarity shapes differ: {Sv.shape} vs {Sa.shape}")
-    return mu * Sv + Sa
+    return combine("augmented", mu, Sv, Sa)
+
+
+def inv_sqrt_degree(degrees):
+    """D^{-1/2} as a vector; zero where the degree is zero."""
+    return np.where(degrees > 0, 1.0 / np.sqrt(np.where(degrees > 0, degrees, 1.0)), 0.0)
 
 
 def normalize(S):
@@ -90,7 +125,7 @@ def normalize(S):
     if S.min() < 0:
         raise ParameterError("graph must be nonnegative")
     degrees = S.sum(axis=1)
-    inv_sqrt = np.where(degrees > 0, 1.0 / np.sqrt(np.where(degrees > 0, degrees, 1.0)), 0.0)
+    inv_sqrt = inv_sqrt_degree(degrees)
     S_tilde = S * inv_sqrt[:, None] * inv_sqrt[None, :]
     return SemanticGraph(S=S, S_tilde=S_tilde, degrees=degrees)
 
@@ -98,17 +133,37 @@ def normalize(S):
 def build_graph(Xatt, Y, config):
     """Variant-aware construction. Returns (SemanticGraph, sigma_used).
 
-    sigma is None for the aux-only variant (no visual kernel involved).
+    The graph keeps its parts Sv and Sa. sigma and Sv are None for the
+    aux-only variant (no visual kernel involved).
     """
-    if config.variant == "aux-only":
-        S = aux_similarity(Y)
-        return normalize(S), None
-    Sv, sigma = visual_similarity(Xatt, config.bandwidth)
-    if config.variant == "visual-only":
-        S = Sv  # scale cancels under normalization, so mu is irrelevant here
-    else:
-        S = fuse(Sv, aux_similarity(Y), config.mu)
-    return normalize(S), sigma
+    Sa = aux_similarity(Y)
+    Sv, sigma = None, None
+    if config.variant != "aux-only":
+        Sv, sigma = visual_similarity(Xatt, config.bandwidth)
+    graph = normalize(combine(config.variant, config.mu, Sv, Sa))
+    return replace(graph, Sv=Sv, Sa=Sa), sigma
+
+
+def query_columns(xatt_q, Yq, xatt_train, y_train, degrees, config):
+    """Normalized one-column extensions of the training graph for m queries.
+
+    Each query joins the n training items (with their cached degrees) as one
+    more node with an explicit self term. config.bandwidth must be the
+    resolved bandwidth of the training graph. Returns (st_col, st_self): the
+    m x n normalized similarities to the training items and the m normalized
+    self terms.
+    """
+    visual = None
+    if config.variant != "aux-only":
+        visual = gaussian_kernel(xatt_q, xatt_train, config.bandwidth)
+    s_col = combine(config.variant, config.mu, visual, Yq.T @ y_train)
+    s_self = combine(config.variant, config.mu, 1.0, (Yq**2).sum(axis=0))
+    d_q = s_col.sum(axis=1) + s_self
+    safe_dq = np.where(d_q > 0, d_q, 1.0)
+    st_col = s_col / np.sqrt(safe_dq)[:, None] * inv_sqrt_degree(degrees)[None, :]
+    st_col[d_q == 0, :] = 0.0
+    st_self = np.where(d_q > 0, s_self / safe_dq, 0.0)
+    return st_col, st_self
 
 
 def save_graph(path, S):

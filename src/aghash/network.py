@@ -6,14 +6,14 @@ Forward passes only; gradients live in `objective`.
 import io
 import json
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .errors import FormatError, ShapeError
 
 CHECKPOINT_MAGIC = b"AGCK"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 @dataclass
@@ -60,19 +60,26 @@ def init_params(d_prime, h, r, c, seed, disc_h1=64, disc_h2=32):
     def mat(rows, cols):
         return rng.standard_normal((rows, cols)) * np.sqrt(2.0 / cols)
 
-    gcn = GcnParams(W1=mat(h, d_prime), W2=mat(r, h))
-    disc = DiscParams(
-        A1=mat(disc_h1, r), b1=np.zeros(disc_h1),
-        A2=mat(disc_h2, disc_h1), b2=np.zeros(disc_h2),
-        A3=mat(1, disc_h2), b3=np.zeros(1),
-    )
-    head = ClsHead(Wc=mat(c, r))
+    gcn = GcnParams(mat(h, d_prime), mat(r, h))
+    disc = DiscParams(mat(disc_h1, r), np.zeros(disc_h1), mat(disc_h2, disc_h1),
+                      np.zeros(disc_h2), mat(1, disc_h2), np.zeros(1))
+    head = ClsHead(mat(c, r))
     return gcn, disc, head
 
 
 def init_decoder(d_prime, r, seed):
     rng = np.random.default_rng(seed)
-    return DecoderParams(Wd=rng.standard_normal((d_prime, r)) * np.sqrt(2.0 / r))
+    return DecoderParams(rng.standard_normal((d_prime, r)) * np.sqrt(2.0 / r))
+
+
+def parameters(*groups):
+    """Ordered name -> array registry over parameter groups; None groups are skipped.
+
+    A group is any dataclass whose fields are arrays (GcnParams, DiscParams,
+    ClsHead, DecoderParams, attention.AttentionParams); field names are
+    unique across groups.
+    """
+    return {f.name: getattr(g, f.name) for g in groups if g is not None for f in fields(g)}
 
 
 def relu(x):
@@ -107,11 +114,17 @@ def disc_forward(v, params):
         V = V[:, None]
     if V.shape[0] != params.A1.shape[1]:
         raise ShapeError(f"discriminator expects inputs of length {params.A1.shape[1]}, got {V.shape[0]}")
+    _, _, logits = disc_layers(V, params)
+    probs = sigmoid(logits)
+    return float(probs[0]) if single else probs
+
+
+def disc_layers(V, params):
+    """Discriminator pass over an r x m batch: (hidden 1, hidden 2, logits)."""
     h1 = relu(params.A1 @ V + params.b1[:, None])
     h2 = relu(params.A2 @ h1 + params.b2[:, None])
     logits = (params.A3 @ h2 + params.b3[:, None])[0]
-    probs = sigmoid(logits)
-    return float(probs[0]) if single else probs
+    return h1, h2, logits
 
 
 def cls_forward(Z, head):

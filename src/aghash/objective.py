@@ -6,13 +6,14 @@ and the discriminator minimizes the negated GAN value. All gradients are
 exact (finite-difference checked) with subgradient 0 at ReLU/clip kinks.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import attention as att
 from .errors import ParameterError, ShapeError
-from .network import ClsHead, DecoderParams, DiscParams, GcnParams, cls_forward, relu, sigmoid
+from .network import (ClsHead, DecoderParams, DiscParams, GcnParams, cls_forward, disc_layers,
+                      parameters, relu, sigmoid)
 
 RECON_TARGETS = ("aux", "visual", "augmented", "inner-product", "feature")
 
@@ -42,17 +43,6 @@ class LossBreakdown:
     l_gen_adv: float
     l_disc: float
     total_gen: float
-
-
-@dataclass
-class Gradients:
-    W1: np.ndarray
-    W2: np.ndarray
-    Wc: np.ndarray
-    disc: DiscParams
-    P_x: np.ndarray | None = None
-    P_y: np.ndarray | None = None
-    Wd: np.ndarray | None = None
 
 
 def _softplus(x):
@@ -130,13 +120,6 @@ class GanResult:
     dZ: np.ndarray  # gradient of l_gen_adv w.r.t. the generator outputs
 
 
-def _disc_pass(V, p):
-    h1 = relu(p.A1 @ V + p.b1[:, None])
-    h2 = relu(p.A2 @ h1 + p.b2[:, None])
-    logits = (p.A3 @ h2 + p.b3[:, None])[0]
-    return h1, h2, logits
-
-
 def _disc_backward(V, h1, h2, dlogits, p):
     df = dlogits[None, :]
     dA3 = df @ h2.T
@@ -150,7 +133,7 @@ def _disc_backward(V, h1, h2, dlogits, p):
     dA1 = da1 @ V.T
     db1 = da1.sum(axis=1)
     dV = p.A1.T @ da1
-    return DiscParams(A1=dA1, b1=db1, A2=dA2, b2=db2, A3=dA3, b3=db3), dV
+    return DiscParams(dA1, db1, dA2, db2, dA3, db3), dV
 
 
 def gan_losses(Z, prior_samples, disc, saturating=False):
@@ -163,18 +146,15 @@ def gan_losses(Z, prior_samples, disc, saturating=False):
     if Z.shape[0] != prior_samples.shape[0]:
         raise ShapeError(f"code length mismatch: {Z.shape[0]} vs {prior_samples.shape[0]}")
     m_fake, m_real = Z.shape[1], prior_samples.shape[1]
-    h1r, h2r, f_real = _disc_pass(prior_samples, disc)
-    h1f, h2f, f_fake = _disc_pass(Z, disc)
+    h1r, h2r, f_real = disc_layers(prior_samples, disc)
+    h1f, h2f, f_fake = disc_layers(Z, disc)
     D_real, D_fake = sigmoid(f_real), sigmoid(f_fake)
 
     l_disc = float(_softplus(-f_real).mean() + _softplus(f_fake).mean())
     g_real, _ = _disc_backward(prior_samples, h1r, h2r, (D_real - 1.0) / m_real, disc)
     g_fake, _ = _disc_backward(Z, h1f, h2f, D_fake / m_fake, disc)
-    disc_grads = DiscParams(
-        A1=g_real.A1 + g_fake.A1, b1=g_real.b1 + g_fake.b1,
-        A2=g_real.A2 + g_fake.A2, b2=g_real.b2 + g_fake.b2,
-        A3=g_real.A3 + g_fake.A3, b3=g_real.b3 + g_fake.b3,
-    )
+    real, fake = parameters(g_real), parameters(g_fake)
+    disc_grads = DiscParams(**{name: real[name] + fake[name] for name in real})
 
     if saturating:
         l_gen = -float(_softplus(f_fake).mean())
@@ -222,7 +202,9 @@ def backprop_all(
     Xatt is recomputed from (X_raw, Y_raw, attention_params) with the graph
     held fixed, and projection gradients are returned as well.
 
-    Returns (LossBreakdown, Gradients, Z).
+    Returns (LossBreakdown, grads, Z); grads is the name -> array registry
+    (`network.parameters`) of the generator-side gradients: the GCN, the
+    head, and the decoder and projections when they are in use.
     """
     if train_attention:
         Xatt, _, _, _ = att.denoise(X_raw, Y_raw, attention_params)
@@ -253,21 +235,21 @@ def backprop_all(
 
     total = total_generator_loss(gan.l_gen_adv, l_rec, l_quan, l_cl, hp)
     dZ = gan.dZ + hp.lambda1 * dZ_rec + hp.lambda2 * dZ_quan + hp.lambda3 * dZ_cl
-    if dWd is not None:
-        dWd = hp.lambda1 * dWd
 
     dW2 = dZ @ M.T
     dZ1 = (gcn.W2.T @ dZ) @ S_tilde
     dA = dZ1 * (Z1 > 0)
     dW1 = dA @ H.T
-    grads = Gradients(W1=dW1, W2=dW2, Wc=hp.lambda3 * dWc, disc=gan.disc_grads, Wd=dWd)
+    grads = parameters(GcnParams(dW1, dW2), ClsHead(hp.lambda3 * dWc),
+                       None if dWd is None else DecoderParams(hp.lambda1 * dWd))
 
     if train_attention:
         dXatt = (gcn.W1.T @ dA) @ S_tilde
         if hp.recon_target == "feature":
             # Xatt also enters the decoder residual directly
             dXatt = dXatt + hp.lambda1 * 2.0 * (Xatt - decoder.Wd @ Z)
-        grads.P_x, grads.P_y = att.attention_grads(X_raw, Y_raw, attention_params, dXatt)
+        dP = att.attention_grads(X_raw, Y_raw, attention_params, dXatt)
+        grads.update(zip(parameters(attention_params), dP))
 
     breakdown = LossBreakdown(
         l_quan=l_quan, l_recons=l_rec, l_cl=l_cl,

@@ -12,15 +12,6 @@ from .errors import DataError, FormatError, ParameterError, ShapeError
 
 _WORD_BITS = 64
 
-try:
-    _popcount_u64 = np.bitwise_count  # numpy >= 2.0
-except AttributeError:  # pragma: no cover - fallback for older numpy
-    _BYTE_POPCOUNT = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
-
-    def _popcount_u64(words):
-        by = np.ascontiguousarray(words).view(np.uint8)
-        return _BYTE_POPCOUNT[by].reshape(*words.shape, 8).sum(axis=-1).astype(np.uint64)
-
 
 @dataclass(frozen=True)
 class HashCodes:
@@ -88,13 +79,13 @@ def hamming(a, b):
     b = np.asarray(b, dtype=np.uint64).ravel()
     if a.shape != b.shape:
         raise ShapeError(f"code word counts differ: {a.shape} vs {b.shape}")
-    return int(_popcount_u64(a ^ b).sum())
+    return int(np.bitwise_count(a ^ b).sum())
 
 
 def hamming_to_all(query_words, db):
     """Hamming distance from one packed code to every row of a HashCodes db."""
     x = db.packed ^ np.asarray(query_words, dtype=np.uint64)[None, :]
-    return _popcount_u64(x).sum(axis=1).astype(np.int64)
+    return np.bitwise_count(x).sum(axis=1).astype(np.int64)
 
 
 def rank(query_words, db):

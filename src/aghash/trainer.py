@@ -1,11 +1,10 @@
 """Adam training loop alternating discriminator and generator updates.
 
 Training is full-batch over the training split: the graph layers consume the
-whole n x n normalized graph, which is tractable at the target scale. The
-`batch` field is informational only.
+whole n x n normalized graph, which is tractable at the target scale.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -14,14 +13,13 @@ from . import graph as sg
 from . import network as net
 from . import objective as obj
 from . import retrieval
-from .errors import NumericError, ParameterError, ShapeError
+from .errors import DataError, FormatError, NumericError, ParameterError, ShapeError
 
 
 @dataclass(frozen=True)
 class TrainConfig:
     lr: float = 1e-4
     epochs: int = 300
-    batch: int | None = None  # informational; training is full-batch
     seed: int = 0
     beta1: float = 0.9
     beta2: float = 0.999
@@ -90,16 +88,6 @@ class TrainedModel:
         return self.gcn.r
 
 
-def _recon_matrix(target, Sa, Sv, S):
-    if target == "aux" or target == "inner-product":
-        return Sa
-    if target == "visual":
-        return Sv
-    if target == "augmented":
-        return S
-    return None  # feature target uses the decoder
-
-
 def _attentive(X, Y, params, use_attention):
     if use_attention:
         Xatt, _, _, _ = att.denoise(X, Y, params)
@@ -139,39 +127,29 @@ def fit(
     apar = att.init_attention(features.d, aux.c, d_prime, cfg.seed)
     Xatt = _attentive(X, Yt, apar, use_attention)
 
-    Sa = sg.aux_similarity(Yt)
-    if graph_cfg.variant == "aux-only" and hyper.recon_target not in ("visual", "augmented"):
-        Sv, sigma = None, None
-    else:
-        Sv, sigma = sg.visual_similarity(Xatt, graph_cfg.bandwidth)
-    if graph_cfg.variant == "aux-only":
-        S = Sa
-    elif graph_cfg.variant == "visual-only":
-        S = Sv
-    else:
-        S = sg.fuse(Sv, Sa, graph_cfg.mu)
-    graph = sg.normalize(S)
+    graph, sigma = sg.build_graph(Xatt, Yt, graph_cfg)
     St = graph.S_tilde
-    recon = _recon_matrix(hyper.recon_target, Sa, Sv, S)
+    Sv = graph.Sv
+    if Sv is None and hyper.recon_target == "visual":
+        # an aux-only graph has no visual kernel of its own to reconstruct
+        Sv, sigma = sg.visual_similarity(Xatt, graph_cfg.bandwidth)
+    # the feature target reconstructs through the decoder instead of a matrix
+    recon = {"aux": graph.Sa, "inner-product": graph.Sa, "visual": Sv,
+             "augmented": graph.S}.get(hyper.recon_target)
 
     gcn, disc, head = net.init_params(d_prime, hidden, r, aux.c, cfg.seed + 1)
     decoder = net.init_decoder(d_prime, r, cfg.seed + 3) if hyper.recon_target == "feature" else None
     rng = np.random.default_rng(cfg.seed + 2)
 
-    states = {
-        "W1": AdamState.like(gcn.W1), "W2": AdamState.like(gcn.W2), "Wc": AdamState.like(head.Wc),
-        "A1": AdamState.like(disc.A1), "b1": AdamState.like(disc.b1),
-        "A2": AdamState.like(disc.A2), "b2": AdamState.like(disc.b2),
-        "A3": AdamState.like(disc.A3), "b3": AdamState.like(disc.b3),
-    }
-    if decoder is not None:
-        states["Wd"] = AdamState.like(decoder.Wd)
-    if cfg.train_attention:
-        states["P_x"] = AdamState.like(apar.P_x)
-        states["P_y"] = AdamState.like(apar.P_y)
+    states = {name: AdamState.like(param) for name, param in
+              net.parameters(apar if cfg.train_attention else None, gcn, disc, head, decoder).items()}
 
-    def step(name, param, grad):
-        return adam_step(param, grad, states[name], cfg.lr, cfg.beta1, cfg.beta2, cfg.eps)
+    def adam(group, grads):
+        """The parameter group after one Adam step on each of its arrays."""
+        return type(group)(**{
+            name: adam_step(param, grads[name], states[name], cfg.lr, cfg.beta1, cfg.beta2, cfg.eps)
+            for name, param in net.parameters(group).items()
+        })
 
     H = Xatt @ St
     history = []
@@ -187,12 +165,7 @@ def fit(
 
         for _ in range(cfg.disc_steps):
             gan = obj.gan_losses(Z, prior, disc, saturating=cfg.saturating)
-            g = gan.disc_grads
-            disc = net.DiscParams(
-                A1=step("A1", disc.A1, g.A1), b1=step("b1", disc.b1, g.b1),
-                A2=step("A2", disc.A2, g.A2), b2=step("b2", disc.b2, g.b2),
-                A3=step("A3", disc.A3, g.A3), b3=step("b3", disc.b3, g.b3),
-            )
+            disc = adam(disc, net.parameters(gan.disc_grads))
 
         breakdown, grads, _ = obj.backprop_all(
             Xatt, St, Yt, B, gcn, disc, head, hyper, prior,
@@ -202,23 +175,15 @@ def fit(
             Y_raw=Yt if cfg.train_attention else None,
             H=None if cfg.train_attention else H,
         )
-        for fname, value in (
-            ("l_quan", breakdown.l_quan), ("l_recons", breakdown.l_recons),
-            ("l_cl", breakdown.l_cl), ("l_gen_adv", breakdown.l_gen_adv),
-            ("l_disc", breakdown.l_disc),
-        ):
-            if not np.isfinite(value):
-                raise NumericError(f"non-finite loss term {fname} at epoch {epoch}")
+        for term in fields(breakdown):
+            if not np.isfinite(getattr(breakdown, term.name)):
+                raise NumericError(f"non-finite loss term {term.name} at epoch {epoch}")
 
-        gcn = net.GcnParams(W1=step("W1", gcn.W1, grads.W1), W2=step("W2", gcn.W2, grads.W2))
-        head = net.ClsHead(Wc=step("Wc", head.Wc, grads.Wc))
+        gcn, head = adam(gcn, grads), adam(head, grads)
         if decoder is not None:
-            decoder = net.DecoderParams(Wd=step("Wd", decoder.Wd, grads.Wd))
+            decoder = adam(decoder, grads)
         if cfg.train_attention:
-            apar = att.AttentionParams(
-                P_x=step("P_x", apar.P_x, grads.P_x),
-                P_y=step("P_y", apar.P_y, grads.P_y),
-            )
+            apar = adam(apar, grads)
             Xatt = _attentive(X, Yt, apar, use_attention)
             H = Xatt @ St
         history.append(breakdown)
@@ -235,18 +200,14 @@ def fit(
     return model, history
 
 
+def _resolved_graph_cfg(model):
+    """The training graph's configuration with its bandwidth resolved."""
+    return replace(model.graph_cfg, bandwidth=model.sigma)
+
+
 def forward_train(model):
     """Rebuild the training graph from cached tensors and rerun the GCN."""
-    cfg = model.graph_cfg
-    if cfg.variant == "aux-only":
-        S = sg.aux_similarity(model.y_train)
-    else:
-        Sv, _ = sg.visual_similarity(model.xatt_train, model.sigma)
-        if cfg.variant == "visual-only":
-            S = Sv
-        else:
-            S = sg.fuse(Sv, sg.aux_similarity(model.y_train), cfg.mu)
-    graph = sg.normalize(S)
+    graph, _ = sg.build_graph(model.xatt_train, model.y_train, _resolved_graph_cfg(model))
     return net.gcn_forward(model.xatt_train, graph.S_tilde, model.gcn)
 
 
@@ -268,47 +229,18 @@ def encode_queries(model, Xq, Yq):
         raise ShapeError(f"queries must be d x m with d = {model.attention.P_x.shape[1]}")
     if Yq.shape != (model.y_train.shape[0], Xq.shape[1]):
         raise ShapeError(f"query aux must be {model.y_train.shape[0]} x {Xq.shape[1]}, got {Yq.shape}")
+    for what, M in (("query features", Xq), ("query aux", Yq)):
+        bad = np.argwhere(~np.isfinite(M))
+        if bad.size:
+            i, j = bad[0]
+            raise DataError(f"non-finite {what} value at row {i}, column {j}")
 
+    xbar, ybar_train = att.project(Xq, model.y_train, model.attention)
+    xatt_q = xbar
     if model.use_attention:
-        Ybar_train = model.attention.P_y @ model.y_train
-        xbar = model.attention.P_x @ Xq
-        alpha = att.attention_scores(xbar, Ybar_train)
-        w = alpha.sum(axis=1)
-        safe = np.where(w > 0, w, 1.0)
-        mix = (Ybar_train @ alpha.T) / safe
-        mix[:, w == 0] = 0.0
-        xatt_q = mix + xbar
-    else:
-        xatt_q = model.attention.P_x @ Xq
-
-    variant = model.graph_cfg.variant
-    mu = model.graph_cfg.mu
-    if variant != "aux-only":
-        sq_dist = (
-            (xatt_q**2).sum(axis=0)[:, None]
-            + (model.xatt_train**2).sum(axis=0)[None, :]
-            - 2.0 * xatt_q.T @ model.xatt_train
-        )
-        vis = np.exp(-np.maximum(sq_dist, 0.0) / (2.0 * model.sigma**2))
-    aux_col = Yq.T @ model.y_train
-    self_aux = (Yq**2).sum(axis=0)
-    if variant == "augmented":
-        s_col = mu * vis + aux_col
-        s_self = mu + self_aux
-    elif variant == "visual-only":
-        s_col = vis
-        s_self = np.ones(Xq.shape[1])
-    else:
-        s_col = aux_col
-        s_self = self_aux
-
-    d_q = s_col.sum(axis=1) + s_self
-    safe_dq = np.where(d_q > 0, d_q, 1.0)
-    inv_deg = np.where(model.degrees > 0, 1.0 / np.sqrt(np.where(model.degrees > 0, model.degrees, 1.0)), 0.0)
-    st_col = s_col / np.sqrt(safe_dq)[:, None] * inv_deg[None, :]
-    st_col[d_q == 0, :] = 0.0
-    st_self = np.where(d_q > 0, s_self / safe_dq, 0.0)
-
+        xatt_q = att.attentive_features(xbar, ybar_train, att.attention_scores(xbar, ybar_train))
+    st_col, st_self = sg.query_columns(xatt_q, Yq, model.xatt_train, model.y_train,
+                                       model.degrees, _resolved_graph_cfg(model))
     z1_q = net.relu(model.gcn.W1 @ (model.xatt_train @ st_col.T + xatt_q * st_self))
     z_q = model.gcn.W2 @ (model.z1_train @ st_col.T + z1_q * st_self)
     return sign_pm(z_q)
@@ -336,50 +268,49 @@ def write_train_log(path, history):
             )
 
 
+# parameter groups of a TrainedModel by field; the decoder exists only for the
+# "feature" reconstruction target
+_GROUPS = {"attention": att.AttentionParams, "gcn": net.GcnParams, "disc": net.DiscParams,
+           "head": net.ClsHead, "decoder": net.DecoderParams}
+# configuration fields of a TrainedModel with their checkpoint meta keys
+_CONFIGS = {"graph_cfg": ("graph", sg.GraphConfig), "hyper": ("hyper", obj.Hyperparams),
+            "train_cfg": ("train", TrainConfig)}
+_CACHED = [f.name for f in fields(TrainedModel) if f.type is np.ndarray]
+_SCALARS = [f.name for f in fields(TrainedModel) if f.name not in {*_GROUPS, *_CONFIGS, *_CACHED}]
+
+
 def save_model(path, model):
-    arrays = {
-        "P_x": model.attention.P_x, "P_y": model.attention.P_y,
-        "W1": model.gcn.W1, "W2": model.gcn.W2, "Wc": model.head.Wc,
-        "A1": model.disc.A1, "b1": model.disc.b1,
-        "A2": model.disc.A2, "b2": model.disc.b2,
-        "A3": model.disc.A3, "b3": model.disc.b3,
-        "xatt_train": model.xatt_train, "z1_train": model.z1_train,
-        "z_train": model.z_train, "degrees": model.degrees, "y_train": model.y_train,
-    }
-    if model.decoder is not None:
-        arrays["Wd"] = model.decoder.Wd
-    cfg = model.train_cfg
-    meta = {
-        "graph": {"mu": model.graph_cfg.mu, "bandwidth": model.graph_cfg.bandwidth,
-                  "variant": model.graph_cfg.variant},
-        "hyper": {"lambda1": model.hyper.lambda1, "lambda2": model.hyper.lambda2,
-                  "lambda3": model.hyper.lambda3, "k": model.hyper.k,
-                  "recon_target": model.hyper.recon_target},
-        "train": {"lr": cfg.lr, "epochs": cfg.epochs, "batch": cfg.batch, "seed": cfg.seed,
-                  "beta1": cfg.beta1, "beta2": cfg.beta2, "eps": cfg.eps,
-                  "disc_steps": cfg.disc_steps, "saturating": cfg.saturating,
-                  "train_attention": cfg.train_attention},
-        "use_attention": model.use_attention,
-        "sigma": model.sigma,
-        "r": model.r,
-    }
+    arrays = net.parameters(*(getattr(model, name) for name in _GROUPS))
+    arrays.update((name, getattr(model, name)) for name in _CACHED)
+    meta = {name: getattr(model, name) for name in _SCALARS}
+    meta.update((key, asdict(getattr(model, name))) for name, (key, _) in _CONFIGS.items())
+    meta["r"] = model.r
     net.save_arrays(path, arrays, meta)
+
+
+def _check_names(path, what, found, expected):
+    """FormatError naming the first expected entry missing from `found`, or the first unknown one."""
+    if not isinstance(found, dict):
+        raise FormatError(f"{path}: malformed checkpoint meta")
+    missing = [name for name in expected if name not in found]
+    if missing:
+        raise FormatError(f"{path}: checkpoint has no {what} {missing[0]!r}")
+    unknown = sorted(set(found) - set(expected))
+    if unknown:
+        raise FormatError(f"{path}: unknown checkpoint {what} {unknown[0]!r}")
 
 
 def load_model(path):
     arrays, meta = net.load_arrays(path)
-    return TrainedModel(
-        attention=att.AttentionParams(arrays["P_x"], arrays["P_y"]),
-        gcn=net.GcnParams(W1=arrays["W1"], W2=arrays["W2"]),
-        disc=net.DiscParams(A1=arrays["A1"], b1=arrays["b1"], A2=arrays["A2"],
-                            b2=arrays["b2"], A3=arrays["A3"], b3=arrays["b3"]),
-        head=net.ClsHead(Wc=arrays["Wc"]),
-        decoder=net.DecoderParams(Wd=arrays["Wd"]) if "Wd" in arrays else None,
-        graph_cfg=sg.GraphConfig(**meta["graph"]),
-        hyper=obj.Hyperparams(**meta["hyper"]),
-        train_cfg=TrainConfig(**meta["train"]),
-        use_attention=meta["use_attention"],
-        sigma=meta["sigma"],
-        xatt_train=arrays["xatt_train"], z1_train=arrays["z1_train"],
-        z_train=arrays["z_train"], degrees=arrays["degrees"], y_train=arrays["y_train"],
-    )
+    _check_names(path, "meta key", meta, _SCALARS + [key for key, _ in _CONFIGS.values()] + ["r"])
+    values = {name: meta[name] for name in _SCALARS}
+    for name, (key, cls) in _CONFIGS.items():
+        _check_names(path, f"{key} setting", meta[key], [f.name for f in fields(cls)])
+        values[name] = cls(**meta[key])
+    groups = {name: cls for name, cls in _GROUPS.items()
+              if name != "decoder" or values["hyper"].recon_target == "feature"}
+    _check_names(path, "array", arrays, [f.name for cls in groups.values() for f in fields(cls)] + _CACHED)
+    for name, cls in _GROUPS.items():
+        values[name] = cls(**{f.name: arrays[f.name] for f in fields(cls)}) if name in groups else None
+    values.update((name, arrays[name]) for name in _CACHED)
+    return TrainedModel(**values)

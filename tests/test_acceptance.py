@@ -87,11 +87,11 @@ def test_gradient_suite(capfd):
             attention_params=inst.apar, X_raw=inst.X, Y_raw=inst.Y,
         )
         checks = [
-            (grads.W1, lambda P: gen_loss(gcn=net.GcnParams(W1=P, W2=inst.gcn.W2)), inst.gcn.W1),
-            (grads.W2, lambda P: gen_loss(gcn=net.GcnParams(W1=inst.gcn.W1, W2=P)), inst.gcn.W2),
-            (grads.Wc, lambda P: gen_loss(head=net.ClsHead(Wc=P)), inst.head.Wc),
-            (grads.P_x, lambda P: gen_loss(apar=AttentionParams(P, inst.apar.P_y)), inst.apar.P_x),
-            (grads.P_y, lambda P: gen_loss(apar=AttentionParams(inst.apar.P_x, P)), inst.apar.P_y),
+            (grads["W1"], lambda P: gen_loss(gcn=net.GcnParams(W1=P, W2=inst.gcn.W2)), inst.gcn.W1),
+            (grads["W2"], lambda P: gen_loss(gcn=net.GcnParams(W1=inst.gcn.W1, W2=P)), inst.gcn.W2),
+            (grads["Wc"], lambda P: gen_loss(head=net.ClsHead(Wc=P)), inst.head.Wc),
+            (grads["P_x"], lambda P: gen_loss(apar=AttentionParams(P, inst.apar.P_y)), inst.apar.P_x),
+            (grads["P_y"], lambda P: gen_loss(apar=AttentionParams(inst.apar.P_x, P)), inst.apar.P_y),
         ]
 
         Z = inst.gcn.W2 @ (net.relu(inst.gcn.W1 @ (inst.Xatt @ inst.St)) @ inst.St)

@@ -108,6 +108,29 @@ class TestTrain:
         assert cli.main(args) == 1
         assert "key=value" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("line, error", [
+        ("bandwidth = 1.5", None), ("threads = 1", None),
+        ("bandwidth = wide", "invalid value 'wide'"), ("threads = two", "invalid value 'two'"),
+        ("variant = sparse", "must be one of"),
+    ])
+    def test_config_values_take_flag_types(self, pipeline, tmp_path, capsys, line, error):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n")
+        args = [
+            "train", "--features", str(pipeline / "features.txt"),
+            "--aux", str(pipeline / "aux.txt"), "--split", str(pipeline / "split.json"),
+            "--out", str(tmp_path), "--r", "4", "--d-prime", "8", "--hidden", "8",
+            "--epochs", "1", "--config", str(cfg),
+        ]
+        code, captured = run(args, capsys)
+        if error is None:
+            assert code == 0
+            if line.startswith("bandwidth"):
+                assert load_model(tmp_path / "checkpoint.bin").sigma == 1.5
+        else:
+            assert code == 1
+            assert error in captured.err and len(captured.err.splitlines()) == 1
+
 
 class TestEncode:
     def encode(self, pipeline, tmp_path, subset, extra=()):
@@ -148,6 +171,18 @@ class TestEncode:
         ]
         assert cli.main(args) == 1
         assert "r=64" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line, code", [("r = 8", 0), ("r = 64", 1), ("r = eight", 1)])
+    def test_config_r_is_an_integer(self, pipeline, tmp_path, capsys, line, code):
+        cfg = tmp_path / "enc.cfg"
+        cfg.write_text(line + "\n")
+        args = [
+            "encode", "--checkpoint", str(pipeline / "checkpoint.bin"),
+            "--features", str(pipeline / "features.txt"), "--aux", str(pipeline / "aux.txt"),
+            "--split", str(pipeline / "split.json"), "--subset", "train",
+            "--out", str(tmp_path / "x.codes"), "--config", str(cfg),
+        ]
+        assert run(args, capsys)[0] == code
 
 
 class TestEvaluate:

@@ -227,9 +227,9 @@ class TestBackpropAll:
             lambda W: self._generator_loss(inst, inst.gcn, net.ClsHead(Wc=W), recon, inst.hp),
             inst.head.Wc,
         )
-        assert max_rel_err(grads.W1, fd_w1) < 1e-4
-        assert max_rel_err(grads.W2, fd_w2) < 1e-4
-        assert max_rel_err(grads.Wc, fd_wc) < 1e-4
+        assert max_rel_err(grads["W1"], fd_w1) < 1e-4
+        assert max_rel_err(grads["W2"], fd_w2) < 1e-4
+        assert max_rel_err(grads["Wc"], fd_wc) < 1e-4
 
     def test_attention_gradients_through_full_model(self):
         inst = small_instance(21)
@@ -252,8 +252,8 @@ class TestBackpropAll:
 
         fd_px = central_diff(lambda P: loss_for(P, inst.apar.P_y), inst.apar.P_x)
         fd_py = central_diff(lambda P: loss_for(inst.apar.P_x, P), inst.apar.P_y)
-        assert max_rel_err(grads.P_x, fd_px) < 1e-4
-        assert max_rel_err(grads.P_y, fd_py) < 1e-4
+        assert max_rel_err(grads["P_x"], fd_px) < 1e-4
+        assert max_rel_err(grads["P_y"], fd_py) < 1e-4
 
     def test_feature_target_requires_decoder(self):
         inst = small_instance(22, hp=obj.Hyperparams(recon_target="feature"))
@@ -283,4 +283,4 @@ class TestBackpropAll:
         )
         assert bd1 == bd2
         assert np.array_equal(Z1, Z2)
-        assert np.array_equal(g1.W1, g2.W1)
+        assert np.array_equal(g1["W1"], g2["W1"])

@@ -1,12 +1,16 @@
+import struct
+
 import numpy as np
 import pytest
 
+from aghash import cli
 from aghash import graph as sg
+from aghash import network as net
 from aghash import objective as obj
 from aghash import retrieval
 from aghash import trainer
 from aghash.data import make_split, synth_dataset
-from aghash.errors import ParameterError, ShapeError
+from aghash.errors import DataError, FormatError, ParameterError, ShapeError
 from aghash.trainer import AdamState, TrainConfig, adam_step, sign_pm
 
 
@@ -185,6 +189,17 @@ class TestEncoding:
         with pytest.raises(ShapeError):
             trainer.encode_queries(model, np.ones((6, 2)), np.ones((3, 2)))
 
+    def test_nonfinite_query_names_position(self):
+        fm, aux, split, model, _ = tiny_fit(seed=14)
+        Xq, Yq = fm.data[:, split.query].copy(), aux.data[:, split.query].copy()
+        Xq[2, 3] = np.nan
+        with pytest.raises(DataError, match="features value at row 2, column 3"):
+            trainer.encode_queries(model, Xq, Yq)
+        Xq[2, 3] = 0.0
+        Yq[1, 0] = np.inf
+        with pytest.raises(DataError, match="aux value at row 1, column 0"):
+            trainer.encode_queries(model, Xq, Yq)
+
     def test_variant_encoding_runs(self):
         for gv, rt in (("aux-only", "aux"), ("visual-only", "visual")):
             fm, aux, split, model, _ = tiny_fit(
@@ -208,15 +223,49 @@ class TestPersistence:
         assert back.sigma == model.sigma
         assert back.r == model.r
 
-    def test_round_trip_preserves_query_codes(self, tmp_path):
-        fm, aux, split, model, _ = tiny_fit(seed=17)
-        p = tmp_path / "model.bin"
+    @pytest.mark.parametrize("flags", [["--variant", v] for v in cli._VARIANTS] + [["--train-attention"]],
+                             ids=lambda flags: flags[-1].lstrip("-"))
+    def test_round_trip_preserves_query_codes(self, tmp_path, flags):
+        args = cli.build_parser().parse_args(
+            ["train", "--features", "-", "--aux", "-", "--split", "-", "--out", "-",
+             "--epochs", "3", "--lr", "1e-3", "--seed", "17", *flags])
+        graph_cfg, hyper, cfg, use_attention = cli._train_setup(args)
+        fm, aux, split, model, _ = tiny_fit(seed=17, graph_cfg=graph_cfg, hyper=hyper, cfg=cfg,
+                                            use_attention=use_attention)
+        p, resaved = tmp_path / "model.bin", tmp_path / "resaved.bin"
         trainer.save_model(p, model)
         back = trainer.load_model(p)
+        trainer.save_model(resaved, back)
+        assert resaved.read_bytes() == p.read_bytes()
         Xq, Yq = fm.data[:, split.query], aux.data[:, split.query]
         assert np.array_equal(
             trainer.encode_queries(model, Xq, Yq), trainer.encode_queries(back, Xq, Yq)
         )
+
+    def test_missing_array_or_unknown_meta_key(self, tmp_path):
+        _, _, _, model, _ = tiny_fit(seed=18)
+        p = tmp_path / "model.bin"
+        trainer.save_model(p, model)
+        arrays, meta = net.load_arrays(p)
+        del arrays["Wc"]
+        net.save_arrays(p, arrays, meta)
+        with pytest.raises(FormatError, match="no array 'Wc'"):
+            trainer.load_model(p)
+        arrays["Wc"] = model.head.Wc
+        meta["train"]["batch"] = None
+        net.save_arrays(p, arrays, meta)
+        with pytest.raises(FormatError, match="unknown checkpoint train setting 'batch'"):
+            trainer.load_model(p)
+
+    def test_version_1_checkpoint_rejected(self, tmp_path):
+        _, _, _, model, _ = tiny_fit(seed=18)
+        p = tmp_path / "model.bin"
+        trainer.save_model(p, model)
+        raw = bytearray(p.read_bytes())
+        raw[4:8] = struct.pack("<I", 1)
+        p.write_bytes(bytes(raw))
+        with pytest.raises(FormatError, match="unsupported checkpoint version 1"):
+            trainer.load_model(p)
 
     def test_save_is_byte_deterministic(self, tmp_path):
         _, _, _, m1, _ = tiny_fit(seed=18)
