@@ -28,13 +28,44 @@ _VARIANTS = {
 }
 
 
-def _set_threads_early(argv):
+def _flag_value(argv, flag):
+    """The last value given for `flag` in argv, or None."""
     value = None
     for i, tok in enumerate(argv):
-        if tok == "--threads" and i + 1 < len(argv):
+        if tok == flag and i + 1 < len(argv):
             value = argv[i + 1]
-        elif tok.startswith("--threads="):
+        elif tok.startswith(flag + "="):
             value = tok.split("=", 1)[1]
+    return value
+
+
+def _config_threads(path):
+    """The last `threads` entry of a --config file when it is an integer, else None.
+
+    Anything else, including an unreadable file, is left for _apply_config to
+    report.
+    """
+    entry = None
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            for raw in fh:
+                key, _, value = raw.split("#", 1)[0].partition("=")
+                if key.strip() == "threads":
+                    entry = value.strip()
+        return None if entry is None else str(int(entry))
+    except (OSError, ValueError):
+        return None
+
+
+def _set_threads_early(argv):
+    """Pin the BLAS pools before numpy loads, from --threads or a `threads` config entry.
+
+    A config entry overrides the flag, as in _apply_config.
+    """
+    value = _flag_value(argv, "--threads")
+    config = _flag_value(argv, "--config")
+    if config is not None:
+        value = _config_threads(config) or value
     if value is not None:
         for var in _THREAD_VARS:
             os.environ[var] = value
@@ -230,14 +261,14 @@ def cmd_train(args):
 
     features = load_features(args.features, format=args.format)
     aux = load_aux(args.aux)
-    split = load_split(args.split)
+    train_idx = load_split(args.split).subset("train", features.n)
     graph_cfg, hyper, train_cfg, use_attention = _train_setup(args)
 
     man_path = os.path.join(args.out, "manifest.json")
     man = manifest.start(man_path, "train", _resolved(args, _TRAIN_KEYS),
                          [args.features, args.aux, args.split], args.seed, __version__)
     start = time.perf_counter()
-    model, history = fit(features, aux, split.train, r=args.r, d_prime=args.d_prime,
+    model, history = fit(features, aux, train_idx, r=args.r, d_prime=args.d_prime,
                          hidden=args.hidden, graph_cfg=graph_cfg, hyper=hyper,
                          cfg=train_cfg, use_attention=use_attention)
     train_time = time.perf_counter() - start
@@ -268,7 +299,7 @@ def cmd_encode(args):
     features = load_features(args.features, format=args.format)
     aux = load_aux(args.aux)
     split = load_split(args.split)
-    idx = getattr(split, args.subset)
+    idx = split.subset(args.subset, features.n)
 
     man_path = args.out + ".manifest.json"
     man = manifest.start(man_path, "encode",
@@ -301,13 +332,17 @@ def cmd_encode(args):
 def cmd_evaluate(args):
     from . import __version__, manifest
     from .data import load_aux
+    from .errors import ConfigError
     from .retrieval import evaluate, load_codes, save_report
 
+    try:
+        curve = [int(tok) for tok in args.curve.split(",") if tok.strip()]
+    except ValueError:
+        raise ConfigError(f"--curve must be comma-separated integers, got {args.curve!r}") from None
     query_codes = load_codes(args.query_codes)
     db_codes = load_codes(args.db_codes)
     query_labels = load_aux(args.query_labels)
     db_labels = load_aux(args.db_labels)
-    curve = [int(tok) for tok in args.curve.split(",") if tok.strip()]
 
     man_path = args.out_prefix + ".manifest.json"
     man = manifest.start(man_path, "evaluate",
@@ -345,10 +380,10 @@ def _sweep_point(payload):
     truth = load_aux(args.labels)
     split = load_split(args.split)
     graph_cfg, hyper, train_cfg, use_attention = _train_setup(args)
-    model, _ = fit(features, aux, split.train, r=args.r, d_prime=args.d_prime,
-                   hidden=args.hidden, graph_cfg=graph_cfg, hyper=hyper,
+    model, _ = fit(features, aux, split.subset("train", features.n), r=args.r,
+                   d_prime=args.d_prime, hidden=args.hidden, graph_cfg=graph_cfg, hyper=hyper,
                    cfg=train_cfg, use_attention=use_attention)
-    q_idx, db_idx = split.query, split.retrieval
+    q_idx, db_idx = split.subset("query", features.n), split.subset("retrieval", features.n)
     q_codes = pack(encode_queries(model, features.data[:, q_idx], aux.data[:, q_idx]))
     db_codes = pack(encode_queries(model, features.data[:, db_idx], aux.data[:, db_idx]))
     report = evaluate(q_codes, db_codes, truth.data[:, q_idx], truth.data[:, db_idx],

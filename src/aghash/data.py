@@ -110,6 +110,14 @@ class DatasetSplit:
         if np.intersect1d(self.query, self.retrieval).size:
             raise ParameterError("query and retrieval sets overlap")
 
+    def subset(self, name, n):
+        """The `name` ('train', 'query' or 'retrieval') indices, checked against n items."""
+        idx = getattr(self, name)
+        bad = idx[idx >= n]
+        if bad.size:
+            raise ParameterError(f"{name} index {bad[0]} is out of range for {n} items")
+        return idx
+
 
 # ---------------------------------------------------------------------------
 # file IO
@@ -235,16 +243,19 @@ def load_split(path):
     with open(path, "r", encoding="ascii") as fh:
         try:
             payload = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # not JSON, or not ASCII
             raise FormatError(f"{path}: not valid JSON") from exc
-    try:
-        return DatasetSplit(
-            np.asarray(payload["train"], dtype=np.int64),
-            np.asarray(payload["query"], dtype=np.int64),
-            np.asarray(payload["retrieval"], dtype=np.int64),
-        )
-    except KeyError as exc:
-        raise FormatError(f"{path}: missing split key {exc}") from exc
+    if not isinstance(payload, dict):
+        raise FormatError(f"{path}: split must be a JSON object")
+    subsets = {}
+    for name in ("train", "query", "retrieval"):
+        if name not in payload:
+            raise FormatError(f"{path}: missing split key {name!r}")
+        values = payload[name]
+        if not isinstance(values, list) or not all(type(v) is int and abs(v) < 2**63 for v in values):
+            raise FormatError(f"{path}: split {name!r} must be a list of 64-bit integers")
+        subsets[name] = np.asarray(values, dtype=np.int64)
+    return DatasetSplit(**subsets)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,9 @@ Forward passes only; gradients live in `objective`.
 
 import io
 import json
+import math
+import os
+import re
 import struct
 from dataclasses import dataclass, fields
 
@@ -14,6 +17,7 @@ from .errors import FormatError, ShapeError
 
 CHECKPOINT_MAGIC = b"AGCK"
 CHECKPOINT_VERSION = 2
+_NUMERIC_DTYPE = re.compile(r"[<>|=]?[biuf][0-9]{1,2}")
 
 
 @dataclass
@@ -101,9 +105,15 @@ def gcn_forward(Xatt, S_tilde, params):
         raise ShapeError(f"W1 is {params.W1.shape}, features have d' = {Xatt.shape[0]}")
     if S_tilde.shape != (Xatt.shape[1], Xatt.shape[1]):
         raise ShapeError(f"graph is {S_tilde.shape}, expected {(Xatt.shape[1],) * 2}")
-    Z1 = relu(params.W1 @ (Xatt @ S_tilde))
-    Z = params.W2 @ (Z1 @ S_tilde)
+    Z1, _, Z = gcn_layers(Xatt @ S_tilde, S_tilde, params)
     return Z1, Z
+
+
+def gcn_layers(H, S_tilde, params):
+    """Both GCN layers on the propagated features H = Xatt S~: (Z1, M, Z) with M = Z1 S~."""
+    Z1 = relu(params.W1 @ H)
+    M = Z1 @ S_tilde
+    return Z1, M, params.W2 @ M
 
 
 def disc_forward(v, params):
@@ -149,15 +159,28 @@ def _write_str(fh, s):
 
 
 def _read_exact(fh, size, path):
-    raw = fh.read(size)
-    if len(raw) != size:
+    # checked before reading: a corrupt size field may ask for more than memory holds
+    if size > os.fstat(fh.fileno()).st_size - fh.tell():
         raise FormatError(f"{path}: truncated checkpoint")
-    return raw
+    return fh.read(size)
 
 
 def _read_str(fh, path):
     (length,) = struct.unpack("<I", _read_exact(fh, 4, path))
-    return _read_exact(fh, length, path).decode("utf-8")
+    try:
+        return _read_exact(fh, length, path).decode("utf-8")
+    except UnicodeDecodeError:
+        raise FormatError(f"{path}: checkpoint string is not utf-8") from None
+
+
+def _numeric_dtype(text, name, path):
+    """The dtype that `text` names when it is a fixed-width bool, integer or float."""
+    if _NUMERIC_DTYPE.fullmatch(text):
+        try:
+            return np.dtype(text)
+        except TypeError:  # a width the kind does not have, such as 'f3'
+            pass
+    raise FormatError(f"{path}: array {name!r} has unknown dtype {text!r}")
 
 
 def save_arrays(path, arrays, meta=None):
@@ -186,14 +209,17 @@ def load_arrays(path):
         (version,) = struct.unpack("<I", _read_exact(fh, 4, path))
         if version != CHECKPOINT_VERSION:
             raise FormatError(f"{path}: unsupported checkpoint version {version}")
-        meta = json.loads(_read_str(fh, path))
+        try:
+            meta = json.loads(_read_str(fh, path))
+        except json.JSONDecodeError:
+            raise FormatError(f"{path}: checkpoint meta is not JSON") from None
         (count,) = struct.unpack("<I", _read_exact(fh, 4, path))
         arrays = {}
         for _ in range(count):
             name = _read_str(fh, path)
-            dtype = np.dtype(_read_str(fh, path))
+            dtype = _numeric_dtype(_read_str(fh, path), name, path)
             (ndim,) = struct.unpack("<I", _read_exact(fh, 4, path))
             shape = struct.unpack(f"<{ndim}Q", _read_exact(fh, 8 * ndim, path))
-            data = _read_exact(fh, dtype.itemsize * int(np.prod(shape, dtype=np.int64)), path)
+            data = _read_exact(fh, dtype.itemsize * math.prod(shape), path)
             arrays[name] = np.frombuffer(data, dtype=dtype).reshape(shape).copy()
     return arrays, meta

@@ -13,7 +13,7 @@ import numpy as np
 from . import attention as att
 from .errors import ParameterError, ShapeError
 from .network import (ClsHead, DecoderParams, DiscParams, GcnParams, cls_forward, disc_layers,
-                      parameters, relu, sigmoid)
+                      parameters, sigmoid)
 
 RECON_TARGETS = ("aux", "visual", "augmented", "inner-product", "feature")
 
@@ -177,6 +177,8 @@ def total_generator_loss(l_gen_adv, l_recons, l_quan, l_cl, hp):
 
 def backprop_all(
     Xatt,
+    H,
+    layers,
     S_tilde,
     Y,
     B,
@@ -189,32 +191,22 @@ def backprop_all(
     recon_matrix=None,
     decoder=None,
     saturating=False,
-    train_attention=False,
-    attention_params=None,
-    X_raw=None,
-    Y_raw=None,
-    H=None,
+    attention=None,
 ):
     """Losses plus exact gradients of the generator and discriminator objectives.
 
-    `recon_matrix` is the n x n reconstruction target (ignored for the
-    'feature' target, which uses `decoder`). When `train_attention` is set,
-    Xatt is recomputed from (X_raw, Y_raw, attention_params) with the graph
-    held fixed, and projection gradients are returned as well.
+    Differentiates a forward pass computed by the caller: H = Xatt S~ and
+    `layers` = (Z1, M, Z) = network.gcn_layers(H, S~, gcn). `recon_matrix` is
+    the n x n reconstruction target (ignored for the 'feature' target, which
+    uses `decoder`). `attention` = (X, Y, params), the raw features, aux and
+    projections that Xatt was denoised from, adds the projection gradients
+    with the graph held fixed.
 
-    Returns (LossBreakdown, grads, Z); grads is the name -> array registry
+    Returns (LossBreakdown, grads); grads is the name -> array registry
     (`network.parameters`) of the generator-side gradients: the GCN, the
     head, and the decoder and projections when they are in use.
     """
-    if train_attention:
-        Xatt, _, _, _ = att.denoise(X_raw, Y_raw, attention_params)
-        H = None
-    if H is None:
-        H = Xatt @ S_tilde
-    A = gcn.W1 @ H
-    Z1 = relu(A)
-    M = Z1 @ S_tilde
-    Z = gcn.W2 @ M
+    Z1, M, Z = layers
 
     l_quan, dZ_quan = quantization_loss(B, Z)
     dWd = None
@@ -243,16 +235,16 @@ def backprop_all(
     grads = parameters(GcnParams(dW1, dW2), ClsHead(hp.lambda3 * dWc),
                        None if dWd is None else DecoderParams(hp.lambda1 * dWd))
 
-    if train_attention:
+    if attention is not None:
         dXatt = (gcn.W1.T @ dA) @ S_tilde
         if hp.recon_target == "feature":
             # Xatt also enters the decoder residual directly
             dXatt = dXatt + hp.lambda1 * 2.0 * (Xatt - decoder.Wd @ Z)
-        dP = att.attention_grads(X_raw, Y_raw, attention_params, dXatt)
-        grads.update(zip(parameters(attention_params), dP))
+        X_raw, Y_raw, apar = attention
+        grads.update(zip(parameters(apar), att.attention_grads(X_raw, Y_raw, apar, dXatt)))
 
     breakdown = LossBreakdown(
         l_quan=l_quan, l_recons=l_rec, l_cl=l_cl,
         l_gen_adv=gan.l_gen_adv, l_disc=gan.l_disc, total_gen=total,
     )
-    return breakdown, grads, Z
+    return breakdown, grads

@@ -193,7 +193,7 @@ def load_codes(path):
             raise ShapeError(f"{path}: row {i} has {len(toks)} words, expected {words}")
         try:
             packed[i] = [int(t, 16) for t in toks]
-        except ValueError as exc:
+        except (ValueError, OverflowError) as exc:  # not hex, or not in [0, 2**64)
             raise FormatError(f"{path}: bad hex word in row {i}") from exc
     return HashCodes(packed=packed, r=r, item_ids=default_ids(n))
 

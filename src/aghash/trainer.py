@@ -118,6 +118,8 @@ def fit(
     train_idx = np.asarray(train_idx, dtype=np.int64)
     if train_idx.size == 0:
         raise ParameterError("training split is empty")
+    if cfg.train_attention and not use_attention:
+        raise ParameterError("train_attention needs attention denoising (use_attention=True)")
     if features.n != aux.n:
         raise ShapeError(f"features have {features.n} items, aux has {aux.n}")
     X = features.data[:, train_idx]
@@ -152,12 +154,9 @@ def fit(
         })
 
     H = Xatt @ St
+    Z1, M, Z = net.gcn_layers(H, St, gcn)
     history = []
     for epoch in range(1, cfg.epochs + 1):
-        A = gcn.W1 @ H
-        Z1 = net.relu(A)
-        M = Z1 @ St
-        Z = gcn.W2 @ M
         if not np.all(np.isfinite(Z)):
             raise NumericError(f"non-finite generator output at epoch {epoch}")
         B = sign_pm(Z)
@@ -167,13 +166,10 @@ def fit(
             gan = obj.gan_losses(Z, prior, disc, saturating=cfg.saturating)
             disc = adam(disc, net.parameters(gan.disc_grads))
 
-        breakdown, grads, _ = obj.backprop_all(
-            Xatt, St, Yt, B, gcn, disc, head, hyper, prior,
+        breakdown, grads = obj.backprop_all(
+            Xatt, H, (Z1, M, Z), St, Yt, B, gcn, disc, head, hyper, prior,
             recon_matrix=recon, decoder=decoder, saturating=cfg.saturating,
-            train_attention=cfg.train_attention, attention_params=apar,
-            X_raw=X if cfg.train_attention else None,
-            Y_raw=Yt if cfg.train_attention else None,
-            H=None if cfg.train_attention else H,
+            attention=(X, Yt, apar) if cfg.train_attention else None,
         )
         for term in fields(breakdown):
             if not np.isfinite(getattr(breakdown, term.name)):
@@ -186,11 +182,11 @@ def fit(
             apar = adam(apar, grads)
             Xatt = _attentive(X, Yt, apar, use_attention)
             H = Xatt @ St
+        Z1, M, Z = net.gcn_layers(H, St, gcn)
         history.append(breakdown)
         if epoch_callback is not None:
             epoch_callback(epoch, breakdown)
 
-    Z1, Z = net.gcn_forward(Xatt, St, gcn)
     model = TrainedModel(
         attention=apar, gcn=gcn, disc=disc, head=head, decoder=decoder,
         graph_cfg=graph_cfg, hyper=hyper, train_cfg=cfg, use_attention=use_attention,

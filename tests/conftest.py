@@ -65,3 +65,19 @@ def small_instance(seed, n=16, d=8, d_prime=8, h=8, r=4, c=3, hp=None):
     return SmallInstance(X=X, Y=Y, apar=apar, Xatt=Xatt, Sa=Sa, St=St,
                          gcn=gcn, disc=disc, head=head, prior=prior, B=B,
                          hp=hp or obj.Hyperparams())
+
+
+def backprop(inst, apar=None, gcn=None, head=None, hp=None, train_attention=False, **kwargs):
+    """objective.backprop_all on `inst` after the forward pass it differentiates.
+
+    With `train_attention`, Xatt is denoised from the raw inputs under `apar`
+    (default inst.apar) and the projection gradients are returned as well.
+    """
+    apar, gcn = apar or inst.apar, gcn or inst.gcn
+    Xatt = att.denoise(inst.X, inst.Y, apar)[0] if train_attention else inst.Xatt
+    H = Xatt @ inst.St
+    return obj.backprop_all(
+        Xatt, H, net.gcn_layers(H, inst.St, gcn), inst.St, inst.Y, inst.B, gcn, inst.disc,
+        head or inst.head, hp or inst.hp, inst.prior,
+        attention=(inst.X, inst.Y, apar) if train_attention else None, **kwargs,
+    )

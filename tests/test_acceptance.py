@@ -22,7 +22,7 @@ from aghash.graph import GraphConfig
 from aghash.objective import Hyperparams
 from aghash.trainer import TrainConfig
 
-from conftest import central_diff, max_rel_err, small_instance
+from conftest import backprop, central_diff, max_rel_err, small_instance
 
 
 def report(capfd, name, ok, detail):
@@ -73,19 +73,11 @@ def test_gradient_suite(capfd):
         inst = small_instance(seed)
 
         def gen_loss(apar=None, gcn=None, head=None):
-            bd, _, _ = obj.backprop_all(
-                inst.Xatt, inst.St, inst.Y, inst.B,
-                gcn or inst.gcn, inst.disc, head or inst.head, inst.hp, inst.prior,
-                recon_matrix=inst.Sa, train_attention=True,
-                attention_params=apar or inst.apar, X_raw=inst.X, Y_raw=inst.Y,
-            )
+            bd, _ = backprop(inst, apar=apar, gcn=gcn, head=head, recon_matrix=inst.Sa,
+                             train_attention=True)
             return bd.total_gen
 
-        _, grads, _ = obj.backprop_all(
-            inst.Xatt, inst.St, inst.Y, inst.B, inst.gcn, inst.disc, inst.head,
-            inst.hp, inst.prior, recon_matrix=inst.Sa, train_attention=True,
-            attention_params=inst.apar, X_raw=inst.X, Y_raw=inst.Y,
-        )
+        _, grads = backprop(inst, recon_matrix=inst.Sa, train_attention=True)
         checks = [
             (grads["W1"], lambda P: gen_loss(gcn=net.GcnParams(W1=P, W2=inst.gcn.W2)), inst.gcn.W1),
             (grads["W2"], lambda P: gen_loss(gcn=net.GcnParams(W1=inst.gcn.W1, W2=P)), inst.gcn.W2),

@@ -1,4 +1,6 @@
 import json
+import os
+import struct
 
 import numpy as np
 import pytest
@@ -227,6 +229,90 @@ class TestSweep:
         assert lines[1].startswith("1,") and lines[2].startswith("2,")
 
 
+def _checkpoint(meta=b"{}", dtype=b"<f8", dims=(1,)):
+    """Bytes of a one-array checkpoint with the given raw meta, dtype string and dimensions."""
+    def string(raw):
+        return struct.pack("<I", len(raw)) + raw
+
+    return (b"AGCK" + struct.pack("<I", 2) + string(meta) + struct.pack("<I", 1) + string(b"w")
+            + string(dtype) + struct.pack(f"<I{len(dims)}Q", len(dims), *dims) + bytes(8))
+
+
+def _train(p, tmp, *extra, split=None):
+    return ["train", "--features", str(p / "features.txt"), "--aux", str(p / "aux.txt"),
+            "--split", split or str(p / "split.json"), "--out", str(tmp),
+            "--r", "4", "--d-prime", "8", "--hidden", "8", "--epochs", "1", *extra]
+
+
+def _encode(p, tmp, subset="query", checkpoint=None, split=None):
+    return ["encode", "--checkpoint", checkpoint or str(p / "checkpoint.bin"),
+            "--features", str(p / "features.txt"), "--aux", str(p / "aux.txt"),
+            "--split", split or str(p / "split.json"), "--subset", subset,
+            "--out", str(tmp / "out.codes")]
+
+
+def _evaluate(p, tmp, query_codes="1 8\n00000000000000ff\n", curve="1,5"):
+    files = {"q.codes": query_codes, "db.codes": "2 8\n00000000000000ff\n0000000000000001\n",
+             "q.txt": "2 1\n1\n0\n", "db.txt": "2 2\n1,0\n0,1\n"}
+    for name, text in files.items():
+        (tmp / name).write_text(text)
+    return ["evaluate", "--query-codes", str(tmp / "q.codes"), "--db-codes", str(tmp / "db.codes"),
+            "--query-labels", str(tmp / "q.txt"), "--db-labels", str(tmp / "db.txt"),
+            "--k", "2", "--curve", curve, "--out-prefix", str(tmp / "report")]
+
+
+def _file(tmp, name, content):
+    path = tmp / name
+    if isinstance(content, bytes):
+        path.write_bytes(content)
+    else:
+        path.write_text(content)
+    return str(path)
+
+
+_SPLIT = '{"train": %s, "query": %s, "retrieval": []}'
+# case -> (argv built from the pipeline directory and a scratch directory, message fragment)
+MALFORMED = {
+    "meta-not-json": (lambda p, t: _encode(p, t, checkpoint=_file(t, "c", _checkpoint(meta=b"{oops"))),
+                      "meta is not JSON"),
+    "meta-not-utf8": (lambda p, t: _encode(p, t, checkpoint=_file(t, "c", _checkpoint(meta=b"\xff\xfe"))),
+                      "not utf-8"),
+    "unknown-dtype": (lambda p, t: _encode(p, t, checkpoint=_file(t, "c", _checkpoint(dtype=b"<x8"))),
+                      "unknown dtype '<x8'"),
+    "object-dtype": (lambda p, t: _encode(p, t, checkpoint=_file(t, "c", _checkpoint(dtype=b"|O"))),
+                     "unknown dtype '|O'"),
+    "dims-beyond-file": (lambda p, t: _encode(p, t, checkpoint=_file(t, "c", _checkpoint(dims=(2**31, 3)))),
+                         "truncated"),
+    "split-not-object": (lambda p, t: _train(p, t, split=_file(t, "s.json", "[1, 2]")),
+                         "must be a JSON object"),
+    "split-not-integers": (lambda p, t: _train(p, t, split=_file(t, "s.json", _SPLIT % ('["a"]', "[]"))),
+                           "'train' must be a list of 64-bit integers"),
+    "split-fractional": (lambda p, t: _encode(p, t, split=_file(t, "s.json", _SPLIT % ("[]", "[1.5]"))),
+                         "'query' must be a list of 64-bit integers"),
+    "train-index-range": (lambda p, t: _train(p, t, split=_file(t, "s.json", _SPLIT % ("[0, 99]", "[]"))),
+                          "train index 99 is out of range for 60 items"),
+    "query-index-range": (lambda p, t: _encode(p, t, split=_file(t, "s.json", _SPLIT % ("[]", "[60]"))),
+                          "query index 60 is out of range for 60 items"),
+    "hex-negative": (lambda p, t: _evaluate(p, t, query_codes="1 8\n-1\n"), "bad hex word in row 0"),
+    "hex-too-wide": (lambda p, t: _evaluate(p, t, query_codes="1 8\n" + "f" * 17 + "\n"),
+                     "bad hex word in row 0"),
+    "curve-not-integers": (lambda p, t: _evaluate(p, t, curve="a,b"), "--curve must be"),
+    "no-att-train-attention": (lambda p, t: _train(p, t, "--variant", "no-att", "--train-attention"),
+                               "train_attention needs attention"),
+    "no-aux-train-attention": (lambda p, t: _train(p, t, "--variant", "no-aux", "--train-attention"),
+                               "train_attention needs attention"),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED)
+def test_malformed_input_is_one_error_line(pipeline, tmp_path, capsys, case):
+    build, message = MALFORMED[case]
+    code, captured = run(build(pipeline, tmp_path), capsys)
+    assert code == 1
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and message in lines[0], captured.err
+
+
 class TestParsing:
     def test_requires_subcommand(self):
         with pytest.raises(SystemExit):
@@ -240,3 +326,15 @@ class TestParsing:
         assert os.environ["OMP_NUM_THREADS"] == "1"
         cli._set_threads_early(["train", "--threads=2"])
         assert os.environ["OMP_NUM_THREADS"] == "2"
+
+    @pytest.mark.parametrize("lines, pinned", [
+        ("threads = 3\n", "3"), ("threads = 1  # exact\nthreads=3\n", "3"),
+        ("threads = two\n", "2"), ("epochs = 5\n", "2"),
+    ], ids=["config-wins", "last-entry-wins", "not-an-integer", "no-entry"])
+    def test_threads_from_config(self, monkeypatch, tmp_path, lines, pinned):
+        for var in cli._THREAD_VARS:
+            monkeypatch.delenv(var, raising=False)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(lines)
+        cli._set_threads_early(["train", "--threads", "2", "--config", str(cfg)])
+        assert all(os.environ[var] == pinned for var in cli._THREAD_VARS)

@@ -6,7 +6,7 @@ from aghash import objective as obj
 from aghash.errors import ParameterError, ShapeError
 from aghash.network import DecoderParams, GcnParams
 
-from conftest import central_diff, max_rel_err, small_instance
+from conftest import backprop, central_diff, max_rel_err, small_instance
 
 
 class TestQuantizationLoss:
@@ -202,19 +202,13 @@ class TestHyperparams:
 
 class TestBackpropAll:
     def _generator_loss(self, inst, gcn, head, recon, hp):
-        bd, _, _ = obj.backprop_all(
-            inst.Xatt, inst.St, inst.Y, inst.B, gcn, inst.disc, head, hp,
-            inst.prior, recon_matrix=recon,
-        )
+        bd, _ = backprop(inst, gcn=gcn, head=head, hp=hp, recon_matrix=recon)
         return bd.total_gen
 
     def test_network_gradients(self):
         inst = small_instance(20)
         recon = inst.Sa
-        _, grads, _ = obj.backprop_all(
-            inst.Xatt, inst.St, inst.Y, inst.B, inst.gcn, inst.disc, inst.head,
-            inst.hp, inst.prior, recon_matrix=recon,
-        )
+        _, grads = backprop(inst, recon_matrix=recon)
         fd_w1 = central_diff(
             lambda W: self._generator_loss(inst, GcnParams(W1=W, W2=inst.gcn.W2), inst.head, recon, inst.hp),
             inst.gcn.W1,
@@ -233,21 +227,13 @@ class TestBackpropAll:
 
     def test_attention_gradients_through_full_model(self):
         inst = small_instance(21)
-        _, grads, _ = obj.backprop_all(
-            inst.Xatt, inst.St, inst.Y, inst.B, inst.gcn, inst.disc, inst.head,
-            inst.hp, inst.prior, recon_matrix=inst.Sa,
-            train_attention=True, attention_params=inst.apar, X_raw=inst.X, Y_raw=inst.Y,
-        )
+        _, grads = backprop(inst, recon_matrix=inst.Sa, train_attention=True)
 
         def loss_for(P_x, P_y):
             from aghash.attention import AttentionParams
 
-            bd, _, _ = obj.backprop_all(
-                inst.Xatt, inst.St, inst.Y, inst.B, inst.gcn, inst.disc, inst.head,
-                inst.hp, inst.prior, recon_matrix=inst.Sa,
-                train_attention=True, attention_params=AttentionParams(P_x, P_y),
-                X_raw=inst.X, Y_raw=inst.Y,
-            )
+            bd, _ = backprop(inst, apar=AttentionParams(P_x, P_y), recon_matrix=inst.Sa,
+                             train_attention=True)
             return bd.total_gen
 
         fd_px = central_diff(lambda P: loss_for(P, inst.apar.P_y), inst.apar.P_x)
@@ -258,29 +244,9 @@ class TestBackpropAll:
     def test_feature_target_requires_decoder(self):
         inst = small_instance(22, hp=obj.Hyperparams(recon_target="feature"))
         with pytest.raises(ParameterError):
-            obj.backprop_all(
-                inst.Xatt, inst.St, inst.Y, inst.B, inst.gcn, inst.disc, inst.head,
-                inst.hp, inst.prior,
-            )
+            backprop(inst)
 
     def test_missing_recon_matrix(self):
         inst = small_instance(23)
         with pytest.raises(ParameterError):
-            obj.backprop_all(
-                inst.Xatt, inst.St, inst.Y, inst.B, inst.gcn, inst.disc, inst.head,
-                inst.hp, inst.prior,
-            )
-
-    def test_precomputed_H_equivalent(self):
-        inst = small_instance(24)
-        bd1, g1, Z1 = obj.backprop_all(
-            inst.Xatt, inst.St, inst.Y, inst.B, inst.gcn, inst.disc, inst.head,
-            inst.hp, inst.prior, recon_matrix=inst.Sa,
-        )
-        bd2, g2, Z2 = obj.backprop_all(
-            inst.Xatt, inst.St, inst.Y, inst.B, inst.gcn, inst.disc, inst.head,
-            inst.hp, inst.prior, recon_matrix=inst.Sa, H=inst.Xatt @ inst.St,
-        )
-        assert bd1 == bd2
-        assert np.array_equal(Z1, Z2)
-        assert np.array_equal(g1["W1"], g2["W1"])
+            backprop(inst)

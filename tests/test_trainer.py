@@ -3,6 +3,7 @@ import struct
 import numpy as np
 import pytest
 
+from aghash import attention as att
 from aghash import cli
 from aghash import graph as sg
 from aghash import network as net
@@ -143,11 +144,32 @@ class TestFit:
         assert np.array_equal(frozen.attention.P_x, init.P_x)
         assert not np.array_equal(joint.attention.P_x, frozen.attention.P_x)
 
+    def test_train_attention_needs_attention(self):
+        with pytest.raises(ParameterError, match="train_attention"):
+            tiny_fit(use_attention=False, cfg=TrainConfig(epochs=1, train_attention=True))
+
     def test_forward_train_matches_cached(self):
         _, _, _, model, _ = tiny_fit(seed=9)
         Z1, Z = trainer.forward_train(model)
         assert np.allclose(Z, model.z_train, atol=1e-10)
         assert np.allclose(Z1, model.z1_train, atol=1e-10)
+
+    @pytest.mark.parametrize("train_attention, recon_target", [
+        (False, "aux"), (True, "aux"), (True, "feature"),
+    ])
+    def test_cached_outputs_match_final_parameters(self, train_attention, recon_target):
+        # the graph is built once, from the attentive features under the initial projections
+        cfg = TrainConfig(epochs=3, lr=1e-3, seed=9, train_attention=train_attention)
+        fm, aux, split, model, _ = tiny_fit(seed=9, hyper=obj.Hyperparams(recon_target=recon_target),
+                                            cfg=cfg)
+        X, Y = fm.data[:, split.train], aux.data[:, split.train]
+        xatt0, _, _, _ = att.denoise(X, Y, att.init_attention(fm.d, aux.c, 8, cfg.seed))
+        graph, _ = sg.build_graph(xatt0, Y, model.graph_cfg)
+        xatt, _, _, _ = att.denoise(X, Y, model.attention)
+        Z1, Z = net.gcn_forward(xatt, graph.S_tilde, model.gcn)
+        assert np.allclose(model.xatt_train, xatt, atol=1e-12)
+        assert np.allclose(Z1, model.z1_train, atol=1e-10)
+        assert np.allclose(Z, model.z_train, atol=1e-10)
 
 
 class TestEncoding:
