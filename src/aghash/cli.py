@@ -28,49 +28,6 @@ _VARIANTS = {
 }
 
 
-def _flag_value(argv, flag):
-    """The last value given for `flag` in argv, or None."""
-    value = None
-    for i, tok in enumerate(argv):
-        if tok == flag and i + 1 < len(argv):
-            value = argv[i + 1]
-        elif tok.startswith(flag + "="):
-            value = tok.split("=", 1)[1]
-    return value
-
-
-def _config_threads(path):
-    """The last `threads` entry of a --config file when it is an integer, else None.
-
-    Anything else, including an unreadable file, is left for _apply_config to
-    report.
-    """
-    entry = None
-    try:
-        with open(path, "r", encoding="ascii") as fh:
-            for raw in fh:
-                key, _, value = raw.split("#", 1)[0].partition("=")
-                if key.strip() == "threads":
-                    entry = value.strip()
-        return None if entry is None else str(int(entry))
-    except (OSError, ValueError):
-        return None
-
-
-def _set_threads_early(argv):
-    """Pin the BLAS pools before numpy loads, from --threads or a `threads` config entry.
-
-    A config entry overrides the flag, as in _apply_config.
-    """
-    value = _flag_value(argv, "--threads")
-    config = _flag_value(argv, "--config")
-    if config is not None:
-        value = _config_threads(config) or value
-    if value is not None:
-        for var in _THREAD_VARS:
-            os.environ[var] = value
-
-
 def _common_parser():
     p = argparse.ArgumentParser(add_help=False)
     p.add_argument("--seed", type=int, default=0, help="master random seed")
@@ -167,38 +124,77 @@ def build_parser():
     return parser
 
 
-def _apply_config(args, parser):
+def _actions(command):
+    """The flags of `command`, by destination."""
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return {a.dest: a for a in sub.choices[command]._actions}
+
+
+def _convert(action, key, value, where):
+    """`value` converted as the flag of `key` converts it; `where` names the value's source."""
+    from .errors import ConfigError
+
+    try:
+        converted = (action.type or str)(value)
+    except ValueError:
+        raise ConfigError(f"{where}: invalid value {value!r} for {key!r}") from None
+    if action.choices is not None and converted not in action.choices:
+        raise ConfigError(f"{where}: {key!r} must be one of {', '.join(action.choices)}")
+    return converted
+
+
+def _apply_config(args):
     """Override args from the --config file, converting each value as its flag would."""
     from .errors import ConfigError
 
-    subcommands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    actions = {a.dest: a for a in subcommands.choices[args.command]._actions}
-    with open(args.config, "r", encoding="ascii") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            where = f"{args.config}:{lineno}"
-            if "=" not in line:
-                raise ConfigError(f"{where}: expected key=value, got {line!r}")
-            key, value = (part.strip() for part in line.split("=", 1))
-            action = actions.get(key.replace("-", "_"))
-            if action is None or not hasattr(args, action.dest):
-                raise ConfigError(f"{where}: unknown option {key!r}")
-            if action.nargs == 0:  # an on/off flag
-                setattr(args, action.dest, value.lower() in ("1", "true", "yes"))
-                continue
-            try:
-                converted = (action.type or str)(value)
-            except ValueError:
-                raise ConfigError(f"{where}: invalid value {value!r} for {key!r}") from None
-            if action.choices is not None and converted not in action.choices:
-                raise ConfigError(f"{where}: {key!r} must be one of {', '.join(action.choices)}")
-            setattr(args, action.dest, converted)
+    actions = _actions(args.command)
+    try:
+        with open(args.config, "r", encoding="ascii") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError:
+        raise ConfigError(f"{args.config}: not ASCII text") from None
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        where = f"{args.config}:{lineno}"
+        if "=" not in line:
+            raise ConfigError(f"{where}: expected key=value, got {line!r}")
+        key, value = (part.strip() for part in line.split("=", 1))
+        action = actions.get(key.replace("-", "_"))
+        if action is None or not hasattr(args, action.dest):
+            raise ConfigError(f"{where}: unknown option {key!r}")
+        if action.nargs == 0:  # an on/off flag
+            setattr(args, action.dest, value.lower() in ("1", "true", "yes"))
+        else:
+            setattr(args, action.dest, _convert(action, key, value, where))
 
 
-def _resolved(args, keys):
-    return {k: getattr(args, k.replace("-", "_")) for k in keys}
+# run plumbing and outputs; the seed has its own manifest entry
+_NOT_CONFIG = ("command", "seed", "threads", "config", "out", "out_prefix")
+
+
+def _config(args):
+    """The options a manifest records, keyed by flag name."""
+    return {k.replace("_", "-"): v for k, v in vars(args).items() if k not in _NOT_CONFIG}
+
+
+def _load_inputs(args):
+    """The features, aux, labels (None unless given) and split a command reads.
+
+    Aux and labels must describe as many items as the features.
+    """
+    from .data import load_aux, load_features, load_split
+    from .errors import ShapeError
+
+    features = load_features(args.features, format=args.format)
+    semantics = []
+    for path in (args.aux, getattr(args, "labels", None)):
+        sem = load_aux(path) if path else None
+        if sem is not None and sem.n != features.n:
+            raise ShapeError(f"{path} has {sem.n} items, but {args.features} has {features.n}")
+        semantics.append(sem)
+    return (features, *semantics, load_split(args.split))
 
 
 # ---------------------------------------------------------------------------
@@ -220,9 +216,8 @@ def cmd_synth(args):
         "labels": os.path.join(out, "labels.txt"),
         "split": os.path.join(out, "split.json"),
     }
-    config = _resolved(args, ("n", "d", "c", "sep", "noise", "train-size", "query-size", "format"))
     man_path = os.path.join(out, "manifest.json")
-    man = manifest.start(man_path, "synth", config, [], args.seed, __version__)
+    man = manifest.start(man_path, "synth", _config(args), [], args.seed, __version__)
     save_features(paths["features"], features, format=args.format)
     save_aux(paths["aux"], aux)
     save_aux(paths["labels"], truth)
@@ -249,23 +244,16 @@ def _train_setup(args):
     return graph_cfg, hyper, train_cfg, use_attention
 
 
-_TRAIN_KEYS = ("features", "aux", "split", "r", "d-prime", "hidden", "lambda1", "lambda2",
-               "lambda3", "k", "mu", "bandwidth", "lr", "epochs", "disc-steps",
-               "saturating", "train-attention", "variant", "format")
-
-
 def cmd_train(args):
     from . import __version__, manifest
-    from .data import load_aux, load_features, load_split
     from .trainer import fit, save_model, write_train_log
 
-    features = load_features(args.features, format=args.format)
-    aux = load_aux(args.aux)
-    train_idx = load_split(args.split).subset("train", features.n)
+    features, aux, _, split = _load_inputs(args)
+    train_idx = split.subset("train", features.n)
     graph_cfg, hyper, train_cfg, use_attention = _train_setup(args)
 
     man_path = os.path.join(args.out, "manifest.json")
-    man = manifest.start(man_path, "train", _resolved(args, _TRAIN_KEYS),
+    man = manifest.start(man_path, "train", _config(args),
                          [args.features, args.aux, args.split], args.seed, __version__)
     start = time.perf_counter()
     model, history = fit(features, aux, train_idx, r=args.r, d_prime=args.d_prime,
@@ -288,7 +276,7 @@ def cmd_train(args):
 
 def cmd_encode(args):
     from . import __version__, manifest
-    from .data import load_aux, load_features, load_split, save_aux, AuxSemantics
+    from .data import save_aux, AuxSemantics
     from .errors import ConfigError
     from .retrieval import pack, save_codes
     from .trainer import encode_queries, encode_train, load_model
@@ -296,14 +284,11 @@ def cmd_encode(args):
     model = load_model(args.checkpoint)
     if args.r is not None and args.r != model.r:
         raise ConfigError(f"checkpoint has r={model.r}, requested r={args.r}")
-    features = load_features(args.features, format=args.format)
-    aux = load_aux(args.aux)
-    split = load_split(args.split)
+    features, aux, truth, split = _load_inputs(args)
     idx = split.subset(args.subset, features.n)
 
     man_path = args.out + ".manifest.json"
-    man = manifest.start(man_path, "encode",
-                         _resolved(args, ("checkpoint", "features", "aux", "split", "subset", "format")),
+    man = manifest.start(man_path, "encode", _config(args),
                          [args.checkpoint, args.features, args.aux, args.split],
                          args.seed, __version__)
     start = time.perf_counter()
@@ -319,8 +304,7 @@ def cmd_encode(args):
     encode_time = time.perf_counter() - start
     save_codes(args.out, codes)
     outputs = [args.out]
-    if args.labels and args.labels_out:
-        truth = load_aux(args.labels)
+    if truth is not None and args.labels_out:
         save_aux(args.labels_out, AuxSemantics(truth.data[:, idx], truth.category_names))
         outputs.append(args.labels_out)
     man["timing"] = {"encode_seconds": encode_time}
@@ -345,9 +329,7 @@ def cmd_evaluate(args):
     db_labels = load_aux(args.db_labels)
 
     man_path = args.out_prefix + ".manifest.json"
-    man = manifest.start(man_path, "evaluate",
-                         _resolved(args, ("query-codes", "db-codes", "query-labels",
-                                          "db-labels", "k", "curve", "denominator")),
+    man = manifest.start(man_path, "evaluate", _config(args),
                          [args.query_codes, args.db_codes, args.query_labels, args.db_labels],
                          args.seed, __version__)
     report = evaluate(query_codes, db_codes, query_labels.data, db_labels.data,
@@ -360,25 +342,12 @@ def cmd_evaluate(args):
     return 0
 
 
-def _sweep_point(payload):
-    """Train, encode, and evaluate one sweep value. Runs in a worker process."""
-    from .data import load_aux, load_features, load_split
+def _sweep_point(args, inputs):
+    """Train, encode, and evaluate one sweep point; MAP@k_eval. Runs in a worker process."""
     from .retrieval import evaluate, pack
     from .trainer import encode_queries, fit
 
-    args = argparse.Namespace(**payload["args"])
-    value = payload["value"]
-    if payload["axis"] == "r":
-        args.r = int(value)
-    elif payload["axis"] == "epochs":
-        args.epochs = int(value)
-    else:
-        setattr(args, payload["axis"], float(value))
-
-    features = load_features(args.features, format=args.format)
-    aux = load_aux(args.aux)
-    truth = load_aux(args.labels)
-    split = load_split(args.split)
+    features, aux, truth, split = inputs
     graph_cfg, hyper, train_cfg, use_attention = _train_setup(args)
     model, _ = fit(features, aux, split.subset("train", features.n), r=args.r,
                    d_prime=args.d_prime, hidden=args.hidden, graph_cfg=graph_cfg, hyper=hyper,
@@ -388,7 +357,7 @@ def _sweep_point(payload):
     db_codes = pack(encode_queries(model, features.data[:, db_idx], aux.data[:, db_idx]))
     report = evaluate(q_codes, db_codes, truth.data[:, q_idx], truth.data[:, db_idx],
                       K=args.k_eval, curve_points=(args.k_eval,))
-    return value, report.map_at_k
+    return report.map_at_k
 
 
 def cmd_sweep(args):
@@ -398,25 +367,28 @@ def cmd_sweep(args):
     values = [tok.strip() for tok in args.values.split(",") if tok.strip()]
     if not values:
         raise ParameterError("sweep needs at least one value")
+    action = _actions(args.command)[args.axis]
+    points = [argparse.Namespace(**vars(args)) for _ in values]
+    for point, value in zip(points, values):
+        setattr(point, args.axis, _convert(action, args.axis, value, "--values"))
+    inputs = _load_inputs(args)
     man_path = args.out + ".manifest.json"
-    config = _resolved(args, _TRAIN_KEYS + ("labels", "axis", "values", "k-eval", "parallel"))
-    man = manifest.start(man_path, "sweep", config,
+    man = manifest.start(man_path, "sweep", _config(args),
                          [args.features, args.aux, args.split, args.labels],
                          args.seed, __version__)
-    payloads = [{"args": vars(args).copy(), "axis": args.axis, "value": v} for v in values]
     if args.parallel > 1:
         import concurrent.futures
 
         with concurrent.futures.ProcessPoolExecutor(max_workers=args.parallel) as pool:
-            results = list(pool.map(_sweep_point, payloads))
+            results = list(pool.map(_sweep_point, points, [inputs] * len(points)))
     else:
-        results = [_sweep_point(p) for p in payloads]
+        results = [_sweep_point(p, inputs) for p in points]
     with open(args.out, "w", encoding="ascii") as fh:
         fh.write("value,MAP\n")
-        for value, map_k in results:
+        for value, map_k in zip(values, results):
             fh.write(f"{value},{map_k:.10g}\n")
     manifest.finalize(man_path, man, outputs=[args.out])
-    for value, map_k in results:
+    for value, map_k in zip(values, results):
         print(f"sweep {args.axis}={value}: MAP@{args.k_eval} = {map_k:.6f}")
     return 0
 
@@ -431,16 +403,15 @@ _COMMANDS = {
 
 
 def main(argv=None):
-    if argv is None:
-        argv = sys.argv[1:]
-    _set_threads_early(argv)
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     from .errors import AghashError
 
     try:
         if args.config:
-            _apply_config(args, parser)
+            _apply_config(args)
+        if args.threads is not None:  # before a command imports numpy
+            for var in _THREAD_VARS:
+                os.environ[var] = str(args.threads)
         return _COMMANDS[args.command](args)
     except AghashError as exc:
         print(f"error: {exc}", file=sys.stderr)

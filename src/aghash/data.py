@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, FormatError, ParameterError, ShapeError
+from .errors import AghashError, DataError, FormatError, ParameterError, ShapeError
 
 BINARY_MAGIC = b"AGFM"
 BINARY_VERSION = 1
@@ -142,9 +142,17 @@ def _parse_header_line(line, path):
     return rows, cols
 
 
+def read_lines(path):
+    """The stripped, non-blank lines of an ASCII text file."""
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            return [ln.strip() for ln in fh if ln.strip()]
+    except UnicodeDecodeError:
+        raise FormatError(f"{path}: not ASCII text") from None
+
+
 def _load_text_matrix(path):
-    with open(path, "r", encoding="ascii") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
+    lines = read_lines(path)
     if not lines:
         raise FormatError(f"{path}: file is empty")
     rows, cols = _parse_header_line(lines[0], path)
@@ -157,13 +165,18 @@ def _load_text_matrix(path):
             raise ShapeError(f"{path}: row {i} has {len(tokens)} values, expected {cols}")
         for j, tok in enumerate(tokens):
             try:
-                val = float(tok)
+                out[i, j] = float(tok)
             except ValueError as exc:
                 raise FormatError(f"{path}: unparseable value {tok!r} at row {i}, column {j}") from exc
-            if not np.isfinite(val):
-                raise DataError(f"{path}: non-finite value at row {i}, column {j}")
-            out[i, j] = val
     return out
+
+
+def _from_file(path, kind, data, names):
+    """`kind(data, names)`, its value-contract error prefixed with the file it came from."""
+    try:
+        return kind(data, names)
+    except AghashError as exc:
+        raise type(exc)(f"{path}: {exc}") from None
 
 
 def load_features(path, format="text"):
@@ -186,13 +199,9 @@ def load_features(path, format="text"):
         if len(payload) != d * n * 4:
             raise ShapeError(f"{path}: payload is {len(payload)} bytes, expected {d * n * 4}")
         data = np.frombuffer(payload, dtype="<f4").astype(np.float64).reshape(d, n)
-        bad = np.argwhere(~np.isfinite(data))
-        if bad.size:
-            i, j = bad[0]
-            raise DataError(f"{path}: non-finite value at row {i}, column {j}")
     else:
         raise ParameterError(f"unknown feature format {format!r}")
-    return FeatureMatrix(data, default_ids(data.shape[1]))
+    return _from_file(path, FeatureMatrix, data, default_ids(data.shape[1]))
 
 
 def save_features(path, features, format="text"):
@@ -214,11 +223,7 @@ def save_features(path, features, format="text"):
 def load_aux(path):
     """Load an AuxSemantics matrix (text layout, 0/1 entries)."""
     data = _load_text_matrix(path)
-    bad = np.argwhere((data != 0.0) & (data != 1.0))
-    if bad.size:
-        i, j = bad[0]
-        raise DataError(f"{path}: entry at row {i}, column {j} is not 0/1")
-    return AuxSemantics(data, default_ids(data.shape[0], prefix="cat"))
+    return _from_file(path, AuxSemantics, data, default_ids(data.shape[0], prefix="cat"))
 
 
 def save_aux(path, aux):

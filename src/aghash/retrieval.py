@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import default_ids
+from .data import default_ids, read_lines
 from .errors import DataError, FormatError, ParameterError, ShapeError
 
 _WORD_BITS = 64
@@ -172,8 +172,7 @@ def save_codes(path, codes):
 
 
 def load_codes(path):
-    with open(path, "r", encoding="ascii") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
+    lines = read_lines(path)
     if not lines:
         raise FormatError(f"{path}: file is empty")
     parts = lines[0].split()

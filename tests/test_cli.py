@@ -1,6 +1,8 @@
 import json
 import os
 import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -70,6 +72,14 @@ class TestTrain:
         lines = (pipeline / "trainlog.csv").read_text().splitlines()
         assert lines[0].startswith("epoch,")
         assert len(lines) == 6
+
+    def test_manifest_records_every_option(self, pipeline):
+        man = json.loads((pipeline / "manifest.json").read_text())
+        assert sorted(man["config"]) == sorted([
+            "features", "aux", "split", "r", "d-prime", "hidden", "lambda1", "lambda2", "lambda3",
+            "k", "mu", "bandwidth", "lr", "epochs", "disc-steps", "saturating", "train-attention",
+            "variant", "format"])
+        assert man["config"]["d-prime"] == 16 and man["config"]["bandwidth"] is None
 
     def test_variant_flag(self, pipeline, tmp_path):
         args = [
@@ -251,6 +261,26 @@ def _encode(p, tmp, subset="query", checkpoint=None, split=None):
             "--out", str(tmp / "out.codes")]
 
 
+def _encode_with(p, tmp, *extra, aux=None):
+    argv = _encode(p, tmp)
+    if aux is not None:
+        argv[argv.index("--aux") + 1] = aux
+    return argv + list(extra)
+
+
+def _sweep(p, *extra, labels=None):
+    return ["sweep", "--features", str(p / "features.txt"), "--aux", str(p / "aux.txt"),
+            "--split", str(p / "split.json"), "--labels", labels or str(p / "labels.txt"),
+            "--k-eval", "10", "--out", str(p / "never.csv"), "--r", "4", "--d-prime", "8",
+            "--hidden", "8", *extra]
+
+
+def _narrow(tmp, cols=30):
+    """An aux file with `cols` items, fewer than the pipeline's 60."""
+    return _file(tmp, "narrow.txt", "2 %d\n%s\n%s\n" % (cols, ",".join("1" * cols),
+                                                          ",".join("0" * cols)))
+
+
 def _evaluate(p, tmp, query_codes="1 8\n00000000000000ff\n", curve="1,5"):
     files = {"q.codes": query_codes, "db.codes": "2 8\n00000000000000ff\n0000000000000001\n",
              "q.txt": "2 1\n1\n0\n", "db.txt": "2 2\n1,0\n0,1\n"}
@@ -301,16 +331,37 @@ MALFORMED = {
                                "train_attention needs attention"),
     "no-aux-train-attention": (lambda p, t: _train(p, t, "--variant", "no-aux", "--train-attention"),
                                "train_attention needs attention"),
+    "encode-aux-items": (lambda p, t: _encode_with(p, t, aux=_narrow(t)),
+                         "narrow.txt has 30 items, but %s has 60"),
+    "encode-labels-items": (lambda p, t: _encode_with(p, t, "--labels", _narrow(t),
+                                                      "--labels-out", str(t / "l.txt")),
+                            "narrow.txt has 30 items, but %s has 60"),
+    "sweep-labels-items": (lambda p, t: _sweep(p, "--axis", "epochs", "--values", "1",
+                                               labels=_narrow(t)),
+                           "narrow.txt has 30 items, but %s has 60"),
+    "text-matrix-not-ascii": (lambda p, t: _encode_with(p, t, aux=_file(t, "a.txt", b"1 1\n\xff\n")),
+                              "a.txt: not ASCII text"),
+    "codes-not-ascii": (lambda p, t: _evaluate(p, t, query_codes="1 8\n00000000000000\xff\n"),
+                        "q.codes: not ASCII text"),
+    "config-not-ascii": (lambda p, t: _train(p, t, "--config", _file(t, "c.cfg", b"r = \xff\n")),
+                         "c.cfg: not ASCII text"),
+    "sweep-value-not-integer": (lambda p, t: _sweep(p, "--axis", "epochs", "--values", "1,x"),
+                                "--values: invalid value 'x' for 'epochs'"),
+    "sweep-r-fractional": (lambda p, t: _sweep(p, "--axis", "r", "--values", "4.5"),
+                           "--values: invalid value '4.5' for 'r'"),
 }
 
 
 @pytest.mark.parametrize("case", MALFORMED)
 def test_malformed_input_is_one_error_line(pipeline, tmp_path, capsys, case):
     build, message = MALFORMED[case]
+    if "%s" in message:
+        message %= pipeline / "features.txt"
     code, captured = run(build(pipeline, tmp_path), capsys)
     assert code == 1
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:") and message in lines[0], captured.err
+    assert not (pipeline / "never.csv").exists() and not (pipeline / "never.csv.manifest.json").exists()
 
 
 class TestParsing:
@@ -318,23 +369,49 @@ class TestParsing:
         with pytest.raises(SystemExit):
             cli.build_parser().parse_args([])
 
-    def test_threads_env(self, monkeypatch):
-        import os
+    def pinned(self, monkeypatch, tmp_path, *argv):
+        """(exit code, BLAS thread variables a stub synth command sees) for one run of main."""
+        for var in cli._THREAD_VARS:
+            monkeypatch.delenv(var, raising=False)
+        seen = []
+        monkeypatch.setitem(cli._COMMANDS, "synth",
+                            lambda args: seen.append({v: os.environ.get(v) for v in cli._THREAD_VARS}) or 0)
+        code = cli.main(["synth", "--out", str(tmp_path), *argv])
+        return code, seen
 
-        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
-        cli._set_threads_early(["train", "--threads", "1"])
-        assert os.environ["OMP_NUM_THREADS"] == "1"
-        cli._set_threads_early(["train", "--threads=2"])
-        assert os.environ["OMP_NUM_THREADS"] == "2"
+    def test_threads_env(self, monkeypatch, tmp_path):
+        for argv, value in ((["--threads", "1"], "1"), (["--threads=2"], "2"), (["--thread", "1"], "1")):
+            code, seen = self.pinned(monkeypatch, tmp_path, *argv)
+            assert code == 0 and seen == [dict.fromkeys(cli._THREAD_VARS, value)], argv
 
     @pytest.mark.parametrize("lines, pinned", [
         ("threads = 3\n", "3"), ("threads = 1  # exact\nthreads=3\n", "3"),
-        ("threads = two\n", "2"), ("epochs = 5\n", "2"),
+        ("threads = two\n", None), ("n = 5\n", "2"),
     ], ids=["config-wins", "last-entry-wins", "not-an-integer", "no-entry"])
-    def test_threads_from_config(self, monkeypatch, tmp_path, lines, pinned):
-        for var in cli._THREAD_VARS:
-            monkeypatch.delenv(var, raising=False)
+    def test_threads_from_config(self, monkeypatch, tmp_path, capsys, lines, pinned):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(lines)
-        cli._set_threads_early(["train", "--threads", "2", "--config", str(cfg)])
-        assert all(os.environ[var] == pinned for var in cli._THREAD_VARS)
+        code, seen = self.pinned(monkeypatch, tmp_path, "--threads", "2", "--config", str(cfg))
+        if pinned is None:
+            assert code == 1 and not seen
+            assert "invalid value 'two'" in capsys.readouterr().err
+        else:
+            assert code == 0 and seen == [dict.fromkeys(cli._THREAD_VARS, pinned)]
+
+    def test_threads_pinned_before_numpy_loads(self, tmp_path):
+        script = (
+            "import os, sys\n"
+            "from aghash import cli\n"
+            "def stub(args):\n"
+            "    print(os.environ.get('OPENBLAS_NUM_THREADS'), 'numpy' in sys.modules)\n"
+            "    return 0\n"
+            "cli._COMMANDS['synth'] = stub\n"
+            "sys.exit(cli.main(['synth', '--out', '.', '--thread', '1']))\n"
+        )
+        env = {k: v for k, v in os.environ.items() if k not in cli._THREAD_VARS}
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        done = subprocess.run([sys.executable, "-c", script], env=env, cwd=tmp_path,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["1", "False"]

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -38,6 +40,15 @@ class TestLoadFeatures:
         p = write(tmp_path / "f.txt", "2 2\n1,2\n3,NaN\n")
         with pytest.raises(DataError, match="row 1, column 1"):
             load_features(p)
+
+    def test_binary_nan_names_file_and_position(self, tmp_path):
+        p = tmp_path / "f.bin"
+        save_features(p, FeatureMatrix(np.ones((2, 3)), default_ids(3)), format="binary")
+        raw = bytearray(p.read_bytes())
+        raw[-8:-4] = np.float32(np.nan).tobytes()  # row 1, column 1 of the float32 payload
+        p.write_bytes(bytes(raw))
+        with pytest.raises(DataError, match=re.escape(f"{p}: non-finite feature value at row 1, column 1")):
+            load_features(p, format="binary")
 
     def test_bad_header(self, tmp_path):
         p = write(tmp_path / "f.txt", "two three\n1,2,3\n")
