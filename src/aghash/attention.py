@@ -52,18 +52,27 @@ def project(X, Y, params):
     return params.P_x @ X, params.P_y @ Y
 
 
-def _normalize_columns(M):
+def unit_columns(M):
+    """(Mn, norms): the columns of M scaled to unit length (a zero column stays 0) and their norms."""
     norms = np.sqrt((M**2).sum(axis=0))
-    safe = np.where(norms > 0, norms, 1.0)
-    return M / safe, norms
+    Mn = M / np.where(norms > 0, norms, 1.0)
+    Mn[:, norms == 0] = 0.0
+    return Mn, norms
+
+
+def unit_columns_grad(Mn, norms, dMn):
+    """d(loss)/dM from d(loss)/dMn, where (Mn, norms) = unit_columns(M); 0 on zero columns."""
+    dM = (dMn - Mn * (Mn * dMn).sum(axis=0)) / np.where(norms > 0, norms, 1.0)
+    dM[:, norms == 0] = 0.0
+    return dM
 
 
 def attention_scores(Xbar, Ybar):
     """Clipped cosine scores alpha_ij = [cos(xbar_i, ybar_j)]_+ in [0, 1]."""
     if Xbar.shape[0] != Ybar.shape[0]:
         raise ShapeError(f"row dimensions differ: {Xbar.shape[0]} vs {Ybar.shape[0]}")
-    Xn, _ = _normalize_columns(Xbar)
-    Yn, _ = _normalize_columns(Ybar)
+    Xn, _ = unit_columns(Xbar)
+    Yn, _ = unit_columns(Ybar)
     return np.clip(Xn.T @ Yn, 0.0, 1.0)
 
 
@@ -105,8 +114,8 @@ def attention_grads(X, Y, params, dXatt):
     Y = np.asarray(Y, dtype=np.float64)
     U = params.P_x @ X
     V = params.P_y @ Y
-    Un, nu = _normalize_columns(U)
-    Vn, nv = _normalize_columns(V)
+    Un, nu = unit_columns(U)
+    Vn, nv = unit_columns(V)
     C = Un.T @ Vn
     alpha = np.where(C > 0, C, 0.0)
     mix, w, safe_w = _weighted_mean(V, alpha)
@@ -121,12 +130,6 @@ def attention_grads(X, Y, params, dXatt):
     dalpha[w == 0, :] = 0.0
     # through the clip and the cosine
     dC = np.where(C > 0, dalpha, 0.0)
-    dUn = Vn @ dC.T
-    dVn = Un @ dC
-    for M, Mn, norms, dMn, dM in ((U, Un, nu, dUn, dU), (V, Vn, nv, dVn, dV)):
-        proj = (Mn * dMn).sum(axis=0)
-        safe_n = np.where(norms > 0, norms, 1.0)
-        contrib = (dMn - Mn * proj) / safe_n
-        contrib[:, norms == 0] = 0.0
-        dM += contrib
+    dU += unit_columns_grad(Un, nu, Vn @ dC.T)
+    dV += unit_columns_grad(Vn, nv, Un @ dC)
     return dU @ X.T, dV @ Y.T

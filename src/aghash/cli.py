@@ -404,12 +404,14 @@ _COMMANDS = {
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    from .errors import AghashError
+    from .errors import AghashError, ConfigError
 
     try:
         if args.config:
             _apply_config(args)
         if args.threads is not None:  # before a command imports numpy
+            if args.threads < 1:  # OpenBLAS reads a count below 1 as "use every core"
+                raise ConfigError(f"threads must be >= 1, got {args.threads}")
             for var in _THREAD_VARS:
                 os.environ[var] = str(args.threads)
         return _COMMANDS[args.command](args)

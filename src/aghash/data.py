@@ -73,7 +73,7 @@ class AuxSemantics:
         if empty.size:
             warnings.warn(
                 f"{empty.size} item(s) have no auxiliary semantics (first: column {empty[0]})",
-                stacklevel=2,
+                stacklevel=3,  # past the dataclass __init__ to the constructing call
             )
         data.setflags(write=False)
         object.__setattr__(self, "data", data)

@@ -47,22 +47,16 @@ def sqdist(A, B):
     return np.maximum(d2, 0.0)
 
 
-def pairwise_sqdist(X):
-    """Squared Euclidean distances between columns of X, clipped at 0."""
-    return sqdist(X, X)
+def gaussian_kernel(d2, sigma):
+    """exp(-d2 / (2 sigma^2)) of the squared distances d2."""
+    return np.exp(-d2 / (2.0 * sigma**2))
 
 
-def gaussian_kernel(A, B, sigma):
-    """exp(-||a_i - b_j||^2 / (2 sigma^2)) between the columns of A and of B."""
-    return np.exp(-sqdist(A, B) / (2.0 * sigma**2))
-
-
-def median_bandwidth(X):
-    """Median pairwise distance between columns; falls back to 1 when degenerate."""
-    n = X.shape[1]
+def median_bandwidth(d2):
+    """Median pairwise distance of the n x n squared distances d2; falls back to 1 when degenerate."""
+    n = d2.shape[0]
     if n < 2:
         raise ParameterError("median heuristic needs at least 2 items")
-    d2 = pairwise_sqdist(X)
     dists = np.sqrt(d2[np.triu_indices(n, 1)])
     sigma = float(np.median(dists))
     if sigma == 0.0:
@@ -77,10 +71,11 @@ def visual_similarity(Xatt, bandwidth=None):
     bandwidth=None selects the median heuristic over pairwise distances.
     Returns (S_v, sigma) with the bandwidth actually used.
     """
-    sigma = median_bandwidth(Xatt) if bandwidth is None else float(bandwidth)
+    d2 = sqdist(Xatt, Xatt)
+    sigma = median_bandwidth(d2) if bandwidth is None else float(bandwidth)
     if sigma <= 0:
         raise ParameterError(f"bandwidth must be > 0, got {sigma}")
-    Sv = gaussian_kernel(Xatt, Xatt, sigma)
+    Sv = gaussian_kernel(d2, sigma)
     np.fill_diagonal(Sv, 1.0)
     return Sv, sigma
 
@@ -101,13 +96,6 @@ def combine(variant, mu, visual, aux):
     if variant == "visual-only":
         return visual  # scale cancels under normalization, so mu is irrelevant here
     return aux
-
-
-def fuse(Sv, Sa, mu):
-    """Augmented graph mu * S_v + S_a."""
-    if Sv.shape != Sa.shape:
-        raise ShapeError(f"similarity shapes differ: {Sv.shape} vs {Sa.shape}")
-    return combine("augmented", mu, Sv, Sa)
 
 
 def inv_sqrt_degree(degrees):
@@ -155,7 +143,7 @@ def query_columns(xatt_q, Yq, xatt_train, y_train, degrees, config):
     """
     visual = None
     if config.variant != "aux-only":
-        visual = gaussian_kernel(xatt_q, xatt_train, config.bandwidth)
+        visual = gaussian_kernel(sqdist(xatt_q, xatt_train), config.bandwidth)
     s_col = combine(config.variant, config.mu, visual, Yq.T @ y_train)
     s_self = combine(config.variant, config.mu, 1.0, (Yq**2).sum(axis=0))
     d_q = s_col.sum(axis=1) + s_self
@@ -164,11 +152,3 @@ def query_columns(xatt_q, Yq, xatt_train, y_train, degrees, config):
     st_col[d_q == 0, :] = 0.0
     st_self = np.where(d_q > 0, s_self / safe_dq, 0.0)
     return st_col, st_self
-
-
-def save_graph(path, S):
-    """Debug/oracle export: first line n, then n comma-separated rows."""
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"{S.shape[0]}\n")
-        for row in S:
-            fh.write(",".join(f"{v:.12g}" for v in row) + "\n")

@@ -49,8 +49,3 @@ def _write(path, manifest):
     with open(path, "w", encoding="ascii") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def load(path):
-    with open(path, "r", encoding="ascii") as fh:
-        return json.load(fh)

@@ -18,6 +18,7 @@ from .errors import FormatError, ShapeError
 CHECKPOINT_MAGIC = b"AGCK"
 CHECKPOINT_VERSION = 2
 _NUMERIC_DTYPE = re.compile(r"[<>|=]?[biuf][0-9]{1,2}")
+DISC_HIDDEN = (64, 32)  # widths of the discriminator's two hidden layers
 
 
 @dataclass
@@ -55,11 +56,12 @@ class DecoderParams:
     Wd: np.ndarray  # d' x r
 
 
-def init_params(d_prime, h, r, c, seed, disc_h1=64, disc_h2=32):
+def init_params(d_prime, h, r, c, seed):
     """He-style init: Gaussian entries with std sqrt(2/fan_in), zero biases."""
     if min(d_prime, h, r, c) < 1:
         raise ShapeError("all dimensions must be >= 1")
     rng = np.random.default_rng(seed)
+    disc_h1, disc_h2 = DISC_HIDDEN
 
     def mat(rows, cols):
         return rng.standard_normal((rows, cols)) * np.sqrt(2.0 / cols)
@@ -99,34 +101,11 @@ def sigmoid(x):
     return out
 
 
-def gcn_forward(Xatt, S_tilde, params):
-    """Z1 = ReLU(W1 Xatt S~); Z = W2 Z1 S~ (no activation on layer 2)."""
-    if params.W1.shape[1] != Xatt.shape[0]:
-        raise ShapeError(f"W1 is {params.W1.shape}, features have d' = {Xatt.shape[0]}")
-    if S_tilde.shape != (Xatt.shape[1], Xatt.shape[1]):
-        raise ShapeError(f"graph is {S_tilde.shape}, expected {(Xatt.shape[1],) * 2}")
-    Z1, _, Z = gcn_layers(Xatt @ S_tilde, S_tilde, params)
-    return Z1, Z
-
-
 def gcn_layers(H, S_tilde, params):
-    """Both GCN layers on the propagated features H = Xatt S~: (Z1, M, Z) with M = Z1 S~."""
+    """Both GCN layers on H = Xatt S~: (Z1, M, Z) = (ReLU(W1 H), Z1 S~, W2 M); Z has no activation."""
     Z1 = relu(params.W1 @ H)
     M = Z1 @ S_tilde
     return Z1, M, params.W2 @ M
-
-
-def disc_forward(v, params):
-    """Probability that the input is a prior sample. Accepts r-vector or r x m batch."""
-    V = np.asarray(v, dtype=np.float64)
-    single = V.ndim == 1
-    if single:
-        V = V[:, None]
-    if V.shape[0] != params.A1.shape[1]:
-        raise ShapeError(f"discriminator expects inputs of length {params.A1.shape[1]}, got {V.shape[0]}")
-    _, _, logits = disc_layers(V, params)
-    probs = sigmoid(logits)
-    return float(probs[0]) if single else probs
 
 
 def disc_layers(V, params):

@@ -76,19 +76,13 @@ def reconstruction_loss(Z, target, k, mode="cosine"):
         return float((R**2).sum()), Z @ (G + G.T)
     if mode != "cosine":
         raise ParameterError(f"unknown reconstruction mode {mode!r}")
-    norms = np.sqrt((Z**2).sum(axis=0))
-    safe = np.where(norms > 0, norms, 1.0)
-    N = Z / safe
-    N[:, norms == 0] = 0.0
+    N, norms = att.unit_columns(Z)
     C = N.T @ N
     Cp = np.where(C > 0, C, 0.0)
     R = k * target - Cp
     loss = float((R**2).sum())
     dC = np.where(C > 0, -2.0 * R, 0.0)
-    dN = N @ (dC + dC.T)
-    dZ = (dN - N * (N * dN).sum(axis=0)) / safe
-    dZ[:, norms == 0] = 0.0
-    return loss, dZ
+    return loss, att.unit_columns_grad(N, norms, N @ (dC + dC.T))
 
 
 def feature_reconstruction_loss(Z, Xatt, decoder):

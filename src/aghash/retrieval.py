@@ -1,6 +1,7 @@
 """Packed binary codes, Hamming ranking, and MAP / topK-precision evaluation."""
 
 import json
+import re
 import time
 import warnings
 from dataclasses import dataclass
@@ -11,6 +12,7 @@ from .data import default_ids, read_lines
 from .errors import DataError, FormatError, ParameterError, ShapeError
 
 _WORD_BITS = 64
+_HEX_WORD = re.compile(r"[0-9a-fA-F]{16}")  # one 64-bit word as save_codes writes it
 
 
 @dataclass(frozen=True)
@@ -190,10 +192,10 @@ def load_codes(path):
         toks = line.split()
         if len(toks) != words:
             raise ShapeError(f"{path}: row {i} has {len(toks)} words, expected {words}")
-        try:
-            packed[i] = [int(t, 16) for t in toks]
-        except (ValueError, OverflowError) as exc:  # not hex, or not in [0, 2**64)
-            raise FormatError(f"{path}: bad hex word in row {i}") from exc
+        # a fixed width also catches a file cut inside its last word
+        if not all(_HEX_WORD.fullmatch(t) for t in toks):
+            raise FormatError(f"{path}: bad hex word in row {i}: words are 16 hex digits")
+        packed[i] = [int(t, 16) for t in toks]
     return HashCodes(packed=packed, r=r, item_ids=default_ids(n))
 
 

@@ -196,17 +196,6 @@ def fit(
     return model, history
 
 
-def _resolved_graph_cfg(model):
-    """The training graph's configuration with its bandwidth resolved."""
-    return replace(model.graph_cfg, bandwidth=model.sigma)
-
-
-def forward_train(model):
-    """Rebuild the training graph from cached tensors and rerun the GCN."""
-    graph, _ = sg.build_graph(model.xatt_train, model.y_train, _resolved_graph_cfg(model))
-    return net.gcn_forward(model.xatt_train, graph.S_tilde, model.gcn)
-
-
 def encode_train(model, item_ids=None):
     """Packed codes for the training items: sgn of the cached GCN outputs."""
     return retrieval.pack(sign_pm(model.z_train), item_ids=item_ids)
@@ -231,22 +220,12 @@ def encode_queries(model, Xq, Yq):
             i, j = bad[0]
             raise DataError(f"non-finite {what} value at row {i}, column {j}")
 
-    xbar, ybar_train = att.project(Xq, model.y_train, model.attention)
-    xatt_q = xbar
-    if model.use_attention:
-        xatt_q = att.attentive_features(xbar, ybar_train, att.attention_scores(xbar, ybar_train))
-    st_col, st_self = sg.query_columns(xatt_q, Yq, model.xatt_train, model.y_train,
-                                       model.degrees, _resolved_graph_cfg(model))
+    xatt_q = _attentive(Xq, model.y_train, model.attention, model.use_attention)
+    st_col, st_self = sg.query_columns(xatt_q, Yq, model.xatt_train, model.y_train, model.degrees,
+                                       replace(model.graph_cfg, bandwidth=model.sigma))
     z1_q = net.relu(model.gcn.W1 @ (model.xatt_train @ st_col.T + xatt_q * st_self))
     z_q = model.gcn.W2 @ (model.z1_train @ st_col.T + z1_q * st_self)
     return sign_pm(z_q)
-
-
-def encode_query(model, x_q, y_q):
-    """Code for a single out-of-sample item. Returns a length-r vector in {-1, +1}."""
-    codes = encode_queries(model, np.asarray(x_q, dtype=np.float64)[:, None],
-                           np.asarray(y_q, dtype=np.float64)[:, None])
-    return codes[:, 0]
 
 
 # ---------------------------------------------------------------------------

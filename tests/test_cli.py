@@ -349,6 +349,9 @@ MALFORMED = {
                                 "--values: invalid value 'x' for 'epochs'"),
     "sweep-r-fractional": (lambda p, t: _sweep(p, "--axis", "r", "--values", "4.5"),
                            "--values: invalid value '4.5' for 'r'"),
+    "threads-zero": (lambda p, t: _train(p, t, "--threads", "0"), "threads must be >= 1, got 0"),
+    "config-threads-negative": (lambda p, t: _train(p, t, "--config", _file(t, "c.cfg", "threads = -3\n")),
+                                "threads must be >= 1, got -3"),
 }
 
 

@@ -106,6 +106,11 @@ class TestAux:
         with pytest.warns(UserWarning, match="no auxiliary semantics"):
             load_aux(p)
 
+    def test_zero_column_warning_points_at_the_caller(self):
+        with pytest.warns(UserWarning, match="no auxiliary semantics") as record:
+            AuxSemantics(np.array([[1.0, 0.0], [1.0, 0.0]]), ["a", "b"])
+        assert record[0].filename == __file__
+
     def test_round_trip(self, tmp_path):
         aux = AuxSemantics(np.array([[1.0, 0], [1, 1]]), ["a", "b"])
         p = tmp_path / "a.txt"

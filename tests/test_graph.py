@@ -1,15 +1,15 @@
 import numpy as np
 import pytest
 
-from aghash.errors import ParameterError, ShapeError
+from aghash.errors import ParameterError
 from aghash.graph import (
     GraphConfig,
     aux_similarity,
     build_graph,
-    fuse,
+    combine,
     median_bandwidth,
     normalize,
-    save_graph,
+    sqdist,
     visual_similarity,
 )
 
@@ -43,7 +43,7 @@ class TestVisualSimilarity:
     def test_median_heuristic_value(self):
         X = np.array([[0.0, 1.0, 3.0]])
         # pairwise distances 1, 2, 3 -> median 2
-        assert median_bandwidth(X) == 2.0
+        assert median_bandwidth(sqdist(X, X)) == 2.0
 
 
 class TestAuxSimilarity:
@@ -72,18 +72,14 @@ class TestFuse:
         rng = np.random.default_rng(3)
         Sv = rng.random((4, 4))
         Sa = rng.random((4, 4))
-        assert np.array_equal(fuse(Sv, Sa, 0.0), Sa)
+        assert np.array_equal(combine("augmented", 0.0, Sv, Sa), Sa)
 
     def test_zero_aux(self):
         Sv = np.full((3, 3), 0.5)
-        assert np.array_equal(fuse(Sv, np.zeros((3, 3)), 1.0), Sv)
+        assert np.array_equal(combine("augmented", 1.0, Sv, np.zeros((3, 3))), Sv)
 
     def test_scalar_arithmetic(self):
-        assert fuse(np.array([[0.5]]), np.array([[2.0]]), 1.0)[0, 0] == 2.5
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ShapeError):
-            fuse(np.ones((2, 2)), np.ones((3, 3)), 1.0)
+        assert combine("augmented", 1.0, np.array([[0.5]]), np.array([[2.0]]))[0, 0] == 2.5
 
 
 class TestNormalize:
@@ -150,12 +146,3 @@ class TestBuildGraph:
             GraphConfig(bandwidth=0.0)
         with pytest.raises(ParameterError):
             GraphConfig(variant="sparse")
-
-
-def test_graph_export(tmp_path):
-    S = np.array([[0.0, 1.5], [1.5, 0.0]])
-    p = tmp_path / "g.txt"
-    save_graph(p, S)
-    lines = p.read_text().splitlines()
-    assert lines[0] == "2"
-    assert [float(v) for v in lines[1].split(",")] == [0.0, 1.5]

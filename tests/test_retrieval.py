@@ -212,6 +212,23 @@ class TestFiles:
         with pytest.raises(FormatError):
             rt.load_codes(p)
 
+    @given(st.integers(1, 4), st.integers(1, 130), st.integers(0, 2**32 - 1), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_truncated_codes_file_is_an_error(self, tmp_path_factory, n, r, seed, data):
+        _, codes = random_codes(np.random.default_rng(seed), n, r)
+        p = tmp_path_factory.getbasetemp() / "codes.txt"
+        rt.save_codes(p, codes)
+        saved = p.read_bytes()
+        size = data.draw(st.integers(0, len(saved) - 1), label="size")
+        p.write_bytes(saved[:size])
+        try:
+            back = rt.load_codes(p)
+        except (FormatError, ShapeError):
+            return
+        # only a cut that drops nothing but the final newline leaves every code whole
+        assert size == len(saved) - 1
+        assert np.array_equal(back.packed, codes.packed)
+
     def test_report_files(self, tmp_path):
         rep = rt.EvalReport(
             map_at_k=0.75, precision_curve=[(1, 1.0), (5, 0.6)],

@@ -2,6 +2,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aghash import attention as att
 from aghash import cli
@@ -148,12 +150,6 @@ class TestFit:
         with pytest.raises(ParameterError, match="train_attention"):
             tiny_fit(use_attention=False, cfg=TrainConfig(epochs=1, train_attention=True))
 
-    def test_forward_train_matches_cached(self):
-        _, _, _, model, _ = tiny_fit(seed=9)
-        Z1, Z = trainer.forward_train(model)
-        assert np.allclose(Z, model.z_train, atol=1e-10)
-        assert np.allclose(Z1, model.z1_train, atol=1e-10)
-
     @pytest.mark.parametrize("train_attention, recon_target", [
         (False, "aux"), (True, "aux"), (True, "feature"),
     ])
@@ -166,7 +162,7 @@ class TestFit:
         xatt0, _, _, _ = att.denoise(X, Y, att.init_attention(fm.d, aux.c, 8, cfg.seed))
         graph, _ = sg.build_graph(xatt0, Y, model.graph_cfg)
         xatt, _, _, _ = att.denoise(X, Y, model.attention)
-        Z1, Z = net.gcn_forward(xatt, graph.S_tilde, model.gcn)
+        Z1, _, Z = net.gcn_layers(xatt @ graph.S_tilde, graph.S_tilde, model.gcn)
         assert np.allclose(model.xatt_train, xatt, atol=1e-12)
         assert np.allclose(Z1, model.z1_train, atol=1e-10)
         assert np.allclose(Z, model.z_train, atol=1e-10)
@@ -183,7 +179,7 @@ class TestEncoding:
         Xq = fm.data[:, split.query]
         Yq = aux.data[:, split.query]
         batch = trainer.encode_queries(model, Xq, Yq)
-        one = trainer.encode_query(model, Xq[:, 0], Yq[:, 0])
+        one = trainer.encode_queries(model, Xq[:, :1], Yq[:, :1])[:, 0]
         assert np.array_equal(one, batch[:, 0])
         assert set(np.unique(batch)) <= {-1.0, 1.0}
 
@@ -199,7 +195,7 @@ class TestEncoding:
         train_codes = retrieval.unpack(trainer.encode_train(model))
         j = 0
         idx = split.train[j]
-        q = trainer.encode_query(model, fm.data[:, idx], aux.data[:, idx])
+        q = trainer.encode_queries(model, fm.data[:, idx:idx + 1], aux.data[:, idx:idx + 1])[:, 0]
         # self-extension differs from the transductive graph, so require
         # agreement on most bits rather than all
         assert (q == train_codes[:, j]).mean() >= 0.75
@@ -229,6 +225,15 @@ class TestEncoding:
             )
             codes = trainer.encode_queries(model, fm.data[:, split.query], aux.data[:, split.query])
             assert codes.shape == (4, 4)
+
+
+@pytest.fixture(scope="module")
+def saved_checkpoint(tmp_path_factory):
+    """The bytes of a saved model that has every parameter group, and a path for truncated copies."""
+    _, _, _, model, _ = tiny_fit(seed=18, hyper=obj.Hyperparams(recon_target="feature"))
+    path = tmp_path_factory.mktemp("checkpoint") / "model.bin"
+    trainer.save_model(path, model)
+    return path.read_bytes(), path.with_name("cut.bin")
 
 
 class TestPersistence:
@@ -278,6 +283,14 @@ class TestPersistence:
         net.save_arrays(p, arrays, meta)
         with pytest.raises(FormatError, match="unknown checkpoint train setting 'batch'"):
             trainer.load_model(p)
+
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_truncated_checkpoint_is_format_error(self, saved_checkpoint, data):
+        saved, cut = saved_checkpoint
+        cut.write_bytes(saved[:data.draw(st.integers(0, len(saved) - 1), label="size")])
+        with pytest.raises(FormatError):
+            trainer.load_model(cut)
 
     def test_version_1_checkpoint_rejected(self, tmp_path):
         _, _, _, model, _ = tiny_fit(seed=18)
