@@ -367,6 +367,8 @@ def cmd_sweep(args):
     values = [tok.strip() for tok in args.values.split(",") if tok.strip()]
     if not values:
         raise ParameterError("sweep needs at least one value")
+    if args.k_eval < 1:
+        raise ParameterError(f"--k-eval must be >= 1, got {args.k_eval}")
     action = _actions(args.command)[args.axis]
     points = [argparse.Namespace(**vars(args)) for _ in values]
     for point, value in zip(points, values):

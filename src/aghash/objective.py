@@ -190,17 +190,21 @@ def backprop_all(
     """Losses plus exact gradients of the generator and discriminator objectives.
 
     Differentiates a forward pass computed by the caller: H = Xatt S~ and
-    `layers` = (Z1, M, Z) = network.gcn_layers(H, S~, gcn). `recon_matrix` is
-    the n x n reconstruction target (ignored for the 'feature' target, which
-    uses `decoder`). `attention` = (X, Y, params), the raw features, aux and
-    projections that Xatt was denoised from, adds the projection gradients
-    with the graph held fixed.
+    `layers` = (Z1, Z) = network.gcn_layers(H, S~, gcn), Z = (W2 Z1) S~.
+    S~ is symmetric, so with G = dZ S~ layer 2 gives dW2 = G Z1^T and
+    dZ1 = W2^T G: one r x n x n product where (W2^T dZ) S~ would take an
+    h x n x n one, and r << h.
+
+    `recon_matrix` is the n x n reconstruction target (ignored for the
+    'feature' target, which uses `decoder`). `attention` = (X, Y, params),
+    the raw features, aux and projections that Xatt was denoised from, adds
+    the projection gradients with the graph held fixed.
 
     Returns (LossBreakdown, grads); grads is the name -> array registry
     (`network.parameters`) of the generator-side gradients: the GCN, the
     head, and the decoder and projections when they are in use.
     """
-    Z1, M, Z = layers
+    Z1, Z = layers
 
     l_quan, dZ_quan = quantization_loss(B, Z)
     dWd = None
@@ -222,9 +226,9 @@ def backprop_all(
     total = total_generator_loss(gan.l_gen_adv, l_rec, l_quan, l_cl, hp)
     dZ = gan.dZ + hp.lambda1 * dZ_rec + hp.lambda2 * dZ_quan + hp.lambda3 * dZ_cl
 
-    dW2 = dZ @ M.T
-    dZ1 = (gcn.W2.T @ dZ) @ S_tilde
-    dA = dZ1 * (Z1 > 0)
+    G = dZ @ S_tilde
+    dW2 = G @ Z1.T
+    dA = (gcn.W2.T @ G) * (Z1 > 0)
     dW1 = dA @ H.T
     grads = parameters(GcnParams(dW1, dW2), ClsHead(hp.lambda3 * dWc),
                        None if dWd is None else DecoderParams(hp.lambda1 * dWd))

@@ -21,9 +21,6 @@ class TrainConfig:
     lr: float = 1e-4
     epochs: int = 300
     seed: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     disc_steps: int = 1
     saturating: bool = False
     train_attention: bool = False
@@ -72,13 +69,12 @@ class TrainedModel:
     disc: net.DiscParams
     head: net.ClsHead
     decoder: net.DecoderParams | None
-    graph_cfg: sg.GraphConfig
+    graph_cfg: sg.GraphConfig  # bandwidth is the resolved one when a visual kernel was built
     hyper: obj.Hyperparams
     train_cfg: TrainConfig
     use_attention: bool
-    sigma: float | None  # resolved visual-kernel bandwidth
     xatt_train: np.ndarray  # d' x n
-    z1_train: np.ndarray  # h x n
+    w2z1_train: np.ndarray  # r x n: W2 Z1, layer 2 before its graph product
     z_train: np.ndarray  # r x n
     degrees: np.ndarray  # length n
     y_train: np.ndarray  # c x n
@@ -135,6 +131,8 @@ def fit(
     if Sv is None and hyper.recon_target == "visual":
         # an aux-only graph has no visual kernel of its own to reconstruct
         Sv, sigma = sg.visual_similarity(Xatt, graph_cfg.bandwidth)
+    if sigma is not None:  # queries extend the graph with the training kernel
+        graph_cfg = replace(graph_cfg, bandwidth=sigma)
     # the feature target reconstructs through the decoder instead of a matrix
     recon = {"aux": graph.Sa, "inner-product": graph.Sa, "visual": Sv,
              "augmented": graph.S}.get(hyper.recon_target)
@@ -149,12 +147,12 @@ def fit(
     def adam(group, grads):
         """The parameter group after one Adam step on each of its arrays."""
         return type(group)(**{
-            name: adam_step(param, grads[name], states[name], cfg.lr, cfg.beta1, cfg.beta2, cfg.eps)
+            name: adam_step(param, grads[name], states[name], cfg.lr)
             for name, param in net.parameters(group).items()
         })
 
     H = Xatt @ St
-    Z1, M, Z = net.gcn_layers(H, St, gcn)
+    Z1, Z = net.gcn_layers(H, St, gcn)
     history = []
     for epoch in range(1, cfg.epochs + 1):
         if not np.all(np.isfinite(Z)):
@@ -167,7 +165,7 @@ def fit(
             disc = adam(disc, net.parameters(gan.disc_grads))
 
         breakdown, grads = obj.backprop_all(
-            Xatt, H, (Z1, M, Z), St, Yt, B, gcn, disc, head, hyper, prior,
+            Xatt, H, (Z1, Z), St, Yt, B, gcn, disc, head, hyper, prior,
             recon_matrix=recon, decoder=decoder, saturating=cfg.saturating,
             attention=(X, Yt, apar) if cfg.train_attention else None,
         )
@@ -182,7 +180,7 @@ def fit(
             apar = adam(apar, grads)
             Xatt = _attentive(X, Yt, apar, use_attention)
             H = Xatt @ St
-        Z1, M, Z = net.gcn_layers(H, St, gcn)
+        Z1, Z = net.gcn_layers(H, St, gcn)
         history.append(breakdown)
         if epoch_callback is not None:
             epoch_callback(epoch, breakdown)
@@ -190,7 +188,7 @@ def fit(
     model = TrainedModel(
         attention=apar, gcn=gcn, disc=disc, head=head, decoder=decoder,
         graph_cfg=graph_cfg, hyper=hyper, train_cfg=cfg, use_attention=use_attention,
-        sigma=sigma, xatt_train=Xatt, z1_train=Z1, z_train=Z,
+        xatt_train=Xatt, w2z1_train=gcn.W2 @ Z1, z_train=Z,
         degrees=graph.degrees, y_train=Yt,
     )
     return model, history
@@ -206,7 +204,9 @@ def encode_queries(model, Xq, Yq):
 
     Each query gets a one-column extension of the training graph (with an
     explicit self term), is normalized against the cached training degrees,
-    and is propagated through both GCN layers.
+    and is propagated through both GCN layers. Layer 2 is reassociated as in
+    `network.gcn_layers`: z_q = (W2 Z1_train) st_col^T + (W2 z1_q) st_self,
+    from the cached r x n W2 Z1_train, so no h x m x n product is formed.
     """
     Xq = np.asarray(Xq, dtype=np.float64)
     Yq = np.asarray(Yq, dtype=np.float64)
@@ -222,9 +222,9 @@ def encode_queries(model, Xq, Yq):
 
     xatt_q = _attentive(Xq, model.y_train, model.attention, model.use_attention)
     st_col, st_self = sg.query_columns(xatt_q, Yq, model.xatt_train, model.y_train, model.degrees,
-                                       replace(model.graph_cfg, bandwidth=model.sigma))
+                                       model.graph_cfg)
     z1_q = net.relu(model.gcn.W1 @ (model.xatt_train @ st_col.T + xatt_q * st_self))
-    z_q = model.gcn.W2 @ (model.z1_train @ st_col.T + z1_q * st_self)
+    z_q = model.w2z1_train @ st_col.T + (model.gcn.W2 @ z1_q) * st_self
     return sign_pm(z_q)
 
 

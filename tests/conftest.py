@@ -60,7 +60,7 @@ def small_instance(seed, n=16, d=8, d_prime=8, h=8, r=4, c=3, hp=None):
     St = sg.normalize(sg.combine("augmented", 1.0, Sv, Sa)).S_tilde
     gcn, disc, head = net.init_params(d_prime, h, r, c, seed + 2)
     prior = rng.standard_normal((r, n))
-    _, _, Z = net.gcn_layers(Xatt @ St, St, gcn)
+    _, Z = net.gcn_layers(Xatt @ St, St, gcn)
     B = np.where(Z >= 0, 1.0, -1.0)
     return SmallInstance(X=X, Y=Y, apar=apar, Xatt=Xatt, Sa=Sa, St=St,
                          gcn=gcn, disc=disc, head=head, prior=prior, B=B,

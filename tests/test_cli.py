@@ -138,7 +138,7 @@ class TestTrain:
         if error is None:
             assert code == 0
             if line.startswith("bandwidth"):
-                assert load_model(tmp_path / "checkpoint.bin").sigma == 1.5
+                assert load_model(tmp_path / "checkpoint.bin").graph_cfg.bandwidth == 1.5
         else:
             assert code == 1
             assert error in captured.err and len(captured.err.splitlines()) == 1
@@ -239,12 +239,12 @@ class TestSweep:
         assert lines[1].startswith("1,") and lines[2].startswith("2,")
 
 
-def _checkpoint(meta=b"{}", dtype=b"<f8", dims=(1,)):
-    """Bytes of a one-array checkpoint with the given raw meta, dtype string and dimensions."""
+def _checkpoint(meta=b"{}", dtype=b"<f8", dims=(1,), version=3):
+    """Bytes of a one-array checkpoint with the given raw meta, dtype string, dimensions and version."""
     def string(raw):
         return struct.pack("<I", len(raw)) + raw
 
-    return (b"AGCK" + struct.pack("<I", 2) + string(meta) + struct.pack("<I", 1) + string(b"w")
+    return (b"AGCK" + struct.pack("<I", version) + string(meta) + struct.pack("<I", 1) + string(b"w")
             + string(dtype) + struct.pack(f"<I{len(dims)}Q", len(dims), *dims) + bytes(8))
 
 
@@ -313,6 +313,8 @@ MALFORMED = {
                      "unknown dtype '|O'"),
     "dims-beyond-file": (lambda p, t: _encode(p, t, checkpoint=_file(t, "c", _checkpoint(dims=(2**31, 3)))),
                          "truncated"),
+    "checkpoint-version-2": (lambda p, t: _encode(p, t, checkpoint=_file(t, "c", _checkpoint(version=2))),
+                             "unsupported checkpoint version 2"),
     "split-not-object": (lambda p, t: _train(p, t, split=_file(t, "s.json", "[1, 2]")),
                          "must be a JSON object"),
     "split-not-integers": (lambda p, t: _train(p, t, split=_file(t, "s.json", _SPLIT % ('["a"]', "[]"))),
@@ -349,6 +351,8 @@ MALFORMED = {
                                 "--values: invalid value 'x' for 'epochs'"),
     "sweep-r-fractional": (lambda p, t: _sweep(p, "--axis", "r", "--values", "4.5"),
                            "--values: invalid value '4.5' for 'r'"),
+    "sweep-k-eval-zero": (lambda p, t: _sweep(p, "--axis", "epochs", "--values", "1", "--k-eval", "0"),
+                          "--k-eval must be >= 1, got 0"),
     "threads-zero": (lambda p, t: _train(p, t, "--threads", "0"), "threads must be >= 1, got 0"),
     "config-threads-negative": (lambda p, t: _train(p, t, "--config", _file(t, "c.cfg", "threads = -3\n")),
                                 "threads must be >= 1, got -3"),

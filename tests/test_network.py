@@ -67,7 +67,7 @@ class TestGcnForward:
         Xatt = np.array([[1.0, -1.0, 2.0], [0.5, 3.0, -4.0]])
         params = GcnParams(W1=np.eye(d), W2=np.eye(d))
         S = np.eye(n)
-        Z1, _, Z = gcn_layers(Xatt @ S, S, params)
+        Z1, Z = gcn_layers(Xatt @ S, S, params)
         assert np.array_equal(Z1, relu(Xatt))
         assert np.array_equal(Z, relu(Xatt))
 
@@ -76,7 +76,7 @@ class TestGcnForward:
         Xatt = np.array([[3.0]])
         params = GcnParams(W1=np.array([[2.0]]), W2=np.array([[-1.0]]))
         S = np.array([[0.5]])
-        Z1, _, Z = gcn_layers(Xatt @ S, S, params)
+        Z1, Z = gcn_layers(Xatt @ S, S, params)
         assert Z1[0, 0] == 3.0
         assert Z[0, 0] == -1.5
 
@@ -85,7 +85,7 @@ class TestGcnForward:
         Xatt = rng.standard_normal((4, 6))
         gcn, _, _ = init_params(4, 5, 3, 2, seed=1)
         S = np.eye(6) / 2
-        Z1, _, Z = gcn_layers(Xatt @ S, S, gcn)
+        Z1, Z = gcn_layers(Xatt @ S, S, gcn)
         assert Z1.min() >= 0.0
         assert Z.min() < 0.0  # no activation on the output layer
 

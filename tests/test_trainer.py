@@ -1,4 +1,5 @@
 import struct
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -24,6 +25,29 @@ def tiny_fit(seed=0, **overrides):
     kwargs.update(overrides)
     model, history = trainer.fit(fm, aux, split.train, **kwargs)
     return fm, aux, split, model, history
+
+
+def flags_fit(seed, *flags):
+    """tiny_fit under the configuration that `aghash train` resolves from `flags`."""
+    args = cli.build_parser().parse_args(
+        ["train", "--features", "-", "--aux", "-", "--split", "-", "--out", "-",
+         "--epochs", "3", "--lr", "1e-3", "--seed", str(seed), *flags])
+    graph_cfg, hyper, cfg, use_attention = cli._train_setup(args)
+    return tiny_fit(seed=seed, graph_cfg=graph_cfg, hyper=hyper, cfg=cfg,
+                    use_attention=use_attention)
+
+
+def encode_pre_sign(model, Xq, Yq):
+    """(codes, the outputs encode_queries took the signs of) for one call."""
+    seen = []
+
+    def spy(Z):
+        seen.append(Z)
+        return sign_pm(Z)
+
+    with mock.patch.object(trainer, "sign_pm", spy):
+        codes = trainer.encode_queries(model, Xq, Yq)
+    return codes, seen[0]
 
 
 class TestAdam:
@@ -162,9 +186,9 @@ class TestFit:
         xatt0, _, _, _ = att.denoise(X, Y, att.init_attention(fm.d, aux.c, 8, cfg.seed))
         graph, _ = sg.build_graph(xatt0, Y, model.graph_cfg)
         xatt, _, _, _ = att.denoise(X, Y, model.attention)
-        Z1, _, Z = net.gcn_layers(xatt @ graph.S_tilde, graph.S_tilde, model.gcn)
+        Z1, Z = net.gcn_layers(xatt @ graph.S_tilde, graph.S_tilde, model.gcn)
         assert np.allclose(model.xatt_train, xatt, atol=1e-12)
-        assert np.allclose(Z1, model.z1_train, atol=1e-10)
+        assert np.allclose(model.gcn.W2 @ Z1, model.w2z1_train, atol=1e-10)
         assert np.allclose(Z, model.z_train, atol=1e-10)
 
 
@@ -182,6 +206,22 @@ class TestEncoding:
         one = trainer.encode_queries(model, Xq[:, :1], Yq[:, :1])[:, 0]
         assert np.array_equal(one, batch[:, 0])
         assert set(np.unique(batch)) <= {-1.0, 1.0}
+
+    @pytest.mark.parametrize("variant", cli._VARIANTS)
+    @given(data=st.data())
+    @settings(max_examples=15, deadline=None)
+    def test_batch_codes_match_single_item_codes(self, variant_models, variant, data):
+        # a bit may flip only where rounding differs between the batched and the
+        # one-column products and the output is that close to 0
+        fm, aux, model = variant_models[variant]
+        idx = data.draw(st.lists(st.integers(0, fm.n - 1), min_size=1, max_size=8), label="items")
+        batch, z_batch = encode_pre_sign(model, fm.data[:, idx], aux.data[:, idx])
+        tol = 1e-9 * np.abs(z_batch).max()
+        for j, i in enumerate(idx):
+            one, z_one = encode_pre_sign(model, fm.data[:, i:i + 1], aux.data[:, i:i + 1])
+            assert np.allclose(z_one[:, 0], z_batch[:, j], rtol=1e-9, atol=tol)
+            flipped = one[:, 0] != batch[:, j]
+            assert np.all(np.abs(z_batch[flipped, j]) <= tol), (variant, i)
 
     def test_training_item_roundtrips_through_inductive_rule(self):
         # encoding a training item as if out-of-sample should usually agree
@@ -228,6 +268,16 @@ class TestEncoding:
 
 
 @pytest.fixture(scope="module")
+def variant_models():
+    """--variant -> (features, aux, tiny model trained under that variant)."""
+    models = {}
+    for variant in cli._VARIANTS:
+        fm, aux, _, model, _ = flags_fit(20, "--variant", variant)
+        models[variant] = (fm, aux, model)
+    return models
+
+
+@pytest.fixture(scope="module")
 def saved_checkpoint(tmp_path_factory):
     """The bytes of a saved model that has every parameter group, and a path for truncated copies."""
     _, _, _, model, _ = tiny_fit(seed=18, hyper=obj.Hyperparams(recon_target="feature"))
@@ -247,18 +297,13 @@ class TestPersistence:
         assert back.hyper == model.hyper
         assert back.train_cfg == model.train_cfg
         assert back.graph_cfg == model.graph_cfg
-        assert back.sigma == model.sigma
+        assert back.graph_cfg.bandwidth == model.graph_cfg.bandwidth
         assert back.r == model.r
 
     @pytest.mark.parametrize("flags", [["--variant", v] for v in cli._VARIANTS] + [["--train-attention"]],
                              ids=lambda flags: flags[-1].lstrip("-"))
     def test_round_trip_preserves_query_codes(self, tmp_path, flags):
-        args = cli.build_parser().parse_args(
-            ["train", "--features", "-", "--aux", "-", "--split", "-", "--out", "-",
-             "--epochs", "3", "--lr", "1e-3", "--seed", "17", *flags])
-        graph_cfg, hyper, cfg, use_attention = cli._train_setup(args)
-        fm, aux, split, model, _ = tiny_fit(seed=17, graph_cfg=graph_cfg, hyper=hyper, cfg=cfg,
-                                            use_attention=use_attention)
+        fm, aux, split, model, _ = flags_fit(17, *flags)
         p, resaved = tmp_path / "model.bin", tmp_path / "resaved.bin"
         trainer.save_model(p, model)
         back = trainer.load_model(p)
