@@ -163,11 +163,15 @@ def _load_text_matrix(path):
         tokens = line.split(",")
         if len(tokens) != cols:
             raise ShapeError(f"{path}: row {i} has {len(tokens)} values, expected {cols}")
-        for j, tok in enumerate(tokens):
-            try:
-                out[i, j] = float(tok)
-            except ValueError as exc:
-                raise FormatError(f"{path}: unparseable value {tok!r} at row {i}, column {j}") from exc
+        try:
+            out[i] = np.array(tokens, dtype=np.float64)
+        except ValueError:
+            # the same parse one token at a time, to name the bad value
+            for j, tok in enumerate(tokens):
+                try:
+                    out[i, j] = float(tok)
+                except ValueError as exc:
+                    raise FormatError(f"{path}: unparseable value {tok!r} at row {i}, column {j}") from exc
     return out
 
 

@@ -12,6 +12,9 @@ from .data import default_ids, read_lines
 from .errors import DataError, FormatError, ParameterError, ShapeError
 
 _WORD_BITS = 64
+# evaluate scores relevance for a block of queries at once; this bounds the
+# block x n_db float product whatever the db size
+_EVAL_BLOCK_BYTES = 4 << 20
 _HEX_WORD = re.compile(r"[0-9a-fA-F]{16}")  # one 64-bit word as save_codes writes it
 
 
@@ -85,15 +88,37 @@ def hamming(a, b):
 
 
 def hamming_to_all(query_words, db):
-    """Hamming distance from one packed code to every row of a HashCodes db."""
-    x = db.packed ^ np.asarray(query_words, dtype=np.uint64)[None, :]
-    return np.bitwise_count(x).sum(axis=1).astype(np.int64)
+    """Hamming distance from one packed code to every row of a HashCodes db.
+
+    The distances come back in the smallest unsigned dtype that holds db.r
+    (uint8 up to r = 255, uint16 up to 65535), which numpy's stable argsort
+    radix-sorts.
+    """
+    q = np.asarray(query_words, dtype=np.uint64).ravel()
+    if q.shape[0] != db.packed.shape[1]:
+        raise ShapeError(f"code word counts differ: {q.shape[0]} vs {db.packed.shape[1]}")
+    return np.bitwise_count(db.packed ^ q).sum(axis=1, dtype=np.min_scalar_type(db.r))
 
 
 def rank(query_words, db):
     """Db indices by ascending Hamming distance, ties broken by item index."""
     dist = hamming_to_all(query_words, db)
     return np.argsort(dist, kind="stable")
+
+
+def _check_denominator(denominator):
+    if denominator not in ("min", "full"):
+        raise ParameterError(f"unknown denominator {denominator!r}: expected 'min' or 'full'")
+
+
+def _ap(hits, R, K, denominator):
+    """AP@K from the 0/1 relevance of the ranked items, top first, and the relevant count R."""
+    if R == 0:
+        return 0.0
+    top = hits[:K].astype(np.float64)
+    prec = np.cumsum(top) / np.arange(1, top.size + 1)
+    denom = min(R, K) if denominator == "min" else R
+    return float((prec * top).sum() / denom)
 
 
 def average_precision(ranking, relevance, K, denominator="min"):
@@ -104,13 +129,8 @@ def average_precision(ranking, relevance, K, denominator="min"):
         raise ShapeError(f"relevance length {relevance.shape[0]} != db size {ranking.shape[0]}")
     if K < 1:
         raise ParameterError(f"K must be >= 1, got {K}")
-    R = int(relevance.sum())
-    if R == 0:
-        return 0.0
-    top = relevance[ranking[:K]].astype(np.float64)
-    prec = np.cumsum(top) / np.arange(1, top.size + 1)
-    denom = min(R, K) if denominator == "min" else R
-    return float((prec * top).sum() / denom)
+    _check_denominator(denominator)
+    return _ap(relevance[ranking[:K]], int(relevance.sum()), K, denominator)
 
 
 def evaluate(query_codes, db_codes, query_labels, db_labels, K=1000,
@@ -122,6 +142,8 @@ def evaluate(query_codes, db_codes, query_labels, db_labels, K=1000,
     """
     if query_codes.n == 0:
         raise ParameterError("query set is empty")
+    if db_codes.n == 0:
+        raise ParameterError("database is empty")
     if query_codes.r != db_codes.r:
         raise ShapeError(f"code lengths differ: {query_codes.r} vs {db_codes.r}")
     query_labels = np.asarray(query_labels, dtype=np.float64)
@@ -130,6 +152,9 @@ def evaluate(query_codes, db_codes, query_labels, db_labels, K=1000,
         raise ShapeError("query and db label matrices must share the category count")
     if query_labels.shape[1] != query_codes.n or db_labels.shape[1] != db_codes.n:
         raise ShapeError("label column counts must match code counts")
+    if K < 1:
+        raise ParameterError(f"K must be >= 1, got {K}")
+    _check_denominator(denominator)
 
     n_db = db_codes.n
     if K > n_db:
@@ -138,17 +163,21 @@ def evaluate(query_codes, db_codes, query_labels, db_labels, K=1000,
     points = sorted({min(int(k), n_db) for k in curve_points if k >= 1})
     if not points:
         raise ParameterError("curve_points must contain at least one K >= 1")
+    pts = np.array(points)
+    depth = max(K, points[-1])  # ranks past this one change no score
+    block = max(1, _EVAL_BLOCK_BYTES // (8 * n_db))
 
     start = time.perf_counter()
     aps = []
     prec_sums = np.zeros(len(points))
-    for qi in range(query_codes.n):
-        order = rank(query_codes.packed[qi], db_codes)
-        rel = (query_labels[:, qi] @ db_labels) >= 1.0
-        aps.append(average_precision(order, rel, K, denominator=denominator))
-        rel_ranked = rel[order]
-        for pi, kk in enumerate(points):
-            prec_sums[pi] += rel_ranked[:kk].mean()
+    for lo in range(0, query_codes.n, block):
+        rel = (query_labels[:, lo:lo + block].T @ db_labels) >= 1.0
+        R = rel.sum(axis=1)
+        for bi in range(rel.shape[0]):
+            order = rank(query_codes.packed[lo + bi], db_codes)
+            hits = rel[bi][order[:depth]]
+            aps.append(_ap(hits, int(R[bi]), K, denominator))
+            prec_sums += np.cumsum(hits)[pts - 1] / pts
     elapsed = time.perf_counter() - start
 
     curve = [(kk, float(prec_sums[pi] / query_codes.n)) for pi, kk in enumerate(points)]

@@ -60,6 +60,23 @@ class TestLoadFeatures:
         with pytest.raises(ShapeError):
             load_features(p)
 
+    @pytest.mark.parametrize("text, message", [
+        ("2 3\n1,2,3\n4,x5,6\n", "unparseable value 'x5' at row 1, column 1"),
+        ("2 3\n1,2,\n4,5,6\n", "unparseable value '' at row 0, column 2"),
+        ("2 3\n1,2,3\n4,5\n", "row 1 has 2 values, expected 3"),
+    ])
+    def test_bad_value_names_its_position(self, tmp_path, text, message):
+        p = write(tmp_path / "f.txt", text)
+        with pytest.raises((FormatError, ShapeError), match=re.escape(f"{p}: {message}")):
+            load_features(p)
+
+    def test_text_values_parse_as_python_floats(self, tmp_path):
+        tokens = ["1", "-0.5", "+.25", "1e-3", "3.000000001", "1_0", " 7 ", "-0", "1e-320"]
+        p = write(tmp_path / "f.txt", f"1 {len(tokens)}\n" + ",".join(tokens) + "\n")
+        data = load_features(p).data
+        assert data.tolist() == [[float(t) for t in tokens]]
+        assert np.signbit(data[0, 7])
+
     def test_binary_payload_length_checked(self, tmp_path):
         fm = FeatureMatrix(np.ones((2, 2)), default_ids(2))
         p = tmp_path / "f.bin"

@@ -1,4 +1,5 @@
 import json
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -19,6 +20,24 @@ def random_codes(rng, n, r):
 
 def oracle_hamming(u, v):
     return sum(1 for a, b in zip(u, v) if a != b)
+
+
+def oracle_order(Bq, Bd):
+    """Db indices by (distance, index), distances from sign dot products."""
+    r, n = Bd.shape
+    dist = np.rint((r - Bd.T @ Bq) / 2.0).astype(np.int64)
+    return np.lexsort((np.arange(n), dist))
+
+
+def tied_codes(rng, n, r, patterns):
+    """n codes, each one of a few random patterns with a bit or two flipped: many ties."""
+    base = np.where(rng.random((r, patterns)) < 0.5, 1.0, -1.0)
+    B = base[:, rng.integers(0, patterns, size=n)]
+    flips = rng.integers(0, r, size=(2, n))
+    keep = rng.random((2, n)) < 0.5
+    for row, k in zip(flips, keep):
+        B[row[k], np.flatnonzero(k)] *= -1.0
+    return B
 
 
 def oracle_ap(dists, relevance, K, denominator="min"):
@@ -93,6 +112,27 @@ class TestHamming:
         expect = [oracle_hamming(B[:, 0], B[:, j]) for j in range(10)]
         assert np.array_equal(dists, expect)
 
+    @pytest.mark.parametrize("r, dtype", [(1, np.uint8), (255, np.uint8), (256, np.uint16),
+                                          (300, np.uint16)])
+    def test_hamming_to_all_dtype_holds_r(self, r, dtype):
+        # item 1 is the complement of item 0, so its distance is r itself
+        B = np.ones((r, 3))
+        B[:, 1] = -1.0
+        B[: r // 2, 2] = -1.0
+        codes = rt.pack(B)
+        dists = rt.hamming_to_all(codes.packed[0], codes)
+        assert dists.dtype == dtype
+        assert dists.tolist() == [0, r, r // 2]
+
+    def test_hamming_to_all_rejects_word_count_mismatch(self):
+        rng = np.random.default_rng(5)
+        _, db = random_codes(rng, 5, 100)  # two words per code
+        _, one_word = random_codes(rng, 1, 60)
+        with pytest.raises(ShapeError, match="code word counts differ: 1 vs 2"):
+            rt.hamming_to_all(one_word.packed[0], db)
+        with pytest.raises(ShapeError, match="code word counts differ"):
+            rt.rank(one_word.packed[0], db)
+
 
 class TestRank:
     def test_ties_broken_by_index(self):
@@ -104,6 +144,18 @@ class TestRank:
     def test_all_identical(self):
         codes = rt.pack(np.ones((8, 5)))
         assert list(rt.rank(codes.packed[0], codes)) == [0, 1, 2, 3, 4]
+
+    @given(st.sampled_from([1, 8, 63, 64, 255, 256, 300]), st.integers(1, 300),
+           st.integers(1, 6), st.integers(0, 2**32 - 1))
+    @settings(max_examples=120, deadline=None)
+    def test_matches_lexsort_oracle(self, r, n, patterns, seed):
+        rng = np.random.default_rng(seed)
+        Bd = tied_codes(rng, n, r, patterns)
+        Bq = tied_codes(rng, 2, r, patterns)
+        db = rt.pack(Bd)
+        for q in range(2):
+            order = rt.rank(rt.pack(Bq[:, q:q + 1]).packed[0], db)
+            assert np.array_equal(order, oracle_order(Bq[:, q], Bd))
 
 
 class TestAveragePrecision:
@@ -135,6 +187,10 @@ class TestAveragePrecision:
     def test_bad_K(self):
         with pytest.raises(ParameterError):
             rt.average_precision(np.arange(3), np.ones(3), K=0)
+
+    def test_unknown_denominator(self):
+        with pytest.raises(ParameterError, match="'bogus'"):
+            rt.average_precision(np.arange(3), np.ones(3), K=2, denominator="bogus")
 
     def test_matches_oracle_random(self):
         rng = np.random.default_rng(3)
@@ -188,6 +244,39 @@ class TestEvaluate:
             rt.evaluate(B, B, np.ones((1, 2)), np.ones((2, 2)))
         with pytest.raises(ShapeError):
             rt.evaluate(B, B, np.ones((1, 3)), np.ones((1, 2)))
+        with pytest.raises(ParameterError, match="'bogus'"):
+            rt.evaluate(B, B, np.ones((1, 2)), np.ones((1, 2)), denominator="bogus")
+        with pytest.raises(ParameterError, match="K must be >= 1"):
+            rt.evaluate(B, B, np.ones((1, 2)), np.ones((1, 2)), K=0)
+        with pytest.raises(ParameterError, match="database is empty"):
+            rt.evaluate(B, rt.pack(np.ones((4, 0))), np.ones((1, 2)), np.ones((1, 0)))
+
+    @pytest.mark.parametrize("n_query", [3, 4, 5, 9])
+    @pytest.mark.parametrize("denominator", ["min", "full"])
+    @pytest.mark.parametrize("K, curve", [(7, (1, 3, 7, 20, 45)), (60, (1, 10, 50))])
+    def test_matches_per_query_reference(self, monkeypatch, n_query, denominator, K, curve):
+        # blocks of 4 queries: n_query is below, at and above one block, and spans three
+        n_db, r, c = 50, 12, 3
+        monkeypatch.setattr(rt, "_EVAL_BLOCK_BYTES", 8 * n_db * 4)
+        rng = np.random.default_rng(n_query)
+        Bq, Bd = tied_codes(rng, n_query, r, 3), tied_codes(rng, n_db, r, 3)
+        Lq = (rng.random((c, n_query)) < 0.4).astype(float)
+        Ld = (rng.random((c, n_db)) < 0.3).astype(float)
+        query, db = rt.pack(Bq), rt.pack(Bd)
+        clamped = pytest.warns(UserWarning, match="clamping") if K > n_db else nullcontext()
+        with clamped:
+            rep = rt.evaluate(query, db, Lq, Ld, K=K, curve_points=curve, denominator=denominator)
+        K = min(K, n_db)
+        points = sorted({min(k, n_db) for k in curve})
+        aps, precs = [], np.zeros(len(points))
+        for q in range(n_query):
+            order = rt.rank(query.packed[q], db)
+            rel = (Lq[:, q] @ Ld) >= 1.0
+            aps.append(rt.average_precision(order, rel, K, denominator=denominator))
+            precs += [rel[order][:k].mean() for k in points]
+        assert rep.per_query_ap == aps
+        assert rep.map_at_k == float(np.mean(aps))
+        assert rep.precision_curve == [(k, float(p / n_query)) for k, p in zip(points, precs)]
 
 
 class TestFiles:
