@@ -31,16 +31,16 @@ print(f"score(v, v) = {attention_scores(v, v)[0, 0]:.3f}, "
 # symmetric degree normalization.
 Sv, sigma = visual_similarity(Xatt)
 Sa = aux_similarity(Y)
-graph, _ = build_graph(Xatt, Y, GraphConfig(mu=1.0))
+S_tilde, _, _, S = build_graph(Xatt, Y, GraphConfig(mu=1.0), part="augmented")
 print(f"visual kernel bandwidth (median heuristic): {sigma:.3f}")
 print(f"aux similarities are integers: counts {sorted(set(Sa.ravel().astype(int)))}")
 
-top = np.linalg.eigvalsh(graph.S_tilde).max()
+top = np.linalg.eigvalsh(S_tilde).max()
 print(f"largest eigenvalue of the normalized graph: {top:.6f} (bounded by 1)")
 
 # Same-category pairs should look more similar than cross-category pairs.
 lab = truth.data.argmax(axis=0)
 same = lab[:, None] == lab[None, :]
 off = ~np.eye(len(lab), dtype=bool)
-print(f"mean fused similarity, same category:  {graph.S[same & off].mean():.3f}")
-print(f"mean fused similarity, cross category: {graph.S[~same].mean():.3f}")
+print(f"mean fused similarity, same category:  {S[same & off].mean():.3f}")
+print(f"mean fused similarity, cross category: {S[~same].mean():.3f}")

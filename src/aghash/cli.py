@@ -179,6 +179,13 @@ def _config(args):
     return {k.replace("_", "-"): v for k, v in vars(args).items() if k not in _NOT_CONFIG}
 
 
+def _recorded(args, path, inputs):
+    """manifest.recorded for this run of `args.command`, written to `path`."""
+    from . import __version__, manifest
+
+    return manifest.recorded(path, args.command, _config(args), inputs, args.seed, __version__)
+
+
 def _load_inputs(args):
     """The features, aux, labels (None unless given) and split a command reads.
 
@@ -203,7 +210,6 @@ def _load_inputs(args):
 
 
 def cmd_synth(args):
-    from . import __version__, manifest
     from .data import make_split, save_aux, save_features, save_split, synth_dataset
 
     out = args.out
@@ -216,13 +222,12 @@ def cmd_synth(args):
         "labels": os.path.join(out, "labels.txt"),
         "split": os.path.join(out, "split.json"),
     }
-    man_path = os.path.join(out, "manifest.json")
-    man = manifest.start(man_path, "synth", _config(args), [], args.seed, __version__)
-    save_features(paths["features"], features, format=args.format)
-    save_aux(paths["aux"], aux)
-    save_aux(paths["labels"], truth)
-    save_split(paths["split"], split)
-    manifest.finalize(man_path, man, outputs=paths.values())
+    with _recorded(args, os.path.join(out, "manifest.json"), []) as man:
+        save_features(paths["features"], features, format=args.format)
+        save_aux(paths["aux"], aux)
+        save_aux(paths["labels"], truth)
+        save_split(paths["split"], split)
+        man["outputs"] = paths.values()
     print(f"synth: wrote {len(paths)} files to {out} "
           f"(n={args.n}, d={args.d}, c={args.c})")
     return 0
@@ -245,27 +250,25 @@ def _train_setup(args):
 
 
 def cmd_train(args):
-    from . import __version__, manifest
     from .trainer import fit, save_model, write_train_log
 
     features, aux, _, split = _load_inputs(args)
     train_idx = split.subset("train", features.n)
     graph_cfg, hyper, train_cfg, use_attention = _train_setup(args)
 
-    man_path = os.path.join(args.out, "manifest.json")
-    man = manifest.start(man_path, "train", _config(args),
-                         [args.features, args.aux, args.split], args.seed, __version__)
-    start = time.perf_counter()
-    model, history = fit(features, aux, train_idx, r=args.r, d_prime=args.d_prime,
-                         hidden=args.hidden, graph_cfg=graph_cfg, hyper=hyper,
-                         cfg=train_cfg, use_attention=use_attention)
-    train_time = time.perf_counter() - start
-    ckpt = os.path.join(args.out, "checkpoint.bin")
-    log = os.path.join(args.out, "trainlog.csv")
-    save_model(ckpt, model)
-    write_train_log(log, history)
-    man["timing"] = {"train_seconds": train_time}
-    manifest.finalize(man_path, man, outputs=[ckpt, log])
+    with _recorded(args, os.path.join(args.out, "manifest.json"),
+                   [args.features, args.aux, args.split]) as man:
+        start = time.perf_counter()
+        model, history = fit(features, aux, train_idx, r=args.r, d_prime=args.d_prime,
+                             hidden=args.hidden, graph_cfg=graph_cfg, hyper=hyper,
+                             cfg=train_cfg, use_attention=use_attention)
+        train_time = time.perf_counter() - start
+        ckpt = os.path.join(args.out, "checkpoint.bin")
+        log = os.path.join(args.out, "trainlog.csv")
+        save_model(ckpt, model)
+        write_train_log(log, history)
+        man["timing"] = {"train_seconds": train_time}
+        man["outputs"] = [ckpt, log]
     final = history[-1]
     print(f"train: {args.epochs} epochs in {train_time:.2f}s, "
           f"final total={final.total_gen:.6g} (quan={final.l_quan:.4g}, "
@@ -275,7 +278,6 @@ def cmd_train(args):
 
 
 def cmd_encode(args):
-    from . import __version__, manifest
     from .data import save_aux, AuxSemantics
     from .errors import ConfigError
     from .retrieval import pack, save_codes
@@ -287,34 +289,29 @@ def cmd_encode(args):
     features, aux, truth, split = _load_inputs(args)
     idx = split.subset(args.subset, features.n)
 
-    man_path = args.out + ".manifest.json"
-    man = manifest.start(man_path, "encode", _config(args),
-                         [args.checkpoint, args.features, args.aux, args.split],
-                         args.seed, __version__)
-    start = time.perf_counter()
-    if args.subset == "train":
-        if idx.size != model.z_train.shape[1]:
-            raise ConfigError(f"checkpoint was trained on {model.z_train.shape[1]} items, "
-                              f"split has {idx.size} training items")
+    with _recorded(args, args.out + ".manifest.json",
+                   [args.checkpoint, args.features, args.aux, args.split]) as man:
+        start = time.perf_counter()
         ids = [features.item_ids[i] for i in idx]
-        codes = encode_train(model, item_ids=ids)
-    else:
-        signs = encode_queries(model, features.data[:, idx], aux.data[:, idx])
-        codes = pack(signs, item_ids=[features.item_ids[i] for i in idx])
-    encode_time = time.perf_counter() - start
-    save_codes(args.out, codes)
-    outputs = [args.out]
-    if truth is not None and args.labels_out:
-        save_aux(args.labels_out, AuxSemantics(truth.data[:, idx], truth.category_names))
-        outputs.append(args.labels_out)
-    man["timing"] = {"encode_seconds": encode_time}
-    manifest.finalize(man_path, man, outputs=outputs)
+        if args.subset == "train":
+            if idx.size != model.z_train.shape[1]:
+                raise ConfigError(f"checkpoint was trained on {model.z_train.shape[1]} items, "
+                                  f"split has {idx.size} training items")
+            codes = encode_train(model, item_ids=ids)
+        else:
+            codes = pack(encode_queries(model, features.data[:, idx], aux.data[:, idx]), item_ids=ids)
+        encode_time = time.perf_counter() - start
+        save_codes(args.out, codes)
+        man["outputs"] = [args.out]
+        if truth is not None and args.labels_out:
+            save_aux(args.labels_out, AuxSemantics(truth.data[:, idx], truth.category_names))
+            man["outputs"].append(args.labels_out)
+        man["timing"] = {"encode_seconds": encode_time}
     print(f"encode: {codes.n} items at r={codes.r} in {encode_time:.3f}s -> {args.out}")
     return 0
 
 
 def cmd_evaluate(args):
-    from . import __version__, manifest
     from .data import load_aux
     from .errors import ConfigError
     from .retrieval import evaluate, load_codes, save_report
@@ -328,16 +325,14 @@ def cmd_evaluate(args):
     query_labels = load_aux(args.query_labels)
     db_labels = load_aux(args.db_labels)
 
-    man_path = args.out_prefix + ".manifest.json"
-    man = manifest.start(man_path, "evaluate", _config(args),
-                         [args.query_codes, args.db_codes, args.query_labels, args.db_labels],
-                         args.seed, __version__)
-    report = evaluate(query_codes, db_codes, query_labels.data, db_labels.data,
-                      K=args.k, curve_points=curve, denominator=args.denominator)
-    json_path = args.out_prefix + ".json"
-    curve_path = args.out_prefix + "_curve.csv"
-    save_report(json_path, curve_path, report)
-    manifest.finalize(man_path, man, outputs=[json_path, curve_path])
+    with _recorded(args, args.out_prefix + ".manifest.json",
+                   [args.query_codes, args.db_codes, args.query_labels, args.db_labels]) as man:
+        report = evaluate(query_codes, db_codes, query_labels.data, db_labels.data,
+                          K=args.k, curve_points=curve, denominator=args.denominator)
+        json_path = args.out_prefix + ".json"
+        curve_path = args.out_prefix + "_curve.csv"
+        save_report(json_path, curve_path, report)
+        man["outputs"] = [json_path, curve_path]
     print(f"evaluate: MAP@{args.k} = {report.map_at_k:.6f} over {query_codes.n} queries")
     return 0
 
@@ -361,7 +356,6 @@ def _sweep_point(args, inputs):
 
 
 def cmd_sweep(args):
-    from . import __version__, manifest
     from .errors import ParameterError
 
     values = [tok.strip() for tok in args.values.split(",") if tok.strip()]
@@ -374,22 +368,20 @@ def cmd_sweep(args):
     for point, value in zip(points, values):
         setattr(point, args.axis, _convert(action, args.axis, value, "--values"))
     inputs = _load_inputs(args)
-    man_path = args.out + ".manifest.json"
-    man = manifest.start(man_path, "sweep", _config(args),
-                         [args.features, args.aux, args.split, args.labels],
-                         args.seed, __version__)
-    if args.parallel > 1:
-        import concurrent.futures
+    with _recorded(args, args.out + ".manifest.json",
+                   [args.features, args.aux, args.split, args.labels]) as man:
+        if args.parallel > 1:
+            import concurrent.futures
 
-        with concurrent.futures.ProcessPoolExecutor(max_workers=args.parallel) as pool:
-            results = list(pool.map(_sweep_point, points, [inputs] * len(points)))
-    else:
-        results = [_sweep_point(p, inputs) for p in points]
-    with open(args.out, "w", encoding="ascii") as fh:
-        fh.write("value,MAP\n")
-        for value, map_k in zip(values, results):
-            fh.write(f"{value},{map_k:.10g}\n")
-    manifest.finalize(man_path, man, outputs=[args.out])
+            with concurrent.futures.ProcessPoolExecutor(max_workers=args.parallel) as pool:
+                results = list(pool.map(_sweep_point, points, [inputs] * len(points)))
+        else:
+            results = [_sweep_point(p, inputs) for p in points]
+        with open(args.out, "w", encoding="ascii") as fh:
+            fh.write("value,MAP\n")
+            for value, map_k in zip(values, results):
+                fh.write(f"{value},{map_k:.10g}\n")
+        man["outputs"] = [args.out]
     for value, map_k in zip(values, results):
         print(f"sweep {args.axis}={value}: MAP@{args.k_eval} = {map_k:.6f}")
     return 0
@@ -417,10 +409,7 @@ def main(argv=None):
             for var in _THREAD_VARS:
                 os.environ[var] = str(args.threads)
         return _COMMANDS[args.command](args)
-    except AghashError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (AghashError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

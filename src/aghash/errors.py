@@ -1,4 +1,6 @@
-"""Error types shared across the package."""
+"""Error types shared across the package, and the finiteness check of the config types."""
+
+import math
 
 
 class AghashError(Exception):
@@ -27,3 +29,11 @@ class NumericError(AghashError):
 
 class ConfigError(AghashError):
     """Inconsistent configuration (e.g. code-length mismatch with a checkpoint)."""
+
+
+def require_finite(config, *names):
+    """Raise ParameterError naming the first field of `names` that is nan or infinite (None passes)."""
+    for name in names:
+        value = getattr(config, name)
+        if value is not None and not math.isfinite(value):
+            raise ParameterError(f"{name} must be finite, got {value}")

@@ -4,11 +4,11 @@ Also the one-column extension of the training graph for out-of-sample queries.
 """
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, ShapeError
+from .errors import ParameterError, ShapeError, require_finite
 
 VARIANTS = ("augmented", "visual-only", "aux-only")
 
@@ -20,21 +20,13 @@ class GraphConfig:
     variant: str = "augmented"
 
     def __post_init__(self):
+        require_finite(self, "mu", "bandwidth")
         if self.mu < 0:
             raise ParameterError(f"mu must be >= 0, got {self.mu}")
         if self.bandwidth is not None and self.bandwidth <= 0:
             raise ParameterError(f"fixed bandwidth must be > 0, got {self.bandwidth}")
         if self.variant not in VARIANTS:
             raise ParameterError(f"unknown graph variant {self.variant!r}")
-
-
-@dataclass(frozen=True)
-class SemanticGraph:
-    S: np.ndarray
-    S_tilde: np.ndarray
-    degrees: np.ndarray
-    Sv: np.ndarray | None = None  # visual kernel; None when the variant uses none
-    Sa: np.ndarray | None = None  # auxiliary similarity
 
 
 def sqdist(A, B):
@@ -73,8 +65,6 @@ def visual_similarity(Xatt, bandwidth=None):
     """
     d2 = sqdist(Xatt, Xatt)
     sigma = median_bandwidth(d2) if bandwidth is None else float(bandwidth)
-    if sigma <= 0:
-        raise ParameterError(f"bandwidth must be > 0, got {sigma}")
     Sv = gaussian_kernel(d2, sigma)
     np.fill_diagonal(Sv, 1.0)
     return Sv, sigma
@@ -104,7 +94,7 @@ def inv_sqrt_degree(degrees):
 
 
 def normalize(S):
-    """Symmetric normalization D^{-1/2} S D^{-1/2}; zero-degree rows stay zero."""
+    """(D^{-1/2} S D^{-1/2}, degrees): symmetric normalization; zero-degree rows stay zero."""
     S = np.asarray(S, dtype=np.float64)
     if S.ndim != 2 or S.shape[0] != S.shape[1]:
         raise ShapeError(f"graph must be square, got {S.shape}")
@@ -114,22 +104,25 @@ def normalize(S):
         raise ParameterError("graph must be nonnegative")
     degrees = S.sum(axis=1)
     inv_sqrt = inv_sqrt_degree(degrees)
-    S_tilde = S * inv_sqrt[:, None] * inv_sqrt[None, :]
-    return SemanticGraph(S=S, S_tilde=S_tilde, degrees=degrees)
+    return S * inv_sqrt[:, None] * inv_sqrt[None, :], degrees
 
 
-def build_graph(Xatt, Y, config):
-    """Variant-aware construction. Returns (SemanticGraph, sigma_used).
+def build_graph(Xatt, Y, config, part=None):
+    """(S_tilde, degrees, sigma, kept): the variant's normalized graph and one unnormalized part.
 
-    The graph keeps its parts Sv and Sa. sigma and Sv are None for the
-    aux-only variant (no visual kernel involved).
+    kept is the `part` a loss reconstructs: 'visual' (the kernel), 'aux'
+    (Y^T Y), 'augmented' (the fused S) or None. The kernel is built when the
+    variant uses it or `part` is 'visual'; sigma is its bandwidth, else None.
     """
-    Sa = aux_similarity(Y)
-    Sv, sigma = None, None
-    if config.variant != "aux-only":
+    Sv = Sa = sigma = None
+    if config.variant != "aux-only" or part == "visual":
         Sv, sigma = visual_similarity(Xatt, config.bandwidth)
-    graph = normalize(combine(config.variant, config.mu, Sv, Sa))
-    return replace(graph, Sv=Sv, Sa=Sa), sigma
+    if config.variant != "visual-only" or part == "aux":
+        Sa = aux_similarity(Y)
+    S = combine(config.variant, config.mu, Sv, Sa)
+    kept = {"visual": Sv, "aux": Sa, "augmented": S}.get(part)
+    del Sv, Sa  # the parts nobody reconstructs are freed before normalizing
+    return (*normalize(S), sigma, kept)
 
 
 def query_columns(xatt_q, Yq, xatt_train, y_train, degrees, config):

@@ -1,9 +1,11 @@
 """Run manifests: resolved configuration, input digests, and timestamps.
 
 A manifest is written in 'running' state before any work happens and
-finalized afterwards, so a run is reproducible from its recorded values.
+finalized afterwards, as 'completed' or as 'failed' with the error that
+stopped the run, so a run is reproducible from its recorded values.
 """
 
+import contextlib
 import datetime
 import hashlib
 import json
@@ -21,8 +23,15 @@ def _now():
     return datetime.datetime.now(datetime.timezone.utc).isoformat()
 
 
-def start(path, command, config, inputs, seed, version):
-    """Write a pending manifest and return it."""
+@contextlib.contextmanager
+def recorded(path, command, config, inputs, seed, version):
+    """The manifest of one run: written 'running' on entry and finalized on exit.
+
+    The body lists the files it wrote under "outputs"; on success they are
+    recorded by digest. An error in the body finalizes the manifest as
+    'failed' with the error's message, the line the command line prints
+    after `error:`.
+    """
     manifest = {
         "command": command,
         "config": config,
@@ -33,16 +42,16 @@ def start(path, command, config, inputs, seed, version):
         "started_at": _now(),
     }
     _write(path, manifest)
-    return manifest
-
-
-def finalize(path, manifest, outputs=None):
-    manifest["status"] = "completed"
-    manifest["finished_at"] = _now()
-    if outputs:
-        manifest["outputs"] = {str(p): file_digest(p) for p in outputs}
+    try:
+        yield manifest
+        manifest["outputs"] = {str(p): file_digest(p) for p in manifest.get("outputs", ())}
+    except Exception as exc:
+        manifest.pop("outputs", None)  # a failed run vouches for no output file
+        manifest.update(status="failed", error=str(exc), finished_at=_now())
+        _write(path, manifest)
+        raise
+    manifest.update(status="completed", finished_at=_now())
     _write(path, manifest)
-    return manifest
 
 
 def _write(path, manifest):

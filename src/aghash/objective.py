@@ -11,11 +11,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import attention as att
-from .errors import ParameterError, ShapeError
+from .errors import ParameterError, ShapeError, require_finite
 from .network import (ClsHead, DecoderParams, DiscParams, GcnParams, cls_forward, disc_layers,
                       parameters, sigmoid)
 
-RECON_TARGETS = ("aux", "visual", "augmented", "inner-product", "feature")
+# reconstruction target -> the graph part it reconstructs (graph.build_graph's
+# `part`); the feature target reconstructs through the decoder instead
+RECON_PARTS = {"aux": "aux", "visual": "visual", "augmented": "augmented",
+               "inner-product": "aux", "feature": None}
 
 
 @dataclass(frozen=True)
@@ -27,11 +30,12 @@ class Hyperparams:
     recon_target: str = "aux"
 
     def __post_init__(self):
+        require_finite(self, "lambda1", "lambda2", "lambda3", "k")
         if min(self.lambda1, self.lambda2, self.lambda3) < 0:
             raise ParameterError("tradeoff weights must be >= 0")
         if self.k <= 0:
             raise ParameterError(f"k must be > 0, got {self.k}")
-        if self.recon_target not in RECON_TARGETS:
+        if self.recon_target not in RECON_PARTS:
             raise ParameterError(f"unknown recon_target {self.recon_target!r}")
 
 

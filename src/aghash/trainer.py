@@ -13,7 +13,7 @@ from . import graph as sg
 from . import network as net
 from . import objective as obj
 from . import retrieval
-from .errors import DataError, FormatError, NumericError, ParameterError, ShapeError
+from .errors import DataError, FormatError, NumericError, ParameterError, ShapeError, require_finite
 
 
 @dataclass(frozen=True)
@@ -26,6 +26,7 @@ class TrainConfig:
     train_attention: bool = False
 
     def __post_init__(self):
+        require_finite(self, "lr")
         if self.lr <= 0:
             raise ParameterError(f"learning rate must be > 0, got {self.lr}")
         if self.epochs < 1:
@@ -125,17 +126,10 @@ def fit(
     apar = att.init_attention(features.d, aux.c, d_prime, cfg.seed)
     Xatt = _attentive(X, Yt, apar, use_attention)
 
-    graph, sigma = sg.build_graph(Xatt, Yt, graph_cfg)
-    St = graph.S_tilde
-    Sv = graph.Sv
-    if Sv is None and hyper.recon_target == "visual":
-        # an aux-only graph has no visual kernel of its own to reconstruct
-        Sv, sigma = sg.visual_similarity(Xatt, graph_cfg.bandwidth)
+    St, degrees, sigma, recon = sg.build_graph(Xatt, Yt, graph_cfg,
+                                               obj.RECON_PARTS[hyper.recon_target])
     if sigma is not None:  # queries extend the graph with the training kernel
         graph_cfg = replace(graph_cfg, bandwidth=sigma)
-    # the feature target reconstructs through the decoder instead of a matrix
-    recon = {"aux": graph.Sa, "inner-product": graph.Sa, "visual": Sv,
-             "augmented": graph.S}.get(hyper.recon_target)
 
     gcn, disc, head = net.init_params(d_prime, hidden, r, aux.c, cfg.seed + 1)
     decoder = net.init_decoder(d_prime, r, cfg.seed + 3) if hyper.recon_target == "feature" else None
@@ -189,7 +183,7 @@ def fit(
         attention=apar, gcn=gcn, disc=disc, head=head, decoder=decoder,
         graph_cfg=graph_cfg, hyper=hyper, train_cfg=cfg, use_attention=use_attention,
         xatt_train=Xatt, w2z1_train=gcn.W2 @ Z1, z_train=Z,
-        degrees=graph.degrees, y_train=Yt,
+        degrees=degrees, y_train=Yt,
     )
     return model, history
 

@@ -57,7 +57,7 @@ def small_instance(seed, n=16, d=8, d_prime=8, h=8, r=4, c=3, hp=None):
     Xatt, _, _, _ = att.denoise(X, Y, apar)
     Sa = sg.aux_similarity(Y)
     Sv, _ = sg.visual_similarity(Xatt)
-    St = sg.normalize(sg.combine("augmented", 1.0, Sv, Sa)).S_tilde
+    St, _ = sg.normalize(sg.combine("augmented", 1.0, Sv, Sa))
     gcn, disc, head = net.init_params(d_prime, h, r, c, seed + 2)
     prior = rng.standard_normal((r, n))
     _, Z = net.gcn_layers(Xatt @ St, St, gcn)

@@ -353,6 +353,14 @@ MALFORMED = {
                            "--values: invalid value '4.5' for 'r'"),
     "sweep-k-eval-zero": (lambda p, t: _sweep(p, "--axis", "epochs", "--values", "1", "--k-eval", "0"),
                           "--k-eval must be >= 1, got 0"),
+    "mu-nan": (lambda p, t: _train(p, t, "--mu", "nan"), "mu must be finite, got nan"),
+    "mu-inf": (lambda p, t: _train(p, t, "--mu", "inf"), "mu must be finite, got inf"),
+    "bandwidth-nan": (lambda p, t: _train(p, t, "--bandwidth", "nan"), "bandwidth must be finite, got nan"),
+    "lambda1-nan": (lambda p, t: _train(p, t, "--lambda1", "nan"), "lambda1 must be finite, got nan"),
+    "lambda2-inf": (lambda p, t: _train(p, t, "--lambda2", "inf"), "lambda2 must be finite, got inf"),
+    "lambda3-nan": (lambda p, t: _train(p, t, "--lambda3", "nan"), "lambda3 must be finite, got nan"),
+    "k-nan": (lambda p, t: _train(p, t, "--k", "nan"), "k must be finite, got nan"),
+    "lr-nan": (lambda p, t: _train(p, t, "--lr", "nan"), "lr must be finite, got nan"),
     "threads-zero": (lambda p, t: _train(p, t, "--threads", "0"), "threads must be >= 1, got 0"),
     "config-threads-negative": (lambda p, t: _train(p, t, "--config", _file(t, "c.cfg", "threads = -3\n")),
                                 "threads must be >= 1, got -3"),
@@ -369,6 +377,20 @@ def test_malformed_input_is_one_error_line(pipeline, tmp_path, capsys, case):
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:") and message in lines[0], captured.err
     assert not (pipeline / "never.csv").exists() and not (pipeline / "never.csv.manifest.json").exists()
+
+
+@pytest.mark.parametrize("build, name, message", [
+    (lambda p, t: _train(p, t, split=_file(t, "s.json", _SPLIT % ("[0]", "[]"))), "manifest.json",
+     "median heuristic needs at least 2 items"),
+    (lambda p, t: _encode(p, t, "train", split=_file(t, "s.json", _SPLIT % ("[0, 1]", "[]"))),
+     "out.codes.manifest.json", "checkpoint was trained on 40 items, split has 2 training items"),
+], ids=["train", "encode"])
+def test_failed_run_finalizes_its_manifest(pipeline, tmp_path, capsys, build, name, message):
+    code, captured = run(build(pipeline, tmp_path), capsys)
+    assert code == 1 and captured.err == f"error: {message}\n"
+    man = json.loads((tmp_path / name).read_text())
+    assert man["status"] == "failed" and man["error"] == message
+    assert "finished_at" in man and "outputs" not in man
 
 
 class TestParsing:

@@ -85,20 +85,20 @@ class TestFuse:
 class TestNormalize:
     def test_all_ones(self):
         n = 5
-        g = normalize(np.ones((n, n)))
-        assert np.allclose(g.S_tilde, np.full((n, n), 1.0 / n), atol=1e-12)
-        assert np.array_equal(g.degrees, np.full(n, float(n)))
+        St, degrees = normalize(np.ones((n, n)))
+        assert np.allclose(St, np.full((n, n), 1.0 / n), atol=1e-12)
+        assert np.array_equal(degrees, np.full(n, float(n)))
 
     def test_diagonal(self):
-        g = normalize(np.diag([4.0, 4.0]))
-        assert g.S_tilde[0, 0] == pytest.approx(1.0, abs=1e-12)
+        St, _ = normalize(np.diag([4.0, 4.0]))
+        assert St[0, 0] == pytest.approx(1.0, abs=1e-12)
 
     def test_isolated_node(self):
         S = np.zeros((3, 3))
         S[:2, :2] = 1.0
-        g = normalize(S)
-        assert np.array_equal(g.S_tilde[2], np.zeros(3))
-        assert np.array_equal(g.S_tilde[:, 2], np.zeros(3))
+        St, _ = normalize(S)
+        assert np.array_equal(St[2], np.zeros(3))
+        assert np.array_equal(St[:, 2], np.zeros(3))
 
     def test_rejects_asymmetric(self):
         with pytest.raises(ParameterError):
@@ -113,16 +113,16 @@ class TestNormalize:
         for _ in range(20):
             A = rng.random((6, 6))
             S = A + A.T
-            g = normalize(S)
-            assert np.allclose(g.S_tilde, g.S_tilde.T, atol=1e-12)
-            assert g.S_tilde.min() >= 0.0
+            St, _ = normalize(S)
+            assert np.allclose(St, St.T, atol=1e-12)
+            assert St.min() >= 0.0
 
     def test_spectral_bound(self):
         rng = np.random.default_rng(5)
         for _ in range(50):
             A = rng.random((20, 20))
-            g = normalize(A + A.T)
-            top = np.linalg.eigvalsh(g.S_tilde).max()
+            St, _ = normalize(A + A.T)
+            top = np.linalg.eigvalsh(St).max()
             assert top <= 1.0 + 1e-8
 
 
@@ -131,13 +131,25 @@ class TestBuildGraph:
         rng = np.random.default_rng(6)
         X = rng.standard_normal((3, 5))
         Y = (rng.random((2, 5)) < 0.5).astype(float)
-        full, sigma = build_graph(X, Y, GraphConfig())
-        aux_only, s2 = build_graph(X, Y, GraphConfig(variant="aux-only"))
+        _, _, sigma, full = build_graph(X, Y, GraphConfig(), "augmented")
+        _, _, s2, aux_only = build_graph(X, Y, GraphConfig(variant="aux-only"), "augmented")
         assert sigma is not None and s2 is None
-        assert np.array_equal(aux_only.S, aux_similarity(Y))
-        vis, _ = build_graph(X, Y, GraphConfig(variant="visual-only"))
-        assert np.array_equal(np.diag(vis.S), np.ones(5))
-        assert np.allclose(full.S, 1.0 * vis.S + aux_similarity(Y))
+        assert np.array_equal(aux_only, aux_similarity(Y))
+        _, _, _, vis = build_graph(X, Y, GraphConfig(variant="visual-only"), "augmented")
+        assert np.array_equal(np.diag(vis), np.ones(5))
+        assert np.allclose(full, 1.0 * vis + aux_similarity(Y))
+
+    def test_keeps_only_the_named_part(self):
+        rng = np.random.default_rng(7)
+        X = rng.standard_normal((3, 5))
+        Y = (rng.random((2, 5)) < 0.5).astype(float)
+        St, _, sigma, kept = build_graph(X, Y, GraphConfig(variant="aux-only"), "visual")
+        Sv, median = visual_similarity(X)
+        assert sigma == median and np.array_equal(kept, Sv)
+        assert np.array_equal(St, normalize(aux_similarity(Y))[0])
+        _, _, _, kept = build_graph(X, Y, GraphConfig(variant="visual-only"), "aux")
+        assert np.array_equal(kept, aux_similarity(Y))
+        assert build_graph(X, Y, GraphConfig())[3] is None
 
     def test_config_validation(self):
         with pytest.raises(ParameterError):

@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -150,16 +151,31 @@ class TestFit:
         assert seen == [1, 2, 3]
 
     def test_variant_fits_run(self):
-        for gv in ("aux-only", "visual-only"):
-            _, _, _, model, history = tiny_fit(
-                graph_cfg=sg.GraphConfig(variant=gv),
-                hyper=obj.Hyperparams(recon_target="aux" if gv == "aux-only" else "visual"),
+        for gv, rt in (("aux-only", "aux"), ("visual-only", "visual"), ("aux-only", "visual")):
+            fm, aux, split, model, history = tiny_fit(
+                graph_cfg=sg.GraphConfig(variant=gv), hyper=obj.Hyperparams(recon_target=rt),
             )
             assert np.isfinite(history[-1].total_gen)
+            if rt == "visual":  # the kernel it reconstructs resolves the bandwidth
+                X, Y = fm.data[:, split.train], aux.data[:, split.train]
+                xatt, _, _, _ = att.denoise(X, Y, att.init_attention(fm.d, aux.c, 8, 0))
+                assert model.graph_cfg.bandwidth == sg.visual_similarity(xatt)[1]
         _, _, _, model, _ = tiny_fit(hyper=obj.Hyperparams(recon_target="inner-product"))
         assert model.decoder is None
         _, _, _, model, _ = tiny_fit(hyper=obj.Hyperparams(recon_target="feature"))
         assert model.decoder is not None
+
+    def test_working_set(self):
+        # training holds S~ and the aux target, not the graph's other n x n parts
+        n = 600
+        fm, aux, _ = synth_dataset(n=n, d=32, c=4, sep=2.0, label_noise=0.1, seed=1)
+        tracemalloc.start()
+        try:
+            trainer.fit(fm, aux, np.arange(n), d_prime=64, hidden=128, cfg=TrainConfig(epochs=2))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 9 * n * n * 8, f"peak {peak / (n * n * 8):.2f} n x n float64 arrays"
 
     def test_joint_attention_training_moves_projections(self):
         from aghash.attention import init_attention
@@ -184,9 +200,9 @@ class TestFit:
                                             cfg=cfg)
         X, Y = fm.data[:, split.train], aux.data[:, split.train]
         xatt0, _, _, _ = att.denoise(X, Y, att.init_attention(fm.d, aux.c, 8, cfg.seed))
-        graph, _ = sg.build_graph(xatt0, Y, model.graph_cfg)
+        St, _, _, _ = sg.build_graph(xatt0, Y, model.graph_cfg)
         xatt, _, _, _ = att.denoise(X, Y, model.attention)
-        Z1, Z = net.gcn_layers(xatt @ graph.S_tilde, graph.S_tilde, model.gcn)
+        Z1, Z = net.gcn_layers(xatt @ St, St, model.gcn)
         assert np.allclose(model.xatt_train, xatt, atol=1e-12)
         assert np.allclose(model.gcn.W2 @ Z1, model.w2z1_train, atol=1e-10)
         assert np.allclose(Z, model.z_train, atol=1e-10)
