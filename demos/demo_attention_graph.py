@@ -5,7 +5,7 @@
 
 import numpy as np
 
-from aghash.attention import attention_scores, denoise, init_attention
+from aghash.attention import AttentionParams, denoise, init_attention
 from aghash.data import synth_dataset
 from aghash.graph import GraphConfig, aux_similarity, build_graph, visual_similarity
 
@@ -15,16 +15,19 @@ X, Y = features.data, aux.data
 # Both modalities are projected into a shared space by fixed random maps,
 # then each item attends over the semantic vectors with clipped cosine
 # weights; the weighted mean is added back as a residual correction.
+# The forward cache holds the scores (and what the projection gradients need).
 params = init_attention(features.d, aux.c, d_prime=32, seed=1)
-Xatt, Xbar, Ybar, alpha = denoise(X, Y, params)
+Xatt, cache = denoise(X, Y, params)
+alpha = cache.alpha
 print(f"attention weights: shape {alpha.shape}, range [{alpha.min():.3f}, {alpha.max():.3f}]")
 print(f"fraction clipped to zero: {(alpha == 0).mean():.2f}")
 
-# Sanity check on the scores themselves: cosine of a vector with itself is 1,
-# opposite directions clip to 0.
+# Sanity check on the scores themselves, under identity projections: cosine of
+# a vector with itself is 1, opposite directions clip to 0.
 v = np.array([[1.0], [2.0]])
-print(f"score(v, v) = {attention_scores(v, v)[0, 0]:.3f}, "
-      f"score(v, -v) = {attention_scores(v, -v)[0, 0]:.3f}")
+identity = AttentionParams(np.eye(2), np.eye(2))
+print(f"score(v, v) = {denoise(v, v, identity)[1].alpha[0, 0]:.3f}, "
+      f"score(v, -v) = {denoise(v, -v, identity)[1].alpha[0, 0]:.3f}")
 
 # The graph fuses a Gaussian-kernel visual similarity (median-heuristic
 # bandwidth unless pinned) with integer aux inner products, then applies

@@ -67,69 +67,56 @@ def unit_columns_grad(Mn, norms, dMn):
     return dM
 
 
-def attention_scores(Xbar, Ybar):
-    """Clipped cosine scores alpha_ij = [cos(xbar_i, ybar_j)]_+ in [0, 1]."""
-    if Xbar.shape[0] != Ybar.shape[0]:
-        raise ShapeError(f"row dimensions differ: {Xbar.shape[0]} vs {Ybar.shape[0]}")
-    Xn, _ = unit_columns(Xbar)
-    Yn, _ = unit_columns(Ybar)
-    return np.clip(Xn.T @ Yn, 0.0, 1.0)
+@dataclass
+class AttentionCache:
+    """One `denoise` forward, kept for `attention_grads` to differentiate."""
 
-
-def _weighted_mean(Ybar, alpha):
-    """Column i: sum_j alpha_ij ybar_j / w_i, or 0 when w_i = sum_j alpha_ij is 0.
-
-    Returns (mix, w, safe_w) with safe_w = w where w > 0 and 1 elsewhere.
-    """
-    w = alpha.sum(axis=1)
-    safe_w = np.where(w > 0, w, 1.0)
-    mix = (Ybar @ alpha.T) / safe_w
-    mix[:, w == 0] = 0.0
-    return mix, w, safe_w
-
-
-def attentive_features(Xbar, Ybar, alpha):
-    """x_i^att = weighted mean of ybar under alpha_i. plus the residual xbar_i."""
-    n = Xbar.shape[1]
-    if alpha.shape != (n, Ybar.shape[1]):
-        raise ShapeError(f"score matrix is {alpha.shape}, expected {(n, Ybar.shape[1])}")
-    mix, _, _ = _weighted_mean(Ybar, alpha)
-    return mix + Xbar
+    X: np.ndarray  # d x n raw features
+    Y: np.ndarray  # c x m aux semantics
+    Ybar: np.ndarray  # d' x m, P_y Y
+    Xn: np.ndarray  # unit columns of Xbar = P_x X
+    x_norms: np.ndarray
+    Yn: np.ndarray  # unit columns of Ybar
+    y_norms: np.ndarray
+    alpha: np.ndarray  # n x m clipped cosine scores
+    mix: np.ndarray  # d' x n, the alpha-weighted means of Ybar
+    w: np.ndarray  # length n, the row sums of alpha
 
 
 def denoise(X, Y, params):
-    """Full pass: project, score, and mix. Returns (Xatt, Xbar, Ybar, alpha)."""
-    Xbar, Ybar = project(X, Y, params)
-    alpha = attention_scores(Xbar, Ybar)
-    return attentive_features(Xbar, Ybar, alpha), Xbar, Ybar, alpha
+    """Project, score and mix: (Xatt, cache) with x_i^att = mix_i + xbar_i.
 
-
-def attention_grads(X, Y, params, dXatt):
-    """Gradients of a loss w.r.t. P_x and P_y given d(loss)/d(Xatt).
-
-    Reverse pass through project -> scores -> attentive_features with the
-    clipped-cosine subgradient taken as 0 at the clip boundary.
+    The scores are the clipped cosines alpha_ij = [cos(xbar_i, ybar_j)]_+ in
+    [0, 1]; mix_i = sum_j alpha_ij ybar_j / w_i with w_i = sum_j alpha_ij, or
+    0 when w_i is 0.
     """
     X = np.asarray(X, dtype=np.float64)
     Y = np.asarray(Y, dtype=np.float64)
-    U = params.P_x @ X
-    V = params.P_y @ Y
-    Un, nu = unit_columns(U)
-    Vn, nv = unit_columns(V)
-    C = Un.T @ Vn
-    alpha = np.where(C > 0, C, 0.0)
-    mix, w, safe_w = _weighted_mean(V, alpha)
+    Xbar, Ybar = project(X, Y, params)
+    Xn, x_norms = unit_columns(Xbar)
+    Yn, y_norms = unit_columns(Ybar)
+    alpha = np.clip(Xn.T @ Yn, 0.0, 1.0)
+    w = alpha.sum(axis=1)
+    mix = (Ybar @ alpha.T) / np.where(w > 0, w, 1.0)
+    mix[:, w == 0] = 0.0
+    return mix + Xbar, AttentionCache(X, Y, Ybar, Xn, x_norms, Yn, y_norms, alpha, mix, w)
 
+
+def attention_grads(cache, dXatt):
+    """(dP_x, dP_y): gradients of a loss w.r.t. the projections given d(loss)/d(Xatt).
+
+    Reverse pass through the `denoise` forward held in `cache`, with the
+    clipped-cosine subgradient taken as 0 at the clip boundary.
+    """
+    c = cache
     G = np.asarray(dXatt, dtype=np.float64)
-    dU = G.copy()  # residual path
-    # through the weighted mean: dV and dalpha
-    ratio = alpha / safe_w[:, None]
-    ratio[w == 0, :] = 0.0
-    dV = G @ ratio
-    dalpha = (G.T @ V - (G * mix).sum(axis=0)[:, None]) / safe_w[:, None]
-    dalpha[w == 0, :] = 0.0
-    # through the clip and the cosine
-    dC = np.where(C > 0, dalpha, 0.0)
-    dU += unit_columns_grad(Un, nu, Vn @ dC.T)
-    dV += unit_columns_grad(Vn, nv, Un @ dC)
-    return dU @ X.T, dV @ Y.T
+    safe_w = np.where(c.w > 0, c.w, 1.0)[:, None]
+    # through the weighted mean: dYbar and dalpha
+    dYbar = G @ (c.alpha / safe_w)
+    dalpha = (G.T @ c.Ybar - (G * c.mix).sum(axis=0)[:, None]) / safe_w
+    # through the clip (a row with w_i = 0 has alpha_i. = 0) and the cosine;
+    # G itself is the residual path
+    dC = np.where(c.alpha > 0, dalpha, 0.0)
+    dXbar = G + unit_columns_grad(c.Xn, c.x_norms, c.Yn @ dC.T)
+    dYbar += unit_columns_grad(c.Yn, c.y_norms, c.Xn @ dC)
+    return dXbar @ c.X.T, dYbar @ c.Y.T

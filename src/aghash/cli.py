@@ -320,6 +320,8 @@ def cmd_evaluate(args):
         curve = [int(tok) for tok in args.curve.split(",") if tok.strip()]
     except ValueError:
         raise ConfigError(f"--curve must be comma-separated integers, got {args.curve!r}") from None
+    if not any(k >= 1 for k in curve):
+        raise ConfigError(f"--curve needs at least one K >= 1, got {args.curve!r}")
     query_codes = load_codes(args.query_codes)
     db_codes = load_codes(args.db_codes)
     query_labels = load_aux(args.query_labels)
@@ -363,6 +365,8 @@ def cmd_sweep(args):
         raise ParameterError("sweep needs at least one value")
     if args.k_eval < 1:
         raise ParameterError(f"--k-eval must be >= 1, got {args.k_eval}")
+    if args.parallel < 1:
+        raise ParameterError(f"--parallel must be >= 1, got {args.parallel}")
     action = _actions(args.command)[args.axis]
     points = [argparse.Namespace(**vars(args)) for _ in values]
     for point, value in zip(points, values):

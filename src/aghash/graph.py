@@ -98,13 +98,17 @@ def normalize(S):
     S = np.asarray(S, dtype=np.float64)
     if S.ndim != 2 or S.shape[0] != S.shape[1]:
         raise ShapeError(f"graph must be square, got {S.shape}")
-    if not np.allclose(S, S.T, rtol=1e-10, atol=1e-12):
-        raise ParameterError("graph must be symmetric")
+    rows = S.shape[0] // 16 + 1  # row panels keep the check's temporaries a fraction of S
+    for lo in range(0, S.shape[0], rows):
+        if not np.allclose(S[lo:lo + rows], S[:, lo:lo + rows].T, rtol=1e-10, atol=1e-12):
+            raise ParameterError("graph must be symmetric")
     if S.min() < 0:
         raise ParameterError("graph must be nonnegative")
     degrees = S.sum(axis=1)
     inv_sqrt = inv_sqrt_degree(degrees)
-    return S * inv_sqrt[:, None] * inv_sqrt[None, :], degrees
+    out = S * inv_sqrt[:, None]
+    out *= inv_sqrt[None, :]
+    return out, degrees
 
 
 def build_graph(Xatt, Y, config, part=None):

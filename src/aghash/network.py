@@ -58,8 +58,9 @@ class DecoderParams:
 
 def init_params(d_prime, h, r, c, seed):
     """He-style init: Gaussian entries with std sqrt(2/fan_in), zero biases."""
-    if min(d_prime, h, r, c) < 1:
-        raise ShapeError("all dimensions must be >= 1")
+    for name, dim in (("d_prime", d_prime), ("hidden", h), ("r", r), ("c", c)):
+        if dim < 1:
+            raise ShapeError(f"{name} must be >= 1, got {dim}")
     rng = np.random.default_rng(seed)
     disc_h1, disc_h2 = DISC_HIDDEN
 

@@ -200,9 +200,9 @@ def backprop_all(
     h x n x n one, and r << h.
 
     `recon_matrix` is the n x n reconstruction target (ignored for the
-    'feature' target, which uses `decoder`). `attention` = (X, Y, params),
-    the raw features, aux and projections that Xatt was denoised from, adds
-    the projection gradients with the graph held fixed.
+    'feature' target, which uses `decoder`). `attention`, the cache of the
+    `attention.denoise` that gave Xatt, adds the projection gradients with
+    the graph held fixed.
 
     Returns (LossBreakdown, grads); grads is the name -> array registry
     (`network.parameters`) of the generator-side gradients: the GCN, the
@@ -242,8 +242,7 @@ def backprop_all(
         if hp.recon_target == "feature":
             # Xatt also enters the decoder residual directly
             dXatt = dXatt + hp.lambda1 * 2.0 * (Xatt - decoder.Wd @ Z)
-        X_raw, Y_raw, apar = attention
-        grads.update(zip(parameters(apar), att.attention_grads(X_raw, Y_raw, apar, dXatt)))
+        grads["P_x"], grads["P_y"] = att.attention_grads(attention, dXatt)
 
     breakdown = LossBreakdown(
         l_quan=l_quan, l_recons=l_rec, l_cl=l_cl,

@@ -86,11 +86,10 @@ class TrainedModel:
 
 
 def _attentive(X, Y, params, use_attention):
+    """(Xatt, the attention cache): denoised features, or the bare projection and None."""
     if use_attention:
-        Xatt, _, _, _ = att.denoise(X, Y, params)
-        return Xatt
-    Xbar, _ = att.project(X, Y, params)
-    return Xbar
+        return att.denoise(X, Y, params)
+    return att.project(X, Y, params)[0], None
 
 
 def fit(
@@ -123,16 +122,18 @@ def fit(
     Yt = np.ascontiguousarray(aux.data[:, train_idx])
     n = train_idx.size
 
+    # the network first: it checks the dimensions before any n x n work
+    gcn, disc, head = net.init_params(d_prime, hidden, r, aux.c, cfg.seed + 1)
+    decoder = net.init_decoder(d_prime, r, cfg.seed + 3) if hyper.recon_target == "feature" else None
     apar = att.init_attention(features.d, aux.c, d_prime, cfg.seed)
-    Xatt = _attentive(X, Yt, apar, use_attention)
+    Xatt, cache = _attentive(X, Yt, apar, use_attention)
+    cache = cache if cfg.train_attention else None  # the n x n scores serve only dP_x, dP_y
 
     St, degrees, sigma, recon = sg.build_graph(Xatt, Yt, graph_cfg,
                                                obj.RECON_PARTS[hyper.recon_target])
     if sigma is not None:  # queries extend the graph with the training kernel
         graph_cfg = replace(graph_cfg, bandwidth=sigma)
 
-    gcn, disc, head = net.init_params(d_prime, hidden, r, aux.c, cfg.seed + 1)
-    decoder = net.init_decoder(d_prime, r, cfg.seed + 3) if hyper.recon_target == "feature" else None
     rng = np.random.default_rng(cfg.seed + 2)
 
     states = {name: AdamState.like(param) for name, param in
@@ -161,7 +162,7 @@ def fit(
         breakdown, grads = obj.backprop_all(
             Xatt, H, (Z1, Z), St, Yt, B, gcn, disc, head, hyper, prior,
             recon_matrix=recon, decoder=decoder, saturating=cfg.saturating,
-            attention=(X, Yt, apar) if cfg.train_attention else None,
+            attention=cache,
         )
         for term in fields(breakdown):
             if not np.isfinite(getattr(breakdown, term.name)):
@@ -172,7 +173,7 @@ def fit(
             decoder = adam(decoder, grads)
         if cfg.train_attention:
             apar = adam(apar, grads)
-            Xatt = _attentive(X, Yt, apar, use_attention)
+            Xatt, cache = att.denoise(X, Yt, apar)
             H = Xatt @ St
         Z1, Z = net.gcn_layers(H, St, gcn)
         history.append(breakdown)
@@ -214,7 +215,7 @@ def encode_queries(model, Xq, Yq):
             i, j = bad[0]
             raise DataError(f"non-finite {what} value at row {i}, column {j}")
 
-    xatt_q = _attentive(Xq, model.y_train, model.attention, model.use_attention)
+    xatt_q = _attentive(Xq, model.y_train, model.attention, model.use_attention)[0]
     st_col, st_self = sg.query_columns(xatt_q, Yq, model.xatt_train, model.y_train, model.degrees,
                                        model.graph_cfg)
     z1_q = net.relu(model.gcn.W1 @ (model.xatt_train @ st_col.T + xatt_q * st_self))

@@ -54,7 +54,7 @@ def small_instance(seed, n=16, d=8, d_prime=8, h=8, r=4, c=3, hp=None):
     X = rng.standard_normal((d, n))
     Y = (rng.random((c, n)) < 0.4).astype(np.float64)
     apar = att.init_attention(d, c, d_prime, seed + 1)
-    Xatt, _, _, _ = att.denoise(X, Y, apar)
+    Xatt, _ = att.denoise(X, Y, apar)
     Sa = sg.aux_similarity(Y)
     Sv, _ = sg.visual_similarity(Xatt)
     St, _ = sg.normalize(sg.combine("augmented", 1.0, Sv, Sa))
@@ -74,10 +74,9 @@ def backprop(inst, apar=None, gcn=None, head=None, hp=None, train_attention=Fals
     (default inst.apar) and the projection gradients are returned as well.
     """
     apar, gcn = apar or inst.apar, gcn or inst.gcn
-    Xatt = att.denoise(inst.X, inst.Y, apar)[0] if train_attention else inst.Xatt
+    Xatt, cache = att.denoise(inst.X, inst.Y, apar) if train_attention else (inst.Xatt, None)
     H = Xatt @ inst.St
     return obj.backprop_all(
         Xatt, H, net.gcn_layers(H, inst.St, gcn), inst.St, inst.Y, inst.B, gcn, inst.disc,
-        head or inst.head, hp or inst.hp, inst.prior,
-        attention=(inst.X, inst.Y, apar) if train_attention else None, **kwargs,
+        head or inst.head, hp or inst.hp, inst.prior, attention=cache, **kwargs,
     )

@@ -4,8 +4,6 @@ import pytest
 from aghash.attention import (
     AttentionParams,
     attention_grads,
-    attention_scores,
-    attentive_features,
     denoise,
     init_attention,
     project,
@@ -13,6 +11,17 @@ from aghash.attention import (
 from aghash.errors import ShapeError
 
 from conftest import central_diff, max_rel_err
+
+
+def identity_denoise(Xbar, Ybar):
+    """denoise under identity projections, so its inputs are already the projected Xbar, Ybar."""
+    eye = np.eye(Xbar.shape[0])
+    return denoise(Xbar, Ybar, AttentionParams(eye, eye))
+
+
+def attention_scores(Xbar, Ybar):
+    """The clipped cosine scores alpha that `denoise` mixes with."""
+    return identity_denoise(Xbar, Ybar)[1].alpha
 
 
 class TestProject:
@@ -75,23 +84,26 @@ class TestScores:
 
 class TestAttentiveFeatures:
     def test_zero_attention_fallback(self):
+        # every semantic vector points away from both items, so all scores clip to 0
         Xbar = np.array([[1.0, 2.0]])
-        Ybar = np.array([[5.0, 6.0]])
-        out = attentive_features(Xbar, Ybar, np.zeros((2, 2)))
+        Ybar = np.array([[-5.0, -6.0]])
+        out, cache = identity_denoise(Xbar, Ybar)
+        assert np.array_equal(cache.alpha, np.zeros((2, 2)))
         assert np.array_equal(out, Xbar)
 
     def test_single_neighbor(self):
         Xbar = np.array([[1.0], [2.0]])
         Ybar = np.array([[3.0], [4.0]])
-        out = attentive_features(Xbar, Ybar, np.ones((1, 1)))
+        out, _ = identity_denoise(Xbar, Ybar)
         assert np.array_equal(out, Xbar + Ybar)
 
     def test_hand_weighted_mean(self):
-        # alpha row (1,1), ybar = (2,0) and (0,2), xbar = (1,1) -> (2,2)
+        # equal scores 1/sqrt(2) for ybar = (2,0) and (0,2), xbar = (1,1) -> (2,2);
+        # the zero item scores 0 everywhere
         Xbar = np.array([[1.0, 0.0], [1.0, 0.0]])
         Ybar = np.array([[2.0, 0.0], [0.0, 2.0]])
-        alpha = np.array([[1.0, 1.0], [0.0, 0.0]])
-        out = attentive_features(Xbar, Ybar, alpha)
+        out, cache = identity_denoise(Xbar, Ybar)
+        assert np.allclose(cache.alpha, [[1 / np.sqrt(2), 1 / np.sqrt(2)], [0.0, 0.0]], atol=1e-15)
         assert np.allclose(out[:, 0], [2.0, 2.0])
 
     def test_residual_with_zero_semantic_projection(self):
@@ -99,8 +111,8 @@ class TestAttentiveFeatures:
         X = rng.standard_normal((4, 6))
         Y = (rng.random((3, 6)) < 0.5).astype(float)
         p = AttentionParams(rng.standard_normal((5, 4)), np.zeros((5, 3)))
-        Xatt, Xbar, _, _ = denoise(X, Y, p)
-        assert np.array_equal(Xatt, Xbar)
+        Xatt, _ = denoise(X, Y, p)
+        assert np.array_equal(Xatt, project(X, Y, p)[0])
 
 
 class TestInit:
@@ -120,11 +132,11 @@ class TestGrads:
         W = rng.standard_normal((5, 8))  # arbitrary downstream weighting
 
         def loss(P_x, P_y):
-            Xatt, _, _, _ = denoise(X, Y, AttentionParams(P_x, P_y))
+            Xatt, _ = denoise(X, Y, AttentionParams(P_x, P_y))
             return float((W * Xatt).sum() + 0.5 * (Xatt**2).sum())
 
-        Xatt, _, _, _ = denoise(X, Y, p)
-        dPx, dPy = attention_grads(X, Y, p, W + Xatt)
+        Xatt, cache = denoise(X, Y, p)
+        dPx, dPy = attention_grads(cache, W + Xatt)
         fd_x = central_diff(lambda P: loss(P, p.P_y), p.P_x)
         fd_y = central_diff(lambda P: loss(p.P_x, P), p.P_y)
         assert max_rel_err(dPx, fd_x) < 1e-4

@@ -364,6 +364,13 @@ MALFORMED = {
     "threads-zero": (lambda p, t: _train(p, t, "--threads", "0"), "threads must be >= 1, got 0"),
     "config-threads-negative": (lambda p, t: _train(p, t, "--config", _file(t, "c.cfg", "threads = -3\n")),
                                 "threads must be >= 1, got -3"),
+    "d-prime-zero": (lambda p, t: _train(p, t, "--d-prime", "0"), "d_prime must be >= 1, got 0"),
+    "hidden-negative": (lambda p, t: _train(p, t, "--hidden", "-1"), "hidden must be >= 1, got -1"),
+    "r-zero": (lambda p, t: _train(p, t, "--r", "0"), "r must be >= 1, got 0"),
+    "sweep-parallel-negative": (lambda p, t: _sweep(p, "--axis", "epochs", "--values", "1", "--parallel", "-3"),
+                                "--parallel must be >= 1, got -3"),
+    "curve-no-positive-k": (lambda p, t: _evaluate(p, t, curve="0,-1"),
+                            "--curve needs at least one K >= 1, got '0,-1'"),
 }
 
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -103,10 +105,31 @@ class TestNormalize:
     def test_rejects_asymmetric(self):
         with pytest.raises(ParameterError):
             normalize(np.array([[0.0, 1.0], [0.5, 0.0]]))
+        # symmetry is checked one row panel at a time; the last panel and the far corner count too
+        for i, j in ((39, 0), (0, 39), (20, 21)):
+            S = np.ones((40, 40))
+            S[i, j] = 2.0
+            with pytest.raises(ParameterError, match="symmetric"):
+                normalize(S)
 
     def test_rejects_negative(self):
         with pytest.raises(ParameterError):
             normalize(np.array([[0.0, -1.0], [-1.0, 0.0]]))
+
+    def test_working_set(self):
+        # beyond its input, normalize holds the output and row-panel temporaries
+        n = 600
+        A = np.random.default_rng(7).random((n, n))
+        S = A + A.T
+        tracemalloc.start()
+        try:
+            St, _ = normalize(S)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * n * n * 8, f"peak {peak / (n * n * 8):.2f} n x n float64 arrays"
+        inv = 1.0 / np.sqrt(S.sum(axis=1))
+        assert np.array_equal(St, S * inv[:, None] * inv[None, :])
 
     def test_symmetry_preserved_random(self):
         rng = np.random.default_rng(4)

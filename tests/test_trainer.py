@@ -158,7 +158,7 @@ class TestFit:
             assert np.isfinite(history[-1].total_gen)
             if rt == "visual":  # the kernel it reconstructs resolves the bandwidth
                 X, Y = fm.data[:, split.train], aux.data[:, split.train]
-                xatt, _, _, _ = att.denoise(X, Y, att.init_attention(fm.d, aux.c, 8, 0))
+                xatt, _ = att.denoise(X, Y, att.init_attention(fm.d, aux.c, 8, 0))
                 assert model.graph_cfg.bandwidth == sg.visual_similarity(xatt)[1]
         _, _, _, model, _ = tiny_fit(hyper=obj.Hyperparams(recon_target="inner-product"))
         assert model.decoder is None
@@ -186,6 +186,15 @@ class TestFit:
         assert np.array_equal(frozen.attention.P_x, init.P_x)
         assert not np.array_equal(joint.attention.P_x, frozen.attention.P_x)
 
+    def test_one_attention_forward_per_epoch(self):
+        # each denoise takes the unit columns of Xbar and Ybar, and the cosine
+        # reconstruction loss those of Z; the projection gradients reuse the
+        # forward's cache, so an epoch adds one loss and one re-denoise
+        epochs = 4
+        with mock.patch.object(att, "unit_columns", side_effect=att.unit_columns) as spy:
+            tiny_fit(cfg=TrainConfig(epochs=epochs, lr=1e-3, train_attention=True))
+        assert spy.call_count == 3 * epochs + 2
+
     def test_train_attention_needs_attention(self):
         with pytest.raises(ParameterError, match="train_attention"):
             tiny_fit(use_attention=False, cfg=TrainConfig(epochs=1, train_attention=True))
@@ -199,9 +208,9 @@ class TestFit:
         fm, aux, split, model, _ = tiny_fit(seed=9, hyper=obj.Hyperparams(recon_target=recon_target),
                                             cfg=cfg)
         X, Y = fm.data[:, split.train], aux.data[:, split.train]
-        xatt0, _, _, _ = att.denoise(X, Y, att.init_attention(fm.d, aux.c, 8, cfg.seed))
+        xatt0, _ = att.denoise(X, Y, att.init_attention(fm.d, aux.c, 8, cfg.seed))
         St, _, _, _ = sg.build_graph(xatt0, Y, model.graph_cfg)
-        xatt, _, _, _ = att.denoise(X, Y, model.attention)
+        xatt, _ = att.denoise(X, Y, model.attention)
         Z1, Z = net.gcn_layers(xatt @ St, St, model.gcn)
         assert np.allclose(model.xatt_train, xatt, atol=1e-12)
         assert np.allclose(model.gcn.W2 @ Z1, model.w2z1_train, atol=1e-10)
