@@ -1,32 +1,7 @@
 """Unsupervised graph-network hashing on precomputed feature matrices.
 
-Submodules are imported lazily so the CLI can pin BLAS thread counts before
-numpy loads.
+Importing the package loads no submodule, so the CLI can pin BLAS thread
+counts before numpy loads.
 """
 
-import importlib
-
 __version__ = "0.1.0"
-
-_SUBMODULES = (
-    "attention",
-    "cli",
-    "data",
-    "errors",
-    "graph",
-    "manifest",
-    "network",
-    "objective",
-    "retrieval",
-    "trainer",
-)
-
-
-def __getattr__(name):
-    if name in _SUBMODULES:
-        return importlib.import_module(f".{name}", __name__)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def __dir__():
-    return sorted(list(globals()) + list(_SUBMODULES))

@@ -283,6 +283,8 @@ def cmd_encode(args):
     from .retrieval import pack, save_codes
     from .trainer import encode_queries, encode_train, load_model
 
+    if args.labels_out and not args.labels:
+        raise ConfigError("--labels-out needs --labels, the full label file to slice")
     model = load_model(args.checkpoint)
     if args.r is not None and args.r != model.r:
         raise ConfigError(f"checkpoint has r={model.r}, requested r={args.r}")
@@ -292,19 +294,18 @@ def cmd_encode(args):
     with _recorded(args, args.out + ".manifest.json",
                    [args.checkpoint, args.features, args.aux, args.split]) as man:
         start = time.perf_counter()
-        ids = [features.item_ids[i] for i in idx]
         if args.subset == "train":
             if idx.size != model.z_train.shape[1]:
                 raise ConfigError(f"checkpoint was trained on {model.z_train.shape[1]} items, "
                                   f"split has {idx.size} training items")
-            codes = encode_train(model, item_ids=ids)
+            codes = encode_train(model)
         else:
-            codes = pack(encode_queries(model, features.data[:, idx], aux.data[:, idx]), item_ids=ids)
+            codes = pack(encode_queries(model, features.data[:, idx], aux.data[:, idx]))
         encode_time = time.perf_counter() - start
         save_codes(args.out, codes)
         man["outputs"] = [args.out]
-        if truth is not None and args.labels_out:
-            save_aux(args.labels_out, AuxSemantics(truth.data[:, idx], truth.category_names))
+        if args.labels_out:
+            save_aux(args.labels_out, AuxSemantics(truth.data[:, idx]))
             man["outputs"].append(args.labels_out)
         man["timing"] = {"encode_seconds": encode_time}
     print(f"encode: {codes.n} items at r={codes.r} in {encode_time:.3f}s -> {args.out}")

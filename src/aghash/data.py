@@ -14,16 +14,11 @@ BINARY_VERSION = 1
 _HEADER = struct.Struct("<4sIII")  # magic, version, d, n
 
 
-def default_ids(n, prefix="item"):
-    return [f"{prefix}{i:06d}" for i in range(n)]
-
-
 @dataclass(frozen=True)
 class FeatureMatrix:
     """Real-valued d x n matrix, one column per item."""
 
     data: np.ndarray
-    item_ids: list
 
     def __post_init__(self):
         data = np.ascontiguousarray(self.data, dtype=np.float64)
@@ -33,14 +28,8 @@ class FeatureMatrix:
         if bad.size:
             i, j = bad[0]
             raise DataError(f"non-finite feature value at row {i}, column {j}")
-        ids = list(self.item_ids)
-        if len(ids) != data.shape[1]:
-            raise ShapeError(f"{len(ids)} item ids for {data.shape[1]} columns")
-        if len(set(ids)) != len(ids):
-            raise DataError("item_ids contains duplicates")
         data.setflags(write=False)
         object.__setattr__(self, "data", data)
-        object.__setattr__(self, "item_ids", ids)
 
     @property
     def d(self):
@@ -56,7 +45,6 @@ class AuxSemantics:
     """Binary c x n category-indicator matrix, one column per item."""
 
     data: np.ndarray
-    category_names: list
 
     def __post_init__(self):
         data = np.ascontiguousarray(self.data, dtype=np.float64)
@@ -66,9 +54,6 @@ class AuxSemantics:
         if bad.size:
             i, j = bad[0]
             raise DataError(f"aux entry at row {i}, column {j} is not 0/1")
-        names = list(self.category_names)
-        if len(names) != data.shape[0]:
-            raise ShapeError(f"{len(names)} category names for {data.shape[0]} rows")
         empty = np.flatnonzero(data.sum(axis=0) == 0)
         if empty.size:
             warnings.warn(
@@ -77,7 +62,6 @@ class AuxSemantics:
             )
         data.setflags(write=False)
         object.__setattr__(self, "data", data)
-        object.__setattr__(self, "category_names", names)
 
     @property
     def c(self):
@@ -126,6 +110,8 @@ class DatasetSplit:
 # Binary features: 16-byte header (magic, version, d, n), then d*n
 # little-endian float32 values in row-major order.
 # Aux / label files use the text feature layout with 0/1 entries.
+# Every file identifies an item by its column position: no format stores
+# item ids or category names.
 # ---------------------------------------------------------------------------
 
 
@@ -158,11 +144,12 @@ def _load_text_matrix(path):
     rows, cols = _parse_header_line(lines[0], path)
     if len(lines) - 1 != rows:
         raise ShapeError(f"{path}: header declares {rows} rows, found {len(lines) - 1}")
+    for i, line in enumerate(lines[1:]):  # every width checked before the header sizes an array
+        if line.count(",") + 1 != cols:
+            raise ShapeError(f"{path}: row {i} has {line.count(',') + 1} values, expected {cols}")
     out = np.empty((rows, cols), dtype=np.float64)
     for i, line in enumerate(lines[1:]):
         tokens = line.split(",")
-        if len(tokens) != cols:
-            raise ShapeError(f"{path}: row {i} has {len(tokens)} values, expected {cols}")
         try:
             out[i] = np.array(tokens, dtype=np.float64)
         except ValueError:
@@ -175,10 +162,10 @@ def _load_text_matrix(path):
     return out
 
 
-def _from_file(path, kind, data, names):
-    """`kind(data, names)`, its value-contract error prefixed with the file it came from."""
+def _from_file(path, kind, data):
+    """`kind(data)`, its value-contract error prefixed with the file it came from."""
     try:
-        return kind(data, names)
+        return kind(data)
     except AghashError as exc:
         raise type(exc)(f"{path}: {exc}") from None
 
@@ -205,7 +192,7 @@ def load_features(path, format="text"):
         data = np.frombuffer(payload, dtype="<f4").astype(np.float64).reshape(d, n)
     else:
         raise ParameterError(f"unknown feature format {format!r}")
-    return _from_file(path, FeatureMatrix, data, default_ids(data.shape[1]))
+    return _from_file(path, FeatureMatrix, data)
 
 
 def save_features(path, features, format="text"):
@@ -227,7 +214,7 @@ def save_features(path, features, format="text"):
 def load_aux(path):
     """Load an AuxSemantics matrix (text layout, 0/1 entries)."""
     data = _load_text_matrix(path)
-    return _from_file(path, AuxSemantics, data, default_ids(data.shape[0], prefix="cat"))
+    return _from_file(path, AuxSemantics, data)
 
 
 def save_aux(path, aux):
@@ -311,15 +298,10 @@ def synth_dataset(n, d, c, sep, label_noise, seed):
     truth[assign, np.arange(n)] = 1.0
     flips = rng.random((c, n)) < label_noise
     aux = np.abs(truth - flips.astype(np.float64))
-    names = default_ids(c, prefix="cluster")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # noisy flips may zero out a column
-        aux_sem = AuxSemantics(aux, names)
-    return (
-        FeatureMatrix(X, default_ids(n)),
-        aux_sem,
-        AuxSemantics(truth, names),
-    )
+        aux_sem = AuxSemantics(aux)
+    return FeatureMatrix(X), aux_sem, AuxSemantics(truth)
 
 
 def make_split(n, sizes, seed, include_train_in_retrieval=True):

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import default_ids, read_lines
+from .data import read_lines
 from .errors import DataError, FormatError, ParameterError, ShapeError
 
 _WORD_BITS = 64
@@ -24,7 +24,7 @@ class HashCodes:
 
     packed: np.ndarray
     r: int
-    item_ids: list
+    item_ids: list | None = None  # optional; no library code or file format sets it
 
     def __post_init__(self):
         packed = np.ascontiguousarray(self.packed, dtype=np.uint64)
@@ -35,12 +35,10 @@ class HashCodes:
         if spare and packed.size:
             if np.any(packed[:, -1] >> np.uint64(_WORD_BITS - spare)):
                 raise DataError("unused high bits of the last word must be zero")
-        ids = list(self.item_ids)
-        if len(ids) != packed.shape[0]:
-            raise ShapeError(f"{len(ids)} item ids for {packed.shape[0]} codes")
+        if self.item_ids is not None and len(self.item_ids) != packed.shape[0]:
+            raise ShapeError(f"{len(self.item_ids)} item ids for {packed.shape[0]} codes")
         packed.setflags(write=False)
         object.__setattr__(self, "packed", packed)
-        object.__setattr__(self, "item_ids", ids)
 
     @property
     def n(self):
@@ -55,7 +53,7 @@ class EvalReport:
     timing: dict
 
 
-def pack(B, item_ids=None):
+def pack(B):
     """Pack an r x n matrix over {-1,+1} (columns are items)."""
     B = np.asarray(B)
     if B.ndim != 2:
@@ -67,9 +65,7 @@ def pack(B, item_ids=None):
     bits = np.zeros((n, words * _WORD_BITS), dtype=np.uint8)
     bits[:, :r] = (B.T > 0)
     packed = np.packbits(bits, axis=1, bitorder="little").view(np.uint64)
-    if item_ids is None:
-        item_ids = default_ids(n)
-    return HashCodes(packed=packed, r=r, item_ids=item_ids)
+    return HashCodes(packed=packed, r=r)
 
 
 def unpack(codes):
@@ -213,10 +209,12 @@ def load_codes(path):
         n, r = int(parts[0]), int(parts[1])
     except ValueError as exc:
         raise FormatError(f"{path}: non-integer header") from exc
+    if r < 1:
+        raise FormatError(f"{path}: header {lines[0]!r} declares code length {r}, expected >= 1")
     if len(lines) - 1 != n:
         raise ShapeError(f"{path}: header declares {n} codes, found {len(lines) - 1}")
     words = (r + _WORD_BITS - 1) // _WORD_BITS
-    packed = np.zeros((n, words), dtype=np.uint64)
+    values = []  # sized by the rows read, so a wide header allocates nothing
     for i, line in enumerate(lines[1:]):
         toks = line.split()
         if len(toks) != words:
@@ -224,8 +222,8 @@ def load_codes(path):
         # a fixed width also catches a file cut inside its last word
         if not all(_HEX_WORD.fullmatch(t) for t in toks):
             raise FormatError(f"{path}: bad hex word in row {i}: words are 16 hex digits")
-        packed[i] = [int(t, 16) for t in toks]
-    return HashCodes(packed=packed, r=r, item_ids=default_ids(n))
+        values.extend(int(t, 16) for t in toks)
+    return HashCodes(packed=np.array(values, dtype=np.uint64).reshape(n, words), r=r)
 
 
 def save_report(json_path, curve_path, report):

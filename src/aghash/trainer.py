@@ -189,9 +189,9 @@ def fit(
     return model, history
 
 
-def encode_train(model, item_ids=None):
+def encode_train(model):
     """Packed codes for the training items: sgn of the cached GCN outputs."""
-    return retrieval.pack(sign_pm(model.z_train), item_ids=item_ids)
+    return retrieval.pack(sign_pm(model.z_train))
 
 
 def encode_queries(model, Xq, Yq):

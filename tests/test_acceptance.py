@@ -418,8 +418,7 @@ def test_determinism(capfd, tmp_path):
 
 def test_ranking_throughput(capfd):
     rng = np.random.default_rng(7)
-    db = rt.HashCodes(packed=rng.integers(0, 2**64, size=(100_000, 1), dtype=np.uint64),
-                      r=64, item_ids=[str(i) for i in range(100_000)])
+    db = rt.HashCodes(packed=rng.integers(0, 2**64, size=(100_000, 1), dtype=np.uint64), r=64)
     queries = rng.integers(0, 2**64, size=(1000, 1), dtype=np.uint64)
     start = time.perf_counter()
     checksum = 0

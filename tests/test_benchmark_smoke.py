@@ -1,0 +1,18 @@
+"""The benchmark's own calls into the library still run: every workload, briefly."""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_every_workload_runs_correctly():
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", "all", "--seconds", "0.01"],
+        cwd=ROOT, capture_output=True, text=True, timeout=600,
+    )
+    assert done.returncode == 0, done.stderr
+    summary = json.loads(done.stdout.strip().splitlines()[-1])
+    assert summary["correct"] is True and summary["failed"] == 0, done.stdout

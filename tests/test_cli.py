@@ -223,20 +223,29 @@ class TestEvaluate:
 
 
 class TestSweep:
-    def test_epochs_axis(self, pipeline, tmp_path):
-        out = tmp_path / "sweep.csv"
+    def sweep(self, pipeline, out, *extra):
         args = [
             "sweep", "--features", str(pipeline / "features.txt"),
             "--aux", str(pipeline / "aux.txt"), "--split", str(pipeline / "split.json"),
             "--labels", str(pipeline / "labels.txt"), "--axis", "epochs",
             "--values", "1,2", "--k-eval", "10", "--out", str(out),
-            "--r", "4", "--d-prime", "8", "--hidden", "8", "--lr", "1e-3", "--seed", "3",
+            "--r", "4", "--d-prime", "8", "--hidden", "8", "--lr", "1e-3", "--seed", "3", *extra,
         ]
         assert cli.main(args) == 0
-        lines = out.read_text().splitlines()
+        return out.read_bytes()
+
+    def test_epochs_axis(self, pipeline, tmp_path):
+        lines = self.sweep(pipeline, tmp_path / "sweep.csv").decode().splitlines()
         assert lines[0] == "value,MAP"
         assert len(lines) == 3
         assert lines[1].startswith("1,") and lines[2].startswith("2,")
+
+    def test_parallel_matches_serial(self, pipeline, tmp_path, monkeypatch):
+        for var in cli._THREAD_VARS:  # --threads sets them; monkeypatch restores them
+            monkeypatch.setenv(var, "1")
+        serial = self.sweep(pipeline, tmp_path / "serial.csv", "--threads", "1")
+        parallel = self.sweep(pipeline, tmp_path / "parallel.csv", "--threads", "1", "--parallel", "2")
+        assert parallel == serial
 
 
 def _checkpoint(meta=b"{}", dtype=b"<f8", dims=(1,), version=3):
@@ -371,6 +380,16 @@ MALFORMED = {
                                 "--parallel must be >= 1, got -3"),
     "curve-no-positive-k": (lambda p, t: _evaluate(p, t, curve="0,-1"),
                             "--curve needs at least one K >= 1, got '0,-1'"),
+    "aux-header-too-wide": (lambda p, t: _encode_with(p, t, aux=_file(t, "a.txt", "1 1000000000000000\n1,0\n")),
+                            "a.txt: row 0 has 2 values, expected 1000000000000000"),
+    "codes-header-too-wide": (lambda p, t: _evaluate(p, t, query_codes="1 1000000000000000\n" + "f" * 16 + "\n"),
+                              "q.codes: row 0 has 1 words, expected 15625000000000"),
+    "codes-r-zero": (lambda p, t: _evaluate(p, t, query_codes="1 0\n0000000000000000\n"),
+                     "q.codes: header '1 0' declares code length 0, expected >= 1"),
+    # the checkpoint does not exist: the flag check comes before any input loads
+    "labels-out-without-labels": (lambda p, t: _encode(p, t, checkpoint=str(t / "absent.bin"))
+                                  + ["--labels-out", str(t / "l.txt")],
+                                  "--labels-out needs --labels"),
 }
 
 

@@ -6,7 +6,6 @@ import pytest
 from aghash.data import (
     AuxSemantics,
     FeatureMatrix,
-    default_ids,
     load_aux,
     load_features,
     load_split,
@@ -43,7 +42,7 @@ class TestLoadFeatures:
 
     def test_binary_nan_names_file_and_position(self, tmp_path):
         p = tmp_path / "f.bin"
-        save_features(p, FeatureMatrix(np.ones((2, 3)), default_ids(3)), format="binary")
+        save_features(p, FeatureMatrix(np.ones((2, 3))), format="binary")
         raw = bytearray(p.read_bytes())
         raw[-8:-4] = np.float32(np.nan).tobytes()  # row 1, column 1 of the float32 payload
         p.write_bytes(bytes(raw))
@@ -78,7 +77,7 @@ class TestLoadFeatures:
         assert np.signbit(data[0, 7])
 
     def test_binary_payload_length_checked(self, tmp_path):
-        fm = FeatureMatrix(np.ones((2, 2)), default_ids(2))
+        fm = FeatureMatrix(np.ones((2, 2)))
         p = tmp_path / "f.bin"
         save_features(p, fm, format="binary")
         p.write_bytes(p.read_bytes()[:-4])
@@ -90,7 +89,7 @@ class TestRoundTrip:
     def test_binary_bit_exact(self, tmp_path):
         rng = np.random.default_rng(3)
         data = rng.standard_normal((5, 7)).astype(np.float32).astype(np.float64)
-        fm = FeatureMatrix(data, default_ids(7))
+        fm = FeatureMatrix(data)
         p = tmp_path / "f.bin"
         save_features(p, fm, format="binary")
         back = load_features(p, format="binary")
@@ -100,7 +99,7 @@ class TestRoundTrip:
 
     def test_text_six_significant_digits(self, tmp_path):
         rng = np.random.default_rng(4)
-        fm = FeatureMatrix(rng.standard_normal((4, 6)) * 100, default_ids(6))
+        fm = FeatureMatrix(rng.standard_normal((4, 6)) * 100)
         p = tmp_path / "f.txt"
         save_features(p, fm)
         back = load_features(p)
@@ -125,11 +124,11 @@ class TestAux:
 
     def test_zero_column_warning_points_at_the_caller(self):
         with pytest.warns(UserWarning, match="no auxiliary semantics") as record:
-            AuxSemantics(np.array([[1.0, 0.0], [1.0, 0.0]]), ["a", "b"])
+            AuxSemantics(np.array([[1.0, 0.0], [1.0, 0.0]]))
         assert record[0].filename == __file__
 
     def test_round_trip(self, tmp_path):
-        aux = AuxSemantics(np.array([[1.0, 0], [1, 1]]), ["a", "b"])
+        aux = AuxSemantics(np.array([[1.0, 0], [1, 1]]))
         p = tmp_path / "a.txt"
         save_aux(p, aux)
         assert np.array_equal(load_aux(p).data, aux.data)
@@ -138,14 +137,10 @@ class TestAux:
 class TestFeatureMatrixInvariants:
     def test_rejects_nonfinite(self):
         with pytest.raises(DataError):
-            FeatureMatrix(np.array([[1.0, np.inf]]), default_ids(2))
-
-    def test_rejects_duplicate_ids(self):
-        with pytest.raises(DataError):
-            FeatureMatrix(np.ones((2, 2)), ["a", "a"])
+            FeatureMatrix(np.array([[1.0, np.inf]]))
 
     def test_immutable(self):
-        fm = FeatureMatrix(np.ones((2, 2)), default_ids(2))
+        fm = FeatureMatrix(np.ones((2, 2)))
         with pytest.raises(ValueError):
             fm.data[0, 0] = 5.0
 

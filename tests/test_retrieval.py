@@ -76,7 +76,13 @@ class TestPackUnpack:
 
     def test_unused_bits_validated(self):
         with pytest.raises(DataError):
-            rt.HashCodes(packed=np.array([[1 << 10]], dtype=np.uint64), r=4, item_ids=["a"])
+            rt.HashCodes(packed=np.array([[1 << 10]], dtype=np.uint64), r=4)
+
+    def test_item_ids_length_checked_when_given(self):
+        packed = np.zeros((2, 1), dtype=np.uint64)
+        assert rt.HashCodes(packed, 8, ["a", "b"]).n == 2
+        with pytest.raises(ShapeError, match="1 item ids for 2 codes"):
+            rt.HashCodes(packed, 8, ["a"])
 
 
 class TestHamming:
