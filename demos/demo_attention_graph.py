@@ -15,11 +15,15 @@ X, Y = features.data, aux.data
 # Both modalities are projected into a shared space by fixed random maps,
 # then each item attends over the semantic vectors with clipped cosine
 # weights; the weighted mean is added back as a residual correction.
-# The forward cache holds the scores (and what the projection gradients need).
+# Items with the same tags have the same semantic vector, so the scores are
+# taken once per distinct tag column and weighted by how often it occurs.
+# The forward cache holds them (and what the projection gradients need).
 params = init_attention(features.d, aux.c, d_prime=32, seed=1)
 Xatt, cache = denoise(X, Y, params)
 alpha = cache.alpha
-print(f"attention weights: shape {alpha.shape}, range [{alpha.min():.3f}, {alpha.max():.3f}]")
+print(f"attention weights: {alpha.shape[0]} items x {alpha.shape[1]} distinct tag columns, "
+      f"range [{alpha.min():.3f}, {alpha.max():.3f}]")
+print(f"items per distinct tag column: {cache.counts.tolist()}")
 print(f"fraction clipped to zero: {(alpha == 0).mean():.2f}")
 
 # Sanity check on the scores themselves, under identity projections: cosine of
@@ -36,7 +40,7 @@ Sv, sigma = visual_similarity(Xatt)
 Sa = aux_similarity(Y)
 S_tilde, _, _, S = build_graph(Xatt, Y, GraphConfig(mu=1.0), part="augmented")
 print(f"visual kernel bandwidth (median heuristic): {sigma:.3f}")
-print(f"aux similarities are integers: counts {sorted(set(Sa.ravel().astype(int)))}")
+print(f"aux similarities are integers: counts {sorted(set(Sa.ravel().astype(int).tolist()))}")
 
 top = np.linalg.eigvalsh(S_tilde).max()
 print(f"largest eigenvalue of the normalized graph: {top:.6f} (bounded by 1)")

@@ -72,15 +72,16 @@ class AttentionCache:
     """One `denoise` forward, kept for `attention_grads` to differentiate."""
 
     X: np.ndarray  # d x n raw features
-    Y: np.ndarray  # c x m aux semantics
-    Ybar: np.ndarray  # d' x m, P_y Y
+    U: np.ndarray  # c x u distinct columns of the aux semantics Y
+    counts: np.ndarray  # length u, how often each column of U occurs in Y
+    Ubar: np.ndarray  # d' x u, P_y U
     Xn: np.ndarray  # unit columns of Xbar = P_x X
     x_norms: np.ndarray
-    Yn: np.ndarray  # unit columns of Ybar
-    y_norms: np.ndarray
-    alpha: np.ndarray  # n x m clipped cosine scores
+    Un: np.ndarray  # unit columns of Ubar
+    u_norms: np.ndarray
+    alpha: np.ndarray  # n x u clipped cosine scores
     mix: np.ndarray  # d' x n, the alpha-weighted means of Ybar
-    w: np.ndarray  # length n, the row sums of alpha
+    w: np.ndarray  # length n, the row sums of alpha over the columns of Y
 
 
 def denoise(X, Y, params):
@@ -88,35 +89,40 @@ def denoise(X, Y, params):
 
     The scores are the clipped cosines alpha_ij = [cos(xbar_i, ybar_j)]_+ in
     [0, 1]; mix_i = sum_j alpha_ij ybar_j / w_i with w_i = sum_j alpha_ij, or
-    0 when w_i is 0.
+    0 when w_i is 0. Equal columns of Y have equal scores, so the sums run
+    over the u distinct columns, each weighted by its count: the scores are
+    n x u, not n x m.
     """
     X = np.asarray(X, dtype=np.float64)
     Y = np.asarray(Y, dtype=np.float64)
-    Xbar, Ybar = project(X, Y, params)
+    U, counts = np.unique(Y, axis=1, return_counts=True)
+    Xbar, Ubar = project(X, U, params)
     Xn, x_norms = unit_columns(Xbar)
-    Yn, y_norms = unit_columns(Ybar)
-    alpha = np.clip(Xn.T @ Yn, 0.0, 1.0)
-    w = alpha.sum(axis=1)
-    mix = (Ybar @ alpha.T) / np.where(w > 0, w, 1.0)
+    Un, u_norms = unit_columns(Ubar)
+    alpha = np.clip(Xn.T @ Un, 0.0, 1.0)
+    w = alpha @ counts
+    mix = (Ubar @ (alpha * counts).T) / np.where(w > 0, w, 1.0)
     mix[:, w == 0] = 0.0
-    return mix + Xbar, AttentionCache(X, Y, Ybar, Xn, x_norms, Yn, y_norms, alpha, mix, w)
+    return mix + Xbar, AttentionCache(X, U, counts, Ubar, Xn, x_norms, Un, u_norms, alpha, mix, w)
 
 
 def attention_grads(cache, dXatt):
     """(dP_x, dP_y): gradients of a loss w.r.t. the projections given d(loss)/d(Xatt).
 
     Reverse pass through the `denoise` forward held in `cache`, with the
-    clipped-cosine subgradient taken as 0 at the clip boundary.
+    clipped-cosine subgradient taken as 0 at the clip boundary. Each distinct
+    column stands for `counts` equal columns, so its score and projection
+    gradients are scaled by its count.
     """
     c = cache
     G = np.asarray(dXatt, dtype=np.float64)
     safe_w = np.where(c.w > 0, c.w, 1.0)[:, None]
-    # through the weighted mean: dYbar and dalpha
-    dYbar = G @ (c.alpha / safe_w)
-    dalpha = (G.T @ c.Ybar - (G * c.mix).sum(axis=0)[:, None]) / safe_w
+    # through the weighted mean: dUbar and dalpha
+    dUbar = (G @ (c.alpha / safe_w)) * c.counts
+    dalpha = (G.T @ c.Ubar - (G * c.mix).sum(axis=0)[:, None]) * (c.counts / safe_w)
     # through the clip (a row with w_i = 0 has alpha_i. = 0) and the cosine;
     # G itself is the residual path
     dC = np.where(c.alpha > 0, dalpha, 0.0)
-    dXbar = G + unit_columns_grad(c.Xn, c.x_norms, c.Yn @ dC.T)
-    dYbar += unit_columns_grad(c.Yn, c.y_norms, c.Xn @ dC)
-    return dXbar @ c.X.T, dYbar @ c.Y.T
+    dXbar = G + unit_columns_grad(c.Xn, c.x_norms, c.Un @ dC.T)
+    dUbar += unit_columns_grad(c.Un, c.u_norms, c.Xn @ dC)
+    return dXbar @ c.X.T, dUbar @ c.U.T

@@ -291,8 +291,10 @@ def cmd_encode(args):
     features, aux, truth, split = _load_inputs(args)
     idx = split.subset(args.subset, features.n)
 
-    with _recorded(args, args.out + ".manifest.json",
-                   [args.checkpoint, args.features, args.aux, args.split]) as man:
+    inputs = [args.checkpoint, args.features, args.aux, args.split]
+    if args.labels:  # read, and sliced into --labels-out when given
+        inputs.append(args.labels)
+    with _recorded(args, args.out + ".manifest.json", inputs) as man:
         start = time.perf_counter()
         if args.subset == "train":
             if idx.size != model.z_train.shape[1]:

@@ -49,8 +49,9 @@ def median_bandwidth(d2):
     n = d2.shape[0]
     if n < 2:
         raise ParameterError("median heuristic needs at least 2 items")
-    dists = np.sqrt(d2[np.triu_indices(n, 1)])
-    sigma = float(np.median(dists))
+    # the upper triangle gathered by rows; the median partitions it in place
+    dists = np.concatenate([d2[i, i + 1:] for i in range(n - 1)])
+    sigma = float(np.median(np.sqrt(dists, out=dists), overwrite_input=True))
     if sigma == 0.0:
         warnings.warn("all items identical; falling back to bandwidth 1", stacklevel=2)
         sigma = 1.0
@@ -114,17 +115,17 @@ def normalize(S):
 def build_graph(Xatt, Y, config, part=None):
     """(S_tilde, degrees, sigma, kept): the variant's normalized graph and one unnormalized part.
 
-    kept is the `part` a loss reconstructs: 'visual' (the kernel), 'aux'
-    (Y^T Y), 'augmented' (the fused S) or None. The kernel is built when the
-    variant uses it or `part` is 'visual'; sigma is its bandwidth, else None.
+    kept is the `part` a loss reconstructs: 'visual' (the kernel), 'augmented'
+    (the fused S) or None. The kernel is built when the variant uses it or
+    `part` is 'visual'; sigma is its bandwidth, else None.
     """
     Sv = Sa = sigma = None
     if config.variant != "aux-only" or part == "visual":
         Sv, sigma = visual_similarity(Xatt, config.bandwidth)
-    if config.variant != "visual-only" or part == "aux":
+    if config.variant != "visual-only":
         Sa = aux_similarity(Y)
     S = combine(config.variant, config.mu, Sv, Sa)
-    kept = {"visual": Sv, "aux": Sa, "augmented": S}.get(part)
+    kept = {"visual": Sv, "augmented": S}.get(part)
     del Sv, Sa  # the parts nobody reconstructs are freed before normalizing
     return (*normalize(S), sigma, kept)
 

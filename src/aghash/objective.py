@@ -15,10 +15,14 @@ from .errors import ParameterError, ShapeError, require_finite
 from .network import (ClsHead, DecoderParams, DiscParams, GcnParams, cls_forward, disc_layers,
                       parameters, sigmoid)
 
-# reconstruction target -> the graph part it reconstructs (graph.build_graph's
-# `part`); the feature target reconstructs through the decoder instead
-RECON_PARTS = {"aux": "aux", "visual": "visual", "augmented": "augmented",
-               "inner-product": "aux", "feature": None}
+RECON_TARGETS = ("aux", "visual", "augmented", "inner-product", "feature")
+# the targets that reconstruct a kernel graph part (graph.build_graph's `part`),
+# which the loss reads as an n x n matrix; 'aux' and 'inner-product' reconstruct
+# the tags' Gram matrix Y^T Y from the c x n tags, and 'feature' reconstructs
+# through the decoder
+RECON_PARTS = {"visual": "visual", "augmented": "augmented"}
+# rows of the reconstruction target and of the code cosines formed at a time
+PANEL = 128
 
 
 @dataclass(frozen=True)
@@ -35,7 +39,7 @@ class Hyperparams:
             raise ParameterError("tradeoff weights must be >= 0")
         if self.k <= 0:
             raise ParameterError(f"k must be > 0, got {self.k}")
-        if self.recon_target not in RECON_PARTS:
+        if self.recon_target not in RECON_TARGETS:
             raise ParameterError(f"unknown recon_target {self.recon_target!r}")
 
 
@@ -66,27 +70,50 @@ def quantization_loss(B, Z):
     return float((diff**2).sum()), 2.0 * diff
 
 
+class TagGram:
+    """The n x n Gram matrix Y^T Y of c x n tags, formed a row panel at a time.
+
+    `gram[rows]` is the rows Y[:, rows]^T Y, so the loss reads it as it reads
+    an n x n array.
+    """
+
+    def __init__(self, Y):
+        self.Y = np.asarray(Y, dtype=np.float64)
+        self.shape = (self.Y.shape[1],) * 2
+
+    def __getitem__(self, rows):
+        return self.Y[:, rows].T @ self.Y
+
+
 def reconstruction_loss(Z, target, k, mode="cosine"):
     """||k*target - [cos(Z^T, Z)]_+||^2 (or raw Z^T Z in 'inner' mode).
 
-    Cosine with a zero column is 0; the clip boundary takes subgradient 0.
+    `target` is a symmetric n x n array or a `TagGram`; it and the cosines are
+    formed PANEL rows at a time, so no n x n temporary exists. The symmetric
+    target makes the residual symmetric, so each panel b adds its share
+    2 N[:, b] dC_b of the gradient N (dC + dC^T). Cosine with a zero column is
+    0; the clip boundary takes subgradient 0.
     """
     n = Z.shape[1]
     if target.shape != (n, n):
         raise ShapeError(f"target is {target.shape}, expected {(n, n)}")
-    if mode == "inner":
-        R = k * target - Z.T @ Z
-        G = -2.0 * R
-        return float((R**2).sum()), Z @ (G + G.T)
-    if mode != "cosine":
+    if mode not in ("cosine", "inner"):
         raise ParameterError(f"unknown reconstruction mode {mode!r}")
-    N, norms = att.unit_columns(Z)
-    C = N.T @ N
-    Cp = np.where(C > 0, C, 0.0)
-    R = k * target - Cp
-    loss = float((R**2).sum())
-    dC = np.where(C > 0, -2.0 * R, 0.0)
-    return loss, att.unit_columns_grad(N, norms, N @ (dC + dC.T))
+    N, norms = att.unit_columns(Z) if mode == "cosine" else (Z, None)
+    loss, dN = 0.0, np.zeros_like(N)
+    for lo in range(0, n, PANEL):
+        Nb = N[:, lo:lo + PANEL]
+        C = Nb.T @ N
+        if mode == "cosine":
+            np.maximum(C, 0.0, out=C)
+        R = k * target[lo:lo + PANEL]
+        R -= C
+        loss += float(np.vdot(R, R))
+        if mode == "cosine":
+            R *= C > 0  # clipped entries pass no gradient
+        dN += Nb @ R
+    dN *= -4.0  # dC = -2R, counted once for C and once for C^T
+    return loss, dN if mode == "inner" else att.unit_columns_grad(N, norms, dN)
 
 
 def feature_reconstruction_loss(Z, Xatt, decoder):
@@ -199,8 +226,9 @@ def backprop_all(
     dZ1 = W2^T G: one r x n x n product where (W2^T dZ) S~ would take an
     h x n x n one, and r << h.
 
-    `recon_matrix` is the n x n reconstruction target (ignored for the
-    'feature' target, which uses `decoder`). `attention`, the cache of the
+    `recon_matrix` is the n x n target of the kernel targets in RECON_PARTS;
+    'aux' and 'inner-product' reconstruct the Gram matrix of the tags Y, and
+    'feature' reconstructs through `decoder`. `attention`, the cache of the
     `attention.denoise` that gave Xatt, adds the projection gradients with
     the graph held fixed.
 
@@ -218,9 +246,10 @@ def backprop_all(
         l_rec, dZ_rec, dWd = feature_reconstruction_loss(Z, Xatt, decoder)
     else:
         mode = "inner" if hp.recon_target == "inner-product" else "cosine"
-        if recon_matrix is None:
+        target = recon_matrix if hp.recon_target in RECON_PARTS else TagGram(Y)
+        if target is None:
             raise ParameterError(f"recon_target {hp.recon_target!r} requires a target matrix")
-        l_rec, dZ_rec = reconstruction_loss(Z, recon_matrix, hp.k, mode=mode)
+        l_rec, dZ_rec = reconstruction_loss(Z, target, hp.k, mode=mode)
     P = cls_forward(Z, head)
     l_cl, dlogits = classification_loss(P, Y)
     dWc = dlogits @ Z.T

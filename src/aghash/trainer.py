@@ -127,10 +127,10 @@ def fit(
     decoder = net.init_decoder(d_prime, r, cfg.seed + 3) if hyper.recon_target == "feature" else None
     apar = att.init_attention(features.d, aux.c, d_prime, cfg.seed)
     Xatt, cache = _attentive(X, Yt, apar, use_attention)
-    cache = cache if cfg.train_attention else None  # the n x n scores serve only dP_x, dP_y
+    cache = cache if cfg.train_attention else None  # the scores serve only dP_x, dP_y
 
     St, degrees, sigma, recon = sg.build_graph(Xatt, Yt, graph_cfg,
-                                               obj.RECON_PARTS[hyper.recon_target])
+                                               obj.RECON_PARTS.get(hyper.recon_target))
     if sigma is not None:  # queries extend the graph with the training kernel
         graph_cfg = replace(graph_cfg, bandwidth=sigma)
 

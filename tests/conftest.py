@@ -38,7 +38,6 @@ class SmallInstance:
     Y: np.ndarray
     apar: att.AttentionParams
     Xatt: np.ndarray
-    Sa: np.ndarray
     St: np.ndarray
     gcn: net.GcnParams
     disc: net.DiscParams
@@ -55,14 +54,13 @@ def small_instance(seed, n=16, d=8, d_prime=8, h=8, r=4, c=3, hp=None):
     Y = (rng.random((c, n)) < 0.4).astype(np.float64)
     apar = att.init_attention(d, c, d_prime, seed + 1)
     Xatt, _ = att.denoise(X, Y, apar)
-    Sa = sg.aux_similarity(Y)
     Sv, _ = sg.visual_similarity(Xatt)
-    St, _ = sg.normalize(sg.combine("augmented", 1.0, Sv, Sa))
+    St, _ = sg.normalize(sg.combine("augmented", 1.0, Sv, sg.aux_similarity(Y)))
     gcn, disc, head = net.init_params(d_prime, h, r, c, seed + 2)
     prior = rng.standard_normal((r, n))
     _, Z = net.gcn_layers(Xatt @ St, St, gcn)
     B = np.where(Z >= 0, 1.0, -1.0)
-    return SmallInstance(X=X, Y=Y, apar=apar, Xatt=Xatt, Sa=Sa, St=St,
+    return SmallInstance(X=X, Y=Y, apar=apar, Xatt=Xatt, St=St,
                          gcn=gcn, disc=disc, head=head, prior=prior, B=B,
                          hp=hp or obj.Hyperparams())
 

@@ -73,11 +73,10 @@ def test_gradient_suite(capfd):
         inst = small_instance(seed)
 
         def gen_loss(apar=None, gcn=None, head=None):
-            bd, _ = backprop(inst, apar=apar, gcn=gcn, head=head, recon_matrix=inst.Sa,
-                             train_attention=True)
+            bd, _ = backprop(inst, apar=apar, gcn=gcn, head=head, train_attention=True)
             return bd.total_gen
 
-        _, grads = backprop(inst, recon_matrix=inst.Sa, train_attention=True)
+        _, grads = backprop(inst, train_attention=True)
         checks = [
             (grads["W1"], lambda P: gen_loss(gcn=net.GcnParams(W1=P, W2=inst.gcn.W2)), inst.gcn.W1),
             (grads["W2"], lambda P: gen_loss(gcn=net.GcnParams(W1=inst.gcn.W1, W2=P)), inst.gcn.W2),

@@ -19,9 +19,14 @@ def identity_denoise(Xbar, Ybar):
     return denoise(Xbar, Ybar, AttentionParams(eye, eye))
 
 
+def expanded_scores(cache, Y):
+    """The n x m scores of every column of Y, from the cache's scores of its distinct columns."""
+    return cache.alpha[:, np.unique(Y, axis=1, return_inverse=True)[1]]
+
+
 def attention_scores(Xbar, Ybar):
     """The clipped cosine scores alpha that `denoise` mixes with."""
-    return identity_denoise(Xbar, Ybar)[1].alpha
+    return expanded_scores(identity_denoise(Xbar, Ybar)[1], Ybar)
 
 
 class TestProject:
@@ -88,7 +93,7 @@ class TestAttentiveFeatures:
         Xbar = np.array([[1.0, 2.0]])
         Ybar = np.array([[-5.0, -6.0]])
         out, cache = identity_denoise(Xbar, Ybar)
-        assert np.array_equal(cache.alpha, np.zeros((2, 2)))
+        assert np.array_equal(expanded_scores(cache, Ybar), np.zeros((2, 2)))
         assert np.array_equal(out, Xbar)
 
     def test_single_neighbor(self):
@@ -103,7 +108,8 @@ class TestAttentiveFeatures:
         Xbar = np.array([[1.0, 0.0], [1.0, 0.0]])
         Ybar = np.array([[2.0, 0.0], [0.0, 2.0]])
         out, cache = identity_denoise(Xbar, Ybar)
-        assert np.allclose(cache.alpha, [[1 / np.sqrt(2), 1 / np.sqrt(2)], [0.0, 0.0]], atol=1e-15)
+        assert np.allclose(expanded_scores(cache, Ybar), [[1 / np.sqrt(2), 1 / np.sqrt(2)], [0.0, 0.0]],
+                           atol=1e-15)
         assert np.allclose(out[:, 0], [2.0, 2.0])
 
     def test_residual_with_zero_semantic_projection(self):
@@ -113,6 +119,73 @@ class TestAttentiveFeatures:
         p = AttentionParams(rng.standard_normal((5, 4)), np.zeros((5, 3)))
         Xatt, _ = denoise(X, Y, p)
         assert np.array_equal(Xatt, project(X, Y, p)[0])
+
+
+def dense_denoise(X, Y, p):
+    """(Xatt, alpha, w) of the attention forward with one score per column of Y."""
+    Xbar, Ybar = p.P_x @ X, p.P_y @ Y
+
+    def unit(M):
+        norms = np.sqrt((M**2).sum(axis=0))
+        return M / np.where(norms > 0, norms, 1.0)
+
+    alpha = np.clip(unit(Xbar).T @ unit(Ybar), 0.0, 1.0)
+    w = alpha.sum(axis=1)
+    mix = (Ybar @ alpha.T) / np.where(w > 0, w, 1.0)
+    mix[:, w == 0] = 0.0
+    return mix + Xbar, alpha, w
+
+
+def tag_cases():
+    """name -> c x m aux semantics with repeated columns."""
+    rng = np.random.default_rng(9)
+    real = rng.standard_normal((3, 5))
+    mixed = (rng.random((3, 30)) < 0.5).astype(np.float64)
+    mixed[:, ::4] = 0.0
+    return {
+        "duplicate-binary": (rng.random((3, 40)) < 0.4).astype(np.float64),
+        "one-distinct": np.tile([[1.0], [0.0], [1.0]], (1, 12)),
+        "all-zero": np.zeros((3, 12)),
+        "some-zero": mixed,
+        "negative-real": real[:, rng.integers(0, 5, 25)],
+    }
+
+
+class TestDistinctColumns:
+    @pytest.mark.parametrize("name", list(tag_cases()))
+    def test_matches_dense(self, name):
+        Y = tag_cases()[name]
+        rng = np.random.default_rng(10)
+        X = rng.standard_normal((4, Y.shape[1]))
+        X[:, 3] = 0.0  # an item with no direction scores 0 everywhere: w = 0
+        p = init_attention(4, 3, 6, seed=11)
+        Xatt, cache = denoise(X, Y, p)
+        want, alpha, w = dense_denoise(X, Y, p)
+        assert cache.alpha.shape == (Y.shape[1], np.unique(Y, axis=1).shape[1])
+        assert np.allclose(Xatt, want, rtol=1e-12, atol=1e-13 * np.abs(want).max())
+        assert np.allclose(expanded_scores(cache, Y), alpha, rtol=1e-12, atol=1e-15)
+        assert np.allclose(cache.w, w, rtol=1e-12, atol=1e-15)
+        assert cache.w[3] == 0.0 and np.array_equal(Xatt[:, 3], np.zeros(6))
+        if name == "all-zero":
+            assert np.array_equal(Xatt, p.P_x @ X)
+
+    @pytest.mark.parametrize("name", ["duplicate-binary", "negative-real"])
+    def test_grads_match_finite_differences(self, name):
+        Y = tag_cases()[name][:, :10]
+        rng = np.random.default_rng(12)
+        X = rng.standard_normal((4, Y.shape[1]))
+        p = init_attention(4, 3, 5, seed=13)
+        W = rng.standard_normal((5, Y.shape[1]))
+
+        def loss(P_x, P_y):
+            Xatt, _ = denoise(X, Y, AttentionParams(P_x, P_y))
+            return float((W * Xatt).sum() + 0.5 * (Xatt**2).sum())
+
+        Xatt, cache = denoise(X, Y, p)
+        assert cache.counts.max() > 1
+        dPx, dPy = attention_grads(cache, W + Xatt)
+        assert max_rel_err(dPx, central_diff(lambda P: loss(P, p.P_y), p.P_x)) < 1e-4
+        assert max_rel_err(dPy, central_diff(lambda P: loss(p.P_x, P), p.P_y)) < 1e-4
 
 
 class TestInit:

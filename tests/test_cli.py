@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from aghash import cli
+from aghash import cli, manifest
 from aghash import retrieval as rt
 from aghash.data import load_aux, load_split
 from aghash.trainer import load_model
@@ -173,6 +173,15 @@ class TestEncode:
         split = load_split(pipeline / "split.json")
         full = load_aux(pipeline / "labels.txt")
         assert np.array_equal(sliced.data, full.data[:, split.query])
+
+    def test_manifest_records_the_labels_source(self, pipeline, tmp_path):
+        self.encode(pipeline, tmp_path, "query",
+                    extra=["--labels", str(pipeline / "labels.txt"),
+                           "--labels-out", str(tmp_path / "qlabels.txt")])
+        man = json.loads((tmp_path / "query.codes.manifest.json").read_text())
+        labels = str(pipeline / "labels.txt")
+        assert man["inputs"][labels] == manifest.file_digest(labels)
+        assert str(tmp_path / "qlabels.txt") in man["outputs"]
 
     def test_r_mismatch(self, pipeline, tmp_path, capsys):
         args = [

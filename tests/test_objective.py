@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from aghash import graph as sg
 from aghash import network as net
 from aghash import objective as obj
 from aghash.errors import ParameterError, ShapeError
@@ -81,6 +82,43 @@ class TestReconstructionLoss:
             obj.reconstruction_loss(np.ones((2, 2)), np.ones((2, 2)), 1.0, mode="l1")
         with pytest.raises(ShapeError):
             obj.reconstruction_loss(np.ones((2, 3)), np.ones((2, 2)), 1.0)
+
+
+def dense_reconstruction_loss(Z, T, k, mode):
+    """The reconstruction loss and its gradient with every n x n matrix formed whole."""
+    if mode == "inner":
+        R = k * T - Z.T @ Z
+        return float((R**2).sum()), -2.0 * Z @ (R + R.T)
+    norms = np.sqrt((Z**2).sum(axis=0))
+    safe = np.where(norms > 0, norms, 1.0)
+    N = Z / safe
+    C = N.T @ N
+    R = k * T - np.maximum(C, 0.0)
+    dC = np.where(C > 0, -2.0 * R, 0.0)
+    dN = N @ (dC + dC.T)
+    dZ = (dN - N * (N * dN).sum(axis=0)) / safe
+    return float((R**2).sum()), np.where(norms > 0, dZ, 0.0)
+
+
+class TestPanelledReconstruction:
+    # the 'aux' target in 'inner' mode is the 'inner-product' target
+    @pytest.mark.parametrize("n", [1, obj.PANEL - 1, obj.PANEL, obj.PANEL + 1, 3 * obj.PANEL + 7])
+    @pytest.mark.parametrize("mode", ["cosine", "inner"])
+    @pytest.mark.parametrize("part", ["aux", "visual", "augmented"])
+    def test_matches_dense(self, part, mode, n):
+        rng = np.random.default_rng(n)
+        Y = (rng.random((3, n)) < 0.4).astype(np.float64)
+        Sv, _ = sg.visual_similarity(rng.standard_normal((5, n)), bandwidth=2.0)
+        target, dense = {"aux": (obj.TagGram(Y), Y.T @ Y), "visual": (Sv, Sv),
+                         "augmented": (Sv + Y.T @ Y,) * 2}[part]
+        Z = rng.standard_normal((4, n))
+        Z[:, 1::5] = 0.0
+        loss, dZ = obj.reconstruction_loss(Z, target, 1.5, mode=mode)
+        want, dZ_want = dense_reconstruction_loss(Z, dense, 1.5, mode)
+        assert loss == pytest.approx(want, rel=1e-12)
+        assert np.allclose(dZ, dZ_want, rtol=1e-10, atol=1e-12 * np.abs(dZ_want).max())
+        if mode == "cosine":  # a zero column has cosine 0 with everything and no gradient
+            assert not dZ[:, 1::5].any()
 
 
 class TestFeatureReconstruction:
@@ -201,24 +239,23 @@ class TestHyperparams:
 
 
 class TestBackpropAll:
-    def _generator_loss(self, inst, gcn, head, recon, hp):
-        bd, _ = backprop(inst, gcn=gcn, head=head, hp=hp, recon_matrix=recon)
+    def _generator_loss(self, inst, gcn, head, hp):
+        bd, _ = backprop(inst, gcn=gcn, head=head, hp=hp)
         return bd.total_gen
 
     def test_network_gradients(self):
         inst = small_instance(20)
-        recon = inst.Sa
-        _, grads = backprop(inst, recon_matrix=recon)
+        _, grads = backprop(inst)
         fd_w1 = central_diff(
-            lambda W: self._generator_loss(inst, GcnParams(W1=W, W2=inst.gcn.W2), inst.head, recon, inst.hp),
+            lambda W: self._generator_loss(inst, GcnParams(W1=W, W2=inst.gcn.W2), inst.head, inst.hp),
             inst.gcn.W1,
         )
         fd_w2 = central_diff(
-            lambda W: self._generator_loss(inst, GcnParams(W1=inst.gcn.W1, W2=W), inst.head, recon, inst.hp),
+            lambda W: self._generator_loss(inst, GcnParams(W1=inst.gcn.W1, W2=W), inst.head, inst.hp),
             inst.gcn.W2,
         )
         fd_wc = central_diff(
-            lambda W: self._generator_loss(inst, inst.gcn, net.ClsHead(Wc=W), recon, inst.hp),
+            lambda W: self._generator_loss(inst, inst.gcn, net.ClsHead(Wc=W), inst.hp),
             inst.head.Wc,
         )
         assert max_rel_err(grads["W1"], fd_w1) < 1e-4
@@ -227,13 +264,12 @@ class TestBackpropAll:
 
     def test_attention_gradients_through_full_model(self):
         inst = small_instance(21)
-        _, grads = backprop(inst, recon_matrix=inst.Sa, train_attention=True)
+        _, grads = backprop(inst, train_attention=True)
 
         def loss_for(P_x, P_y):
             from aghash.attention import AttentionParams
 
-            bd, _ = backprop(inst, apar=AttentionParams(P_x, P_y), recon_matrix=inst.Sa,
-                             train_attention=True)
+            bd, _ = backprop(inst, apar=AttentionParams(P_x, P_y), train_attention=True)
             return bd.total_gen
 
         fd_px = central_diff(lambda P: loss_for(P, inst.apar.P_y), inst.apar.P_x)
@@ -247,6 +283,8 @@ class TestBackpropAll:
             backprop(inst)
 
     def test_missing_recon_matrix(self):
-        inst = small_instance(23)
-        with pytest.raises(ParameterError):
-            backprop(inst)
+        # the kernel targets read an n x n matrix; 'aux' and 'inner-product' form theirs from Y
+        for target in obj.RECON_PARTS:
+            inst = small_instance(23, hp=obj.Hyperparams(recon_target=target))
+            with pytest.raises(ParameterError):
+                backprop(inst)

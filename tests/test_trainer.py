@@ -166,16 +166,31 @@ class TestFit:
         assert model.decoder is not None
 
     def test_working_set(self):
-        # training holds S~ and the aux target, not the graph's other n x n parts
+        # training holds S~ but no n x n reconstruction target: the aux target is
+        # formed from the tags a row panel at a time, and the attention scores
+        # are n x u over the u distinct tag columns, with or without training them
         n = 600
         fm, aux, _ = synth_dataset(n=n, d=32, c=4, sep=2.0, label_noise=0.1, seed=1)
-        tracemalloc.start()
-        try:
-            trainer.fit(fm, aux, np.arange(n), d_prime=64, hidden=128, cfg=TrainConfig(epochs=2))
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 9 * n * n * 8, f"peak {peak / (n * n * 8):.2f} n x n float64 arrays"
+        u = np.unique(aux.data, axis=1).shape[1]
+        denoise = att.denoise
+        for train_attention in (False, True):
+            scores = []
+
+            def spy(X, Y, params):
+                out = denoise(X, Y, params)
+                scores.append(out[1].alpha.shape)
+                return out
+
+            tracemalloc.start()
+            try:
+                with mock.patch.object(att, "denoise", side_effect=spy):
+                    trainer.fit(fm, aux, np.arange(n), d_prime=64, hidden=128,
+                                cfg=TrainConfig(epochs=2, train_attention=train_attention))
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 4 * n * n * 8, f"peak {peak / (n * n * 8):.2f} n x n float64 arrays"
+            assert scores == [(n, u)] * (3 if train_attention else 1)
 
     def test_joint_attention_training_moves_projections(self):
         from aghash.attention import init_attention
