@@ -1,6 +1,7 @@
 """Error types shared across the package, and the finiteness check of the config types."""
 
 import math
+import numbers
 
 
 class AghashError(Exception):
@@ -32,8 +33,12 @@ class ConfigError(AghashError):
 
 
 def require_finite(config, *names):
-    """Raise ParameterError naming the first field of `names` that is nan or infinite (None passes)."""
+    """Raise ParameterError naming the first field of `names` that is not a finite real (None passes)."""
     for name in names:
         value = getattr(config, name)
-        if value is not None and not math.isfinite(value):
+        if value is None:
+            continue
+        if not isinstance(value, numbers.Real):
+            raise ParameterError(f"{name} must be a real number, got {value!r}")
+        if not math.isfinite(value):
             raise ParameterError(f"{name} must be finite, got {value}")

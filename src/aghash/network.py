@@ -7,7 +7,6 @@ import io
 import json
 import math
 import os
-import re
 import struct
 from dataclasses import dataclass, fields
 
@@ -16,8 +15,7 @@ import numpy as np
 from .errors import FormatError, ShapeError
 
 CHECKPOINT_MAGIC = b"AGCK"
-CHECKPOINT_VERSION = 3
-_NUMERIC_DTYPE = re.compile(r"[<>|=]?[biuf][0-9]{1,2}")
+CHECKPOINT_VERSION = 4
 DISC_HIDDEN = (64, 32)  # widths of the discriminator's two hidden layers
 
 
@@ -131,7 +129,7 @@ def cls_forward(Z, head):
 # checkpoint container: deterministic versioned binary format
 #
 # header: magic, version, meta length, meta JSON (utf-8); then array count and
-# per array: name, dtype string, ndim, dims, raw little-endian C-order bytes.
+# per array: name, ndim, dims, raw little-endian float64 C-order bytes.
 # ---------------------------------------------------------------------------
 
 
@@ -156,27 +154,16 @@ def _read_str(fh, path):
         raise FormatError(f"{path}: checkpoint string is not utf-8") from None
 
 
-def _numeric_dtype(text, name, path):
-    """The dtype that `text` names when it is a fixed-width bool, integer or float."""
-    if _NUMERIC_DTYPE.fullmatch(text):
-        try:
-            return np.dtype(text)
-        except TypeError:  # a width the kind does not have, such as 'f3'
-            pass
-    raise FormatError(f"{path}: array {name!r} has unknown dtype {text!r}")
-
-
 def save_arrays(path, arrays, meta=None):
-    """Write named float arrays plus a JSON metadata blob; byte-deterministic."""
+    """Write named arrays as float64 plus a JSON metadata blob; byte-deterministic."""
     buf = io.BytesIO()
     buf.write(CHECKPOINT_MAGIC)
     buf.write(struct.pack("<I", CHECKPOINT_VERSION))
     _write_str(buf, json.dumps(meta or {}, sort_keys=True))
     buf.write(struct.pack("<I", len(arrays)))
     for name in sorted(arrays):
-        arr = np.ascontiguousarray(arrays[name])
+        arr = np.ascontiguousarray(arrays[name], dtype="<f8")
         _write_str(buf, name)
-        _write_str(buf, arr.dtype.str)
         buf.write(struct.pack("<I", arr.ndim))
         buf.write(struct.pack(f"<{arr.ndim}Q", *arr.shape))
         buf.write(arr.tobytes())
@@ -200,9 +187,8 @@ def load_arrays(path):
         arrays = {}
         for _ in range(count):
             name = _read_str(fh, path)
-            dtype = _numeric_dtype(_read_str(fh, path), name, path)
             (ndim,) = struct.unpack("<I", _read_exact(fh, 4, path))
             shape = struct.unpack(f"<{ndim}Q", _read_exact(fh, 8 * ndim, path))
-            data = _read_exact(fh, dtype.itemsize * math.prod(shape), path)
-            arrays[name] = np.frombuffer(data, dtype=dtype).reshape(shape).copy()
+            data = _read_exact(fh, 8 * math.prod(shape), path)
+            arrays[name] = np.frombuffer(data, dtype="<f8").reshape(shape).astype(np.float64)
     return arrays, meta

@@ -65,14 +65,10 @@ def sign_pm(Z):
 
 @dataclass
 class TrainedModel:
+    """What encoding reads: the discriminator, head and decoder serve only training."""
     attention: att.AttentionParams
     gcn: net.GcnParams
-    disc: net.DiscParams
-    head: net.ClsHead
-    decoder: net.DecoderParams | None
     graph_cfg: sg.GraphConfig  # bandwidth is the resolved one when a visual kernel was built
-    hyper: obj.Hyperparams
-    train_cfg: TrainConfig
     use_attention: bool
     xatt_train: np.ndarray  # d' x n
     w2z1_train: np.ndarray  # r x n: W2 Z1, layer 2 before its graph product
@@ -114,6 +110,9 @@ def fit(
     train_idx = np.asarray(train_idx, dtype=np.int64)
     if train_idx.size == 0:
         raise ParameterError("training split is empty")
+    bad = train_idx[(train_idx < 0) | (train_idx >= features.n)]
+    if bad.size:
+        raise ParameterError(f"train index {bad[0]} is out of range for {features.n} items")
     if cfg.train_attention and not use_attention:
         raise ParameterError("train_attention needs attention denoising (use_attention=True)")
     if features.n != aux.n:
@@ -181,10 +180,8 @@ def fit(
             epoch_callback(epoch, breakdown)
 
     model = TrainedModel(
-        attention=apar, gcn=gcn, disc=disc, head=head, decoder=decoder,
-        graph_cfg=graph_cfg, hyper=hyper, train_cfg=cfg, use_attention=use_attention,
-        xatt_train=Xatt, w2z1_train=gcn.W2 @ Z1, z_train=Z,
-        degrees=degrees, y_train=Yt,
+        attention=apar, gcn=gcn, graph_cfg=graph_cfg, use_attention=use_attention,
+        xatt_train=Xatt, w2z1_train=gcn.W2 @ Z1, z_train=Z, degrees=degrees, y_train=Yt,
     )
     return model, history
 
@@ -238,23 +235,19 @@ def write_train_log(path, history):
             )
 
 
-# parameter groups of a TrainedModel by field; the decoder exists only for the
-# "feature" reconstruction target
-_GROUPS = {"attention": att.AttentionParams, "gcn": net.GcnParams, "disc": net.DiscParams,
-           "head": net.ClsHead, "decoder": net.DecoderParams}
-# configuration fields of a TrainedModel with their checkpoint meta keys
-_CONFIGS = {"graph_cfg": ("graph", sg.GraphConfig), "hyper": ("hyper", obj.Hyperparams),
-            "train_cfg": ("train", TrainConfig)}
+# parameter groups of a TrainedModel by field
+_GROUPS = {"attention": att.AttentionParams, "gcn": net.GcnParams}
 _CACHED = [f.name for f in fields(TrainedModel) if f.type is np.ndarray]
-_SCALARS = [f.name for f in fields(TrainedModel) if f.name not in {*_GROUPS, *_CONFIGS, *_CACHED}]
+# every saved array with its dimensions; each dimension is set by the first array that has it
+_SHAPES = {"P_x": ("d'", "d"), "P_y": ("d'", "c"), "W1": ("h", "d'"), "W2": ("r", "h"),
+           "xatt_train": ("d'", "n"), "w2z1_train": ("r", "n"), "z_train": ("r", "n"),
+           "degrees": ("n",), "y_train": ("c", "n")}
 
 
 def save_model(path, model):
     arrays = net.parameters(*(getattr(model, name) for name in _GROUPS))
     arrays.update((name, getattr(model, name)) for name in _CACHED)
-    meta = {name: getattr(model, name) for name in _SCALARS}
-    meta.update((key, asdict(getattr(model, name))) for name, (key, _) in _CONFIGS.items())
-    meta["r"] = model.r
+    meta = {"use_attention": model.use_attention, "graph": asdict(model.graph_cfg)}
     net.save_arrays(path, arrays, meta)
 
 
@@ -270,17 +263,29 @@ def _check_names(path, what, found, expected):
         raise FormatError(f"{path}: unknown checkpoint {what} {unknown[0]!r}")
 
 
+def _check_shapes(path, arrays):
+    """FormatError naming the first array whose shape disagrees with those before it."""
+    dims = {}
+    for name, symbols in _SHAPES.items():
+        shape = arrays[name].shape
+        if len(shape) == len(symbols):
+            for symbol, size in zip(symbols, shape):
+                dims.setdefault(symbol, size)
+        expected = tuple(dims.get(symbol, symbol) for symbol in symbols)
+        if shape != expected:
+            raise FormatError(f"{path}: array {name!r} has shape {shape}, expected {expected}")
+
+
 def load_model(path):
     arrays, meta = net.load_arrays(path)
-    _check_names(path, "meta key", meta, _SCALARS + [key for key, _ in _CONFIGS.values()] + ["r"])
-    values = {name: meta[name] for name in _SCALARS}
-    for name, (key, cls) in _CONFIGS.items():
-        _check_names(path, f"{key} setting", meta[key], [f.name for f in fields(cls)])
-        values[name] = cls(**meta[key])
-    groups = {name: cls for name, cls in _GROUPS.items()
-              if name != "decoder" or values["hyper"].recon_target == "feature"}
-    _check_names(path, "array", arrays, [f.name for cls in groups.values() for f in fields(cls)] + _CACHED)
-    for name, cls in _GROUPS.items():
-        values[name] = cls(**{f.name: arrays[f.name] for f in fields(cls)}) if name in groups else None
+    _check_names(path, "meta key", meta, ["use_attention", "graph"])
+    if not isinstance(meta["use_attention"], bool):
+        raise FormatError(f"{path}: checkpoint use_attention must be true or false, "
+                          f"got {meta['use_attention']!r}")
+    _check_names(path, "graph setting", meta["graph"], [f.name for f in fields(sg.GraphConfig)])
+    _check_names(path, "array", arrays, list(_SHAPES))
+    _check_shapes(path, arrays)
+    values = {name: cls(**{f.name: arrays[f.name] for f in fields(cls)}) for name, cls in _GROUPS.items()}
     values.update((name, arrays[name]) for name in _CACHED)
-    return TrainedModel(**values)
+    return TrainedModel(**values, graph_cfg=sg.GraphConfig(**meta["graph"]),
+                        use_attention=meta["use_attention"])

@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from aghash import cli, manifest
+from aghash import cli, manifest, network
 from aghash import retrieval as rt
 from aghash.data import load_aux, load_split
 from aghash.trainer import load_model
@@ -89,11 +89,14 @@ class TestTrain:
             "--epochs", "2", "--lr", "1e-3", "--variant", "no-aux",
         ]
         assert cli.main(args) == 0
+        assert json.loads((tmp_path / "manifest.json").read_text())["config"]["variant"] == "no-aux"
+        graph_cfg, hyper, _, use_attention = cli._train_setup(cli.build_parser().parse_args(args))
+        assert graph_cfg.variant == "visual-only"
+        assert hyper.lambda3 == 0.0
+        assert hyper.recon_target == "visual"
         model = load_model(tmp_path / "checkpoint.bin")
         assert model.graph_cfg.variant == "visual-only"
-        assert model.hyper.lambda3 == 0.0
-        assert model.hyper.recon_target == "visual"
-        assert not model.use_attention
+        assert not model.use_attention and not use_attention
 
     def test_config_file_overrides_flags(self, pipeline, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -107,7 +110,7 @@ class TestTrain:
         assert cli.main(args) == 0
         model = load_model(tmp_path / "checkpoint.bin")
         assert model.r == 4
-        assert model.train_cfg.epochs == 2
+        assert len((tmp_path / "trainlog.csv").read_text().splitlines()) == 1 + 2
 
     def test_bad_config_line(self, pipeline, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
@@ -257,13 +260,22 @@ class TestSweep:
         assert parallel == serial
 
 
-def _checkpoint(meta=b"{}", dtype=b"<f8", dims=(1,), version=3):
-    """Bytes of a one-array checkpoint with the given raw meta, dtype string, dimensions and version."""
+def _checkpoint(meta=b"{}", dims=(1,), version=network.CHECKPOINT_VERSION):
+    """Bytes of a one-array checkpoint with the given raw meta, dimensions and version."""
     def string(raw):
         return struct.pack("<I", len(raw)) + raw
 
     return (b"AGCK" + struct.pack("<I", version) + string(meta) + struct.pack("<I", 1) + string(b"w")
-            + string(dtype) + struct.pack(f"<I{len(dims)}Q", len(dims), *dims) + bytes(8))
+            + struct.pack(f"<I{len(dims)}Q", len(dims), *dims) + bytes(8))
+
+
+def _short_degrees(p, tmp):
+    """The pipeline's checkpoint with one training degree dropped."""
+    arrays, meta = network.load_arrays(p / "checkpoint.bin")
+    arrays["degrees"] = arrays["degrees"][:-1]
+    path = tmp / "short.bin"
+    network.save_arrays(path, arrays, meta)
+    return str(path)
 
 
 def _train(p, tmp, *extra, split=None):
@@ -325,14 +337,14 @@ MALFORMED = {
                       "meta is not JSON"),
     "meta-not-utf8": (lambda p, t: _encode(p, t, checkpoint=_file(t, "c", _checkpoint(meta=b"\xff\xfe"))),
                       "not utf-8"),
-    "unknown-dtype": (lambda p, t: _encode(p, t, checkpoint=_file(t, "c", _checkpoint(dtype=b"<x8"))),
-                      "unknown dtype '<x8'"),
-    "object-dtype": (lambda p, t: _encode(p, t, checkpoint=_file(t, "c", _checkpoint(dtype=b"|O"))),
-                     "unknown dtype '|O'"),
     "dims-beyond-file": (lambda p, t: _encode(p, t, checkpoint=_file(t, "c", _checkpoint(dims=(2**31, 3)))),
                          "truncated"),
     "checkpoint-version-2": (lambda p, t: _encode(p, t, checkpoint=_file(t, "c", _checkpoint(version=2))),
                              "unsupported checkpoint version 2"),
+    "checkpoint-array-shapes": (lambda p, t: _encode(p, t, checkpoint=_short_degrees(p, t)),
+                                "array 'degrees' has shape (39,), expected (40,)"),
+    "checkpoint-version-3": (lambda p, t: _encode(p, t, checkpoint=_file(t, "c", _checkpoint(version=3))),
+                             "unsupported checkpoint version 3"),
     "split-not-object": (lambda p, t: _train(p, t, split=_file(t, "s.json", "[1, 2]")),
                          "must be a JSON object"),
     "split-not-integers": (lambda p, t: _train(p, t, split=_file(t, "s.json", _SPLIT % ('["a"]', "[]"))),

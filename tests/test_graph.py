@@ -192,3 +192,5 @@ class TestBuildGraph:
             GraphConfig(bandwidth=0.0)
         with pytest.raises(ParameterError):
             GraphConfig(variant="sparse")
+        with pytest.raises(ParameterError, match="mu must be a real number, got 'x'"):
+            GraphConfig(mu="x")

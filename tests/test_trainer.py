@@ -1,3 +1,4 @@
+import re
 import struct
 import tracemalloc
 from unittest import mock
@@ -145,6 +146,12 @@ class TestFit:
         with pytest.raises(ParameterError):
             trainer.fit(fm, aux, np.array([], dtype=np.int64))
 
+    @pytest.mark.parametrize("index", [99, -1])
+    def test_train_index_out_of_range(self, index):
+        fm, aux, _ = synth_dataset(n=40, d=4, c=2, sep=1.0, label_noise=0.0, seed=0)
+        with pytest.raises(ParameterError, match=f"train index {index} is out of range for 40 items"):
+            trainer.fit(fm, aux, [0, 1, index, 2], r=4, d_prime=8, hidden=8)
+
     def test_epoch_callback(self):
         seen = []
         tiny_fit(epoch_callback=lambda e, b: seen.append(e))
@@ -160,10 +167,8 @@ class TestFit:
                 X, Y = fm.data[:, split.train], aux.data[:, split.train]
                 xatt, _ = att.denoise(X, Y, att.init_attention(fm.d, aux.c, 8, 0))
                 assert model.graph_cfg.bandwidth == sg.visual_similarity(xatt)[1]
-        _, _, _, model, _ = tiny_fit(hyper=obj.Hyperparams(recon_target="inner-product"))
-        assert model.decoder is None
-        _, _, _, model, _ = tiny_fit(hyper=obj.Hyperparams(recon_target="feature"))
-        assert model.decoder is not None
+        _, _, _, _, history = tiny_fit(hyper=obj.Hyperparams(recon_target="feature"))
+        assert all(np.isfinite(b.total_gen) for b in history)
 
     def test_working_set(self):
         # training holds S~ but no n x n reconstruction target: the aux target is
@@ -319,7 +324,7 @@ def variant_models():
 
 @pytest.fixture(scope="module")
 def saved_checkpoint(tmp_path_factory):
-    """The bytes of a saved model that has every parameter group, and a path for truncated copies."""
+    """The bytes of a saved model, and a path for truncated copies."""
     _, _, _, model, _ = tiny_fit(seed=18, hyper=obj.Hyperparams(recon_target="feature"))
     path = tmp_path_factory.mktemp("checkpoint") / "model.bin"
     trainer.save_model(path, model)
@@ -334,9 +339,8 @@ class TestPersistence:
         back = trainer.load_model(p)
         assert np.array_equal(back.gcn.W1, model.gcn.W1)
         assert np.array_equal(back.z_train, model.z_train)
-        assert back.hyper == model.hyper
-        assert back.train_cfg == model.train_cfg
         assert back.graph_cfg == model.graph_cfg
+        assert back.use_attention is model.use_attention
         assert back.graph_cfg.bandwidth == model.graph_cfg.bandwidth
         assert back.r == model.r
 
@@ -359,14 +363,57 @@ class TestPersistence:
         p = tmp_path / "model.bin"
         trainer.save_model(p, model)
         arrays, meta = net.load_arrays(p)
-        del arrays["Wc"]
+        del arrays["W1"]
         net.save_arrays(p, arrays, meta)
-        with pytest.raises(FormatError, match="no array 'Wc'"):
+        with pytest.raises(FormatError, match="no array 'W1'"):
             trainer.load_model(p)
-        arrays["Wc"] = model.head.Wc
-        meta["train"]["batch"] = None
+        arrays["W1"] = model.gcn.W1
+        meta["graph"]["batch"] = None
         net.save_arrays(p, arrays, meta)
-        with pytest.raises(FormatError, match="unknown checkpoint train setting 'batch'"):
+        with pytest.raises(FormatError, match="unknown checkpoint graph setting 'batch'"):
+            trainer.load_model(p)
+
+    def test_saved_state_is_what_encoding_reads(self, tmp_path):
+        _, _, _, model, _ = tiny_fit(seed=18)
+        p = tmp_path / "model.bin"
+        trainer.save_model(p, model)
+        arrays, meta = net.load_arrays(p)
+        assert sorted(arrays) == sorted(["P_x", "P_y", "W1", "W2", "xatt_train", "w2z1_train",
+                                         "z_train", "degrees", "y_train"])
+        assert sorted(meta) == ["graph", "use_attention"]
+
+    def edited(self, tmp_path, edit):
+        """The checkpoint of a tiny model after edit(arrays, meta) changed its contents."""
+        _, _, _, model, _ = tiny_fit(seed=18)
+        p = tmp_path / "model.bin"
+        trainer.save_model(p, model)
+        arrays, meta = net.load_arrays(p)
+        edit(arrays, meta)
+        net.save_arrays(p, arrays, meta)
+        return p
+
+    @pytest.mark.parametrize("name, shape, expected", [
+        ("P_x", (8,), ("d'", "d")), ("P_y", (7, 2), (8, 2)), ("W1", (8, 7), (8, 8)),
+        ("W2", (4, 9), (4, 8)), ("xatt_train", (7, 16), (8, 16)), ("w2z1_train", (4, 15), (4, 16)),
+        ("z_train", (3, 16), (4, 16)), ("degrees", (15,), (16,)), ("degrees", (16, 1), (16,)),
+        ("y_train", (2, 17), (2, 16)), ("y_train", (3, 16), (2, 16)),
+    ], ids=str)
+    def test_array_shapes_must_agree(self, tmp_path, name, shape, expected):
+        p = self.edited(tmp_path, lambda arrays, meta: arrays.update({name: np.zeros(shape)}))
+        message = f"array {name!r} has shape {shape}, expected {expected}"
+        with pytest.raises(FormatError, match=re.escape(message)):
+            trainer.load_model(p)
+
+    @pytest.mark.parametrize("edit, error, message", [
+        (lambda meta: meta.update(use_attention="no"), FormatError,
+         "use_attention must be true or false, got 'no'"),
+        (lambda meta: meta.update(use_attention=1), FormatError,
+         "use_attention must be true or false, got 1"),
+        (lambda meta: meta["graph"].update(mu="x"), ParameterError, "mu must be a real number, got 'x'"),
+    ], ids=["use-attention-string", "use-attention-integer", "mu-string"])
+    def test_meta_of_the_wrong_type(self, tmp_path, edit, error, message):
+        p = self.edited(tmp_path, lambda arrays, meta: edit(meta))
+        with pytest.raises(error, match=re.escape(message)):
             trainer.load_model(p)
 
     @given(data=st.data())
@@ -377,14 +424,15 @@ class TestPersistence:
         with pytest.raises(FormatError):
             trainer.load_model(cut)
 
-    def test_version_1_checkpoint_rejected(self, tmp_path):
+    @pytest.mark.parametrize("version", [1, 3])
+    def test_version_1_checkpoint_rejected(self, tmp_path, version):
         _, _, _, model, _ = tiny_fit(seed=18)
         p = tmp_path / "model.bin"
         trainer.save_model(p, model)
         raw = bytearray(p.read_bytes())
-        raw[4:8] = struct.pack("<I", 1)
+        raw[4:8] = struct.pack("<I", version)
         p.write_bytes(bytes(raw))
-        with pytest.raises(FormatError, match="unsupported checkpoint version 1"):
+        with pytest.raises(FormatError, match=f"unsupported checkpoint version {version}"):
             trainer.load_model(p)
 
     def test_save_is_byte_deterministic(self, tmp_path):
