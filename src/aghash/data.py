@@ -163,11 +163,16 @@ def _load_text_matrix(path):
 
 
 def _from_file(path, kind, data):
-    """`kind(data)`, its value-contract error prefixed with the file it came from."""
-    try:
-        return kind(data)
-    except AghashError as exc:
-        raise type(exc)(f"{path}: {exc}") from None
+    """`kind(data)`, its value-contract error and warnings prefixed with the file it came from."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            value = kind(data)
+        except AghashError as exc:
+            raise type(exc)(f"{path}: {exc}") from None
+    for w in caught:
+        warnings.warn(f"{path}: {w.message}", w.category, stacklevel=3)  # at the loader's caller
+    return value
 
 
 def load_features(path, format="text"):

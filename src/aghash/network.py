@@ -3,10 +3,8 @@
 Forward passes only; gradients live in `objective`.
 """
 
-import io
 import json
 import math
-import os
 import struct
 from dataclasses import dataclass, fields
 
@@ -15,7 +13,7 @@ import numpy as np
 from .errors import FormatError, ShapeError
 
 CHECKPOINT_MAGIC = b"AGCK"
-CHECKPOINT_VERSION = 4
+CHECKPOINT_VERSION = 5
 DISC_HIDDEN = (64, 32)  # widths of the discriminator's two hidden layers
 
 
@@ -128,67 +126,47 @@ def cls_forward(Z, head):
 # ---------------------------------------------------------------------------
 # checkpoint container: deterministic versioned binary format
 #
-# header: magic, version, meta length, meta JSON (utf-8); then array count and
-# per array: name, ndim, dims, raw little-endian float64 C-order bytes.
+# magic, version, meta length (uint32 each after the magic), meta JSON (utf-8),
+# then every array as raw little-endian float64 in C order. The file holds no
+# array names or shapes: the reader derives them from the meta.
 # ---------------------------------------------------------------------------
 
-
-def _write_str(fh, s):
-    raw = s.encode("utf-8")
-    fh.write(struct.pack("<I", len(raw)))
-    fh.write(raw)
+_HEADER = struct.Struct("<4sII")  # magic, version, meta length
 
 
-def _read_exact(fh, size, path):
-    # checked before reading: a corrupt size field may ask for more than memory holds
-    if size > os.fstat(fh.fileno()).st_size - fh.tell():
-        raise FormatError(f"{path}: truncated checkpoint")
-    return fh.read(size)
-
-
-def _read_str(fh, path):
-    (length,) = struct.unpack("<I", _read_exact(fh, 4, path))
-    try:
-        return _read_exact(fh, length, path).decode("utf-8")
-    except UnicodeDecodeError:
-        raise FormatError(f"{path}: checkpoint string is not utf-8") from None
-
-
-def save_arrays(path, arrays, meta=None):
-    """Write named arrays as float64 plus a JSON metadata blob; byte-deterministic."""
-    buf = io.BytesIO()
-    buf.write(CHECKPOINT_MAGIC)
-    buf.write(struct.pack("<I", CHECKPOINT_VERSION))
-    _write_str(buf, json.dumps(meta or {}, sort_keys=True))
-    buf.write(struct.pack("<I", len(arrays)))
-    for name in sorted(arrays):
-        arr = np.ascontiguousarray(arrays[name], dtype="<f8")
-        _write_str(buf, name)
-        buf.write(struct.pack("<I", arr.ndim))
-        buf.write(struct.pack(f"<{arr.ndim}Q", *arr.shape))
-        buf.write(arr.tobytes())
+def save_arrays(path, arrays, meta):
+    """Write the JSON meta, then the arrays in the order given; byte-deterministic."""
+    raw = json.dumps(meta, sort_keys=True).encode("utf-8")
     with open(path, "wb") as fh:
-        fh.write(buf.getvalue())
+        fh.write(_HEADER.pack(CHECKPOINT_MAGIC, CHECKPOINT_VERSION, len(raw)) + raw)
+        for arr in arrays:
+            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
 
 
-def load_arrays(path):
-    """Inverse of save_arrays: returns (arrays dict, meta dict)."""
+def load_arrays(path, shapes):
+    """Inverse of save_arrays: (arrays shaped as `shapes(meta)` lists, meta).
+
+    The payload's length is checked against those shapes before any array is formed.
+    """
     with open(path, "rb") as fh:
-        if _read_exact(fh, 4, path) != CHECKPOINT_MAGIC:
-            raise FormatError(f"{path}: not a checkpoint file")
-        (version,) = struct.unpack("<I", _read_exact(fh, 4, path))
-        if version != CHECKPOINT_VERSION:
-            raise FormatError(f"{path}: unsupported checkpoint version {version}")
-        try:
-            meta = json.loads(_read_str(fh, path))
-        except json.JSONDecodeError:
-            raise FormatError(f"{path}: checkpoint meta is not JSON") from None
-        (count,) = struct.unpack("<I", _read_exact(fh, 4, path))
-        arrays = {}
-        for _ in range(count):
-            name = _read_str(fh, path)
-            (ndim,) = struct.unpack("<I", _read_exact(fh, 4, path))
-            shape = struct.unpack(f"<{ndim}Q", _read_exact(fh, 8 * ndim, path))
-            data = _read_exact(fh, 8 * math.prod(shape), path)
-            arrays[name] = np.frombuffer(data, dtype="<f8").reshape(shape).astype(np.float64)
-    return arrays, meta
+        raw = fh.read()
+    if len(raw) < _HEADER.size or raw[:4] != CHECKPOINT_MAGIC:
+        raise FormatError(f"{path}: not a checkpoint file")
+    _, version, length = _HEADER.unpack_from(raw)
+    if version != CHECKPOINT_VERSION:
+        raise FormatError(f"{path}: unsupported checkpoint version {version}")
+    start = _HEADER.size + length
+    if start > len(raw):
+        raise FormatError(f"{path}: truncated checkpoint meta")
+    try:
+        meta = json.loads(raw[_HEADER.size:start].decode("utf-8"))
+    except (ValueError, RecursionError):  # bad utf-8 or JSON, or nesting too deep to parse
+        raise FormatError(f"{path}: checkpoint meta is not utf-8 JSON") from None
+    layout = shapes(meta)
+    sizes = [math.prod(shape) for shape in layout]
+    if len(raw) - start != 8 * sum(sizes):
+        raise FormatError(f"{path}: checkpoint payload has {len(raw) - start} bytes, "
+                          f"its shapes need {8 * sum(sizes)}")
+    flat = np.frombuffer(raw, dtype="<f8", offset=start).astype(np.float64)
+    parts = np.split(flat, np.cumsum(sizes)[:-1])
+    return [part.reshape(shape) for part, shape in zip(parts, layout)], meta

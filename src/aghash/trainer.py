@@ -13,6 +13,7 @@ from . import graph as sg
 from . import network as net
 from . import objective as obj
 from . import retrieval
+from .data import _from_file
 from .errors import DataError, FormatError, NumericError, ParameterError, ShapeError, require_finite
 
 
@@ -238,17 +239,20 @@ def write_train_log(path, history):
 # parameter groups of a TrainedModel by field
 _GROUPS = {"attention": att.AttentionParams, "gcn": net.GcnParams}
 _CACHED = [f.name for f in fields(TrainedModel) if f.type is np.ndarray]
-# every saved array with its dimensions; each dimension is set by the first array that has it
+# every saved array, in file order, with its dimensions: a checkpoint's meta holds their sizes
 _SHAPES = {"P_x": ("d'", "d"), "P_y": ("d'", "c"), "W1": ("h", "d'"), "W2": ("r", "h"),
            "xatt_train": ("d'", "n"), "w2z1_train": ("r", "n"), "z_train": ("r", "n"),
            "degrees": ("n",), "y_train": ("c", "n")}
+_DIMS = sorted({symbol for symbols in _SHAPES.values() for symbol in symbols})
 
 
 def save_model(path, model):
     arrays = net.parameters(*(getattr(model, name) for name in _GROUPS))
     arrays.update((name, getattr(model, name)) for name in _CACHED)
-    meta = {"use_attention": model.use_attention, "graph": asdict(model.graph_cfg)}
-    net.save_arrays(path, arrays, meta)
+    dims = {symbol: size for name, symbols in _SHAPES.items()
+            for symbol, size in zip(symbols, arrays[name].shape)}
+    meta = {"use_attention": model.use_attention, "graph": asdict(model.graph_cfg), "dims": dims}
+    net.save_arrays(path, [arrays[name] for name in _SHAPES], meta)
 
 
 def _check_names(path, what, found, expected):
@@ -263,29 +267,27 @@ def _check_names(path, what, found, expected):
         raise FormatError(f"{path}: unknown checkpoint {what} {unknown[0]!r}")
 
 
-def _check_shapes(path, arrays):
-    """FormatError naming the first array whose shape disagrees with those before it."""
-    dims = {}
-    for name, symbols in _SHAPES.items():
-        shape = arrays[name].shape
-        if len(shape) == len(symbols):
-            for symbol, size in zip(symbols, shape):
-                dims.setdefault(symbol, size)
-        expected = tuple(dims.get(symbol, symbol) for symbol in symbols)
-        if shape != expected:
-            raise FormatError(f"{path}: array {name!r} has shape {shape}, expected {expected}")
-
-
 def load_model(path):
-    arrays, meta = net.load_arrays(path)
-    _check_names(path, "meta key", meta, ["use_attention", "graph"])
+    def shapes(meta):
+        _check_names(path, "meta key", meta, ["use_attention", "graph", "dims"])
+        dims = meta["dims"]
+        _check_names(path, "dimension", dims, _DIMS)
+        for symbol in _DIMS:
+            if type(dims[symbol]) is not int or dims[symbol] < 1:  # rejects JSON true/false too
+                raise FormatError(f"{path}: checkpoint dimension {symbol!r} must be an integer >= 1, "
+                                  f"got {dims[symbol]!r}")
+        return [tuple(dims[symbol] for symbol in symbols) for symbols in _SHAPES.values()]
+
+    arrays, meta = net.load_arrays(path, shapes)
+    arrays = dict(zip(_SHAPES, arrays))
+    for name, arr in arrays.items():
+        if not np.all(np.isfinite(arr)):
+            raise FormatError(f"{path}: checkpoint array {name!r} is not finite")
     if not isinstance(meta["use_attention"], bool):
         raise FormatError(f"{path}: checkpoint use_attention must be true or false, "
                           f"got {meta['use_attention']!r}")
     _check_names(path, "graph setting", meta["graph"], [f.name for f in fields(sg.GraphConfig)])
-    _check_names(path, "array", arrays, list(_SHAPES))
-    _check_shapes(path, arrays)
+    graph_cfg = _from_file(path, lambda graph: sg.GraphConfig(**graph), meta["graph"])
     values = {name: cls(**{f.name: arrays[f.name] for f in fields(cls)}) for name, cls in _GROUPS.items()}
     values.update((name, arrays[name]) for name in _CACHED)
-    return TrainedModel(**values, graph_cfg=sg.GraphConfig(**meta["graph"]),
-                        use_attention=meta["use_attention"])
+    return TrainedModel(**values, graph_cfg=graph_cfg, use_attention=meta["use_attention"])

@@ -1,4 +1,4 @@
-"""Shared test helpers: finite differences and small seeded model instances."""
+"""Shared test helpers: finite differences, small seeded model instances, raw checkpoints."""
 
 from dataclasses import dataclass
 
@@ -8,6 +8,7 @@ from aghash import attention as att
 from aghash import graph as sg
 from aghash import network as net
 from aghash import objective as obj
+from aghash import trainer
 
 
 def central_diff(f, P, eps=1e-4):
@@ -78,3 +79,10 @@ def backprop(inst, apar=None, gcn=None, head=None, hp=None, train_attention=Fals
         Xatt, H, net.gcn_layers(H, inst.St, gcn), inst.St, inst.Y, inst.B, gcn, inst.disc,
         head or inst.head, hp or inst.hp, inst.prior, attention=cache, **kwargs,
     )
+
+
+def read_checkpoint(path):
+    """(array name -> array, meta) of a saved model, read with only the container's own checks."""
+    arrays, meta = net.load_arrays(path, lambda meta: [
+        tuple(meta["dims"][symbol] for symbol in symbols) for symbols in trainer._SHAPES.values()])
+    return dict(zip(trainer._SHAPES, arrays)), meta

@@ -16,3 +16,9 @@ def test_every_workload_runs_correctly():
     assert done.returncode == 0, done.stderr
     summary = json.loads(done.stdout.strip().splitlines()[-1])
     assert summary["correct"] is True and summary["failed"] == 0, done.stdout
+
+
+def test_benchmark_tests_pass():
+    done = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "perfbench"],
+                          cwd=ROOT, capture_output=True, text=True, timeout=600)
+    assert done.returncode == 0, done.stdout + done.stderr

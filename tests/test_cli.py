@@ -11,6 +11,7 @@ from aghash import cli, manifest, network
 from aghash import retrieval as rt
 from aghash.data import load_aux, load_split
 from aghash.trainer import load_model
+from conftest import read_checkpoint
 
 
 def run(argv, capsys=None):
@@ -260,22 +261,27 @@ class TestSweep:
         assert parallel == serial
 
 
-def _checkpoint(meta=b"{}", dims=(1,), version=network.CHECKPOINT_VERSION):
-    """Bytes of a one-array checkpoint with the given raw meta, dimensions and version."""
-    def string(raw):
-        return struct.pack("<I", len(raw)) + raw
+def _checkpoint(meta=b"{}", version=network.CHECKPOINT_VERSION):
+    """Bytes of a checkpoint with the given raw meta and version, and one float of payload."""
+    return b"AGCK" + struct.pack("<II", version, len(meta)) + meta + bytes(8)
 
-    return (b"AGCK" + struct.pack("<I", version) + string(meta) + struct.pack("<I", 1) + string(b"w")
-            + struct.pack(f"<I{len(dims)}Q", len(dims), *dims) + bytes(8))
+
+def _edited(p, tmp, edit):
+    """The pipeline's checkpoint after edit(arrays, meta) changed its contents."""
+    arrays, meta = read_checkpoint(p / "checkpoint.bin")
+    edit(arrays, meta)
+    path = tmp / "edited.bin"
+    network.save_arrays(path, list(arrays.values()), meta)
+    return str(path)
 
 
 def _short_degrees(p, tmp):
     """The pipeline's checkpoint with one training degree dropped."""
-    arrays, meta = network.load_arrays(p / "checkpoint.bin")
-    arrays["degrees"] = arrays["degrees"][:-1]
-    path = tmp / "short.bin"
-    network.save_arrays(path, arrays, meta)
-    return str(path)
+    return _edited(p, tmp, lambda arrays, meta: arrays.update(degrees=arrays["degrees"][:-1]))
+
+
+_HUGE_DIMS = json.dumps({"use_attention": True, "graph": {"mu": 1.0, "bandwidth": None, "variant": "augmented"},
+                         "dims": {"c": 2, "d": 8, "d'": 2**31, "h": 2**31, "n": 3, "r": 8}}).encode()
 
 
 def _train(p, tmp, *extra, split=None):
@@ -334,17 +340,25 @@ _SPLIT = '{"train": %s, "query": %s, "retrieval": []}'
 # case -> (argv built from the pipeline directory and a scratch directory, message fragment)
 MALFORMED = {
     "meta-not-json": (lambda p, t: _encode(p, t, checkpoint=_file(t, "c", _checkpoint(meta=b"{oops"))),
-                      "meta is not JSON"),
+                      "meta is not utf-8 JSON"),
     "meta-not-utf8": (lambda p, t: _encode(p, t, checkpoint=_file(t, "c", _checkpoint(meta=b"\xff\xfe"))),
                       "not utf-8"),
-    "dims-beyond-file": (lambda p, t: _encode(p, t, checkpoint=_file(t, "c", _checkpoint(dims=(2**31, 3)))),
-                         "truncated"),
+    "dims-beyond-file": (lambda p, t: _encode(p, t, checkpoint=_file(t, "c", _checkpoint(meta=_HUGE_DIMS))),
+                         "checkpoint payload has 8 bytes, its shapes need "),
     "checkpoint-version-2": (lambda p, t: _encode(p, t, checkpoint=_file(t, "c", _checkpoint(version=2))),
                              "unsupported checkpoint version 2"),
     "checkpoint-array-shapes": (lambda p, t: _encode(p, t, checkpoint=_short_degrees(p, t)),
-                                "array 'degrees' has shape (39,), expected (40,)"),
+                                "checkpoint payload has 15544 bytes, its shapes need 15552"),
     "checkpoint-version-3": (lambda p, t: _encode(p, t, checkpoint=_file(t, "c", _checkpoint(version=3))),
                              "unsupported checkpoint version 3"),
+    "checkpoint-version-4": (lambda p, t: _encode(p, t, checkpoint=_file(t, "c", _checkpoint(version=4))),
+                             "c: unsupported checkpoint version 4"),
+    "checkpoint-not-finite": (lambda p, t: _encode(p, t, checkpoint=_edited(
+        p, t, lambda arrays, meta: arrays["W1"].__setitem__((0, 0), np.nan))),
+                              "edited.bin: checkpoint array 'W1' is not finite"),
+    "checkpoint-mu-string": (lambda p, t: _encode(p, t, checkpoint=_edited(
+        p, t, lambda arrays, meta: meta["graph"].update(mu="x"))),
+                             "edited.bin: mu must be a real number, got 'x'"),
     "split-not-object": (lambda p, t: _train(p, t, split=_file(t, "s.json", "[1, 2]")),
                          "must be a JSON object"),
     "split-not-integers": (lambda p, t: _train(p, t, split=_file(t, "s.json", _SPLIT % ('["a"]', "[]"))),

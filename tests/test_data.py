@@ -122,6 +122,13 @@ class TestAux:
         with pytest.warns(UserWarning, match="no auxiliary semantics"):
             load_aux(p)
 
+    def test_zero_column_warning_names_the_file(self, tmp_path):
+        p = write(tmp_path / "a.txt", "2 3\n1,0,1\n1,0,0\n")
+        message = f"{p}: 1 item(s) have no auxiliary semantics (first: column 1)"
+        with pytest.warns(UserWarning, match=re.escape(message)) as record:
+            load_aux(p)
+        assert len(record) == 1 and record[0].filename == __file__
+
     def test_zero_column_warning_points_at_the_caller(self):
         with pytest.warns(UserWarning, match="no auxiliary semantics") as record:
             AuxSemantics(np.array([[1.0, 0.0], [1.0, 0.0]]))

@@ -1,3 +1,4 @@
+import json
 import re
 import struct
 import tracemalloc
@@ -16,8 +17,9 @@ from aghash import objective as obj
 from aghash import retrieval
 from aghash import trainer
 from aghash.data import make_split, synth_dataset
-from aghash.errors import DataError, FormatError, ParameterError, ShapeError
+from aghash.errors import AghashError, DataError, FormatError, ParameterError, ShapeError
 from aghash.trainer import AdamState, TrainConfig, adam_step, sign_pm
+from conftest import read_checkpoint
 
 
 def tiny_fit(seed=0, **overrides):
@@ -27,6 +29,10 @@ def tiny_fit(seed=0, **overrides):
     kwargs.update(overrides)
     model, history = trainer.fit(fm, aux, split.train, **kwargs)
     return fm, aux, split, model, history
+
+
+# the sizes of a tiny_fit model at its default settings
+TINY_DIMS = {"c": 2, "d": 6, "d'": 8, "h": 8, "n": 16, "r": 4}
 
 
 def flags_fit(seed, *flags):
@@ -324,7 +330,7 @@ def variant_models():
 
 @pytest.fixture(scope="module")
 def saved_checkpoint(tmp_path_factory):
-    """The bytes of a saved model, and a path for truncated copies."""
+    """The bytes of a saved model, and a path for damaged copies."""
     _, _, _, model, _ = tiny_fit(seed=18, hyper=obj.Hyperparams(recon_target="feature"))
     path = tmp_path_factory.mktemp("checkpoint") / "model.bin"
     trainer.save_model(path, model)
@@ -358,39 +364,43 @@ class TestPersistence:
             trainer.encode_queries(model, Xq, Yq), trainer.encode_queries(back, Xq, Yq)
         )
 
-    def test_missing_array_or_unknown_meta_key(self, tmp_path):
-        _, _, _, model, _ = tiny_fit(seed=18)
-        p = tmp_path / "model.bin"
-        trainer.save_model(p, model)
-        arrays, meta = net.load_arrays(p)
-        del arrays["W1"]
-        net.save_arrays(p, arrays, meta)
-        with pytest.raises(FormatError, match="no array 'W1'"):
-            trainer.load_model(p)
-        arrays["W1"] = model.gcn.W1
-        meta["graph"]["batch"] = None
-        net.save_arrays(p, arrays, meta)
-        with pytest.raises(FormatError, match="unknown checkpoint graph setting 'batch'"):
-            trainer.load_model(p)
-
-    def test_saved_state_is_what_encoding_reads(self, tmp_path):
-        _, _, _, model, _ = tiny_fit(seed=18)
-        p = tmp_path / "model.bin"
-        trainer.save_model(p, model)
-        arrays, meta = net.load_arrays(p)
-        assert sorted(arrays) == sorted(["P_x", "P_y", "W1", "W2", "xatt_train", "w2z1_train",
-                                         "z_train", "degrees", "y_train"])
-        assert sorted(meta) == ["graph", "use_attention"]
-
     def edited(self, tmp_path, edit):
         """The checkpoint of a tiny model after edit(arrays, meta) changed its contents."""
         _, _, _, model, _ = tiny_fit(seed=18)
         p = tmp_path / "model.bin"
         trainer.save_model(p, model)
-        arrays, meta = net.load_arrays(p)
+        arrays, meta = read_checkpoint(p)
         edit(arrays, meta)
-        net.save_arrays(p, arrays, meta)
+        net.save_arrays(p, list(arrays.values()), meta)
         return p
+
+    def test_missing_array_or_unknown_meta_key(self, tmp_path):
+        # the tiny model's nine arrays hold 464 floats, W1 64 of them
+        p = self.edited(tmp_path, lambda arrays, meta: arrays.pop("W1"))
+        with pytest.raises(FormatError, match="payload has 3200 bytes, its shapes need 3712"):
+            trainer.load_model(p)
+        p = self.edited(tmp_path, lambda arrays, meta: meta["graph"].update(batch=None))
+        with pytest.raises(FormatError, match="unknown checkpoint graph setting 'batch'"):
+            trainer.load_model(p)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda meta: meta.pop("dims"), "checkpoint has no meta key 'dims'"),
+        (lambda meta: meta.update(r=4), "unknown checkpoint meta key 'r'"),
+        (lambda meta: meta["dims"].pop("h"), "checkpoint has no dimension 'h'"),
+        (lambda meta: meta["dims"].update(k=3), "unknown checkpoint dimension 'k'"),
+        (lambda meta: meta.update(dims=[2, 6, 8, 8, 16, 4]), "malformed checkpoint meta"),
+    ], ids=["no-dims", "unknown-key", "no-dimension", "unknown-dimension", "dims-not-object"])
+    def test_missing_or_unknown_dimension_or_meta_key(self, tmp_path, edit, message):
+        p = self.edited(tmp_path, lambda arrays, meta: edit(meta))
+        with pytest.raises(FormatError, match=re.escape(f"{p}: {message}")):
+            trainer.load_model(p)
+
+    @pytest.mark.parametrize("size", [4.0, "4", True, False, None, 0, -4, [4]], ids=repr)
+    def test_dims_must_be_integers_of_at_least_1(self, tmp_path, size):
+        p = self.edited(tmp_path, lambda arrays, meta: meta["dims"].update(r=size))
+        message = f"{p}: checkpoint dimension 'r' must be an integer >= 1, got {size!r}"
+        with pytest.raises(FormatError, match=re.escape(message)):
+            trainer.load_model(p)
 
     @pytest.mark.parametrize("name, shape, expected", [
         ("P_x", (8,), ("d'", "d")), ("P_y", (7, 2), (8, 2)), ("W1", (8, 7), (8, 8)),
@@ -399,10 +409,51 @@ class TestPersistence:
         ("y_train", (2, 17), (2, 16)), ("y_train", (3, 16), (2, 16)),
     ], ids=str)
     def test_array_shapes_must_agree(self, tmp_path, name, shape, expected):
-        p = self.edited(tmp_path, lambda arrays, meta: arrays.update({name: np.zeros(shape)}))
-        message = f"array {name!r} has shape {shape}, expected {expected}"
-        with pytest.raises(FormatError, match=re.escape(message)):
+        # the file stores sizes, not shapes: an array written at `shape` is refused when it holds
+        # another number of values than the dims give it, and otherwise read at the dims' shape
+        values = np.arange(np.prod(shape), dtype=np.float64).reshape(shape)
+        p = self.edited(tmp_path, lambda arrays, meta: arrays.update({name: values}))
+        if values.size != np.prod([TINY_DIMS[symbol] for symbol in trainer._SHAPES[name]]):
+            with pytest.raises(FormatError, match=re.escape(f"{p}: checkpoint payload has ")):
+                trainer.load_model(p)
+        else:
+            loaded = getattr(trainer.load_model(p), name)
+            assert loaded.shape == expected and np.array_equal(loaded, values.ravel())
+
+    @pytest.mark.parametrize("edit", [
+        lambda arrays, meta: arrays.update(y_train=np.ones(arrays["y_train"].size + 1)),
+        lambda arrays, meta: meta["dims"].update(n=17),
+        lambda arrays, meta: meta["dims"].update(h=2**40, r=2**40),
+    ], ids=["one-float-long", "dims-beyond-payload", "dims-beyond-memory"])
+    def test_payload_length_must_match_dims(self, tmp_path, edit):
+        p = self.edited(tmp_path, edit)
+        with pytest.raises(FormatError, match=re.escape(f"{p}: checkpoint payload has ")):
             trainer.load_model(p)
+
+    @pytest.mark.parametrize("name, value", [
+        ("P_x", np.nan), ("P_y", np.inf), ("W1", np.nan), ("W2", -np.inf), ("xatt_train", np.nan),
+        ("w2z1_train", np.inf), ("z_train", np.nan), ("degrees", np.nan), ("y_train", -np.inf),
+    ], ids=str)
+    def test_non_finite_array_is_format_error(self, tmp_path, name, value):
+        p = self.edited(tmp_path, lambda arrays, meta: arrays[name].flat.__setitem__(-1, value))
+        with pytest.raises(FormatError, match=re.escape(f"{p}: checkpoint array {name!r} is not finite")):
+            trainer.load_model(p)
+
+    def test_saved_state_is_what_encoding_reads(self, tmp_path):
+        # header, the meta, then the nine arrays in table order as float64 and nothing after them
+        _, _, _, model, _ = tiny_fit(seed=18)
+        p = tmp_path / "model.bin"
+        trainer.save_model(p, model)
+        meta = read_checkpoint(p)[1]
+        assert sorted(meta) == ["dims", "graph", "use_attention"]
+        assert meta["dims"] == TINY_DIMS
+        raw = json.dumps(meta, sort_keys=True).encode()
+        arrays = [model.attention.P_x, model.attention.P_y, model.gcn.W1, model.gcn.W2, model.xatt_train,
+                  model.w2z1_train, model.z_train, model.degrees, model.y_train]
+        assert list(trainer._SHAPES) == ["P_x", "P_y", "W1", "W2", "xatt_train", "w2z1_train",
+                                         "z_train", "degrees", "y_train"]
+        assert p.read_bytes() == (b"AGCK" + struct.pack("<II", 5, len(raw)) + raw
+                                  + b"".join(a.astype("<f8").tobytes() for a in arrays))
 
     @pytest.mark.parametrize("edit, error, message", [
         (lambda meta: meta.update(use_attention="no"), FormatError,
@@ -410,10 +461,14 @@ class TestPersistence:
         (lambda meta: meta.update(use_attention=1), FormatError,
          "use_attention must be true or false, got 1"),
         (lambda meta: meta["graph"].update(mu="x"), ParameterError, "mu must be a real number, got 'x'"),
-    ], ids=["use-attention-string", "use-attention-integer", "mu-string"])
+        (lambda meta: meta["graph"].update(variant="bogus"), ParameterError,
+         "unknown graph variant 'bogus'"),
+        (lambda meta: meta["graph"].update(bandwidth=-1), ParameterError,
+         "fixed bandwidth must be > 0, got -1"),
+    ], ids=["use-attention-string", "use-attention-integer", "mu-string", "variant-bogus", "bandwidth-negative"])
     def test_meta_of_the_wrong_type(self, tmp_path, edit, error, message):
         p = self.edited(tmp_path, lambda arrays, meta: edit(meta))
-        with pytest.raises(error, match=re.escape(message)):
+        with pytest.raises(error, match=re.escape(f"{p}: ") + ".*" + re.escape(message)):
             trainer.load_model(p)
 
     @given(data=st.data())
@@ -424,7 +479,20 @@ class TestPersistence:
         with pytest.raises(FormatError):
             trainer.load_model(cut)
 
-    @pytest.mark.parametrize("version", [1, 3])
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_flipped_bit_loads_or_is_one_error(self, saved_checkpoint, data):
+        saved, flipped = saved_checkpoint
+        bit = data.draw(st.integers(0, 8 * len(saved) - 1), label="bit")
+        raw = bytearray(saved)
+        raw[bit // 8] ^= 1 << (bit % 8)
+        flipped.write_bytes(bytes(raw))
+        try:
+            trainer.load_model(flipped)
+        except AghashError:
+            pass
+
+    @pytest.mark.parametrize("version", [1, 3, 4])
     def test_version_1_checkpoint_rejected(self, tmp_path, version):
         _, _, _, model, _ = tiny_fit(seed=18)
         p = tmp_path / "model.bin"
