@@ -28,10 +28,6 @@ class AttentionParams:
         if not (np.all(np.isfinite(P_x)) and np.all(np.isfinite(P_y))):
             raise ShapeError("projection matrices must be finite")
 
-    @property
-    def d_prime(self):
-        return self.P_x.shape[0]
-
 
 def init_attention(d, c, d_prime, seed):
     """Seeded Gaussian projections scaled by 1/sqrt(fan-in)."""

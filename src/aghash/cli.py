@@ -9,6 +9,9 @@ import os
 import sys
 import time
 
+from . import __version__, manifest
+from .errors import AghashError, ConfigError, ParameterError, ShapeError
+
 _THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                 "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
 
@@ -20,7 +23,6 @@ _VARIANTS = {
     "no-att": ("augmented", False, "aux", True),
     "only-sv": ("visual-only", True, "aux", True),
     "only-sa": ("aux-only", True, "aux", True),
-    "recons-sa": ("augmented", True, "aux", True),
     "recons-sv": ("augmented", True, "visual", True),
     "recons-s": ("augmented", True, "augmented", True),
     "recons-ztz": ("augmented", True, "inner-product", True),
@@ -30,7 +32,6 @@ _VARIANTS = {
 
 def _common_parser():
     p = argparse.ArgumentParser(add_help=False)
-    p.add_argument("--seed", type=int, default=0, help="master random seed")
     p.add_argument("--threads", type=int, default=None,
                    help="BLAS thread cap (1 gives bit-reproducible runs)")
     p.add_argument("--config", default=None,
@@ -39,6 +40,7 @@ def _common_parser():
 
 
 def _add_train_flags(p):
+    p.add_argument("--seed", type=int, default=0, help="master random seed")
     p.add_argument("--r", type=int, default=32, help="hash code length")
     p.add_argument("--d-prime", type=int, default=512, help="shared attention dimension")
     p.add_argument("--hidden", type=int, default=1024, help="GCN hidden width")
@@ -58,8 +60,6 @@ def _add_train_flags(p):
                    help="train the attention projections jointly")
     p.add_argument("--variant", choices=_VARIANTS, default="full",
                    help="ablation variant expressed as a configuration transform")
-    p.add_argument("--format", choices=("text", "binary"), default="text",
-                   help="feature file format")
 
 
 def build_parser():
@@ -77,6 +77,7 @@ def build_parser():
     p.add_argument("--train-size", type=int, default=1000)
     p.add_argument("--query-size", type=int, default=500)
     p.add_argument("--format", choices=("text", "binary"), default="text")
+    p.add_argument("--seed", type=int, default=0, help="master random seed")
 
     p = sub.add_parser("train", parents=[common], help="train a hashing model")
     p.add_argument("--features", required=True)
@@ -92,7 +93,6 @@ def build_parser():
     p.add_argument("--split", required=True)
     p.add_argument("--subset", choices=("train", "query", "retrieval"), required=True)
     p.add_argument("--out", required=True, help="codes file to write")
-    p.add_argument("--format", choices=("text", "binary"), default="text")
     p.add_argument("--r", type=int, default=None, help="expected code length (checked)")
     p.add_argument("--labels", default=None, help="full ground-truth label file to slice")
     p.add_argument("--labels-out", default=None, help="where to write the sliced labels")
@@ -132,8 +132,6 @@ def _actions(command):
 
 def _convert(action, key, value, where):
     """`value` converted as the flag of `key` converts it; `where` names the value's source."""
-    from .errors import ConfigError
-
     try:
         converted = (action.type or str)(value)
     except ValueError:
@@ -145,8 +143,6 @@ def _convert(action, key, value, where):
 
 def _apply_config(args):
     """Override args from the --config file, converting each value as its flag would."""
-    from .errors import ConfigError
-
     actions = _actions(args.command)
     try:
         with open(args.config, "r", encoding="ascii") as fh:
@@ -181,9 +177,8 @@ def _config(args):
 
 def _recorded(args, path, inputs):
     """manifest.recorded for this run of `args.command`, written to `path`."""
-    from . import __version__, manifest
-
-    return manifest.recorded(path, args.command, _config(args), inputs, args.seed, __version__)
+    return manifest.recorded(path, args.command, _config(args), inputs,
+                             getattr(args, "seed", None), __version__)
 
 
 def _load_inputs(args):
@@ -192,9 +187,8 @@ def _load_inputs(args):
     Aux and labels must describe as many items as the features.
     """
     from .data import load_aux, load_features, load_split
-    from .errors import ShapeError
 
-    features = load_features(args.features, format=args.format)
+    features = load_features(args.features)
     semantics = []
     for path in (args.aux, getattr(args, "labels", None)):
         sem = load_aux(path) if path else None
@@ -233,20 +227,22 @@ def cmd_synth(args):
     return 0
 
 
-def _train_setup(args):
-    """Resolve the ablation variant into (graph_cfg, hyper, train_cfg, use_attention)."""
+def _fit_kwargs(args):
+    """The keyword arguments of `trainer.fit` that the flags and the ablation variant resolve to."""
     from .graph import GraphConfig
     from .objective import Hyperparams
     from .trainer import TrainConfig
 
     graph_variant, use_attention, recon, keep_head = _VARIANTS[args.variant]
-    graph_cfg = GraphConfig(mu=args.mu, bandwidth=args.bandwidth, variant=graph_variant)
-    hyper = Hyperparams(lambda1=args.lambda1, lambda2=args.lambda2,
-                        lambda3=args.lambda3 if keep_head else 0.0, k=args.k, recon_target=recon)
-    train_cfg = TrainConfig(lr=args.lr, epochs=args.epochs, seed=args.seed,
-                            disc_steps=args.disc_steps, saturating=args.saturating,
-                            train_attention=args.train_attention)
-    return graph_cfg, hyper, train_cfg, use_attention
+    return dict(
+        r=args.r, d_prime=args.d_prime, hidden=args.hidden, use_attention=use_attention,
+        graph_cfg=GraphConfig(mu=args.mu, bandwidth=args.bandwidth, variant=graph_variant),
+        hyper=Hyperparams(lambda1=args.lambda1, lambda2=args.lambda2,
+                          lambda3=args.lambda3 if keep_head else 0.0, k=args.k, recon_target=recon),
+        cfg=TrainConfig(lr=args.lr, epochs=args.epochs, seed=args.seed,
+                        disc_steps=args.disc_steps, saturating=args.saturating,
+                        train_attention=args.train_attention),
+    )
 
 
 def cmd_train(args):
@@ -254,14 +250,12 @@ def cmd_train(args):
 
     features, aux, _, split = _load_inputs(args)
     train_idx = split.subset("train", features.n)
-    graph_cfg, hyper, train_cfg, use_attention = _train_setup(args)
+    kwargs = _fit_kwargs(args)
 
     with _recorded(args, os.path.join(args.out, "manifest.json"),
                    [args.features, args.aux, args.split]) as man:
         start = time.perf_counter()
-        model, history = fit(features, aux, train_idx, r=args.r, d_prime=args.d_prime,
-                             hidden=args.hidden, graph_cfg=graph_cfg, hyper=hyper,
-                             cfg=train_cfg, use_attention=use_attention)
+        model, history = fit(features, aux, train_idx, **kwargs)
         train_time = time.perf_counter() - start
         ckpt = os.path.join(args.out, "checkpoint.bin")
         log = os.path.join(args.out, "trainlog.csv")
@@ -279,7 +273,6 @@ def cmd_train(args):
 
 def cmd_encode(args):
     from .data import save_aux, AuxSemantics
-    from .errors import ConfigError
     from .retrieval import pack, save_codes
     from .trainer import encode_queries, encode_train, load_model
 
@@ -316,7 +309,6 @@ def cmd_encode(args):
 
 def cmd_evaluate(args):
     from .data import load_aux
-    from .errors import ConfigError
     from .retrieval import evaluate, load_codes, save_report
 
     try:
@@ -348,10 +340,7 @@ def _sweep_point(args, inputs):
     from .trainer import encode_queries, fit
 
     features, aux, truth, split = inputs
-    graph_cfg, hyper, train_cfg, use_attention = _train_setup(args)
-    model, _ = fit(features, aux, split.subset("train", features.n), r=args.r,
-                   d_prime=args.d_prime, hidden=args.hidden, graph_cfg=graph_cfg, hyper=hyper,
-                   cfg=train_cfg, use_attention=use_attention)
+    model, _ = fit(features, aux, split.subset("train", features.n), **_fit_kwargs(args))
     q_idx, db_idx = split.subset("query", features.n), split.subset("retrieval", features.n)
     q_codes = pack(encode_queries(model, features.data[:, q_idx], aux.data[:, q_idx]))
     db_codes = pack(encode_queries(model, features.data[:, db_idx], aux.data[:, db_idx]))
@@ -361,8 +350,6 @@ def _sweep_point(args, inputs):
 
 
 def cmd_sweep(args):
-    from .errors import ParameterError
-
     values = [tok.strip() for tok in args.values.split(",") if tok.strip()]
     if not values:
         raise ParameterError("sweep needs at least one value")
@@ -405,8 +392,6 @@ _COMMANDS = {
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    from .errors import AghashError, ConfigError
-
     try:
         if args.config:
             _apply_config(args)

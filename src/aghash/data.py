@@ -108,7 +108,8 @@ class DatasetSplit:
 #
 # Text features: first line "d n", then d comma-separated rows of n values.
 # Binary features: 16-byte header (magic, version, d, n), then d*n
-# little-endian float32 values in row-major order.
+# little-endian float32 values in row-major order. A reader tells the two
+# apart by the magic, which no valid text file starts with (a header line is digits).
 # Aux / label files use the text feature layout with 0/1 entries.
 # Every file identifies an item by its column position: no format stores
 # item ids or category names.
@@ -175,18 +176,18 @@ def _from_file(path, kind, data):
     return value
 
 
-def load_features(path, format="text"):
-    """Load a FeatureMatrix from a text-csv or raw-binary file."""
-    if format == "text":
+def load_features(path):
+    """Load a FeatureMatrix: binary if the file starts with the binary magic, else text-csv."""
+    with open(path, "rb") as fh:
+        binary = fh.read(len(BINARY_MAGIC)) == BINARY_MAGIC
+        fh.seek(0)
+        raw = fh.read() if binary else None
+    if not binary:
         data = _load_text_matrix(path)
-    elif format == "binary":
-        with open(path, "rb") as fh:
-            raw = fh.read()
+    else:
         if len(raw) < _HEADER.size:
             raise FormatError(f"{path}: file too short for binary header")
-        magic, version, d, n = _HEADER.unpack_from(raw)
-        if magic != BINARY_MAGIC:
-            raise FormatError(f"{path}: bad magic {magic!r}")
+        _, version, d, n = _HEADER.unpack_from(raw)
         if version != BINARY_VERSION:
             raise FormatError(f"{path}: unsupported version {version}")
         if d < 1 or n < 1:
@@ -195,8 +196,6 @@ def load_features(path, format="text"):
         if len(payload) != d * n * 4:
             raise ShapeError(f"{path}: payload is {len(payload)} bytes, expected {d * n * 4}")
         data = np.frombuffer(payload, dtype="<f4").astype(np.float64).reshape(d, n)
-    else:
-        raise ParameterError(f"unknown feature format {format!r}")
     return _from_file(path, FeatureMatrix, data)
 
 

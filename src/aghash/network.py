@@ -23,10 +23,6 @@ class GcnParams:
     W2: np.ndarray  # r x h
 
     @property
-    def h(self):
-        return self.W1.shape[0]
-
-    @property
     def r(self):
         return self.W2.shape[0]
 

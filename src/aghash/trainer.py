@@ -283,6 +283,11 @@ def load_model(path):
     for name, arr in arrays.items():
         if not np.all(np.isfinite(arr)):
             raise FormatError(f"{path}: checkpoint array {name!r} is not finite")
+    # what fit guarantees and encoding relies on: a negative degree would read as an isolated item
+    if np.any(arrays["degrees"] < 0):
+        raise FormatError(f"{path}: checkpoint array 'degrees' has a negative entry")
+    if np.any((arrays["y_train"] != 0) & (arrays["y_train"] != 1)):
+        raise FormatError(f"{path}: checkpoint array 'y_train' has an entry that is not 0 or 1")
     if not isinstance(meta["use_attention"], bool):
         raise FormatError(f"{path}: checkpoint use_attention must be true or false, "
                           f"got {meta['use_attention']!r}")

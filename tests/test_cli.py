@@ -59,11 +59,24 @@ class TestSynth:
         assert "error:" in capsys.readouterr().err
 
     def test_binary_format(self, tmp_path):
-        tmp_path.mkdir(exist_ok=True)
-        assert cli.main(["synth", "--out", str(tmp_path), "--n", "10", "--d", "4",
-                         "--c", "2", "--train-size", "5", "--query-size", "2",
+        # the readers tell a binary features file by its magic: no later step names the format
+        assert cli.main(["synth", "--out", str(tmp_path), "--n", "12", "--d", "4",
+                         "--c", "2", "--train-size", "6", "--query-size", "3",
                          "--format", "binary"]) == 0
-        assert (tmp_path / "features.bin").exists()
+        files = ["--features", str(tmp_path / "features.bin"), "--aux", str(tmp_path / "aux.txt"),
+                 "--split", str(tmp_path / "split.json")]
+        assert cli.main(["train", *files, "--out", str(tmp_path), "--r", "4", "--d-prime", "4",
+                         "--hidden", "4", "--epochs", "1"]) == 0
+        for subset in ("query", "retrieval"):
+            assert cli.main(["encode", "--checkpoint", str(tmp_path / "checkpoint.bin"), *files,
+                             "--subset", subset, "--out", str(tmp_path / f"{subset}.codes"),
+                             "--labels", str(tmp_path / "labels.txt"),
+                             "--labels-out", str(tmp_path / f"{subset}.labels")]) == 0
+        assert cli.main(["evaluate", "--query-codes", str(tmp_path / "query.codes"),
+                         "--db-codes", str(tmp_path / "retrieval.codes"),
+                         "--query-labels", str(tmp_path / "query.labels"),
+                         "--db-labels", str(tmp_path / "retrieval.labels"), "--k", "5",
+                         "--out-prefix", str(tmp_path / "report")]) == 0
 
 
 class TestTrain:
@@ -79,7 +92,7 @@ class TestTrain:
         assert sorted(man["config"]) == sorted([
             "features", "aux", "split", "r", "d-prime", "hidden", "lambda1", "lambda2", "lambda3",
             "k", "mu", "bandwidth", "lr", "epochs", "disc-steps", "saturating", "train-attention",
-            "variant", "format"])
+            "variant"])
         assert man["config"]["d-prime"] == 16 and man["config"]["bandwidth"] is None
 
     def test_variant_flag(self, pipeline, tmp_path):
@@ -91,13 +104,13 @@ class TestTrain:
         ]
         assert cli.main(args) == 0
         assert json.loads((tmp_path / "manifest.json").read_text())["config"]["variant"] == "no-aux"
-        graph_cfg, hyper, _, use_attention = cli._train_setup(cli.build_parser().parse_args(args))
-        assert graph_cfg.variant == "visual-only"
-        assert hyper.lambda3 == 0.0
-        assert hyper.recon_target == "visual"
+        kwargs = cli._fit_kwargs(cli.build_parser().parse_args(args))
+        assert kwargs["graph_cfg"].variant == "visual-only"
+        assert kwargs["hyper"].lambda3 == 0.0
+        assert kwargs["hyper"].recon_target == "visual"
         model = load_model(tmp_path / "checkpoint.bin")
         assert model.graph_cfg.variant == "visual-only"
-        assert not model.use_attention and not use_attention
+        assert not model.use_attention and not kwargs["use_attention"]
 
     def test_config_file_overrides_flags(self, pipeline, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -164,7 +177,8 @@ class TestEncode:
         out = self.encode(pipeline, tmp_path, "train")
         codes = rt.load_codes(out)
         assert codes.n == 40 and codes.r == 8
-        assert (tmp_path / "train.codes.manifest.json").exists()
+        man = json.loads((tmp_path / "train.codes.manifest.json").read_text())
+        assert man["seed"] is None  # encoding draws no random numbers
 
     def test_query_subset_with_labels(self, pipeline, tmp_path):
         out = self.encode(
@@ -233,6 +247,7 @@ class TestEvaluate:
         curve = (tmp_path / "report_curve.csv").read_text().splitlines()
         assert curve[0] == "K,precision"
         assert len(curve) == 4
+        assert json.loads((tmp_path / "report.manifest.json").read_text())["seed"] is None
 
 
 class TestSweep:
@@ -356,6 +371,12 @@ MALFORMED = {
     "checkpoint-not-finite": (lambda p, t: _encode(p, t, checkpoint=_edited(
         p, t, lambda arrays, meta: arrays["W1"].__setitem__((0, 0), np.nan))),
                               "edited.bin: checkpoint array 'W1' is not finite"),
+    "checkpoint-degree-negative": (lambda p, t: _encode(p, t, checkpoint=_edited(
+        p, t, lambda arrays, meta: arrays["degrees"].__imul__(-1))),
+                                   "edited.bin: checkpoint array 'degrees' has a negative entry"),
+    "checkpoint-y-train-halved": (lambda p, t: _encode(p, t, checkpoint=_edited(
+        p, t, lambda arrays, meta: arrays["y_train"].__imul__(0.5))),
+                                  "edited.bin: checkpoint array 'y_train' has an entry that is not 0 or 1"),
     "checkpoint-mu-string": (lambda p, t: _encode(p, t, checkpoint=_edited(
         p, t, lambda arrays, meta: meta["graph"].update(mu="x"))),
                              "edited.bin: mu must be a real number, got 'x'"),
@@ -454,10 +475,61 @@ def test_failed_run_finalizes_its_manifest(pipeline, tmp_path, capsys, build, na
     assert "finished_at" in man and "outputs" not in man
 
 
+# each subcommand with its required flags, given placeholder values
+_REQUIRED = {
+    "synth": ["--out", "o"],
+    "train": ["--features", "f", "--aux", "a", "--split", "s", "--out", "o"],
+    "encode": ["--checkpoint", "c", "--features", "f", "--aux", "a", "--split", "s",
+               "--subset", "query", "--out", "o"],
+    "evaluate": ["--query-codes", "q", "--db-codes", "d", "--query-labels", "ql",
+                 "--db-labels", "dl", "--out-prefix", "o"],
+    "sweep": ["--features", "f", "--aux", "a", "--split", "s", "--labels", "l",
+              "--axis", "r", "--values", "4", "--out", "o"],
+}
+
+
+def _readme_commands():
+    """The `aghash` commands of the README's "Command line" block, continuation lines joined."""
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        section = fh.read().split("## Command line", 1)[1].split("\n## ", 1)[0]
+    block = section.split("```", 2)[1].replace("\\\n", " ")
+    return [line.split()[1:] for line in block.splitlines() if line.startswith("aghash ")]
+
+
 class TestParsing:
     def test_requires_subcommand(self):
         with pytest.raises(SystemExit):
             cli.build_parser().parse_args([])
+
+    @pytest.mark.parametrize("command, extra", [
+        ("train", ["--format", "binary"]), ("encode", ["--format", "binary"]),
+        ("sweep", ["--format", "binary"]), ("encode", ["--seed", "1"]), ("evaluate", ["--seed", "1"]),
+        ("train", ["--variant", "recons-sa"]),
+    ], ids=lambda v: v if isinstance(v, str) else v[0])
+    def test_option_that_changes_no_result_is_rejected(self, capsys, command, extra):
+        cli.build_parser().parse_args([command, *_REQUIRED[command]])
+        with pytest.raises(SystemExit):
+            cli.build_parser().parse_args([command, *_REQUIRED[command], *extra])
+        assert extra[0] in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", _REQUIRED)
+    def test_threads_and_config_on_every_subcommand(self, command):
+        args = cli.build_parser().parse_args([command, *_REQUIRED[command], "--threads", "1",
+                                              "--config", "c.cfg"])
+        assert args.threads == 1 and args.config == "c.cfg"
+
+    def test_seed_and_format_where_they_change_a_result(self):
+        parse = cli.build_parser().parse_args
+        assert parse(["synth", *_REQUIRED["synth"], "--format", "binary", "--seed", "4"]).seed == 4
+        assert parse(["train", *_REQUIRED["train"], "--seed", "5"]).seed == 5
+        assert parse(["sweep", *_REQUIRED["sweep"], "--seed", "6"]).seed == 6
+
+    def test_readme_commands_parse(self):
+        commands = _readme_commands()
+        assert {argv[0] for argv in commands} == set(_REQUIRED)
+        for argv in commands:
+            cli.build_parser().parse_args(argv)
 
     def pinned(self, monkeypatch, tmp_path, *argv):
         """(exit code, BLAS thread variables a stub synth command sees) for one run of main."""

@@ -47,7 +47,7 @@ class TestLoadFeatures:
         raw[-8:-4] = np.float32(np.nan).tobytes()  # row 1, column 1 of the float32 payload
         p.write_bytes(bytes(raw))
         with pytest.raises(DataError, match=re.escape(f"{p}: non-finite feature value at row 1, column 1")):
-            load_features(p, format="binary")
+            load_features(p)
 
     def test_bad_header(self, tmp_path):
         p = write(tmp_path / "f.txt", "two three\n1,2,3\n")
@@ -82,7 +82,22 @@ class TestLoadFeatures:
         save_features(p, fm, format="binary")
         p.write_bytes(p.read_bytes()[:-4])
         with pytest.raises(ShapeError):
-            load_features(p, format="binary")
+            load_features(p)
+
+    @pytest.mark.parametrize("keep", [4, 15], ids=["magic-only", "header-cut"])
+    def test_binary_cut_inside_header(self, tmp_path, keep):
+        p = tmp_path / "f.bin"
+        save_features(p, FeatureMatrix(np.ones((2, 2))), format="binary")
+        p.write_bytes(p.read_bytes()[:keep])
+        with pytest.raises(FormatError, match=re.escape(f"{p}: file too short for binary header")):
+            load_features(p)
+
+    @pytest.mark.parametrize("content", [b"", b"AGF", b"agfm"], ids=repr)
+    def test_no_magic_reads_as_text(self, tmp_path, content):
+        p = tmp_path / "f.bin"
+        p.write_bytes(content)
+        with pytest.raises(FormatError, match=re.escape(f"{p}: ")):
+            load_features(p)
 
 
 class TestRoundTrip:
@@ -92,7 +107,7 @@ class TestRoundTrip:
         fm = FeatureMatrix(data)
         p = tmp_path / "f.bin"
         save_features(p, fm, format="binary")
-        back = load_features(p, format="binary")
+        back = load_features(p)
         assert np.array_equal(back.data, fm.data)
         save_features(tmp_path / "g.bin", back, format="binary")
         assert (tmp_path / "g.bin").read_bytes() == p.read_bytes()

@@ -39,10 +39,9 @@ def flags_fit(seed, *flags):
     """tiny_fit under the configuration that `aghash train` resolves from `flags`."""
     args = cli.build_parser().parse_args(
         ["train", "--features", "-", "--aux", "-", "--split", "-", "--out", "-",
-         "--epochs", "3", "--lr", "1e-3", "--seed", str(seed), *flags])
-    graph_cfg, hyper, cfg, use_attention = cli._train_setup(args)
-    return tiny_fit(seed=seed, graph_cfg=graph_cfg, hyper=hyper, cfg=cfg,
-                    use_attention=use_attention)
+         "--epochs", "3", "--lr", "1e-3", "--seed", str(seed), "--r", "4", "--d-prime", "8",
+         "--hidden", "8", *flags])
+    return tiny_fit(seed=seed, **cli._fit_kwargs(args))
 
 
 def encode_pre_sign(model, Xq, Yq):
@@ -438,6 +437,21 @@ class TestPersistence:
         p = self.edited(tmp_path, lambda arrays, meta: arrays[name].flat.__setitem__(-1, value))
         with pytest.raises(FormatError, match=re.escape(f"{p}: checkpoint array {name!r} is not finite")):
             trainer.load_model(p)
+
+    @pytest.mark.parametrize("name, value, message", [
+        ("degrees", -1e-12, "'degrees' has a negative entry"),
+        ("y_train", 0.5, "'y_train' has an entry that is not 0 or 1"),
+        ("y_train", -1.0, "'y_train' has an entry that is not 0 or 1"),
+    ], ids=str)
+    def test_entry_fit_cannot_produce_is_format_error(self, tmp_path, name, value, message):
+        p = self.edited(tmp_path, lambda arrays, meta: arrays[name].flat.__setitem__(-1, value))
+        with pytest.raises(FormatError, match=re.escape(f"{p}: checkpoint array {message}")):
+            trainer.load_model(p)
+
+    def test_zero_degree_loads(self, tmp_path):
+        # an item with no edges has degree 0; the graph normalization maps it to 0, not inf
+        p = self.edited(tmp_path, lambda arrays, meta: arrays["degrees"].__setitem__(0, 0.0))
+        assert trainer.load_model(p).degrees[0] == 0.0
 
     def test_saved_state_is_what_encoding_reads(self, tmp_path):
         # header, the meta, then the nine arrays in table order as float64 and nothing after them
