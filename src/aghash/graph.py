@@ -11,6 +11,9 @@ import numpy as np
 from .errors import ParameterError, ShapeError, require_finite
 
 VARIANTS = ("augmented", "visual-only", "aux-only")
+# rows per pass over an n x n buffer, so a pass's temporaries are PANEL x n;
+# also the side of the squares the symmetry check compares
+PANEL = 128
 
 
 @dataclass(frozen=True)
@@ -33,15 +36,23 @@ def sqdist(A, B):
     """Squared Euclidean distances between the columns of A and of B, clipped at 0.
 
     Passing the same object as A and B lets numpy compute A^T A as a
-    symmetric product.
+    symmetric product. The distances (a + b) - 2 A^T B are formed in the
+    product's buffer PANEL rows at a time.
     """
-    d2 = (A**2).sum(axis=0)[:, None] + (B**2).sum(axis=0)[None, :] - 2.0 * (A.T @ B)
-    return np.maximum(d2, 0.0)
+    a, b = (A**2).sum(axis=0), (B**2).sum(axis=0)
+    d2 = A.T @ B
+    d2 *= 2.0
+    for lo in range(0, d2.shape[0], PANEL):
+        rows = d2[lo:lo + PANEL]
+        np.subtract(a[lo:lo + PANEL, None] + b[None, :], rows, out=rows)
+    return np.maximum(d2, 0.0, out=d2)
 
 
 def gaussian_kernel(d2, sigma):
-    """exp(-d2 / (2 sigma^2)) of the squared distances d2."""
-    return np.exp(-d2 / (2.0 * sigma**2))
+    """exp(-d2 / (2 sigma^2)) of the squared distances d2, computed in d2's buffer and returned."""
+    np.negative(d2, out=d2)
+    d2 /= 2.0 * sigma**2
+    return np.exp(d2, out=d2)
 
 
 def median_bandwidth(d2):
@@ -80,10 +91,13 @@ def aux_similarity(Y):
 def combine(variant, mu, visual, aux):
     """The variant's similarity from its visual and auxiliary parts: mu*v + a, v or a.
 
-    Applies alike to full matrices, to query columns and to scalar self terms.
+    Applies alike to matrix panels, to query columns and to scalar self terms.
+    An array `visual` is overwritten with the augmented sum.
     """
     if variant == "augmented":
-        return mu * visual + aux
+        visual *= mu
+        visual += aux
+        return visual
     if variant == "visual-only":
         return visual  # scale cancels under normalization, so mu is irrelevant here
     return aux
@@ -95,38 +109,55 @@ def inv_sqrt_degree(degrees):
 
 
 def normalize(S):
-    """(D^{-1/2} S D^{-1/2}, degrees): symmetric normalization; zero-degree rows stay zero."""
+    """(D^{-1/2} S D^{-1/2}, degrees): symmetric normalization; zero-degree rows stay zero.
+
+    Scales a float64 array S in place and returns it; other input is
+    converted first. Both checks run before the first write, so a rejected S
+    is left unchanged.
+    """
     S = np.asarray(S, dtype=np.float64)
     if S.ndim != 2 or S.shape[0] != S.shape[1]:
         raise ShapeError(f"graph must be square, got {S.shape}")
-    rows = S.shape[0] // 16 + 1  # row panels keep the check's temporaries a fraction of S
-    for lo in range(0, S.shape[0], rows):
-        if not np.allclose(S[lo:lo + rows], S[:, lo:lo + rows].T, rtol=1e-10, atol=1e-12):
-            raise ParameterError("graph must be symmetric")
+    # each block above the diagonal against its mirror, in both orientations:
+    # the pairs and tolerances of allclose(S, S.T), read in cache-sized squares
+    n = S.shape[0]
+    for lo in range(0, n, PANEL):
+        for hi in range(lo, n, PANEL):
+            block = S[lo:lo + PANEL, hi:hi + PANEL]
+            mirror = S[hi:hi + PANEL, lo:lo + PANEL].T
+            if not (np.allclose(block, mirror, rtol=1e-10, atol=1e-12)
+                    and np.allclose(mirror, block, rtol=1e-10, atol=1e-12)):
+                raise ParameterError("graph must be symmetric")
     if S.min() < 0:
         raise ParameterError("graph must be nonnegative")
     degrees = S.sum(axis=1)
     inv_sqrt = inv_sqrt_degree(degrees)
-    out = S * inv_sqrt[:, None]
-    out *= inv_sqrt[None, :]
-    return out, degrees
+    S *= inv_sqrt[:, None]
+    S *= inv_sqrt[None, :]
+    return S, degrees
 
 
 def build_graph(Xatt, Y, config, part=None):
     """(S_tilde, degrees, sigma, kept): the variant's normalized graph and one unnormalized part.
 
     kept is the `part` a loss reconstructs: 'visual' (the kernel), 'augmented'
-    (the fused S) or None. The kernel is built when the variant uses it or
-    `part` is 'visual'; sigma is its bandwidth, else None.
+    (the fused S) or None; it never shares memory with S_tilde. The kernel is
+    built when the variant uses it or `part` is 'visual'; sigma is its
+    bandwidth, else None. S is fused and normalized in the kernel's buffer.
     """
-    Sv = Sa = sigma = None
+    Sv = sigma = None
     if config.variant != "aux-only" or part == "visual":
         Sv, sigma = visual_similarity(Xatt, config.bandwidth)
-    if config.variant != "visual-only":
-        Sa = aux_similarity(Y)
-    S = combine(config.variant, config.mu, Sv, Sa)
-    kept = {"visual": Sv, "augmented": S}.get(part)
-    del Sv, Sa  # the parts nobody reconstructs are freed before normalizing
+    if config.variant == "aux-only":
+        S, kept = aux_similarity(Y), Sv  # Sv exists here only as the kept part
+    else:
+        S, kept = Sv, (Sv.copy() if part == "visual" else None)
+    if config.variant == "augmented":
+        Y = np.asarray(Y, dtype=np.float64)
+        for lo in range(0, S.shape[0], PANEL):  # integer counts: the sums of one Y^T Y
+            combine(config.variant, config.mu, S[lo:lo + PANEL], Y[:, lo:lo + PANEL].T @ Y)
+    if part == "augmented":
+        kept = S.copy()
     return (*normalize(S), sigma, kept)
 
 
@@ -136,17 +167,19 @@ def query_columns(xatt_q, Yq, xatt_train, y_train, degrees, config):
     Each query joins the n training items (with their cached degrees) as one
     more node with an explicit self term. config.bandwidth must be the
     resolved bandwidth of the training graph. Returns (st_col, st_self): the
-    m x n normalized similarities to the training items and the m normalized
+    m x n normalized similarities to the training items, normalized in the
+    buffer their kernel or tag counts were formed in, and the m normalized
     self terms.
     """
     visual = None
     if config.variant != "aux-only":
         visual = gaussian_kernel(sqdist(xatt_q, xatt_train), config.bandwidth)
-    s_col = combine(config.variant, config.mu, visual, Yq.T @ y_train)
+    st_col = combine(config.variant, config.mu, visual, Yq.T @ y_train)
     s_self = combine(config.variant, config.mu, 1.0, (Yq**2).sum(axis=0))
-    d_q = s_col.sum(axis=1) + s_self
+    d_q = st_col.sum(axis=1) + s_self
     safe_dq = np.where(d_q > 0, d_q, 1.0)
-    st_col = s_col / np.sqrt(safe_dq)[:, None] * inv_sqrt_degree(degrees)[None, :]
+    st_col /= np.sqrt(safe_dq)[:, None]
+    st_col *= inv_sqrt_degree(degrees)[None, :]
     st_col[d_q == 0, :] = 0.0
     st_self = np.where(d_q > 0, s_self / safe_dq, 0.0)
     return st_col, st_self

@@ -16,6 +16,8 @@ from . import retrieval
 from .data import _from_file
 from .errors import DataError, FormatError, NumericError, ParameterError, ShapeError, require_finite
 
+QUERY_PANEL = 1024  # queries whose n-wide graph columns encode_queries holds at once
+
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -200,6 +202,9 @@ def encode_queries(model, Xq, Yq):
     and is propagated through both GCN layers. Layer 2 is reassociated as in
     `network.gcn_layers`: z_q = (W2 Z1_train) st_col^T + (W2 z1_q) st_self,
     from the cached r x n W2 Z1_train, so no h x m x n product is formed.
+    The attention runs once for all m queries; the graph columns and both
+    layers run QUERY_PANEL queries at a time, so the n-wide buffers are
+    QUERY_PANEL x n whatever m is.
     """
     Xq = np.asarray(Xq, dtype=np.float64)
     Yq = np.asarray(Yq, dtype=np.float64)
@@ -214,11 +219,19 @@ def encode_queries(model, Xq, Yq):
             raise DataError(f"non-finite {what} value at row {i}, column {j}")
 
     xatt_q = _attentive(Xq, model.y_train, model.attention, model.use_attention)[0]
+    z_q = np.empty((model.r, Xq.shape[1]))
+    for lo in range(0, Xq.shape[1], QUERY_PANEL):
+        cols = slice(lo, lo + QUERY_PANEL)
+        z_q[:, cols] = _propagate(model, xatt_q[:, cols], Yq[:, cols])
+    return sign_pm(z_q)
+
+
+def _propagate(model, xatt_q, Yq):
+    """The r x m layer-2 outputs of m queries; their graph columns are freed on return."""
     st_col, st_self = sg.query_columns(xatt_q, Yq, model.xatt_train, model.y_train, model.degrees,
                                        model.graph_cfg)
     z1_q = net.relu(model.gcn.W1 @ (model.xatt_train @ st_col.T + xatt_q * st_self))
-    z_q = model.w2z1_train @ st_col.T + (model.gcn.W2 @ z1_q) * st_self
-    return sign_pm(z_q)
+    return model.w2z1_train @ st_col.T + (model.gcn.W2 @ z1_q) * st_self
 
 
 # ---------------------------------------------------------------------------

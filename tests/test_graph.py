@@ -3,17 +3,31 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from aghash import graph as sg
 from aghash.errors import ParameterError
 from aghash.graph import (
+    VARIANTS,
     GraphConfig,
     aux_similarity,
     build_graph,
     combine,
+    gaussian_kernel,
     median_bandwidth,
     normalize,
     sqdist,
     visual_similarity,
 )
+
+
+def traced_peak(fn, *args):
+    """(fn's result, the peak bytes tracemalloc saw while it ran)."""
+    tracemalloc.start()
+    try:
+        out = fn(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, peak
 
 
 class TestVisualSimilarity:
@@ -42,6 +56,23 @@ class TestVisualSimilarity:
         assert np.array_equal(np.diag(S), np.ones(6))
         assert S.min() > 0.0 and S.max() <= 1.0
 
+    @pytest.mark.parametrize("n", [5, sg.PANEL, 2 * sg.PANEL + 3])
+    def test_sqdist_is_the_one_shot_formula(self, n):
+        # the panelled fix-up takes the same elementwise steps as (a + b) - 2 A^T B
+        rng = np.random.default_rng(n)
+        A, B = rng.standard_normal((7, n)), rng.standard_normal((7, n + 2))
+        for P, Q in ((A, A), (A, B)):
+            want = np.maximum((P**2).sum(axis=0)[:, None] + (Q**2).sum(axis=0)[None, :]
+                              - 2.0 * (P.T @ Q), 0.0)
+            assert np.array_equal(sqdist(P, Q), want)
+
+    def test_gaussian_kernel_overwrites_its_argument(self):
+        X = np.random.default_rng(8).standard_normal((3, 9))
+        d2 = sqdist(X, X)
+        want = np.exp(-d2 / (2.0 * 1.3**2))
+        K = gaussian_kernel(d2, 1.3)
+        assert K is d2 and np.array_equal(K, want)
+
     def test_median_heuristic_value(self):
         X = np.array([[0.0, 1.0, 3.0]])
         # pairwise distances 1, 2, 3 -> median 2
@@ -51,12 +82,8 @@ class TestVisualSimilarity:
     def test_median_heuristic_matches_oracle(self, n):
         X = np.random.default_rng(n).standard_normal((16, n))
         d2 = sqdist(X, X)
-        tracemalloc.start()
-        try:
-            sigma = median_bandwidth(d2)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        median_bandwidth(d2[:3, :3])  # numpy's lazy imports happen outside the trace
+        sigma, peak = traced_peak(median_bandwidth, d2)
         assert sigma == np.median(np.sqrt(d2[np.triu_indices(n, 1)]))
         assert peak < 0.6 * n * n * 8, f"peak {peak / (n * n * 8):.2f} n x n float64 arrays"
 
@@ -118,11 +145,28 @@ class TestNormalize:
     def test_rejects_asymmetric(self):
         with pytest.raises(ParameterError):
             normalize(np.array([[0.0, 1.0], [0.5, 0.0]]))
-        # symmetry is checked one row panel at a time; the last panel and the far corner count too
+        # symmetry is checked one block at a time; the last block and the far corner count too
         for i, j in ((39, 0), (0, 39), (20, 21)):
             S = np.ones((40, 40))
             S[i, j] = 2.0
             with pytest.raises(ParameterError, match="symmetric"):
+                normalize(S)
+
+    @pytest.mark.parametrize("i, j", [
+        (sg.PANEL - 1, sg.PANEL), (sg.PANEL, sg.PANEL - 1),
+        (0, sg.PANEL - 1), (sg.PANEL - 1, 0),
+        (2 * sg.PANEL + 2, sg.PANEL), (sg.PANEL, 2 * sg.PANEL + 2),
+    ])
+    @pytest.mark.parametrize("scale, accepted", [(0.99, True), (1.01, False)])
+    def test_symmetry_tolerance_at_block_edges(self, i, j, scale, accepted):
+        # blocks and their mirrors accept exactly the matrices allclose(S, S.T) accepts
+        S = np.ones((2 * sg.PANEL + 3,) * 2)
+        S[i, j] += scale * (1e-12 + 1e-10)
+        assert np.allclose(S, S.T, rtol=1e-10, atol=1e-12) == accepted
+        if accepted:
+            normalize(S)
+        else:
+            with pytest.raises(ParameterError, match="graph must be symmetric"):
                 normalize(S)
 
     def test_rejects_negative(self):
@@ -130,19 +174,29 @@ class TestNormalize:
             normalize(np.array([[0.0, -1.0], [-1.0, 0.0]]))
 
     def test_working_set(self):
-        # beyond its input, normalize holds the output and row-panel temporaries
+        # normalize scales its input in place: beyond it, only the symmetry check's blocks
         n = 600
         A = np.random.default_rng(7).random((n, n))
         S = A + A.T
-        tracemalloc.start()
-        try:
-            St, _ = normalize(S)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 1.25 * n * n * 8, f"peak {peak / (n * n * 8):.2f} n x n float64 arrays"
-        inv = 1.0 / np.sqrt(S.sum(axis=1))
-        assert np.array_equal(St, S * inv[:, None] * inv[None, :])
+        S0 = S.copy()
+        (St, _), peak = traced_peak(normalize, S)
+        assert peak < 0.15 * n * n * 8, f"peak {peak / (n * n * 8):.2f} n x n float64 arrays"
+        assert St is S
+        inv = 1.0 / np.sqrt(S0.sum(axis=1))
+        assert np.array_equal(St, S0 * inv[:, None] * inv[None, :])
+
+    @pytest.mark.parametrize("bad", ["asymmetric", "negative"])
+    def test_rejected_graph_is_unchanged(self, bad):
+        A = np.random.default_rng(9).random((300, 300))
+        S = A + A.T
+        if bad == "asymmetric":
+            S[299, 0] += 1.0
+        else:
+            S[299, 0] = S[0, 299] = -1.0
+        S0 = S.copy()
+        with pytest.raises(ParameterError):
+            normalize(S)
+        assert np.array_equal(S, S0)
 
     def test_symmetry_preserved_random(self):
         rng = np.random.default_rng(4)
@@ -184,6 +238,41 @@ class TestBuildGraph:
         assert sigma == median and np.array_equal(kept, Sv)
         assert np.array_equal(St, normalize(aux_similarity(Y))[0])
         assert build_graph(X, Y, GraphConfig())[3] is None
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("part", [None, "visual", "augmented"])
+    def test_every_variant_and_part(self, variant, part):
+        # the graph built in the kernel's buffer equals the one built from copies
+        n = sg.PANEL + 7
+        rng = np.random.default_rng(10)
+        X = rng.standard_normal((4, n))
+        Y = (rng.random((3, n)) < 0.4).astype(float)
+        config = GraphConfig(mu=0.7, variant=variant)
+        St, degrees, sigma, kept = build_graph(X, Y, config, part)
+        Sv, median = visual_similarity(X)
+        S = combine(variant, 0.7, Sv.copy(), aux_similarity(Y))
+        want_St, want_degrees = normalize(S.copy())
+        assert np.array_equal(St, want_St) and np.array_equal(degrees, want_degrees)
+        assert sigma == (None if variant == "aux-only" and part != "visual" else median)
+        if part is None:
+            assert kept is None
+        else:
+            assert np.array_equal(kept, {"visual": Sv, "augmented": S}[part])
+            assert not np.shares_memory(kept, St)
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("part", [None, "visual", "augmented"])
+    def test_working_set(self, variant, part):
+        # beyond its inputs: the kernel buffer, then S~, plus the median's
+        # half-triangle gather; a kept part adds its own n x n
+        n = 600
+        rng = np.random.default_rng(11)
+        X = rng.standard_normal((64, n))
+        Y = (rng.random((4, n)) < 0.4).astype(float)
+        build_graph(X[:, :9], Y[:, :9], GraphConfig())  # numpy's lazy imports happen outside the trace
+        _, peak = traced_peak(build_graph, X, Y, GraphConfig(variant=variant), part)
+        bound = 1.6 + (part is not None)
+        assert peak < bound * n * n * 8, f"peak {peak / (n * n * 8):.2f} n x n float64 arrays"
 
     def test_config_validation(self):
         with pytest.raises(ParameterError):

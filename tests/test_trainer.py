@@ -54,7 +54,17 @@ def encode_pre_sign(model, Xq, Yq):
 
     with mock.patch.object(trainer, "sign_pm", spy):
         codes = trainer.encode_queries(model, Xq, Yq)
+    assert len(seen) == 1  # one sign over all m queries, however many panels they take
     return codes, seen[0]
+
+
+def assert_same_codes(batch, z_batch, one, z_one):
+    """Codes of the same items from different calls: a bit may flip only where
+    rounding differs between the products and the output is that close to 0."""
+    tol = 1e-9 * np.abs(z_batch).max()
+    assert np.allclose(z_one, z_batch, rtol=1e-9, atol=tol)
+    flipped = one != batch
+    assert np.all(np.abs(z_batch[flipped]) <= tol)
 
 
 class TestAdam:
@@ -199,7 +209,7 @@ class TestFit:
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
-            assert peak < 4 * n * n * 8, f"peak {peak / (n * n * 8):.2f} n x n float64 arrays"
+            assert peak < 3.5 * n * n * 8, f"peak {peak / (n * n * 8):.2f} n x n float64 arrays"
             assert scores == [(n, u)] * (3 if train_attention else 1)
 
     def test_joint_attention_training_moves_projections(self):
@@ -266,12 +276,51 @@ class TestEncoding:
         fm, aux, model = variant_models[variant]
         idx = data.draw(st.lists(st.integers(0, fm.n - 1), min_size=1, max_size=8), label="items")
         batch, z_batch = encode_pre_sign(model, fm.data[:, idx], aux.data[:, idx])
-        tol = 1e-9 * np.abs(z_batch).max()
         for j, i in enumerate(idx):
             one, z_one = encode_pre_sign(model, fm.data[:, i:i + 1], aux.data[:, i:i + 1])
-            assert np.allclose(z_one[:, 0], z_batch[:, j], rtol=1e-9, atol=tol)
-            flipped = one[:, 0] != batch[:, j]
-            assert np.all(np.abs(z_batch[flipped, j]) <= tol), (variant, i)
+            assert_same_codes(batch[:, j], z_batch[:, j], one[:, 0], z_one[:, 0])
+
+    def test_codes_do_not_depend_on_the_panels(self, monkeypatch):
+        # m = panel + 3 queries cross one panel edge; splitting the call at the
+        # edge or encoding one query at a time gives the same codes
+        monkeypatch.setattr(trainer, "QUERY_PANEL", 5)
+        fm, aux, _, model, _ = tiny_fit(seed=16)
+        Xq, Yq = fm.data[:, :8], aux.data[:, :8]
+        batch, z_batch = encode_pre_sign(model, Xq, Yq)
+        halves = [encode_pre_sign(model, Xq[:, cols], Yq[:, cols])
+                  for cols in (slice(0, 5), slice(5, 8))]
+        assert_same_codes(batch, z_batch, *(np.hstack(arrays) for arrays in zip(*halves)))
+        for j in range(8):
+            one, z_one = encode_pre_sign(model, Xq[:, j:j + 1], Yq[:, j:j + 1])
+            assert_same_codes(batch[:, j], z_batch[:, j], one[:, 0], z_one[:, 0])
+
+    def test_attention_runs_once_per_call(self, monkeypatch):
+        # the attention dedupes y_train on each run, so it runs for all m queries at once
+        monkeypatch.setattr(trainer, "QUERY_PANEL", 2)
+        fm, aux, _, model, _ = tiny_fit(seed=17)
+        with mock.patch.object(trainer, "_attentive", side_effect=trainer._attentive) as spy:
+            trainer.encode_queries(model, fm.data[:, :7], aux.data[:, :7])
+        assert spy.call_count == 1
+
+    def test_working_set_is_one_panel(self, monkeypatch):
+        # the n-wide graph columns live one panel at a time: eight panels'
+        # worth of queries cost about what one panel's worth does
+        monkeypatch.setattr(trainer, "QUERY_PANEL", 16)
+        n = 2000
+        fm, aux, _ = synth_dataset(n=n + 128, d=6, c=2, sep=4.0, label_noise=0.0, seed=18)
+        model, _ = trainer.fit(fm, aux, np.arange(n), r=4, d_prime=8, hidden=8,
+                               cfg=TrainConfig(epochs=1, lr=1e-3, seed=18))
+        peaks = []
+        for m in (16, 128):
+            Xq, Yq = fm.data[:, n:n + m], aux.data[:, n:n + m]
+            trainer.encode_queries(model, Xq, Yq)  # numpy's lazy imports happen outside the trace
+            tracemalloc.start()
+            try:
+                trainer.encode_queries(model, Xq, Yq)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 1.2 * peaks[0], f"peaks {peaks} bytes for 16 and 128 queries"
 
     def test_training_item_roundtrips_through_inductive_rule(self):
         # encoding a training item as if out-of-sample should usually agree
