@@ -10,7 +10,9 @@ import numpy as np
 
 from .errors import ParameterError, ShapeError, require_finite
 
-VARIANTS = ("augmented", "visual-only", "aux-only")
+# each variant's similarity parts: (the visual kernel, the tag counts)
+PARTS = {"augmented": (True, True), "visual-only": (True, False), "aux-only": (False, True)}
+VARIANTS = tuple(PARTS)
 # rows per pass over an n x n buffer, so a pass's temporaries are PANEL x n;
 # also the side of the squares the symmetry check compares
 PANEL = 128
@@ -91,7 +93,8 @@ def aux_similarity(Y):
 def combine(variant, mu, visual, aux):
     """The variant's similarity from its visual and auxiliary parts: mu*v + a, v or a.
 
-    Applies alike to matrix panels, to query columns and to scalar self terms.
+    Applies alike to matrix panels, to query columns and to scalar self terms;
+    a part the variant does not use (PARTS) may be None.
     An array `visual` is overwritten with the augmented sum.
     """
     if variant == "augmented":
@@ -145,14 +148,15 @@ def build_graph(Xatt, Y, config, part=None):
     built when the variant uses it or `part` is 'visual'; sigma is its
     bandwidth, else None. S is fused and normalized in the kernel's buffer.
     """
+    uses_visual, uses_tags = PARTS[config.variant]
     Sv = sigma = None
-    if config.variant != "aux-only" or part == "visual":
+    if uses_visual or part == "visual":
         Sv, sigma = visual_similarity(Xatt, config.bandwidth)
-    if config.variant == "aux-only":
+    if not uses_visual:
         S, kept = aux_similarity(Y), Sv  # Sv exists here only as the kept part
     else:
         S, kept = Sv, (Sv.copy() if part == "visual" else None)
-    if config.variant == "augmented":
+    if uses_visual and uses_tags:
         Y = np.asarray(Y, dtype=np.float64)
         for lo in range(0, S.shape[0], PANEL):  # integer counts: the sums of one Y^T Y
             combine(config.variant, config.mu, S[lo:lo + PANEL], Y[:, lo:lo + PANEL].T @ Y)
@@ -171,11 +175,10 @@ def query_columns(xatt_q, Yq, xatt_train, y_train, degrees, config):
     buffer their kernel or tag counts were formed in, and the m normalized
     self terms.
     """
-    visual = None
-    if config.variant != "aux-only":
-        visual = gaussian_kernel(sqdist(xatt_q, xatt_train), config.bandwidth)
-    st_col = combine(config.variant, config.mu, visual, Yq.T @ y_train)
-    s_self = combine(config.variant, config.mu, 1.0, (Yq**2).sum(axis=0))
+    uses_visual, uses_tags = PARTS[config.variant]
+    visual = gaussian_kernel(sqdist(xatt_q, xatt_train), config.bandwidth) if uses_visual else None
+    st_col = combine(config.variant, config.mu, visual, Yq.T @ y_train if uses_tags else None)
+    s_self = combine(config.variant, config.mu, 1.0, (Yq**2).sum(axis=0) if uses_tags else None)
     d_q = st_col.sum(axis=1) + s_self
     safe_dq = np.where(d_q > 0, d_q, 1.0)
     st_col /= np.sqrt(safe_dq)[:, None]

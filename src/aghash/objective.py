@@ -161,12 +161,12 @@ def _disc_backward(V, h1, h2, dlogits, p):
     return DiscParams(dA1, db1, dA2, db2, dA3, db3), dV
 
 
-def gan_losses(Z, prior_samples, disc, saturating=False):
+def gan_losses(Z, prior_samples, disc):
     """Adversarial losses and gradients.
 
     Discriminator minimizes -mean log D(prior) - mean log(1 - D(Z)).
-    Generator minimizes -mean log D(Z) by default; `saturating` selects the
-    literal mean log(1 - D(Z)) form instead.
+    Generator minimizes -mean log D(Z), whose gradient stays large while the
+    discriminator rejects Z.
     """
     if Z.shape[0] != prior_samples.shape[0]:
         raise ShapeError(f"code length mismatch: {Z.shape[0]} vs {prior_samples.shape[0]}")
@@ -181,14 +181,9 @@ def gan_losses(Z, prior_samples, disc, saturating=False):
     real, fake = parameters(g_real), parameters(g_fake)
     disc_grads = DiscParams(**{name: real[name] + fake[name] for name in real})
 
-    if saturating:
-        l_gen = -float(_softplus(f_fake).mean())
-        dlog = -D_fake / m_fake
-    else:
-        l_gen = float(_softplus(-f_fake).mean())
-        dlog = -(1.0 - D_fake) / m_fake
-    _, dZ = _disc_backward(Z, h1f, h2f, dlog, disc)
-    return GanResult(l_disc=l_disc, l_gen_adv=l_gen, disc_grads=disc_grads, dZ=dZ)
+    _, dZ = _disc_backward(Z, h1f, h2f, -(1.0 - D_fake) / m_fake, disc)
+    return GanResult(l_disc=l_disc, l_gen_adv=float(_softplus(-f_fake).mean()),
+                     disc_grads=disc_grads, dZ=dZ)
 
 
 def total_generator_loss(l_gen_adv, l_recons, l_quan, l_cl, hp):
@@ -215,7 +210,6 @@ def backprop_all(
     *,
     recon_matrix=None,
     decoder=None,
-    saturating=False,
     attention=None,
 ):
     """Losses plus exact gradients of the generator and discriminator objectives.
@@ -254,7 +248,7 @@ def backprop_all(
     l_cl, dlogits = classification_loss(P, Y)
     dWc = dlogits @ Z.T
     dZ_cl = head.Wc.T @ dlogits
-    gan = gan_losses(Z, prior_samples, disc, saturating=saturating)
+    gan = gan_losses(Z, prior_samples, disc)
 
     total = total_generator_loss(gan.l_gen_adv, l_rec, l_quan, l_cl, hp)
     dZ = gan.dZ + hp.lambda1 * dZ_rec + hp.lambda2 * dZ_quan + hp.lambda3 * dZ_cl

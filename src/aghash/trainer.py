@@ -1,4 +1,4 @@
-"""Adam training loop alternating discriminator and generator updates.
+"""Adam training loop: each epoch one discriminator step, then one generator step against it.
 
 Training is full-batch over the training split: the graph layers consume the
 whole n x n normalized graph, which is tractable at the target scale.
@@ -24,8 +24,6 @@ class TrainConfig:
     lr: float = 1e-4
     epochs: int = 300
     seed: int = 0
-    disc_steps: int = 1
-    saturating: bool = False
     train_attention: bool = False
 
     def __post_init__(self):
@@ -34,8 +32,6 @@ class TrainConfig:
             raise ParameterError(f"learning rate must be > 0, got {self.lr}")
         if self.epochs < 1:
             raise ParameterError(f"epochs must be >= 1, got {self.epochs}")
-        if self.disc_steps < 1:
-            raise ParameterError(f"disc_steps must be >= 1, got {self.disc_steps}")
 
 
 @dataclass
@@ -157,14 +153,11 @@ def fit(
         B = sign_pm(Z)
         prior = rng.standard_normal((r, n))
 
-        for _ in range(cfg.disc_steps):
-            gan = obj.gan_losses(Z, prior, disc, saturating=cfg.saturating)
-            disc = adam(disc, net.parameters(gan.disc_grads))
+        disc = adam(disc, net.parameters(obj.gan_losses(Z, prior, disc).disc_grads))
 
         breakdown, grads = obj.backprop_all(
             Xatt, H, (Z1, Z), St, Yt, B, gcn, disc, head, hyper, prior,
-            recon_matrix=recon, decoder=decoder, saturating=cfg.saturating,
-            attention=cache,
+            recon_matrix=recon, decoder=decoder, attention=cache,
         )
         for term in fields(breakdown):
             if not np.isfinite(getattr(breakdown, term.name)):

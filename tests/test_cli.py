@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import struct
@@ -91,8 +92,7 @@ class TestTrain:
         man = json.loads((pipeline / "manifest.json").read_text())
         assert sorted(man["config"]) == sorted([
             "features", "aux", "split", "r", "d-prime", "hidden", "lambda1", "lambda2", "lambda3",
-            "k", "mu", "bandwidth", "lr", "epochs", "disc-steps", "saturating", "train-attention",
-            "variant"])
+            "k", "mu", "bandwidth", "lr", "epochs", "train-attention", "variant"])
         assert man["config"]["d-prime"] == 16 and man["config"]["bandwidth"] is None
 
     def test_variant_flag(self, pipeline, tmp_path):
@@ -140,7 +140,8 @@ class TestTrain:
     @pytest.mark.parametrize("line, error", [
         ("bandwidth = 1.5", None), ("threads = 1", None),
         ("bandwidth = wide", "invalid value 'wide'"), ("threads = two", "invalid value 'two'"),
-        ("variant = sparse", "must be one of"),
+        ("variant = sparse", "must be one of"), ("train-attention = on", "must be one of"),
+        ("train-attention = TRUE", None), ("train-attention = no", None),
     ])
     def test_config_values_take_flag_types(self, pipeline, tmp_path, capsys, line, error):
         cfg = tmp_path / "run.cfg"
@@ -156,6 +157,8 @@ class TestTrain:
             assert code == 0
             if line.startswith("bandwidth"):
                 assert load_model(tmp_path / "checkpoint.bin").graph_cfg.bandwidth == 1.5
+            man = json.loads((tmp_path / "manifest.json").read_text())
+            assert man["config"]["train-attention"] == (line == "train-attention = TRUE")
         else:
             assert code == 1
             assert error in captured.err and len(captured.err.splitlines()) == 1
@@ -426,6 +429,10 @@ MALFORMED = {
     "lambda3-nan": (lambda p, t: _train(p, t, "--lambda3", "nan"), "lambda3 must be finite, got nan"),
     "k-nan": (lambda p, t: _train(p, t, "--k", "nan"), "k must be finite, got nan"),
     "lr-nan": (lambda p, t: _train(p, t, "--lr", "nan"), "lr must be finite, got nan"),
+    "config-disc-steps": (lambda p, t: _train(p, t, "--config", _file(t, "c.cfg", "disc-steps = 2\n")),
+                          "c.cfg:1: unknown option 'disc-steps'"),
+    "config-saturating": (lambda p, t: _train(p, t, "--config", _file(t, "c.cfg", "saturating = 1\n")),
+                          "c.cfg:1: unknown option 'saturating'"),
     "threads-zero": (lambda p, t: _train(p, t, "--threads", "0"), "threads must be >= 1, got 0"),
     "config-threads-negative": (lambda p, t: _train(p, t, "--config", _file(t, "c.cfg", "threads = -3\n")),
                                 "threads must be >= 1, got -3"),
@@ -488,6 +495,13 @@ _REQUIRED = {
 }
 
 
+def _train_flags():
+    """The actions `cli._add_train_flags` defines."""
+    parser = argparse.ArgumentParser(add_help=False)
+    cli._add_train_flags(parser)
+    return parser._actions
+
+
 def _readme_commands():
     """The `aghash` commands of the README's "Command line" block, continuation lines joined."""
     readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
@@ -505,7 +519,8 @@ class TestParsing:
     @pytest.mark.parametrize("command, extra", [
         ("train", ["--format", "binary"]), ("encode", ["--format", "binary"]),
         ("sweep", ["--format", "binary"]), ("encode", ["--seed", "1"]), ("evaluate", ["--seed", "1"]),
-        ("train", ["--variant", "recons-sa"]),
+        ("train", ["--variant", "recons-sa"]), ("train", ["--disc-steps", "2"]),
+        ("train", ["--saturating"]), ("sweep", ["--disc-steps", "2"]), ("sweep", ["--saturating"]),
     ], ids=lambda v: v if isinstance(v, str) else v[0])
     def test_option_that_changes_no_result_is_rejected(self, capsys, command, extra):
         cli.build_parser().parse_args([command, *_REQUIRED[command]])
@@ -524,6 +539,18 @@ class TestParsing:
         assert parse(["synth", *_REQUIRED["synth"], "--format", "binary", "--seed", "4"]).seed == 4
         assert parse(["train", *_REQUIRED["train"], "--seed", "5"]).seed == 5
         assert parse(["sweep", *_REQUIRED["sweep"], "--seed", "6"]).seed == 6
+
+    @pytest.mark.parametrize("action", _train_flags(), ids=lambda a: a.option_strings[0])
+    def test_every_training_flag_reaches_fit(self, action):
+        # a flag that is parsed and recorded but that fit never sees would change no result
+        flag = [action.option_strings[0]] if action.nargs == 0 else [
+            action.option_strings[0],
+            next(c for c in action.choices if c != action.default) if action.choices
+            else str(2 * (action.default or 1))]
+        parse = cli.build_parser().parse_args
+        for command in ("train", "sweep"):
+            default = cli._fit_kwargs(parse([command, *_REQUIRED[command]]))
+            assert cli._fit_kwargs(parse([command, *_REQUIRED[command], *flag])) != default, flag
 
     def test_readme_commands_parse(self):
         commands = _readme_commands()

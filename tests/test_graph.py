@@ -14,6 +14,7 @@ from aghash.graph import (
     gaussian_kernel,
     median_bandwidth,
     normalize,
+    query_columns,
     sqdist,
     visual_similarity,
 )
@@ -283,3 +284,17 @@ class TestBuildGraph:
             GraphConfig(variant="sparse")
         with pytest.raises(ParameterError, match="mu must be a real number, got 'x'"):
             GraphConfig(mu="x")
+
+
+class TestQueryColumns:
+    def test_visual_only_forms_no_tag_counts(self):
+        # the kernel's m x n buffer and its sqdist panel; no m x n tag counts beside it
+        m, n = 1024, 2000
+        rng = np.random.default_rng(12)
+        xatt_q, xatt_train = rng.standard_normal((16, m)), rng.standard_normal((16, n))
+        Yq, y_train = (rng.random((4, m)) < 0.4).astype(float), (rng.random((4, n)) < 0.4).astype(float)
+        degrees = rng.random(n) * n
+        config = GraphConfig(bandwidth=4.0, variant="visual-only")
+        query_columns(xatt_q[:, :9], Yq[:, :9], xatt_train, y_train, degrees, config)  # lazy imports
+        _, peak = traced_peak(query_columns, xatt_q, Yq, xatt_train, y_train, degrees, config)
+        assert peak < 1.3 * m * n * 8, f"peak {peak / (m * n * 8):.3f} m x n float64 arrays"

@@ -123,8 +123,6 @@ class TestTrainConfig:
             TrainConfig(lr=0.0)
         with pytest.raises(ParameterError):
             TrainConfig(epochs=0)
-        with pytest.raises(ParameterError):
-            TrainConfig(disc_steps=0)
 
 
 class TestFit:
