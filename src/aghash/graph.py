@@ -1,6 +1,8 @@
 """Augmented semantic graph: visual + auxiliary similarity, fusion, normalization.
 
 Also the one-column extension of the training graph for out-of-sample queries.
+The graph takes the dtype of the attentive features, float32 or float64; the
+tags, 0/1 entries whose counts are exact in either, are cast to it.
 """
 
 import warnings
@@ -84,9 +86,15 @@ def visual_similarity(Xatt, bandwidth=None):
     return Sv, sigma
 
 
+def _floating(A):
+    """A as an array, unchanged when it is float32 or float64, else converted to float64."""
+    A = np.asarray(A)
+    return A if A.dtype in (np.float32, np.float64) else A.astype(np.float64)
+
+
 def aux_similarity(Y):
-    """Integer-valued shared-category counts y_i . y_j."""
-    Y = np.asarray(Y, dtype=np.float64)
+    """Integer-valued shared-category counts y_i . y_j, in Y's floating dtype."""
+    Y = _floating(Y)
     return Y.T @ Y
 
 
@@ -114,20 +122,23 @@ def inv_sqrt_degree(degrees):
 def normalize(S):
     """(D^{-1/2} S D^{-1/2}, degrees): symmetric normalization; zero-degree rows stay zero.
 
-    Scales a float64 array S in place and returns it; other input is
-    converted first. Both checks run before the first write, so a rejected S
-    is left unchanged.
+    Scales a float32 or float64 array S in place and returns it; other input
+    is converted to float64 first. Both checks run before the first write, so
+    a rejected S is left unchanged.
     """
-    S = np.asarray(S, dtype=np.float64)
+    S = _floating(S)
     if S.ndim != 2 or S.shape[0] != S.shape[1]:
         raise ShapeError(f"graph must be square, got {S.shape}")
     # each block above the diagonal against its mirror, in both orientations:
-    # the pairs and tolerances of allclose(S, S.T), read in cache-sized squares
+    # the pairs and tolerances of allclose(S, S.T), read in cache-sized squares;
+    # an exactly equal pair (what build_graph makes) passes without them
     n = S.shape[0]
     for lo in range(0, n, PANEL):
         for hi in range(lo, n, PANEL):
             block = S[lo:lo + PANEL, hi:hi + PANEL]
             mirror = S[hi:hi + PANEL, lo:lo + PANEL].T
+            if np.array_equal(block, mirror):
+                continue
             if not (np.allclose(block, mirror, rtol=1e-10, atol=1e-12)
                     and np.allclose(mirror, block, rtol=1e-10, atol=1e-12)):
                 raise ParameterError("graph must be symmetric")
@@ -148,6 +159,7 @@ def build_graph(Xatt, Y, config, part=None):
     built when the variant uses it or `part` is 'visual'; sigma is its
     bandwidth, else None. S is fused and normalized in the kernel's buffer.
     """
+    Y = np.asarray(Y, dtype=Xatt.dtype)
     uses_visual, uses_tags = PARTS[config.variant]
     Sv = sigma = None
     if uses_visual or part == "visual":
@@ -157,7 +169,6 @@ def build_graph(Xatt, Y, config, part=None):
     else:
         S, kept = Sv, (Sv.copy() if part == "visual" else None)
     if uses_visual and uses_tags:
-        Y = np.asarray(Y, dtype=np.float64)
         for lo in range(0, S.shape[0], PANEL):  # integer counts: the sums of one Y^T Y
             combine(config.variant, config.mu, S[lo:lo + PANEL], Y[:, lo:lo + PANEL].T @ Y)
     if part == "augmented":
@@ -173,8 +184,10 @@ def query_columns(xatt_q, Yq, xatt_train, y_train, degrees, config):
     resolved bandwidth of the training graph. Returns (st_col, st_self): the
     m x n normalized similarities to the training items, normalized in the
     buffer their kernel or tag counts were formed in, and the m normalized
-    self terms.
+    self terms, in the features' dtype.
     """
+    dtype = np.result_type(xatt_q, xatt_train)
+    Yq, y_train = (np.asarray(tags, dtype=dtype) for tags in (Yq, y_train))
     uses_visual, uses_tags = PARTS[config.variant]
     visual = gaussian_kernel(sqdist(xatt_q, xatt_train), config.bandwidth) if uses_visual else None
     st_col = combine(config.variant, config.mu, visual, Yq.T @ y_train if uses_tags else None)

@@ -100,7 +100,8 @@ def gcn_layers(H, S_tilde, params):
     Layer 2 is W2 (Z1 S~) reassociated: W2 Z1 has r << h rows, so the n x n
     product costs r n^2 multiply-adds instead of h n^2.
     """
-    Z1 = relu(params.W1 @ H)
+    Z1 = params.W1 @ H
+    np.maximum(Z1, 0.0, out=Z1)  # the ReLU in the product's buffer
     return Z1, (params.W2 @ Z1) @ S_tilde
 
 

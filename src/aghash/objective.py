@@ -106,7 +106,7 @@ def reconstruction_loss(Z, target, k, mode="cosine"):
         C = Nb.T @ N
         if mode == "cosine":
             np.maximum(C, 0.0, out=C)
-        R = k * target[lo:lo + PANEL]
+        R = np.multiply(target[lo:lo + PANEL], k, dtype=np.float64)  # the loss sums in float64
         R -= C
         loss += float(np.vdot(R, R))
         if mode == "cosine":
@@ -218,7 +218,8 @@ def backprop_all(
     `layers` = (Z1, Z) = network.gcn_layers(H, S~, gcn), Z = (W2 Z1) S~.
     S~ is symmetric, so with G = dZ S~ layer 2 gives dW2 = G Z1^T and
     dZ1 = W2^T G: one r x n x n product where (W2^T dZ) S~ would take an
-    h x n x n one, and r << h.
+    h x n x n one, and r << h. The GCN products and gradients take the dtype
+    of S~ and the layers; the loss heads take float64 from their parameters.
 
     `recon_matrix` is the n x n target of the kernel targets in RECON_PARTS;
     'aux' and 'inner-product' reconstruct the Gram matrix of the tags Y, and
@@ -253,9 +254,11 @@ def backprop_all(
     total = total_generator_loss(gan.l_gen_adv, l_rec, l_quan, l_cl, hp)
     dZ = gan.dZ + hp.lambda1 * dZ_rec + hp.lambda2 * dZ_quan + hp.lambda3 * dZ_cl
 
-    G = dZ @ S_tilde
+    # dZ is float64 from the heads; S~'s dtype keeps the product from copying S~
+    G = dZ.astype(S_tilde.dtype, copy=False) @ S_tilde
     dW2 = G @ Z1.T
-    dA = (gcn.W2.T @ G) * (Z1 > 0)
+    dA = gcn.W2.T @ G
+    dA *= Z1 > 0
     dW1 = dA @ H.T
     grads = parameters(GcnParams(dW1, dW2), ClsHead(hp.lambda3 * dWc),
                        None if dWd is None else DecoderParams(hp.lambda1 * dWd))

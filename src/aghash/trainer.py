@@ -17,6 +17,10 @@ from .data import _from_file
 from .errors import DataError, FormatError, NumericError, ParameterError, ShapeError, require_finite
 
 QUERY_PANEL = 1024  # queries whose n-wide graph columns encode_queries holds at once
+# the dtype of the attentive features, the graph, both GCN layers, their
+# gradients and Adam states, in fit and in encode_queries alike; the attention,
+# discriminator, head, prior samples and loss sums stay float64
+COMPUTE_DTYPE = np.float32
 
 
 @dataclass(frozen=True)
@@ -46,15 +50,27 @@ class AdamState:
 
 
 def adam_step(param, grad, state, lr, beta1=0.9, beta2=0.999, eps=1e-8):
-    """One bias-corrected Adam update; mutates state, returns the new parameter."""
+    """One bias-corrected Adam update; updates state.m and state.v in place, returns the new parameter.
+
+    The operations and their order are those of m = b1 m + (1 - b1) g,
+    v = b2 v + (1 - b2) g^2, param - lr m_hat / (sqrt(v_hat) + eps).
+    """
     if param.shape != grad.shape or param.shape != state.m.shape:
         raise ShapeError(f"shape mismatch: param {param.shape}, grad {grad.shape}, state {state.m.shape}")
     state.t += 1
-    state.m = beta1 * state.m + (1.0 - beta1) * grad
-    state.v = beta2 * state.v + (1.0 - beta2) * grad**2
-    m_hat = state.m / (1.0 - beta1**state.t)
-    v_hat = state.v / (1.0 - beta2**state.t)
-    return param - lr * m_hat / (np.sqrt(v_hat) + eps)
+    state.m *= beta1
+    state.m += (1.0 - beta1) * grad
+    g2 = grad**2
+    g2 *= 1.0 - beta2
+    state.v *= beta2
+    state.v += g2
+    step = state.m / (1.0 - beta1**state.t)
+    step *= lr
+    denom = np.divide(state.v, 1.0 - beta2**state.t, out=g2)
+    np.sqrt(denom, out=denom)
+    denom += eps
+    step /= denom
+    return param - step
 
 
 def sign_pm(Z):
@@ -81,10 +97,12 @@ class TrainedModel:
 
 
 def _attentive(X, Y, params, use_attention):
-    """(Xatt, the attention cache): denoised features, or the bare projection and None."""
-    if use_attention:
-        return att.denoise(X, Y, params)
-    return att.project(X, Y, params)[0], None
+    """(Xatt in COMPUTE_DTYPE, the attention cache): denoised features, or the bare projection and None.
+
+    The attention itself runs in float64; only its output is cast.
+    """
+    Xatt, cache = att.denoise(X, Y, params) if use_attention else (att.project(X, Y, params)[0], None)
+    return Xatt.astype(COMPUTE_DTYPE), cache
 
 
 def fit(
@@ -104,7 +122,8 @@ def fit(
     """Train the full model on the given split. Returns (TrainedModel, history).
 
     history is one LossBreakdown per epoch. epoch_callback(epoch, breakdown)
-    is invoked after each epoch when given.
+    is invoked after each epoch when given. The attentive features, the graph,
+    the GCN weights, both layers and their gradients are in COMPUTE_DTYPE.
     """
     train_idx = np.asarray(train_idx, dtype=np.int64)
     if train_idx.size == 0:
@@ -122,6 +141,7 @@ def fit(
 
     # the network first: it checks the dimensions before any n x n work
     gcn, disc, head = net.init_params(d_prime, hidden, r, aux.c, cfg.seed + 1)
+    gcn = net.GcnParams(*(W.astype(COMPUTE_DTYPE) for W in (gcn.W1, gcn.W2)))
     decoder = net.init_decoder(d_prime, r, cfg.seed + 3) if hyper.recon_target == "feature" else None
     apar = att.init_attention(features.d, aux.c, d_prime, cfg.seed)
     Xatt, cache = _attentive(X, Yt, apar, use_attention)
@@ -168,7 +188,7 @@ def fit(
             decoder = adam(decoder, grads)
         if cfg.train_attention:
             apar = adam(apar, grads)
-            Xatt, cache = att.denoise(X, Yt, apar)
+            Xatt, cache = _attentive(X, Yt, apar, use_attention)
             H = Xatt @ St
         Z1, Z = net.gcn_layers(H, St, gcn)
         history.append(breakdown)
@@ -197,7 +217,8 @@ def encode_queries(model, Xq, Yq):
     from the cached r x n W2 Z1_train, so no h x m x n product is formed.
     The attention runs once for all m queries; the graph columns and both
     layers run QUERY_PANEL queries at a time, so the n-wide buffers are
-    QUERY_PANEL x n whatever m is.
+    QUERY_PANEL x n whatever m is. The columns and layers are in
+    COMPUTE_DTYPE, as in fit.
     """
     Xq = np.asarray(Xq, dtype=np.float64)
     Yq = np.asarray(Yq, dtype=np.float64)
@@ -212,7 +233,7 @@ def encode_queries(model, Xq, Yq):
             raise DataError(f"non-finite {what} value at row {i}, column {j}")
 
     xatt_q = _attentive(Xq, model.y_train, model.attention, model.use_attention)[0]
-    z_q = np.empty((model.r, Xq.shape[1]))
+    z_q = np.empty((model.r, Xq.shape[1]), dtype=COMPUTE_DTYPE)
     for lo in range(0, Xq.shape[1], QUERY_PANEL):
         cols = slice(lo, lo + QUERY_PANEL)
         z_q[:, cols] = _propagate(model, xatt_q[:, cols], Yq[:, cols])
@@ -250,6 +271,8 @@ _SHAPES = {"P_x": ("d'", "d"), "P_y": ("d'", "c"), "W1": ("h", "d'"), "W2": ("r"
            "xatt_train": ("d'", "n"), "w2z1_train": ("r", "n"), "z_train": ("r", "n"),
            "degrees": ("n",), "y_train": ("c", "n")}
 _DIMS = sorted({symbol for symbols in _SHAPES.values() for symbol in symbols})
+# the arrays fit returns in COMPUTE_DTYPE; the file holds them as float64, which is exact
+_COMPUTED = ("W1", "W2", "xatt_train", "w2z1_train", "z_train", "degrees")
 
 
 def save_model(path, model):
@@ -285,7 +308,9 @@ def load_model(path):
         return [tuple(dims[symbol] for symbol in symbols) for symbols in _SHAPES.values()]
 
     arrays, meta = net.load_arrays(path, shapes)
-    arrays = dict(zip(_SHAPES, arrays))
+    with np.errstate(over="ignore"):  # a value beyond float32 becomes inf and fails the check below
+        arrays = {name: arr.astype(COMPUTE_DTYPE) if name in _COMPUTED else arr
+                  for name, arr in zip(_SHAPES, arrays)}
     for name, arr in arrays.items():
         if not np.all(np.isfinite(arr)):
             raise FormatError(f"{path}: checkpoint array {name!r} is not finite")

@@ -433,6 +433,9 @@ MALFORMED = {
                           "c.cfg:1: unknown option 'disc-steps'"),
     "config-saturating": (lambda p, t: _train(p, t, "--config", _file(t, "c.cfg", "saturating = 1\n")),
                           "c.cfg:1: unknown option 'saturating'"),
+    # the compute dtype is a constant of the trainer, not a setting
+    "config-dtype": (lambda p, t: _train(p, t, "--config", _file(t, "c.cfg", "dtype = float64\n")),
+                     "c.cfg:1: unknown option 'dtype'"),
     "threads-zero": (lambda p, t: _train(p, t, "--threads", "0"), "threads must be >= 1, got 0"),
     "config-threads-negative": (lambda p, t: _train(p, t, "--config", _file(t, "c.cfg", "threads = -3\n")),
                                 "threads must be >= 1, got -3"),
@@ -521,6 +524,7 @@ class TestParsing:
         ("sweep", ["--format", "binary"]), ("encode", ["--seed", "1"]), ("evaluate", ["--seed", "1"]),
         ("train", ["--variant", "recons-sa"]), ("train", ["--disc-steps", "2"]),
         ("train", ["--saturating"]), ("sweep", ["--disc-steps", "2"]), ("sweep", ["--saturating"]),
+        ("train", ["--dtype", "float64"]), ("sweep", ["--dtype", "float64"]),
     ], ids=lambda v: v if isinstance(v, str) else v[0])
     def test_option_that_changes_no_result_is_rejected(self, capsys, command, extra):
         cli.build_parser().parse_args([command, *_REQUIRED[command]])

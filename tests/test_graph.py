@@ -170,6 +170,32 @@ class TestNormalize:
             with pytest.raises(ParameterError, match="graph must be symmetric"):
                 normalize(S)
 
+    @pytest.mark.parametrize("value, mirror, accepted", [
+        (1.0 + 0.5e-10, 1.0, True),  # within the tolerance, not exactly symmetric
+        (1.0 + 2e-10, 1.0, False),  # beyond the tolerance
+        (np.nan, np.nan, False),  # NaN equals nothing, so a mirrored NaN pair is rejected
+        (np.inf, np.inf, True),  # inf equals inf, exactly and within the tolerance
+    ], ids=["within", "beyond", "nan", "inf"])
+    def test_symmetry_check_accepts_what_allclose_accepts(self, value, mirror, accepted):
+        S = np.ones((2 * sg.PANEL + 3,) * 2)
+        S[sg.PANEL + 1, 2], S[2, sg.PANEL + 1] = value, mirror
+        assert np.allclose(S, S.T, rtol=1e-10, atol=1e-12) == accepted
+        if accepted:
+            with np.errstate(invalid="ignore"):  # inf degrees scale their row to NaN
+                normalize(S)
+        else:
+            with pytest.raises(ParameterError, match="graph must be symmetric"):
+                normalize(S)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_floating_graph_keeps_its_dtype(self, dtype):
+        A = np.random.default_rng(8).random((40, 40))
+        S = (A + A.T).astype(dtype)
+        St, degrees = normalize(S)
+        assert St is S and St.dtype == dtype and degrees.dtype == dtype
+        St, degrees = normalize(np.ones((3, 3), dtype=np.int64))
+        assert St.dtype == np.float64 and degrees.dtype == np.float64
+
     def test_rejects_negative(self):
         with pytest.raises(ParameterError):
             normalize(np.array([[0.0, -1.0], [-1.0, 0.0]]))
@@ -275,6 +301,24 @@ class TestBuildGraph:
         bound = 1.6 + (part is not None)
         assert peak < bound * n * n * 8, f"peak {peak / (n * n * 8):.2f} n x n float64 arrays"
 
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("part", [None, "visual", "augmented"])
+    def test_dtype_follows_features(self, variant, part):
+        # float64 tags do not lift a float32 graph to float64, and the float32
+        # graph is the float64 one to float32 rounding
+        n = sg.PANEL + 7
+        rng = np.random.default_rng(13)
+        X = rng.standard_normal((4, n))
+        Y = (rng.random((3, n)) < 0.4).astype(float)
+        config = GraphConfig(mu=0.7, variant=variant)
+        St64, degrees64, _, kept64 = build_graph(X, Y, config, part)
+        St, degrees, _, kept = build_graph(X.astype(np.float32), Y, config, part)
+        assert St64.dtype == degrees64.dtype == np.float64
+        assert St.dtype == degrees.dtype == np.float32
+        assert np.allclose(St, St64, rtol=1e-5, atol=1e-7)
+        if part is not None:
+            assert kept64.dtype == np.float64 and kept.dtype == np.float32
+
     def test_config_validation(self):
         with pytest.raises(ParameterError):
             GraphConfig(mu=-1.0)
@@ -298,3 +342,35 @@ class TestQueryColumns:
         query_columns(xatt_q[:, :9], Yq[:, :9], xatt_train, y_train, degrees, config)  # lazy imports
         _, peak = traced_peak(query_columns, xatt_q, Yq, xatt_train, y_train, degrees, config)
         assert peak < 1.3 * m * n * 8, f"peak {peak / (m * n * 8):.3f} m x n float64 arrays"
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_dtype_follows_features(self, variant):
+        # float64 tags and degrees, as a model holds them, leave float32 columns
+        # float32; the float32 columns are the float64 ones to float32 rounding
+        m, n = 5, 40
+        rng = np.random.default_rng(14)
+        xatt_q, xatt_train = rng.standard_normal((6, m)), rng.standard_normal((6, n))
+        Yq, y_train = (rng.random((3, m)) < 0.4).astype(float), (rng.random((3, n)) < 0.4).astype(float)
+        degrees = rng.random(n) * n
+        config = GraphConfig(bandwidth=2.0, variant=variant)
+        col64, self64 = query_columns(xatt_q, Yq, xatt_train, y_train, degrees, config)
+        col, self_ = query_columns(xatt_q.astype(np.float32), Yq, xatt_train.astype(np.float32),
+                                   y_train, degrees.astype(np.float32), config)
+        assert col64.dtype == np.asarray(self64).dtype == np.float64
+        assert col.dtype == np.asarray(self_).dtype == np.float32
+        assert np.allclose(col, col64, rtol=1e-5, atol=1e-7)
+        assert np.allclose(self_, self64, rtol=1e-5, atol=1e-7)
+
+    def test_float32_columns_form_no_float64_tag_counts(self):
+        # float32 features: the m x n kernel and the m x n tag counts are both
+        # float32 whatever the tags' dtype; float64 counts would make the peak 3
+        m, n = 1024, 2000
+        rng = np.random.default_rng(15)
+        xatt_q = rng.standard_normal((16, m)).astype(np.float32)
+        xatt_train = rng.standard_normal((16, n)).astype(np.float32)
+        Yq, y_train = (rng.random((4, m)) < 0.4).astype(float), (rng.random((4, n)) < 0.4).astype(float)
+        degrees = (rng.random(n) * n).astype(np.float32)
+        config = GraphConfig(bandwidth=4.0)
+        query_columns(xatt_q[:, :9], Yq[:, :9], xatt_train, y_train, degrees, config)  # lazy imports
+        _, peak = traced_peak(query_columns, xatt_q, Yq, xatt_train, y_train, degrees, config)
+        assert peak < 2.3 * m * n * 4, f"peak {peak / (m * n * 4):.3f} m x n float32 arrays"

@@ -94,6 +94,17 @@ class TestGcnForward:
         assert Z.min() < 0.0  # no activation on the output layer
 
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_dtype_follows_inputs(self, dtype):
+        rng = np.random.default_rng(2)
+        Xatt = rng.standard_normal((4, 6)).astype(dtype)
+        gcn, _, _ = init_params(4, 5, 3, 2, seed=1)
+        params = GcnParams(gcn.W1.astype(dtype), gcn.W2.astype(dtype))
+        S = (np.eye(6) / 2).astype(dtype)
+        Z1, Z = gcn_layers(Xatt @ S, S, params)
+        assert Z1.dtype == Z.dtype == dtype
+
+
 class TestDiscForward:
     def test_zero_weights_give_half(self):
         p = DiscParams(

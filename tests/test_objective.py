@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from aghash import attention as att
 from aghash import graph as sg
 from aghash import network as net
 from aghash import objective as obj
@@ -272,6 +273,34 @@ class TestBackpropAll:
         fd_py = central_diff(lambda P: loss_for(inst.apar.P_x, P), inst.apar.P_y)
         assert max_rel_err(grads["P_x"], fd_px) < 1e-4
         assert max_rel_err(grads["P_y"], fd_py) < 1e-4
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("target", obj.RECON_TARGETS)
+    def test_gcn_gradients_take_the_forward_dtype(self, dtype, target):
+        # the GCN gradients follow S~ and the layers; the head's, the decoder's and
+        # the projections' follow their float64 parameters, and the losses are floats
+        inst = small_instance(24, hp=obj.Hyperparams(recon_target=target))
+        Xatt, cache = att.denoise(inst.X, inst.Y, inst.apar)
+        Xatt, St = Xatt.astype(dtype), inst.St.astype(dtype)
+        gcn = GcnParams(inst.gcn.W1.astype(dtype), inst.gcn.W2.astype(dtype))
+        recon = sg.build_graph(Xatt, inst.Y, sg.GraphConfig(), obj.RECON_PARTS.get(target))[3]
+        decoder = net.init_decoder(Xatt.shape[0], inst.B.shape[0], 3)
+        H = Xatt @ St
+        bd, grads = obj.backprop_all(Xatt, H, net.gcn_layers(H, St, gcn), St, inst.Y, inst.B, gcn,
+                                     inst.disc, inst.head, inst.hp, inst.prior, recon_matrix=recon,
+                                     decoder=decoder, attention=cache)
+        assert grads["W1"].dtype == grads["W2"].dtype == dtype
+        assert all(grads[name].dtype == np.float64 for name in grads if name not in ("W1", "W2"))
+        assert "P_x" in grads and (target == "feature") == ("Wd" in grads)
+        assert all(type(value) is float for value in vars(bd).values())
+        if dtype == np.float32:  # the float32 gradients are the float64 ones to float32 rounding
+            _, want = obj.backprop_all(inst.Xatt, inst.Xatt @ inst.St, net.gcn_layers(
+                inst.Xatt @ inst.St, inst.St, inst.gcn), inst.St, inst.Y, inst.B, inst.gcn, inst.disc,
+                inst.head, inst.hp, inst.prior, decoder=decoder, attention=cache,
+                recon_matrix=sg.build_graph(inst.Xatt, inst.Y, sg.GraphConfig(),
+                                            obj.RECON_PARTS.get(target))[3])
+            for name in ("W1", "W2"):
+                assert np.abs(grads[name] - want[name]).max() <= 1e-4 * np.abs(want[name]).max()
 
     def test_feature_target_requires_decoder(self):
         inst = small_instance(22, hp=obj.Hyperparams(recon_target="feature"))

@@ -164,6 +164,44 @@ class TestRank:
             assert np.array_equal(order, oracle_order(Bq[:, q], Bd))
 
 
+class TestRankedPrefix:
+    """evaluate sorts only the ranks it reads: the prefix must be rank's, byte for byte."""
+
+    @staticmethod
+    def check(dist, depth):
+        prefix = rt._ranked_prefix(dist, depth)
+        want = np.argsort(dist, kind="stable")[:depth]
+        assert prefix.dtype == want.dtype and prefix.tobytes() == want.tobytes()
+
+    def test_ties_straddle_the_cutoff(self):
+        # distance 1 holds items 1, 3, 4, 6; a depth of 3 cuts inside that tie,
+        # in a database long enough that only the prefix is sorted
+        dist = np.full(rt._PREFIX_RATIO * 3 + 1, 9, dtype=np.uint8)
+        dist[:8] = [0, 1, 2, 1, 1, 0, 1, 2]
+        for depth in range(1, dist.size + 1):
+            self.check(dist, depth)
+        assert list(rt._ranked_prefix(dist, 3)) == [0, 5, 1]
+
+    @given(st.sampled_from([1, 8, 64, 255, 256, 300]), st.integers(1, 300),
+           st.integers(1, 6), st.integers(0, 2**32 - 1), st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_matches_stable_argsort(self, r, n, patterns, seed, data):
+        rng = np.random.default_rng(seed)
+        db = rt.pack(tied_codes(rng, n, r, patterns))
+        dist = rt.hamming_to_all(rt.pack(tied_codes(rng, 1, r, patterns)).packed[0], db)
+        depth = data.draw(st.sampled_from([1, n, data.draw(st.integers(1, n), label="depth")]),
+                          label="which depth")
+        self.check(dist, depth)
+
+    @pytest.mark.parametrize("r", [1, 64])
+    def test_full_depth_and_one_bit_codes(self, r):
+        rng = np.random.default_rng(r)
+        db = rt.pack(np.where(rng.random((r, 40)) < 0.5, 1.0, -1.0))
+        dist = rt.hamming_to_all(db.packed[0], db)
+        for depth in (1, 7, 39, 40):
+            self.check(dist, depth)
+
+
 class TestAveragePrecision:
     def test_perfect_ranking(self):
         rel = np.array([1, 1, 0, 0])

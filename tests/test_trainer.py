@@ -58,11 +58,37 @@ def encode_pre_sign(model, Xq, Yq):
     return codes, seen[0]
 
 
-def assert_same_codes(batch, z_batch, one, z_one):
+def model_arrays(model):
+    """Name -> array of everything a checkpoint holds, read from the model."""
+    arrays = net.parameters(model.attention, model.gcn)
+    arrays.update((name, getattr(model, name)) for name in trainer._CACHED)
+    return arrays
+
+
+def same_codes_tolerance(model, z_batch):
+    """How far two calls' outputs for the same items may differ: inner * eps * max|z|.
+
+    An output is a chain of COMPUTE_DTYPE products: the query kernel (inner
+    length d'), its row sums and its product with xatt_train (n each), W1
+    (d') and W2 (h); the other term's product with w2z1_train (n) is shorter.
+    A computed sum of L products is within L u |x|.|y| of the exact one, u =
+    eps / 2 (Higham, Accuracy and Stability of Numerical Algorithms, 2002,
+    sec. 3.1), and to first order the lengths along a chain add up. The
+    batched and the one-column calls may each order their sums differently,
+    so they differ by at most 2 L u |x|.|y| = L eps |x|.|y|, L = 2n + 2d' + h,
+    with max|z| standing for the magnitudes |x|.|y|. Measured on the variant
+    models: at most 1.8 eps max|z|, against L = 56 there.
+    """
+    d_prime, n = model.xatt_train.shape
+    inner = 2 * n + 2 * d_prime + model.gcn.W1.shape[0]
+    return inner * np.finfo(trainer.COMPUTE_DTYPE).eps * np.abs(z_batch).max()
+
+
+def assert_same_codes(model, batch, z_batch, one, z_one):
     """Codes of the same items from different calls: a bit may flip only where
     rounding differs between the products and the output is that close to 0."""
-    tol = 1e-9 * np.abs(z_batch).max()
-    assert np.allclose(z_one, z_batch, rtol=1e-9, atol=tol)
+    tol = same_codes_tolerance(model, z_batch)
+    assert np.all(np.abs(z_one - z_batch) <= tol)
     flipped = one != batch
     assert np.all(np.abs(z_batch[flipped]) <= tol)
 
@@ -107,6 +133,25 @@ class TestAdam:
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
             adam_step(np.zeros(2), np.zeros(3), AdamState.like(np.zeros(2)), lr=0.1)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_state_is_updated_in_place_with_the_same_arithmetic(self, dtype):
+        # the moments keep their arrays, and every value equals the textbook
+        # expressions evaluated with fresh temporaries, bit for bit
+        rng = np.random.default_rng(3)
+        p = rng.standard_normal((7, 5)).astype(dtype)
+        st = AdamState.like(p)
+        m_array, v_array = st.m, st.v
+        m, v = np.zeros_like(p), np.zeros_like(p)
+        for t in range(1, 5):
+            g = rng.standard_normal(p.shape).astype(dtype)
+            m = 0.9 * m + (1.0 - 0.9) * g
+            v = 0.999 * v + (1.0 - 0.999) * g**2
+            want = p - 1e-3 * (m / (1.0 - 0.9**t)) / (np.sqrt(v / (1.0 - 0.999**t)) + 1e-8)
+            p = adam_step(p, g, st, lr=1e-3)
+            assert st.m is m_array and st.v is v_array
+            assert np.array_equal(st.m, m) and np.array_equal(st.v, v)
+            assert np.array_equal(p, want) and p.dtype == dtype
 
 
 class TestSign:
@@ -179,6 +224,7 @@ class TestFit:
             if rt == "visual":  # the kernel it reconstructs resolves the bandwidth
                 X, Y = fm.data[:, split.train], aux.data[:, split.train]
                 xatt, _ = att.denoise(X, Y, att.init_attention(fm.d, aux.c, 8, 0))
+                xatt = xatt.astype(trainer.COMPUTE_DTYPE)
                 assert model.graph_cfg.bandwidth == sg.visual_similarity(xatt)[1]
         _, _, _, _, history = tiny_fit(hyper=obj.Hyperparams(recon_target="feature"))
         assert all(np.isfinite(b.total_gen) for b in history)
@@ -207,8 +253,40 @@ class TestFit:
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
-            assert peak < 3.5 * n * n * 8, f"peak {peak / (n * n * 8):.2f} n x n float64 arrays"
+            assert peak < 2.5 * n * n * 8, f"peak {peak / (n * n * 8):.2f} n x n float64 arrays"
             assert scores == [(n, u)] * (3 if train_attention else 1)
+
+    @pytest.mark.parametrize("train_attention", [False, True])
+    @pytest.mark.parametrize("n, hidden, bound", [
+        (2000, 32, 2000 * 2000 * 4), (500, 2048, 2048 * 500 * 8),
+    ], ids=["no-n-by-n", "no-float64-h-by-n"])
+    def test_epoch_forms_no_graph_copy_or_float64_hidden_array(self, n, hidden, bound, train_attention):
+        # S~ and the layers exist before an epoch starts. Within one, the loss
+        # works in row panels and the GCN products stay in S~'s dtype, so the
+        # epoch's new arrays stay below one float32 n x n array when n is large
+        # against h, and below one float64 h x n array when h is large against n
+        fm, aux, _ = synth_dataset(n=n, d=16, c=4, sep=2.0, label_noise=0.1, seed=1)
+        peaks = []
+
+        def trace(epoch, _):
+            if epoch == 1:
+                tracemalloc.start()
+            else:
+                peaks.append(tracemalloc.get_traced_memory()[1])
+                tracemalloc.stop()
+
+        try:
+            trainer.fit(fm, aux, np.arange(n), r=8, d_prime=16, hidden=hidden, epoch_callback=trace,
+                        cfg=TrainConfig(epochs=2, train_attention=train_attention))
+        finally:
+            tracemalloc.stop()
+        assert peaks[0] < bound, f"epoch peak {peaks[0]} bytes, bound {bound}"
+
+    def test_model_arrays_take_the_compute_dtype(self):
+        _, _, _, model, _ = tiny_fit(seed=4)
+        for name, arr in model_arrays(model).items():
+            want = trainer.COMPUTE_DTYPE if name in trainer._COMPUTED else np.float64
+            assert arr.dtype == want, name
 
     def test_joint_attention_training_moves_projections(self):
         from aghash.attention import init_attention
@@ -236,18 +314,19 @@ class TestFit:
         (False, "aux"), (True, "aux"), (True, "feature"),
     ])
     def test_cached_outputs_match_final_parameters(self, train_attention, recon_target):
-        # the graph is built once, from the attentive features under the initial projections
+        # the graph is built once, from the attentive features under the initial
+        # projections; the reference forward runs in fit's dtype, so it is fit's own
         cfg = TrainConfig(epochs=3, lr=1e-3, seed=9, train_attention=train_attention)
         fm, aux, split, model, _ = tiny_fit(seed=9, hyper=obj.Hyperparams(recon_target=recon_target),
                                             cfg=cfg)
         X, Y = fm.data[:, split.train], aux.data[:, split.train]
         xatt0, _ = att.denoise(X, Y, att.init_attention(fm.d, aux.c, 8, cfg.seed))
-        St, _, _, _ = sg.build_graph(xatt0, Y, model.graph_cfg)
-        xatt, _ = att.denoise(X, Y, model.attention)
+        St, _, _, _ = sg.build_graph(xatt0.astype(trainer.COMPUTE_DTYPE), Y, model.graph_cfg)
+        xatt = att.denoise(X, Y, model.attention)[0].astype(trainer.COMPUTE_DTYPE)
         Z1, Z = net.gcn_layers(xatt @ St, St, model.gcn)
-        assert np.allclose(model.xatt_train, xatt, atol=1e-12)
-        assert np.allclose(model.gcn.W2 @ Z1, model.w2z1_train, atol=1e-10)
-        assert np.allclose(Z, model.z_train, atol=1e-10)
+        assert np.array_equal(model.xatt_train, xatt)
+        assert np.array_equal(model.gcn.W2 @ Z1, model.w2z1_train)
+        assert np.array_equal(Z, model.z_train)
 
 
 class TestEncoding:
@@ -276,7 +355,26 @@ class TestEncoding:
         batch, z_batch = encode_pre_sign(model, fm.data[:, idx], aux.data[:, idx])
         for j, i in enumerate(idx):
             one, z_one = encode_pre_sign(model, fm.data[:, i:i + 1], aux.data[:, i:i + 1])
-            assert_same_codes(batch[:, j], z_batch[:, j], one[:, 0], z_one[:, 0])
+            assert_same_codes(model, batch[:, j], z_batch[:, j], one[:, 0], z_one[:, 0])
+
+    def test_same_codes_bound_can_fail(self, variant_models):
+        # one output moved just past the bound, or one code bit flipped where
+        # the output is beyond the bound, fails the rule that the calls pass
+        fm, aux, model = variant_models["full"]
+        batch, z_batch = encode_pre_sign(model, fm.data[:, :8], aux.data[:, :8])
+        one, z_one = encode_pre_sign(model, fm.data[:, :1], aux.data[:, :1])
+        assert_same_codes(model, batch[:, 0], z_batch[:, 0], one[:, 0], z_one[:, 0])
+        tol = same_codes_tolerance(model, z_batch[:, 0])
+        moved = z_batch[:, 0].astype(np.float64)
+        moved[0] += tol * (1 + 1e-6)
+        with pytest.raises(AssertionError):
+            assert_same_codes(model, batch[:, 0], z_batch[:, 0], one[:, 0], moved)
+        k = int(np.argmax(np.abs(z_batch[:, 0])))
+        assert np.abs(z_batch[k, 0]) > tol
+        flipped = one[:, 0].copy()
+        flipped[k] = -flipped[k]
+        with pytest.raises(AssertionError):
+            assert_same_codes(model, batch[:, 0], z_batch[:, 0], flipped, z_one[:, 0])
 
     def test_codes_do_not_depend_on_the_panels(self, monkeypatch):
         # m = panel + 3 queries cross one panel edge; splitting the call at the
@@ -287,10 +385,30 @@ class TestEncoding:
         batch, z_batch = encode_pre_sign(model, Xq, Yq)
         halves = [encode_pre_sign(model, Xq[:, cols], Yq[:, cols])
                   for cols in (slice(0, 5), slice(5, 8))]
-        assert_same_codes(batch, z_batch, *(np.hstack(arrays) for arrays in zip(*halves)))
+        assert_same_codes(model, batch, z_batch, *(np.hstack(arrays) for arrays in zip(*halves)))
         for j in range(8):
             one, z_one = encode_pre_sign(model, Xq[:, j:j + 1], Yq[:, j:j + 1])
-            assert_same_codes(batch[:, j], z_batch[:, j], one[:, 0], z_one[:, 0])
+            assert_same_codes(model, batch[:, j], z_batch[:, j], one[:, 0], z_one[:, 0])
+
+    def test_columns_and_layers_run_in_compute_dtype(self, monkeypatch):
+        # float64 query features, tags and degrees: the graph columns and the
+        # layer-1 input are COMPUTE_DTYPE, so no float64 copy of a training array forms
+        monkeypatch.setattr(trainer, "QUERY_PANEL", 3)
+        fm, aux, _, model, _ = tiny_fit(seed=21)
+        query_columns, relu, seen = sg.query_columns, net.relu, []
+
+        def columns(*args):
+            out = query_columns(*args)
+            seen.extend(np.asarray(a).dtype for a in out)
+            return out
+
+        def layer(x):
+            seen.append(x.dtype)
+            return relu(x)
+
+        with mock.patch.object(sg, "query_columns", columns), mock.patch.object(net, "relu", layer):
+            codes, z = encode_pre_sign(model, fm.data[:, :7], aux.data[:, :7])
+        assert seen == [trainer.COMPUTE_DTYPE] * 9 and z.dtype == trainer.COMPUTE_DTYPE
 
     def test_attention_runs_once_per_call(self, monkeypatch):
         # the attention dedupes y_train on each run, so it runs for all m queries at once
@@ -405,10 +523,13 @@ class TestPersistence:
         back = trainer.load_model(p)
         trainer.save_model(resaved, back)
         assert resaved.read_bytes() == p.read_bytes()
+        assert {name: a.dtype for name, a in model_arrays(back).items()} == {
+            name: a.dtype for name, a in model_arrays(model).items()}
         Xq, Yq = fm.data[:, split.query], aux.data[:, split.query]
-        assert np.array_equal(
-            trainer.encode_queries(model, Xq, Yq), trainer.encode_queries(back, Xq, Yq)
-        )
+        codes, z = encode_pre_sign(model, Xq, Yq)
+        back_codes, back_z = encode_pre_sign(back, Xq, Yq)
+        assert np.array_equal(codes, back_codes)
+        assert z.dtype == back_z.dtype and z.tobytes() == back_z.tobytes()
 
     def edited(self, tmp_path, edit):
         """The checkpoint of a tiny model after edit(arrays, meta) changed its contents."""
@@ -479,6 +600,7 @@ class TestPersistence:
     @pytest.mark.parametrize("name, value", [
         ("P_x", np.nan), ("P_y", np.inf), ("W1", np.nan), ("W2", -np.inf), ("xatt_train", np.nan),
         ("w2z1_train", np.inf), ("z_train", np.nan), ("degrees", np.nan), ("y_train", -np.inf),
+        ("W1", 1e300), ("degrees", 1e39),  # finite on disk, beyond float32 where fit computes them
     ], ids=str)
     def test_non_finite_array_is_format_error(self, tmp_path, name, value):
         p = self.edited(tmp_path, lambda arrays, meta: arrays[name].flat.__setitem__(-1, value))
