@@ -98,20 +98,19 @@ def aux_similarity(Y):
     return Y.T @ Y
 
 
-def combine(variant, mu, visual, aux):
-    """The variant's similarity from its visual and auxiliary parts: mu*v + a, v or a.
+def combine(mu, visual, aux):
+    """The similarity from the parts given: mu*visual + aux, or the one part that is not None.
 
-    Applies alike to matrix panels, to query columns and to scalar self terms;
-    a part the variant does not use (PARTS) may be None.
-    An array `visual` is overwritten with the augmented sum.
+    Applies alike to matrix panels, to query columns and to scalar self terms.
+    An array `visual` is overwritten with the sum.
     """
-    if variant == "augmented":
-        visual *= mu
-        visual += aux
-        return visual
-    if variant == "visual-only":
+    if aux is None:
         return visual  # scale cancels under normalization, so mu is irrelevant here
-    return aux
+    if visual is None:
+        return aux
+    visual *= mu
+    visual += aux
+    return visual
 
 
 def inv_sqrt_degree(degrees):
@@ -170,7 +169,7 @@ def build_graph(Xatt, Y, config, part=None):
         S, kept = Sv, (Sv.copy() if part == "visual" else None)
     if uses_visual and uses_tags:
         for lo in range(0, S.shape[0], PANEL):  # integer counts: the sums of one Y^T Y
-            combine(config.variant, config.mu, S[lo:lo + PANEL], Y[:, lo:lo + PANEL].T @ Y)
+            combine(config.mu, S[lo:lo + PANEL], Y[:, lo:lo + PANEL].T @ Y)
     if part == "augmented":
         kept = S.copy()
     return (*normalize(S), sigma, kept)
@@ -190,8 +189,8 @@ def query_columns(xatt_q, Yq, xatt_train, y_train, degrees, config):
     Yq, y_train = (np.asarray(tags, dtype=dtype) for tags in (Yq, y_train))
     uses_visual, uses_tags = PARTS[config.variant]
     visual = gaussian_kernel(sqdist(xatt_q, xatt_train), config.bandwidth) if uses_visual else None
-    st_col = combine(config.variant, config.mu, visual, Yq.T @ y_train if uses_tags else None)
-    s_self = combine(config.variant, config.mu, 1.0, (Yq**2).sum(axis=0) if uses_tags else None)
+    st_col = combine(config.mu, visual, Yq.T @ y_train if uses_tags else None)
+    s_self = combine(config.mu, 1.0 if uses_visual else None, (Yq**2).sum(axis=0) if uses_tags else None)
     d_q = st_col.sum(axis=1) + s_self
     safe_dq = np.where(d_q > 0, d_q, 1.0)
     st_col /= np.sqrt(safe_dq)[:, None]

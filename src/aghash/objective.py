@@ -12,8 +12,7 @@ import numpy as np
 
 from . import attention as att
 from .errors import ParameterError, ShapeError, require_finite
-from .network import (ClsHead, DecoderParams, DiscParams, GcnParams, cls_forward, disc_layers,
-                      parameters, sigmoid)
+from .network import cls_forward, disc_layers, sigmoid
 
 RECON_TARGETS = ("aux", "visual", "augmented", "inner-product", "feature")
 # the targets that reconstruct a kernel graph part (graph.build_graph's `part`),
@@ -141,7 +140,7 @@ def classification_loss(P, Y):
 class GanResult:
     l_disc: float
     l_gen_adv: float
-    disc_grads: DiscParams
+    disc_grads: dict  # name -> gradient, keyed as network.parameters keys the discriminator
     dZ: np.ndarray  # gradient of l_gen_adv w.r.t. the generator outputs
 
 
@@ -158,7 +157,7 @@ def _disc_backward(V, h1, h2, dlogits, p):
     dA1 = da1 @ V.T
     db1 = da1.sum(axis=1)
     dV = p.A1.T @ da1
-    return DiscParams(dA1, db1, dA2, db2, dA3, db3), dV
+    return {"A1": dA1, "b1": db1, "A2": dA2, "b2": db2, "A3": dA3, "b3": db3}, dV
 
 
 def gan_losses(Z, prior_samples, disc):
@@ -178,8 +177,7 @@ def gan_losses(Z, prior_samples, disc):
     l_disc = float(_softplus(-f_real).mean() + _softplus(f_fake).mean())
     g_real, _ = _disc_backward(prior_samples, h1r, h2r, (D_real - 1.0) / m_real, disc)
     g_fake, _ = _disc_backward(Z, h1f, h2f, D_fake / m_fake, disc)
-    real, fake = parameters(g_real), parameters(g_fake)
-    disc_grads = DiscParams(**{name: real[name] + fake[name] for name in real})
+    disc_grads = {name: g_real[name] + g_fake[name] for name in g_real}
 
     _, dZ = _disc_backward(Z, h1f, h2f, -(1.0 - D_fake) / m_fake, disc)
     return GanResult(l_disc=l_disc, l_gen_adv=float(_softplus(-f_fake).mean()),
@@ -227,9 +225,9 @@ def backprop_all(
     `attention.denoise` that gave Xatt, adds the projection gradients with
     the graph held fixed.
 
-    Returns (LossBreakdown, grads); grads is the name -> array registry
-    (`network.parameters`) of the generator-side gradients: the GCN, the
-    head, and the decoder and projections when they are in use.
+    Returns (LossBreakdown, grads); grads maps the `network.parameters` name
+    of each generator-side parameter to its gradient: the GCN, the head, and
+    the decoder and projections when they are in use.
     """
     Z1, Z = layers
 
@@ -260,8 +258,9 @@ def backprop_all(
     dA = gcn.W2.T @ G
     dA *= Z1 > 0
     dW1 = dA @ H.T
-    grads = parameters(GcnParams(dW1, dW2), ClsHead(hp.lambda3 * dWc),
-                       None if dWd is None else DecoderParams(hp.lambda1 * dWd))
+    grads = {"W1": dW1, "W2": dW2, "Wc": hp.lambda3 * dWc}
+    if dWd is not None:
+        grads["Wd"] = hp.lambda1 * dWd
 
     if attention is not None:
         dXatt = (gcn.W1.T @ dA) @ S_tilde

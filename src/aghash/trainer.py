@@ -38,39 +38,41 @@ class TrainConfig:
             raise ParameterError(f"epochs must be >= 1, got {self.epochs}")
 
 
+# Adam's moment decays and the denominator's guard (Kingma & Ba, ICLR 2015)
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+
 @dataclass
 class AdamState:
     m: np.ndarray
     v: np.ndarray
-    t: int = 0
 
     @classmethod
     def like(cls, param):
         return cls(m=np.zeros_like(param), v=np.zeros_like(param))
 
 
-def adam_step(param, grad, state, lr, beta1=0.9, beta2=0.999, eps=1e-8):
-    """One bias-corrected Adam update; updates state.m and state.v in place, returns the new parameter.
+def adam_step(param, grad, state, t, lr):
+    """Step t (from 1) of bias-corrected Adam: updates param, state.m and state.v in place.
 
     The operations and their order are those of m = b1 m + (1 - b1) g,
-    v = b2 v + (1 - b2) g^2, param - lr m_hat / (sqrt(v_hat) + eps).
+    v = b2 v + (1 - b2) g^2, param -= lr m_hat / (sqrt(v_hat) + eps).
     """
     if param.shape != grad.shape or param.shape != state.m.shape:
         raise ShapeError(f"shape mismatch: param {param.shape}, grad {grad.shape}, state {state.m.shape}")
-    state.t += 1
-    state.m *= beta1
-    state.m += (1.0 - beta1) * grad
+    state.m *= BETA1
+    state.m += (1.0 - BETA1) * grad
     g2 = grad**2
-    g2 *= 1.0 - beta2
-    state.v *= beta2
+    g2 *= 1.0 - BETA2
+    state.v *= BETA2
     state.v += g2
-    step = state.m / (1.0 - beta1**state.t)
+    step = state.m / (1.0 - BETA1**t)
     step *= lr
-    denom = np.divide(state.v, 1.0 - beta2**state.t, out=g2)
+    denom = np.divide(state.v, 1.0 - BETA2**t, out=g2)
     np.sqrt(denom, out=denom)
-    denom += eps
+    denom += EPS
     step /= denom
-    return param - step
+    param -= step
 
 
 def sign_pm(Z):
@@ -154,15 +156,8 @@ def fit(
 
     rng = np.random.default_rng(cfg.seed + 2)
 
-    states = {name: AdamState.like(param) for name, param in
-              net.parameters(apar if cfg.train_attention else None, gcn, disc, head, decoder).items()}
-
-    def adam(group, grads):
-        """The parameter group after one Adam step on each of its arrays."""
-        return type(group)(**{
-            name: adam_step(param, grads[name], states[name], cfg.lr)
-            for name, param in net.parameters(group).items()
-        })
+    params = net.parameters(apar if cfg.train_attention else None, gcn, disc, head, decoder)
+    states = {name: AdamState.like(param) for name, param in params.items()}
 
     H = Xatt @ St
     Z1, Z = net.gcn_layers(H, St, gcn)
@@ -173,7 +168,8 @@ def fit(
         B = sign_pm(Z)
         prior = rng.standard_normal((r, n))
 
-        disc = adam(disc, net.parameters(obj.gan_losses(Z, prior, disc).disc_grads))
+        for name, grad in obj.gan_losses(Z, prior, disc).disc_grads.items():
+            adam_step(params[name], grad, states[name], epoch, cfg.lr)
 
         breakdown, grads = obj.backprop_all(
             Xatt, H, (Z1, Z), St, Yt, B, gcn, disc, head, hyper, prior,
@@ -183,11 +179,9 @@ def fit(
             if not np.isfinite(getattr(breakdown, term.name)):
                 raise NumericError(f"non-finite loss term {term.name} at epoch {epoch}")
 
-        gcn, head = adam(gcn, grads), adam(head, grads)
-        if decoder is not None:
-            decoder = adam(decoder, grads)
+        for name, grad in grads.items():
+            adam_step(params[name], grad, states[name], epoch, cfg.lr)
         if cfg.train_attention:
-            apar = adam(apar, grads)
             Xatt, cache = _attentive(X, Yt, apar, use_attention)
             H = Xatt @ St
         Z1, Z = net.gcn_layers(H, St, gcn)
@@ -324,6 +318,8 @@ def load_model(path):
                           f"got {meta['use_attention']!r}")
     _check_names(path, "graph setting", meta["graph"], [f.name for f in fields(sg.GraphConfig)])
     graph_cfg = _from_file(path, lambda graph: sg.GraphConfig(**graph), meta["graph"])
+    if sg.PARTS[graph_cfg.variant][0] and graph_cfg.bandwidth is None:  # fit saves the one it used
+        raise FormatError(f"{path}: checkpoint graph has no bandwidth for its visual kernel")
     values = {name: cls(**{f.name: arrays[f.name] for f in fields(cls)}) for name, cls in _GROUPS.items()}
     values.update((name, arrays[name]) for name in _CACHED)
     return TrainedModel(**values, graph_cfg=graph_cfg, use_attention=meta["use_attention"])

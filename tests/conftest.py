@@ -56,7 +56,7 @@ def small_instance(seed, n=16, d=8, d_prime=8, h=8, r=4, c=3, hp=None):
     apar = att.init_attention(d, c, d_prime, seed + 1)
     Xatt, _ = att.denoise(X, Y, apar)
     Sv, _ = sg.visual_similarity(Xatt)
-    St, _ = sg.normalize(sg.combine("augmented", 1.0, Sv, sg.aux_similarity(Y)))
+    St, _ = sg.normalize(sg.combine(1.0, Sv, sg.aux_similarity(Y)))
     gcn, disc, head = net.init_params(d_prime, h, r, c, seed + 2)
     prior = rng.standard_normal((r, n))
     _, Z = net.gcn_layers(Xatt @ St, St, gcn)

@@ -383,6 +383,10 @@ MALFORMED = {
     "checkpoint-mu-string": (lambda p, t: _encode(p, t, checkpoint=_edited(
         p, t, lambda arrays, meta: meta["graph"].update(mu="x"))),
                              "edited.bin: mu must be a real number, got 'x'"),
+    # the graph uses a visual kernel, whose bandwidth the checkpoint must hold
+    "checkpoint-bandwidth-null": (lambda p, t: _encode(p, t, checkpoint=_edited(
+        p, t, lambda arrays, meta: meta["graph"].update(bandwidth=None))),
+                                  "edited.bin: checkpoint graph has no bandwidth for its visual kernel"),
     "split-not-object": (lambda p, t: _train(p, t, split=_file(t, "s.json", "[1, 2]")),
                          "must be a JSON object"),
     "split-not-integers": (lambda p, t: _train(p, t, split=_file(t, "s.json", _SPLIT % ('["a"]', "[]"))),

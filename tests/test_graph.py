@@ -115,14 +115,20 @@ class TestFuse:
         rng = np.random.default_rng(3)
         Sv = rng.random((4, 4))
         Sa = rng.random((4, 4))
-        assert np.array_equal(combine("augmented", 0.0, Sv, Sa), Sa)
+        assert np.array_equal(combine(0.0, Sv, Sa), Sa)
 
     def test_zero_aux(self):
         Sv = np.full((3, 3), 0.5)
-        assert np.array_equal(combine("augmented", 1.0, Sv, np.zeros((3, 3))), Sv)
+        assert np.array_equal(combine(1.0, Sv, np.zeros((3, 3))), Sv)
 
     def test_scalar_arithmetic(self):
-        assert combine("augmented", 1.0, np.array([[0.5]]), np.array([[2.0]]))[0, 0] == 2.5
+        assert combine(1.0, np.array([[0.5]]), np.array([[2.0]]))[0, 0] == 2.5
+
+    def test_a_missing_part_leaves_the_other_unscaled(self):
+        Sv, Sa = np.full((2, 2), 0.5), np.full((2, 2), 2.0)
+        assert combine(3.0, Sv, None) is Sv and combine(3.0, None, Sa) is Sa
+        assert combine(3.0, 1.0, None) == 1.0 and combine(3.0, 1.0, 2.0) == 5.0
+        assert np.array_equal(Sv, np.full((2, 2), 0.5))
 
 
 class TestNormalize:
@@ -277,7 +283,8 @@ class TestBuildGraph:
         config = GraphConfig(mu=0.7, variant=variant)
         St, degrees, sigma, kept = build_graph(X, Y, config, part)
         Sv, median = visual_similarity(X)
-        S = combine(variant, 0.7, Sv.copy(), aux_similarity(Y))
+        uses_visual, uses_tags = sg.PARTS[variant]
+        S = combine(0.7, Sv.copy() if uses_visual else None, aux_similarity(Y) if uses_tags else None)
         want_St, want_degrees = normalize(S.copy())
         assert np.array_equal(St, want_St) and np.array_equal(degrees, want_degrees)
         assert sigma == (None if variant == "aux-only" and part != "visual" else median)

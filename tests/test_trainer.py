@@ -98,20 +98,19 @@ class TestAdam:
         # bias correction makes the first update lr * g / (|g| + eps)
         p = np.array([1.0, -2.0])
         g = np.array([0.5, -3.0])
-        new = adam_step(p, g, AdamState.like(p), lr=0.1)
-        assert np.allclose(new, p - 0.1 * np.sign(g), atol=1e-7)
+        adam_step(p, g, AdamState.like(p), 1, lr=0.1)
+        assert np.allclose(p, [1.0, -2.0] - 0.1 * np.sign(g), atol=1e-7)
 
     def test_zero_gradient_no_move(self):
         p = np.array([2.0])
-        new = adam_step(p, np.zeros(1), AdamState.like(p), lr=0.1)
-        assert new[0] == 2.0
+        adam_step(p, np.zeros(1), AdamState.like(p), 1, lr=0.1)
+        assert p[0] == 2.0
 
     def test_state_accumulates(self):
         st = AdamState.like(np.zeros(1))
         p = np.array([0.0])
-        for _ in range(5):
-            p = adam_step(p, np.array([1.0]), st, lr=0.01)
-        assert st.t == 5
+        for t in range(1, 6):
+            adam_step(p, np.array([1.0]), st, t, lr=0.01)
         assert p[0] == pytest.approx(-0.05, abs=1e-6)
 
     def test_constant_gradient_reference_sequence(self):
@@ -126,30 +125,30 @@ class TestAdam:
             x_ref -= lr * (m / (1 - b1**t)) / ((v / (1 - b2**t)) ** 0.5 + eps)
         st = AdamState.like(np.zeros(1))
         x = np.array([0.5])
-        for _ in range(3):
-            x = adam_step(x, np.array([g]), st, lr=lr, beta1=b1, beta2=b2, eps=eps)
+        for t in range(1, 4):
+            adam_step(x, np.array([g]), st, t, lr=lr)
         assert x[0] == pytest.approx(x_ref, abs=1e-12)
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
-            adam_step(np.zeros(2), np.zeros(3), AdamState.like(np.zeros(2)), lr=0.1)
+            adam_step(np.zeros(2), np.zeros(3), AdamState.like(np.zeros(2)), 1, lr=0.1)
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_state_is_updated_in_place_with_the_same_arithmetic(self, dtype):
-        # the moments keep their arrays, and every value equals the textbook
-        # expressions evaluated with fresh temporaries, bit for bit
+        # the parameter and the moments keep their arrays, and every value
+        # equals the textbook expressions evaluated with fresh temporaries, bit for bit
         rng = np.random.default_rng(3)
         p = rng.standard_normal((7, 5)).astype(dtype)
         st = AdamState.like(p)
-        m_array, v_array = st.m, st.v
+        p_array, m_array, v_array = p, st.m, st.v
         m, v = np.zeros_like(p), np.zeros_like(p)
         for t in range(1, 5):
             g = rng.standard_normal(p.shape).astype(dtype)
             m = 0.9 * m + (1.0 - 0.9) * g
             v = 0.999 * v + (1.0 - 0.999) * g**2
             want = p - 1e-3 * (m / (1.0 - 0.9**t)) / (np.sqrt(v / (1.0 - 0.999**t)) + 1e-8)
-            p = adam_step(p, g, st, lr=1e-3)
-            assert st.m is m_array and st.v is v_array
+            assert adam_step(p, g, st, t, lr=1e-3) is None
+            assert p is p_array and st.m is m_array and st.v is v_array
             assert np.array_equal(st.m, m) and np.array_equal(st.v, v)
             assert np.array_equal(p, want) and p.dtype == dtype
 
@@ -209,6 +208,32 @@ class TestFit:
         fm, aux, _ = synth_dataset(n=40, d=4, c=2, sep=1.0, label_noise=0.0, seed=0)
         with pytest.raises(ParameterError, match=f"train index {index} is out of range for 40 items"):
             trainer.fit(fm, aux, [0, 1, index, 2], r=4, d_prime=8, hidden=8)
+
+    @pytest.mark.parametrize("train_attention, recon_target", [
+        (False, "aux"), (True, "aux"), (True, "feature"),
+    ])
+    def test_each_epoch_steps_every_parameter_once(self, train_attention, recon_target):
+        # the registry's arrays are stepped in place, each once per epoch with t == epoch:
+        # the GCN's 2, the discriminator's 6, the head's 1, and the decoder and projections in use
+        steps, ends = [], [0]
+
+        def record(param, grad, state, t, lr):
+            steps.append((id(param), t))
+            adam_step(param, grad, state, t, lr)
+
+        with mock.patch.object(trainer, "adam_step", record):
+            _, _, _, model, _ = tiny_fit(
+                hyper=obj.Hyperparams(recon_target=recon_target),
+                cfg=TrainConfig(epochs=3, lr=1e-3, train_attention=train_attention),
+                epoch_callback=lambda epoch, _: ends.append(len(steps)))
+        ids = {param for param, _ in steps}
+        assert len(ids) == 9 + 2 * train_attention + (recon_target == "feature")
+        assert id(model.gcn.W1) in ids
+        assert (id(model.attention.P_x) in ids) == train_attention
+        for epoch in (1, 2, 3):
+            stepped = steps[ends[epoch - 1]:ends[epoch]]
+            assert sorted(stepped) == sorted((param, epoch) for param in ids)
+        assert ends[-1] == len(steps)
 
     def test_epoch_callback(self):
         seen = []
