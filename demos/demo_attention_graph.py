@@ -7,7 +7,7 @@ import numpy as np
 
 from aghash.attention import AttentionParams, denoise, init_attention
 from aghash.data import synth_dataset
-from aghash.graph import GraphConfig, aux_similarity, build_graph, visual_similarity
+from aghash.graph import GraphConfig, normalize, similarity, visual_similarity
 
 features, aux, truth = synth_dataset(n=200, d=16, c=3, sep=4.0, label_noise=0.15, seed=1)
 X, Y = features.data, aux.data
@@ -37,8 +37,9 @@ print(f"score(v, v) = {denoise(v, v, identity)[1].alpha[0, 0]:.3f}, "
 # bandwidth unless pinned) with integer aux inner products, then applies
 # symmetric degree normalization.
 Sv, sigma = visual_similarity(Xatt)
-Sa = aux_similarity(Y)
-S_tilde, _, _, S = build_graph(Xatt, Y, GraphConfig(mu=1.0), part="augmented")
+Sa = Y.T @ Y
+S, _ = similarity(Xatt, Y, GraphConfig(mu=1.0))
+S_tilde, _ = normalize(S.copy())  # build_graph normalizes in S's own buffer
 print(f"visual kernel bandwidth (median heuristic): {sigma:.3f}")
 print(f"aux similarities are integers: counts {sorted(set(Sa.ravel().astype(int).tolist()))}")
 

@@ -326,12 +326,15 @@ def cmd_evaluate(args):
 
     with _recorded(args, args.out_prefix + ".manifest.json",
                    [args.query_codes, args.db_codes, args.query_labels, args.db_labels]) as man:
+        start = time.perf_counter()
         report = evaluate(query_codes, db_codes, query_labels.data, db_labels.data,
                           K=args.k, curve_points=curve, denominator=args.denominator)
+        evaluate_time = time.perf_counter() - start
         json_path = args.out_prefix + ".json"
         curve_path = args.out_prefix + "_curve.csv"
         save_report(json_path, curve_path, report)
         man["outputs"] = [json_path, curve_path]
+        man["timing"] = {"evaluate_seconds": evaluate_time}
     print(f"evaluate: MAP@{args.k} = {report.map_at_k:.6f} over {query_codes.n} queries")
     return 0
 

@@ -87,6 +87,9 @@ class DatasetSplit:
                 raise ShapeError(f"{name} indices must be 1-D")
             if idx.size and idx.min() < 0:
                 raise ParameterError(f"negative index in {name}")
+            values, counts = np.unique(idx, return_counts=True)
+            if counts.max(initial=1) > 1:
+                raise ParameterError(f"{name} index {values[counts > 1][0]} is repeated")
             idx.setflags(write=False)
             object.__setattr__(self, name, idx)
         if np.intersect1d(self.train, self.query).size:
@@ -255,7 +258,7 @@ def load_split(path):
         if not isinstance(values, list) or not all(type(v) is int and abs(v) < 2**63 for v in values):
             raise FormatError(f"{path}: split {name!r} must be a list of 64-bit integers")
         subsets[name] = np.asarray(values, dtype=np.int64)
-    return DatasetSplit(**subsets)
+    return _from_file(path, lambda subsets: DatasetSplit(**subsets), subsets)
 
 
 # ---------------------------------------------------------------------------
@@ -290,8 +293,8 @@ def synth_dataset(n, d, c, sep, label_noise, seed):
         raise ParameterError(f"need n >= c >= 1, got n={n}, c={c}")
     if d < 1:
         raise ParameterError(f"need d >= 1, got d={d}")
-    if sep < 0:
-        raise ParameterError(f"need sep >= 0, got {sep}")
+    if not (np.isfinite(sep) and sep >= 0):
+        raise ParameterError(f"need a finite sep >= 0, got {sep}")
     if not 0.0 <= label_noise <= 1.0:
         raise ParameterError(f"label_noise must be in [0,1], got {label_noise}")
     rng = np.random.default_rng(seed)

@@ -54,6 +54,8 @@ def sqdist(A, B):
 
 def gaussian_kernel(d2, sigma):
     """exp(-d2 / (2 sigma^2)) of the squared distances d2, computed in d2's buffer and returned."""
+    if d2.dtype.type(2.0 * sigma**2) == 0:  # the kernel would be 0/0 where d2 is 0
+        raise ParameterError(f"bandwidth {sigma} is too small: 2 sigma^2 is 0 in {d2.dtype}")
     np.negative(d2, out=d2)
     d2 /= 2.0 * sigma**2
     return np.exp(d2, out=d2)
@@ -90,12 +92,6 @@ def _floating(A):
     """A as an array, unchanged when it is float32 or float64, else converted to float64."""
     A = np.asarray(A)
     return A if A.dtype in (np.float32, np.float64) else A.astype(np.float64)
-
-
-def aux_similarity(Y):
-    """Integer-valued shared-category counts y_i . y_j, in Y's floating dtype."""
-    Y = _floating(Y)
-    return Y.T @ Y
 
 
 def combine(mu, visual, aux):
@@ -150,29 +146,28 @@ def normalize(S):
     return S, degrees
 
 
-def build_graph(Xatt, Y, config, part=None):
-    """(S_tilde, degrees, sigma, kept): the variant's normalized graph and one unnormalized part.
+def similarity(Xatt, Y, config):
+    """(S, sigma): the variant's unnormalized similarity in Xatt's dtype.
 
-    kept is the `part` a loss reconstructs: 'visual' (the kernel), 'augmented'
-    (the fused S) or None; it never shares memory with S_tilde. The kernel is
-    built when the variant uses it or `part` is 'visual'; sigma is its
-    bandwidth, else None. S is fused and normalized in the kernel's buffer.
+    The kernel part is built first and the tag counts are fused into its
+    buffer; sigma is the kernel's bandwidth, or None when the variant has no
+    kernel, whose similarity is the counts Y^T Y alone.
     """
     Y = np.asarray(Y, dtype=Xatt.dtype)
     uses_visual, uses_tags = PARTS[config.variant]
-    Sv = sigma = None
-    if uses_visual or part == "visual":
-        Sv, sigma = visual_similarity(Xatt, config.bandwidth)
     if not uses_visual:
-        S, kept = aux_similarity(Y), Sv  # Sv exists here only as the kept part
-    else:
-        S, kept = Sv, (Sv.copy() if part == "visual" else None)
-    if uses_visual and uses_tags:
+        return Y.T @ Y, None
+    S, sigma = visual_similarity(Xatt, config.bandwidth)
+    if uses_tags:
         for lo in range(0, S.shape[0], PANEL):  # integer counts: the sums of one Y^T Y
             combine(config.mu, S[lo:lo + PANEL], Y[:, lo:lo + PANEL].T @ Y)
-    if part == "augmented":
-        kept = S.copy()
-    return (*normalize(S), sigma, kept)
+    return S, sigma
+
+
+def build_graph(Xatt, Y, config):
+    """(S_tilde, degrees, sigma): the variant's similarity, normalized in its own buffer."""
+    S, sigma = similarity(Xatt, Y, config)
+    return (*normalize(S), sigma)
 
 
 def query_columns(xatt_q, Yq, xatt_train, y_train, degrees, config):

@@ -15,11 +15,11 @@ from .errors import ParameterError, ShapeError, require_finite
 from .network import cls_forward, disc_layers, sigmoid
 
 RECON_TARGETS = ("aux", "visual", "augmented", "inner-product", "feature")
-# the targets that reconstruct a kernel graph part (graph.build_graph's `part`),
-# which the loss reads as an n x n matrix; 'aux' and 'inner-product' reconstruct
-# the tags' Gram matrix Y^T Y from the c x n tags, and 'feature' reconstructs
-# through the decoder
-RECON_PARTS = {"visual": "visual", "augmented": "augmented"}
+# the graph variant whose unnormalized similarity (graph.similarity) each kernel
+# target reconstructs, which the loss reads as an n x n matrix; 'aux' and
+# 'inner-product' reconstruct the tags' Gram matrix Y^T Y from the c x n tags,
+# and 'feature' reconstructs through the decoder
+RECON_PARTS = {"visual": "visual-only", "augmented": "augmented"}
 # rows of the reconstruction target and of the code cosines formed at a time
 PANEL = 128
 
@@ -116,12 +116,12 @@ def reconstruction_loss(Z, target, k, mode="cosine"):
 
 
 def feature_reconstruction_loss(Z, Xatt, decoder):
-    """Linear-decoder feature reconstruction ||Xatt - Wd Z||^2."""
+    """Linear-decoder feature reconstruction ||Xatt - Wd Z||^2 and its Z, Wd and Xatt gradients."""
     if decoder.Wd.shape != (Xatt.shape[0], Z.shape[0]):
         raise ShapeError(f"decoder is {decoder.Wd.shape}, expected {(Xatt.shape[0], Z.shape[0])}")
     R = Xatt - decoder.Wd @ Z
     loss = float((R**2).sum())
-    return loss, -2.0 * decoder.Wd.T @ R, -2.0 * R @ Z.T
+    return loss, -2.0 * decoder.Wd.T @ R, -2.0 * R @ Z.T, 2.0 * R
 
 
 def classification_loss(P, Y):
@@ -236,7 +236,7 @@ def backprop_all(
     if hp.recon_target == "feature":
         if decoder is None:
             raise ParameterError("feature reconstruction requires decoder parameters")
-        l_rec, dZ_rec, dWd = feature_reconstruction_loss(Z, Xatt, decoder)
+        l_rec, dZ_rec, dWd, dXatt_rec = feature_reconstruction_loss(Z, Xatt, decoder)
     else:
         mode = "inner" if hp.recon_target == "inner-product" else "cosine"
         target = recon_matrix if hp.recon_target in RECON_PARTS else TagGram(Y)
@@ -264,9 +264,8 @@ def backprop_all(
 
     if attention is not None:
         dXatt = (gcn.W1.T @ dA) @ S_tilde
-        if hp.recon_target == "feature":
-            # Xatt also enters the decoder residual directly
-            dXatt = dXatt + hp.lambda1 * 2.0 * (Xatt - decoder.Wd @ Z)
+        if dWd is not None:  # Xatt also enters the decoder residual directly
+            dXatt = dXatt + hp.lambda1 * dXatt_rec
         grads["P_x"], grads["P_y"] = att.attention_grads(attention, dXatt)
 
     breakdown = LossBreakdown(

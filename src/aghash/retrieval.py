@@ -2,7 +2,6 @@
 
 import json
 import re
-import time
 import warnings
 from dataclasses import dataclass
 
@@ -55,7 +54,6 @@ class EvalReport:
     map_at_k: float
     precision_curve: list  # [(K, precision), ...] with strictly increasing K
     per_query_ap: list
-    timing: dict
 
 
 def pack(B):
@@ -182,7 +180,6 @@ def evaluate(query_codes, db_codes, query_labels, db_labels, K=1000,
     depth = max(K, points[-1])  # ranks past this one change no score
     block = max(1, _EVAL_BLOCK_BYTES // (8 * n_db))
 
-    start = time.perf_counter()
     aps = []
     prec_sums = np.zeros(len(points))
     for lo in range(0, query_codes.n, block):
@@ -193,14 +190,12 @@ def evaluate(query_codes, db_codes, query_labels, db_labels, K=1000,
             hits = rel[bi][_ranked_prefix(dist, depth)]
             aps.append(_ap(hits, int(R[bi]), K, denominator))
             prec_sums += np.cumsum(hits)[pts - 1] / pts
-    elapsed = time.perf_counter() - start
 
     curve = [(kk, float(prec_sums[pi] / query_codes.n)) for pi, kk in enumerate(points)]
     return EvalReport(
         map_at_k=float(np.mean(aps)),
         precision_curve=curve,
         per_query_ap=aps,
-        timing={"evaluate_seconds": elapsed},
     )
 
 
@@ -250,7 +245,6 @@ def save_report(json_path, curve_path, report):
         "map_at_k": report.map_at_k,
         "precision_curve": [[k, p] for k, p in report.precision_curve],
         "per_query_ap": report.per_query_ap,
-        "timing": report.timing,
     }
     with open(json_path, "w", encoding="ascii") as fh:
         json.dump(payload, fh, indent=2)

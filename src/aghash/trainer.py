@@ -85,7 +85,7 @@ class TrainedModel:
     """What encoding reads: the discriminator, head and decoder serve only training."""
     attention: att.AttentionParams
     gcn: net.GcnParams
-    graph_cfg: sg.GraphConfig  # bandwidth is the resolved one when a visual kernel was built
+    graph_cfg: sg.GraphConfig  # bandwidth is the resolved one when the graph has a visual kernel
     use_attention: bool
     xatt_train: np.ndarray  # d' x n
     w2z1_train: np.ndarray  # r x n: W2 Z1, layer 2 before its graph product
@@ -149,10 +149,11 @@ def fit(
     Xatt, cache = _attentive(X, Yt, apar, use_attention)
     cache = cache if cfg.train_attention else None  # the scores serve only dP_x, dP_y
 
-    St, degrees, sigma, recon = sg.build_graph(Xatt, Yt, graph_cfg,
-                                               obj.RECON_PARTS.get(hyper.recon_target))
+    St, degrees, sigma = sg.build_graph(Xatt, Yt, graph_cfg)
     if sigma is not None:  # queries extend the graph with the training kernel
         graph_cfg = replace(graph_cfg, bandwidth=sigma)
+    part = obj.RECON_PARTS.get(hyper.recon_target)  # a kernel target: that variant's similarity
+    recon = None if part is None else sg.similarity(Xatt, Yt, replace(graph_cfg, variant=part))[0]
 
     rng = np.random.default_rng(cfg.seed + 2)
 
@@ -231,6 +232,9 @@ def encode_queries(model, Xq, Yq):
     for lo in range(0, Xq.shape[1], QUERY_PANEL):
         cols = slice(lo, lo + QUERY_PANEL)
         z_q[:, cols] = _propagate(model, xatt_q[:, cols], Yq[:, cols])
+    bad = np.flatnonzero(~np.all(np.isfinite(z_q), axis=0))
+    if bad.size:  # sign_pm would read NaN as -1 bits
+        raise NumericError(f"non-finite encoder output for query {bad[0]}")
     return sign_pm(z_q)
 
 

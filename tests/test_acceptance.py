@@ -122,7 +122,7 @@ def test_equation_unit_checks(capfd):
 
     rng = np.random.default_rng(0)
     Y = (rng.random((4, 10)) < 0.5).astype(float)
-    Sa = sg.aux_similarity(Y)
+    Sa = sg.similarity(np.zeros((1, 10)), Y, sg.GraphConfig(variant="aux-only"))[0]
     inner_ok = all(
         Sa[i, j] == float(sum(int(Y[k, i]) * int(Y[k, j]) for k in range(4)))
         for i in range(10) for j in range(10)

@@ -252,6 +252,22 @@ class TestEvaluate:
         assert len(curve) == 4
         assert json.loads((tmp_path / "report.manifest.json").read_text())["seed"] is None
 
+    def test_two_runs_write_the_same_report(self, pipeline, tmp_path, capsys):
+        # the report holds what the inputs decide; the run's time is in its manifest
+        q = TestEncode().encode(pipeline, tmp_path, "query",
+                                extra=["--labels", str(pipeline / "labels.txt"),
+                                       "--labels-out", str(tmp_path / "ql.txt")])
+        reports = []
+        for prefix in ("a", "b"):
+            assert run(["evaluate", "--query-codes", str(q), "--db-codes", str(q),
+                        "--query-labels", str(tmp_path / "ql.txt"),
+                        "--db-labels", str(tmp_path / "ql.txt"), "--k", "5",
+                        "--out-prefix", str(tmp_path / prefix)], capsys)[0] == 0
+            reports.append((tmp_path / f"{prefix}.json").read_bytes())
+            timing = json.loads((tmp_path / f"{prefix}.manifest.json").read_text())["timing"]
+            assert list(timing) == ["evaluate_seconds"] and timing["evaluate_seconds"] >= 0.0
+        assert reports[0] == reports[1]
+
 
 class TestSweep:
     def sweep(self, pipeline, out, *extra):
@@ -393,6 +409,9 @@ MALFORMED = {
                            "'train' must be a list of 64-bit integers"),
     "split-fractional": (lambda p, t: _encode(p, t, split=_file(t, "s.json", _SPLIT % ("[]", "[1.5]"))),
                          "'query' must be a list of 64-bit integers"),
+    # a repeated training item would be a duplicate graph node, a repeated query counted twice in MAP
+    "split-repeated-index": (lambda p, t: _train(p, t, split=_file(t, "s.json", _SPLIT % (
+        "[0, 1, 2, 3, 1, 2, 3]", "[50, 51, 50, 51]"))), "s.json: train index 1 is repeated"),
     "train-index-range": (lambda p, t: _train(p, t, split=_file(t, "s.json", _SPLIT % ("[0, 99]", "[]"))),
                           "train index 99 is out of range for 60 items"),
     "query-index-range": (lambda p, t: _encode(p, t, split=_file(t, "s.json", _SPLIT % ("[]", "[60]"))),
@@ -428,6 +447,11 @@ MALFORMED = {
     "mu-nan": (lambda p, t: _train(p, t, "--mu", "nan"), "mu must be finite, got nan"),
     "mu-inf": (lambda p, t: _train(p, t, "--mu", "inf"), "mu must be finite, got inf"),
     "bandwidth-nan": (lambda p, t: _train(p, t, "--bandwidth", "nan"), "bandwidth must be finite, got nan"),
+    # 2 sigma^2 is 0 in float32: the kernel would be 0/0 on the diagonal and NaN codes would follow
+    "bandwidth-vanishing": (lambda p, t: _train(p, t, "--bandwidth", "1e-30"),
+                            "bandwidth 1e-30 is too small: 2 sigma^2 is 0 in float32"),
+    "synth-sep-nan": (lambda p, t: ["synth", "--out", str(t), "--n", "12", "--sep", "nan"],
+                      "need a finite sep >= 0, got nan"),
     "lambda1-nan": (lambda p, t: _train(p, t, "--lambda1", "nan"), "lambda1 must be finite, got nan"),
     "lambda2-inf": (lambda p, t: _train(p, t, "--lambda2", "inf"), "lambda2 must be finite, got inf"),
     "lambda3-nan": (lambda p, t: _train(p, t, "--lambda3", "nan"), "lambda3 must be finite, got nan"),

@@ -5,6 +5,7 @@ import pytest
 
 from aghash.data import (
     AuxSemantics,
+    DatasetSplit,
     FeatureMatrix,
     load_aux,
     load_features,
@@ -195,6 +196,11 @@ class TestSynth:
         with pytest.raises(ParameterError):
             synth_dataset(n=2, d=3, c=3, sep=1.0, label_noise=0.0, seed=0)
 
+    @pytest.mark.parametrize("sep", [-1.0, np.nan, np.inf])
+    def test_separation_must_be_finite_and_nonnegative(self, sep):
+        with pytest.raises(ParameterError, match=f"need a finite sep >= 0, got {sep}"):
+            synth_dataset(n=4, d=3, c=2, sep=sep, label_noise=0.0, seed=0)
+
 
 class TestSplit:
     def test_sizes(self):
@@ -225,6 +231,22 @@ class TestSplit:
             assert np.intersect1d(s.train, s.query).size == 0
             assert np.intersect1d(s.query, s.retrieval).size == 0
             assert s.retrieval.max(initial=-1) < n and s.train.max(initial=-1) < n
+
+    @pytest.mark.parametrize("name", ["train", "query", "retrieval"])
+    def test_repeated_index(self, name):
+        # index sets: the smallest repeated index is named with its subset
+        subsets = {"train": [0, 1], "query": [2, 3], "retrieval": [4, 5]}
+        subsets[name] = subsets[name] + subsets[name][::-1]
+        with pytest.raises(ParameterError, match=f"^{name} index {subsets[name][0]} is repeated$"):
+            DatasetSplit(**subsets)
+
+    def test_loaded_split_errors_name_the_file(self, tmp_path):
+        p = tmp_path / "split.json"
+        for train, query, message in (("[0, 1, 0]", "[]", "train index 0 is repeated"),
+                                      ("[0, 1]", "[1]", "train and query sets overlap")):
+            p.write_text(f'{{"train": {train}, "query": {query}, "retrieval": []}}')
+            with pytest.raises(ParameterError, match=f"^{re.escape(str(p))}: {message}$"):
+                load_split(p)
 
     def test_round_trip(self, tmp_path):
         s = make_split(12, (6, 3), seed=9)

@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,16 +9,17 @@ from aghash.errors import ParameterError
 from aghash.graph import (
     VARIANTS,
     GraphConfig,
-    aux_similarity,
     build_graph,
     combine,
     gaussian_kernel,
     median_bandwidth,
     normalize,
     query_columns,
+    similarity,
     sqdist,
     visual_similarity,
 )
+from aghash.objective import RECON_PARTS
 
 
 def traced_peak(fn, *args):
@@ -45,6 +47,15 @@ class TestVisualSimilarity:
         X = np.array([[0.0, sigma * np.sqrt(2.0)]])
         S, _ = visual_similarity(X, bandwidth=sigma)
         assert S[0, 1] == pytest.approx(np.exp(-1.0), abs=1e-12)
+
+    @pytest.mark.parametrize("dtype, sigma", [(np.float32, 1e-30), (np.float64, 1e-200)])
+    def test_vanishing_bandwidth_is_rejected(self, dtype, sigma):
+        # 2 sigma^2 is 0 in d2's dtype, so the kernel would be 0/0 where d2 is 0
+        d2 = np.zeros((2, 2), dtype=dtype)
+        with pytest.raises(ParameterError, match=f"bandwidth {sigma} is too small"):
+            gaussian_kernel(d2, sigma)
+        assert not d2.any()
+        assert gaussian_kernel(d2, 1e-20 if dtype == np.float32 else 1e-150)[0, 0] == 1.0
 
     def test_large_bandwidth_limit(self):
         rng = np.random.default_rng(0)
@@ -87,6 +98,21 @@ class TestVisualSimilarity:
         sigma, peak = traced_peak(median_bandwidth, d2)
         assert sigma == np.median(np.sqrt(d2[np.triu_indices(n, 1)]))
         assert peak < 0.6 * n * n * 8, f"peak {peak / (n * n * 8):.2f} n x n float64 arrays"
+
+
+def graph_and_target(X, Y, config, part):
+    """build_graph's (S_tilde, degrees, sigma), then the kernel target `part` (a
+    RECON_PARTS key, or None) that fit builds from the graph's resolved bandwidth."""
+    St, degrees, sigma = build_graph(X, Y, config)
+    if part is None:
+        return St, degrees, sigma, None
+    resolved = config if sigma is None else replace(config, bandwidth=sigma)
+    return St, degrees, sigma, similarity(X, Y, replace(resolved, variant=RECON_PARTS[part]))[0]
+
+
+def aux_similarity(Y):
+    """The aux-only variant's similarity of the tags Y, whatever the features."""
+    return similarity(np.zeros((1, Y.shape[1])), Y, GraphConfig(variant="aux-only"))[0]
 
 
 class TestAuxSimilarity:
@@ -251,60 +277,62 @@ class TestNormalize:
 
 class TestBuildGraph:
     def test_variants(self):
+        # the graph is the variant's similarity, normalized, bit for bit
+        n = sg.PANEL + 7
         rng = np.random.default_rng(6)
-        X = rng.standard_normal((3, 5))
-        Y = (rng.random((2, 5)) < 0.5).astype(float)
-        _, _, sigma, full = build_graph(X, Y, GraphConfig(), "augmented")
-        _, _, s2, aux_only = build_graph(X, Y, GraphConfig(variant="aux-only"), "augmented")
-        assert sigma is not None and s2 is None
-        assert np.array_equal(aux_only, aux_similarity(Y))
-        _, _, _, vis = build_graph(X, Y, GraphConfig(variant="visual-only"), "augmented")
-        assert np.array_equal(np.diag(vis), np.ones(5))
-        assert np.allclose(full, 1.0 * vis + aux_similarity(Y))
+        X = rng.standard_normal((3, n))
+        Y = (rng.random((2, n)) < 0.5).astype(float)
+        for variant in VARIANTS:
+            config = GraphConfig(mu=0.7, variant=variant)
+            St, degrees, sigma = build_graph(X, Y, config)
+            S, s2 = similarity(X, Y, config)
+            want_St, want_degrees = normalize(S)
+            assert sigma == s2 and np.array_equal(St, want_St) and np.array_equal(degrees, want_degrees)
 
-    def test_keeps_only_the_named_part(self):
+    def test_visual_only_similarity_is_the_kernel(self):
         rng = np.random.default_rng(7)
         X = rng.standard_normal((3, 5))
         Y = (rng.random((2, 5)) < 0.5).astype(float)
-        St, _, sigma, kept = build_graph(X, Y, GraphConfig(variant="aux-only"), "visual")
-        Sv, median = visual_similarity(X)
-        assert sigma == median and np.array_equal(kept, Sv)
-        assert np.array_equal(St, normalize(aux_similarity(Y))[0])
-        assert build_graph(X, Y, GraphConfig())[3] is None
+        S, sigma = similarity(X, Y, GraphConfig(variant="visual-only"))
+        assert sigma == visual_similarity(X)[1]
+        assert np.array_equal(S, visual_similarity(X, sigma)[0])
 
+    # `part` names a kernel reconstruction target, built after the graph as fit builds it
     @pytest.mark.parametrize("variant", VARIANTS)
     @pytest.mark.parametrize("part", [None, "visual", "augmented"])
     def test_every_variant_and_part(self, variant, part):
-        # the graph built in the kernel's buffer equals the one built from copies
+        # the similarity fused in the kernel's buffer equals the one fused from copies,
+        # and a target rebuilt from the graph's resolved bandwidth is the part it used
         n = sg.PANEL + 7
         rng = np.random.default_rng(10)
         X = rng.standard_normal((4, n))
         Y = (rng.random((3, n)) < 0.4).astype(float)
         config = GraphConfig(mu=0.7, variant=variant)
-        St, degrees, sigma, kept = build_graph(X, Y, config, part)
+        St, degrees, sigma, target = graph_and_target(X, Y, config, part)
         Sv, median = visual_similarity(X)
         uses_visual, uses_tags = sg.PARTS[variant]
-        S = combine(0.7, Sv.copy() if uses_visual else None, aux_similarity(Y) if uses_tags else None)
+        S = combine(0.7, Sv.copy() if uses_visual else None, Y.T @ Y if uses_tags else None)
+        assert np.array_equal(similarity(X, Y, config)[0], S)
         want_St, want_degrees = normalize(S.copy())
         assert np.array_equal(St, want_St) and np.array_equal(degrees, want_degrees)
-        assert sigma == (None if variant == "aux-only" and part != "visual" else median)
+        assert sigma == (median if uses_visual else None)
         if part is None:
-            assert kept is None
+            assert target is None
         else:
-            assert np.array_equal(kept, {"visual": Sv, "augmented": S}[part])
-            assert not np.shares_memory(kept, St)
+            want = {"visual": Sv, "augmented": combine(0.7, Sv.copy(), Y.T @ Y)}[part]
+            assert np.array_equal(target, want) and not np.shares_memory(target, St)
 
     @pytest.mark.parametrize("variant", VARIANTS)
     @pytest.mark.parametrize("part", [None, "visual", "augmented"])
     def test_working_set(self, variant, part):
         # beyond its inputs: the kernel buffer, then S~, plus the median's
-        # half-triangle gather; a kept part adds its own n x n
+        # half-triangle gather; a target adds its own n x n next to S~
         n = 600
         rng = np.random.default_rng(11)
         X = rng.standard_normal((64, n))
         Y = (rng.random((4, n)) < 0.4).astype(float)
         build_graph(X[:, :9], Y[:, :9], GraphConfig())  # numpy's lazy imports happen outside the trace
-        _, peak = traced_peak(build_graph, X, Y, GraphConfig(variant=variant), part)
+        _, peak = traced_peak(graph_and_target, X, Y, GraphConfig(variant=variant), part)
         bound = 1.6 + (part is not None)
         assert peak < bound * n * n * 8, f"peak {peak / (n * n * 8):.2f} n x n float64 arrays"
 
@@ -318,13 +346,13 @@ class TestBuildGraph:
         X = rng.standard_normal((4, n))
         Y = (rng.random((3, n)) < 0.4).astype(float)
         config = GraphConfig(mu=0.7, variant=variant)
-        St64, degrees64, _, kept64 = build_graph(X, Y, config, part)
-        St, degrees, _, kept = build_graph(X.astype(np.float32), Y, config, part)
+        St64, degrees64, _, target64 = graph_and_target(X, Y, config, part)
+        St, degrees, _, target = graph_and_target(X.astype(np.float32), Y, config, part)
         assert St64.dtype == degrees64.dtype == np.float64
         assert St.dtype == degrees.dtype == np.float32
         assert np.allclose(St, St64, rtol=1e-5, atol=1e-7)
         if part is not None:
-            assert kept64.dtype == np.float64 and kept.dtype == np.float32
+            assert target64.dtype == np.float64 and target.dtype == np.float32
 
     def test_config_validation(self):
         with pytest.raises(ParameterError):

@@ -85,6 +85,12 @@ class TestReconstructionLoss:
             obj.reconstruction_loss(np.ones((2, 3)), np.ones((2, 2)), 1.0)
 
 
+def kernel_target(Xatt, Y, target):
+    """The n x n matrix fit reconstructs for a kernel target: its graph variant's similarity."""
+    part = obj.RECON_PARTS.get(target)
+    return None if part is None else sg.similarity(Xatt, Y, sg.GraphConfig(variant=part))[0]
+
+
 def dense_reconstruction_loss(Z, T, k, mode):
     """The reconstruction loss and its gradient with every n x n matrix formed whole."""
     if mode == "inner":
@@ -127,23 +133,26 @@ class TestFeatureReconstruction:
         Z = np.array([[1.0, -1.0]])
         dec = DecoderParams(Wd=np.array([[2.0], [0.0]]))
         Xatt = dec.Wd @ Z
-        loss, dZ, dWd = obj.feature_reconstruction_loss(Z, Xatt, dec)
+        loss, dZ, dWd, dXatt = obj.feature_reconstruction_loss(Z, Xatt, dec)
         assert loss == 0.0
         assert np.array_equal(dZ, np.zeros_like(Z))
         assert np.array_equal(dWd, np.zeros_like(dec.Wd))
+        assert np.array_equal(dXatt, np.zeros_like(Xatt))
 
     def test_gradients(self):
         rng = np.random.default_rng(3)
         Z = rng.standard_normal((4, 6))
         Xatt = rng.standard_normal((5, 6))
         dec = DecoderParams(Wd=rng.standard_normal((5, 4)))
-        _, dZ, dWd = obj.feature_reconstruction_loss(Z, Xatt, dec)
+        _, dZ, dWd, dXatt = obj.feature_reconstruction_loss(Z, Xatt, dec)
         fd_z = central_diff(lambda z: obj.feature_reconstruction_loss(z, Xatt, dec)[0], Z)
         fd_w = central_diff(
             lambda w: obj.feature_reconstruction_loss(Z, Xatt, DecoderParams(Wd=w))[0], dec.Wd
         )
+        fd_x = central_diff(lambda x: obj.feature_reconstruction_loss(Z, x, dec)[0], Xatt)
         assert max_rel_err(dZ, fd_z) < 1e-5
         assert max_rel_err(dWd, fd_w) < 1e-5
+        assert max_rel_err(dXatt, fd_x) < 1e-5
 
 
 class TestClassificationLoss:
@@ -259,20 +268,27 @@ class TestBackpropAll:
         assert max_rel_err(grads["W2"], fd_w2) < 1e-4
         assert max_rel_err(grads["Wc"], fd_wc) < 1e-4
 
-    def test_attention_gradients_through_full_model(self):
-        inst = small_instance(21)
-        _, grads = backprop(inst, train_attention=True)
+    @staticmethod
+    def check_attention_gradients(inst, **kwargs):
+        _, grads = backprop(inst, train_attention=True, **kwargs)
 
         def loss_for(P_x, P_y):
-            from aghash.attention import AttentionParams
-
-            bd, _ = backprop(inst, apar=AttentionParams(P_x, P_y), train_attention=True)
+            bd, _ = backprop(inst, apar=att.AttentionParams(P_x, P_y), train_attention=True, **kwargs)
             return bd.total_gen
 
         fd_px = central_diff(lambda P: loss_for(P, inst.apar.P_y), inst.apar.P_x)
         fd_py = central_diff(lambda P: loss_for(inst.apar.P_x, P), inst.apar.P_y)
         assert max_rel_err(grads["P_x"], fd_px) < 1e-4
         assert max_rel_err(grads["P_y"], fd_py) < 1e-4
+
+    def test_attention_gradients_through_full_model(self):
+        self.check_attention_gradients(small_instance(21))
+
+    def test_attention_gradients_through_the_decoder(self):
+        # with the feature target, Xatt also enters the decoder residual directly
+        inst = small_instance(21, hp=obj.Hyperparams(recon_target="feature"))
+        decoder = net.init_decoder(inst.Xatt.shape[0], inst.B.shape[0], 3)
+        self.check_attention_gradients(inst, decoder=decoder)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("target", obj.RECON_TARGETS)
@@ -283,7 +299,7 @@ class TestBackpropAll:
         Xatt, cache = att.denoise(inst.X, inst.Y, inst.apar)
         Xatt, St = Xatt.astype(dtype), inst.St.astype(dtype)
         gcn = GcnParams(inst.gcn.W1.astype(dtype), inst.gcn.W2.astype(dtype))
-        recon = sg.build_graph(Xatt, inst.Y, sg.GraphConfig(), obj.RECON_PARTS.get(target))[3]
+        recon = kernel_target(Xatt, inst.Y, target)
         decoder = net.init_decoder(Xatt.shape[0], inst.B.shape[0], 3)
         H = Xatt @ St
         bd, grads = obj.backprop_all(Xatt, H, net.gcn_layers(H, St, gcn), St, inst.Y, inst.B, gcn,
@@ -297,8 +313,7 @@ class TestBackpropAll:
             _, want = obj.backprop_all(inst.Xatt, inst.Xatt @ inst.St, net.gcn_layers(
                 inst.Xatt @ inst.St, inst.St, inst.gcn), inst.St, inst.Y, inst.B, inst.gcn, inst.disc,
                 inst.head, inst.hp, inst.prior, decoder=decoder, attention=cache,
-                recon_matrix=sg.build_graph(inst.Xatt, inst.Y, sg.GraphConfig(),
-                                            obj.RECON_PARTS.get(target))[3])
+                recon_matrix=kernel_target(inst.Xatt, inst.Y, target))
             for name in ("W1", "W2"):
                 assert np.abs(grads[name] - want[name]).max() <= 1e-4 * np.abs(want[name]).max()
 

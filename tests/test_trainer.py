@@ -17,7 +17,7 @@ from aghash import objective as obj
 from aghash import retrieval
 from aghash import trainer
 from aghash.data import make_split, synth_dataset
-from aghash.errors import AghashError, DataError, FormatError, ParameterError, ShapeError
+from aghash.errors import AghashError, DataError, FormatError, NumericError, ParameterError, ShapeError
 from aghash.trainer import AdamState, TrainConfig, adam_step, sign_pm
 from conftest import read_checkpoint
 
@@ -246,13 +246,32 @@ class TestFit:
                 graph_cfg=sg.GraphConfig(variant=gv), hyper=obj.Hyperparams(recon_target=rt),
             )
             assert np.isfinite(history[-1].total_gen)
-            if rt == "visual":  # the kernel it reconstructs resolves the bandwidth
+            if gv == "visual-only":  # the graph's kernel resolves the bandwidth
                 X, Y = fm.data[:, split.train], aux.data[:, split.train]
                 xatt, _ = att.denoise(X, Y, att.init_attention(fm.d, aux.c, 8, 0))
                 xatt = xatt.astype(trainer.COMPUTE_DTYPE)
                 assert model.graph_cfg.bandwidth == sg.visual_similarity(xatt)[1]
+            else:  # no kernel in the graph, whatever kernel the loss reconstructs
+                assert model.graph_cfg.bandwidth is None
         _, _, _, _, history = tiny_fit(hyper=obj.Hyperparams(recon_target="feature"))
         assert all(np.isfinite(b.total_gen) for b in history)
+
+    @pytest.mark.parametrize("recon_target", list(obj.RECON_PARTS))
+    def test_kernel_target_is_its_variants_similarity(self, recon_target):
+        # built once after the graph, from the bandwidth the graph resolved
+        targets, backprop_all = [], obj.backprop_all
+
+        def spy(*args, **kwargs):
+            targets.append(kwargs["recon_matrix"])
+            return backprop_all(*args, **kwargs)
+
+        with mock.patch.object(obj, "backprop_all", spy):
+            fm, aux, split, model, _ = tiny_fit(hyper=obj.Hyperparams(recon_target=recon_target))
+        X, Y = fm.data[:, split.train], aux.data[:, split.train]
+        xatt = att.denoise(X, Y, att.init_attention(fm.d, aux.c, 8, 0))[0].astype(trainer.COMPUTE_DTYPE)
+        want, sigma = sg.similarity(xatt, Y, sg.GraphConfig(variant=obj.RECON_PARTS[recon_target]))
+        assert sigma == model.graph_cfg.bandwidth and len(targets) == 3
+        assert all(target is targets[0] for target in targets) and np.array_equal(targets[0], want)
 
     def test_working_set(self):
         # training holds S~ but no n x n reconstruction target: the aux target is
@@ -346,7 +365,7 @@ class TestFit:
                                             cfg=cfg)
         X, Y = fm.data[:, split.train], aux.data[:, split.train]
         xatt0, _ = att.denoise(X, Y, att.init_attention(fm.d, aux.c, 8, cfg.seed))
-        St, _, _, _ = sg.build_graph(xatt0.astype(trainer.COMPUTE_DTYPE), Y, model.graph_cfg)
+        St, _, _ = sg.build_graph(xatt0.astype(trainer.COMPUTE_DTYPE), Y, model.graph_cfg)
         xatt = att.denoise(X, Y, model.attention)[0].astype(trainer.COMPUTE_DTYPE)
         Z1, Z = net.gcn_layers(xatt @ St, St, model.gcn)
         assert np.array_equal(model.xatt_train, xatt)
@@ -368,6 +387,13 @@ class TestEncoding:
         one = trainer.encode_queries(model, Xq[:, :1], Yq[:, :1])[:, 0]
         assert np.array_equal(one, batch[:, 0])
         assert set(np.unique(batch)) <= {-1.0, 1.0}
+
+    def test_non_finite_output_is_numeric_error(self):
+        # sign_pm would read a NaN output as a -1 bit
+        fm, aux, split, model, _ = tiny_fit(seed=12)
+        model.w2z1_train[0, 3] = np.nan
+        with pytest.raises(NumericError, match="non-finite encoder output for query 0"):
+            trainer.encode_queries(model, fm.data[:, split.query], aux.data[:, split.query])
 
     @pytest.mark.parametrize("variant", cli._VARIANTS)
     @given(data=st.data())
