@@ -306,7 +306,8 @@ def load_model(path):
         return [tuple(dims[symbol] for symbol in symbols) for symbols in _SHAPES.values()]
 
     arrays, meta = net.load_arrays(path, shapes)
-    with np.errstate(over="ignore"):  # a value beyond float32 becomes inf and fails the check below
+    # a value beyond float32 becomes inf, and a NaN stays NaN: both fail the check below
+    with np.errstate(over="ignore", invalid="ignore"):
         arrays = {name: arr.astype(COMPUTE_DTYPE) if name in _COMPUTED else arr
                   for name, arr in zip(_SHAPES, arrays)}
     for name, arr in arrays.items():

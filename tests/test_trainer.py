@@ -652,6 +652,8 @@ class TestPersistence:
         ("P_x", np.nan), ("P_y", np.inf), ("W1", np.nan), ("W2", -np.inf), ("xatt_train", np.nan),
         ("w2z1_train", np.inf), ("z_train", np.nan), ("degrees", np.nan), ("y_train", -np.inf),
         ("W1", 1e300), ("degrees", 1e39),  # finite on disk, beyond float32 where fit computes them
+        # a signalling NaN (quiet bit clear), as one flipped exponent bit can make: its cast is "invalid"
+        ("W2", np.frombuffer(bytes.fromhex("010000000000f07f"), "<f8")[0]),
     ], ids=str)
     def test_non_finite_array_is_format_error(self, tmp_path, name, value):
         p = self.edited(tmp_path, lambda arrays, meta: arrays[name].flat.__setitem__(-1, value))
