@@ -102,6 +102,21 @@ def denoise(X, Y, params):
     return mix + Xbar, AttentionCache(X, U, counts, Ubar, Xn, x_norms, Un, u_norms, alpha, mix, w)
 
 
+def basis(params, use_attention=True):
+    """Q, d' x k with orthonormal columns, whose span holds every attentive feature; None when k = d'.
+
+    The projection P_x X lies in the span of P_x's d columns, and the
+    attention's mix, a weighted mean of tag projections P_y y, in that of
+    P_y's c columns. So Q is the thin QR factor of [P_x, P_y] (of P_x alone
+    without attention), k = min(d', d + c) (or min(d', d)), and
+    Xatt = Q Q^T Xatt for the features of any items under these projections.
+    When the columns are at least d' the basis would save nothing: None then
+    stands for the identity, and no product is formed.
+    """
+    M = np.hstack([params.P_x, params.P_y]) if use_attention else params.P_x
+    return np.linalg.qr(M)[0] if M.shape[1] < M.shape[0] else None
+
+
 def attention_grads(cache, dXatt):
     """(dP_x, dP_y): gradients of a loss w.r.t. the projections given d(loss)/d(Xatt).
 

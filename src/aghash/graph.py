@@ -53,11 +53,19 @@ def sqdist(A, B):
 
 
 def gaussian_kernel(d2, sigma):
-    """exp(-d2 / (2 sigma^2)) of the squared distances d2, computed in d2's buffer and returned."""
-    if d2.dtype.type(2.0 * sigma**2) == 0:  # the kernel would be 0/0 where d2 is 0
+    """exp(-d2 / (2 sigma^2)) of the squared distances d2, computed in d2's buffer and returned.
+
+    2 sigma^2 is rounded to d2's dtype, in which it must be neither 0 (the
+    kernel would be 0/0 where d2 is 0) nor infinite (the kernel would be all ones).
+    """
+    with np.errstate(over="ignore"):
+        two_var = d2.dtype.type(2.0 * np.float64(sigma) ** 2)
+    if two_var == 0:
         raise ParameterError(f"bandwidth {sigma} is too small: 2 sigma^2 is 0 in {d2.dtype}")
+    if not np.isfinite(two_var):
+        raise ParameterError(f"bandwidth {sigma} is too large: 2 sigma^2 overflows {d2.dtype}")
     np.negative(d2, out=d2)
-    d2 /= 2.0 * sigma**2
+    d2 /= two_var
     return np.exp(d2, out=d2)
 
 

@@ -94,13 +94,21 @@ def sigmoid(x):
     return out
 
 
-def gcn_layers(H, S_tilde, params):
-    """Both GCN layers on H = Xatt S~: (Z1, Z) = (ReLU(W1 H), (W2 Z1) S~); Z has no activation.
+def layer1_weights(params, basis=None):
+    """W1 Q, layer 1's h x k weights in the coordinates of the orthonormal basis Q; W1 when basis is None."""
+    return params.W1 if basis is None else params.W1 @ basis
 
-    Layer 2 is W2 (Z1 S~) reassociated: W2 Z1 has r << h rows, so the n x n
-    product costs r n^2 multiply-adds instead of h n^2.
+
+def gcn_layers(H, S_tilde, params, basis=None):
+    """Both GCN layers on H = Q^T Xatt S~: (Z1, Z) = (ReLU((W1 Q) H), (W2 Z1) S~); Z has no activation.
+
+    Q is `basis`, whose span holds Xatt (attention.basis), so (W1 Q) H is
+    W1 Xatt S~ over k inner terms instead of d'; with basis None, H is
+    Xatt S~ and W1 applies directly. Layer 2 is W2 (Z1 S~) reassociated:
+    W2 Z1 has r << h rows, so the n x n product costs r n^2 multiply-adds
+    instead of h n^2.
     """
-    Z1 = params.W1 @ H
+    Z1 = layer1_weights(params, basis) @ H
     np.maximum(Z1, 0.0, out=Z1)  # the ReLU in the product's buffer
     return Z1, (params.W2 @ Z1) @ S_tilde
 

@@ -15,11 +15,6 @@ _WORD_BITS = 64
 # block x n_db float product whatever the db size
 _EVAL_BLOCK_BYTES = 4 << 20
 _HEX_WORD = re.compile(r"[0-9a-fA-F]{16}")  # one 64-bit word as save_codes writes it
-# evaluate sorts only a prefix of a database larger than this many times the
-# ranks it reads; below that the cut-off's extra passes cost more than the one
-# radix argsort they save (measured at depth 1000: the argsort wins at 10k
-# items, the cut-off at 20k and, 3x, at 100k)
-_PREFIX_RATIO = 16
 
 
 @dataclass(frozen=True)
@@ -108,15 +103,20 @@ def rank(query_words, db):
 def _ranked_prefix(dist, depth):
     """rank's first `depth` indices from the distances: argsort(dist, kind="stable")[:depth].
 
-    In a database more than _PREFIX_RATIO times `depth`, only the items at or
-    below the distance where the counts reach `depth` are sorted; they are
-    taken in index order, so the stable sort keeps ties in index order.
+    Each item's key packs its distance above its index, (dist << bits(n)) | i,
+    in the smallest unsigned dtype that holds the largest key. The keys are
+    unique and order as (distance, index) pairs do, so partitioning them at
+    depth - 1 and sorting the `depth` smallest gives the stable order.
     """
-    if dist.size <= _PREFIX_RATIO * depth:
-        return np.argsort(dist, kind="stable")[:depth]
-    cutoff = np.searchsorted(np.cumsum(np.bincount(dist)), depth)
-    near = np.flatnonzero(dist <= cutoff)
-    return near[np.argsort(dist[near], kind="stable")[:depth]]
+    n = dist.size
+    shift = (n - 1).bit_length()
+    dtype = np.min_scalar_type((int(dist.max()) << shift) | (n - 1))
+    keys = np.left_shift(dist, shift, dtype=dtype)
+    keys |= np.arange(n, dtype=dtype)
+    if depth < n:
+        keys = np.partition(keys, depth - 1)[:depth]
+    keys.sort()
+    return np.bitwise_and(keys, (1 << shift) - 1, dtype=np.intp)
 
 
 def _check_denominator(denominator):

@@ -70,13 +70,17 @@ def backprop(inst, apar=None, gcn=None, head=None, hp=None, train_attention=Fals
 
     With `train_attention`, Xatt is denoised from the raw inputs under `apar`
     (default inst.apar) and the projection gradients are returned as well.
+    The layers run in the coordinates of the projections' basis, as in
+    training: through Q = attention.basis(apar) when the instance has
+    d + c < d', and on Xatt itself otherwise.
     """
     apar, gcn = apar or inst.apar, gcn or inst.gcn
     Xatt, cache = att.denoise(inst.X, inst.Y, apar) if train_attention else (inst.Xatt, None)
-    H = Xatt @ inst.St
+    Q = att.basis(apar)
+    H = (Xatt if Q is None else Q.T @ Xatt) @ inst.St
     return obj.backprop_all(
-        Xatt, H, net.gcn_layers(H, inst.St, gcn), inst.St, inst.Y, inst.B, gcn, inst.disc,
-        head or inst.head, hp or inst.hp, inst.prior, attention=cache, **kwargs,
+        Xatt, H, net.gcn_layers(H, inst.St, gcn, Q), inst.St, inst.Y, inst.B, gcn, inst.disc,
+        head or inst.head, hp or inst.hp, inst.prior, attention=cache, basis=Q, **kwargs,
     )
 
 

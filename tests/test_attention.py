@@ -4,6 +4,7 @@ import pytest
 from aghash.attention import (
     AttentionParams,
     attention_grads,
+    basis,
     denoise,
     init_attention,
     project,
@@ -214,3 +215,22 @@ class TestGrads:
         fd_y = central_diff(lambda P: loss(p.P_x, P), p.P_y)
         assert max_rel_err(dPx, fd_x) < 1e-4
         assert max_rel_err(dPy, fd_y) < 1e-4
+
+
+class TestBasis:
+    @pytest.mark.parametrize("use_attention", [True, False])
+    def test_orthonormal_columns_span_the_features(self, use_attention):
+        # k = d + c = 8 (d = 6 without attention) of d' = 32 columns, and
+        # Q Q^T Xatt = Xatt to float64 rounding for any items under the projections
+        rng = np.random.default_rng(4)
+        params = init_attention(6, 2, 32, seed=4)
+        Q = basis(params, use_attention)
+        assert Q.shape == (32, 8 if use_attention else 6) and Q.dtype == np.float64
+        assert np.abs(Q.T @ Q - np.eye(Q.shape[1])).max() < 1e-14
+        X, Y = rng.standard_normal((6, 50)), (rng.random((2, 50)) < 0.5).astype(np.float64)
+        Xatt = denoise(X, Y, params)[0] if use_attention else project(X, Y, params)[0]
+        assert np.abs(Q @ (Q.T @ Xatt) - Xatt).max() < 1e-14 * np.abs(Xatt).max() * 32
+
+    @pytest.mark.parametrize("d_prime, use_attention", [(8, True), (7, True), (6, False)])
+    def test_identity_when_the_columns_reach_d_prime(self, d_prime, use_attention):
+        assert basis(init_attention(6, 2, d_prime, seed=0), use_attention) is None

@@ -450,6 +450,11 @@ MALFORMED = {
     # 2 sigma^2 is 0 in float32: the kernel would be 0/0 on the diagonal and NaN codes would follow
     "bandwidth-vanishing": (lambda p, t: _train(p, t, "--bandwidth", "1e-30"),
                             "bandwidth 1e-30 is too small: 2 sigma^2 is 0 in float32"),
+    # 2 sigma^2 is infinite in float64, or only once it is rounded to the float32 graph
+    "bandwidth-huge": (lambda p, t: _train(p, t, "--bandwidth", "1e200"),
+                       "bandwidth 1e+200 is too large: 2 sigma^2 overflows float32"),
+    "bandwidth-overflowing": (lambda p, t: _train(p, t, "--bandwidth", "1e30"),
+                              "bandwidth 1e+30 is too large: 2 sigma^2 overflows float32"),
     "synth-sep-nan": (lambda p, t: ["synth", "--out", str(t), "--n", "12", "--sep", "nan"],
                       "need a finite sep >= 0, got nan"),
     "lambda1-nan": (lambda p, t: _train(p, t, "--lambda1", "nan"), "lambda1 must be finite, got nan"),

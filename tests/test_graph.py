@@ -1,9 +1,11 @@
+import re
 import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from aghash import attention as att
 from aghash import graph as sg
 from aghash.errors import ParameterError
 from aghash.graph import (
@@ -56,6 +58,15 @@ class TestVisualSimilarity:
             gaussian_kernel(d2, sigma)
         assert not d2.any()
         assert gaussian_kernel(d2, 1e-20 if dtype == np.float32 else 1e-150)[0, 0] == 1.0
+
+    @pytest.mark.parametrize("dtype, sigma", [(np.float32, 1e30), (np.float64, 1e200)])
+    def test_overflowing_bandwidth_is_rejected(self, dtype, sigma):
+        # 2 sigma^2 is infinite in d2's dtype, so the kernel would be all ones
+        d2 = np.ones((2, 2), dtype=dtype)
+        with pytest.raises(ParameterError, match=re.escape(f"bandwidth {sigma} is too large")):
+            gaussian_kernel(d2, sigma)
+        assert np.all(d2 == 1)
+        assert gaussian_kernel(d2, 1e18 if dtype == np.float32 else 1e150)[0, 0] == 1.0
 
     def test_large_bandwidth_limit(self):
         rng = np.random.default_rng(0)
@@ -363,6 +374,25 @@ class TestBuildGraph:
             GraphConfig(variant="sparse")
         with pytest.raises(ParameterError, match="mu must be a real number, got 'x'"):
             GraphConfig(mu="x")
+
+
+    @pytest.mark.parametrize("variant", sg.VARIANTS)
+    def test_graph_in_basis_coordinates(self, variant):
+        # distances do not change under the orthonormal basis, so the graph of
+        # the k = 8 coordinates Q^T Xatt is the graph of the d' = 32 features
+        rng = np.random.default_rng(5)
+        X, Y = rng.standard_normal((6, 300)), (rng.random((2, 300)) < 0.5).astype(np.float64)
+        params = att.init_attention(6, 2, 32, seed=5)
+        Xatt = att.denoise(X, Y, params)[0]
+        Q = att.basis(params)
+        config = sg.GraphConfig(variant=variant)
+        St, degrees, sigma = build_graph(Xatt.astype(np.float32), Y, config)
+        St_c, degrees_c, sigma_c = build_graph((Q.T @ Xatt).astype(np.float32), Y, config)
+        eps = np.finfo(np.float32).eps
+        assert np.abs(St_c - St).max() <= 16 * eps * np.abs(St).max()
+        assert np.abs(degrees_c - degrees).max() <= 16 * eps * degrees.max()
+        if sigma is not None:
+            assert abs(sigma_c - sigma) <= 1e-6 * sigma
 
 
 class TestQueryColumns:

@@ -128,6 +128,22 @@ class TestPanelledReconstruction:
             assert not dZ[:, 1::5].any()
 
 
+    @pytest.mark.parametrize("mode", ["cosine", "inner"])
+    def test_tag_gram_matches_its_array_bit_for_bit(self, mode):
+        # a TagGram's fresh panels are scaled in place, an array target's rows
+        # are copied: the same loss and gradient, and the array is left unchanged
+        rng = np.random.default_rng(9)
+        n = 2 * obj.PANEL + 5
+        Y = (rng.random((3, n)) < 0.4).astype(np.float64)
+        dense = Y.T @ Y
+        kept = dense.copy()
+        Z = rng.standard_normal((4, n))
+        loss, dZ = obj.reconstruction_loss(Z, obj.TagGram(Y), 1.5, mode=mode)
+        want, dZ_want = obj.reconstruction_loss(Z, dense, 1.5, mode=mode)
+        assert loss == want and dZ.tobytes() == dZ_want.tobytes()
+        assert np.array_equal(dense, kept)
+
+
 class TestFeatureReconstruction:
     def test_exact_decoder(self):
         Z = np.array([[1.0, -1.0]])
@@ -267,6 +283,21 @@ class TestBackpropAll:
         assert max_rel_err(grads["W1"], fd_w1) < 1e-4
         assert max_rel_err(grads["W2"], fd_w2) < 1e-4
         assert max_rel_err(grads["Wc"], fd_wc) < 1e-4
+
+    @pytest.mark.parametrize("train_attention", [False, True])
+    def test_network_gradients_through_the_basis(self, train_attention):
+        # d + c = 6 < d' = 10: layer 1 runs as (W1 Q) (Q^T Xatt S~) and
+        # dW1 = (dA H^T) Q^T; the differences perturb W1 in all d' directions
+        inst = small_instance(26, d=4, c=2, d_prime=10)
+        assert att.basis(inst.apar).shape == (10, 6)
+        _, grads = backprop(inst, train_attention=train_attention)
+        fd_w1 = central_diff(lambda W: backprop(inst, gcn=GcnParams(W1=W, W2=inst.gcn.W2),
+                                                train_attention=train_attention)[0].total_gen,
+                             inst.gcn.W1)
+        assert grads["W1"].shape == inst.gcn.W1.shape
+        assert max_rel_err(grads["W1"], fd_w1) < 1e-4
+        if train_attention:  # the projections move the basis: their gradients stay in d' space
+            self.check_attention_gradients(inst)
 
     @staticmethod
     def check_attention_gradients(inst, **kwargs):

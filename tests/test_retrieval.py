@@ -175,8 +175,8 @@ class TestRankedPrefix:
 
     def test_ties_straddle_the_cutoff(self):
         # distance 1 holds items 1, 3, 4, 6; a depth of 3 cuts inside that tie,
-        # in a database long enough that only the prefix is sorted
-        dist = np.full(rt._PREFIX_RATIO * 3 + 1, 9, dtype=np.uint8)
+        # which the partition at depth - 1 must cut in index order
+        dist = np.full(49, 9, dtype=np.uint8)
         dist[:8] = [0, 1, 2, 1, 1, 0, 1, 2]
         for depth in range(1, dist.size + 1):
             self.check(dist, depth)

@@ -235,6 +235,48 @@ class TestFit:
             assert sorted(stepped) == sorted((param, epoch) for param in ids)
         assert ends[-1] == len(steps)
 
+    def test_identity_basis_is_a_fit_without_the_basis(self, tmp_path):
+        # d + c = 8 = d': the basis is the identity, so fit forms no product
+        # with it, and its checkpoint is byte for byte that of a fit that never asks
+        bases, basis = [], att.basis
+
+        def spy(*args):
+            bases.append(basis(*args))
+            return bases[-1]
+
+        saved = []
+        for patched in (spy, lambda *args: None):
+            with mock.patch.object(att, "basis", patched):
+                model = tiny_fit(seed=19, cfg=TrainConfig(epochs=3, lr=1e-3, seed=19, train_attention=True))[3]
+            trainer.save_model(tmp_path / "model.bin", model)
+            saved.append((tmp_path / "model.bin").read_bytes())
+        assert len(bases) == 4 and all(Q is None for Q in bases)  # one per attention forward
+        assert saved[0] == saved[1]
+
+    @pytest.mark.parametrize("train_attention", [False, True])
+    def test_basis_path_is_the_full_width_model(self, train_attention):
+        # d + c = 8 < d' = 32: the graph and the layers run over 8 coordinates,
+        # and give the outputs and codes of the d'-wide products to float32 rounding
+        cfg = TrainConfig(epochs=3, lr=1e-3, seed=22, train_attention=train_attention)
+        models = []
+        for patched in (att.basis, lambda *args: None):
+            with mock.patch.object(att, "basis", patched):
+                fm, aux, split, model, _ = tiny_fit(seed=22, d_prime=32, cfg=cfg)
+            Xq, Yq = fm.data[:, split.query], aux.data[:, split.query]
+            models.append((model, *encode_pre_sign(model, Xq, Yq)))
+        (model, codes, z), (full, full_codes, full_z) = models
+        X, Y = fm.data[:, split.train], aux.data[:, split.train]
+        Q = att.basis(model.attention)
+        xatt = att.denoise(X, Y, model.attention)[0]
+        assert Q.shape == (32, 8) and np.abs(Q @ (Q.T @ xatt) - xatt).max() < 1e-12 * np.abs(xatt).max()
+        assert model.xatt_train.shape == (32, 16) and model.gcn.W1.shape == (8, 32)
+        for ours, theirs in ((model.z_train, full.z_train), (z, full_z)):
+            tol = 1e-4 * np.abs(theirs).max()
+            assert np.abs(ours - theirs).max() <= tol
+            flipped = np.sign(ours) != np.sign(theirs)
+            assert np.all(np.abs(theirs[flipped]) <= tol)
+        assert np.all((codes == full_codes) | (np.abs(full_z) <= 1e-4 * np.abs(full_z).max()))
+
     def test_epoch_callback(self):
         seen = []
         tiny_fit(epoch_callback=lambda e, b: seen.append(e))
@@ -395,7 +437,7 @@ class TestEncoding:
         with pytest.raises(NumericError, match="non-finite encoder output for query 0"):
             trainer.encode_queries(model, fm.data[:, split.query], aux.data[:, split.query])
 
-    @pytest.mark.parametrize("variant", cli._VARIANTS)
+    @pytest.mark.parametrize("variant", [*cli._VARIANTS, "basis"])
     @given(data=st.data())
     @settings(max_examples=15, deadline=None)
     def test_batch_codes_match_single_item_codes(self, variant_models, variant, data):
@@ -535,10 +577,14 @@ class TestEncoding:
 
 @pytest.fixture(scope="module")
 def variant_models():
-    """--variant -> (features, aux, tiny model trained under that variant)."""
+    """--variant -> (features, aux, tiny model trained under that variant).
+
+    "basis" is the default variant at d' = 32 > d + c, whose graph and layers
+    run in the coordinates of the projections' basis.
+    """
     models = {}
-    for variant in cli._VARIANTS:
-        fm, aux, _, model, _ = flags_fit(20, "--variant", variant)
+    for variant, flags in [(v, ("--variant", v)) for v in cli._VARIANTS] + [("basis", ("--d-prime", "32"))]:
+        fm, aux, _, model, _ = flags_fit(20, *flags)
         models[variant] = (fm, aux, model)
     return models
 
@@ -565,8 +611,10 @@ class TestPersistence:
         assert back.graph_cfg.bandwidth == model.graph_cfg.bandwidth
         assert back.r == model.r
 
-    @pytest.mark.parametrize("flags", [["--variant", v] for v in cli._VARIANTS] + [["--train-attention"]],
-                             ids=lambda flags: flags[-1].lstrip("-"))
+    @pytest.mark.parametrize("flags", [["--variant", v] for v in cli._VARIANTS] + [["--train-attention"]] + [
+        pytest.param(["--d-prime", "32"], id="basis"),
+        pytest.param(["--d-prime", "32", "--train-attention"], id="basis-train-attention"),
+    ], ids=lambda flags: flags[-1].lstrip("-"))
     def test_round_trip_preserves_query_codes(self, tmp_path, flags):
         fm, aux, split, model, _ = flags_fit(17, *flags)
         p, resaved = tmp_path / "model.bin", tmp_path / "resaved.bin"
