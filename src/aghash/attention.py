@@ -1,8 +1,8 @@
 """Cross-modal attention denoising.
 
-Features and auxiliary semantics are projected to a shared d' space; each item
-mixes in a clipped-cosine-weighted mean of the projected semantics on top of a
-residual connection.
+Features and auxiliary semantics are projected to a shared space (`fit` draws
+it d' wide, then re-expresses it k wide, `basis`); each item mixes in a
+clipped-cosine-weighted mean of the projected semantics over a residual.
 """
 
 from dataclasses import dataclass, fields
@@ -16,15 +16,15 @@ from .errors import ShapeError
 class AttentionParams:
     """Fixed (or optionally trained) projections into the shared space."""
 
-    P_x: np.ndarray  # d' x d
-    P_y: np.ndarray  # d' x c
+    P_x: np.ndarray  # k x d
+    P_y: np.ndarray  # k x c
 
     def __post_init__(self):
         for f in fields(self):
             object.__setattr__(self, f.name, np.asarray(getattr(self, f.name), dtype=np.float64))
         P_x, P_y = self.P_x, self.P_y
         if P_x.ndim != 2 or P_y.ndim != 2 or P_x.shape[0] != P_y.shape[0]:
-            raise ShapeError(f"projection shapes {P_x.shape} / {P_y.shape} do not share d'")
+            raise ShapeError(f"projection shapes {P_x.shape} / {P_y.shape} do not share their rows")
         if not (np.all(np.isfinite(P_x)) and np.all(np.isfinite(P_y))):
             raise ShapeError("projection matrices must be finite")
 
@@ -70,13 +70,13 @@ class AttentionCache:
     X: np.ndarray  # d x n raw features
     U: np.ndarray  # c x u distinct columns of the aux semantics Y
     counts: np.ndarray  # length u, how often each column of U occurs in Y
-    Ubar: np.ndarray  # d' x u, P_y U
+    Ubar: np.ndarray  # k x u, P_y U
     Xn: np.ndarray  # unit columns of Xbar = P_x X
     x_norms: np.ndarray
     Un: np.ndarray  # unit columns of Ubar
     u_norms: np.ndarray
     alpha: np.ndarray  # n x u clipped cosine scores
-    mix: np.ndarray  # d' x n, the alpha-weighted means of Ybar
+    mix: np.ndarray  # k x n, the alpha-weighted means of Ybar
     w: np.ndarray  # length n, the row sums of alpha over the columns of Y
 
 
@@ -110,8 +110,8 @@ def basis(params, use_attention=True):
     P_y's c columns. So Q is the thin QR factor of [P_x, P_y] (of P_x alone
     without attention), k = min(d', d + c) (or min(d', d)), and
     Xatt = Q Q^T Xatt for the features of any items under these projections.
-    When the columns are at least d' the basis would save nothing: None then
-    stands for the identity, and no product is formed.
+    `fit` calls it once, to re-express the model it draws in these
+    coordinates; None, at k = d', stands for the identity.
     """
     M = np.hstack([params.P_x, params.P_y]) if use_attention else params.P_x
     return np.linalg.qr(M)[0] if M.shape[1] < M.shape[0] else None

@@ -13,13 +13,13 @@ import numpy as np
 from .errors import FormatError, ShapeError
 
 CHECKPOINT_MAGIC = b"AGCK"
-CHECKPOINT_VERSION = 5
+CHECKPOINT_VERSION = 6
 DISC_HIDDEN = (64, 32)  # widths of the discriminator's two hidden layers
 
 
 @dataclass
 class GcnParams:
-    W1: np.ndarray  # h x d'
+    W1: np.ndarray  # h x k
     W2: np.ndarray  # r x h
 
     @property
@@ -45,11 +45,11 @@ class ClsHead:
 @dataclass
 class DecoderParams:
     # linear decoder reconstructing attentive features from codes
-    Wd: np.ndarray  # d' x r
+    Wd: np.ndarray  # k x r
 
 
 def init_params(d_prime, h, r, c, seed):
-    """He-style init: Gaussian entries with std sqrt(2/fan_in), zero biases."""
+    """He-style init: Gaussian entries with std sqrt(2/fan_in), zero biases; W1 is drawn h x d'."""
     for name, dim in (("d_prime", d_prime), ("hidden", h), ("r", r), ("c", c)):
         if dim < 1:
             raise ShapeError(f"{name} must be >= 1, got {dim}")
@@ -66,9 +66,9 @@ def init_params(d_prime, h, r, c, seed):
     return gcn, disc, head
 
 
-def init_decoder(d_prime, r, seed):
+def init_decoder(k, r, seed):
     rng = np.random.default_rng(seed)
-    return DecoderParams(rng.standard_normal((d_prime, r)) * np.sqrt(2.0 / r))
+    return DecoderParams(rng.standard_normal((k, r)) * np.sqrt(2.0 / r))
 
 
 def parameters(*groups):
@@ -94,21 +94,13 @@ def sigmoid(x):
     return out
 
 
-def layer1_weights(params, basis=None):
-    """W1 Q, layer 1's h x k weights in the coordinates of the orthonormal basis Q; W1 when basis is None."""
-    return params.W1 if basis is None else params.W1 @ basis
+def gcn_layers(H, S_tilde, params):
+    """Both GCN layers on H = Xatt S~: (Z1, Z) = (ReLU(W1 H), (W2 Z1) S~); Z has no activation.
 
-
-def gcn_layers(H, S_tilde, params, basis=None):
-    """Both GCN layers on H = Q^T Xatt S~: (Z1, Z) = (ReLU((W1 Q) H), (W2 Z1) S~); Z has no activation.
-
-    Q is `basis`, whose span holds Xatt (attention.basis), so (W1 Q) H is
-    W1 Xatt S~ over k inner terms instead of d'; with basis None, H is
-    Xatt S~ and W1 applies directly. Layer 2 is W2 (Z1 S~) reassociated:
-    W2 Z1 has r << h rows, so the n x n product costs r n^2 multiply-adds
-    instead of h n^2.
+    Layer 2 is W2 (Z1 S~) reassociated: W2 Z1 has r << h rows, so the n x n
+    product costs r n^2 multiply-adds instead of h n^2.
     """
-    Z1 = layer1_weights(params, basis) @ H
+    Z1 = params.W1 @ H
     np.maximum(Z1, 0.0, out=Z1)  # the ReLU in the product's buffer
     return Z1, (params.W2 @ Z1) @ S_tilde
 

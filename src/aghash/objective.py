@@ -213,26 +213,22 @@ def backprop_all(
     recon_matrix=None,
     decoder=None,
     attention=None,
-    basis=None,
 ):
     """Losses plus exact gradients of the generator and discriminator objectives.
 
-    Differentiates a forward pass computed by the caller: H = Q^T Xatt S~ and
-    `layers` = (Z1, Z) = network.gcn_layers(H, S~, gcn, Q), Z = (W2 Z1) S~,
-    with Q the orthonormal `basis` (H = Xatt S~ when it is None). S~ is
-    symmetric, so with G = dZ S~ layer 2 gives dW2 = G Z1^T and
+    Differentiates a forward pass computed by the caller: H = Xatt S~ and
+    `layers` = (Z1, Z) = network.gcn_layers(H, S~, gcn), Z = (W2 Z1) S~. S~
+    is symmetric, so with G = dZ S~ layer 2 gives dW2 = G Z1^T and
     dZ1 = W2^T G: one r x n x n product where (W2^T dZ) S~ would take an
-    h x n x n one, and r << h. Layer 1 gives dW1 = (dA H^T) Q^T, so W1
-    keeps its h x d' shape while the n-long product runs over k. The GCN
-    products and gradients take the dtype of S~ and the layers; the loss
-    heads take float64 from their parameters.
+    h x n x n one, and r << h. The GCN products and gradients take the
+    dtype of S~ and the layers; the loss heads take float64 from their
+    parameters.
 
     `recon_matrix` is the n x n target of the kernel targets in RECON_PARTS;
     'aux' and 'inner-product' reconstruct the Gram matrix of the tags Y, and
     'feature' reconstructs through `decoder`. `attention`, the cache of the
     `attention.denoise` that gave Xatt, adds the projection gradients with
-    the graph held fixed; they take dXatt = (W1^T dA) S~ in d' space, since
-    a change of the projections moves Xatt out of the basis' span.
+    the graph held fixed, through dXatt = (W1^T dA) S~.
 
     Returns (LossBreakdown, grads); grads maps the `network.parameters` name
     of each generator-side parameter to its gradient: the GCN, the head, and
@@ -266,10 +262,7 @@ def backprop_all(
     dW2 = G @ Z1.T
     dA = gcn.W2.T @ G
     dA *= Z1 > 0
-    dW1 = dA @ H.T
-    if basis is not None:
-        dW1 = dW1 @ basis.T
-    grads = {"W1": dW1, "W2": dW2, "Wc": hp.lambda3 * dWc}
+    grads = {"W1": dA @ H.T, "W2": dW2, "Wc": hp.lambda3 * dWc}
     if dWd is not None:
         grads["Wd"] = hp.lambda1 * dWd
 

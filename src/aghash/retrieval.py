@@ -11,8 +11,9 @@ from .data import read_lines
 from .errors import DataError, FormatError, ParameterError, ShapeError
 
 _WORD_BITS = 64
-# evaluate scores relevance for a block of queries at once; this bounds the
-# block x n_db float product whatever the db size
+# evaluate scores and ranks a block of queries at once; this bounds the block's
+# n_db-wide arrays (the relevance product, the XORed words, the sort keys)
+# whatever the db size
 _EVAL_BLOCK_BYTES = 4 << 20
 _HEX_WORD = re.compile(r"[0-9a-fA-F]{16}")  # one 64-bit word as save_codes writes it
 
@@ -82,16 +83,17 @@ def hamming(a, b):
 
 
 def hamming_to_all(query_words, db):
-    """Hamming distance from one packed code to every row of a HashCodes db.
+    """Hamming distances from one packed code, or from each row of a block of them, to every row of db.
 
-    The distances come back in the smallest unsigned dtype that holds db.r
+    One code's words give n_db distances, a b x words block b x n_db. The
+    distances come back in the smallest unsigned dtype that holds db.r
     (uint8 up to r = 255, uint16 up to 65535), which numpy's stable argsort
     radix-sorts.
     """
-    q = np.asarray(query_words, dtype=np.uint64).ravel()
-    if q.shape[0] != db.packed.shape[1]:
-        raise ShapeError(f"code word counts differ: {q.shape[0]} vs {db.packed.shape[1]}")
-    return np.bitwise_count(db.packed ^ q).sum(axis=1, dtype=np.min_scalar_type(db.r))
+    q = np.atleast_1d(np.asarray(query_words, dtype=np.uint64))
+    if q.shape[-1] != db.packed.shape[1]:
+        raise ShapeError(f"code word counts differ: {q.shape[-1]} vs {db.packed.shape[1]}")
+    return np.bitwise_count(db.packed ^ q[..., None, :]).sum(axis=-1, dtype=np.min_scalar_type(db.r))
 
 
 def rank(query_words, db):
@@ -103,19 +105,21 @@ def rank(query_words, db):
 def _ranked_prefix(dist, depth):
     """rank's first `depth` indices from the distances: argsort(dist, kind="stable")[:depth].
 
-    Each item's key packs its distance above its index, (dist << bits(n)) | i,
-    in the smallest unsigned dtype that holds the largest key. The keys are
-    unique and order as (distance, index) pairs do, so partitioning them at
-    depth - 1 and sorting the `depth` smallest gives the stable order.
+    `dist` is one query's distances, or a row of them per query, ranked row
+    by row. Each item's key packs its distance above its index,
+    (dist << bits(n)) | i, in the smallest unsigned dtype that holds the
+    largest key. The keys are unique and order as (distance, index) pairs
+    do, so partitioning them at depth - 1 and sorting the `depth` smallest
+    gives the stable order.
     """
-    n = dist.size
+    n = dist.shape[-1]
     shift = (n - 1).bit_length()
     dtype = np.min_scalar_type((int(dist.max()) << shift) | (n - 1))
     keys = np.left_shift(dist, shift, dtype=dtype)
     keys |= np.arange(n, dtype=dtype)
     if depth < n:
-        keys = np.partition(keys, depth - 1)[:depth]
-    keys.sort()
+        keys = np.partition(keys, depth - 1, axis=-1)[..., :depth]
+    keys.sort(axis=-1)
     return np.bitwise_and(keys, (1 << shift) - 1, dtype=np.intp)
 
 
@@ -125,13 +129,14 @@ def _check_denominator(denominator):
 
 
 def _ap(hits, R, K, denominator):
-    """AP@K from the 0/1 relevance of the ranked items, top first, and the relevant count R."""
-    if R == 0:
-        return 0.0
-    top = hits[:K].astype(np.float64)
-    prec = np.cumsum(top) / np.arange(1, top.size + 1)
-    denom = min(R, K) if denominator == "min" else R
-    return float((prec * top).sum() / denom)
+    """AP@K from the 0/1 relevance of the ranked items, top first, and the relevant count R.
+
+    2-D hits hold one query per row, with R one count per row; AP is 0 where R is 0.
+    """
+    top = hits[..., :K].astype(np.float64)
+    prec = np.cumsum(top, axis=-1) / np.arange(1, top.shape[-1] + 1)
+    denom = np.minimum(R, K) if denominator == "min" else R
+    return np.divide((prec * top).sum(axis=-1), denom, out=np.zeros(np.shape(R)), where=R > 0)
 
 
 def average_precision(ranking, relevance, K, denominator="min"):
@@ -143,7 +148,7 @@ def average_precision(ranking, relevance, K, denominator="min"):
     if K < 1:
         raise ParameterError(f"K must be >= 1, got {K}")
     _check_denominator(denominator)
-    return _ap(relevance[ranking[:K]], int(relevance.sum()), K, denominator)
+    return float(_ap(relevance[ranking[:K]], int(relevance.sum()), K, denominator))
 
 
 def evaluate(query_codes, db_codes, query_labels, db_labels, K=1000,
@@ -178,18 +183,18 @@ def evaluate(query_codes, db_codes, query_labels, db_labels, K=1000,
         raise ParameterError("curve_points must contain at least one K >= 1")
     pts = np.array(points)
     depth = max(K, points[-1])  # ranks past this one change no score
-    block = max(1, _EVAL_BLOCK_BYTES // (8 * n_db))
+    block = max(1, _EVAL_BLOCK_BYTES // (8 * n_db * db_codes.packed.shape[1]))
 
     aps = []
     prec_sums = np.zeros(len(points))
     for lo in range(0, query_codes.n, block):
         rel = (query_labels[:, lo:lo + block].T @ db_labels) >= 1.0
         R = rel.sum(axis=1)
-        for bi in range(rel.shape[0]):
-            dist = hamming_to_all(query_codes.packed[lo + bi], db_codes)
-            hits = rel[bi][_ranked_prefix(dist, depth)]
-            aps.append(_ap(hits, int(R[bi]), K, denominator))
-            prec_sums += np.cumsum(hits)[pts - 1] / pts
+        dist = hamming_to_all(query_codes.packed[lo:lo + block], db_codes)
+        hits = np.take_along_axis(rel, _ranked_prefix(dist, depth), axis=1)
+        aps.extend(_ap(hits, R, K, denominator).tolist())
+        for prec in np.cumsum(hits, axis=1)[:, pts - 1] / pts:  # summed in query order
+            prec_sums += prec
 
     curve = [(kk, float(prec_sums[pi] / query_codes.n)) for pi, kk in enumerate(points)]
     return EvalReport(

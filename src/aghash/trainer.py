@@ -87,7 +87,7 @@ class TrainedModel:
     gcn: net.GcnParams
     graph_cfg: sg.GraphConfig  # bandwidth is the resolved one when the graph has a visual kernel
     use_attention: bool
-    xatt_train: np.ndarray  # d' x n
+    xatt_train: np.ndarray  # k x n, in the coordinates of the projections' initial span
     w2z1_train: np.ndarray  # r x n: W2 Z1, layer 2 before its graph product
     z_train: np.ndarray  # r x n
     degrees: np.ndarray  # length n
@@ -99,20 +99,12 @@ class TrainedModel:
 
 
 def _attentive(X, Y, params, use_attention):
-    """(Xatt, Xc, Q, cache): attentive features, their coordinates in the basis Q, Q, attention cache.
+    """(Xatt, cache): the denoised features, or the bare projection with cache None.
 
-    Xatt is the denoised features, or the bare projection with cache None.
-    Q is `attention.basis`, and Xc = Q^T Xatt has k <= d' rows; with Q None,
-    the identity, Xc is Xatt. The attention and Q^T Xatt run in float64;
-    only Xatt, Xc and Q are cast to COMPUTE_DTYPE.
+    The attention runs in float64; only Xatt is cast to COMPUTE_DTYPE.
     """
     Xatt, cache = att.denoise(X, Y, params) if use_attention else (att.project(X, Y, params)[0], None)
-    Q = att.basis(params, use_attention)
-    if Q is None:
-        Xatt = Xatt.astype(COMPUTE_DTYPE)
-        return Xatt, Xatt, None, cache
-    Xatt, Xc, Q = (M.astype(COMPUTE_DTYPE) for M in (Xatt, Q.T @ Xatt, Q))
-    return Xatt, Xc, Q, cache
+    return Xatt.astype(COMPUTE_DTYPE), cache
 
 
 def fit(
@@ -134,8 +126,10 @@ def fit(
     history is one LossBreakdown per epoch. epoch_callback(epoch, breakdown)
     is invoked after each epoch when given. The attentive features, the graph,
     the GCN weights, both layers and their gradients are in COMPUTE_DTYPE.
-    The graph and the GCN products run in the coordinates Xc = Q^T Xatt of
-    the features' basis Q (`_attentive`): k = min(d', d + c) rows instead of d'.
+    The projections and W1 are drawn d' wide, then re-expressed once in the
+    k = min(d', d + c) coordinates of the projections' span (`attention.basis`):
+    the same model at step 0, since norms and cosines there do not change.
+    Training and the returned model see only the k coordinates.
     """
     train_idx = np.asarray(train_idx, dtype=np.int64)
     if train_idx.size == 0:
@@ -153,26 +147,29 @@ def fit(
 
     # the network first: it checks the dimensions before any n x n work
     gcn, disc, head = net.init_params(d_prime, hidden, r, aux.c, cfg.seed + 1)
-    gcn = net.GcnParams(*(W.astype(COMPUTE_DTYPE) for W in (gcn.W1, gcn.W2)))
-    decoder = net.init_decoder(d_prime, r, cfg.seed + 3) if hyper.recon_target == "feature" else None
     apar = att.init_attention(features.d, aux.c, d_prime, cfg.seed)
-    Xatt, Xc, Q, cache = _attentive(X, Yt, apar, use_attention)
+    Q = att.basis(apar, use_attention)
+    if Q is not None:  # P_x, P_y and W1 in the k coordinates, before the cast
+        apar = att.AttentionParams(Q.T @ apar.P_x, Q.T @ apar.P_y)
+        gcn.W1 = gcn.W1 @ Q
+    gcn = net.GcnParams(*(W.astype(COMPUTE_DTYPE) for W in (gcn.W1, gcn.W2)))
+    decoder = net.init_decoder(gcn.W1.shape[1], r, cfg.seed + 3) if hyper.recon_target == "feature" else None
+    Xatt, cache = _attentive(X, Yt, apar, use_attention)
     cache = cache if cfg.train_attention else None  # the scores serve only dP_x, dP_y
 
-    # distances, and so the graph, are the same in the coordinates Xc
-    St, degrees, sigma = sg.build_graph(Xc, Yt, graph_cfg)
+    St, degrees, sigma = sg.build_graph(Xatt, Yt, graph_cfg)
     if sigma is not None:  # queries extend the graph with the training kernel
         graph_cfg = replace(graph_cfg, bandwidth=sigma)
     part = obj.RECON_PARTS.get(hyper.recon_target)  # a kernel target: that variant's similarity
-    recon = None if part is None else sg.similarity(Xc, Yt, replace(graph_cfg, variant=part))[0]
+    recon = None if part is None else sg.similarity(Xatt, Yt, replace(graph_cfg, variant=part))[0]
 
     rng = np.random.default_rng(cfg.seed + 2)
 
     params = net.parameters(apar if cfg.train_attention else None, gcn, disc, head, decoder)
     states = {name: AdamState.like(param) for name, param in params.items()}
 
-    H = Xc @ St
-    Z1, Z = net.gcn_layers(H, St, gcn, Q)
+    H = Xatt @ St
+    Z1, Z = net.gcn_layers(H, St, gcn)
     history = []
     for epoch in range(1, cfg.epochs + 1):
         if not np.all(np.isfinite(Z)):
@@ -185,7 +182,7 @@ def fit(
 
         breakdown, grads = obj.backprop_all(
             Xatt, H, (Z1, Z), St, Yt, B, gcn, disc, head, hyper, prior,
-            recon_matrix=recon, decoder=decoder, attention=cache, basis=Q,
+            recon_matrix=recon, decoder=decoder, attention=cache,
         )
         for term in fields(breakdown):
             if not np.isfinite(getattr(breakdown, term.name)):
@@ -193,10 +190,10 @@ def fit(
 
         for name, grad in grads.items():
             adam_step(params[name], grad, states[name], epoch, cfg.lr)
-        if cfg.train_attention:  # new projections: new features and a new basis
-            Xatt, Xc, Q, cache = _attentive(X, Yt, apar, use_attention)
-            H = Xc @ St
-        Z1, Z = net.gcn_layers(H, St, gcn, Q)
+        if cfg.train_attention:  # new projections: new features
+            Xatt, cache = _attentive(X, Yt, apar, use_attention)
+            H = Xatt @ St
+        Z1, Z = net.gcn_layers(H, St, gcn)
         history.append(breakdown)
         if epoch_callback is not None:
             epoch_callback(epoch, breakdown)
@@ -224,9 +221,7 @@ def encode_queries(model, Xq, Yq):
     The attention runs once for all m queries; the graph columns and both
     layers run QUERY_PANEL queries at a time, so the n-wide buffers are
     QUERY_PANEL x n whatever m is. The columns and layers are in
-    COMPUTE_DTYPE, as in fit, and run in the coordinates of the basis Q that
-    the model's projections give, as fit's do: Q^T xatt_train and W1 Q are
-    formed once per call.
+    COMPUTE_DTYPE, as in fit.
     """
     Xq = np.asarray(Xq, dtype=np.float64)
     Yq = np.asarray(Yq, dtype=np.float64)
@@ -240,27 +235,25 @@ def encode_queries(model, Xq, Yq):
             i, j = bad[0]
             raise DataError(f"non-finite {what} value at row {i}, column {j}")
 
-    xc_q, Q = _attentive(Xq, model.y_train, model.attention, model.use_attention)[1:3]
-    xc_train = model.xatt_train if Q is None else Q.T @ model.xatt_train
-    W1 = net.layer1_weights(model.gcn, Q)
+    xatt_q = _attentive(Xq, model.y_train, model.attention, model.use_attention)[0]
     z_q = np.empty((model.r, Xq.shape[1]), dtype=COMPUTE_DTYPE)
     for lo in range(0, Xq.shape[1], QUERY_PANEL):
         cols = slice(lo, lo + QUERY_PANEL)
-        z_q[:, cols] = _propagate(model, xc_train, W1, xc_q[:, cols], Yq[:, cols])
+        z_q[:, cols] = _propagate(model, xatt_q[:, cols], Yq[:, cols])
     bad = np.flatnonzero(~np.all(np.isfinite(z_q), axis=0))
     if bad.size:  # sign_pm would read NaN as -1 bits
         raise NumericError(f"non-finite encoder output for query {bad[0]}")
     return sign_pm(z_q)
 
 
-def _propagate(model, xc_train, W1, xc_q, Yq):
-    """The r x m layer-2 outputs of m queries from the coordinates xc_q and layer-1 weights W1.
+def _propagate(model, xatt_q, Yq):
+    """The r x m layer-2 outputs of m queries from their attentive features.
 
     The queries' graph columns are freed on return.
     """
-    st_col, st_self = sg.query_columns(xc_q, Yq, xc_train, model.y_train, model.degrees,
+    st_col, st_self = sg.query_columns(xatt_q, Yq, model.xatt_train, model.y_train, model.degrees,
                                        model.graph_cfg)
-    z1_q = net.relu(W1 @ (xc_train @ st_col.T + xc_q * st_self))
+    z1_q = net.relu(model.gcn.W1 @ (model.xatt_train @ st_col.T + xatt_q * st_self))
     return model.w2z1_train @ st_col.T + (model.gcn.W2 @ z1_q) * st_self
 
 
@@ -283,8 +276,8 @@ def write_train_log(path, history):
 _GROUPS = {"attention": att.AttentionParams, "gcn": net.GcnParams}
 _CACHED = [f.name for f in fields(TrainedModel) if f.type is np.ndarray]
 # every saved array, in file order, with its dimensions: a checkpoint's meta holds their sizes
-_SHAPES = {"P_x": ("d'", "d"), "P_y": ("d'", "c"), "W1": ("h", "d'"), "W2": ("r", "h"),
-           "xatt_train": ("d'", "n"), "w2z1_train": ("r", "n"), "z_train": ("r", "n"),
+_SHAPES = {"P_x": ("k", "d"), "P_y": ("k", "c"), "W1": ("h", "k"), "W2": ("r", "h"),
+           "xatt_train": ("k", "n"), "w2z1_train": ("r", "n"), "z_train": ("r", "n"),
            "degrees": ("n",), "y_train": ("c", "n")}
 _DIMS = sorted({symbol for symbols in _SHAPES.values() for symbol in symbols})
 # the arrays fit returns in COMPUTE_DTYPE; the file holds them as float64, which is exact

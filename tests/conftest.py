@@ -49,14 +49,22 @@ class SmallInstance:
 
 
 def small_instance(seed, n=16, d=8, d_prime=8, h=8, r=4, c=3, hp=None):
-    """Seeded instance at the gradient-suite dimensions."""
+    """Seeded instance at the gradient-suite dimensions.
+
+    As in training, the projections and W1 are drawn d' wide and, when
+    d + c < d', re-expressed in the k = d + c coordinates of the projections' span.
+    """
     rng = np.random.default_rng(seed)
     X = rng.standard_normal((d, n))
     Y = (rng.random((c, n)) < 0.4).astype(np.float64)
     apar = att.init_attention(d, c, d_prime, seed + 1)
+    gcn, disc, head = net.init_params(d_prime, h, r, c, seed + 2)
+    Q = att.basis(apar)
+    if Q is not None:
+        apar = att.AttentionParams(Q.T @ apar.P_x, Q.T @ apar.P_y)
+        gcn.W1 = gcn.W1 @ Q
     Xatt, _ = att.denoise(X, Y, apar)
     St, _ = sg.normalize(sg.similarity(Xatt, Y, sg.GraphConfig())[0])
-    gcn, disc, head = net.init_params(d_prime, h, r, c, seed + 2)
     prior = rng.standard_normal((r, n))
     _, Z = net.gcn_layers(Xatt @ St, St, gcn)
     B = np.where(Z >= 0, 1.0, -1.0)
@@ -70,17 +78,13 @@ def backprop(inst, apar=None, gcn=None, head=None, hp=None, train_attention=Fals
 
     With `train_attention`, Xatt is denoised from the raw inputs under `apar`
     (default inst.apar) and the projection gradients are returned as well.
-    The layers run in the coordinates of the projections' basis, as in
-    training: through Q = attention.basis(apar) when the instance has
-    d + c < d', and on Xatt itself otherwise.
     """
     apar, gcn = apar or inst.apar, gcn or inst.gcn
     Xatt, cache = att.denoise(inst.X, inst.Y, apar) if train_attention else (inst.Xatt, None)
-    Q = att.basis(apar)
-    H = (Xatt if Q is None else Q.T @ Xatt) @ inst.St
+    H = Xatt @ inst.St
     return obj.backprop_all(
-        Xatt, H, net.gcn_layers(H, inst.St, gcn, Q), inst.St, inst.Y, inst.B, gcn, inst.disc,
-        head or inst.head, hp or inst.hp, inst.prior, attention=cache, basis=Q, **kwargs,
+        Xatt, H, net.gcn_layers(H, inst.St, gcn), inst.St, inst.Y, inst.B, gcn, inst.disc,
+        head or inst.head, hp or inst.hp, inst.prior, attention=cache, **kwargs,
     )
 
 

@@ -231,6 +231,23 @@ class TestBasis:
         Xatt = denoise(X, Y, params)[0] if use_attention else project(X, Y, params)[0]
         assert np.abs(Q @ (Q.T @ Xatt) - Xatt).max() < 1e-14 * np.abs(Xatt).max() * 32
 
+    @pytest.mark.parametrize("use_attention", [True, False])
+    def test_features_under_reexpressed_projections(self, use_attention):
+        # R_x = Q^T P_x and R_y = Q^T P_y give Q^T times the d'-wide features, whose
+        # norms and cosines Q keeps: the attention scores are the same
+        rng = np.random.default_rng(6)
+        params = init_attention(6, 2, 32, seed=6)
+        Q = basis(params, use_attention)
+        in_basis = AttentionParams(Q.T @ params.P_x, Q.T @ params.P_y)
+        X, Y = rng.standard_normal((6, 50)), (rng.random((2, 50)) < 0.5).astype(np.float64)
+        if use_attention:
+            (wide, wide_cache), (ours, cache) = denoise(X, Y, params), denoise(X, Y, in_basis)
+            assert np.abs(cache.alpha - wide_cache.alpha).max() < 1e-13
+        else:
+            wide, ours = project(X, Y, params)[0], project(X, Y, in_basis)[0]
+        assert ours.shape == (Q.shape[1], 50)
+        assert np.abs(ours - Q.T @ wide).max() < 1e-13 * np.abs(wide).max()
+
     @pytest.mark.parametrize("d_prime, use_attention", [(8, True), (7, True), (6, False)])
     def test_identity_when_the_columns_reach_d_prime(self, d_prime, use_attention):
         assert basis(init_attention(6, 2, d_prime, seed=0), use_attention) is None

@@ -315,7 +315,7 @@ def _short_degrees(p, tmp):
 
 
 _HUGE_DIMS = json.dumps({"use_attention": True, "graph": {"mu": 1.0, "bandwidth": None, "variant": "augmented"},
-                         "dims": {"c": 2, "d": 8, "d'": 2**31, "h": 2**31, "n": 3, "r": 8}}).encode()
+                         "dims": {"c": 2, "d": 8, "h": 2**31, "k": 2**31, "n": 3, "r": 8}}).encode()
 
 
 def _train(p, tmp, *extra, split=None):
@@ -382,11 +382,13 @@ MALFORMED = {
     "checkpoint-version-2": (lambda p, t: _encode(p, t, checkpoint=_file(t, "c", _checkpoint(version=2))),
                              "unsupported checkpoint version 2"),
     "checkpoint-array-shapes": (lambda p, t: _encode(p, t, checkpoint=_short_degrees(p, t)),
-                                "checkpoint payload has 15544 bytes, its shapes need 15552"),
+                                "checkpoint payload has 12376 bytes, its shapes need 12384"),
     "checkpoint-version-3": (lambda p, t: _encode(p, t, checkpoint=_file(t, "c", _checkpoint(version=3))),
                              "unsupported checkpoint version 3"),
     "checkpoint-version-4": (lambda p, t: _encode(p, t, checkpoint=_file(t, "c", _checkpoint(version=4))),
                              "c: unsupported checkpoint version 4"),
+    "checkpoint-version-5": (lambda p, t: _encode(p, t, checkpoint=_file(t, "c", _checkpoint(version=5))),
+                             "c: unsupported checkpoint version 5"),
     "checkpoint-not-finite": (lambda p, t: _encode(p, t, checkpoint=_edited(
         p, t, lambda arrays, meta: arrays["W1"].__setitem__((0, 0), np.nan))),
                               "edited.bin: checkpoint array 'W1' is not finite"),

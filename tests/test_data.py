@@ -121,6 +121,15 @@ class TestRoundTrip:
         back = load_features(p)
         assert np.allclose(back.data, fm.data, rtol=1e-6)
 
+    def test_text_values_are_written_as_the_format_spec_writes_them(self, tmp_path):
+        # each value as f"{v:.9g}" writes the numpy scalar, edge values included
+        values = np.array([[-0.0, 5e-324, 1e308, 0.1, 1 / 3], [-1e-300, 123456789.5, -2.5, 1e16, 7.0]])
+        p = tmp_path / "f.txt"
+        save_features(p, FeatureMatrix(values))
+        rows = [",".join(f"{v:.9g}" for v in row) for row in values]
+        assert p.read_text() == "2 5\n" + "".join(row + "\n" for row in rows)
+        assert rows[0] == "-0,4.94065646e-324,1e+308,0.1,0.333333333"
+
 
 class TestAux:
     def test_identity_pattern(self, tmp_path):
@@ -155,6 +164,11 @@ class TestAux:
         p = tmp_path / "a.txt"
         save_aux(p, aux)
         assert np.array_equal(load_aux(p).data, aux.data)
+
+    def test_written_as_integers(self, tmp_path):
+        p = tmp_path / "a.txt"
+        save_aux(p, AuxSemantics(np.array([[1.0, -0.0, 0.0], [0.0, 1.0, 1.0]])))
+        assert p.read_text() == "2 3\n1,0,0\n0,1,1\n"
 
 
 class TestFeatureMatrixInvariants:

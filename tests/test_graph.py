@@ -378,16 +378,17 @@ class TestBuildGraph:
 
     @pytest.mark.parametrize("variant", sg.VARIANTS)
     def test_graph_in_basis_coordinates(self, variant):
-        # distances do not change under the orthonormal basis, so the graph of
-        # the k = 8 coordinates Q^T Xatt is the graph of the d' = 32 features
+        # distances do not change under the orthonormal basis, so the graph of the
+        # features under the projections re-expressed in its k = 8 coordinates,
+        # as fit builds them, is the graph of the d' = 32 features
         rng = np.random.default_rng(5)
         X, Y = rng.standard_normal((6, 300)), (rng.random((2, 300)) < 0.5).astype(np.float64)
         params = att.init_attention(6, 2, 32, seed=5)
-        Xatt = att.denoise(X, Y, params)[0]
         Q = att.basis(params)
+        in_basis = att.AttentionParams(Q.T @ params.P_x, Q.T @ params.P_y)
         config = sg.GraphConfig(variant=variant)
-        St, degrees, sigma = build_graph(Xatt.astype(np.float32), Y, config)
-        St_c, degrees_c, sigma_c = build_graph((Q.T @ Xatt).astype(np.float32), Y, config)
+        St, degrees, sigma = build_graph(att.denoise(X, Y, params)[0].astype(np.float32), Y, config)
+        St_c, degrees_c, sigma_c = build_graph(att.denoise(X, Y, in_basis)[0].astype(np.float32), Y, config)
         eps = np.finfo(np.float32).eps
         assert np.abs(St_c - St).max() <= 16 * eps * np.abs(St).max()
         assert np.abs(degrees_c - degrees).max() <= 16 * eps * degrees.max()

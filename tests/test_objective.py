@@ -286,17 +286,16 @@ class TestBackpropAll:
 
     @pytest.mark.parametrize("train_attention", [False, True])
     def test_network_gradients_through_the_basis(self, train_attention):
-        # d + c = 6 < d' = 10: layer 1 runs as (W1 Q) (Q^T Xatt S~) and
-        # dW1 = (dA H^T) Q^T; the differences perturb W1 in all d' directions
+        # d + c = 6 < d' = 10: the instance is re-expressed in k = 6 coordinates,
+        # so W1 is h x 6 and the projections R_x, R_y are 6 x 4 and 6 x 2
         inst = small_instance(26, d=4, c=2, d_prime=10)
-        assert att.basis(inst.apar).shape == (10, 6)
+        assert inst.gcn.W1.shape == (8, 6) and inst.apar.P_x.shape == (6, 4) and inst.apar.P_y.shape == (6, 2)
         _, grads = backprop(inst, train_attention=train_attention)
         fd_w1 = central_diff(lambda W: backprop(inst, gcn=GcnParams(W1=W, W2=inst.gcn.W2),
                                                 train_attention=train_attention)[0].total_gen,
                              inst.gcn.W1)
-        assert grads["W1"].shape == inst.gcn.W1.shape
         assert max_rel_err(grads["W1"], fd_w1) < 1e-4
-        if train_attention:  # the projections move the basis: their gradients stay in d' space
+        if train_attention:
             self.check_attention_gradients(inst)
 
     @staticmethod

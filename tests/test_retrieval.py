@@ -117,6 +117,8 @@ class TestHamming:
         dists = rt.hamming_to_all(codes.packed[0], codes)
         expect = [oracle_hamming(B[:, 0], B[:, j]) for j in range(10)]
         assert np.array_equal(dists, expect)
+        block = rt.hamming_to_all(codes.packed[:4], codes)  # a row per query
+        assert np.array_equal(block, [[oracle_hamming(B[:, i], B[:, j]) for j in range(10)] for i in range(4)])
 
     @pytest.mark.parametrize("r, dtype", [(1, np.uint8), (255, np.uint8), (256, np.uint16),
                                           (300, np.uint16)])
@@ -192,6 +194,21 @@ class TestRankedPrefix:
         depth = data.draw(st.sampled_from([1, n, data.draw(st.integers(1, n), label="depth")]),
                           label="which depth")
         self.check(dist, depth)
+
+    @given(st.sampled_from([1, 8, 64, 300]), st.integers(1, 200), st.integers(1, 4),
+           st.integers(0, 2**32 - 1), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_rows_are_ranked_one_by_one(self, r, n, patterns, seed, data):
+        # a block of queries, whose keys share the dtype of the block's largest one
+        rng = np.random.default_rng(seed)
+        db = rt.pack(tied_codes(rng, n, r, patterns))
+        queries = rt.pack(tied_codes(rng, 5, r, patterns))
+        dist = rt.hamming_to_all(queries.packed, db)
+        depth = data.draw(st.integers(1, n), label="depth")
+        prefixes = rt._ranked_prefix(dist, depth)
+        assert prefixes.shape == (5, depth)
+        for row, prefix in zip(dist, prefixes):
+            assert prefix.tobytes() == rt._ranked_prefix(row, depth).tobytes()
 
     @pytest.mark.parametrize("r", [1, 64])
     def test_full_depth_and_one_bit_codes(self, r):
@@ -320,6 +337,17 @@ class TestEvaluate:
         assert rep.per_query_ap == aps
         assert rep.map_at_k == float(np.mean(aps))
         assert rep.precision_curve == [(k, float(p / n_query)) for k, p in zip(points, precs)]
+
+    def test_multiword_codes_match_rank(self, monkeypatch):
+        # r = 130 takes three words per code, so a block holds a third as many queries
+        monkeypatch.setattr(rt, "_EVAL_BLOCK_BYTES", 8 * 40 * 3 * 2)
+        rng = np.random.default_rng(8)
+        query, db = rt.pack(tied_codes(rng, 5, 130, 4)), rt.pack(tied_codes(rng, 40, 130, 4))
+        Lq, Ld = (rng.random((3, 5)) < 0.4).astype(float), (rng.random((3, 40)) < 0.3).astype(float)
+        rep = rt.evaluate(query, db, Lq, Ld, K=10, curve_points=(10,))
+        want = [rt.average_precision(rt.rank(query.packed[q], db), (Lq[:, q] @ Ld) >= 1.0, 10)
+                for q in range(5)]
+        assert rep.per_query_ap == want
 
 
 class TestFiles:

@@ -32,7 +32,7 @@ def tiny_fit(seed=0, **overrides):
 
 
 # the sizes of a tiny_fit model at its default settings
-TINY_DIMS = {"c": 2, "d": 6, "d'": 8, "h": 8, "n": 16, "r": 4}
+TINY_DIMS = {"c": 2, "d": 6, "h": 8, "k": 8, "n": 16, "r": 4}
 
 
 def flags_fit(seed, *flags):
@@ -69,18 +69,18 @@ def same_codes_tolerance(model, z_batch):
     """How far two calls' outputs for the same items may differ: inner * eps * max|z|.
 
     An output is a chain of COMPUTE_DTYPE products: the query kernel (inner
-    length d'), its row sums and its product with xatt_train (n each), W1
-    (d') and W2 (h); the other term's product with w2z1_train (n) is shorter.
+    length k), its row sums and its product with xatt_train (n each), W1
+    (k) and W2 (h); the other term's product with w2z1_train (n) is shorter.
     A computed sum of L products is within L u |x|.|y| of the exact one, u =
     eps / 2 (Higham, Accuracy and Stability of Numerical Algorithms, 2002,
     sec. 3.1), and to first order the lengths along a chain add up. The
     batched and the one-column calls may each order their sums differently,
-    so they differ by at most 2 L u |x|.|y| = L eps |x|.|y|, L = 2n + 2d' + h,
+    so they differ by at most 2 L u |x|.|y| = L eps |x|.|y|, L = 2n + 2k + h,
     with max|z| standing for the magnitudes |x|.|y|. Measured on the variant
     models: at most 1.8 eps max|z|, against L = 56 there.
     """
-    d_prime, n = model.xatt_train.shape
-    inner = 2 * n + 2 * d_prime + model.gcn.W1.shape[0]
+    k, n = model.xatt_train.shape
+    inner = 2 * n + 2 * k + model.gcn.W1.shape[0]
     return inner * np.finfo(trainer.COMPUTE_DTYPE).eps * np.abs(z_batch).max()
 
 
@@ -236,46 +236,64 @@ class TestFit:
         assert ends[-1] == len(steps)
 
     def test_identity_basis_is_a_fit_without_the_basis(self, tmp_path):
-        # d + c = 8 = d': the basis is the identity, so fit forms no product
-        # with it, and its checkpoint is byte for byte that of a fit that never asks
-        bases, basis = [], att.basis
+        # d + c = 8 = d': the basis is the identity, so training starts from the
+        # drawn projections and W1 bit for bit, and the checkpoint is byte for
+        # byte that of a fit that never asks for the basis
+        cfg = TrainConfig(epochs=3, lr=1e-3, seed=19, train_attention=True)
+        bases, basis, denoise, backprop_all, first = [], att.basis, att.denoise, obj.backprop_all, {}
 
         def spy(*args):
             bases.append(basis(*args))
             return bases[-1]
 
+        def first_denoise(X, Y, params):  # copies: training steps the arrays in place
+            first.setdefault("P", (params.P_x.copy(), params.P_y.copy()))
+            return denoise(X, Y, params)
+
+        def first_step(*args, **kwargs):
+            first.setdefault("W1", args[6].W1.copy())
+            return backprop_all(*args, **kwargs)
+
         saved = []
         for patched in (spy, lambda *args: None):
-            with mock.patch.object(att, "basis", patched):
-                model = tiny_fit(seed=19, cfg=TrainConfig(epochs=3, lr=1e-3, seed=19, train_attention=True))[3]
+            first.clear()
+            with mock.patch.object(att, "basis", patched), mock.patch.object(att, "denoise", first_denoise), \
+                    mock.patch.object(obj, "backprop_all", first_step):
+                model = tiny_fit(seed=19, cfg=cfg)[3]
             trainer.save_model(tmp_path / "model.bin", model)
             saved.append((tmp_path / "model.bin").read_bytes())
-        assert len(bases) == 4 and all(Q is None for Q in bases)  # one per attention forward
+            drawn = att.init_attention(6, 2, 8, 19)
+            assert all(np.array_equal(a, b) for a, b in zip(first["P"], (drawn.P_x, drawn.P_y)))
+            W1 = net.init_params(8, 8, 4, 2, 20)[0].W1.astype(trainer.COMPUTE_DTYPE)
+            assert first["W1"].dtype == W1.dtype and np.array_equal(first["W1"], W1)
+        assert bases == [None]  # one QR per fit, none per forward
         assert saved[0] == saved[1]
 
-    @pytest.mark.parametrize("train_attention", [False, True])
-    def test_basis_path_is_the_full_width_model(self, train_attention):
-        # d + c = 8 < d' = 32: the graph and the layers run over 8 coordinates,
-        # and give the outputs and codes of the d'-wide products to float32 rounding
-        cfg = TrainConfig(epochs=3, lr=1e-3, seed=22, train_attention=train_attention)
-        models = []
-        for patched in (att.basis, lambda *args: None):
-            with mock.patch.object(att, "basis", patched):
-                fm, aux, split, model, _ = tiny_fit(seed=22, d_prime=32, cfg=cfg)
-            Xq, Yq = fm.data[:, split.query], aux.data[:, split.query]
-            models.append((model, *encode_pre_sign(model, Xq, Yq)))
-        (model, codes, z), (full, full_codes, full_z) = models
+    @pytest.mark.parametrize("use_attention", [False, True])
+    def test_basis_path_is_the_full_width_model(self, use_attention):
+        # d + c = 8 < d' = 32 (d = 6 < d' without attention): fit re-expresses the
+        # projections and W1 in k coordinates, and its first outputs Z are those of
+        # the d'-wide model drawn from the same seeds, to float32 rounding
+        seed, dtype = 22, trainer.COMPUTE_DTYPE
+        backprop_all, first = obj.backprop_all, []
+
+        def first_step(*args, **kwargs):  # the layers the first generator step differentiates
+            first.append(args[2][1].copy())
+            return backprop_all(*args, **kwargs)
+
+        with mock.patch.object(obj, "backprop_all", first_step):
+            fm, aux, split, model, _ = tiny_fit(seed=seed, d_prime=32, use_attention=use_attention,
+                                                cfg=TrainConfig(epochs=1, lr=1e-3, seed=seed))
+        k = 8 if use_attention else 6
+        assert model.attention.P_x.shape == (k, 6) and model.attention.P_y.shape == (k, 2)
+        assert model.gcn.W1.shape == (8, k) and model.xatt_train.shape == (k, 16)
         X, Y = fm.data[:, split.train], aux.data[:, split.train]
-        Q = att.basis(model.attention)
-        xatt = att.denoise(X, Y, model.attention)[0]
-        assert Q.shape == (32, 8) and np.abs(Q @ (Q.T @ xatt) - xatt).max() < 1e-12 * np.abs(xatt).max()
-        assert model.xatt_train.shape == (32, 16) and model.gcn.W1.shape == (8, 32)
-        for ours, theirs in ((model.z_train, full.z_train), (z, full_z)):
-            tol = 1e-4 * np.abs(theirs).max()
-            assert np.abs(ours - theirs).max() <= tol
-            flipped = np.sign(ours) != np.sign(theirs)
-            assert np.all(np.abs(theirs[flipped]) <= tol)
-        assert np.all((codes == full_codes) | (np.abs(full_z) <= 1e-4 * np.abs(full_z).max()))
+        apar = att.init_attention(6, 2, 32, seed)
+        xatt = (att.denoise(X, Y, apar) if use_attention else att.project(X, Y, apar))[0].astype(dtype)
+        gcn = net.init_params(32, 8, 4, 2, seed + 1)[0]
+        St = sg.build_graph(xatt, Y, sg.GraphConfig())[0]
+        Z = net.gcn_layers(xatt @ St, St, net.GcnParams(gcn.W1.astype(dtype), gcn.W2.astype(dtype)))[1]
+        assert np.abs(first[0] - Z).max() <= 1e-4 * np.abs(Z).max()
 
     def test_epoch_callback(self):
         seen = []
@@ -579,8 +597,8 @@ class TestEncoding:
 def variant_models():
     """--variant -> (features, aux, tiny model trained under that variant).
 
-    "basis" is the default variant at d' = 32 > d + c, whose graph and layers
-    run in the coordinates of the projections' basis.
+    "basis" is the default variant at d' = 32 > d + c, which fit re-expresses
+    in the k = d + c coordinates of the projections' span.
     """
     models = {}
     for variant, flags in [(v, ("--variant", v)) for v in cli._VARIANTS] + [("basis", ("--d-prime", "32"))]:
@@ -653,7 +671,7 @@ class TestPersistence:
         (lambda meta: meta.pop("dims"), "checkpoint has no meta key 'dims'"),
         (lambda meta: meta.update(r=4), "unknown checkpoint meta key 'r'"),
         (lambda meta: meta["dims"].pop("h"), "checkpoint has no dimension 'h'"),
-        (lambda meta: meta["dims"].update(k=3), "unknown checkpoint dimension 'k'"),
+        (lambda meta: meta["dims"].update({"d'": 3}), "unknown checkpoint dimension \"d'\""),
         (lambda meta: meta.update(dims=[2, 6, 8, 8, 16, 4]), "malformed checkpoint meta"),
     ], ids=["no-dims", "unknown-key", "no-dimension", "unknown-dimension", "dims-not-object"])
     def test_missing_or_unknown_dimension_or_meta_key(self, tmp_path, edit, message):
@@ -669,7 +687,7 @@ class TestPersistence:
             trainer.load_model(p)
 
     @pytest.mark.parametrize("name, shape, expected", [
-        ("P_x", (8,), ("d'", "d")), ("P_y", (7, 2), (8, 2)), ("W1", (8, 7), (8, 8)),
+        ("P_x", (8,), ("k", "d")), ("P_y", (7, 2), (8, 2)), ("W1", (8, 7), (8, 8)),
         ("W2", (4, 9), (4, 8)), ("xatt_train", (7, 16), (8, 16)), ("w2z1_train", (4, 15), (4, 16)),
         ("z_train", (3, 16), (4, 16)), ("degrees", (15,), (16,)), ("degrees", (16, 1), (16,)),
         ("y_train", (2, 17), (2, 16)), ("y_train", (3, 16), (2, 16)),
@@ -736,7 +754,7 @@ class TestPersistence:
                   model.w2z1_train, model.z_train, model.degrees, model.y_train]
         assert list(trainer._SHAPES) == ["P_x", "P_y", "W1", "W2", "xatt_train", "w2z1_train",
                                          "z_train", "degrees", "y_train"]
-        assert p.read_bytes() == (b"AGCK" + struct.pack("<II", 5, len(raw)) + raw
+        assert p.read_bytes() == (b"AGCK" + struct.pack("<II", 6, len(raw)) + raw
                                   + b"".join(a.astype("<f8").tobytes() for a in arrays))
 
     @pytest.mark.parametrize("edit, error, message", [
@@ -776,7 +794,7 @@ class TestPersistence:
         except AghashError:
             pass
 
-    @pytest.mark.parametrize("version", [1, 3, 4])
+    @pytest.mark.parametrize("version", [1, 3, 4, 5])
     def test_version_1_checkpoint_rejected(self, tmp_path, version):
         _, _, _, model, _ = tiny_fit(seed=18)
         p = tmp_path / "model.bin"
