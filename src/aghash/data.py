@@ -1,6 +1,7 @@
 """Feature/label file IO, synthetic clustered data, and train/query/retrieval splits."""
 
 import json
+import os
 import struct
 import warnings
 from dataclasses import dataclass
@@ -12,6 +13,8 @@ from .errors import AghashError, DataError, FormatError, ParameterError, ShapeEr
 BINARY_MAGIC = b"AGFM"
 BINARY_VERSION = 1
 _HEADER = struct.Struct("<4sIII")  # magic, version, d, n
+# whitespace to numpy's text reader, but not to float()
+_READER_ONLY_SPACE = "\x1c\x1d\x1e\x1f"
 
 
 @dataclass(frozen=True)
@@ -142,6 +145,46 @@ def read_lines(path):
 
 
 def _load_text_matrix(path):
+    """The rows x cols text matrix: each row parsed in C, or line by line where that fails."""
+    try:
+        out = _parse_rows(path)
+    except (AghashError, ValueError):  # a UnicodeDecodeError is a ValueError
+        out = None
+    return _parse_lines(path) if out is None else out
+
+
+def _parse_rows(path):
+    """The matrix from numpy's C reader, one streamed row at a time; None if a row does not fit.
+
+    The reader's grammar is float()'s without digit underscores, which it
+    rejects, and with the separators \\x1c-\\x1f as whitespace, which a row
+    holding one leaves to the line-by-line parse. The rows x cols array is
+    allocated only once the file can hold it: a value and its separator take
+    at least 2 bytes.
+    """
+    with open(path, "r", encoding="ascii") as fh:
+        lines = filter(None, map(str.strip, fh))
+        header = next(lines, None)
+        if header is None:
+            return None
+        rows, cols = _parse_header_line(header, path)
+        if 2 * rows * cols > os.fstat(fh.fileno()).st_size:
+            return None
+        out = np.empty((rows, cols), dtype=np.float64)
+        read = 0
+        for line in lines:
+            if read == rows or any(sep in line for sep in _READER_ONLY_SPACE):
+                return None
+            row = np.loadtxt((line,), delimiter=",", dtype=np.float64, comments=None, quotechar=None, ndmin=1)
+            if row.shape != (cols,):
+                return None
+            out[read] = row
+            read += 1
+    return out if read == rows else None
+
+
+def _parse_lines(path):
+    """The matrix parsed with float()'s grammar; raises the error that names what is wrong."""
     lines = read_lines(path)
     if not lines:
         raise FormatError(f"{path}: file is empty")
@@ -208,8 +251,9 @@ def save_features(path, features, format="text"):
     if format == "text":
         with open(path, "w", encoding="ascii") as fh:
             fh.write(f"{features.d} {features.n}\n")
+            line = ",".join(["{:.9g}"] * features.n) + "\n"
             for row in data:  # Python floats format faster than numpy scalars, to the same text
-                fh.write(",".join(map("{:.9g}".format, row.tolist())) + "\n")
+                fh.write(line.format(*row.tolist()))
     elif format == "binary":
         with open(path, "wb") as fh:
             fh.write(_HEADER.pack(BINARY_MAGIC, BINARY_VERSION, features.d, features.n))

@@ -105,10 +105,17 @@ def gcn_layers(H, S_tilde, params):
     return Z1, (params.W2 @ Z1) @ S_tilde
 
 
+def _dense_relu(A, b, X):
+    """relu(A X + b), formed in the product's buffer."""
+    out = A @ X
+    out += b[:, None]
+    return np.maximum(out, 0.0, out=out)
+
+
 def disc_layers(V, params):
     """Discriminator pass over an r x m batch: (hidden 1, hidden 2, logits)."""
-    h1 = relu(params.A1 @ V + params.b1[:, None])
-    h2 = relu(params.A2 @ h1 + params.b2[:, None])
+    h1 = _dense_relu(params.A1, params.b1, V)
+    h2 = _dense_relu(params.A2, params.b2, h1)
     logits = (params.A3 @ h2 + params.b3[:, None])[0]
     return h1, h2, logits
 

@@ -144,48 +144,53 @@ def classification_loss(P, Y):
 class GanResult:
     l_disc: float
     l_gen_adv: float
-    disc_grads: dict  # name -> gradient, keyed as network.parameters keys the discriminator
     dZ: np.ndarray  # gradient of l_gen_adv w.r.t. the generator outputs
 
 
-def _disc_backward(V, h1, h2, dlogits, p):
+def _disc_backward(h1, h2, dlogits, p, V=None):
+    """Reverse pass of `disc_layers`: the parameter gradients given its input V, else the input's gradient."""
     df = dlogits[None, :]
-    dA3 = df @ h2.T
-    db3 = df.sum(axis=1)
-    dh2 = p.A3.T @ df
-    da2 = dh2 * (h2 > 0)
-    dA2 = da2 @ h1.T
-    db2 = da2.sum(axis=1)
-    dh1 = p.A2.T @ da2
-    da1 = dh1 * (h1 > 0)
-    dA1 = da1 @ V.T
-    db1 = da1.sum(axis=1)
-    dV = p.A1.T @ da1
-    return {"A1": dA1, "b1": db1, "A2": dA2, "b2": db2, "A3": dA3, "b3": db3}, dV
+    da2 = p.A3.T @ df
+    da2 *= h2 > 0  # through the ReLUs, in the products' buffers
+    da1 = p.A2.T @ da2
+    da1 *= h1 > 0
+    if V is None:
+        return p.A1.T @ da1
+    return {"A1": da1 @ V.T, "b1": da1.sum(axis=1), "A2": da2 @ h1.T, "b2": da2.sum(axis=1),
+            "A3": df @ h2.T, "b3": df.sum(axis=1)}
+
+
+def _check_code_lengths(Z, prior_samples):
+    if Z.shape[0] != prior_samples.shape[0]:
+        raise ShapeError(f"code length mismatch: {Z.shape[0]} vs {prior_samples.shape[0]}")
+
+
+def disc_grads(Z, prior_samples, disc):
+    """Gradients of the discriminator loss -mean log D(prior) - mean log(1 - D(Z)).
+
+    Keyed as `network.parameters` keys the discriminator; Z is held fixed.
+    """
+    _check_code_lengths(Z, prior_samples)
+    h1r, h2r, f_real = disc_layers(prior_samples, disc)
+    h1f, h2f, f_fake = disc_layers(Z, disc)
+    g_real = _disc_backward(h1r, h2r, (sigmoid(f_real) - 1.0) / prior_samples.shape[1], disc, prior_samples)
+    g_fake = _disc_backward(h1f, h2f, sigmoid(f_fake) / Z.shape[1], disc, Z)
+    return {name: g_real[name] + g_fake[name] for name in g_real}
 
 
 def gan_losses(Z, prior_samples, disc):
-    """Adversarial losses and gradients.
+    """Both adversarial losses, and the generator's gradient w.r.t. Z.
 
-    Discriminator minimizes -mean log D(prior) - mean log(1 - D(Z)).
-    Generator minimizes -mean log D(Z), whose gradient stays large while the
-    discriminator rejects Z.
+    Discriminator loss: -mean log D(prior) - mean log(1 - D(Z)); its
+    gradients are `disc_grads`. Generator loss: -mean log D(Z), whose
+    gradient stays large while the discriminator rejects Z.
     """
-    if Z.shape[0] != prior_samples.shape[0]:
-        raise ShapeError(f"code length mismatch: {Z.shape[0]} vs {prior_samples.shape[0]}")
-    m_fake, m_real = Z.shape[1], prior_samples.shape[1]
-    h1r, h2r, f_real = disc_layers(prior_samples, disc)
+    _check_code_lengths(Z, prior_samples)
+    f_real = disc_layers(prior_samples, disc)[2]
     h1f, h2f, f_fake = disc_layers(Z, disc)
-    D_real, D_fake = sigmoid(f_real), sigmoid(f_fake)
-
     l_disc = float(_softplus(-f_real).mean() + _softplus(f_fake).mean())
-    g_real, _ = _disc_backward(prior_samples, h1r, h2r, (D_real - 1.0) / m_real, disc)
-    g_fake, _ = _disc_backward(Z, h1f, h2f, D_fake / m_fake, disc)
-    disc_grads = {name: g_real[name] + g_fake[name] for name in g_real}
-
-    _, dZ = _disc_backward(Z, h1f, h2f, -(1.0 - D_fake) / m_fake, disc)
-    return GanResult(l_disc=l_disc, l_gen_adv=float(_softplus(-f_fake).mean()),
-                     disc_grads=disc_grads, dZ=dZ)
+    dZ = _disc_backward(h1f, h2f, -(1.0 - sigmoid(f_fake)) / Z.shape[1], disc)
+    return GanResult(l_disc=l_disc, l_gen_adv=float(_softplus(-f_fake).mean()), dZ=dZ)
 
 
 def total_generator_loss(l_gen_adv, l_recons, l_quan, l_cl, hp):
@@ -214,7 +219,7 @@ def backprop_all(
     decoder=None,
     attention=None,
 ):
-    """Losses plus exact gradients of the generator and discriminator objectives.
+    """Both objectives' losses plus exact gradients of the generator objective.
 
     Differentiates a forward pass computed by the caller: H = Xatt S~ and
     `layers` = (Z1, Z) = network.gcn_layers(H, S~, gcn), Z = (W2 Z1) S~. S~

@@ -15,7 +15,8 @@ _WORD_BITS = 64
 # n_db-wide arrays (the relevance product, the XORed words, the sort keys)
 # whatever the db size
 _EVAL_BLOCK_BYTES = 4 << 20
-_HEX_WORD = re.compile(r"[0-9a-fA-F]{16}")  # one 64-bit word as save_codes writes it
+# a row of 64-bit words as save_codes writes them: 16 hex digits each, separated by whitespace
+_HEX_ROW = re.compile(r"[0-9a-fA-F]{16}(?:\s+[0-9a-fA-F]{16})*")
 
 
 @dataclass(frozen=True)
@@ -211,10 +212,11 @@ def evaluate(query_codes, db_codes, query_labels, db_labels, K=1000,
 
 
 def save_codes(path, codes):
+    line = " ".join(["{:016x}"] * codes.packed.shape[1]) + "\n"
     with open(path, "w", encoding="ascii") as fh:
         fh.write(f"{codes.n} {codes.r}\n")
         for row in codes.packed:
-            fh.write(" ".join(f"{int(w):016x}" for w in row) + "\n")
+            fh.write(line.format(*row.tolist()))
 
 
 def load_codes(path):
@@ -233,16 +235,15 @@ def load_codes(path):
     if len(lines) - 1 != n:
         raise ShapeError(f"{path}: header declares {n} codes, found {len(lines) - 1}")
     words = (r + _WORD_BITS - 1) // _WORD_BITS
-    values = []  # sized by the rows read, so a wide header allocates nothing
-    for i, line in enumerate(lines[1:]):
-        toks = line.split()
-        if len(toks) != words:
-            raise ShapeError(f"{path}: row {i} has {len(toks)} words, expected {words}")
-        # a fixed width also catches a file cut inside its last word
-        if not all(_HEX_WORD.fullmatch(t) for t in toks):
+    for i, line in enumerate(lines[1:]):  # every width checked before any word is read
+        if len(line.split()) != words:
+            raise ShapeError(f"{path}: row {i} has {len(line.split())} words, expected {words}")
+    for i, line in enumerate(lines[1:]):  # a fixed width also catches a file cut inside its last word
+        if not _HEX_ROW.fullmatch(line):
             raise FormatError(f"{path}: bad hex word in row {i}: words are 16 hex digits")
-        values.extend(int(t, 16) for t in toks)
-    return HashCodes(packed=np.array(values, dtype=np.uint64).reshape(n, words), r=r)
+    # the words as big-endian bytes, whitespace dropped
+    payload = bytes.fromhex("".join("".join(lines[1:]).split()))
+    return HashCodes(packed=np.frombuffer(payload, dtype=">u8").reshape(n, words), r=r)
 
 
 def save_report(json_path, curve_path, report):

@@ -177,7 +177,7 @@ def fit(
         B = sign_pm(Z)
         prior = rng.standard_normal((r, n))
 
-        for name, grad in obj.gan_losses(Z, prior, disc).disc_grads.items():
+        for name, grad in obj.disc_grads(Z, prior, disc).items():
             adam_step(params[name], grad, states[name], epoch, cfg.lr)
 
         breakdown, grads = obj.backprop_all(

@@ -86,7 +86,7 @@ def test_gradient_suite(capfd):
         ]
 
         Z = inst.gcn.W2 @ (net.relu(inst.gcn.W1 @ (inst.Xatt @ inst.St)) @ inst.St)
-        res = obj.gan_losses(Z, inst.prior, inst.disc)
+        disc_grads = obj.disc_grads(Z, inst.prior, inst.disc)
         disc_names = ("A1", "b1", "A2", "b2", "A3", "b3")
 
         def disc_loss(**overrides):
@@ -94,7 +94,7 @@ def test_gradient_suite(capfd):
             return obj.gan_losses(Z, inst.prior, net.DiscParams(**kwargs)).l_disc
 
         for name in disc_names:
-            checks.append((res.disc_grads[name],
+            checks.append((disc_grads[name],
                            lambda P, _n=name: disc_loss(**{_n: P}),
                            getattr(inst.disc, name)))
 

@@ -1,8 +1,13 @@
 import re
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from aghash import data as data_module
 from aghash.data import (
     AuxSemantics,
     DatasetSplit,
@@ -64,6 +69,7 @@ class TestLoadFeatures:
         ("2 3\n1,2,3\n4,x5,6\n", "unparseable value 'x5' at row 1, column 1"),
         ("2 3\n1,2,\n4,5,6\n", "unparseable value '' at row 0, column 2"),
         ("2 3\n1,2,3\n4,5\n", "row 1 has 2 values, expected 3"),
+        ("2 3\n1,2,3\n4\n", "row 1 has 1 values, expected 3"),
     ])
     def test_bad_value_names_its_position(self, tmp_path, text, message):
         p = write(tmp_path / "f.txt", text)
@@ -99,6 +105,77 @@ class TestLoadFeatures:
         p.write_bytes(content)
         with pytest.raises(FormatError, match=re.escape(f"{p}: ")):
             load_features(p)
+
+
+# tokens at the edges of the two parsers' grammars: float() alone takes
+# "1_0", numpy's reader alone takes "\x1c1" (leading \x1c is whitespace to it)
+EDGE_TOKENS = [" 7 ", "+.25", "1_0", "-0", "1e-320", "1e400", "nan", "inf", "nan(1)", "0x10", "  ", "",
+               "1d3", "\x1c1", "1\x1f"]
+_token = st.one_of(st.floats(width=64).map(repr), st.sampled_from(EDGE_TOKENS))
+
+
+@st.composite
+def _text_matrices(draw):
+    """(header rows, header cols, rows of tokens); one file in three has a row or a header that disagrees."""
+    cols = draw(st.integers(1, 4))
+    rows = draw(st.lists(st.lists(_token, min_size=cols, max_size=cols), min_size=1, max_size=4))
+    shape = [len(rows), cols]
+    mismatch = draw(st.integers(0, 5))
+    if mismatch < 2:
+        shape[mismatch] += draw(st.sampled_from([-1, 1]))
+    elif mismatch == 2:  # one value where the header declares cols
+        rows[draw(st.integers(0, len(rows) - 1))][1:] = []
+    return *shape, rows
+
+
+def _outcome(load, path):
+    """(bytes of the loaded values, None) or (None, (error type, message))."""
+    try:
+        return load(path).data.tobytes(), None
+    except Exception as exc:  # noqa: BLE001 - the comparison is of whatever is raised
+        return None, (type(exc), str(exc))
+
+
+def _load_line_by_line(path):
+    with mock.patch.object(data_module, "_parse_rows", lambda path: None):
+        return load_features(path)
+
+
+class TestTextParsePaths:
+    @settings(max_examples=150, deadline=None)
+    @given(matrix=_text_matrices())
+    def test_values_are_float_values_or_the_line_by_line_error(self, tmp_path_factory, matrix):
+        n_rows, n_cols, rows = matrix
+        p = tmp_path_factory.getbasetemp() / "f.txt"
+        p.write_text(f"{n_rows} {n_cols}\n" + "".join(",".join(row) + "\n" for row in rows))
+        got, error = _outcome(load_features, p)
+        assert (got, error) == _outcome(_load_line_by_line, p)
+        if error is None:  # float() of the stripped line's tokens, bit for bit, the sign of -0 included
+            lines = [",".join(row).strip().split(",") for row in rows]
+            assert got == np.array([[float(tok) for tok in line] for line in lines]).tobytes()
+
+    def test_well_formed_file_takes_the_row_parser(self, tmp_path):
+        fm, aux, _ = synth_dataset(n=40, d=5, c=3, sep=2.0, label_noise=0.2, seed=2)
+        save_features(tmp_path / "f.txt", fm)
+        save_aux(tmp_path / "a.txt", aux)
+        edges = write(tmp_path / "e.txt", "2 3\n -0, 1e-320 ,+.25\n\n7,-1.5e3,0\n")
+        with mock.patch.object(data_module, "_parse_lines", side_effect=AssertionError("line-by-line parse")):
+            back = load_features(tmp_path / "f.txt").data
+            assert np.array_equal(load_aux(tmp_path / "a.txt").data, aux.data)
+            values = load_features(edges).data
+        assert back.tobytes() == _load_line_by_line(tmp_path / "f.txt").data.tobytes()
+        assert values.tolist() == [[-0.0, 1e-320, 0.25], [7.0, -1500.0, 0.0]] and np.signbit(values[0, 0])
+
+    def test_text_load_peak_memory_is_about_the_array(self, tmp_path):
+        fm = FeatureMatrix(np.random.default_rng(6).standard_normal((128, 6000)))
+        save_features(tmp_path / "f.txt", fm)
+        tracemalloc.start()
+        try:
+            load_features(tmp_path / "f.txt")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * fm.data.nbytes, f"peak {peak / 1e6:.1f} MB for a {fm.data.nbytes / 1e6:.1f} MB array"
 
 
 class TestRoundTrip:

@@ -1,3 +1,6 @@
+from types import SimpleNamespace
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -5,6 +8,8 @@ from aghash import attention as att
 from aghash import graph as sg
 from aghash import network as net
 from aghash import objective as obj
+from aghash import trainer
+from aghash.data import synth_dataset
 from aghash.errors import ParameterError, ShapeError
 from aghash.network import DecoderParams, GcnParams
 
@@ -215,7 +220,7 @@ class TestGanLosses:
         def loss_for(disc):
             return obj.gan_losses(Z, inst.prior, disc).l_disc
 
-        res = obj.gan_losses(Z, inst.prior, inst.disc)
+        grads = obj.disc_grads(Z, inst.prior, inst.disc)
         for name in ("A1", "b1", "A2", "b2", "A3", "b3"):
             base = getattr(inst.disc, name)
 
@@ -225,7 +230,7 @@ class TestGanLosses:
                 return loss_for(net.DiscParams(**kwargs))
 
             fd = central_diff(f, base)
-            assert max_rel_err(res.disc_grads[name], fd) < 1e-4, name
+            assert max_rel_err(grads[name], fd) < 1e-4, name
 
     def test_generator_dZ(self):
         inst = small_instance(12)
@@ -239,6 +244,65 @@ class TestGanLosses:
         inst = small_instance(14)
         with pytest.raises(ShapeError):
             obj.gan_losses(np.ones((5, 3)), inst.prior, inst.disc)
+
+
+
+# the adversarial pass as it was before the discriminator and generator steps
+# were split: one call computed both halves, each step used one of them
+def _reference_disc_backward(V, h1, h2, dlogits, p):
+    df = dlogits[None, :]
+    dA3 = df @ h2.T
+    db3 = df.sum(axis=1)
+    dh2 = p.A3.T @ df
+    da2 = dh2 * (h2 > 0)
+    dA2 = da2 @ h1.T
+    db2 = da2.sum(axis=1)
+    dh1 = p.A2.T @ da2
+    da1 = dh1 * (h1 > 0)
+    dA1 = da1 @ V.T
+    db1 = da1.sum(axis=1)
+    dV = p.A1.T @ da1
+    return {"A1": dA1, "b1": db1, "A2": dA2, "b2": db2, "A3": dA3, "b3": db3}, dV
+
+
+def reference_gan_losses(Z, prior_samples, disc):
+    m_fake, m_real = Z.shape[1], prior_samples.shape[1]
+    h1r, h2r, f_real = net.disc_layers(prior_samples, disc)
+    h1f, h2f, f_fake = net.disc_layers(Z, disc)
+    D_real, D_fake = net.sigmoid(f_real), net.sigmoid(f_fake)
+    l_disc = float(np.logaddexp(0.0, -f_real).mean() + np.logaddexp(0.0, f_fake).mean())
+    g_real, _ = _reference_disc_backward(prior_samples, h1r, h2r, (D_real - 1.0) / m_real, disc)
+    g_fake, _ = _reference_disc_backward(Z, h1f, h2f, D_fake / m_fake, disc)
+    disc_grads = {name: g_real[name] + g_fake[name] for name in g_real}
+    _, dZ = _reference_disc_backward(Z, h1f, h2f, -(1.0 - D_fake) / m_fake, disc)
+    return SimpleNamespace(l_disc=l_disc, l_gen_adv=float(np.logaddexp(0.0, -f_fake).mean()),
+                           disc_grads=disc_grads, dZ=dZ)
+
+
+class TestSplitAdversarialPass:
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_each_half_is_the_joint_pass_bit_for_bit(self, dtype):
+        inst = small_instance(21, n=40, r=6)
+        Z = (3.0 * np.random.default_rng(22).standard_normal((6, 40))).astype(dtype)
+        ref = reference_gan_losses(Z, inst.prior, inst.disc)
+        grads, gan = obj.disc_grads(Z, inst.prior, inst.disc), obj.gan_losses(Z, inst.prior, inst.disc)
+        assert grads.keys() == ref.disc_grads.keys()
+        for name, grad in grads.items():
+            assert grad.dtype == ref.disc_grads[name].dtype and grad.tobytes() == ref.disc_grads[name].tobytes()
+        assert (gan.l_disc, gan.l_gen_adv) == (ref.l_disc, ref.l_gen_adv)
+        assert gan.dZ.dtype == ref.dZ.dtype and gan.dZ.tobytes() == ref.dZ.tobytes()
+
+    def test_fit_is_the_fit_of_the_joint_pass(self, tmp_path):
+        fm, aux, _ = synth_dataset(n=30, d=6, c=2, sep=3.0, label_noise=0.1, seed=23)
+        cfg = trainer.TrainConfig(epochs=5, lr=1e-2, seed=23)
+        runs = []
+        for disc_grads, gan_losses in ((obj.disc_grads, obj.gan_losses),
+                                       (lambda *args: reference_gan_losses(*args).disc_grads, reference_gan_losses)):
+            with mock.patch.multiple(obj, disc_grads=disc_grads, gan_losses=gan_losses):
+                model, history = trainer.fit(fm, aux, np.arange(20), r=4, d_prime=8, hidden=8, cfg=cfg)
+            trainer.save_model(tmp_path / "model.bin", model)
+            runs.append(((tmp_path / "model.bin").read_bytes(), history))
+        assert runs[0] == runs[1]
 
 
 class TestHyperparams:

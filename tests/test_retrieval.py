@@ -1,4 +1,5 @@
 import json
+import re
 from contextlib import nullcontext
 
 import numpy as np
@@ -371,6 +372,34 @@ class TestFiles:
         p.write_text("1 64\nzzzz\n")
         with pytest.raises(FormatError):
             rt.load_codes(p)
+
+    def test_codes_words_split_as_str_split_does(self, tmp_path):
+        # any run of whitespace separates words, and either case of hex digit reads the same
+        _, codes = random_codes(np.random.default_rng(5), 3, 130)
+        rows = [[f"{int(w):016x}" for w in row] for row in codes.packed]
+        p = tmp_path / "c.txt"
+        p.write_text("3 130\n" + f"{rows[0][0]}\t{rows[0][1]}  {rows[0][2]}\n"
+                     + f"{rows[1][0].upper()} {rows[1][1]}\x0b{rows[1][2]}\n"
+                     + f" {rows[2][0]}\x1c{rows[2][1]} {rows[2][2]}\n")
+        assert rt.load_codes(p).packed.tobytes() == codes.packed.tobytes()
+
+    @pytest.mark.parametrize("text, error, message", [
+        ("2 70\n0123456789abcdeg 0123456789abcdef\n0123456789abcdef\n", ShapeError,
+         "row 1 has 1 words, expected 2"),
+        ("1 70\n0123456789abcdef 0123456789abcde\n", FormatError, "bad hex word in row 0"),
+        ("1 64\n0x23456789abcdef\n", FormatError, "bad hex word in row 0"),
+        ("1 64\n+123456789abcdef\n", FormatError, "bad hex word in row 0"),
+    ])
+    def test_codes_rows_are_checked_for_width_then_hex(self, tmp_path, text, error, message):
+        p = tmp_path / "c.txt"
+        p.write_text(text)
+        with pytest.raises(error, match=re.escape(f"{p}: {message}")):
+            rt.load_codes(p)
+
+    def test_no_codes_under_a_wide_header(self, tmp_path):
+        p = tmp_path / "c.txt"
+        p.write_text("0 1000000000000000\n")
+        assert rt.load_codes(p).packed.shape == (0, 15625000000000)
 
     @given(st.integers(1, 4), st.integers(1, 130), st.integers(0, 2**32 - 1), st.data())
     @settings(max_examples=200, deadline=None)
