@@ -5,7 +5,7 @@
 
 import numpy as np
 
-from aghash.attention import AttentionParams, denoise, init_attention
+from aghash.attention import attention_scores, denoise, init_attention, project
 from aghash.data import synth_dataset
 from aghash.graph import GraphConfig, normalize, similarity, visual_similarity
 
@@ -17,21 +17,20 @@ X, Y = features.data, aux.data
 # weights; the weighted mean is added back as a residual correction.
 # Items with the same tags have the same semantic vector, so the scores are
 # taken once per distinct tag column and weighted by how often it occurs.
-# The forward cache holds them (and what the projection gradients need).
 params = init_attention(features.d, aux.c, d_prime=32, seed=1)
-Xatt, cache = denoise(X, Y, params)
-alpha = cache.alpha
+Xatt = denoise(X, Y, params)
+U, counts = np.unique(Y, axis=1, return_counts=True)
+alpha = attention_scores(*project(X, U, params))
 print(f"attention weights: {alpha.shape[0]} items x {alpha.shape[1]} distinct tag columns, "
       f"range [{alpha.min():.3f}, {alpha.max():.3f}]")
-print(f"items per distinct tag column: {cache.counts.tolist()}")
+print(f"items per distinct tag column: {counts.tolist()}")
 print(f"fraction clipped to zero: {(alpha == 0).mean():.2f}")
 
-# Sanity check on the scores themselves, under identity projections: cosine of
-# a vector with itself is 1, opposite directions clip to 0.
+# Sanity check on the scores themselves: cosine of a vector with itself is 1,
+# opposite directions clip to 0.
 v = np.array([[1.0], [2.0]])
-identity = AttentionParams(np.eye(2), np.eye(2))
-print(f"score(v, v) = {denoise(v, v, identity)[1].alpha[0, 0]:.3f}, "
-      f"score(v, -v) = {denoise(v, -v, identity)[1].alpha[0, 0]:.3f}")
+print(f"score(v, v) = {attention_scores(v, v)[0, 0]:.3f}, "
+      f"score(v, -v) = {attention_scores(v, -v)[0, 0]:.3f}")
 
 # The graph fuses a Gaussian-kernel visual similarity (median-heuristic
 # bandwidth unless pinned) with integer aux inner products, then applies

@@ -7,7 +7,7 @@ import time
 
 import numpy as np
 
-from aghash.retrieval import evaluate, hamming, pack, rank, unpack
+from aghash.retrieval import evaluate, hamming_to_all, pack, rank, unpack
 
 rng = np.random.default_rng(0)
 
@@ -18,9 +18,9 @@ codes = pack(B)
 print(f"{codes.n} codes at r={codes.r} -> packed shape {codes.packed.shape}")
 assert np.array_equal(unpack(codes), B)
 
-d01 = hamming(codes.packed[0], codes.packed[1])
-print(f"hamming(item0, item1) = {d01} bits")
-print(f"ranking for item0 (ties broken by index): {list(rank(codes.packed[0], codes))}")
+d0 = hamming_to_all(codes.packed[0], codes)
+print(f"hamming(item0, item1) = {d0[1]} bits; item0 to all: {d0.tolist()}")
+print(f"ranking for item0 (ties broken by index): {rank(codes.packed[0], codes).tolist()}")
 
 # Throughput check: a full linear scan of 100k database codes for one query.
 db = pack(np.where(rng.random((64, 100_000)) < 0.5, 1.0, -1.0))

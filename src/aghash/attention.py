@@ -14,7 +14,7 @@ from .errors import ShapeError
 
 @dataclass(frozen=True)
 class AttentionParams:
-    """Fixed (or optionally trained) projections into the shared space."""
+    """Fixed projections into the shared space."""
 
     P_x: np.ndarray  # k x d
     P_y: np.ndarray  # k x c
@@ -63,43 +63,29 @@ def unit_columns_grad(Mn, norms, dMn):
     return dM
 
 
-@dataclass
-class AttentionCache:
-    """One `denoise` forward, kept for `attention_grads` to differentiate."""
-
-    X: np.ndarray  # d x n raw features
-    U: np.ndarray  # c x u distinct columns of the aux semantics Y
-    counts: np.ndarray  # length u, how often each column of U occurs in Y
-    Ubar: np.ndarray  # k x u, P_y U
-    Xn: np.ndarray  # unit columns of Xbar = P_x X
-    x_norms: np.ndarray
-    Un: np.ndarray  # unit columns of Ubar
-    u_norms: np.ndarray
-    alpha: np.ndarray  # n x u clipped cosine scores
-    mix: np.ndarray  # k x n, the alpha-weighted means of Ybar
-    w: np.ndarray  # length n, the row sums of alpha over the columns of Y
+def attention_scores(Xbar, Ybar):
+    """The n x m clipped cosines [cos(xbar_i, ybar_j)]_+ in [0, 1]; a zero column scores 0."""
+    return np.clip(unit_columns(Xbar)[0].T @ unit_columns(Ybar)[0], 0.0, 1.0)
 
 
 def denoise(X, Y, params):
-    """Project, score and mix: (Xatt, cache) with x_i^att = mix_i + xbar_i.
+    """Project, score and mix: Xatt with x_i^att = mix_i + xbar_i.
 
     The scores are the clipped cosines alpha_ij = [cos(xbar_i, ybar_j)]_+ in
-    [0, 1]; mix_i = sum_j alpha_ij ybar_j / w_i with w_i = sum_j alpha_ij, or
-    0 when w_i is 0. Equal columns of Y have equal scores, so the sums run
-    over the u distinct columns, each weighted by its count: the scores are
-    n x u, not n x m.
+    [0, 1] (`attention_scores`); mix_i = sum_j alpha_ij ybar_j / w_i with
+    w_i = sum_j alpha_ij, or 0 when w_i is 0. Equal columns of Y have equal
+    scores, so the sums run over the u distinct columns, each weighted by its
+    count: the scores are n x u, not n x m.
     """
     X = np.asarray(X, dtype=np.float64)
     Y = np.asarray(Y, dtype=np.float64)
     U, counts = np.unique(Y, axis=1, return_counts=True)
     Xbar, Ubar = project(X, U, params)
-    Xn, x_norms = unit_columns(Xbar)
-    Un, u_norms = unit_columns(Ubar)
-    alpha = np.clip(Xn.T @ Un, 0.0, 1.0)
+    alpha = attention_scores(Xbar, Ubar)
     w = alpha @ counts
     mix = (Ubar @ (alpha * counts).T) / np.where(w > 0, w, 1.0)
     mix[:, w == 0] = 0.0
-    return mix + Xbar, AttentionCache(X, U, counts, Ubar, Xn, x_norms, Un, u_norms, alpha, mix, w)
+    return mix + Xbar
 
 
 def basis(params, use_attention=True):
@@ -116,24 +102,3 @@ def basis(params, use_attention=True):
     M = np.hstack([params.P_x, params.P_y]) if use_attention else params.P_x
     return np.linalg.qr(M)[0] if M.shape[1] < M.shape[0] else None
 
-
-def attention_grads(cache, dXatt):
-    """(dP_x, dP_y): gradients of a loss w.r.t. the projections given d(loss)/d(Xatt).
-
-    Reverse pass through the `denoise` forward held in `cache`, with the
-    clipped-cosine subgradient taken as 0 at the clip boundary. Each distinct
-    column stands for `counts` equal columns, so its score and projection
-    gradients are scaled by its count.
-    """
-    c = cache
-    G = np.asarray(dXatt, dtype=np.float64)
-    safe_w = np.where(c.w > 0, c.w, 1.0)[:, None]
-    # through the weighted mean: dUbar and dalpha
-    dUbar = (G @ (c.alpha / safe_w)) * c.counts
-    dalpha = (G.T @ c.Ubar - (G * c.mix).sum(axis=0)[:, None]) * (c.counts / safe_w)
-    # through the clip (a row with w_i = 0 has alpha_i. = 0) and the cosine;
-    # G itself is the residual path
-    dC = np.where(c.alpha > 0, dalpha, 0.0)
-    dXbar = G + unit_columns_grad(c.Xn, c.x_norms, c.Un @ dC.T)
-    dUbar += unit_columns_grad(c.Un, c.u_norms, c.Xn @ dC)
-    return dXbar @ c.X.T, dUbar @ c.U.T

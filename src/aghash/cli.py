@@ -53,8 +53,6 @@ def _add_train_flags(p):
                    help="fixed visual-kernel bandwidth (default: median heuristic)")
     p.add_argument("--lr", type=float, default=1e-4)
     p.add_argument("--epochs", type=int, default=300)
-    p.add_argument("--train-attention", action="store_true",
-                   help="train the attention projections jointly")
     p.add_argument("--variant", choices=_VARIANTS, default="full",
                    help="ablation variant expressed as a configuration transform")
 
@@ -138,10 +136,6 @@ def _convert(action, key, value, where):
     return converted
 
 
-# the values an on/off flag takes in a --config file, in any case
-_ON_OFF = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
-
-
 def _apply_config(args):
     """Override args from the --config file, converting each value as its flag would."""
     actions = _actions(args.command)
@@ -161,12 +155,7 @@ def _apply_config(args):
         action = actions.get(key.replace("-", "_"))
         if action is None or not hasattr(args, action.dest):
             raise ConfigError(f"{where}: unknown option {key!r}")
-        if action.nargs == 0:  # an on/off flag
-            if value.lower() not in _ON_OFF:
-                raise ConfigError(f"{where}: {key!r} must be one of {', '.join(_ON_OFF)}")
-            setattr(args, action.dest, _ON_OFF[value.lower()])
-        else:
-            setattr(args, action.dest, _convert(action, key, value, where))
+        setattr(args, action.dest, _convert(action, key, value, where))
 
 
 # run plumbing and outputs; the seed has its own manifest entry
@@ -242,8 +231,7 @@ def _fit_kwargs(args):
         graph_cfg=GraphConfig(mu=args.mu, bandwidth=args.bandwidth, variant=graph_variant),
         hyper=Hyperparams(lambda1=args.lambda1, lambda2=args.lambda2,
                           lambda3=args.lambda3 if keep_head else 0.0, k=args.k, recon_target=recon),
-        cfg=TrainConfig(lr=args.lr, epochs=args.epochs, seed=args.seed,
-                        train_attention=args.train_attention),
+        cfg=TrainConfig(lr=args.lr, epochs=args.epochs, seed=args.seed),
     )
 
 

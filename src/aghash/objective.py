@@ -120,12 +120,12 @@ def reconstruction_loss(Z, target, k, mode="cosine"):
 
 
 def feature_reconstruction_loss(Z, Xatt, decoder):
-    """Linear-decoder feature reconstruction ||Xatt - Wd Z||^2 and its Z, Wd and Xatt gradients."""
+    """Linear-decoder feature reconstruction ||Xatt - Wd Z||^2 and its Z and Wd gradients."""
     if decoder.Wd.shape != (Xatt.shape[0], Z.shape[0]):
         raise ShapeError(f"decoder is {decoder.Wd.shape}, expected {(Xatt.shape[0], Z.shape[0])}")
     R = Xatt - decoder.Wd @ Z
     loss = float((R**2).sum())
-    return loss, -2.0 * decoder.Wd.T @ R, -2.0 * R @ Z.T, 2.0 * R
+    return loss, -2.0 * decoder.Wd.T @ R, -2.0 * R @ Z.T
 
 
 def classification_loss(P, Y):
@@ -217,7 +217,6 @@ def backprop_all(
     *,
     recon_matrix=None,
     decoder=None,
-    attention=None,
 ):
     """Both objectives' losses plus exact gradients of the generator objective.
 
@@ -231,13 +230,11 @@ def backprop_all(
 
     `recon_matrix` is the n x n target of the kernel targets in RECON_PARTS;
     'aux' and 'inner-product' reconstruct the Gram matrix of the tags Y, and
-    'feature' reconstructs through `decoder`. `attention`, the cache of the
-    `attention.denoise` that gave Xatt, adds the projection gradients with
-    the graph held fixed, through dXatt = (W1^T dA) S~.
+    'feature' reconstructs through `decoder`.
 
     Returns (LossBreakdown, grads); grads maps the `network.parameters` name
     of each generator-side parameter to its gradient: the GCN, the head, and
-    the decoder and projections when they are in use.
+    the decoder when it is in use.
     """
     Z1, Z = layers
 
@@ -246,7 +243,7 @@ def backprop_all(
     if hp.recon_target == "feature":
         if decoder is None:
             raise ParameterError("feature reconstruction requires decoder parameters")
-        l_rec, dZ_rec, dWd, dXatt_rec = feature_reconstruction_loss(Z, Xatt, decoder)
+        l_rec, dZ_rec, dWd = feature_reconstruction_loss(Z, Xatt, decoder)
     else:
         mode = "inner" if hp.recon_target == "inner-product" else "cosine"
         target = recon_matrix if hp.recon_target in RECON_PARTS else TagGram(Y)
@@ -270,12 +267,6 @@ def backprop_all(
     grads = {"W1": dA @ H.T, "W2": dW2, "Wc": hp.lambda3 * dWc}
     if dWd is not None:
         grads["Wd"] = hp.lambda1 * dWd
-
-    if attention is not None:
-        dXatt = (gcn.W1.T @ dA) @ S_tilde
-        if dWd is not None:  # Xatt also enters the decoder residual directly
-            dXatt = dXatt + hp.lambda1 * dXatt_rec
-        grads["P_x"], grads["P_y"] = att.attention_grads(attention, dXatt)
 
     breakdown = LossBreakdown(
         l_quan=l_quan, l_recons=l_rec, l_cl=l_cl,

@@ -28,7 +28,6 @@ class TrainConfig:
     lr: float = 1e-4
     epochs: int = 300
     seed: int = 0
-    train_attention: bool = False
 
     def __post_init__(self):
         require_finite(self, "lr")
@@ -87,7 +86,7 @@ class TrainedModel:
     gcn: net.GcnParams
     graph_cfg: sg.GraphConfig  # bandwidth is the resolved one when the graph has a visual kernel
     use_attention: bool
-    xatt_train: np.ndarray  # k x n, in the coordinates of the projections' initial span
+    xatt_train: np.ndarray  # k x n, in the coordinates of the projections' span
     w2z1_train: np.ndarray  # r x n: W2 Z1, layer 2 before its graph product
     z_train: np.ndarray  # r x n
     degrees: np.ndarray  # length n
@@ -99,12 +98,12 @@ class TrainedModel:
 
 
 def _attentive(X, Y, params, use_attention):
-    """(Xatt, cache): the denoised features, or the bare projection with cache None.
+    """The denoised features, or the bare projection without attention.
 
     The attention runs in float64; only Xatt is cast to COMPUTE_DTYPE.
     """
-    Xatt, cache = att.denoise(X, Y, params) if use_attention else (att.project(X, Y, params)[0], None)
-    return Xatt.astype(COMPUTE_DTYPE), cache
+    Xatt = att.denoise(X, Y, params) if use_attention else att.project(X, Y, params)[0]
+    return Xatt.astype(COMPUTE_DTYPE)
 
 
 def fit(
@@ -137,8 +136,6 @@ def fit(
     bad = train_idx[(train_idx < 0) | (train_idx >= features.n)]
     if bad.size:
         raise ParameterError(f"train index {bad[0]} is out of range for {features.n} items")
-    if cfg.train_attention and not use_attention:
-        raise ParameterError("train_attention needs attention denoising (use_attention=True)")
     if features.n != aux.n:
         raise ShapeError(f"features have {features.n} items, aux has {aux.n}")
     X = features.data[:, train_idx]
@@ -154,8 +151,7 @@ def fit(
         gcn.W1 = gcn.W1 @ Q
     gcn = net.GcnParams(*(W.astype(COMPUTE_DTYPE) for W in (gcn.W1, gcn.W2)))
     decoder = net.init_decoder(gcn.W1.shape[1], r, cfg.seed + 3) if hyper.recon_target == "feature" else None
-    Xatt, cache = _attentive(X, Yt, apar, use_attention)
-    cache = cache if cfg.train_attention else None  # the scores serve only dP_x, dP_y
+    Xatt = _attentive(X, Yt, apar, use_attention)
 
     St, degrees, sigma = sg.build_graph(Xatt, Yt, graph_cfg)
     if sigma is not None:  # queries extend the graph with the training kernel
@@ -165,7 +161,7 @@ def fit(
 
     rng = np.random.default_rng(cfg.seed + 2)
 
-    params = net.parameters(apar if cfg.train_attention else None, gcn, disc, head, decoder)
+    params = net.parameters(gcn, disc, head, decoder)
     states = {name: AdamState.like(param) for name, param in params.items()}
 
     H = Xatt @ St
@@ -182,7 +178,7 @@ def fit(
 
         breakdown, grads = obj.backprop_all(
             Xatt, H, (Z1, Z), St, Yt, B, gcn, disc, head, hyper, prior,
-            recon_matrix=recon, decoder=decoder, attention=cache,
+            recon_matrix=recon, decoder=decoder,
         )
         for term in fields(breakdown):
             if not np.isfinite(getattr(breakdown, term.name)):
@@ -190,9 +186,6 @@ def fit(
 
         for name, grad in grads.items():
             adam_step(params[name], grad, states[name], epoch, cfg.lr)
-        if cfg.train_attention:  # new projections: new features
-            Xatt, cache = _attentive(X, Yt, apar, use_attention)
-            H = Xatt @ St
         Z1, Z = net.gcn_layers(H, St, gcn)
         history.append(breakdown)
         if epoch_callback is not None:
@@ -235,7 +228,7 @@ def encode_queries(model, Xq, Yq):
             i, j = bad[0]
             raise DataError(f"non-finite {what} value at row {i}, column {j}")
 
-    xatt_q = _attentive(Xq, model.y_train, model.attention, model.use_attention)[0]
+    xatt_q = _attentive(Xq, model.y_train, model.attention, model.use_attention)
     z_q = np.empty((model.r, Xq.shape[1]), dtype=COMPUTE_DTYPE)
     for lo in range(0, Xq.shape[1], QUERY_PANEL):
         cols = slice(lo, lo + QUERY_PANEL)

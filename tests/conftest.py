@@ -63,7 +63,7 @@ def small_instance(seed, n=16, d=8, d_prime=8, h=8, r=4, c=3, hp=None):
     if Q is not None:
         apar = att.AttentionParams(Q.T @ apar.P_x, Q.T @ apar.P_y)
         gcn.W1 = gcn.W1 @ Q
-    Xatt, _ = att.denoise(X, Y, apar)
+    Xatt = att.denoise(X, Y, apar)
     St, _ = sg.normalize(sg.similarity(Xatt, Y, sg.GraphConfig())[0])
     prior = rng.standard_normal((r, n))
     _, Z = net.gcn_layers(Xatt @ St, St, gcn)
@@ -73,18 +73,13 @@ def small_instance(seed, n=16, d=8, d_prime=8, h=8, r=4, c=3, hp=None):
                          hp=hp or obj.Hyperparams())
 
 
-def backprop(inst, apar=None, gcn=None, head=None, hp=None, train_attention=False, **kwargs):
-    """objective.backprop_all on `inst` after the forward pass it differentiates.
-
-    With `train_attention`, Xatt is denoised from the raw inputs under `apar`
-    (default inst.apar) and the projection gradients are returned as well.
-    """
-    apar, gcn = apar or inst.apar, gcn or inst.gcn
-    Xatt, cache = att.denoise(inst.X, inst.Y, apar) if train_attention else (inst.Xatt, None)
-    H = Xatt @ inst.St
+def backprop(inst, gcn=None, head=None, hp=None, **kwargs):
+    """objective.backprop_all on `inst` after the forward pass it differentiates."""
+    gcn = gcn or inst.gcn
+    H = inst.Xatt @ inst.St
     return obj.backprop_all(
-        Xatt, H, net.gcn_layers(H, inst.St, gcn), inst.St, inst.Y, inst.B, gcn, inst.disc,
-        head or inst.head, hp or inst.hp, inst.prior, attention=cache, **kwargs,
+        inst.Xatt, H, net.gcn_layers(H, inst.St, gcn), inst.St, inst.Y, inst.B, gcn, inst.disc,
+        head or inst.head, hp or inst.hp, inst.prior, **kwargs,
     )
 
 

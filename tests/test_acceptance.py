@@ -16,13 +16,12 @@ from aghash import network as net
 from aghash import objective as obj
 from aghash import retrieval as rt
 from aghash import trainer
-from aghash.attention import AttentionParams
 from aghash.data import make_split, synth_dataset
 from aghash.graph import GraphConfig
 from aghash.objective import Hyperparams
 from aghash.trainer import TrainConfig
 
-from conftest import backprop, central_diff, max_rel_err, small_instance
+from conftest import backprop, central_diff, small_instance
 
 
 def report(capfd, name, ok, detail):
@@ -72,17 +71,15 @@ def test_gradient_suite(capfd):
     for seed in range(20):
         inst = small_instance(seed)
 
-        def gen_loss(apar=None, gcn=None, head=None):
-            bd, _ = backprop(inst, apar=apar, gcn=gcn, head=head, train_attention=True)
+        def gen_loss(gcn=None, head=None):
+            bd, _ = backprop(inst, gcn=gcn, head=head)
             return bd.total_gen
 
-        _, grads = backprop(inst, train_attention=True)
+        _, grads = backprop(inst)
         checks = [
             (grads["W1"], lambda P: gen_loss(gcn=net.GcnParams(W1=P, W2=inst.gcn.W2)), inst.gcn.W1),
             (grads["W2"], lambda P: gen_loss(gcn=net.GcnParams(W1=inst.gcn.W1, W2=P)), inst.gcn.W2),
             (grads["Wc"], lambda P: gen_loss(head=net.ClsHead(Wc=P)), inst.head.Wc),
-            (grads["P_x"], lambda P: gen_loss(apar=AttentionParams(P, inst.apar.P_y)), inst.apar.P_x),
-            (grads["P_y"], lambda P: gen_loss(apar=AttentionParams(inst.apar.P_x, P)), inst.apar.P_y),
         ]
 
         Z = inst.gcn.W2 @ (net.relu(inst.gcn.W1 @ (inst.Xatt @ inst.St)) @ inst.St)

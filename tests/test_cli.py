@@ -92,7 +92,7 @@ class TestTrain:
         man = json.loads((pipeline / "manifest.json").read_text())
         assert sorted(man["config"]) == sorted([
             "features", "aux", "split", "r", "d-prime", "hidden", "lambda1", "lambda2", "lambda3",
-            "k", "mu", "bandwidth", "lr", "epochs", "train-attention", "variant"])
+            "k", "mu", "bandwidth", "lr", "epochs", "variant"])
         assert man["config"]["d-prime"] == 16 and man["config"]["bandwidth"] is None
 
     def test_variant_flag(self, pipeline, tmp_path):
@@ -140,8 +140,7 @@ class TestTrain:
     @pytest.mark.parametrize("line, error", [
         ("bandwidth = 1.5", None), ("threads = 1", None),
         ("bandwidth = wide", "invalid value 'wide'"), ("threads = two", "invalid value 'two'"),
-        ("variant = sparse", "must be one of"), ("train-attention = on", "must be one of"),
-        ("train-attention = TRUE", None), ("train-attention = no", None),
+        ("variant = sparse", "must be one of"),
     ])
     def test_config_values_take_flag_types(self, pipeline, tmp_path, capsys, line, error):
         cfg = tmp_path / "run.cfg"
@@ -157,8 +156,6 @@ class TestTrain:
             assert code == 0
             if line.startswith("bandwidth"):
                 assert load_model(tmp_path / "checkpoint.bin").graph_cfg.bandwidth == 1.5
-            man = json.loads((tmp_path / "manifest.json").read_text())
-            assert man["config"]["train-attention"] == (line == "train-attention = TRUE")
         else:
             assert code == 1
             assert error in captured.err and len(captured.err.splitlines()) == 1
@@ -422,10 +419,6 @@ MALFORMED = {
     "hex-too-wide": (lambda p, t: _evaluate(p, t, query_codes="1 8\n" + "f" * 17 + "\n"),
                      "bad hex word in row 0"),
     "curve-not-integers": (lambda p, t: _evaluate(p, t, curve="a,b"), "--curve must be"),
-    "no-att-train-attention": (lambda p, t: _train(p, t, "--variant", "no-att", "--train-attention"),
-                               "train_attention needs attention"),
-    "no-aux-train-attention": (lambda p, t: _train(p, t, "--variant", "no-aux", "--train-attention"),
-                               "train_attention needs attention"),
     "encode-aux-items": (lambda p, t: _encode_with(p, t, aux=_narrow(t)),
                          "narrow.txt has 30 items, but %s has 60"),
     "encode-labels-items": (lambda p, t: _encode_with(p, t, "--labels", _narrow(t),
@@ -471,6 +464,10 @@ MALFORMED = {
     # the compute dtype is a constant of the trainer, not a setting
     "config-dtype": (lambda p, t: _train(p, t, "--config", _file(t, "c.cfg", "dtype = float64\n")),
                      "c.cfg:1: unknown option 'dtype'"),
+    # the attention projections are fixed; the option is gone, not ignored
+    "config-train-attention": (lambda p, t: _train(p, t, "--config",
+                                                   _file(t, "c.cfg", "train-attention = TRUE\n")),
+                               "c.cfg:1: unknown option 'train-attention'"),
     "threads-zero": (lambda p, t: _train(p, t, "--threads", "0"), "threads must be >= 1, got 0"),
     "config-threads-negative": (lambda p, t: _train(p, t, "--config", _file(t, "c.cfg", "threads = -3\n")),
                                 "threads must be >= 1, got -3"),
@@ -579,13 +576,20 @@ class TestParsing:
         assert parse(["train", *_REQUIRED["train"], "--seed", "5"]).seed == 5
         assert parse(["sweep", *_REQUIRED["sweep"], "--seed", "6"]).seed == 6
 
+    @pytest.mark.parametrize("command", _REQUIRED)
+    def test_config_options_take_a_value(self, command):
+        # a --config value is converted as its flag converts it, so an on/off
+        # flag (nargs 0) would take any string, "no" included, as true
+        args = cli.build_parser().parse_args([command, *_REQUIRED[command]])
+        settable = [a for a in cli._actions(command).values() if hasattr(args, a.dest)]
+        assert settable and [a.dest for a in settable if a.nargs == 0] == []
+
     @pytest.mark.parametrize("action", _train_flags(), ids=lambda a: a.option_strings[0])
     def test_every_training_flag_reaches_fit(self, action):
         # a flag that is parsed and recorded but that fit never sees would change no result
-        flag = [action.option_strings[0]] if action.nargs == 0 else [
-            action.option_strings[0],
-            next(c for c in action.choices if c != action.default) if action.choices
-            else str(2 * (action.default or 1))]
+        flag = [action.option_strings[0],
+                next(c for c in action.choices if c != action.default) if action.choices
+                else str(2 * (action.default or 1))]
         parse = cli.build_parser().parse_args
         for command in ("train", "sweep"):
             default = cli._fit_kwargs(parse([command, *_REQUIRED[command]]))

@@ -387,8 +387,8 @@ class TestBuildGraph:
         Q = att.basis(params)
         in_basis = att.AttentionParams(Q.T @ params.P_x, Q.T @ params.P_y)
         config = sg.GraphConfig(variant=variant)
-        St, degrees, sigma = build_graph(att.denoise(X, Y, params)[0].astype(np.float32), Y, config)
-        St_c, degrees_c, sigma_c = build_graph(att.denoise(X, Y, in_basis)[0].astype(np.float32), Y, config)
+        St, degrees, sigma = build_graph(att.denoise(X, Y, params).astype(np.float32), Y, config)
+        St_c, degrees_c, sigma_c = build_graph(att.denoise(X, Y, in_basis).astype(np.float32), Y, config)
         eps = np.finfo(np.float32).eps
         assert np.abs(St_c - St).max() <= 16 * eps * np.abs(St).max()
         assert np.abs(degrees_c - degrees).max() <= 16 * eps * degrees.max()

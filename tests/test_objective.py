@@ -4,7 +4,6 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from aghash import attention as att
 from aghash import graph as sg
 from aghash import network as net
 from aghash import objective as obj
@@ -154,26 +153,23 @@ class TestFeatureReconstruction:
         Z = np.array([[1.0, -1.0]])
         dec = DecoderParams(Wd=np.array([[2.0], [0.0]]))
         Xatt = dec.Wd @ Z
-        loss, dZ, dWd, dXatt = obj.feature_reconstruction_loss(Z, Xatt, dec)
+        loss, dZ, dWd = obj.feature_reconstruction_loss(Z, Xatt, dec)
         assert loss == 0.0
         assert np.array_equal(dZ, np.zeros_like(Z))
         assert np.array_equal(dWd, np.zeros_like(dec.Wd))
-        assert np.array_equal(dXatt, np.zeros_like(Xatt))
 
     def test_gradients(self):
         rng = np.random.default_rng(3)
         Z = rng.standard_normal((4, 6))
         Xatt = rng.standard_normal((5, 6))
         dec = DecoderParams(Wd=rng.standard_normal((5, 4)))
-        _, dZ, dWd, dXatt = obj.feature_reconstruction_loss(Z, Xatt, dec)
+        _, dZ, dWd = obj.feature_reconstruction_loss(Z, Xatt, dec)
         fd_z = central_diff(lambda z: obj.feature_reconstruction_loss(z, Xatt, dec)[0], Z)
         fd_w = central_diff(
             lambda w: obj.feature_reconstruction_loss(Z, Xatt, DecoderParams(Wd=w))[0], dec.Wd
         )
-        fd_x = central_diff(lambda x: obj.feature_reconstruction_loss(Z, x, dec)[0], Xatt)
         assert max_rel_err(dZ, fd_z) < 1e-5
         assert max_rel_err(dWd, fd_w) < 1e-5
-        assert max_rel_err(dXatt, fd_x) < 1e-5
 
 
 class TestClassificationLoss:
@@ -348,65 +344,38 @@ class TestBackpropAll:
         assert max_rel_err(grads["W2"], fd_w2) < 1e-4
         assert max_rel_err(grads["Wc"], fd_wc) < 1e-4
 
-    @pytest.mark.parametrize("train_attention", [False, True])
-    def test_network_gradients_through_the_basis(self, train_attention):
+    def test_network_gradients_through_the_basis(self):
         # d + c = 6 < d' = 10: the instance is re-expressed in k = 6 coordinates,
         # so W1 is h x 6 and the projections R_x, R_y are 6 x 4 and 6 x 2
         inst = small_instance(26, d=4, c=2, d_prime=10)
         assert inst.gcn.W1.shape == (8, 6) and inst.apar.P_x.shape == (6, 4) and inst.apar.P_y.shape == (6, 2)
-        _, grads = backprop(inst, train_attention=train_attention)
-        fd_w1 = central_diff(lambda W: backprop(inst, gcn=GcnParams(W1=W, W2=inst.gcn.W2),
-                                                train_attention=train_attention)[0].total_gen,
+        _, grads = backprop(inst)
+        fd_w1 = central_diff(lambda W: backprop(inst, gcn=GcnParams(W1=W, W2=inst.gcn.W2))[0].total_gen,
                              inst.gcn.W1)
         assert max_rel_err(grads["W1"], fd_w1) < 1e-4
-        if train_attention:
-            self.check_attention_gradients(inst)
-
-    @staticmethod
-    def check_attention_gradients(inst, **kwargs):
-        _, grads = backprop(inst, train_attention=True, **kwargs)
-
-        def loss_for(P_x, P_y):
-            bd, _ = backprop(inst, apar=att.AttentionParams(P_x, P_y), train_attention=True, **kwargs)
-            return bd.total_gen
-
-        fd_px = central_diff(lambda P: loss_for(P, inst.apar.P_y), inst.apar.P_x)
-        fd_py = central_diff(lambda P: loss_for(inst.apar.P_x, P), inst.apar.P_y)
-        assert max_rel_err(grads["P_x"], fd_px) < 1e-4
-        assert max_rel_err(grads["P_y"], fd_py) < 1e-4
-
-    def test_attention_gradients_through_full_model(self):
-        self.check_attention_gradients(small_instance(21))
-
-    def test_attention_gradients_through_the_decoder(self):
-        # with the feature target, Xatt also enters the decoder residual directly
-        inst = small_instance(21, hp=obj.Hyperparams(recon_target="feature"))
-        decoder = net.init_decoder(inst.Xatt.shape[0], inst.B.shape[0], 3)
-        self.check_attention_gradients(inst, decoder=decoder)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("target", obj.RECON_TARGETS)
     def test_gcn_gradients_take_the_forward_dtype(self, dtype, target):
-        # the GCN gradients follow S~ and the layers; the head's, the decoder's and
-        # the projections' follow their float64 parameters, and the losses are floats
+        # the GCN gradients follow S~ and the layers; the head's and the decoder's
+        # follow their float64 parameters, and the losses are floats
         inst = small_instance(24, hp=obj.Hyperparams(recon_target=target))
-        Xatt, cache = att.denoise(inst.X, inst.Y, inst.apar)
-        Xatt, St = Xatt.astype(dtype), inst.St.astype(dtype)
+        Xatt, St = inst.Xatt.astype(dtype), inst.St.astype(dtype)
         gcn = GcnParams(inst.gcn.W1.astype(dtype), inst.gcn.W2.astype(dtype))
         recon = kernel_target(Xatt, inst.Y, target)
         decoder = net.init_decoder(Xatt.shape[0], inst.B.shape[0], 3)
         H = Xatt @ St
         bd, grads = obj.backprop_all(Xatt, H, net.gcn_layers(H, St, gcn), St, inst.Y, inst.B, gcn,
                                      inst.disc, inst.head, inst.hp, inst.prior, recon_matrix=recon,
-                                     decoder=decoder, attention=cache)
+                                     decoder=decoder)
         assert grads["W1"].dtype == grads["W2"].dtype == dtype
         assert all(grads[name].dtype == np.float64 for name in grads if name not in ("W1", "W2"))
-        assert "P_x" in grads and (target == "feature") == ("Wd" in grads)
+        assert set(grads) == {"W1", "W2", "Wc"} | ({"Wd"} if target == "feature" else set())
         assert all(type(value) is float for value in vars(bd).values())
         if dtype == np.float32:  # the float32 gradients are the float64 ones to float32 rounding
             _, want = obj.backprop_all(inst.Xatt, inst.Xatt @ inst.St, net.gcn_layers(
                 inst.Xatt @ inst.St, inst.St, inst.gcn), inst.St, inst.Y, inst.B, inst.gcn, inst.disc,
-                inst.head, inst.hp, inst.prior, decoder=decoder, attention=cache,
+                inst.head, inst.hp, inst.prior, decoder=decoder,
                 recon_matrix=kernel_target(inst.Xatt, inst.Y, target))
             for name in ("W1", "W2"):
                 assert np.abs(grads[name] - want[name]).max() <= 1e-4 * np.abs(want[name]).max()

@@ -209,12 +209,10 @@ class TestFit:
         with pytest.raises(ParameterError, match=f"train index {index} is out of range for 40 items"):
             trainer.fit(fm, aux, [0, 1, index, 2], r=4, d_prime=8, hidden=8)
 
-    @pytest.mark.parametrize("train_attention, recon_target", [
-        (False, "aux"), (True, "aux"), (True, "feature"),
-    ])
-    def test_each_epoch_steps_every_parameter_once(self, train_attention, recon_target):
+    def test_each_epoch_steps_every_parameter_once(self):
         # the registry's arrays are stepped in place, each once per epoch with t == epoch:
-        # the GCN's 2, the discriminator's 6, the head's 1, and the decoder and projections in use
+        # the GCN's 2, the discriminator's 6, the head's 1 and the decoder's 1; the
+        # attention projections stay fixed
         steps, ends = [], [0]
 
         def record(param, grad, state, t, lr):
@@ -223,13 +221,12 @@ class TestFit:
 
         with mock.patch.object(trainer, "adam_step", record):
             _, _, _, model, _ = tiny_fit(
-                hyper=obj.Hyperparams(recon_target=recon_target),
-                cfg=TrainConfig(epochs=3, lr=1e-3, train_attention=train_attention),
+                hyper=obj.Hyperparams(recon_target="feature"),
                 epoch_callback=lambda epoch, _: ends.append(len(steps)))
         ids = {param for param, _ in steps}
-        assert len(ids) == 9 + 2 * train_attention + (recon_target == "feature")
+        assert len(ids) == 10
         assert id(model.gcn.W1) in ids
-        assert (id(model.attention.P_x) in ids) == train_attention
+        assert id(model.attention.P_x) not in ids and id(model.attention.P_y) not in ids
         for epoch in (1, 2, 3):
             stepped = steps[ends[epoch - 1]:ends[epoch]]
             assert sorted(stepped) == sorted((param, epoch) for param in ids)
@@ -239,18 +236,18 @@ class TestFit:
         # d + c = 8 = d': the basis is the identity, so training starts from the
         # drawn projections and W1 bit for bit, and the checkpoint is byte for
         # byte that of a fit that never asks for the basis
-        cfg = TrainConfig(epochs=3, lr=1e-3, seed=19, train_attention=True)
+        cfg = TrainConfig(epochs=3, lr=1e-3, seed=19)
         bases, basis, denoise, backprop_all, first = [], att.basis, att.denoise, obj.backprop_all, {}
 
         def spy(*args):
             bases.append(basis(*args))
             return bases[-1]
 
-        def first_denoise(X, Y, params):  # copies: training steps the arrays in place
-            first.setdefault("P", (params.P_x.copy(), params.P_y.copy()))
+        def first_denoise(X, Y, params):
+            first.setdefault("P", (params.P_x, params.P_y))
             return denoise(X, Y, params)
 
-        def first_step(*args, **kwargs):
+        def first_step(*args, **kwargs):  # a copy: training steps W1 in place
             first.setdefault("W1", args[6].W1.copy())
             return backprop_all(*args, **kwargs)
 
@@ -289,7 +286,7 @@ class TestFit:
         assert model.gcn.W1.shape == (8, k) and model.xatt_train.shape == (k, 16)
         X, Y = fm.data[:, split.train], aux.data[:, split.train]
         apar = att.init_attention(6, 2, 32, seed)
-        xatt = (att.denoise(X, Y, apar) if use_attention else att.project(X, Y, apar))[0].astype(dtype)
+        xatt = (att.denoise(X, Y, apar) if use_attention else att.project(X, Y, apar)[0]).astype(dtype)
         gcn = net.init_params(32, 8, 4, 2, seed + 1)[0]
         St = sg.build_graph(xatt, Y, sg.GraphConfig())[0]
         Z = net.gcn_layers(xatt @ St, St, net.GcnParams(gcn.W1.astype(dtype), gcn.W2.astype(dtype)))[1]
@@ -308,7 +305,7 @@ class TestFit:
             assert np.isfinite(history[-1].total_gen)
             if gv == "visual-only":  # the graph's kernel resolves the bandwidth
                 X, Y = fm.data[:, split.train], aux.data[:, split.train]
-                xatt, _ = att.denoise(X, Y, att.init_attention(fm.d, aux.c, 8, 0))
+                xatt = att.denoise(X, Y, att.init_attention(fm.d, aux.c, 8, 0))
                 xatt = xatt.astype(trainer.COMPUTE_DTYPE)
                 assert model.graph_cfg.bandwidth == sg.visual_similarity(xatt)[1]
             else:  # no kernel in the graph, whatever kernel the loss reconstructs
@@ -328,7 +325,7 @@ class TestFit:
         with mock.patch.object(obj, "backprop_all", spy):
             fm, aux, split, model, _ = tiny_fit(hyper=obj.Hyperparams(recon_target=recon_target))
         X, Y = fm.data[:, split.train], aux.data[:, split.train]
-        xatt = att.denoise(X, Y, att.init_attention(fm.d, aux.c, 8, 0))[0].astype(trainer.COMPUTE_DTYPE)
+        xatt = att.denoise(X, Y, att.init_attention(fm.d, aux.c, 8, 0)).astype(trainer.COMPUTE_DTYPE)
         want, sigma = sg.similarity(xatt, Y, sg.GraphConfig(variant=obj.RECON_PARTS[recon_target]))
         assert sigma == model.graph_cfg.bandwidth and len(targets) == 3
         assert all(target is targets[0] for target in targets) and np.array_equal(targets[0], want)
@@ -336,35 +333,31 @@ class TestFit:
     def test_working_set(self):
         # training holds S~ but no n x n reconstruction target: the aux target is
         # formed from the tags a row panel at a time, and the attention scores
-        # are n x u over the u distinct tag columns, with or without training them
+        # are n x u over the u distinct tag columns
         n = 600
         fm, aux, _ = synth_dataset(n=n, d=32, c=4, sep=2.0, label_noise=0.1, seed=1)
         u = np.unique(aux.data, axis=1).shape[1]
-        denoise = att.denoise
-        for train_attention in (False, True):
-            scores = []
+        scores, att_scores = [], att.attention_scores
 
-            def spy(X, Y, params):
-                out = denoise(X, Y, params)
-                scores.append(out[1].alpha.shape)
-                return out
+        def spy(Xbar, Ubar):
+            alpha = att_scores(Xbar, Ubar)
+            scores.append(alpha.shape)
+            return alpha
 
-            tracemalloc.start()
-            try:
-                with mock.patch.object(att, "denoise", side_effect=spy):
-                    trainer.fit(fm, aux, np.arange(n), d_prime=64, hidden=128,
-                                cfg=TrainConfig(epochs=2, train_attention=train_attention))
-                _, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
-            assert peak < 2.5 * n * n * 8, f"peak {peak / (n * n * 8):.2f} n x n float64 arrays"
-            assert scores == [(n, u)] * (3 if train_attention else 1)
+        tracemalloc.start()
+        try:
+            with mock.patch.object(att, "attention_scores", spy):
+                trainer.fit(fm, aux, np.arange(n), d_prime=64, hidden=128, cfg=TrainConfig(epochs=2))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.2 * n * n * 8, f"peak {peak / (n * n * 8):.2f} n x n float64 arrays"
+        assert scores == [(n, u)]
 
-    @pytest.mark.parametrize("train_attention", [False, True])
     @pytest.mark.parametrize("n, hidden, bound", [
         (2000, 32, 2000 * 2000 * 4), (500, 2048, 2048 * 500 * 8),
     ], ids=["no-n-by-n", "no-float64-h-by-n"])
-    def test_epoch_forms_no_graph_copy_or_float64_hidden_array(self, n, hidden, bound, train_attention):
+    def test_epoch_forms_no_graph_copy_or_float64_hidden_array(self, n, hidden, bound):
         # S~ and the layers exist before an epoch starts. Within one, the loss
         # works in row panels and the GCN products stay in S~'s dtype, so the
         # epoch's new arrays stay below one float32 n x n array when n is large
@@ -381,7 +374,7 @@ class TestFit:
 
         try:
             trainer.fit(fm, aux, np.arange(n), r=8, d_prime=16, hidden=hidden, epoch_callback=trace,
-                        cfg=TrainConfig(epochs=2, train_attention=train_attention))
+                        cfg=TrainConfig(epochs=2))
         finally:
             tracemalloc.stop()
         assert peaks[0] < bound, f"epoch peak {peaks[0]} bytes, bound {bound}"
@@ -392,41 +385,26 @@ class TestFit:
             want = trainer.COMPUTE_DTYPE if name in trainer._COMPUTED else np.float64
             assert arr.dtype == want, name
 
-    def test_joint_attention_training_moves_projections(self):
-        from aghash.attention import init_attention
+    def test_one_attention_forward_per_fit_and_encode(self):
+        # the projections are fixed: fit denoises the training items once, and
+        # each encode_queries call its queries once, however many panels they take
+        with mock.patch.object(att, "denoise", side_effect=att.denoise) as spy:
+            fm, aux, split, model, _ = tiny_fit(cfg=TrainConfig(epochs=4, lr=1e-3))
+            assert spy.call_count == 1
+            Xq, Yq = fm.data[:, split.query], aux.data[:, split.query]
+            with mock.patch.object(trainer, "QUERY_PANEL", 1):
+                for calls in (2, 3):
+                    trainer.encode_queries(model, Xq, Yq)
+                    assert spy.call_count == calls
 
-        _, _, _, frozen, _ = tiny_fit(seed=7)
-        _, _, _, joint, _ = tiny_fit(seed=7, cfg=TrainConfig(epochs=3, lr=1e-3, seed=7, train_attention=True))
-        init = init_attention(6, 2, 8, seed=7)
-        assert np.array_equal(frozen.attention.P_x, init.P_x)
-        assert not np.array_equal(joint.attention.P_x, frozen.attention.P_x)
-
-    def test_one_attention_forward_per_epoch(self):
-        # each denoise takes the unit columns of Xbar and Ybar, and the cosine
-        # reconstruction loss those of Z; the projection gradients reuse the
-        # forward's cache, so an epoch adds one loss and one re-denoise
-        epochs = 4
-        with mock.patch.object(att, "unit_columns", side_effect=att.unit_columns) as spy:
-            tiny_fit(cfg=TrainConfig(epochs=epochs, lr=1e-3, train_attention=True))
-        assert spy.call_count == 3 * epochs + 2
-
-    def test_train_attention_needs_attention(self):
-        with pytest.raises(ParameterError, match="train_attention"):
-            tiny_fit(use_attention=False, cfg=TrainConfig(epochs=1, train_attention=True))
-
-    @pytest.mark.parametrize("train_attention, recon_target", [
-        (False, "aux"), (True, "aux"), (True, "feature"),
-    ])
-    def test_cached_outputs_match_final_parameters(self, train_attention, recon_target):
-        # the graph is built once, from the attentive features under the initial
-        # projections; the reference forward runs in fit's dtype, so it is fit's own
-        cfg = TrainConfig(epochs=3, lr=1e-3, seed=9, train_attention=train_attention)
-        fm, aux, split, model, _ = tiny_fit(seed=9, hyper=obj.Hyperparams(recon_target=recon_target),
-                                            cfg=cfg)
+    def test_cached_outputs_match_final_parameters(self):
+        # the graph is built once, from the attentive features; the reference
+        # forward runs in fit's dtype, so it is fit's own
+        cfg = TrainConfig(epochs=3, lr=1e-3, seed=9)
+        fm, aux, split, model, _ = tiny_fit(seed=9, hyper=obj.Hyperparams(recon_target="feature"), cfg=cfg)
         X, Y = fm.data[:, split.train], aux.data[:, split.train]
-        xatt0, _ = att.denoise(X, Y, att.init_attention(fm.d, aux.c, 8, cfg.seed))
-        St, _, _ = sg.build_graph(xatt0.astype(trainer.COMPUTE_DTYPE), Y, model.graph_cfg)
-        xatt = att.denoise(X, Y, model.attention)[0].astype(trainer.COMPUTE_DTYPE)
+        xatt = att.denoise(X, Y, model.attention).astype(trainer.COMPUTE_DTYPE)
+        St, _, _ = sg.build_graph(xatt, Y, model.graph_cfg)
         Z1, Z = net.gcn_layers(xatt @ St, St, model.gcn)
         assert np.array_equal(model.xatt_train, xatt)
         assert np.array_equal(model.gcn.W2 @ Z1, model.w2z1_train)
@@ -629,9 +607,8 @@ class TestPersistence:
         assert back.graph_cfg.bandwidth == model.graph_cfg.bandwidth
         assert back.r == model.r
 
-    @pytest.mark.parametrize("flags", [["--variant", v] for v in cli._VARIANTS] + [["--train-attention"]] + [
+    @pytest.mark.parametrize("flags", [["--variant", v] for v in cli._VARIANTS] + [
         pytest.param(["--d-prime", "32"], id="basis"),
-        pytest.param(["--d-prime", "32", "--train-attention"], id="basis-train-attention"),
     ], ids=lambda flags: flags[-1].lstrip("-"))
     def test_round_trip_preserves_query_codes(self, tmp_path, flags):
         fm, aux, split, model, _ = flags_fit(17, *flags)
