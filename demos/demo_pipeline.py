@@ -26,7 +26,7 @@ model, history = fit(
     cfg=TrainConfig(epochs=150, lr=1e-3, seed=0),
 )
 print(f"trained {len(history)} epochs, "
-      f"total loss {history[0].total_gen:.1f} -> {history[-1].total_gen:.1f}")
+      f"total loss {history[0].total:.1f} -> {history[-1].total:.1f}")
 
 # Out-of-sample items are encoded inductively: each one extends the training
 # graph by a single column and is propagated through both GCN layers.

@@ -255,9 +255,8 @@ def cmd_train(args):
         man["outputs"] = [ckpt, log]
     final = history[-1]
     print(f"train: {args.epochs} epochs in {train_time:.2f}s, "
-          f"final total={final.total_gen:.6g} (quan={final.l_quan:.4g}, "
-          f"recons={final.l_recons:.4g}, cl={final.l_cl:.4g}, "
-          f"adv={final.l_gen_adv:.4g}, disc={final.l_disc:.4g})")
+          f"final total={final.total:.6g} (quan={final.l_quan:.4g}, "
+          f"recons={final.l_recons:.4g}, cl={final.l_cl:.4g})")
     return 0
 
 

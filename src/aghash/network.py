@@ -1,4 +1,4 @@
-"""Two-layer GCN generator, three-layer discriminator, classification head.
+"""Two-layer GCN encoder and its classification head.
 
 Forward passes only; gradients live in `objective`.
 """
@@ -14,7 +14,6 @@ from .errors import FormatError, ShapeError
 
 CHECKPOINT_MAGIC = b"AGCK"
 CHECKPOINT_VERSION = 6
-DISC_HIDDEN = (64, 32)  # widths of the discriminator's two hidden layers
 
 
 @dataclass
@@ -25,16 +24,6 @@ class GcnParams:
     @property
     def r(self):
         return self.W2.shape[0]
-
-
-@dataclass
-class DiscParams:
-    A1: np.ndarray  # 64 x r
-    b1: np.ndarray
-    A2: np.ndarray  # 32 x 64
-    b2: np.ndarray
-    A3: np.ndarray  # 1 x 32
-    b3: np.ndarray  # scalar (shape (1,))
 
 
 @dataclass
@@ -49,21 +38,17 @@ class DecoderParams:
 
 
 def init_params(d_prime, h, r, c, seed):
-    """He-style init: Gaussian entries with std sqrt(2/fan_in), zero biases; W1 is drawn h x d'."""
+    """He-style init: Gaussian entries with std sqrt(2/fan_in); W1 is drawn h x d'."""
     for name, dim in (("d_prime", d_prime), ("hidden", h), ("r", r), ("c", c)):
         if dim < 1:
             raise ShapeError(f"{name} must be >= 1, got {dim}")
     rng = np.random.default_rng(seed)
-    disc_h1, disc_h2 = DISC_HIDDEN
 
     def mat(rows, cols):
         return rng.standard_normal((rows, cols)) * np.sqrt(2.0 / cols)
 
     gcn = GcnParams(mat(h, d_prime), mat(r, h))
-    disc = DiscParams(mat(disc_h1, r), np.zeros(disc_h1), mat(disc_h2, disc_h1),
-                      np.zeros(disc_h2), mat(1, disc_h2), np.zeros(1))
-    head = ClsHead(mat(c, r))
-    return gcn, disc, head
+    return gcn, ClsHead(mat(c, r))
 
 
 def init_decoder(k, r, seed):
@@ -74,9 +59,9 @@ def init_decoder(k, r, seed):
 def parameters(*groups):
     """Ordered name -> array registry over parameter groups; None groups are skipped.
 
-    A group is any dataclass whose fields are arrays (GcnParams, DiscParams,
-    ClsHead, DecoderParams, attention.AttentionParams); field names are
-    unique across groups.
+    A group is any dataclass whose fields are arrays (GcnParams, ClsHead,
+    DecoderParams, attention.AttentionParams); field names are unique across
+    groups.
     """
     return {f.name: getattr(g, f.name) for g in groups if g is not None for f in fields(g)}
 
@@ -103,21 +88,6 @@ def gcn_layers(H, S_tilde, params):
     Z1 = params.W1 @ H
     np.maximum(Z1, 0.0, out=Z1)  # the ReLU in the product's buffer
     return Z1, (params.W2 @ Z1) @ S_tilde
-
-
-def _dense_relu(A, b, X):
-    """relu(A X + b), formed in the product's buffer."""
-    out = A @ X
-    out += b[:, None]
-    return np.maximum(out, 0.0, out=out)
-
-
-def disc_layers(V, params):
-    """Discriminator pass over an r x m batch: (hidden 1, hidden 2, logits)."""
-    h1 = _dense_relu(params.A1, params.b1, V)
-    h2 = _dense_relu(params.A2, params.b2, h1)
-    logits = (params.A3 @ h2 + params.b3[:, None])[0]
-    return h1, h2, logits
 
 
 def cls_forward(Z, head):

@@ -1,9 +1,9 @@
 """Loss terms and hand-derived reverse-mode gradients for the full model.
 
-The generator objective is
-    l_gen_adv + lambda1 * l_recons + lambda2 * l_quan + lambda3 * l_cl
-and the discriminator minimizes the negated GAN value. All gradients are
-exact (finite-difference checked) with subgradient 0 at ReLU/clip kinks.
+The objective is
+    lambda1 * l_recons + lambda2 * l_quan + lambda3 * l_cl
+All gradients are exact (finite-difference checked) with subgradient 0 at
+ReLU/clip kinks.
 """
 
 from dataclasses import dataclass
@@ -12,7 +12,7 @@ import numpy as np
 
 from . import attention as att
 from .errors import ParameterError, ShapeError, require_finite
-from .network import cls_forward, disc_layers, sigmoid
+from .network import cls_forward
 
 RECON_TARGETS = ("aux", "visual", "augmented", "inner-product", "feature")
 # the graph variant whose unnormalized similarity (graph.similarity) each kernel
@@ -47,13 +47,7 @@ class LossBreakdown:
     l_quan: float
     l_recons: float
     l_cl: float
-    l_gen_adv: float
-    l_disc: float
-    total_gen: float
-
-
-def _softplus(x):
-    return np.logaddexp(0.0, x)
+    total: float
 
 
 # ---------------------------------------------------------------------------
@@ -140,61 +134,8 @@ def classification_loss(P, Y):
     return loss, P - Y
 
 
-@dataclass
-class GanResult:
-    l_disc: float
-    l_gen_adv: float
-    dZ: np.ndarray  # gradient of l_gen_adv w.r.t. the generator outputs
-
-
-def _disc_backward(h1, h2, dlogits, p, V=None):
-    """Reverse pass of `disc_layers`: the parameter gradients given its input V, else the input's gradient."""
-    df = dlogits[None, :]
-    da2 = p.A3.T @ df
-    da2 *= h2 > 0  # through the ReLUs, in the products' buffers
-    da1 = p.A2.T @ da2
-    da1 *= h1 > 0
-    if V is None:
-        return p.A1.T @ da1
-    return {"A1": da1 @ V.T, "b1": da1.sum(axis=1), "A2": da2 @ h1.T, "b2": da2.sum(axis=1),
-            "A3": df @ h2.T, "b3": df.sum(axis=1)}
-
-
-def _check_code_lengths(Z, prior_samples):
-    if Z.shape[0] != prior_samples.shape[0]:
-        raise ShapeError(f"code length mismatch: {Z.shape[0]} vs {prior_samples.shape[0]}")
-
-
-def disc_grads(Z, prior_samples, disc):
-    """Gradients of the discriminator loss -mean log D(prior) - mean log(1 - D(Z)).
-
-    Keyed as `network.parameters` keys the discriminator; Z is held fixed.
-    """
-    _check_code_lengths(Z, prior_samples)
-    h1r, h2r, f_real = disc_layers(prior_samples, disc)
-    h1f, h2f, f_fake = disc_layers(Z, disc)
-    g_real = _disc_backward(h1r, h2r, (sigmoid(f_real) - 1.0) / prior_samples.shape[1], disc, prior_samples)
-    g_fake = _disc_backward(h1f, h2f, sigmoid(f_fake) / Z.shape[1], disc, Z)
-    return {name: g_real[name] + g_fake[name] for name in g_real}
-
-
-def gan_losses(Z, prior_samples, disc):
-    """Both adversarial losses, and the generator's gradient w.r.t. Z.
-
-    Discriminator loss: -mean log D(prior) - mean log(1 - D(Z)); its
-    gradients are `disc_grads`. Generator loss: -mean log D(Z), whose
-    gradient stays large while the discriminator rejects Z.
-    """
-    _check_code_lengths(Z, prior_samples)
-    f_real = disc_layers(prior_samples, disc)[2]
-    h1f, h2f, f_fake = disc_layers(Z, disc)
-    l_disc = float(_softplus(-f_real).mean() + _softplus(f_fake).mean())
-    dZ = _disc_backward(h1f, h2f, -(1.0 - sigmoid(f_fake)) / Z.shape[1], disc)
-    return GanResult(l_disc=l_disc, l_gen_adv=float(_softplus(-f_fake).mean()), dZ=dZ)
-
-
-def total_generator_loss(l_gen_adv, l_recons, l_quan, l_cl, hp):
-    return l_gen_adv + hp.lambda1 * l_recons + hp.lambda2 * l_quan + hp.lambda3 * l_cl
+def total_loss(l_recons, l_quan, l_cl, hp):
+    return hp.lambda1 * l_recons + hp.lambda2 * l_quan + hp.lambda3 * l_cl
 
 
 # ---------------------------------------------------------------------------
@@ -210,15 +151,13 @@ def backprop_all(
     Y,
     B,
     gcn,
-    disc,
     head,
     hp,
-    prior_samples,
     *,
     recon_matrix=None,
     decoder=None,
 ):
-    """Both objectives' losses plus exact gradients of the generator objective.
+    """The loss terms plus exact gradients of the objective.
 
     Differentiates a forward pass computed by the caller: H = Xatt S~ and
     `layers` = (Z1, Z) = network.gcn_layers(H, S~, gcn), Z = (W2 Z1) S~. S~
@@ -233,8 +172,8 @@ def backprop_all(
     'feature' reconstructs through `decoder`.
 
     Returns (LossBreakdown, grads); grads maps the `network.parameters` name
-    of each generator-side parameter to its gradient: the GCN, the head, and
-    the decoder when it is in use.
+    of each parameter to its gradient: the GCN, the head, and the decoder
+    when it is in use.
     """
     Z1, Z = layers
 
@@ -254,10 +193,8 @@ def backprop_all(
     l_cl, dlogits = classification_loss(P, Y)
     dWc = dlogits @ Z.T
     dZ_cl = head.Wc.T @ dlogits
-    gan = gan_losses(Z, prior_samples, disc)
 
-    total = total_generator_loss(gan.l_gen_adv, l_rec, l_quan, l_cl, hp)
-    dZ = gan.dZ + hp.lambda1 * dZ_rec + hp.lambda2 * dZ_quan + hp.lambda3 * dZ_cl
+    dZ = hp.lambda1 * dZ_rec + hp.lambda2 * dZ_quan + hp.lambda3 * dZ_cl
 
     # dZ is float64 from the heads; S~'s dtype keeps the product from copying S~
     G = dZ.astype(S_tilde.dtype, copy=False) @ S_tilde
@@ -268,8 +205,6 @@ def backprop_all(
     if dWd is not None:
         grads["Wd"] = hp.lambda1 * dWd
 
-    breakdown = LossBreakdown(
-        l_quan=l_quan, l_recons=l_rec, l_cl=l_cl,
-        l_gen_adv=gan.l_gen_adv, l_disc=gan.l_disc, total_gen=total,
-    )
+    breakdown = LossBreakdown(l_quan=l_quan, l_recons=l_rec, l_cl=l_cl,
+                              total=total_loss(l_rec, l_quan, l_cl, hp))
     return breakdown, grads

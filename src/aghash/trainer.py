@@ -1,4 +1,4 @@
-"""Adam training loop: each epoch one discriminator step, then one generator step against it.
+"""Adam training loop: each epoch steps the GCN, the head and, if in use, the decoder once.
 
 Training is full-batch over the training split: the graph layers consume the
 whole n x n normalized graph, which is tractable at the target scale.
@@ -19,7 +19,7 @@ from .errors import DataError, FormatError, NumericError, ParameterError, ShapeE
 QUERY_PANEL = 1024  # queries whose n-wide graph columns encode_queries holds at once
 # the dtype of the attentive features, the graph, both GCN layers, their
 # gradients and Adam states, in fit and in encode_queries alike; the attention,
-# discriminator, head, prior samples and loss sums stay float64
+# head, decoder and loss sums stay float64
 COMPUTE_DTYPE = np.float32
 
 
@@ -81,7 +81,7 @@ def sign_pm(Z):
 
 @dataclass
 class TrainedModel:
-    """What encoding reads: the discriminator, head and decoder serve only training."""
+    """What encoding reads: the head and decoder serve only training."""
     attention: att.AttentionParams
     gcn: net.GcnParams
     graph_cfg: sg.GraphConfig  # bandwidth is the resolved one when the graph has a visual kernel
@@ -140,10 +140,9 @@ def fit(
         raise ShapeError(f"features have {features.n} items, aux has {aux.n}")
     X = features.data[:, train_idx]
     Yt = np.ascontiguousarray(aux.data[:, train_idx])
-    n = train_idx.size
 
     # the network first: it checks the dimensions before any n x n work
-    gcn, disc, head = net.init_params(d_prime, hidden, r, aux.c, cfg.seed + 1)
+    gcn, head = net.init_params(d_prime, hidden, r, aux.c, cfg.seed + 1)
     apar = att.init_attention(features.d, aux.c, d_prime, cfg.seed)
     Q = att.basis(apar, use_attention)
     if Q is not None:  # P_x, P_y and W1 in the k coordinates, before the cast
@@ -159,9 +158,7 @@ def fit(
     part = obj.RECON_PARTS.get(hyper.recon_target)  # a kernel target: that variant's similarity
     recon = None if part is None else sg.similarity(Xatt, Yt, replace(graph_cfg, variant=part))[0]
 
-    rng = np.random.default_rng(cfg.seed + 2)
-
-    params = net.parameters(gcn, disc, head, decoder)
+    params = net.parameters(gcn, head, decoder)
     states = {name: AdamState.like(param) for name, param in params.items()}
 
     H = Xatt @ St
@@ -169,15 +166,9 @@ def fit(
     history = []
     for epoch in range(1, cfg.epochs + 1):
         if not np.all(np.isfinite(Z)):
-            raise NumericError(f"non-finite generator output at epoch {epoch}")
-        B = sign_pm(Z)
-        prior = rng.standard_normal((r, n))
-
-        for name, grad in obj.disc_grads(Z, prior, disc).items():
-            adam_step(params[name], grad, states[name], epoch, cfg.lr)
-
+            raise NumericError(f"non-finite encoder output at epoch {epoch}")
         breakdown, grads = obj.backprop_all(
-            Xatt, H, (Z1, Z), St, Yt, B, gcn, disc, head, hyper, prior,
+            Xatt, H, (Z1, Z), St, Yt, sign_pm(Z), gcn, head, hyper,
             recon_matrix=recon, decoder=decoder,
         )
         for term in fields(breakdown):
@@ -257,12 +248,9 @@ def _propagate(model, xatt_q, Yq):
 
 def write_train_log(path, history):
     with open(path, "w", encoding="ascii") as fh:
-        fh.write("epoch,l_quan,l_recons,l_cl,l_gen_adv,l_disc,total\n")
+        fh.write("epoch,l_quan,l_recons,l_cl,total\n")
         for i, b in enumerate(history, start=1):
-            fh.write(
-                f"{i},{b.l_quan:.10g},{b.l_recons:.10g},{b.l_cl:.10g},"
-                f"{b.l_gen_adv:.10g},{b.l_disc:.10g},{b.total_gen:.10g}\n"
-            )
+            fh.write(f"{i},{b.l_quan:.10g},{b.l_recons:.10g},{b.l_cl:.10g},{b.total:.10g}\n")
 
 
 # parameter groups of a TrainedModel by field

@@ -41,9 +41,7 @@ class SmallInstance:
     Xatt: np.ndarray
     St: np.ndarray
     gcn: net.GcnParams
-    disc: net.DiscParams
     head: net.ClsHead
-    prior: np.ndarray
     B: np.ndarray
     hp: obj.Hyperparams
 
@@ -58,18 +56,17 @@ def small_instance(seed, n=16, d=8, d_prime=8, h=8, r=4, c=3, hp=None):
     X = rng.standard_normal((d, n))
     Y = (rng.random((c, n)) < 0.4).astype(np.float64)
     apar = att.init_attention(d, c, d_prime, seed + 1)
-    gcn, disc, head = net.init_params(d_prime, h, r, c, seed + 2)
+    gcn, head = net.init_params(d_prime, h, r, c, seed + 2)
     Q = att.basis(apar)
     if Q is not None:
         apar = att.AttentionParams(Q.T @ apar.P_x, Q.T @ apar.P_y)
         gcn.W1 = gcn.W1 @ Q
     Xatt = att.denoise(X, Y, apar)
     St, _ = sg.normalize(sg.similarity(Xatt, Y, sg.GraphConfig())[0])
-    prior = rng.standard_normal((r, n))
     _, Z = net.gcn_layers(Xatt @ St, St, gcn)
     B = np.where(Z >= 0, 1.0, -1.0)
     return SmallInstance(X=X, Y=Y, apar=apar, Xatt=Xatt, St=St,
-                         gcn=gcn, disc=disc, head=head, prior=prior, B=B,
+                         gcn=gcn, head=head, B=B,
                          hp=hp or obj.Hyperparams())
 
 
@@ -78,8 +75,8 @@ def backprop(inst, gcn=None, head=None, hp=None, **kwargs):
     gcn = gcn or inst.gcn
     H = inst.Xatt @ inst.St
     return obj.backprop_all(
-        inst.Xatt, H, net.gcn_layers(H, inst.St, gcn), inst.St, inst.Y, inst.B, gcn, inst.disc,
-        head or inst.head, hp or inst.hp, inst.prior, **kwargs,
+        inst.Xatt, H, net.gcn_layers(H, inst.St, gcn), inst.St, inst.Y, inst.B, gcn,
+        head or inst.head, hp or inst.hp, **kwargs,
     )
 
 

@@ -13,7 +13,6 @@ import pytest
 
 from aghash import graph as sg
 from aghash import network as net
-from aghash import objective as obj
 from aghash import retrieval as rt
 from aghash import trainer
 from aghash.data import make_split, synth_dataset
@@ -71,30 +70,16 @@ def test_gradient_suite(capfd):
     for seed in range(20):
         inst = small_instance(seed)
 
-        def gen_loss(gcn=None, head=None):
+        def loss(gcn=None, head=None):
             bd, _ = backprop(inst, gcn=gcn, head=head)
-            return bd.total_gen
+            return bd.total
 
         _, grads = backprop(inst)
         checks = [
-            (grads["W1"], lambda P: gen_loss(gcn=net.GcnParams(W1=P, W2=inst.gcn.W2)), inst.gcn.W1),
-            (grads["W2"], lambda P: gen_loss(gcn=net.GcnParams(W1=inst.gcn.W1, W2=P)), inst.gcn.W2),
-            (grads["Wc"], lambda P: gen_loss(head=net.ClsHead(Wc=P)), inst.head.Wc),
+            (grads["W1"], lambda P: loss(gcn=net.GcnParams(W1=P, W2=inst.gcn.W2)), inst.gcn.W1),
+            (grads["W2"], lambda P: loss(gcn=net.GcnParams(W1=inst.gcn.W1, W2=P)), inst.gcn.W2),
+            (grads["Wc"], lambda P: loss(head=net.ClsHead(Wc=P)), inst.head.Wc),
         ]
-
-        Z = inst.gcn.W2 @ (net.relu(inst.gcn.W1 @ (inst.Xatt @ inst.St)) @ inst.St)
-        disc_grads = obj.disc_grads(Z, inst.prior, inst.disc)
-        disc_names = ("A1", "b1", "A2", "b2", "A3", "b3")
-
-        def disc_loss(**overrides):
-            kwargs = {k: overrides.get(k, getattr(inst.disc, k)) for k in disc_names}
-            return obj.gan_losses(Z, inst.prior, net.DiscParams(**kwargs)).l_disc
-
-        for name in disc_names:
-            checks.append((disc_grads[name],
-                           lambda P, _n=name: disc_loss(**{_n: P}),
-                           getattr(inst.disc, name)))
-
         for analytic, f, base in checks:
             err, kinks = grad_check(analytic, f, base)
             worst = max(worst, err)

@@ -1,14 +1,9 @@
-from types import SimpleNamespace
-from unittest import mock
-
 import numpy as np
 import pytest
 
 from aghash import graph as sg
 from aghash import network as net
 from aghash import objective as obj
-from aghash import trainer
-from aghash.data import synth_dataset
 from aghash.errors import ParameterError, ShapeError
 from aghash.network import DecoderParams, GcnParams
 
@@ -196,111 +191,6 @@ class TestClassificationLoss:
         assert max_rel_err(dlog, fd) < 1e-6
 
 
-class TestGanLosses:
-    def test_uninformative_disc(self):
-        p = net.DiscParams(
-            A1=np.zeros((64, 2)), b1=np.zeros(64),
-            A2=np.zeros((32, 64)), b2=np.zeros(32),
-            A3=np.zeros((1, 32)), b3=np.zeros(1),
-        )
-        rng = np.random.default_rng(5)
-        res = obj.gan_losses(rng.standard_normal((2, 4)), rng.standard_normal((2, 4)), p)
-        assert res.l_disc == pytest.approx(2.0 * np.log(2.0), abs=1e-12)
-        assert res.l_gen_adv == pytest.approx(np.log(2.0), abs=1e-12)
-
-    def test_disc_gradients(self):
-        inst = small_instance(10)
-        rng = np.random.default_rng(11)
-        Z = rng.standard_normal((4, 16))
-
-        def loss_for(disc):
-            return obj.gan_losses(Z, inst.prior, disc).l_disc
-
-        grads = obj.disc_grads(Z, inst.prior, inst.disc)
-        for name in ("A1", "b1", "A2", "b2", "A3", "b3"):
-            base = getattr(inst.disc, name)
-
-            def f(P, _name=name):
-                kwargs = {k: getattr(inst.disc, k) for k in ("A1", "b1", "A2", "b2", "A3", "b3")}
-                kwargs[_name] = P
-                return loss_for(net.DiscParams(**kwargs))
-
-            fd = central_diff(f, base)
-            assert max_rel_err(grads[name], fd) < 1e-4, name
-
-    def test_generator_dZ(self):
-        inst = small_instance(12)
-        rng = np.random.default_rng(13)
-        Z = rng.standard_normal((4, 16))
-        res = obj.gan_losses(Z, inst.prior, inst.disc)
-        fd = central_diff(lambda z: obj.gan_losses(z, inst.prior, inst.disc).l_gen_adv, Z)
-        assert max_rel_err(res.dZ, fd) < 1e-4
-
-    def test_code_length_mismatch(self):
-        inst = small_instance(14)
-        with pytest.raises(ShapeError):
-            obj.gan_losses(np.ones((5, 3)), inst.prior, inst.disc)
-
-
-
-# the adversarial pass as it was before the discriminator and generator steps
-# were split: one call computed both halves, each step used one of them
-def _reference_disc_backward(V, h1, h2, dlogits, p):
-    df = dlogits[None, :]
-    dA3 = df @ h2.T
-    db3 = df.sum(axis=1)
-    dh2 = p.A3.T @ df
-    da2 = dh2 * (h2 > 0)
-    dA2 = da2 @ h1.T
-    db2 = da2.sum(axis=1)
-    dh1 = p.A2.T @ da2
-    da1 = dh1 * (h1 > 0)
-    dA1 = da1 @ V.T
-    db1 = da1.sum(axis=1)
-    dV = p.A1.T @ da1
-    return {"A1": dA1, "b1": db1, "A2": dA2, "b2": db2, "A3": dA3, "b3": db3}, dV
-
-
-def reference_gan_losses(Z, prior_samples, disc):
-    m_fake, m_real = Z.shape[1], prior_samples.shape[1]
-    h1r, h2r, f_real = net.disc_layers(prior_samples, disc)
-    h1f, h2f, f_fake = net.disc_layers(Z, disc)
-    D_real, D_fake = net.sigmoid(f_real), net.sigmoid(f_fake)
-    l_disc = float(np.logaddexp(0.0, -f_real).mean() + np.logaddexp(0.0, f_fake).mean())
-    g_real, _ = _reference_disc_backward(prior_samples, h1r, h2r, (D_real - 1.0) / m_real, disc)
-    g_fake, _ = _reference_disc_backward(Z, h1f, h2f, D_fake / m_fake, disc)
-    disc_grads = {name: g_real[name] + g_fake[name] for name in g_real}
-    _, dZ = _reference_disc_backward(Z, h1f, h2f, -(1.0 - D_fake) / m_fake, disc)
-    return SimpleNamespace(l_disc=l_disc, l_gen_adv=float(np.logaddexp(0.0, -f_fake).mean()),
-                           disc_grads=disc_grads, dZ=dZ)
-
-
-class TestSplitAdversarialPass:
-    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-    def test_each_half_is_the_joint_pass_bit_for_bit(self, dtype):
-        inst = small_instance(21, n=40, r=6)
-        Z = (3.0 * np.random.default_rng(22).standard_normal((6, 40))).astype(dtype)
-        ref = reference_gan_losses(Z, inst.prior, inst.disc)
-        grads, gan = obj.disc_grads(Z, inst.prior, inst.disc), obj.gan_losses(Z, inst.prior, inst.disc)
-        assert grads.keys() == ref.disc_grads.keys()
-        for name, grad in grads.items():
-            assert grad.dtype == ref.disc_grads[name].dtype and grad.tobytes() == ref.disc_grads[name].tobytes()
-        assert (gan.l_disc, gan.l_gen_adv) == (ref.l_disc, ref.l_gen_adv)
-        assert gan.dZ.dtype == ref.dZ.dtype and gan.dZ.tobytes() == ref.dZ.tobytes()
-
-    def test_fit_is_the_fit_of_the_joint_pass(self, tmp_path):
-        fm, aux, _ = synth_dataset(n=30, d=6, c=2, sep=3.0, label_noise=0.1, seed=23)
-        cfg = trainer.TrainConfig(epochs=5, lr=1e-2, seed=23)
-        runs = []
-        for disc_grads, gan_losses in ((obj.disc_grads, obj.gan_losses),
-                                       (lambda *args: reference_gan_losses(*args).disc_grads, reference_gan_losses)):
-            with mock.patch.multiple(obj, disc_grads=disc_grads, gan_losses=gan_losses):
-                model, history = trainer.fit(fm, aux, np.arange(20), r=4, d_prime=8, hidden=8, cfg=cfg)
-            trainer.save_model(tmp_path / "model.bin", model)
-            runs.append(((tmp_path / "model.bin").read_bytes(), history))
-        assert runs[0] == runs[1]
-
-
 class TestHyperparams:
     def test_defaults(self):
         hp = obj.Hyperparams()
@@ -317,27 +207,27 @@ class TestHyperparams:
 
     def test_total_weighting(self):
         hp = obj.Hyperparams(lambda1=2.0, lambda2=3.0, lambda3=4.0)
-        assert obj.total_generator_loss(1.0, 10.0, 100.0, 1000.0, hp) == 1.0 + 20.0 + 300.0 + 4000.0
+        assert obj.total_loss(10.0, 100.0, 1000.0, hp) == 20.0 + 300.0 + 4000.0
 
 
 class TestBackpropAll:
-    def _generator_loss(self, inst, gcn, head, hp):
+    def _loss(self, inst, gcn, head, hp):
         bd, _ = backprop(inst, gcn=gcn, head=head, hp=hp)
-        return bd.total_gen
+        return bd.total
 
     def test_network_gradients(self):
         inst = small_instance(20)
         _, grads = backprop(inst)
         fd_w1 = central_diff(
-            lambda W: self._generator_loss(inst, GcnParams(W1=W, W2=inst.gcn.W2), inst.head, inst.hp),
+            lambda W: self._loss(inst, GcnParams(W1=W, W2=inst.gcn.W2), inst.head, inst.hp),
             inst.gcn.W1,
         )
         fd_w2 = central_diff(
-            lambda W: self._generator_loss(inst, GcnParams(W1=inst.gcn.W1, W2=W), inst.head, inst.hp),
+            lambda W: self._loss(inst, GcnParams(W1=inst.gcn.W1, W2=W), inst.head, inst.hp),
             inst.gcn.W2,
         )
         fd_wc = central_diff(
-            lambda W: self._generator_loss(inst, inst.gcn, net.ClsHead(Wc=W), inst.hp),
+            lambda W: self._loss(inst, inst.gcn, net.ClsHead(Wc=W), inst.hp),
             inst.head.Wc,
         )
         assert max_rel_err(grads["W1"], fd_w1) < 1e-4
@@ -350,7 +240,7 @@ class TestBackpropAll:
         inst = small_instance(26, d=4, c=2, d_prime=10)
         assert inst.gcn.W1.shape == (8, 6) and inst.apar.P_x.shape == (6, 4) and inst.apar.P_y.shape == (6, 2)
         _, grads = backprop(inst)
-        fd_w1 = central_diff(lambda W: backprop(inst, gcn=GcnParams(W1=W, W2=inst.gcn.W2))[0].total_gen,
+        fd_w1 = central_diff(lambda W: backprop(inst, gcn=GcnParams(W1=W, W2=inst.gcn.W2))[0].total,
                              inst.gcn.W1)
         assert max_rel_err(grads["W1"], fd_w1) < 1e-4
 
@@ -366,7 +256,7 @@ class TestBackpropAll:
         decoder = net.init_decoder(Xatt.shape[0], inst.B.shape[0], 3)
         H = Xatt @ St
         bd, grads = obj.backprop_all(Xatt, H, net.gcn_layers(H, St, gcn), St, inst.Y, inst.B, gcn,
-                                     inst.disc, inst.head, inst.hp, inst.prior, recon_matrix=recon,
+                                     inst.head, inst.hp, recon_matrix=recon,
                                      decoder=decoder)
         assert grads["W1"].dtype == grads["W2"].dtype == dtype
         assert all(grads[name].dtype == np.float64 for name in grads if name not in ("W1", "W2"))
@@ -374,8 +264,8 @@ class TestBackpropAll:
         assert all(type(value) is float for value in vars(bd).values())
         if dtype == np.float32:  # the float32 gradients are the float64 ones to float32 rounding
             _, want = obj.backprop_all(inst.Xatt, inst.Xatt @ inst.St, net.gcn_layers(
-                inst.Xatt @ inst.St, inst.St, inst.gcn), inst.St, inst.Y, inst.B, inst.gcn, inst.disc,
-                inst.head, inst.hp, inst.prior, decoder=decoder,
+                inst.Xatt @ inst.St, inst.St, inst.gcn), inst.St, inst.Y, inst.B, inst.gcn,
+                inst.head, inst.hp, decoder=decoder,
                 recon_matrix=kernel_target(inst.Xatt, inst.Y, target))
             for name in ("W1", "W2"):
                 assert np.abs(grads[name] - want[name]).max() <= 1e-4 * np.abs(want[name]).max()

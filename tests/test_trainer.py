@@ -175,7 +175,7 @@ class TestFit:
         assert len(history) == 3
         assert model.z_train.shape == (4, 16)
         assert model.xatt_train.shape == (8, 16)
-        assert all(np.isfinite(b.total_gen) for b in history)
+        assert all(np.isfinite(b.total) for b in history)
 
     def test_deterministic(self):
         _, _, _, m1, h1 = tiny_fit(seed=5)
@@ -196,7 +196,7 @@ class TestFit:
             fm, aux, split.train, r=8, d_prime=16, hidden=16,
             cfg=TrainConfig(epochs=40, lr=1e-3, seed=3),
         )
-        assert history[-1].total_gen < history[0].total_gen
+        assert history[-1].total < history[0].total
 
     def test_empty_train_split(self):
         fm, aux, _ = synth_dataset(n=8, d=4, c=2, sep=1.0, label_noise=0.0, seed=0)
@@ -211,26 +211,34 @@ class TestFit:
 
     def test_each_epoch_steps_every_parameter_once(self):
         # the registry's arrays are stepped in place, each once per epoch with t == epoch:
-        # the GCN's 2, the discriminator's 6, the head's 1 and the decoder's 1; the
-        # attention projections stay fixed
-        steps, ends = [], [0]
+        # the GCN's W1 and W2, the head's Wc and, under the feature target, the
+        # decoder's Wd; the attention projections stay fixed
+        parameters = net.parameters
+        for target, extra in (("aux", set()), ("feature", {"Wd"})):
+            steps, ends, registries = [], [0], []
 
-        def record(param, grad, state, t, lr):
-            steps.append((id(param), t))
-            adam_step(param, grad, state, t, lr)
+            def record(param, grad, state, t, lr):
+                steps.append((id(param), t))
+                adam_step(param, grad, state, t, lr)
 
-        with mock.patch.object(trainer, "adam_step", record):
-            _, _, _, model, _ = tiny_fit(
-                hyper=obj.Hyperparams(recon_target="feature"),
-                epoch_callback=lambda epoch, _: ends.append(len(steps)))
-        ids = {param for param, _ in steps}
-        assert len(ids) == 10
-        assert id(model.gcn.W1) in ids
-        assert id(model.attention.P_x) not in ids and id(model.attention.P_y) not in ids
-        for epoch in (1, 2, 3):
-            stepped = steps[ends[epoch - 1]:ends[epoch]]
-            assert sorted(stepped) == sorted((param, epoch) for param in ids)
-        assert ends[-1] == len(steps)
+            def spy(*groups):
+                registries.append(parameters(*groups))
+                return registries[-1]
+
+            with mock.patch.object(trainer, "adam_step", record), mock.patch.object(net, "parameters", spy):
+                _, _, _, model, _ = tiny_fit(
+                    hyper=obj.Hyperparams(recon_target=target),
+                    epoch_callback=lambda epoch, _: ends.append(len(steps)))
+            assert len(registries) == 1
+            names = {id(param): name for name, param in registries[0].items()}
+            ids = {param for param, _ in steps}
+            assert {names[param] for param in ids} == {"W1", "W2", "Wc"} | extra
+            assert names[id(model.gcn.W1)] == "W1" and names[id(model.gcn.W2)] == "W2"
+            assert id(model.attention.P_x) not in ids and id(model.attention.P_y) not in ids
+            for epoch in (1, 2, 3):
+                stepped = steps[ends[epoch - 1]:ends[epoch]]
+                assert sorted(stepped) == sorted((param, epoch) for param in ids)
+            assert ends[-1] == len(steps)
 
     def test_identity_basis_is_a_fit_without_the_basis(self, tmp_path):
         # d + c = 8 = d': the basis is the identity, so training starts from the
@@ -274,7 +282,7 @@ class TestFit:
         seed, dtype = 22, trainer.COMPUTE_DTYPE
         backprop_all, first = obj.backprop_all, []
 
-        def first_step(*args, **kwargs):  # the layers the first generator step differentiates
+        def first_step(*args, **kwargs):  # the layers the first step differentiates
             first.append(args[2][1].copy())
             return backprop_all(*args, **kwargs)
 
@@ -302,7 +310,7 @@ class TestFit:
             fm, aux, split, model, history = tiny_fit(
                 graph_cfg=sg.GraphConfig(variant=gv), hyper=obj.Hyperparams(recon_target=rt),
             )
-            assert np.isfinite(history[-1].total_gen)
+            assert np.isfinite(history[-1].total)
             if gv == "visual-only":  # the graph's kernel resolves the bandwidth
                 X, Y = fm.data[:, split.train], aux.data[:, split.train]
                 xatt = att.denoise(X, Y, att.init_attention(fm.d, aux.c, 8, 0))
@@ -311,7 +319,7 @@ class TestFit:
             else:  # no kernel in the graph, whatever kernel the loss reconstructs
                 assert model.graph_cfg.bandwidth is None
         _, _, _, _, history = tiny_fit(hyper=obj.Hyperparams(recon_target="feature"))
-        assert all(np.isfinite(b.total_gen) for b in history)
+        assert all(np.isfinite(b.total) for b in history)
 
     @pytest.mark.parametrize("recon_target", list(obj.RECON_PARTS))
     def test_kernel_target_is_its_variants_similarity(self, recon_target):
@@ -795,7 +803,7 @@ class TestPersistence:
         p = tmp_path / "log.csv"
         trainer.write_train_log(p, history)
         lines = p.read_text().splitlines()
-        assert lines[0] == "epoch,l_quan,l_recons,l_cl,l_gen_adv,l_disc,total"
+        assert lines[0] == "epoch,l_quan,l_recons,l_cl,total"
         assert len(lines) == 4
         first = lines[1].split(",")
         assert first[0] == "1"
