@@ -18,8 +18,9 @@ print(f"dataset: {features.d} dims x {features.n} items, {aux.c} categories")
 print(f"split: {len(split.train)} train / {len(split.query)} query / {len(split.retrieval)} db")
 
 # Train 16-bit codes. Defaults follow the reference configuration
-# (lambda1=100, lambda2=lambda3=1, aux inner products as the reconstruction
-# target); smaller widths and a higher learning rate keep the demo fast.
+# (lambda1=100, lambda2=lambda3=1; the code cosines reconstruct the tags'
+# Gram matrix Y^T Y); smaller widths and a higher learning rate keep the
+# demo fast.
 model, history = fit(
     features, aux, split.train,
     r=16, d_prime=64, hidden=128,

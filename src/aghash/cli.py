@@ -23,10 +23,6 @@ _VARIANTS = {
     "no-att": ("augmented", False, "aux", True),
     "only-sv": ("visual-only", True, "aux", True),
     "only-sa": ("aux-only", True, "aux", True),
-    "recons-sv": ("augmented", True, "visual", True),
-    "recons-s": ("augmented", True, "augmented", True),
-    "recons-ztz": ("augmented", True, "inner-product", True),
-    "recons-feat": ("augmented", True, "feature", True),
 }
 
 
@@ -322,7 +318,7 @@ def cmd_evaluate(args):
         save_report(json_path, curve_path, report)
         man["outputs"] = [json_path, curve_path]
         man["timing"] = {"evaluate_seconds": evaluate_time}
-    print(f"evaluate: MAP@{args.k} = {report.map_at_k:.6f} over {query_codes.n} queries")
+    print(f"evaluate: MAP@{report.k} = {report.map_at_k:.6f} over {query_codes.n} queries")
     return 0
 
 
@@ -353,6 +349,7 @@ def cmd_sweep(args):
     points = [argparse.Namespace(**vars(args)) for _ in values]
     for point, value in zip(points, values):
         setattr(point, args.axis, _convert(action, args.axis, value, "--values"))
+        _fit_kwargs(point)  # every point's settings are checked before any is trained
     inputs = _load_inputs(args)
     with _recorded(args, args.out + ".manifest.json",
                    [args.features, args.aux, args.split, args.labels]) as man:

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AghashError, DataError, FormatError, ParameterError, ShapeError
+from .errors import AghashError, DataError, FormatError, ParameterError, ShapeError, require_integer
 
 BINARY_MAGIC = b"AGFM"
 BINARY_VERSION = 1
@@ -341,6 +341,7 @@ def synth_dataset(n, d, c, sep, label_noise, seed):
         raise ParameterError(f"need a finite sep >= 0, got {sep}")
     if not 0.0 <= label_noise <= 1.0:
         raise ParameterError(f"label_noise must be in [0,1], got {label_noise}")
+    require_integer("seed", seed, 0)
     rng = np.random.default_rng(seed)
     means = _cluster_means(c, d, sep, rng)
     assign = rng.integers(0, c, size=n)
@@ -366,6 +367,7 @@ def make_split(n, sizes, seed, include_train_in_retrieval=True):
         raise ParameterError(f"split sizes must be nonnegative, got {sizes}")
     if train_sz + query_sz > n:
         raise ParameterError(f"train+query = {train_sz + query_sz} exceeds n = {n}")
+    require_integer("seed", seed, 0)
     rng = np.random.default_rng(seed)
     perm = rng.permutation(n)
     train = np.sort(perm[:train_sz])

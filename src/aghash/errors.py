@@ -1,4 +1,4 @@
-"""Error types shared across the package, and the finiteness check of the config types."""
+"""Error types shared across the package, and the value checks of the config types."""
 
 import math
 import numbers
@@ -42,3 +42,9 @@ def require_finite(config, *names):
             raise ParameterError(f"{name} must be a real number, got {value!r}")
         if not math.isfinite(value):
             raise ParameterError(f"{name} must be finite, got {value}")
+
+
+def require_integer(name, value, minimum):
+    """Raise ParameterError unless `value` is an integer >= `minimum` (bool is not an integer here)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
+        raise ParameterError(f"{name} must be an integer >= {minimum}, got {value!r}")

@@ -31,12 +31,6 @@ class ClsHead:
     Wc: np.ndarray  # c x r
 
 
-@dataclass
-class DecoderParams:
-    # linear decoder reconstructing attentive features from codes
-    Wd: np.ndarray  # k x r
-
-
 def init_params(d_prime, h, r, c, seed):
     """He-style init: Gaussian entries with std sqrt(2/fan_in); W1 is drawn h x d'."""
     for name, dim in (("d_prime", d_prime), ("hidden", h), ("r", r), ("c", c)):
@@ -51,19 +45,13 @@ def init_params(d_prime, h, r, c, seed):
     return gcn, ClsHead(mat(c, r))
 
 
-def init_decoder(k, r, seed):
-    rng = np.random.default_rng(seed)
-    return DecoderParams(rng.standard_normal((k, r)) * np.sqrt(2.0 / r))
-
-
 def parameters(*groups):
-    """Ordered name -> array registry over parameter groups; None groups are skipped.
+    """Ordered name -> array registry over parameter groups.
 
     A group is any dataclass whose fields are arrays (GcnParams, ClsHead,
-    DecoderParams, attention.AttentionParams); field names are unique across
-    groups.
+    attention.AttentionParams); field names are unique across groups.
     """
-    return {f.name: getattr(g, f.name) for g in groups if g is not None for f in fields(g)}
+    return {f.name: getattr(g, f.name) for g in groups for f in fields(g)}
 
 
 def relu(x):

@@ -14,12 +14,9 @@ from . import attention as att
 from .errors import ParameterError, ShapeError, require_finite
 from .network import cls_forward
 
-RECON_TARGETS = ("aux", "visual", "augmented", "inner-product", "feature")
-# the graph variant whose unnormalized similarity (graph.similarity) each kernel
-# target reconstructs, which the loss reads as an n x n matrix; 'aux' and
-# 'inner-product' reconstruct the tags' Gram matrix Y^T Y from the c x n tags,
-# and 'feature' reconstructs through the decoder
-RECON_PARTS = {"visual": "visual-only", "augmented": "augmented"}
+# what the code cosines reconstruct: 'aux' the tags' Gram matrix Y^T Y (a
+# TagGram), 'visual' the n x n Gaussian kernel of the attentive features
+RECON_TARGETS = ("aux", "visual")
 # rows of the reconstruction target and of the code cosines formed at a time
 PANEL = 128
 
@@ -78,8 +75,8 @@ class TagGram:
         return self.Y[:, rows].T @ self.Y
 
 
-def reconstruction_loss(Z, target, k, mode="cosine"):
-    """||k*target - [cos(Z^T, Z)]_+||^2 (or raw Z^T Z in 'inner' mode).
+def reconstruction_loss(Z, target, k):
+    """||k*target - [cos(Z^T, Z)]_+||^2 and its Z gradient.
 
     `target` is a symmetric n x n array or a `TagGram`; it and the cosines are
     formed PANEL rows at a time, so no n x n temporary exists. The symmetric
@@ -90,15 +87,12 @@ def reconstruction_loss(Z, target, k, mode="cosine"):
     n = Z.shape[1]
     if target.shape != (n, n):
         raise ShapeError(f"target is {target.shape}, expected {(n, n)}")
-    if mode not in ("cosine", "inner"):
-        raise ParameterError(f"unknown reconstruction mode {mode!r}")
-    N, norms = att.unit_columns(Z) if mode == "cosine" else (Z, None)
+    N, norms = att.unit_columns(Z)
     loss, dN = 0.0, np.zeros_like(N)
     for lo in range(0, n, PANEL):
         Nb = N[:, lo:lo + PANEL]
         C = Nb.T @ N
-        if mode == "cosine":
-            np.maximum(C, 0.0, out=C)
+        np.maximum(C, 0.0, out=C)
         R = target[lo:lo + PANEL]
         if isinstance(target, TagGram):
             R *= k  # a fresh float64 panel
@@ -106,20 +100,10 @@ def reconstruction_loss(Z, target, k, mode="cosine"):
             R = np.multiply(R, k, dtype=np.float64)  # a view of the target, copied to float64
         R -= C
         loss += float(np.vdot(R, R))
-        if mode == "cosine":
-            R *= C > 0  # clipped entries pass no gradient
+        R *= C > 0  # clipped entries pass no gradient
         dN += Nb @ R
     dN *= -4.0  # dC = -2R, counted once for C and once for C^T
-    return loss, dN if mode == "inner" else att.unit_columns_grad(N, norms, dN)
-
-
-def feature_reconstruction_loss(Z, Xatt, decoder):
-    """Linear-decoder feature reconstruction ||Xatt - Wd Z||^2 and its Z and Wd gradients."""
-    if decoder.Wd.shape != (Xatt.shape[0], Z.shape[0]):
-        raise ShapeError(f"decoder is {decoder.Wd.shape}, expected {(Xatt.shape[0], Z.shape[0])}")
-    R = Xatt - decoder.Wd @ Z
-    loss = float((R**2).sum())
-    return loss, -2.0 * decoder.Wd.T @ R, -2.0 * R @ Z.T
+    return loss, att.unit_columns_grad(N, norms, dN)
 
 
 def classification_loss(P, Y):
@@ -143,20 +127,7 @@ def total_loss(l_recons, l_quan, l_cl, hp):
 # ---------------------------------------------------------------------------
 
 
-def backprop_all(
-    Xatt,
-    H,
-    layers,
-    S_tilde,
-    Y,
-    B,
-    gcn,
-    head,
-    hp,
-    *,
-    recon_matrix=None,
-    decoder=None,
-):
+def backprop_all(H, layers, S_tilde, target, Y, B, gcn, head, hp):
     """The loss terms plus exact gradients of the objective.
 
     Differentiates a forward pass computed by the caller: H = Xatt S~ and
@@ -167,28 +138,16 @@ def backprop_all(
     dtype of S~ and the layers; the loss heads take float64 from their
     parameters.
 
-    `recon_matrix` is the n x n target of the kernel targets in RECON_PARTS;
-    'aux' and 'inner-product' reconstruct the Gram matrix of the tags Y, and
-    'feature' reconstructs through `decoder`.
+    `target` is what the code cosines reconstruct (`reconstruction_loss`):
+    `TagGram(Y)` or an n x n array.
 
     Returns (LossBreakdown, grads); grads maps the `network.parameters` name
-    of each parameter to its gradient: the GCN, the head, and the decoder
-    when it is in use.
+    of each parameter of the GCN and the head to its gradient.
     """
     Z1, Z = layers
 
     l_quan, dZ_quan = quantization_loss(B, Z)
-    dWd = None
-    if hp.recon_target == "feature":
-        if decoder is None:
-            raise ParameterError("feature reconstruction requires decoder parameters")
-        l_rec, dZ_rec, dWd = feature_reconstruction_loss(Z, Xatt, decoder)
-    else:
-        mode = "inner" if hp.recon_target == "inner-product" else "cosine"
-        target = recon_matrix if hp.recon_target in RECON_PARTS else TagGram(Y)
-        if target is None:
-            raise ParameterError(f"recon_target {hp.recon_target!r} requires a target matrix")
-        l_rec, dZ_rec = reconstruction_loss(Z, target, hp.k, mode=mode)
+    l_rec, dZ_rec = reconstruction_loss(Z, target, hp.k)
     P = cls_forward(Z, head)
     l_cl, dlogits = classification_loss(P, Y)
     dWc = dlogits @ Z.T
@@ -202,8 +161,6 @@ def backprop_all(
     dA = gcn.W2.T @ G
     dA *= Z1 > 0
     grads = {"W1": dA @ H.T, "W2": dW2, "Wc": hp.lambda3 * dWc}
-    if dWd is not None:
-        grads["Wd"] = hp.lambda1 * dWd
 
     breakdown = LossBreakdown(l_quan=l_quan, l_recons=l_rec, l_cl=l_cl,
                               total=total_loss(l_rec, l_quan, l_cl, hp))

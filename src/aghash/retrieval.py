@@ -48,6 +48,7 @@ class HashCodes:
 
 @dataclass(frozen=True)
 class EvalReport:
+    k: int  # the K scored at: the one asked for, clamped to the database size
     map_at_k: float
     precision_curve: list  # [(K, precision), ...] with strictly increasing K
     per_query_ap: list
@@ -199,6 +200,7 @@ def evaluate(query_codes, db_codes, query_labels, db_labels, K=1000,
 
     curve = [(kk, float(prec_sums[pi] / query_codes.n)) for pi, kk in enumerate(points)]
     return EvalReport(
+        k=int(K),
         map_at_k=float(np.mean(aps)),
         precision_curve=curve,
         per_query_ap=aps,
@@ -248,6 +250,7 @@ def load_codes(path):
 
 def save_report(json_path, curve_path, report):
     payload = {
+        "k": report.k,
         "map_at_k": report.map_at_k,
         "precision_curve": [[k, p] for k, p in report.precision_curve],
         "per_query_ap": report.per_query_ap,

@@ -1,4 +1,4 @@
-"""Adam training loop: each epoch steps the GCN, the head and, if in use, the decoder once.
+"""Adam training loop: each epoch steps the GCN and the classification head once.
 
 Training is full-batch over the training split: the graph layers consume the
 whole n x n normalized graph, which is tractable at the target scale.
@@ -14,12 +14,13 @@ from . import network as net
 from . import objective as obj
 from . import retrieval
 from .data import _from_file
-from .errors import DataError, FormatError, NumericError, ParameterError, ShapeError, require_finite
+from .errors import (DataError, FormatError, NumericError, ParameterError, ShapeError, require_finite,
+                     require_integer)
 
 QUERY_PANEL = 1024  # queries whose n-wide graph columns encode_queries holds at once
 # the dtype of the attentive features, the graph, both GCN layers, their
 # gradients and Adam states, in fit and in encode_queries alike; the attention,
-# head, decoder and loss sums stay float64
+# head and loss sums stay float64
 COMPUTE_DTYPE = np.float32
 
 
@@ -33,8 +34,8 @@ class TrainConfig:
         require_finite(self, "lr")
         if self.lr <= 0:
             raise ParameterError(f"learning rate must be > 0, got {self.lr}")
-        if self.epochs < 1:
-            raise ParameterError(f"epochs must be >= 1, got {self.epochs}")
+        require_integer("epochs", self.epochs, 1)
+        require_integer("seed", self.seed, 0)
 
 
 # Adam's moment decays and the denominator's guard (Kingma & Ba, ICLR 2015)
@@ -81,7 +82,7 @@ def sign_pm(Z):
 
 @dataclass
 class TrainedModel:
-    """What encoding reads: the head and decoder serve only training."""
+    """What encoding reads: the head serves only training."""
     attention: att.AttentionParams
     gcn: net.GcnParams
     graph_cfg: sg.GraphConfig  # bandwidth is the resolved one when the graph has a visual kernel
@@ -130,9 +131,13 @@ def fit(
     the same model at step 0, since norms and cosines there do not change.
     Training and the returned model see only the k coordinates.
     """
-    train_idx = np.asarray(train_idx, dtype=np.int64)
+    train_idx = np.asarray(train_idx)
+    if train_idx.ndim != 1:
+        raise ShapeError(f"train indices must be 1-D, got shape {train_idx.shape}")
     if train_idx.size == 0:
         raise ParameterError("training split is empty")
+    if train_idx.dtype.kind not in "iu":  # a float or bool index would be truncated or read as 0/1
+        raise ParameterError(f"train indices must be integers, got dtype {train_idx.dtype}")
     bad = train_idx[(train_idx < 0) | (train_idx >= features.n)]
     if bad.size:
         raise ParameterError(f"train index {bad[0]} is out of range for {features.n} items")
@@ -149,16 +154,17 @@ def fit(
         apar = att.AttentionParams(Q.T @ apar.P_x, Q.T @ apar.P_y)
         gcn.W1 = gcn.W1 @ Q
     gcn = net.GcnParams(*(W.astype(COMPUTE_DTYPE) for W in (gcn.W1, gcn.W2)))
-    decoder = net.init_decoder(gcn.W1.shape[1], r, cfg.seed + 3) if hyper.recon_target == "feature" else None
     Xatt = _attentive(X, Yt, apar, use_attention)
 
     St, degrees, sigma = sg.build_graph(Xatt, Yt, graph_cfg)
     if sigma is not None:  # queries extend the graph with the training kernel
         graph_cfg = replace(graph_cfg, bandwidth=sigma)
-    part = obj.RECON_PARTS.get(hyper.recon_target)  # a kernel target: that variant's similarity
-    recon = None if part is None else sg.similarity(Xatt, Yt, replace(graph_cfg, variant=part))[0]
+    if hyper.recon_target == "aux":
+        target = obj.TagGram(Yt)
+    else:  # the kernel under the training graph's bandwidth
+        target = sg.visual_similarity(Xatt, graph_cfg.bandwidth)[0]
 
-    params = net.parameters(gcn, head, decoder)
+    params = net.parameters(gcn, head)
     states = {name: AdamState.like(param) for name, param in params.items()}
 
     H = Xatt @ St
@@ -167,10 +173,7 @@ def fit(
     for epoch in range(1, cfg.epochs + 1):
         if not np.all(np.isfinite(Z)):
             raise NumericError(f"non-finite encoder output at epoch {epoch}")
-        breakdown, grads = obj.backprop_all(
-            Xatt, H, (Z1, Z), St, Yt, sign_pm(Z), gcn, head, hyper,
-            recon_matrix=recon, decoder=decoder,
-        )
+        breakdown, grads = obj.backprop_all(H, (Z1, Z), St, target, Yt, sign_pm(Z), gcn, head, hyper)
         for term in fields(breakdown):
             if not np.isfinite(getattr(breakdown, term.name)):
                 raise NumericError(f"non-finite loss term {term.name} at epoch {epoch}")

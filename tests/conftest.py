@@ -70,13 +70,16 @@ def small_instance(seed, n=16, d=8, d_prime=8, h=8, r=4, c=3, hp=None):
                          hp=hp or obj.Hyperparams())
 
 
-def backprop(inst, gcn=None, head=None, hp=None, **kwargs):
-    """objective.backprop_all on `inst` after the forward pass it differentiates."""
+def backprop(inst, gcn=None, head=None, hp=None, target=None):
+    """objective.backprop_all on `inst` after the forward pass it differentiates.
+
+    The reconstruction target defaults to the tags' Gram matrix, the 'aux' target.
+    """
     gcn = gcn or inst.gcn
     H = inst.Xatt @ inst.St
     return obj.backprop_all(
-        inst.Xatt, H, net.gcn_layers(H, inst.St, gcn), inst.St, inst.Y, inst.B, gcn,
-        head or inst.head, hp or inst.hp, **kwargs,
+        H, net.gcn_layers(H, inst.St, gcn), inst.St, obj.TagGram(inst.Y) if target is None else target,
+        inst.Y, inst.B, gcn, head or inst.head, hp or inst.hp,
     )
 
 

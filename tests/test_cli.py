@@ -249,6 +249,23 @@ class TestEvaluate:
         assert len(curve) == 4
         assert json.loads((tmp_path / "report.manifest.json").read_text())["seed"] is None
 
+    def test_clamped_k_is_the_k_reported(self, pipeline, tmp_path, capsys):
+        # a K beyond the 50-item database is scored, printed and saved as 50
+        q = TestEncode().encode(pipeline, tmp_path, "query",
+                                extra=["--labels", str(pipeline / "labels.txt"),
+                                       "--labels-out", str(tmp_path / "ql.txt")])
+        db = TestEncode().encode(pipeline, tmp_path, "retrieval",
+                                 extra=["--labels", str(pipeline / "labels.txt"),
+                                        "--labels-out", str(tmp_path / "dbl.txt")])
+        with pytest.warns(UserWarning, match="K=100000 exceeds database size 50; clamping"):
+            code, captured = run([
+                "evaluate", "--query-codes", str(q), "--db-codes", str(db),
+                "--query-labels", str(tmp_path / "ql.txt"), "--db-labels", str(tmp_path / "dbl.txt"),
+                "--k", "100000", "--out-prefix", str(tmp_path / "report"),
+            ], capsys)
+        assert code == 0 and captured.out.splitlines()[-1].startswith("evaluate: MAP@50 = ")
+        assert json.loads((tmp_path / "report.json").read_text())["k"] == 50
+
     def test_two_runs_write_the_same_report(self, pipeline, tmp_path, capsys):
         # the report holds what the inputs decide; the run's time is in its manifest
         q = TestEncode().encode(pipeline, tmp_path, "query",
@@ -464,6 +481,15 @@ MALFORMED = {
     # the compute dtype is a constant of the trainer, not a setting
     "config-dtype": (lambda p, t: _train(p, t, "--config", _file(t, "c.cfg", "dtype = float64\n")),
                      "c.cfg:1: unknown option 'dtype'"),
+    # the reconstruction targets other than the tags' Gram matrix and the visual kernel are gone
+    "config-variant-recons-feat": (lambda p, t: _train(p, t, "--config",
+                                                       _file(t, "c.cfg", "variant = recons-feat\n")),
+                                   "c.cfg:1: 'variant' must be one of full, no-aux, no-att, only-sv, only-sa"),
+    "synth-seed-negative": (lambda p, t: ["synth", "--out", str(t), "--n", "12", "--seed", "-1"],
+                            "seed must be an integer >= 0, got -1"),
+    "train-seed-negative": (lambda p, t: _train(p, t, "--seed", "-1"), "seed must be an integer >= 0, got -1"),
+    "sweep-seed-negative": (lambda p, t: _sweep(p, "--axis", "epochs", "--values", "1", "--seed", "-1"),
+                            "seed must be an integer >= 0, got -1"),
     # the attention projections are fixed; the option is gone, not ignored
     "config-train-attention": (lambda p, t: _train(p, t, "--config",
                                                    _file(t, "c.cfg", "train-attention = TRUE\n")),
@@ -501,6 +527,13 @@ def test_malformed_input_is_one_error_line(pipeline, tmp_path, capsys, case):
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:") and message in lines[0], captured.err
     assert not (pipeline / "never.csv").exists() and not (pipeline / "never.csv.manifest.json").exists()
+
+
+@pytest.mark.parametrize("case", ["synth-seed-negative", "train-seed-negative"])
+def test_negative_seed_leaves_no_manifest(pipeline, tmp_path, capsys, case):
+    # the seed is checked before the run records anything in its output directory
+    assert run(MALFORMED[case][0](pipeline, tmp_path), capsys)[0] == 1
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("build, name, message", [
@@ -563,6 +596,13 @@ class TestParsing:
         with pytest.raises(SystemExit):
             cli.build_parser().parse_args([command, *_REQUIRED[command], *extra])
         assert extra[0] in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["train", "sweep"])
+    @pytest.mark.parametrize("variant", ["recons-sv", "recons-s", "recons-ztz", "recons-feat"])
+    def test_removed_variant_is_an_invalid_choice(self, capsys, command, variant):
+        with pytest.raises(SystemExit):
+            cli.build_parser().parse_args([command, *_REQUIRED[command], "--variant", variant])
+        assert f"invalid choice: '{variant}'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", _REQUIRED)
     def test_threads_and_config_on_every_subcommand(self, command):

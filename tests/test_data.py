@@ -295,6 +295,11 @@ class TestSynth:
         with pytest.raises(ParameterError, match=f"need a finite sep >= 0, got {sep}"):
             synth_dataset(n=4, d=3, c=2, sep=sep, label_noise=0.0, seed=0)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, "3"])
+    def test_seed_must_be_a_nonnegative_integer(self, seed):
+        with pytest.raises(ParameterError, match=f"seed must be an integer >= 0, got {seed!r}"):
+            synth_dataset(n=4, d=3, c=2, sep=1.0, label_noise=0.0, seed=seed)
+
 
 class TestSplit:
     def test_sizes(self):
@@ -309,6 +314,11 @@ class TestSplit:
     def test_oversized(self):
         with pytest.raises(ParameterError):
             make_split(3, (3, 1), seed=0)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, None])
+    def test_seed_must_be_a_nonnegative_integer(self, seed):
+        with pytest.raises(ParameterError, match=f"seed must be an integer >= 0, got {seed!r}"):
+            make_split(10, (5, 2), seed=seed)
 
     def test_exclude_train(self):
         s = make_split(10, (4, 3), seed=2, include_train_in_retrieval=False)

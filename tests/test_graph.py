@@ -21,7 +21,6 @@ from aghash.graph import (
     sqdist,
     visual_similarity,
 )
-from aghash.objective import RECON_PARTS
 
 
 def traced_peak(fn, *args):
@@ -111,14 +110,19 @@ class TestVisualSimilarity:
         assert peak < 0.6 * n * n * 8, f"peak {peak / (n * n * 8):.2f} n x n float64 arrays"
 
 
+# the graph variant whose similarity each kernel `part` is
+PART_VARIANTS = {"visual": "visual-only", "augmented": "augmented"}
+
+
 def graph_and_target(X, Y, config, part):
-    """build_graph's (S_tilde, degrees, sigma), then the kernel target `part` (a
-    RECON_PARTS key, or None) that fit builds from the graph's resolved bandwidth."""
+    """build_graph's (S_tilde, degrees, sigma), then the kernel similarity `part`
+    (a PART_VARIANTS key, or None) rebuilt from the graph's resolved bandwidth,
+    as fit builds its 'visual' reconstruction target."""
     St, degrees, sigma = build_graph(X, Y, config)
     if part is None:
         return St, degrees, sigma, None
     resolved = config if sigma is None else replace(config, bandwidth=sigma)
-    return St, degrees, sigma, similarity(X, Y, replace(resolved, variant=RECON_PARTS[part]))[0]
+    return St, degrees, sigma, similarity(X, Y, replace(resolved, variant=PART_VARIANTS[part]))[0]
 
 
 def aux_similarity(Y):
@@ -308,7 +312,7 @@ class TestBuildGraph:
         assert sigma == visual_similarity(X)[1]
         assert np.array_equal(S, visual_similarity(X, sigma)[0])
 
-    # `part` names a kernel reconstruction target, built after the graph as fit builds it
+    # `part` names a kernel similarity, built after the graph as fit builds its kernel target
     @pytest.mark.parametrize("variant", VARIANTS)
     @pytest.mark.parametrize("part", [None, "visual", "augmented"])
     def test_every_variant_and_part(self, variant, part):

@@ -1,4 +1,4 @@
-"""Every module-level import of the package is used by its module."""
+"""Every module-level import of the package is used by its module, and every function parameter by its function."""
 
 import ast
 from pathlib import Path
@@ -25,6 +25,28 @@ def unused_imports(source):
     return sorted((line, name) for name, line in bound.items() if name not in read)
 
 
+def unused_parameters(source):
+    """(line, "function.parameter") for each parameter of a function in `source` that its body never reads.
+
+    `self`, `cls` and names that start with an underscore are exempt; a read
+    in a nested function or lambda counts.
+    """
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        args = node.args
+        params = [*args.posonlyargs, *args.args, *args.kwonlyargs, *filter(None, (args.vararg, args.kwarg))]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        read = {sub.id for stmt in body for sub in ast.walk(stmt)
+                if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)}
+        name = getattr(node, "name", "<lambda>")
+        found.extend((param.lineno, f"{name}.{param.arg}") for param in params
+                     if param.arg not in ("self", "cls") and not param.arg.startswith("_")
+                     and param.arg not in read)
+    return sorted(found)
+
+
 def test_detects_an_unused_import():
     source = "import os\nimport sys as system\nfrom json import dumps, loads\nprint(os.sep, loads)\n"
     assert unused_imports(source) == [(2, "system"), (3, "dumps")]
@@ -33,3 +55,16 @@ def test_detects_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
 def test_every_module_level_import_is_used(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_detects_an_unused_parameter():
+    source = ("def f(self, a, b, _c, *args, d=1, **kw):\n    return a + kw['x']\n"
+              "def g(x, y):\n    def h():\n        return x\n    return h\n"
+              "key = lambda item, default: item\n")
+    assert unused_parameters(source) == [(1, "f.args"), (1, "f.b"), (1, "f.d"), (3, "g.y"),
+                                         (7, "<lambda>.default")]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_every_function_parameter_is_read(path):
+    assert unused_parameters(path.read_text(encoding="utf-8")) == []

@@ -12,7 +12,6 @@ from aghash.network import (
     GcnParams,
     cls_forward,
     gcn_layers,
-    init_decoder,
     init_params,
     load_arrays,
     relu,
@@ -63,10 +62,6 @@ class TestInit:
     def test_rejects_bad_dims(self):
         with pytest.raises(ShapeError):
             init_params(0, 5, 4, 2, seed=0)
-
-    def test_decoder(self):
-        dec = init_decoder(12, 4, seed=2)
-        assert dec.Wd.shape == (12, 4)
 
 
 class TestGcnForward:

@@ -5,7 +5,7 @@ from aghash import graph as sg
 from aghash import network as net
 from aghash import objective as obj
 from aghash.errors import ParameterError, ShapeError
-from aghash.network import DecoderParams, GcnParams
+from aghash.network import GcnParams
 
 from conftest import backprop, central_diff, max_rel_err, small_instance
 
@@ -67,34 +67,18 @@ class TestReconstructionLoss:
         fd = central_diff(lambda z: obj.reconstruction_loss(z, T, 1.0)[0], Z)
         assert max_rel_err(dZ, fd) < 1e-4
 
-    def test_inner_mode_value_and_gradient(self):
-        rng = np.random.default_rng(2)
-        Z = rng.standard_normal((3, 5))
-        T = rng.random((5, 5))
-        T = T + T.T
-        loss, dZ = obj.reconstruction_loss(Z, T, k=1.5, mode="inner")
-        assert loss == pytest.approx(float(((1.5 * T - Z.T @ Z) ** 2).sum()))
-        fd = central_diff(lambda z: obj.reconstruction_loss(z, T, 1.5, mode="inner")[0], Z)
-        assert max_rel_err(dZ, fd) < 1e-5
-
-    def test_bad_mode_and_shape(self):
-        with pytest.raises(ParameterError):
-            obj.reconstruction_loss(np.ones((2, 2)), np.ones((2, 2)), 1.0, mode="l1")
+    def test_bad_shape(self):
         with pytest.raises(ShapeError):
             obj.reconstruction_loss(np.ones((2, 3)), np.ones((2, 2)), 1.0)
 
 
-def kernel_target(Xatt, Y, target):
-    """The n x n matrix fit reconstructs for a kernel target: its graph variant's similarity."""
-    part = obj.RECON_PARTS.get(target)
-    return None if part is None else sg.similarity(Xatt, Y, sg.GraphConfig(variant=part))[0]
+def recon_target(Xatt, Y, target):
+    """What fit reconstructs under `target`: the tags' Gram matrix, or the features' kernel."""
+    return obj.TagGram(Y) if target == "aux" else sg.visual_similarity(Xatt)[0]
 
 
-def dense_reconstruction_loss(Z, T, k, mode):
+def dense_reconstruction_loss(Z, T, k):
     """The reconstruction loss and its gradient with every n x n matrix formed whole."""
-    if mode == "inner":
-        R = k * T - Z.T @ Z
-        return float((R**2).sum()), -2.0 * Z @ (R + R.T)
     norms = np.sqrt((Z**2).sum(axis=0))
     safe = np.where(norms > 0, norms, 1.0)
     N = Z / safe
@@ -107,11 +91,9 @@ def dense_reconstruction_loss(Z, T, k, mode):
 
 
 class TestPanelledReconstruction:
-    # the 'aux' target in 'inner' mode is the 'inner-product' target
     @pytest.mark.parametrize("n", [1, obj.PANEL - 1, obj.PANEL, obj.PANEL + 1, 3 * obj.PANEL + 7])
-    @pytest.mark.parametrize("mode", ["cosine", "inner"])
     @pytest.mark.parametrize("part", ["aux", "visual", "augmented"])
-    def test_matches_dense(self, part, mode, n):
+    def test_matches_dense(self, part, n):
         rng = np.random.default_rng(n)
         Y = (rng.random((3, n)) < 0.4).astype(np.float64)
         Sv, _ = sg.visual_similarity(rng.standard_normal((5, n)), bandwidth=2.0)
@@ -119,16 +101,13 @@ class TestPanelledReconstruction:
                          "augmented": (Sv + Y.T @ Y,) * 2}[part]
         Z = rng.standard_normal((4, n))
         Z[:, 1::5] = 0.0
-        loss, dZ = obj.reconstruction_loss(Z, target, 1.5, mode=mode)
-        want, dZ_want = dense_reconstruction_loss(Z, dense, 1.5, mode)
+        loss, dZ = obj.reconstruction_loss(Z, target, 1.5)
+        want, dZ_want = dense_reconstruction_loss(Z, dense, 1.5)
         assert loss == pytest.approx(want, rel=1e-12)
         assert np.allclose(dZ, dZ_want, rtol=1e-10, atol=1e-12 * np.abs(dZ_want).max())
-        if mode == "cosine":  # a zero column has cosine 0 with everything and no gradient
-            assert not dZ[:, 1::5].any()
+        assert not dZ[:, 1::5].any()  # a zero column has cosine 0 with everything and no gradient
 
-
-    @pytest.mark.parametrize("mode", ["cosine", "inner"])
-    def test_tag_gram_matches_its_array_bit_for_bit(self, mode):
+    def test_tag_gram_matches_its_array_bit_for_bit(self):
         # a TagGram's fresh panels are scaled in place, an array target's rows
         # are copied: the same loss and gradient, and the array is left unchanged
         rng = np.random.default_rng(9)
@@ -137,34 +116,10 @@ class TestPanelledReconstruction:
         dense = Y.T @ Y
         kept = dense.copy()
         Z = rng.standard_normal((4, n))
-        loss, dZ = obj.reconstruction_loss(Z, obj.TagGram(Y), 1.5, mode=mode)
-        want, dZ_want = obj.reconstruction_loss(Z, dense, 1.5, mode=mode)
+        loss, dZ = obj.reconstruction_loss(Z, obj.TagGram(Y), 1.5)
+        want, dZ_want = obj.reconstruction_loss(Z, dense, 1.5)
         assert loss == want and dZ.tobytes() == dZ_want.tobytes()
         assert np.array_equal(dense, kept)
-
-
-class TestFeatureReconstruction:
-    def test_exact_decoder(self):
-        Z = np.array([[1.0, -1.0]])
-        dec = DecoderParams(Wd=np.array([[2.0], [0.0]]))
-        Xatt = dec.Wd @ Z
-        loss, dZ, dWd = obj.feature_reconstruction_loss(Z, Xatt, dec)
-        assert loss == 0.0
-        assert np.array_equal(dZ, np.zeros_like(Z))
-        assert np.array_equal(dWd, np.zeros_like(dec.Wd))
-
-    def test_gradients(self):
-        rng = np.random.default_rng(3)
-        Z = rng.standard_normal((4, 6))
-        Xatt = rng.standard_normal((5, 6))
-        dec = DecoderParams(Wd=rng.standard_normal((5, 4)))
-        _, dZ, dWd = obj.feature_reconstruction_loss(Z, Xatt, dec)
-        fd_z = central_diff(lambda z: obj.feature_reconstruction_loss(z, Xatt, dec)[0], Z)
-        fd_w = central_diff(
-            lambda w: obj.feature_reconstruction_loss(Z, Xatt, DecoderParams(Wd=w))[0], dec.Wd
-        )
-        assert max_rel_err(dZ, fd_z) < 1e-5
-        assert max_rel_err(dWd, fd_w) < 1e-5
 
 
 class TestClassificationLoss:
@@ -202,8 +157,9 @@ class TestHyperparams:
             obj.Hyperparams(lambda1=-1.0)
         with pytest.raises(ParameterError):
             obj.Hyperparams(k=0.0)
-        with pytest.raises(ParameterError):
-            obj.Hyperparams(recon_target="l2")
+        for target in ("l2", "augmented", "inner-product", "feature"):  # the last three were targets once
+            with pytest.raises(ParameterError, match=f"unknown recon_target '{target}'"):
+                obj.Hyperparams(recon_target=target)
 
     def test_total_weighting(self):
         hp = obj.Hyperparams(lambda1=2.0, lambda2=3.0, lambda3=4.0)
@@ -247,37 +203,18 @@ class TestBackpropAll:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("target", obj.RECON_TARGETS)
     def test_gcn_gradients_take_the_forward_dtype(self, dtype, target):
-        # the GCN gradients follow S~ and the layers; the head's and the decoder's
-        # follow their float64 parameters, and the losses are floats
+        # the GCN gradients follow S~ and the layers; the head's follow its
+        # float64 parameters, and the losses are floats
         inst = small_instance(24, hp=obj.Hyperparams(recon_target=target))
         Xatt, St = inst.Xatt.astype(dtype), inst.St.astype(dtype)
         gcn = GcnParams(inst.gcn.W1.astype(dtype), inst.gcn.W2.astype(dtype))
-        recon = kernel_target(Xatt, inst.Y, target)
-        decoder = net.init_decoder(Xatt.shape[0], inst.B.shape[0], 3)
         H = Xatt @ St
-        bd, grads = obj.backprop_all(Xatt, H, net.gcn_layers(H, St, gcn), St, inst.Y, inst.B, gcn,
-                                     inst.head, inst.hp, recon_matrix=recon,
-                                     decoder=decoder)
-        assert grads["W1"].dtype == grads["W2"].dtype == dtype
-        assert all(grads[name].dtype == np.float64 for name in grads if name not in ("W1", "W2"))
-        assert set(grads) == {"W1", "W2", "Wc"} | ({"Wd"} if target == "feature" else set())
+        bd, grads = obj.backprop_all(H, net.gcn_layers(H, St, gcn), St, recon_target(Xatt, inst.Y, target),
+                                     inst.Y, inst.B, gcn, inst.head, inst.hp)
+        assert grads["W1"].dtype == grads["W2"].dtype == dtype and grads["Wc"].dtype == np.float64
+        assert set(grads) == {"W1", "W2", "Wc"}
         assert all(type(value) is float for value in vars(bd).values())
         if dtype == np.float32:  # the float32 gradients are the float64 ones to float32 rounding
-            _, want = obj.backprop_all(inst.Xatt, inst.Xatt @ inst.St, net.gcn_layers(
-                inst.Xatt @ inst.St, inst.St, inst.gcn), inst.St, inst.Y, inst.B, inst.gcn,
-                inst.head, inst.hp, decoder=decoder,
-                recon_matrix=kernel_target(inst.Xatt, inst.Y, target))
+            _, want = backprop(inst, target=recon_target(inst.Xatt, inst.Y, target))
             for name in ("W1", "W2"):
                 assert np.abs(grads[name] - want[name]).max() <= 1e-4 * np.abs(want[name]).max()
-
-    def test_feature_target_requires_decoder(self):
-        inst = small_instance(22, hp=obj.Hyperparams(recon_target="feature"))
-        with pytest.raises(ParameterError):
-            backprop(inst)
-
-    def test_missing_recon_matrix(self):
-        # the kernel targets read an n x n matrix; 'aux' and 'inner-product' form theirs from Y
-        for target in obj.RECON_PARTS:
-            inst = small_instance(23, hp=obj.Hyperparams(recon_target=target))
-            with pytest.raises(ParameterError):
-                backprop(inst)

@@ -286,7 +286,7 @@ class TestEvaluate:
         L = np.ones((1, 3))
         with pytest.warns(UserWarning, match="clamping"):
             rep = rt.evaluate(rt.pack(B[:, :1]), rt.pack(B), L[:, :1], L, K=100)
-        assert rep.map_at_k == 1.0
+        assert rep.map_at_k == 1.0 and rep.k == 3
 
     def test_multilabel_relevance_rule(self):
         # relevance iff label vectors share at least one category
@@ -328,6 +328,7 @@ class TestEvaluate:
         with clamped:
             rep = rt.evaluate(query, db, Lq, Ld, K=K, curve_points=curve, denominator=denominator)
         K = min(K, n_db)
+        assert rep.k == K
         points = sorted({min(k, n_db) for k in curve})
         aps, precs = [], np.zeros(len(points))
         for q in range(n_query):
@@ -420,14 +421,14 @@ class TestFiles:
 
     def test_report_files(self, tmp_path):
         rep = rt.EvalReport(
-            map_at_k=0.75, precision_curve=[(1, 1.0), (5, 0.6)],
+            k=5, map_at_k=0.75, precision_curve=[(1, 1.0), (5, 0.6)],
             per_query_ap=[1.0, 0.5],
         )
         jp, cp = tmp_path / "r.json", tmp_path / "r.csv"
         rt.save_report(jp, cp, rep)
         payload = json.loads(jp.read_text())
-        assert set(payload) == {"map_at_k", "precision_curve", "per_query_ap"}  # no timing
-        assert payload["map_at_k"] == 0.75
+        assert set(payload) == {"k", "map_at_k", "precision_curve", "per_query_ap"}  # no timing
+        assert payload["k"] == 5 and payload["map_at_k"] == 0.75
         assert payload["precision_curve"] == [[1, 1.0], [5, 0.6]]
         lines = cp.read_text().splitlines()
         assert lines[0] == "K,precision"

@@ -167,6 +167,13 @@ class TestTrainConfig:
             TrainConfig(lr=0.0)
         with pytest.raises(ParameterError):
             TrainConfig(epochs=0)
+        with pytest.raises(ParameterError, match="epochs must be an integer >= 1, got 2.5"):
+            TrainConfig(epochs=2.5)
+        with pytest.raises(ParameterError, match="seed must be an integer >= 0, got -1"):
+            TrainConfig(seed=-1)
+        with pytest.raises(ParameterError, match="seed must be an integer >= 0, got 0.5"):
+            TrainConfig(seed=0.5)
+        assert TrainConfig(epochs=np.int64(2), seed=np.uint32(7)).seed == 7
 
 
 class TestFit:
@@ -209,36 +216,42 @@ class TestFit:
         with pytest.raises(ParameterError, match=f"train index {index} is out of range for 40 items"):
             trainer.fit(fm, aux, [0, 1, index, 2], r=4, d_prime=8, hidden=8)
 
+    @pytest.mark.parametrize("train_idx, error, message", [
+        ([0.5, 1.7], ParameterError, "train indices must be integers, got dtype float64"),
+        ([True, False, True], ParameterError, "train indices must be integers, got dtype bool"),
+        ([[0, 1], [2, 3]], ShapeError, r"train indices must be 1-D, got shape \(2, 2\)"),
+    ], ids=["fractional", "boolean", "two-dimensional"])
+    def test_malformed_train_indices(self, train_idx, error, message):
+        fm, aux, _ = synth_dataset(n=40, d=4, c=2, sep=1.0, label_noise=0.0, seed=0)
+        with pytest.raises(error, match=message):
+            trainer.fit(fm, aux, train_idx, r=4, d_prime=8, hidden=8)
+
     def test_each_epoch_steps_every_parameter_once(self):
         # the registry's arrays are stepped in place, each once per epoch with t == epoch:
-        # the GCN's W1 and W2, the head's Wc and, under the feature target, the
-        # decoder's Wd; the attention projections stay fixed
+        # the GCN's W1 and W2 and the head's Wc; the attention projections stay fixed
         parameters = net.parameters
-        for target, extra in (("aux", set()), ("feature", {"Wd"})):
-            steps, ends, registries = [], [0], []
+        steps, ends, registries = [], [0], []
 
-            def record(param, grad, state, t, lr):
-                steps.append((id(param), t))
-                adam_step(param, grad, state, t, lr)
+        def record(param, grad, state, t, lr):
+            steps.append((id(param), t))
+            adam_step(param, grad, state, t, lr)
 
-            def spy(*groups):
-                registries.append(parameters(*groups))
-                return registries[-1]
+        def spy(*groups):
+            registries.append(parameters(*groups))
+            return registries[-1]
 
-            with mock.patch.object(trainer, "adam_step", record), mock.patch.object(net, "parameters", spy):
-                _, _, _, model, _ = tiny_fit(
-                    hyper=obj.Hyperparams(recon_target=target),
-                    epoch_callback=lambda epoch, _: ends.append(len(steps)))
-            assert len(registries) == 1
-            names = {id(param): name for name, param in registries[0].items()}
-            ids = {param for param, _ in steps}
-            assert {names[param] for param in ids} == {"W1", "W2", "Wc"} | extra
-            assert names[id(model.gcn.W1)] == "W1" and names[id(model.gcn.W2)] == "W2"
-            assert id(model.attention.P_x) not in ids and id(model.attention.P_y) not in ids
-            for epoch in (1, 2, 3):
-                stepped = steps[ends[epoch - 1]:ends[epoch]]
-                assert sorted(stepped) == sorted((param, epoch) for param in ids)
-            assert ends[-1] == len(steps)
+        with mock.patch.object(trainer, "adam_step", record), mock.patch.object(net, "parameters", spy):
+            _, _, _, model, _ = tiny_fit(epoch_callback=lambda epoch, _: ends.append(len(steps)))
+        assert len(registries) == 1
+        names = {id(param): name for name, param in registries[0].items()}
+        ids = {param for param, _ in steps}
+        assert {names[param] for param in ids} == {"W1", "W2", "Wc"}
+        assert names[id(model.gcn.W1)] == "W1" and names[id(model.gcn.W2)] == "W2"
+        assert id(model.attention.P_x) not in ids and id(model.attention.P_y) not in ids
+        for epoch in (1, 2, 3):
+            stepped = steps[ends[epoch - 1]:ends[epoch]]
+            assert sorted(stepped) == sorted((param, epoch) for param in ids)
+        assert ends[-1] == len(steps)
 
     def test_identity_basis_is_a_fit_without_the_basis(self, tmp_path):
         # d + c = 8 = d': the basis is the identity, so training starts from the
@@ -283,7 +296,7 @@ class TestFit:
         backprop_all, first = obj.backprop_all, []
 
         def first_step(*args, **kwargs):  # the layers the first step differentiates
-            first.append(args[2][1].copy())
+            first.append(args[1][1].copy())
             return backprop_all(*args, **kwargs)
 
         with mock.patch.object(obj, "backprop_all", first_step):
@@ -318,25 +331,26 @@ class TestFit:
                 assert model.graph_cfg.bandwidth == sg.visual_similarity(xatt)[1]
             else:  # no kernel in the graph, whatever kernel the loss reconstructs
                 assert model.graph_cfg.bandwidth is None
-        _, _, _, _, history = tiny_fit(hyper=obj.Hyperparams(recon_target="feature"))
-        assert all(np.isfinite(b.total) for b in history)
 
-    @pytest.mark.parametrize("recon_target", list(obj.RECON_PARTS))
-    def test_kernel_target_is_its_variants_similarity(self, recon_target):
-        # built once after the graph, from the bandwidth the graph resolved
+    @pytest.mark.parametrize("recon_target", obj.RECON_TARGETS)
+    def test_reconstruction_target_is_built_once(self, recon_target):
+        # the tags' Gram matrix, or the kernel under the bandwidth the graph resolved
         targets, backprop_all = [], obj.backprop_all
 
-        def spy(*args, **kwargs):
-            targets.append(kwargs["recon_matrix"])
-            return backprop_all(*args, **kwargs)
+        def spy(*args):
+            targets.append(args[3])
+            return backprop_all(*args)
 
         with mock.patch.object(obj, "backprop_all", spy):
             fm, aux, split, model, _ = tiny_fit(hyper=obj.Hyperparams(recon_target=recon_target))
         X, Y = fm.data[:, split.train], aux.data[:, split.train]
         xatt = att.denoise(X, Y, att.init_attention(fm.d, aux.c, 8, 0)).astype(trainer.COMPUTE_DTYPE)
-        want, sigma = sg.similarity(xatt, Y, sg.GraphConfig(variant=obj.RECON_PARTS[recon_target]))
-        assert sigma == model.graph_cfg.bandwidth and len(targets) == 3
-        assert all(target is targets[0] for target in targets) and np.array_equal(targets[0], want)
+        assert len(targets) == 3 and all(target is targets[0] for target in targets)
+        if recon_target == "aux":
+            assert isinstance(targets[0], obj.TagGram) and np.array_equal(targets[0].Y, Y)
+        else:
+            want, sigma = sg.visual_similarity(xatt)
+            assert sigma == model.graph_cfg.bandwidth and np.array_equal(targets[0], want)
 
     def test_working_set(self):
         # training holds S~ but no n x n reconstruction target: the aux target is
@@ -409,7 +423,7 @@ class TestFit:
         # the graph is built once, from the attentive features; the reference
         # forward runs in fit's dtype, so it is fit's own
         cfg = TrainConfig(epochs=3, lr=1e-3, seed=9)
-        fm, aux, split, model, _ = tiny_fit(seed=9, hyper=obj.Hyperparams(recon_target="feature"), cfg=cfg)
+        fm, aux, split, model, _ = tiny_fit(seed=9, hyper=obj.Hyperparams(recon_target="visual"), cfg=cfg)
         X, Y = fm.data[:, split.train], aux.data[:, split.train]
         xatt = att.denoise(X, Y, model.attention).astype(trainer.COMPUTE_DTYPE)
         St, _, _ = sg.build_graph(xatt, Y, model.graph_cfg)
@@ -596,7 +610,7 @@ def variant_models():
 @pytest.fixture(scope="module")
 def saved_checkpoint(tmp_path_factory):
     """The bytes of a saved model, and a path for damaged copies."""
-    _, _, _, model, _ = tiny_fit(seed=18, hyper=obj.Hyperparams(recon_target="feature"))
+    _, _, _, model, _ = tiny_fit(seed=18, hyper=obj.Hyperparams(recon_target="visual"))
     path = tmp_path_factory.mktemp("checkpoint") / "model.bin"
     trainer.save_model(path, model)
     return path.read_bytes(), path.with_name("cut.bin")
