@@ -88,17 +88,16 @@ def denoise(X, Y, params):
     return mix + Xbar
 
 
-def basis(params, use_attention=True):
-    """Q, d' x k with orthonormal columns, whose span holds every attentive feature; None when k = d'.
+def basis(params):
+    """Q, d' x k with orthonormal columns, whose span holds every projected feature; None when k = d'.
 
     The projection P_x X lies in the span of P_x's d columns, and the
     attention's mix, a weighted mean of tag projections P_y y, in that of
-    P_y's c columns. So Q is the thin QR factor of [P_x, P_y] (of P_x alone
-    without attention), k = min(d', d + c) (or min(d', d)), and
-    Xatt = Q Q^T Xatt for the features of any items under these projections.
-    `fit` calls it once, to re-express the model it draws in these
-    coordinates; None, at k = d', stands for the identity.
+    P_y's c columns. So Q is the thin QR factor of [P_x, P_y],
+    k = min(d', d + c), and Xatt = Q Q^T Xatt for the features of any items
+    under these projections, with or without the attention. `fit` calls it
+    once, to re-express the model it draws in these coordinates; None, at
+    k = d', stands for the identity.
     """
-    M = np.hstack([params.P_x, params.P_y]) if use_attention else params.P_x
+    M = np.hstack([params.P_x, params.P_y])
     return np.linalg.qr(M)[0] if M.shape[1] < M.shape[0] else None
-

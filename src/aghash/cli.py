@@ -8,6 +8,7 @@ import argparse
 import os
 import sys
 import time
+import warnings
 
 from . import __version__, manifest
 from .errors import AghashError, ConfigError, ParameterError, ShapeError
@@ -15,14 +16,14 @@ from .errors import AghashError, ConfigError, ParameterError, ShapeError
 _THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                 "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
 
-# --variant -> (graph variant, attention denoising, reconstruction target,
-# classification head kept)
+# --variant -> (graph variant, attention denoising); `trainer.fit` derives the
+# loss terms from the two
 _VARIANTS = {
-    "full": ("augmented", True, "aux", True),
-    "no-aux": ("visual-only", False, "visual", False),
-    "no-att": ("augmented", False, "aux", True),
-    "only-sv": ("visual-only", True, "aux", True),
-    "only-sa": ("aux-only", True, "aux", True),
+    "full": ("augmented", True),
+    "no-aux": ("visual-only", False),
+    "no-att": ("augmented", False),
+    "only-sv": ("visual-only", True),
+    "only-sa": ("aux-only", True),
 }
 
 
@@ -221,12 +222,11 @@ def _fit_kwargs(args):
     from .objective import Hyperparams
     from .trainer import TrainConfig
 
-    graph_variant, use_attention, recon, keep_head = _VARIANTS[args.variant]
+    graph_variant, use_attention = _VARIANTS[args.variant]
     return dict(
         r=args.r, d_prime=args.d_prime, hidden=args.hidden, use_attention=use_attention,
         graph_cfg=GraphConfig(mu=args.mu, bandwidth=args.bandwidth, variant=graph_variant),
-        hyper=Hyperparams(lambda1=args.lambda1, lambda2=args.lambda2,
-                          lambda3=args.lambda3 if keep_head else 0.0, k=args.k, recon_target=recon),
+        hyper=Hyperparams(lambda1=args.lambda1, lambda2=args.lambda2, lambda3=args.lambda3, k=args.k),
         cfg=TrainConfig(lr=args.lr, epochs=args.epochs, seed=args.seed),
     )
 
@@ -381,18 +381,20 @@ _COMMANDS = {
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    try:
-        if args.config:
-            _apply_config(args)
-        if args.threads is not None:  # before a command imports numpy
-            if args.threads < 1:  # OpenBLAS reads a count below 1 as "use every core"
-                raise ConfigError(f"threads must be >= 1, got {args.threads}")
-            for var in _THREAD_VARS:
-                os.environ[var] = str(args.threads)
-        return _COMMANDS[args.command](args)
-    except (AghashError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    with warnings.catch_warnings():  # one `warning:` line each; the caller's display returns after
+        warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+        try:
+            if args.config:
+                _apply_config(args)
+            if args.threads is not None:  # before a command imports numpy
+                if args.threads < 1:  # OpenBLAS reads a count below 1 as "use every core"
+                    raise ConfigError(f"threads must be >= 1, got {args.threads}")
+                for var in _THREAD_VARS:
+                    os.environ[var] = str(args.threads)
+            return _COMMANDS[args.command](args)
+        except (AghashError, OSError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
 
 
 if __name__ == "__main__":

@@ -15,6 +15,14 @@ BINARY_VERSION = 1
 _HEADER = struct.Struct("<4sIII")  # magic, version, d, n
 # whitespace to numpy's text reader, but not to float()
 _READER_ONLY_SPACE = "\x1c\x1d\x1e\x1f"
+SUBSETS = ("train", "query", "retrieval")  # a split's index sets
+
+
+def reject_entries(bad, message):
+    """DataError with `message` formatted by the row and column of the first True entry of `bad`."""
+    where = np.argwhere(bad)
+    if where.size:
+        raise DataError(message.format(*where[0]))
 
 
 @dataclass(frozen=True)
@@ -27,10 +35,7 @@ class FeatureMatrix:
         data = np.ascontiguousarray(self.data, dtype=np.float64)
         if data.ndim != 2 or data.shape[0] < 1 or data.shape[1] < 1:
             raise ShapeError(f"feature matrix must be 2-D and non-empty, got shape {np.shape(self.data)}")
-        bad = np.argwhere(~np.isfinite(data))
-        if bad.size:
-            i, j = bad[0]
-            raise DataError(f"non-finite feature value at row {i}, column {j}")
+        reject_entries(~np.isfinite(data), "non-finite feature value at row {}, column {}")
         data.setflags(write=False)
         object.__setattr__(self, "data", data)
 
@@ -53,10 +58,7 @@ class AuxSemantics:
         data = np.ascontiguousarray(self.data, dtype=np.float64)
         if data.ndim != 2 or data.shape[0] < 1 or data.shape[1] < 1:
             raise ShapeError(f"aux matrix must be 2-D and non-empty, got shape {np.shape(self.data)}")
-        bad = np.argwhere((data != 0.0) & (data != 1.0))
-        if bad.size:
-            i, j = bad[0]
-            raise DataError(f"aux entry at row {i}, column {j} is not 0/1")
+        reject_entries((data != 0.0) & (data != 1.0), "aux entry at row {}, column {} is not 0/1")
         empty = np.flatnonzero(data.sum(axis=0) == 0)
         if empty.size:
             warnings.warn(
@@ -84,10 +86,10 @@ class DatasetSplit:
     retrieval: np.ndarray
 
     def __post_init__(self):
-        for name in ("train", "query", "retrieval"):
+        for name in SUBSETS:
             idx = np.asarray(getattr(self, name), dtype=np.int64)
             if idx.ndim != 1:
-                raise ShapeError(f"{name} indices must be 1-D")
+                raise ShapeError(f"{name} indices must be 1-D, got shape {idx.shape}")
             if idx.size and idx.min() < 0:
                 raise ParameterError(f"negative index in {name}")
             values, counts = np.unique(idx, return_counts=True)
@@ -276,11 +278,7 @@ def save_aux(path, aux):
 
 
 def save_split(path, split):
-    payload = {
-        "train": split.train.tolist(),
-        "query": split.query.tolist(),
-        "retrieval": split.retrieval.tolist(),
-    }
+    payload = {name: getattr(split, name).tolist() for name in SUBSETS}
     with open(path, "w", encoding="ascii") as fh:
         json.dump(payload, fh)
         fh.write("\n")
@@ -295,7 +293,7 @@ def load_split(path):
     if not isinstance(payload, dict):
         raise FormatError(f"{path}: split must be a JSON object")
     subsets = {}
-    for name in ("train", "query", "retrieval"):
+    for name in SUBSETS:
         if name not in payload:
             raise FormatError(f"{path}: missing split key {name!r}")
         values = payload[name]
@@ -333,10 +331,10 @@ def synth_dataset(n, d, c, sep, label_noise, seed):
 
     Returns (features, aux, truth) where truth holds the clean cluster one-hots.
     """
-    if c < 1 or n < c:
+    for name, size in (("n", n), ("d", d), ("c", c)):
+        require_integer(name, size, 1)
+    if n < c:
         raise ParameterError(f"need n >= c >= 1, got n={n}, c={c}")
-    if d < 1:
-        raise ParameterError(f"need d >= 1, got d={d}")
     if not (np.isfinite(sep) and sep >= 0):
         raise ParameterError(f"need a finite sep >= 0, got {sep}")
     if not 0.0 <= label_noise <= 1.0:
@@ -363,8 +361,8 @@ def make_split(n, sizes, seed, include_train_in_retrieval=True):
     include_train_in_retrieval=False to exclude them.
     """
     train_sz, query_sz = sizes
-    if train_sz < 0 or query_sz < 0:
-        raise ParameterError(f"split sizes must be nonnegative, got {sizes}")
+    for name, size in (("n", n), ("train size", train_sz), ("query size", query_sz)):
+        require_integer(name, size, 0)
     if train_sz + query_sz > n:
         raise ParameterError(f"train+query = {train_sz + query_sz} exceeds n = {n}")
     require_integer("seed", seed, 0)

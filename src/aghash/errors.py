@@ -44,7 +44,9 @@ def require_finite(config, *names):
             raise ParameterError(f"{name} must be finite, got {value}")
 
 
-def require_integer(name, value, minimum):
-    """Raise ParameterError unless `value` is an integer >= `minimum` (bool is not an integer here)."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
-        raise ParameterError(f"{name} must be an integer >= {minimum}, got {value!r}")
+def require_integer(name, value, minimum=None):
+    """Raise ParameterError unless `value` is an integer (bool is not one here), >= `minimum` when given."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or (minimum is not None and value < minimum)):
+        bound = "" if minimum is None else f" >= {minimum}"
+        raise ParameterError(f"{name} must be an integer{bound}, got {value!r}")

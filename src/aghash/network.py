@@ -10,7 +10,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import FormatError, ShapeError
+from .errors import FormatError, ShapeError, require_integer
 
 CHECKPOINT_MAGIC = b"AGCK"
 CHECKPOINT_VERSION = 6
@@ -34,6 +34,7 @@ class ClsHead:
 def init_params(d_prime, h, r, c, seed):
     """He-style init: Gaussian entries with std sqrt(2/fan_in); W1 is drawn h x d'."""
     for name, dim in (("d_prime", d_prime), ("hidden", h), ("r", r), ("c", c)):
+        require_integer(name, dim)
         if dim < 1:
             raise ShapeError(f"{name} must be >= 1, got {dim}")
     rng = np.random.default_rng(seed)

@@ -14,9 +14,6 @@ from . import attention as att
 from .errors import ParameterError, ShapeError, require_finite
 from .network import cls_forward
 
-# what the code cosines reconstruct: 'aux' the tags' Gram matrix Y^T Y (a
-# TagGram), 'visual' the n x n Gaussian kernel of the attentive features
-RECON_TARGETS = ("aux", "visual")
 # rows of the reconstruction target and of the code cosines formed at a time
 PANEL = 128
 
@@ -27,7 +24,6 @@ class Hyperparams:
     lambda2: float = 1.0
     lambda3: float = 1.0
     k: float = 1.0
-    recon_target: str = "aux"
 
     def __post_init__(self):
         require_finite(self, "lambda1", "lambda2", "lambda3", "k")
@@ -35,8 +31,6 @@ class Hyperparams:
             raise ParameterError("tradeoff weights must be >= 0")
         if self.k <= 0:
             raise ParameterError(f"k must be > 0, got {self.k}")
-        if self.recon_target not in RECON_TARGETS:
-            raise ParameterError(f"unknown recon_target {self.recon_target!r}")
 
 
 @dataclass(frozen=True)

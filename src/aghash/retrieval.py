@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import read_lines
-from .errors import DataError, FormatError, ParameterError, ShapeError
+from .errors import DataError, FormatError, ParameterError, ShapeError, require_integer
 
 _WORD_BITS = 64
 # evaluate scores and ranks a block of queries at once; this bounds the block's
@@ -147,6 +147,7 @@ def average_precision(ranking, relevance, K, denominator="min"):
     ranking = np.asarray(ranking)
     if relevance.shape[0] != ranking.shape[0]:
         raise ShapeError(f"relevance length {relevance.shape[0]} != db size {ranking.shape[0]}")
+    require_integer("K", K)
     if K < 1:
         raise ParameterError(f"K must be >= 1, got {K}")
     _check_denominator(denominator)
@@ -172,8 +173,11 @@ def evaluate(query_codes, db_codes, query_labels, db_labels, K=1000,
         raise ShapeError("query and db label matrices must share the category count")
     if query_labels.shape[1] != query_codes.n or db_labels.shape[1] != db_codes.n:
         raise ShapeError("label column counts must match code counts")
+    require_integer("K", K)
     if K < 1:
         raise ParameterError(f"K must be >= 1, got {K}")
+    for k in curve_points:
+        require_integer("curve point", k)
     _check_denominator(denominator)
 
     n_db = db_codes.n

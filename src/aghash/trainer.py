@@ -13,9 +13,8 @@ from . import graph as sg
 from . import network as net
 from . import objective as obj
 from . import retrieval
-from .data import _from_file
-from .errors import (DataError, FormatError, NumericError, ParameterError, ShapeError, require_finite,
-                     require_integer)
+from .data import DatasetSplit, _from_file, reject_entries
+from .errors import FormatError, NumericError, ParameterError, ShapeError, require_finite, require_integer
 
 QUERY_PANEL = 1024  # queries whose n-wide graph columns encode_queries holds at once
 # the dtype of the attentive features, the graph, both GCN layers, their
@@ -130,10 +129,10 @@ def fit(
     k = min(d', d + c) coordinates of the projections' span (`attention.basis`):
     the same model at step 0, since norms and cosines there do not change.
     Training and the returned model see only the k coordinates.
+    Codes that read no tags (no attention, no tag part in the graph) reconstruct
+    the visual kernel with no classification term; the others the tags' Gram matrix.
     """
     train_idx = np.asarray(train_idx)
-    if train_idx.ndim != 1:
-        raise ShapeError(f"train indices must be 1-D, got shape {train_idx.shape}")
     if train_idx.size == 0:
         raise ParameterError("training split is empty")
     if train_idx.dtype.kind not in "iu":  # a float or bool index would be truncated or read as 0/1
@@ -141,6 +140,7 @@ def fit(
     bad = train_idx[(train_idx < 0) | (train_idx >= features.n)]
     if bad.size:
         raise ParameterError(f"train index {bad[0]} is out of range for {features.n} items")
+    DatasetSplit(train_idx, (), ())  # a split's checks: 1-D, and no repeated item to be a duplicate node
     if features.n != aux.n:
         raise ShapeError(f"features have {features.n} items, aux has {aux.n}")
     X = features.data[:, train_idx]
@@ -149,7 +149,7 @@ def fit(
     # the network first: it checks the dimensions before any n x n work
     gcn, head = net.init_params(d_prime, hidden, r, aux.c, cfg.seed + 1)
     apar = att.init_attention(features.d, aux.c, d_prime, cfg.seed)
-    Q = att.basis(apar, use_attention)
+    Q = att.basis(apar)
     if Q is not None:  # P_x, P_y and W1 in the k coordinates, before the cast
         apar = att.AttentionParams(Q.T @ apar.P_x, Q.T @ apar.P_y)
         gcn.W1 = gcn.W1 @ Q
@@ -159,10 +159,11 @@ def fit(
     St, degrees, sigma = sg.build_graph(Xatt, Yt, graph_cfg)
     if sigma is not None:  # queries extend the graph with the training kernel
         graph_cfg = replace(graph_cfg, bandwidth=sigma)
-    if hyper.recon_target == "aux":
+    if use_attention or sg.PARTS[graph_cfg.variant][1]:  # the codes read the tags
         target = obj.TagGram(Yt)
-    else:  # the kernel under the training graph's bandwidth
+    else:  # no tags: the kernel under the training graph's bandwidth, and no classification term
         target = sg.visual_similarity(Xatt, graph_cfg.bandwidth)[0]
+        hyper = replace(hyper, lambda3=0.0)
 
     params = net.parameters(gcn, head)
     states = {name: AdamState.like(param) for name, param in params.items()}
@@ -216,11 +217,9 @@ def encode_queries(model, Xq, Yq):
         raise ShapeError(f"queries must be d x m with d = {model.attention.P_x.shape[1]}")
     if Yq.shape != (model.y_train.shape[0], Xq.shape[1]):
         raise ShapeError(f"query aux must be {model.y_train.shape[0]} x {Xq.shape[1]}, got {Yq.shape}")
-    for what, M in (("query features", Xq), ("query aux", Yq)):
-        bad = np.argwhere(~np.isfinite(M))
-        if bad.size:
-            i, j = bad[0]
-            raise DataError(f"non-finite {what} value at row {i}, column {j}")
+    reject_entries(~np.isfinite(Xq), "non-finite query features value at row {}, column {}")
+    reject_entries(~np.isfinite(Yq), "non-finite query aux value at row {}, column {}")
+    reject_entries((Yq != 0.0) & (Yq != 1.0), "query aux entry at row {}, column {} is not 0/1")
 
     xatt_q = _attentive(Xq, model.y_train, model.attention, model.use_attention)
     z_q = np.empty((model.r, Xq.shape[1]), dtype=COMPUTE_DTYPE)

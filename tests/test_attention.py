@@ -12,7 +12,9 @@ from aghash.attention import (
     init_attention,
     project,
 )
+from aghash.data import synth_dataset
 from aghash.errors import ShapeError
+from aghash.trainer import TrainConfig, fit
 
 
 def identity_denoise(Xbar, Ybar):
@@ -188,12 +190,12 @@ class TestInit:
 class TestBasis:
     @pytest.mark.parametrize("use_attention", [True, False])
     def test_orthonormal_columns_span_the_features(self, use_attention):
-        # k = d + c = 8 (d = 6 without attention) of d' = 32 columns, and
+        # k = d + c = 8 of d' = 32 columns, with or without the attention, and
         # Q Q^T Xatt = Xatt to float64 rounding for any items under the projections
         rng = np.random.default_rng(4)
         params = init_attention(6, 2, 32, seed=4)
-        Q = basis(params, use_attention)
-        assert Q.shape == (32, 8 if use_attention else 6) and Q.dtype == np.float64
+        Q = basis(params)
+        assert Q.shape == (32, 8) and Q.dtype == np.float64
         assert np.abs(Q.T @ Q - np.eye(Q.shape[1])).max() < 1e-14
         X, Y = rng.standard_normal((6, 50)), (rng.random((2, 50)) < 0.5).astype(np.float64)
         Xatt = denoise(X, Y, params) if use_attention else project(X, Y, params)[0]
@@ -205,7 +207,7 @@ class TestBasis:
         # norms and cosines Q keeps: the attention scores are the same
         rng = np.random.default_rng(6)
         params = init_attention(6, 2, 32, seed=6)
-        Q = basis(params, use_attention)
+        Q = basis(params)
         in_basis = AttentionParams(Q.T @ params.P_x, Q.T @ params.P_y)
         X, Y = rng.standard_normal((6, 50)), (rng.random((2, 50)) < 0.5).astype(np.float64)
         if use_attention:
@@ -219,4 +221,9 @@ class TestBasis:
 
     @pytest.mark.parametrize("d_prime, use_attention", [(8, True), (7, True), (6, False)])
     def test_identity_when_the_columns_reach_d_prime(self, d_prime, use_attention):
-        assert basis(init_attention(6, 2, d_prime, seed=0), use_attention) is None
+        # d + c = 8 >= d': fit keeps the drawn d'-wide model, with or without the attention
+        assert basis(init_attention(6, 2, d_prime, seed=0)) is None
+        fm, aux, _ = synth_dataset(n=12, d=6, c=2, sep=4.0, label_noise=0.0, seed=0)
+        model, _ = fit(fm, aux, np.arange(12), r=4, d_prime=d_prime, hidden=8, use_attention=use_attention,
+                       cfg=TrainConfig(epochs=1))
+        assert model.attention.P_x.shape == (d_prime, 6) and model.gcn.W1.shape == (8, d_prime)

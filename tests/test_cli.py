@@ -4,6 +4,7 @@ import os
 import struct
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -95,6 +96,25 @@ class TestTrain:
             "k", "mu", "bandwidth", "lr", "epochs", "variant"])
         assert man["config"]["d-prime"] == 16 and man["config"]["bandwidth"] is None
 
+    @pytest.mark.filterwarnings("always::UserWarning")
+    def test_library_warning_is_one_line(self, tmp_path, capsys):
+        # noisy tags leave items with none: the loader's warning is one `warning:` line on
+        # stderr, and the caller's way of showing warnings is back in place afterwards
+        assert cli.main(["synth", "--out", str(tmp_path), "--n", "40", "--d", "4", "--c", "2",
+                         "--noise", "0.5", "--train-size", "20", "--query-size", "10", "--seed", "1"]) == 0
+        tags = np.loadtxt(tmp_path / "aux.txt", delimiter=",", skiprows=1)
+        empty = np.flatnonzero(tags.sum(axis=0) == 0)
+        assert empty.size
+        capsys.readouterr()
+        shown = warnings.showwarning
+        code, captured = run(["train", "--features", str(tmp_path / "features.txt"),
+                              "--aux", str(tmp_path / "aux.txt"), "--split", str(tmp_path / "split.json"),
+                              "--out", str(tmp_path), "--r", "4", "--d-prime", "8", "--hidden", "8",
+                              "--epochs", "2"], capsys)
+        assert code == 0 and warnings.showwarning is shown
+        assert captured.err == (f"warning: {tmp_path / 'aux.txt'}: {empty.size} item(s) have no auxiliary "
+                                f"semantics (first: column {empty[0]})\n")
+
     def test_variant_flag(self, pipeline, tmp_path):
         args = [
             "train", "--features", str(pipeline / "features.txt"),
@@ -106,8 +126,6 @@ class TestTrain:
         assert json.loads((tmp_path / "manifest.json").read_text())["config"]["variant"] == "no-aux"
         kwargs = cli._fit_kwargs(cli.build_parser().parse_args(args))
         assert kwargs["graph_cfg"].variant == "visual-only"
-        assert kwargs["hyper"].lambda3 == 0.0
-        assert kwargs["hyper"].recon_target == "visual"
         model = load_model(tmp_path / "checkpoint.bin")
         assert model.graph_cfg.variant == "visual-only"
         assert not model.use_attention and not kwargs["use_attention"]
@@ -249,20 +267,21 @@ class TestEvaluate:
         assert len(curve) == 4
         assert json.loads((tmp_path / "report.manifest.json").read_text())["seed"] is None
 
+    @pytest.mark.filterwarnings("always::UserWarning")
     def test_clamped_k_is_the_k_reported(self, pipeline, tmp_path, capsys):
-        # a K beyond the 50-item database is scored, printed and saved as 50
+        # a K beyond the 50-item database is scored, printed and saved as 50, with one warning line
         q = TestEncode().encode(pipeline, tmp_path, "query",
                                 extra=["--labels", str(pipeline / "labels.txt"),
                                        "--labels-out", str(tmp_path / "ql.txt")])
         db = TestEncode().encode(pipeline, tmp_path, "retrieval",
                                  extra=["--labels", str(pipeline / "labels.txt"),
                                         "--labels-out", str(tmp_path / "dbl.txt")])
-        with pytest.warns(UserWarning, match="K=100000 exceeds database size 50; clamping"):
-            code, captured = run([
-                "evaluate", "--query-codes", str(q), "--db-codes", str(db),
-                "--query-labels", str(tmp_path / "ql.txt"), "--db-labels", str(tmp_path / "dbl.txt"),
-                "--k", "100000", "--out-prefix", str(tmp_path / "report"),
-            ], capsys)
+        code, captured = run([
+            "evaluate", "--query-codes", str(q), "--db-codes", str(db),
+            "--query-labels", str(tmp_path / "ql.txt"), "--db-labels", str(tmp_path / "dbl.txt"),
+            "--k", "100000", "--out-prefix", str(tmp_path / "report"),
+        ], capsys)
+        assert captured.err == "warning: K=100000 exceeds database size 50; clamping\n"
         assert code == 0 and captured.out.splitlines()[-1].startswith("evaluate: MAP@50 = ")
         assert json.loads((tmp_path / "report.json").read_text())["k"] == 50
 

@@ -73,7 +73,7 @@ class TestReconstructionLoss:
 
 
 def recon_target(Xatt, Y, target):
-    """What fit reconstructs under `target`: the tags' Gram matrix, or the features' kernel."""
+    """The target `fit` builds, by kind: 'aux' the tags' Gram matrix, 'visual' the features' kernel."""
     return obj.TagGram(Y) if target == "aux" else sg.visual_similarity(Xatt)[0]
 
 
@@ -150,16 +150,12 @@ class TestHyperparams:
     def test_defaults(self):
         hp = obj.Hyperparams()
         assert (hp.lambda1, hp.lambda2, hp.lambda3, hp.k) == (100.0, 1.0, 1.0, 1.0)
-        assert hp.recon_target == "aux"
 
     def test_validation(self):
         with pytest.raises(ParameterError):
             obj.Hyperparams(lambda1=-1.0)
         with pytest.raises(ParameterError):
             obj.Hyperparams(k=0.0)
-        for target in ("l2", "augmented", "inner-product", "feature"):  # the last three were targets once
-            with pytest.raises(ParameterError, match=f"unknown recon_target '{target}'"):
-                obj.Hyperparams(recon_target=target)
 
     def test_total_weighting(self):
         hp = obj.Hyperparams(lambda1=2.0, lambda2=3.0, lambda3=4.0)
@@ -201,11 +197,11 @@ class TestBackpropAll:
         assert max_rel_err(grads["W1"], fd_w1) < 1e-4
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("target", obj.RECON_TARGETS)
+    @pytest.mark.parametrize("target", ["aux", "visual"])
     def test_gcn_gradients_take_the_forward_dtype(self, dtype, target):
         # the GCN gradients follow S~ and the layers; the head's follow its
         # float64 parameters, and the losses are floats
-        inst = small_instance(24, hp=obj.Hyperparams(recon_target=target))
+        inst = small_instance(24)
         Xatt, St = inst.Xatt.astype(dtype), inst.St.astype(dtype)
         gcn = GcnParams(inst.gcn.W1.astype(dtype), inst.gcn.W2.astype(dtype))
         H = Xatt @ St

@@ -226,6 +226,12 @@ class TestFit:
         with pytest.raises(error, match=message):
             trainer.fit(fm, aux, train_idx, r=4, d_prime=8, hidden=8)
 
+    def test_repeated_train_index(self):
+        # DatasetSplit's index-set check: a repeated item would be a duplicate graph node
+        fm, aux, _ = synth_dataset(n=40, d=4, c=2, sep=1.0, label_noise=0.0, seed=0)
+        with pytest.raises(ParameterError, match="^train index 3 is repeated$"):
+            trainer.fit(fm, aux, [5, 3, 0, 3, 1, 5], r=4, d_prime=8, hidden=8)
+
     def test_each_epoch_steps_every_parameter_once(self):
         # the registry's arrays are stepped in place, each once per epoch with t == epoch:
         # the GCN's W1 and W2 and the head's Wc; the attention projections stay fixed
@@ -289,9 +295,9 @@ class TestFit:
 
     @pytest.mark.parametrize("use_attention", [False, True])
     def test_basis_path_is_the_full_width_model(self, use_attention):
-        # d + c = 8 < d' = 32 (d = 6 < d' without attention): fit re-expresses the
-        # projections and W1 in k coordinates, and its first outputs Z are those of
-        # the d'-wide model drawn from the same seeds, to float32 rounding
+        # d + c = 8 < d' = 32: fit re-expresses the projections and W1 in k = 8
+        # coordinates, with or without the attention, and its first outputs Z are
+        # those of the d'-wide model drawn from the same seeds, to float32 rounding
         seed, dtype = 22, trainer.COMPUTE_DTYPE
         backprop_all, first = obj.backprop_all, []
 
@@ -302,9 +308,8 @@ class TestFit:
         with mock.patch.object(obj, "backprop_all", first_step):
             fm, aux, split, model, _ = tiny_fit(seed=seed, d_prime=32, use_attention=use_attention,
                                                 cfg=TrainConfig(epochs=1, lr=1e-3, seed=seed))
-        k = 8 if use_attention else 6
-        assert model.attention.P_x.shape == (k, 6) and model.attention.P_y.shape == (k, 2)
-        assert model.gcn.W1.shape == (8, k) and model.xatt_train.shape == (k, 16)
+        assert model.attention.P_x.shape == (8, 6) and model.attention.P_y.shape == (8, 2)
+        assert model.gcn.W1.shape == (8, 8) and model.xatt_train.shape == (8, 16)
         X, Y = fm.data[:, split.train], aux.data[:, split.train]
         apar = att.init_attention(6, 2, 32, seed)
         xatt = (att.denoise(X, Y, apar) if use_attention else att.project(X, Y, apar)[0]).astype(dtype)
@@ -318,39 +323,41 @@ class TestFit:
         tiny_fit(epoch_callback=lambda e, b: seen.append(e))
         assert seen == [1, 2, 3]
 
-    def test_variant_fits_run(self):
-        for gv, rt in (("aux-only", "aux"), ("visual-only", "visual"), ("aux-only", "visual")):
-            fm, aux, split, model, history = tiny_fit(
-                graph_cfg=sg.GraphConfig(variant=gv), hyper=obj.Hyperparams(recon_target=rt),
-            )
+    def test_variant_fits_run(self, variant_models):
+        for variant in cli._VARIANTS:
+            _, _, _, model, history = variant_models[variant]
             assert np.isfinite(history[-1].total)
-            if gv == "visual-only":  # the graph's kernel resolves the bandwidth
-                X, Y = fm.data[:, split.train], aux.data[:, split.train]
-                xatt = att.denoise(X, Y, att.init_attention(fm.d, aux.c, 8, 0))
-                xatt = xatt.astype(trainer.COMPUTE_DTYPE)
-                assert model.graph_cfg.bandwidth == sg.visual_similarity(xatt)[1]
-            else:  # no kernel in the graph, whatever kernel the loss reconstructs
+            if sg.PARTS[model.graph_cfg.variant][0]:  # the graph's kernel resolves the bandwidth
+                assert model.graph_cfg.bandwidth == sg.visual_similarity(model.xatt_train)[1]
+            else:
                 assert model.graph_cfg.bandwidth is None
 
-    @pytest.mark.parametrize("recon_target", obj.RECON_TARGETS)
-    def test_reconstruction_target_is_built_once(self, recon_target):
-        # the tags' Gram matrix, or the kernel under the bandwidth the graph resolved
-        targets, backprop_all = [], obj.backprop_all
+    @pytest.mark.parametrize("variants", [
+        pytest.param(["full", "no-att", "only-sv", "only-sa"], id="aux"),
+        pytest.param(["no-aux"], id="visual"),
+    ])
+    def test_reconstruction_target_is_built_once(self, variants):
+        # codes that read the tags, through the attention or the graph, reconstruct
+        # their Gram matrix; codes that read none reconstruct the kernel under the
+        # bandwidth the graph resolved, and have no classification term
+        for variant in variants:
+            calls, backprop_all = [], obj.backprop_all
 
-        def spy(*args):
-            targets.append(args[3])
-            return backprop_all(*args)
+            def spy(*args):
+                calls.append(args)
+                return backprop_all(*args)
 
-        with mock.patch.object(obj, "backprop_all", spy):
-            fm, aux, split, model, _ = tiny_fit(hyper=obj.Hyperparams(recon_target=recon_target))
-        X, Y = fm.data[:, split.train], aux.data[:, split.train]
-        xatt = att.denoise(X, Y, att.init_attention(fm.d, aux.c, 8, 0)).astype(trainer.COMPUTE_DTYPE)
-        assert len(targets) == 3 and all(target is targets[0] for target in targets)
-        if recon_target == "aux":
-            assert isinstance(targets[0], obj.TagGram) and np.array_equal(targets[0].Y, Y)
-        else:
-            want, sigma = sg.visual_similarity(xatt)
-            assert sigma == model.graph_cfg.bandwidth and np.array_equal(targets[0], want)
+            with mock.patch.object(obj, "backprop_all", spy):
+                fm, aux, split, model, _ = flags_fit(0, "--variant", variant)
+            target, hyper = calls[0][3], calls[0][8]
+            assert len(calls) == 3 and all(args[3] is target and args[8] is hyper for args in calls)
+            if variant == "no-aux":
+                want, sigma = sg.visual_similarity(model.xatt_train)
+                assert sigma == model.graph_cfg.bandwidth and np.array_equal(target, want)
+                assert hyper == obj.Hyperparams(lambda3=0.0)
+            else:
+                assert isinstance(target, obj.TagGram) and np.array_equal(target.Y, aux.data[:, split.train])
+                assert hyper == obj.Hyperparams()
 
     def test_working_set(self):
         # training holds S~ but no n x n reconstruction target: the aux target is
@@ -423,7 +430,7 @@ class TestFit:
         # the graph is built once, from the attentive features; the reference
         # forward runs in fit's dtype, so it is fit's own
         cfg = TrainConfig(epochs=3, lr=1e-3, seed=9)
-        fm, aux, split, model, _ = tiny_fit(seed=9, hyper=obj.Hyperparams(recon_target="visual"), cfg=cfg)
+        fm, aux, split, model, _ = tiny_fit(seed=9, cfg=cfg)
         X, Y = fm.data[:, split.train], aux.data[:, split.train]
         xatt = att.denoise(X, Y, model.attention).astype(trainer.COMPUTE_DTYPE)
         St, _, _ = sg.build_graph(xatt, Y, model.graph_cfg)
@@ -461,7 +468,7 @@ class TestEncoding:
     def test_batch_codes_match_single_item_codes(self, variant_models, variant, data):
         # a bit may flip only where rounding differs between the batched and the
         # one-column products and the output is that close to 0
-        fm, aux, model = variant_models[variant]
+        fm, aux, _, model, _ = variant_models[variant]
         idx = data.draw(st.lists(st.integers(0, fm.n - 1), min_size=1, max_size=8), label="items")
         batch, z_batch = encode_pre_sign(model, fm.data[:, idx], aux.data[:, idx])
         for j, i in enumerate(idx):
@@ -471,7 +478,7 @@ class TestEncoding:
     def test_same_codes_bound_can_fail(self, variant_models):
         # one output moved just past the bound, or one code bit flipped where
         # the output is beyond the bound, fails the rule that the calls pass
-        fm, aux, model = variant_models["full"]
+        fm, aux, _, model, _ = variant_models["full"]
         batch, z_batch = encode_pre_sign(model, fm.data[:, :8], aux.data[:, :8])
         one, z_one = encode_pre_sign(model, fm.data[:, :1], aux.data[:, :1])
         assert_same_codes(model, batch[:, 0], z_batch[:, 0], one[:, 0], z_one[:, 0])
@@ -584,33 +591,39 @@ class TestEncoding:
         with pytest.raises(DataError, match="aux value at row 1, column 0"):
             trainer.encode_queries(model, Xq, Yq)
 
-    def test_variant_encoding_runs(self):
-        for gv, rt in (("aux-only", "aux"), ("visual-only", "visual")):
-            fm, aux, split, model, _ = tiny_fit(
-                seed=15, graph_cfg=sg.GraphConfig(variant=gv), hyper=obj.Hyperparams(recon_target=rt)
-            )
+    @pytest.mark.parametrize("value", [0.5, -3.0, 2.0])
+    def test_query_tags_that_are_not_binary(self, value):
+        # the message of AuxSemantics: fractional tags would encode into fractional tag counts
+        fm, aux, split, model, _ = tiny_fit(seed=14)
+        Yq = aux.data[:, split.query].copy()
+        Yq[1, 2] = value
+        with pytest.raises(DataError, match="^query aux entry at row 1, column 2 is not 0/1$"):
+            trainer.encode_queries(model, fm.data[:, split.query], Yq)
+
+    def test_variant_encoding_runs(self, variant_models):
+        for variant in cli._VARIANTS:
+            fm, aux, split, model, _ = variant_models[variant]
             codes = trainer.encode_queries(model, fm.data[:, split.query], aux.data[:, split.query])
             assert codes.shape == (4, 4)
 
 
 @pytest.fixture(scope="module")
 def variant_models():
-    """--variant -> (features, aux, tiny model trained under that variant).
+    """--variant -> tiny_fit's (features, aux, split, model, history) under that variant.
 
     "basis" is the default variant at d' = 32 > d + c, which fit re-expresses
     in the k = d + c coordinates of the projections' span.
     """
     models = {}
     for variant, flags in [(v, ("--variant", v)) for v in cli._VARIANTS] + [("basis", ("--d-prime", "32"))]:
-        fm, aux, _, model, _ = flags_fit(20, *flags)
-        models[variant] = (fm, aux, model)
+        models[variant] = flags_fit(20, *flags)
     return models
 
 
 @pytest.fixture(scope="module")
-def saved_checkpoint(tmp_path_factory):
+def saved_checkpoint(tmp_path_factory, variant_models):
     """The bytes of a saved model, and a path for damaged copies."""
-    _, _, _, model, _ = tiny_fit(seed=18, hyper=obj.Hyperparams(recon_target="visual"))
+    model = variant_models["no-aux"][3]
     path = tmp_path_factory.mktemp("checkpoint") / "model.bin"
     trainer.save_model(path, model)
     return path.read_bytes(), path.with_name("cut.bin")
@@ -822,3 +835,49 @@ class TestPersistence:
         first = lines[1].split(",")
         assert first[0] == "1"
         assert float(first[1]) == pytest.approx(history[0].l_quan, rel=1e-9)
+
+
+def _sized_calls():
+    """name -> (a library call with one size argument, the error it raises)."""
+    fm, aux, _ = synth_dataset(n=24, d=6, c=2, sep=4.0, label_noise=0.0, seed=0)
+    codes = retrieval.pack(np.ones((4, 6)))
+    labels = np.ones((2, 6))
+
+    def fit(**size):
+        return lambda: trainer.fit(fm, aux, np.arange(16), **{"r": 4, "d_prime": 8, "hidden": 8, **size},
+                                   cfg=TrainConfig(epochs=1))
+
+    def evaluate(**size):
+        return lambda: retrieval.evaluate(codes, codes, labels, labels, **{"K": 3, "curve_points": (1,), **size})
+
+    def synth(**size):
+        return lambda: synth_dataset(**{"n": 10, "d": 3, "c": 2, **size}, sep=1.0, label_noise=0.0, seed=0)
+
+    def split(n=10, sizes=(4, 2)):
+        return lambda: make_split(n, sizes, seed=0)
+
+    def integer(name, value):
+        return ParameterError, rf"^{name} must be an integer( >= [01])?, got {value}$"
+
+    return {
+        "synth-n": (synth(n=10.5), integer("n", 10.5)), "synth-d": (synth(d=3.0), integer("d", 3.0)),
+        "synth-c": (synth(c=2.5), integer("c", 2.5)), "split-n": (split(n=10.0), integer("n", 10.0)),
+        "split-train": (split(sizes=(4.0, 2)), integer("train size", 4.0)),
+        "split-query": (split(sizes=(4, 2.5)), integer("query size", 2.5)),
+        "fit-r": (fit(r=4.5), integer("r", 4.5)), "fit-hidden": (fit(hidden=8.0), integer("hidden", 8.0)),
+        "fit-d-prime-bool": (fit(d_prime=True), integer("d_prime", True)),
+        "evaluate-K": (evaluate(K=2.5), integer("K", 2.5)),
+        "evaluate-curve": (evaluate(curve_points=(1.5,)), integer("curve point", 1.5)),
+        # values below 1 keep their error types
+        "synth-c-zero": (synth(c=0), integer("c", 0)),
+        "split-negative": (split(sizes=(-1, 2)), integer("train size", -1)),
+        "fit-r-zero": (fit(r=0), (ShapeError, "^r must be >= 1, got 0$")),
+        "evaluate-K-zero": (evaluate(K=0), (ParameterError, "^K must be >= 1, got 0$")),
+    }
+
+
+@pytest.mark.parametrize("case", list(_sized_calls()))
+def test_size_arguments_are_checked(case):
+    call, (error, message) = _sized_calls()[case]
+    with pytest.raises(error, match=message):
+        call()
