@@ -294,14 +294,13 @@ def cmd_encode(args):
 
 def cmd_evaluate(args):
     from .data import load_aux
-    from .retrieval import evaluate, load_codes, save_report
+    from .retrieval import check_curve, evaluate, load_codes, save_report
 
     try:
         curve = [int(tok) for tok in args.curve.split(",") if tok.strip()]
     except ValueError:
         raise ConfigError(f"--curve must be comma-separated integers, got {args.curve!r}") from None
-    if not any(k >= 1 for k in curve):
-        raise ConfigError(f"--curve needs at least one K >= 1, got {args.curve!r}")
+    check_curve(curve)  # before any input loads or the manifest is written
     query_codes = load_codes(args.query_codes)
     db_codes = load_codes(args.db_codes)
     query_labels = load_aux(args.query_labels)

@@ -70,13 +70,25 @@ def gaussian_kernel(d2, sigma):
 
 
 def median_bandwidth(d2):
-    """Median pairwise distance of the n x n squared distances d2; falls back to 1 when degenerate."""
+    """Median pairwise distance of the n x n squared distances d2; falls back to 1 when degenerate.
+
+    np.median's value bit for bit, NaN included, from one selection: the
+    upper middle rank is partitioned into place, the lower one is the largest
+    value below it, and the two are averaged with np.mean in d2's dtype.
+    """
     n = d2.shape[0]
     if n < 2:
         raise ParameterError("median heuristic needs at least 2 items")
-    # the upper triangle gathered by rows; the median partitions it in place
+    # the upper triangle gathered by rows, partitioned in place
     dists = np.concatenate([d2[i, i + 1:] for i in range(n - 1)])
-    sigma = float(np.median(np.sqrt(dists, out=dists), overwrite_input=True))
+    np.sqrt(dists, out=dists)
+    lo, hi = (dists.size - 1) // 2, dists.size // 2  # the middle ranks, one rank for an odd count
+    dists.partition(hi)  # NaN sorts last, so any NaN lies at hi or above
+    if np.isnan(dists[hi:].max()):
+        return float("nan")  # np.median's value, which gaussian_kernel rejects
+    if lo < hi:
+        dists[lo] = dists[:hi].max()
+    sigma = float(np.mean(dists[lo:hi + 1]))
     if sigma == 0.0:
         warnings.warn("all items identical; falling back to bandwidth 1", stacklevel=2)
         sigma = 1.0

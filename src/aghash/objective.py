@@ -55,43 +55,41 @@ def quantization_loss(B, Z):
 
 
 class TagGram:
-    """The n x n Gram matrix Y^T Y of c x n tags, formed a row panel at a time.
-
-    `gram[rows]` is the rows Y[:, rows]^T Y, so the loss reads it as it reads
-    an n x n array.
-    """
+    """The n x n Gram matrix Y^T Y of c x n tags, which `reconstruction_loss`
+    forms a row panel Y[:, rows]^T Y at a time in Z's dtype."""
 
     def __init__(self, Y):
         self.Y = np.asarray(Y, dtype=np.float64)
         self.shape = (self.Y.shape[1],) * 2
-
-    def __getitem__(self, rows):
-        return self.Y[:, rows].T @ self.Y
 
 
 def reconstruction_loss(Z, target, k):
     """||k*target - [cos(Z^T, Z)]_+||^2 and its Z gradient.
 
     `target` is a symmetric n x n array or a `TagGram`; it and the cosines are
-    formed PANEL rows at a time, so no n x n temporary exists. The symmetric
-    target makes the residual symmetric, so each panel b adds its share
-    2 N[:, b] dC_b of the gradient N (dC + dC^T). Cosine with a zero column is
-    0; the clip boundary takes subgradient 0.
+    formed PANEL rows at a time, so no n x n temporary exists. The panels and
+    the gradient take Z's dtype, and each panel's squared residuals are summed
+    in it into a Python float. The symmetric target makes the residual
+    symmetric, so each panel b adds its share 2 N[:, b] dC_b of the gradient
+    N (dC + dC^T). Cosine with a zero column is 0; the clip boundary takes
+    subgradient 0.
     """
     n = Z.shape[1]
     if target.shape != (n, n):
         raise ShapeError(f"target is {target.shape}, expected {(n, n)}")
     N, norms = att.unit_columns(Z)
+    tags = target.Y.astype(N.dtype, copy=False) if isinstance(target, TagGram) else None
     loss, dN = 0.0, np.zeros_like(N)
     for lo in range(0, n, PANEL):
         Nb = N[:, lo:lo + PANEL]
         C = Nb.T @ N
         np.maximum(C, 0.0, out=C)
-        R = target[lo:lo + PANEL]
-        if isinstance(target, TagGram):
-            R *= k  # a fresh float64 panel
+        if tags is not None:
+            R = tags[:, lo:lo + PANEL].T @ tags  # a fresh panel, scaled in place
+            R *= k
         else:
-            R = np.multiply(R, k, dtype=np.float64)  # a view of the target, copied to float64
+            # a view of the target, scaled into a copy
+            R = np.multiply(target[lo:lo + PANEL], k, dtype=N.dtype)
         R -= C
         loss += float(np.vdot(R, R))
         R *= C > 0  # clipped entries pass no gradient
@@ -130,7 +128,8 @@ def backprop_all(H, layers, S_tilde, target, Y, B, gcn, head, hp):
     dZ1 = W2^T G: one r x n x n product where (W2^T dZ) S~ would take an
     h x n x n one, and r << h. The GCN products and gradients take the
     dtype of S~ and the layers; the loss heads take float64 from their
-    parameters.
+    parameters. Once dW2 and the ReLU mask are taken, dZ1 is written into
+    `layers[0]`'s buffer, so Z1 is overwritten: an epoch holds one h x n array.
 
     `target` is what the code cosines reconstruct (`reconstruction_loss`):
     `TagGram(Y)` or an n x n array.
@@ -152,8 +151,9 @@ def backprop_all(H, layers, S_tilde, target, Y, B, gcn, head, hp):
     # dZ is float64 from the heads; S~'s dtype keeps the product from copying S~
     G = dZ.astype(S_tilde.dtype, copy=False) @ S_tilde
     dW2 = G @ Z1.T
-    dA = gcn.W2.T @ G
-    dA *= Z1 > 0
+    active = Z1 > 0
+    dA = np.matmul(gcn.W2.T, G, out=Z1)  # Z1 is spent: layer 1's gradient takes its buffer
+    dA *= active
     grads = {"W1": dA @ H.T, "W2": dW2, "Wc": hp.lambda3 * dWc}
 
     breakdown = LossBreakdown(l_quan=l_quan, l_recons=l_rec, l_cl=l_cl,

@@ -154,6 +154,14 @@ def average_precision(ranking, relevance, K, denominator="min"):
     return float(_ap(relevance[ranking[:K]], int(relevance.sum()), K, denominator))
 
 
+def check_curve(curve_points):
+    """Raise unless the topK-precision curve has a K, and each is an integer >= 1."""
+    if not len(curve_points):
+        raise ParameterError("the curve needs at least one K")
+    for k in curve_points:
+        require_integer("curve point", k, 1)
+
+
 def evaluate(query_codes, db_codes, query_labels, db_labels, K=1000,
              curve_points=(1, 5, 10, 50, 100, 500, 1000), denominator="min"):
     """MAP@K and topK-precision. Items are relevant iff their labels share a category.
@@ -176,17 +184,14 @@ def evaluate(query_codes, db_codes, query_labels, db_labels, K=1000,
     require_integer("K", K)
     if K < 1:
         raise ParameterError(f"K must be >= 1, got {K}")
-    for k in curve_points:
-        require_integer("curve point", k)
+    check_curve(curve_points)
     _check_denominator(denominator)
 
     n_db = db_codes.n
     if K > n_db:
         warnings.warn(f"K={K} exceeds database size {n_db}; clamping", stacklevel=2)
         K = n_db
-    points = sorted({min(int(k), n_db) for k in curve_points if k >= 1})
-    if not points:
-        raise ParameterError("curve_points must contain at least one K >= 1")
+    points = sorted({min(int(k), n_db) for k in curve_points})
     pts = np.array(points)
     depth = max(K, points[-1])  # ranks past this one change no score
     block = max(1, _EVAL_BLOCK_BYTES // (8 * n_db * db_codes.packed.shape[1]))

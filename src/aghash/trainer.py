@@ -181,7 +181,7 @@ def fit(
 
         for name, grad in grads.items():
             adam_step(params[name], grad, states[name], epoch, cfg.lr)
-        Z1, Z = net.gcn_layers(H, St, gcn)
+        Z1, Z = net.gcn_layers(H, St, gcn, out=Z1)  # backprop_all left its gradient in Z1
         history.append(breakdown)
         if epoch_callback is not None:
             epoch_callback(epoch, breakdown)

@@ -521,8 +521,11 @@ MALFORMED = {
     "r-zero": (lambda p, t: _train(p, t, "--r", "0"), "r must be >= 1, got 0"),
     "sweep-parallel-negative": (lambda p, t: _sweep(p, "--axis", "epochs", "--values", "1", "--parallel", "-3"),
                                 "--parallel must be >= 1, got -3"),
+    # every K of the curve is checked as K is: none below 1 is dropped without a word
     "curve-no-positive-k": (lambda p, t: _evaluate(p, t, curve="0,-1"),
-                            "--curve needs at least one K >= 1, got '0,-1'"),
+                            "curve point must be an integer >= 1, got 0"),
+    "curve-point-zero": (lambda p, t: _evaluate(p, t, curve="0,5"), "curve point must be an integer >= 1, got 0"),
+    "curve-empty": (lambda p, t: _evaluate(p, t, curve=","), "the curve needs at least one K"),
     "aux-header-too-wide": (lambda p, t: _encode_with(p, t, aux=_file(t, "a.txt", "1 1000000000000000\n1,0\n")),
                             "a.txt: row 0 has 2 values, expected 1000000000000000"),
     "codes-header-too-wide": (lambda p, t: _evaluate(p, t, query_codes="1 1000000000000000\n" + "f" * 16 + "\n"),
@@ -553,6 +556,13 @@ def test_negative_seed_leaves_no_manifest(pipeline, tmp_path, capsys, case):
     # the seed is checked before the run records anything in its output directory
     assert run(MALFORMED[case][0](pipeline, tmp_path), capsys)[0] == 1
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("case", ["curve-point-zero", "curve-empty"])
+def test_bad_curve_leaves_no_manifest(pipeline, tmp_path, capsys, case):
+    # the curve is checked before the inputs load and the manifest is written
+    assert run(MALFORMED[case][0](pipeline, tmp_path), capsys)[0] == 1
+    assert not (tmp_path / "report.manifest.json").exists()
 
 
 @pytest.mark.parametrize("build, name, message", [

@@ -1,6 +1,7 @@
 import re
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -100,14 +101,39 @@ class TestVisualSimilarity:
         # pairwise distances 1, 2, 3 -> median 2
         assert median_bandwidth(sqdist(X, X)) == 2.0
 
-    @pytest.mark.parametrize("n", [600, 602])  # 179700 and 180901 pairs: even and odd counts
+    # 1, 3, 179700 and 180901 pairs: odd and even counts
+    @pytest.mark.parametrize("n", [2, 3, 600, 602])
     def test_median_heuristic_matches_oracle(self, n):
-        X = np.random.default_rng(n).standard_normal((16, n))
-        d2 = sqdist(X, X)
-        median_bandwidth(d2[:3, :3])  # numpy's lazy imports happen outside the trace
-        sigma, peak = traced_peak(median_bandwidth, d2)
-        assert sigma == np.median(np.sqrt(d2[np.triu_indices(n, 1)]))
-        assert peak < 0.6 * n * n * 8, f"peak {peak / (n * n * 8):.2f} n x n float64 arrays"
+        # np.median of the upper triangle's distances, bit for bit, on float64
+        # features, on the float32 ones fit builds its d2 from, on heavily tied
+        # integer-valued ones, on identical items, whose median 0 falls back to
+        # 1 with a warning, and on uniform values; at n = 600 these leave a
+        # value below the largest at the lower middle rank after the partition
+        rng = np.random.default_rng(n)
+        X = rng.standard_normal((16, n))
+        tied = rng.integers(0, 3, (2, n)).astype(np.float32)
+        uniform = np.random.default_rng(46).random((n, n)).astype(np.float32)  # only the upper triangle is read
+        for d2 in [sqdist(F, F) for F in (X, X.astype(np.float32), tied, np.ones((4, n), np.float32))] + [uniform]:
+            want = float(np.median(np.sqrt(d2[np.triu_indices(n, 1)])))
+            if want == 0.0:
+                with pytest.warns(UserWarning, match="all items identical"):
+                    assert median_bandwidth(d2) == 1.0
+            else:
+                assert median_bandwidth(d2) == want
+        d2[0, -1] = np.nan  # a NaN distance gives np.median's NaN
+        assert np.isnan(median_bandwidth(d2))
+        if n > 3:  # the bound is in n x n arrays: a few items' Python objects exceed it
+            d2 = sqdist(X, X)
+            median_bandwidth(d2[:3, :3])  # numpy's lazy imports happen outside the trace
+            sigma, peak = traced_peak(median_bandwidth, d2)
+            assert sigma == np.median(np.sqrt(d2[np.triu_indices(n, 1)]))
+            assert peak < 0.6 * n * n * 8, f"peak {peak / (n * n * 8):.2f} n x n float64 arrays"
+
+    def test_the_package_takes_no_np_median(self):
+        # np.median selects the two middle ranks and the last one, a slower
+        # generic selection than median_bandwidth's one partition
+        root = Path(sg.__file__).parent
+        assert [path.name for path in sorted(root.glob("*.py")) if "median(" in path.read_text()] == []
 
 
 # the graph variant whose similarity each kernel `part` is

@@ -121,6 +121,25 @@ class TestPanelledReconstruction:
         assert loss == want and dZ.tobytes() == dZ_want.tobytes()
         assert np.array_equal(dense, kept)
 
+    @pytest.mark.parametrize("part", ["aux", "visual"])
+    def test_float32_panels_match_float64(self, part):
+        # fit's float32 codes form their panels and sums in float32: the loss
+        # and gradient are the float64 ones to float32 rounding, in Z's dtype
+        rng = np.random.default_rng(29)
+        n = 3 * obj.PANEL + 7
+        Y = (rng.random((4, n)) < 0.4).astype(np.float64)
+        Sv, _ = sg.visual_similarity(rng.standard_normal((5, n)), bandwidth=2.0)
+        Z = rng.standard_normal((16, n))
+
+        def loss_in(dtype):
+            target = obj.TagGram(Y) if part == "aux" else Sv.astype(dtype)
+            return obj.reconstruction_loss(Z.astype(dtype), target, 1.5)
+
+        (loss, dZ), (want, dZ_want) = loss_in(np.float32), loss_in(np.float64)
+        assert dZ.dtype == np.float32 and dZ_want.dtype == np.float64
+        assert type(loss) is float and loss == pytest.approx(want, rel=1e-5)
+        assert np.abs(dZ - dZ_want).max() <= 1e-5 * np.abs(dZ_want).max()
+
 
 class TestClassificationLoss:
     def test_perfect_predictions(self):

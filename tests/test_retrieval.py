@@ -312,6 +312,17 @@ class TestEvaluate:
         with pytest.raises(ParameterError, match="database is empty"):
             rt.evaluate(B, rt.pack(np.ones((4, 0))), np.ones((1, 2)), np.ones((1, 0)))
 
+    @pytest.mark.parametrize("points, message", [
+        ((-3, 0, 5), "^curve point must be an integer >= 1, got -3$"),
+        ((5, 0), "^curve point must be an integer >= 1, got 0$"),
+        ((), "^the curve needs at least one K$"),
+    ], ids=["negative", "zero", "empty"])
+    def test_curve_points_below_1_are_rejected(self, points, message):
+        # a K below 1 is an error here as everywhere else, not a point dropped from the curve
+        B = rt.pack(np.ones((4, 6)))
+        with pytest.raises(ParameterError, match=message):
+            rt.evaluate(B, B, np.ones((1, 6)), np.ones((1, 6)), K=5, curve_points=points)
+
     @pytest.mark.parametrize("n_query", [3, 4, 5, 9])
     @pytest.mark.parametrize("denominator", ["min", "full"])
     @pytest.mark.parametrize("K, curve", [(7, (1, 3, 7, 20, 45)), (60, (1, 10, 50))])

@@ -383,6 +383,25 @@ class TestFit:
         assert peak < 2.2 * n * n * 8, f"peak {peak / (n * n * 8):.2f} n x n float64 arrays"
         assert scores == [(n, u)]
 
+    def test_epochs_share_one_hidden_buffer(self):
+        # layer 1's gradient is written into Z1's buffer and the next Z1 into the
+        # same one: an epoch holds one h x n float32 array, not Z1, dZ1 and the
+        # next Z1 side by side, and that one dominates fit's peak when h is large
+        n, hidden = 300, 2048
+        fm, aux, _ = synth_dataset(n=n, d=32, c=4, sep=2.0, label_noise=0.1, seed=1)
+
+        def fit(epochs):
+            trainer.fit(fm, aux, np.arange(n), d_prime=64, hidden=hidden, cfg=TrainConfig(epochs=epochs))
+
+        fit(1)  # numpy's lazy imports happen outside the trace
+        tracemalloc.start()
+        try:
+            fit(3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.2 * hidden * n * 4, f"peak {peak / (hidden * n * 4):.2f} h x n float32 arrays"
+
     @pytest.mark.parametrize("n, hidden, bound", [
         (2000, 32, 2000 * 2000 * 4), (500, 2048, 2048 * 500 * 8),
     ], ids=["no-n-by-n", "no-float64-h-by-n"])
