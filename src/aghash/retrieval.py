@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import read_lines
+from .data import read_lines, reject_entries
 from .errors import DataError, FormatError, ParameterError, ShapeError, require_integer
 
 _WORD_BITS = 64
@@ -55,18 +55,25 @@ class EvalReport:
 
 
 def pack(B):
-    """Pack an r x n matrix over {-1,+1} (columns are items)."""
+    """Pack an r x n matrix over {-1,+1} (columns are items).
+
+    Every temporary holds one byte per entry or less: the masks B == 1 and
+    B == -1, and the sign bits packed eight to a byte.
+    """
     B = np.asarray(B)
     if B.ndim != 2:
         raise ShapeError(f"expected an r x n matrix, got shape {B.shape}")
-    if not np.all(np.abs(B) == 1):
+    pos = B == 1
+    valid = B == -1
+    valid |= pos
+    if not valid.all():
         raise DataError("code entries must be -1 or +1")
+    del valid
     r, n = B.shape
     words = (r + _WORD_BITS - 1) // _WORD_BITS
-    bits = np.zeros((n, words * _WORD_BITS), dtype=np.uint8)
-    bits[:, :r] = (B.T > 0)
-    packed = np.packbits(bits, axis=1, bitorder="little").view(np.uint64)
-    return HashCodes(packed=packed, r=r)
+    packed = np.zeros((n, 8 * words), dtype=np.uint8)
+    packed[:, :(r + 7) // 8] = np.packbits(pos, axis=0, bitorder="little").T
+    return HashCodes(packed=packed.view(np.uint64), r=r)
 
 
 def unpack(codes):
@@ -166,8 +173,10 @@ def evaluate(query_codes, db_codes, query_labels, db_labels, K=1000,
              curve_points=(1, 5, 10, 50, 100, 500, 1000), denominator="min"):
     """MAP@K and topK-precision. Items are relevant iff their labels share a category.
 
-    Labels are c x n matrices; K and curve points beyond the db size are
-    clamped with a warning.
+    Labels are c x n matrices of 0/1 entries. K beyond the db size is clamped
+    to it with a warning. Curve points beyond it are clamped without one,
+    since the default curve reaches K = 1000, and points that clamp to the
+    same K merge into one.
     """
     if query_codes.n == 0:
         raise ParameterError("query set is empty")
@@ -175,12 +184,16 @@ def evaluate(query_codes, db_codes, query_labels, db_labels, K=1000,
         raise ParameterError("database is empty")
     if query_codes.r != db_codes.r:
         raise ShapeError(f"code lengths differ: {query_codes.r} vs {db_codes.r}")
-    query_labels = np.asarray(query_labels, dtype=np.float64)
-    db_labels = np.asarray(db_labels, dtype=np.float64)
+    query_labels = np.asarray(query_labels)
+    db_labels = np.asarray(db_labels)
     if query_labels.shape[0] != db_labels.shape[0]:
         raise ShapeError("query and db label matrices must share the category count")
     if query_labels.shape[1] != query_codes.n or db_labels.shape[1] != db_codes.n:
         raise ShapeError("label column counts must match code counts")
+    for what, labels in (("query", query_labels), ("database", db_labels)):  # before any cast
+        reject_entries((labels != 0) & (labels != 1), what + " label at row {}, column {} is not 0/1")
+    query_labels = query_labels.astype(np.float64, copy=False)
+    db_labels = db_labels.astype(np.float64, copy=False)
     require_integer("K", K)
     if K < 1:
         raise ParameterError(f"K must be >= 1, got {K}")

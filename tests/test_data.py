@@ -210,6 +210,18 @@ class TestRoundTrip:
         assert p.read_text() == "2 5\n" + "".join(row + "\n" for row in rows)
         assert rows[0] == "-0,4.94065646e-324,1e+308,0.1,0.333333333"
 
+    def test_text_matches_the_format_spec_over_random_doubles(self, tmp_path):
+        # finite doubles from random bit patterns span every exponent, subnormals included
+        bits = np.random.default_rng(8).integers(0, 2**64, size=4000, dtype=np.uint64)
+        values = bits.view(np.float64)
+        values = np.concatenate([[-0.0, 5e-324, 1e300, -1e300], values[np.isfinite(values)]])
+        values = values[: values.size // 4 * 4].reshape(4, -1)
+        assert np.any(np.abs(values) < np.finfo(np.float64).tiny) and np.any(np.signbit(values) & (values == 0))
+        p = tmp_path / "f.txt"
+        save_features(p, FeatureMatrix(values))
+        expected = "".join(",".join("{:.9g}".format(v) for v in row.tolist()) + "\n" for row in values)
+        assert p.read_bytes() == f"4 {values.shape[1]}\n{expected}".encode("ascii")
+
 
 class TestAux:
     def test_identity_pattern(self, tmp_path):

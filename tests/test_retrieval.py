@@ -1,5 +1,7 @@
 import json
 import re
+import tracemalloc
+import warnings
 from contextlib import nullcontext
 
 import numpy as np
@@ -74,6 +76,47 @@ class TestPackUnpack:
     def test_rejects_non_pm_one(self):
         with pytest.raises(DataError):
             rt.pack(np.array([[0.5], [1.0]]))
+
+    @pytest.mark.parametrize("r", [1, 7, 8, 63, 64, 65, 130])
+    @pytest.mark.parametrize("n", [0, 1, 5, 100])
+    def test_matches_bit_matrix_oracle(self, r, n):
+        # the words from a zero-padded n x 64*words bit matrix packed along its rows
+        B = np.where(np.random.default_rng(r * 1000 + n).random((r, n)) < 0.5, 1.0, -1.0)
+        words = (r + 63) // 64
+        bits = np.zeros((n, words * 64), dtype=np.uint8)
+        bits[:, :r] = B.T > 0
+        expected = np.packbits(bits, axis=1, bitorder="little").view(np.uint64)
+        for dtype in (np.float64, np.float32, np.int8):
+            C = B.astype(dtype)
+            for layout in (C, np.asfortranarray(C), np.ascontiguousarray(C.T).T):
+                codes = rt.pack(layout)
+                assert codes.r == r and codes.packed.shape == (n, words)
+                assert np.array_equal(codes.packed, expected)
+
+    @pytest.mark.parametrize("bad", [0, 0.5, 2, -2, np.nan, np.inf, -np.inf, 1j],
+                             ids=["0", "0.5", "2", "-2", "nan", "inf", "-inf", "1j"])
+    def test_rejects_each_entry_that_is_not_pm_one(self, bad):
+        B = np.ones((3, 4), dtype=np.result_type(np.float64, type(bad)))
+        B[2, 1] = bad
+        with pytest.raises(DataError, match="^code entries must be -1 or \\+1$"):
+            rt.pack(B)
+
+    def test_rejects_strings_and_keeps_shape_errors(self):
+        with pytest.raises(DataError, match="^code entries must be -1 or \\+1$"):
+            rt.pack(np.array([["1", "-1"], ["-1", "1"]]))
+        for shape in ((4,), (2, 3, 4)):
+            with pytest.raises(ShapeError, match="^expected an r x n matrix"):
+                rt.pack(np.ones(shape))
+
+    def test_working_set_is_a_few_bytes_per_entry(self):
+        B = np.where(np.random.default_rng(0).random((64, 20_000)) < 0.5, 1.0, -1.0)
+        tracemalloc.start()
+        try:
+            rt.pack(B)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * B.size  # a float64 copy of B alone would be 8
 
     def test_unused_bits_validated(self):
         with pytest.raises(DataError):
@@ -311,6 +354,30 @@ class TestEvaluate:
             rt.evaluate(B, B, np.ones((1, 2)), np.ones((1, 2)), K=0)
         with pytest.raises(ParameterError, match="database is empty"):
             rt.evaluate(B, rt.pack(np.ones((4, 0))), np.ones((1, 2)), np.ones((1, 0)))
+
+    def test_curve_points_beyond_db_clamp_silently(self):
+        # the default curve reaches K = 1000, so a warning would fire on every small database
+        B = rt.pack(np.ones((4, 6)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = rt.evaluate(B, B, np.ones((1, 6)), np.ones((1, 6)), K=5, curve_points=(5, 50, 500))
+        assert rep.precision_curve == [(5, 1.0), (6, 1.0)]
+
+    @pytest.mark.parametrize("bad", [0.5, 2.0, np.nan, 1j], ids=["0.5", "2", "nan", "1j"])
+    @pytest.mark.parametrize("side", ["query", "database"])
+    def test_labels_must_be_binary(self, bad, side):
+        # a 0.5 or NaN label would silently change which items count as relevant; a cast would read 1j as 0
+        B = rt.pack(np.ones((4, 3)))
+        dtype = np.result_type(np.float64, type(bad))
+        labels = {"query": np.ones((2, 3), dtype=dtype), "database": np.ones((2, 3), dtype=dtype)}
+        labels[side][1, 2] = bad
+        with pytest.raises(DataError, match=f"^{side} label at row 1, column 2 is not 0/1$"):
+            rt.evaluate(B, B, labels["query"], labels["database"], K=3)
+
+    def test_string_labels_are_rejected(self):
+        B = rt.pack(np.ones((4, 2)))
+        with pytest.raises(DataError, match="^query label at row 0, column 0 is not 0/1$"):
+            rt.evaluate(B, B, np.array([["1", "0"]]), np.ones((1, 2)), K=2)
 
     @pytest.mark.parametrize("points, message", [
         ((-3, 0, 5), "^curve point must be an integer >= 1, got -3$"),
