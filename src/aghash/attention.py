@@ -83,9 +83,11 @@ def denoise(X, Y, params):
     Xbar, Ubar = project(X, U, params)
     alpha = attention_scores(Xbar, Ubar)
     w = alpha @ counts
-    mix = (Ubar @ (alpha * counts).T) / np.where(w > 0, w, 1.0)
+    mix = Ubar @ (alpha * counts).T
+    mix /= np.where(w > 0, w, 1.0)
     mix[:, w == 0] = 0.0
-    return mix + Xbar
+    mix += Xbar  # the residual, in the mix's buffer
+    return mix
 
 
 def basis(params):

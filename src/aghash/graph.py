@@ -5,6 +5,7 @@ The graph takes the dtype of the attentive features, float32 or float64; the
 tags, 0/1 entries whose counts are exact in either, are cast to it.
 """
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -18,6 +19,9 @@ VARIANTS = tuple(PARTS)
 # rows per pass over an n x n buffer, so a pass's temporaries are PANEL x n;
 # also the side of the squares the symmetry check compares
 PANEL = 128
+# the median reads its pivots off every step-th entry of the n x n distances,
+# with step >= 64 and n^2 / step at most about SAMPLE
+SAMPLE = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -69,26 +73,110 @@ def gaussian_kernel(d2, sigma):
     return np.exp(d2, out=d2)
 
 
+def _upper_triangle(d2):
+    """The strict upper triangle of the square d2, PANEL rows at a time: the part
+    inside the diagonal block (a copy of at most PANEL^2 / 2 entries), then the
+    block right of it (a view)."""
+    n = d2.shape[0]
+    above = np.triu(np.ones((PANEL, PANEL), dtype=bool), 1)
+    for lo in range(0, n - 1, PANEL):
+        hi = min(lo + PANEL, n)
+        yield d2[lo:hi, lo:hi][above[:hi - lo, :hi - lo]]
+        if hi < n:
+            yield d2[lo:hi, hi:]
+
+
+def _window_pass(d2, a, b, cap):
+    """One pass over d2's upper triangle: (its min, #(v < a), #(v <= b), the values in [a, b]).
+
+    The values are gathered only while there are at most `cap` of them, else None.
+    """
+    low, lt, le, window = np.inf, 0, 0, []
+    for chunk in _upper_triangle(d2):
+        low = np.minimum(low, chunk.min())  # NaN propagates
+        below, upto = chunk < a, chunk <= b
+        lt += np.count_nonzero(below)
+        le += np.count_nonzero(upto)
+        if window is not None and le - lt <= cap:
+            window.append(chunk[np.logical_xor(upto, below, out=upto)])
+        else:
+            window = None
+    return low, lt, le, window
+
+
+def _middle_pair(d2):
+    """The values at the middle ranks lo <= hi of d2's upper triangle (one rank
+    for an odd count), or None when an entry is NaN or negative.
+
+    Counting passes narrow a value interval [L, U] holding both ranks; the
+    values in a window [a, b] are gathered only when they fit in PANEL x n
+    entries, so no pass copies the triangle. The windows come from pivots
+    read off a strided sample of the triangle (Floyd & Rivest's selection).
+    Once the sample cannot narrow [L, U], a value halving it in bit-pattern
+    order (monotone for values >= 0) is the pivot, so the loop ends. Ranks
+    split across a pivot are the largest value below it and the smallest
+    above it: one more pass.
+    """
+    n = d2.shape[0]
+    count = n * (n - 1) // 2
+    lo, hi = (count - 1) // 2, count // 2
+    cap = PANEL * n
+    step = max(64, n * n // SAMPLE)
+    while math.gcd(step, n) > 1:  # a step sharing no factor with n visits every column
+        step += 1
+    i, j = np.divmod(np.arange(0, n * n, step), n)
+    sample = np.sort(d2[i[j > i], j[j > i]])
+    scalar, bits = d2.dtype.type, np.dtype(f"u{d2.dtype.itemsize}")
+    L, U, below, inside = scalar(0), scalar(np.inf), 0, count
+    while True:
+        if inside <= cap:
+            a, b = L, U
+        else:
+            i0, i1 = np.searchsorted(sample, L), np.searchsorted(sample, U, side="right")
+            m = i1 - i0
+            spread = 1.5 * np.sqrt(m) + 1.0  # three standard deviations of a sample rank
+            ia = int(np.floor(m * (lo - below) / inside - spread))
+            ib = int(np.ceil(m * (hi - below + 1) / inside + spread))
+            a, b = (sample[i0 + min(max(k, 0), m - 1)] for k in (ia, ib)) if m else (L, U)
+            if a <= L and b >= U:  # no narrower window: halve [L, U]
+                keys = np.abs(np.array([L, U], dtype=d2.dtype)).view(bits)
+                a = b = (keys[:1] + (keys[1] - keys[0]) // 2).view(d2.dtype)[0]
+        low, lt, le, window = _window_pass(d2, a, b, cap)
+        if not low >= 0:
+            return None
+        if hi < lt:
+            U, inside = np.nextafter(a, scalar(-np.inf)), lt - below
+        elif lo >= le:
+            L, below, inside = np.nextafter(b, scalar(np.inf)), le, below + inside - le
+        elif lt <= lo and hi < le:
+            if a == b:
+                return a, a
+            if window is not None:
+                window = np.concatenate(window)
+                window.partition(hi - lt)
+                return (window[:hi - lt].max() if lo < hi else window[hi - lt]), window[hi - lt]
+            L, U, below, inside = a, b, lt, le - lt
+        else:  # lo is the last value below the pivot p, hi the first at or above it
+            p = a if lt == hi else np.nextafter(b, scalar(np.inf))
+            return (max(np.where(chunk < p, chunk, -np.inf).max() for chunk in _upper_triangle(d2)),
+                    min(np.where(chunk >= p, chunk, np.inf).min() for chunk in _upper_triangle(d2)))
+
+
 def median_bandwidth(d2):
     """Median pairwise distance of the n x n squared distances d2; falls back to 1 when degenerate.
 
-    np.median's value bit for bit, NaN included, from one selection: the
-    upper middle rank is partitioned into place, the lower one is the largest
-    value below it, and the two are averaged with np.mean in d2's dtype.
+    np.median's value bit for bit, NaN included: the squared distances at the
+    two middle ranks of the upper triangle (`_middle_pair`, which makes no
+    copy of it) are square-rooted and averaged with np.mean in d2's dtype.
     """
     n = d2.shape[0]
     if n < 2:
         raise ParameterError("median heuristic needs at least 2 items")
-    # the upper triangle gathered by rows, partitioned in place
-    dists = np.concatenate([d2[i, i + 1:] for i in range(n - 1)])
-    np.sqrt(dists, out=dists)
-    lo, hi = (dists.size - 1) // 2, dists.size // 2  # the middle ranks, one rank for an odd count
-    dists.partition(hi)  # NaN sorts last, so any NaN lies at hi or above
-    if np.isnan(dists[hi:].max()):
+    pair = _middle_pair(d2)
+    if pair is None:
         return float("nan")  # np.median's value, which gaussian_kernel rejects
-    if lo < hi:
-        dists[lo] = dists[:hi].max()
-    sigma = float(np.mean(dists[lo:hi + 1]))
+    # for an odd count both are the one middle value, whose mean is itself
+    sigma = float(np.mean(np.sqrt(np.array(pair, dtype=d2.dtype))))
     if sigma == 0.0:
         warnings.warn("all items identical; falling back to bandwidth 1", stacklevel=2)
         sigma = 1.0
@@ -127,6 +215,15 @@ def combine(mu, visual, aux):
     visual *= mu
     visual += aux
     return visual
+
+
+def add_counts(mu, K, Yk, Y):
+    """K <- mu*K + Yk^T Y in K's buffer: the kernel rows of the items Yk tags, fused
+    with their tag counts against Y a PANEL-row block at a time. Integer counts
+    are the same sums in any block."""
+    for lo in range(0, K.shape[0], PANEL):
+        combine(mu, K[lo:lo + PANEL], Yk[:, lo:lo + PANEL].T @ Y)
+    return K
 
 
 def inv_sqrt_degree(degrees):
@@ -179,8 +276,7 @@ def similarity(Xatt, Y, config):
         return Y.T @ Y, None
     S, sigma = visual_similarity(Xatt, config.bandwidth)
     if uses_tags:
-        for lo in range(0, S.shape[0], PANEL):  # integer counts: the sums of one Y^T Y
-            combine(config.mu, S[lo:lo + PANEL], Y[:, lo:lo + PANEL].T @ Y)
+        add_counts(config.mu, S, Y, Y)
     return S, sigma
 
 
@@ -203,8 +299,12 @@ def query_columns(xatt_q, Yq, xatt_train, y_train, degrees, config):
     dtype = np.result_type(xatt_q, xatt_train)
     Yq, y_train = (np.asarray(tags, dtype=dtype) for tags in (Yq, y_train))
     uses_visual, uses_tags = PARTS[config.variant]
-    visual = gaussian_kernel(sqdist(xatt_q, xatt_train), config.bandwidth) if uses_visual else None
-    st_col = combine(config.mu, visual, Yq.T @ y_train if uses_tags else None)
+    if not uses_visual:
+        st_col = Yq.T @ y_train
+    else:
+        st_col = gaussian_kernel(sqdist(xatt_q, xatt_train), config.bandwidth)
+        if uses_tags:
+            add_counts(config.mu, st_col, Yq, y_train)
     s_self = combine(config.mu, 1.0 if uses_visual else None, (Yq**2).sum(axis=0) if uses_tags else None)
     d_q = st_col.sum(axis=1) + s_self
     safe_dq = np.where(d_q > 0, d_q, 1.0)

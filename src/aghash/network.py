@@ -55,8 +55,9 @@ def parameters(*groups):
     return {f.name: getattr(g, f.name) for g in groups for f in fields(g)}
 
 
-def relu(x):
-    return np.maximum(x, 0.0)
+def relu(x, out=None):
+    """max(x, 0), written into `out` when given (x itself for an in-place ReLU)."""
+    return np.maximum(x, 0.0, out=out)
 
 
 def sigmoid(x):
@@ -77,7 +78,7 @@ def gcn_layers(H, S_tilde, params, out=None):
     loop reuses one buffer for Z1 in every epoch.
     """
     Z1 = np.matmul(params.W1, H, out=out)
-    np.maximum(Z1, 0.0, out=Z1)  # the ReLU in the product's buffer
+    relu(Z1, out=Z1)  # the ReLU in the product's buffer
     return Z1, (params.W2 @ Z1) @ S_tilde
 
 

@@ -14,7 +14,8 @@ from . import attention as att
 from .errors import ParameterError, ShapeError, require_finite
 from .network import cls_forward
 
-# rows of the reconstruction target and of the code cosines formed at a time
+# rows of the reconstruction target and of the code cosines formed at a time,
+# and of layer 1's gradient
 PANEL = 128
 
 
@@ -128,8 +129,9 @@ def backprop_all(H, layers, S_tilde, target, Y, B, gcn, head, hp):
     dZ1 = W2^T G: one r x n x n product where (W2^T dZ) S~ would take an
     h x n x n one, and r << h. The GCN products and gradients take the
     dtype of S~ and the layers; the loss heads take float64 from their
-    parameters. Once dW2 and the ReLU mask are taken, dZ1 is written into
-    `layers[0]`'s buffer, so Z1 is overwritten: an epoch holds one h x n array.
+    parameters. Once dW2 is taken, dZ1 is written into `layers[0]`'s buffer a
+    row panel at a time, each after its ReLU mask is read, so Z1 is
+    overwritten: an epoch holds one h x n array and no h x n mask.
 
     `target` is what the code cosines reconstruct (`reconstruction_loss`):
     `TagGram(Y)` or an n x n array.
@@ -151,10 +153,12 @@ def backprop_all(H, layers, S_tilde, target, Y, B, gcn, head, hp):
     # dZ is float64 from the heads; S~'s dtype keeps the product from copying S~
     G = dZ.astype(S_tilde.dtype, copy=False) @ S_tilde
     dW2 = G @ Z1.T
-    active = Z1 > 0
-    dA = np.matmul(gcn.W2.T, G, out=Z1)  # Z1 is spent: layer 1's gradient takes its buffer
-    dA *= active
-    grads = {"W1": dA @ H.T, "W2": dW2, "Wc": hp.lambda3 * dWc}
+    for lo in range(0, Z1.shape[0], PANEL):  # Z1 is spent: layer 1's gradient takes its buffer
+        rows = Z1[lo:lo + PANEL]
+        active = rows > 0  # the panel's ReLU mask, taken before the panel is overwritten
+        np.matmul(gcn.W2.T[lo:lo + PANEL], G, out=rows)
+        rows *= active
+    grads = {"W1": Z1 @ H.T, "W2": dW2, "Wc": hp.lambda3 * dWc}
 
     breakdown = LossBreakdown(l_quan=l_quan, l_recons=l_rec, l_cl=l_cl,
                               total=total_loss(l_rec, l_quan, l_cl, hp))

@@ -11,10 +11,10 @@ from .data import read_lines, reject_entries
 from .errors import DataError, FormatError, ParameterError, ShapeError, require_integer
 
 _WORD_BITS = 64
-# evaluate scores and ranks a block of queries at once; this bounds the block's
-# n_db-wide arrays (the relevance product, the XORed words, the sort keys)
-# whatever the db size
-_EVAL_BLOCK_BYTES = 4 << 20
+# the bytes of one n-wide temporary: evaluate's query blocks (the relevance
+# product, the XORed words, the sort keys over n_db items) and encode_queries'
+# query panels (the graph columns over n training items) are sized to it
+BLOCK_BYTES = 4 << 20
 # a row of 64-bit words as save_codes writes them: 16 hex digits each, separated by whitespace
 _HEX_ROW = re.compile(r"[0-9a-fA-F]{16}(?:\s+[0-9a-fA-F]{16})*")
 
@@ -186,6 +186,8 @@ def evaluate(query_codes, db_codes, query_labels, db_labels, K=1000,
         raise ShapeError(f"code lengths differ: {query_codes.r} vs {db_codes.r}")
     query_labels = np.asarray(query_labels)
     db_labels = np.asarray(db_labels)
+    if query_labels.ndim != 2 or db_labels.ndim != 2:
+        raise ShapeError(f"labels must be c x n matrices, got shapes {query_labels.shape} and {db_labels.shape}")
     if query_labels.shape[0] != db_labels.shape[0]:
         raise ShapeError("query and db label matrices must share the category count")
     if query_labels.shape[1] != query_codes.n or db_labels.shape[1] != db_codes.n:
@@ -207,7 +209,7 @@ def evaluate(query_codes, db_codes, query_labels, db_labels, K=1000,
     points = sorted({min(int(k), n_db) for k in curve_points})
     pts = np.array(points)
     depth = max(K, points[-1])  # ranks past this one change no score
-    block = max(1, _EVAL_BLOCK_BYTES // (8 * n_db * db_codes.packed.shape[1]))
+    block = max(1, BLOCK_BYTES // (8 * n_db * db_codes.packed.shape[1]))
 
     aps = []
     prec_sums = np.zeros(len(points))

@@ -16,7 +16,6 @@ from . import retrieval
 from .data import DatasetSplit, _from_file, reject_entries
 from .errors import FormatError, NumericError, ParameterError, ShapeError, require_finite, require_integer
 
-QUERY_PANEL = 1024  # queries whose n-wide graph columns encode_queries holds at once
 # the dtype of the attentive features, the graph, both GCN layers, their
 # gradients and Adam states, in fit and in encode_queries alike; the attention,
 # head and loss sums stay float64
@@ -155,6 +154,7 @@ def fit(
         gcn.W1 = gcn.W1 @ Q
     gcn = net.GcnParams(*(W.astype(COMPUTE_DTYPE) for W in (gcn.W1, gcn.W2)))
     Xatt = _attentive(X, Yt, apar, use_attention)
+    del X  # the d x n float64 features: Xatt is all that training reads
 
     St, degrees, sigma = sg.build_graph(Xatt, Yt, graph_cfg)
     if sigma is not None:  # queries extend the graph with the training kernel
@@ -207,8 +207,9 @@ def encode_queries(model, Xq, Yq):
     `network.gcn_layers`: z_q = (W2 Z1_train) st_col^T + (W2 z1_q) st_self,
     from the cached r x n W2 Z1_train, so no h x m x n product is formed.
     The attention runs once for all m queries; the graph columns and both
-    layers run QUERY_PANEL queries at a time, so the n-wide buffers are
-    QUERY_PANEL x n whatever m is. The columns and layers are in
+    layers run a panel of queries at a time, as many as fit one n-wide
+    COMPUTE_DTYPE array in `retrieval.BLOCK_BYTES`, so the panel's buffers
+    are that size whatever m is. The columns and layers are in
     COMPUTE_DTYPE, as in fit.
     """
     Xq = np.asarray(Xq, dtype=np.float64)
@@ -223,8 +224,9 @@ def encode_queries(model, Xq, Yq):
 
     xatt_q = _attentive(Xq, model.y_train, model.attention, model.use_attention)
     z_q = np.empty((model.r, Xq.shape[1]), dtype=COMPUTE_DTYPE)
-    for lo in range(0, Xq.shape[1], QUERY_PANEL):
-        cols = slice(lo, lo + QUERY_PANEL)
+    panel = max(1, retrieval.BLOCK_BYTES // (model.degrees.size * np.dtype(COMPUTE_DTYPE).itemsize))
+    for lo in range(0, Xq.shape[1], panel):
+        cols = slice(lo, lo + panel)
         z_q[:, cols] = _propagate(model, xatt_q[:, cols], Yq[:, cols])
     bad = np.flatnonzero(~np.all(np.isfinite(z_q), axis=0))
     if bad.size:  # sign_pm would read NaN as -1 bits
@@ -235,11 +237,12 @@ def encode_queries(model, Xq, Yq):
 def _propagate(model, xatt_q, Yq):
     """The r x m layer-2 outputs of m queries from their attentive features.
 
-    The queries' graph columns are freed on return.
+    The queries' graph columns are freed on return; the ReLU runs in layer 1's buffer.
     """
     st_col, st_self = sg.query_columns(xatt_q, Yq, model.xatt_train, model.y_train, model.degrees,
                                        model.graph_cfg)
-    z1_q = net.relu(model.gcn.W1 @ (model.xatt_train @ st_col.T + xatt_q * st_self))
+    z1_q = model.gcn.W1 @ (model.xatt_train @ st_col.T + xatt_q * st_self)
+    net.relu(z1_q, out=z1_q)
     return model.w2z1_train @ st_col.T + (model.gcn.W2 @ z1_q) * st_self
 
 

@@ -348,6 +348,11 @@ class TestEvaluate:
             rt.evaluate(B, B, np.ones((1, 2)), np.ones((2, 2)))
         with pytest.raises(ShapeError):
             rt.evaluate(B, B, np.ones((1, 3)), np.ones((1, 2)))
+        # labels that are not c x n: 1-D ones have no column axis to read, 3-D ones one too many
+        for labels in (np.ones(2), np.ones((1, 2, 1))):
+            with pytest.raises(ShapeError, match=r"^labels must be c x n matrices, got shapes \(") as info:
+                rt.evaluate(B, B, labels, labels, K=2)
+            assert "\n" not in str(info.value)
         with pytest.raises(ParameterError, match="'bogus'"):
             rt.evaluate(B, B, np.ones((1, 2)), np.ones((1, 2)), denominator="bogus")
         with pytest.raises(ParameterError, match="K must be >= 1"):
@@ -396,7 +401,7 @@ class TestEvaluate:
     def test_matches_per_query_reference(self, monkeypatch, n_query, denominator, K, curve):
         # blocks of 4 queries: n_query is below, at and above one block, and spans three
         n_db, r, c = 50, 12, 3
-        monkeypatch.setattr(rt, "_EVAL_BLOCK_BYTES", 8 * n_db * 4)
+        monkeypatch.setattr(rt, "BLOCK_BYTES", 8 * n_db * 4)
         rng = np.random.default_rng(n_query)
         Bq, Bd = tied_codes(rng, n_query, r, 3), tied_codes(rng, n_db, r, 3)
         Lq = (rng.random((c, n_query)) < 0.4).astype(float)
@@ -420,7 +425,7 @@ class TestEvaluate:
 
     def test_multiword_codes_match_rank(self, monkeypatch):
         # r = 130 takes three words per code, so a block holds a third as many queries
-        monkeypatch.setattr(rt, "_EVAL_BLOCK_BYTES", 8 * 40 * 3 * 2)
+        monkeypatch.setattr(rt, "BLOCK_BYTES", 8 * 40 * 3 * 2)
         rng = np.random.default_rng(8)
         query, db = rt.pack(tied_codes(rng, 5, 130, 4)), rt.pack(tied_codes(rng, 40, 130, 4))
         Lq, Ld = (rng.random((3, 5)) < 0.4).astype(float), (rng.random((3, 40)) < 0.3).astype(float)

@@ -58,6 +58,13 @@ def encode_pre_sign(model, Xq, Yq):
     return codes, seen[0]
 
 
+def panel_of(monkeypatch, model, queries):
+    """Size encode_queries' panels to `queries` queries: the byte budget of that
+    many n-wide COMPUTE_DTYPE graph columns of the model's n training items."""
+    column = model.degrees.size * np.dtype(trainer.COMPUTE_DTYPE).itemsize
+    monkeypatch.setattr(retrieval, "BLOCK_BYTES", queries * column)
+
+
 def model_arrays(model):
     """Name -> array of everything a checkpoint holds, read from the model."""
     arrays = net.parameters(model.attention, model.gcn)
@@ -386,7 +393,8 @@ class TestFit:
     def test_epochs_share_one_hidden_buffer(self):
         # layer 1's gradient is written into Z1's buffer and the next Z1 into the
         # same one: an epoch holds one h x n float32 array, not Z1, dZ1 and the
-        # next Z1 side by side, and that one dominates fit's peak when h is large
+        # next Z1 side by side, and that one dominates fit's peak when h is large;
+        # the ReLU mask is taken a row panel at a time (an h x n bool mask read 2.80)
         n, hidden = 300, 2048
         fm, aux, _ = synth_dataset(n=n, d=32, c=4, sep=2.0, label_noise=0.1, seed=1)
 
@@ -400,7 +408,7 @@ class TestFit:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 3.2 * hidden * n * 4, f"peak {peak / (hidden * n * 4):.2f} h x n float32 arrays"
+        assert peak < 2.6 * hidden * n * 4, f"peak {peak / (hidden * n * 4):.2f} h x n float32 arrays"
 
     @pytest.mark.parametrize("n, hidden, bound", [
         (2000, 32, 2000 * 2000 * 4), (500, 2048, 2048 * 500 * 8),
@@ -440,7 +448,7 @@ class TestFit:
             fm, aux, split, model, _ = tiny_fit(cfg=TrainConfig(epochs=4, lr=1e-3))
             assert spy.call_count == 1
             Xq, Yq = fm.data[:, split.query], aux.data[:, split.query]
-            with mock.patch.object(trainer, "QUERY_PANEL", 1):
+            with mock.patch.object(retrieval, "BLOCK_BYTES", 1):  # one query per panel
                 for calls in (2, 3):
                     trainer.encode_queries(model, Xq, Yq)
                     assert spy.call_count == calls
@@ -516,8 +524,8 @@ class TestEncoding:
     def test_codes_do_not_depend_on_the_panels(self, monkeypatch):
         # m = panel + 3 queries cross one panel edge; splitting the call at the
         # edge or encoding one query at a time gives the same codes
-        monkeypatch.setattr(trainer, "QUERY_PANEL", 5)
         fm, aux, _, model, _ = tiny_fit(seed=16)
+        panel_of(monkeypatch, model, 5)
         Xq, Yq = fm.data[:, :8], aux.data[:, :8]
         batch, z_batch = encode_pre_sign(model, Xq, Yq)
         halves = [encode_pre_sign(model, Xq[:, cols], Yq[:, cols])
@@ -530,8 +538,9 @@ class TestEncoding:
     def test_columns_and_layers_run_in_compute_dtype(self, monkeypatch):
         # float64 query features, tags and degrees: the graph columns and the
         # layer-1 input are COMPUTE_DTYPE, so no float64 copy of a training array forms
-        monkeypatch.setattr(trainer, "QUERY_PANEL", 3)
+        # layer 1's ReLU runs in its product's buffer, so no second h x m array forms
         fm, aux, _, model, _ = tiny_fit(seed=21)
+        panel_of(monkeypatch, model, 3)
         query_columns, relu, seen = sg.query_columns, net.relu, []
 
         def columns(*args):
@@ -539,9 +548,10 @@ class TestEncoding:
             seen.extend(np.asarray(a).dtype for a in out)
             return out
 
-        def layer(x):
+        def layer(x, out=None):
+            assert out is x
             seen.append(x.dtype)
-            return relu(x)
+            return relu(x, out=out)
 
         with mock.patch.object(sg, "query_columns", columns), mock.patch.object(net, "relu", layer):
             codes, z = encode_pre_sign(model, fm.data[:, :7], aux.data[:, :7])
@@ -549,8 +559,8 @@ class TestEncoding:
 
     def test_attention_runs_once_per_call(self, monkeypatch):
         # the attention dedupes y_train on each run, so it runs for all m queries at once
-        monkeypatch.setattr(trainer, "QUERY_PANEL", 2)
         fm, aux, _, model, _ = tiny_fit(seed=17)
+        panel_of(monkeypatch, model, 2)
         with mock.patch.object(trainer, "_attentive", side_effect=trainer._attentive) as spy:
             trainer.encode_queries(model, fm.data[:, :7], aux.data[:, :7])
         assert spy.call_count == 1
@@ -558,11 +568,11 @@ class TestEncoding:
     def test_working_set_is_one_panel(self, monkeypatch):
         # the n-wide graph columns live one panel at a time: eight panels'
         # worth of queries cost about what one panel's worth does
-        monkeypatch.setattr(trainer, "QUERY_PANEL", 16)
         n = 2000
         fm, aux, _ = synth_dataset(n=n + 128, d=6, c=2, sep=4.0, label_noise=0.0, seed=18)
         model, _ = trainer.fit(fm, aux, np.arange(n), r=4, d_prime=8, hidden=8,
                                cfg=TrainConfig(epochs=1, lr=1e-3, seed=18))
+        panel_of(monkeypatch, model, 16)
         peaks = []
         for m in (16, 128):
             Xq, Yq = fm.data[:, n:n + m], aux.data[:, n:n + m]
