@@ -34,11 +34,13 @@ print(f"score(v, v) = {attention_scores(v, v)[0, 0]:.3f}, "
 
 # The graph fuses a Gaussian-kernel visual similarity (median-heuristic
 # bandwidth unless pinned) with integer aux inner products, then applies
-# symmetric degree normalization.
+# symmetric degree normalization. Each graph is held once, as its upper
+# triangle in row panels; .full() forms the whole matrix for the prints below.
 Sv, sigma = visual_similarity(Xatt)
 Sa = Y.T @ Y
-S, _ = similarity(Xatt, Y, GraphConfig(mu=1.0))
-S_tilde, _ = normalize(S.copy())  # build_graph normalizes in S's own buffer
+G, _ = similarity(Xatt, Y, GraphConfig(mu=1.0))
+S = G.full()
+S_tilde = normalize(G)[0].full()  # normalize scales G's panels in place
 print(f"visual kernel bandwidth (median heuristic): {sigma:.3f}")
 print(f"aux similarities are integers: counts {sorted(set(Sa.ravel().astype(int).tolist()))}")
 

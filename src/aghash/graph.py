@@ -2,7 +2,8 @@
 
 Also the one-column extension of the training graph for out-of-sample queries.
 The graph takes the dtype of the attentive features, float32 or float64; the
-tags, 0/1 entries whose counts are exact in either, are cast to it.
+tags, 0/1 entries whose counts are exact in either, are cast to it. It is held
+once, as its upper triangle in row panels (`SymGraph`).
 """
 
 import math
@@ -16,9 +17,12 @@ from .errors import ParameterError, ShapeError, require_finite
 # each variant's similarity parts: (the visual kernel, the tag counts)
 PARTS = {"augmented": (True, True), "visual-only": (True, False), "aux-only": (False, True)}
 VARIANTS = tuple(PARTS)
-# rows per pass over an n x n buffer, so a pass's temporaries are PANEL x n;
-# also the side of the squares the symmetry check compares
+# rows per pass over an n-wide buffer, so a pass's temporaries are PANEL x n;
+# also the side of the squares the symmetry check and the mirror work in
 PANEL = 128
+# rows per stored panel of a SymGraph: at n = 3000 its products read as fast
+# as the dense product at 256 rows, and 15-25% slower at 128
+HEIGHT = 256
 # the median reads its pivots off every step-th entry of the n x n distances,
 # with step >= 64 and n^2 / step at most about SAMPLE
 SAMPLE = 1 << 16
@@ -40,20 +44,121 @@ class GraphConfig:
             raise ParameterError(f"unknown graph variant {self.variant!r}")
 
 
-def sqdist(A, B):
-    """Squared Euclidean distances between the columns of A and of B, clipped at 0.
-
-    Passing the same object as A and B lets numpy compute A^T A as a
-    symmetric product. The distances (a + b) - 2 A^T B are formed in the
-    product's buffer PANEL rows at a time.
-    """
-    a, b = (A**2).sum(axis=0), (B**2).sum(axis=0)
-    d2 = A.T @ B
+def _distances(a, b, d2):
+    """(a + b) - 2 d2, clipped at 0, in the buffer of the products d2 = A^T B
+    of columns with squared norms a and b, PANEL rows at a time."""
     d2 *= 2.0
     for lo in range(0, d2.shape[0], PANEL):
         rows = d2[lo:lo + PANEL]
         np.subtract(a[lo:lo + PANEL, None] + b[None, :], rows, out=rows)
     return np.maximum(d2, 0.0, out=d2)
+
+
+def sqdist(A, B):
+    """Squared Euclidean distances between the columns of A and of B, clipped at 0."""
+    return _distances((A**2).sum(axis=0), (B**2).sum(axis=0), A.T @ B)
+
+
+class SymGraph:
+    """A symmetric n x n matrix held once, as its upper triangle in row panels.
+
+    `panels` lists (lo, P): P holds rows lo to lo + len(P) (HEIGHT of them,
+    fewer in the last panel) and columns lo to n, that is its diagonal block
+    whole, kept exactly symmetric, then the block right of it. The panels are
+    views into one buffer, `data`, of about n^2/2 + n HEIGHT/2 entries.
+    `M @ G` is the product with the whole matrix; `rows` and `full` form it.
+    `similarity` builds one panel by panel; a full array enters only through
+    `from_dense`.
+    """
+
+    __array_ufunc__ = None  # ndarray @ SymGraph defers to __rmatmul__
+
+    def __init__(self, n, dtype):
+        self.n, self.shape, self.dtype = n, (n, n), np.dtype(dtype)
+        los = range(0, n, HEIGHT)
+        sizes = [min(HEIGHT, n - lo) * (n - lo) for lo in los]
+        self.data = np.empty(sum(sizes), dtype=dtype)
+        ends = np.cumsum(sizes)
+        self.panels = [(lo, self.data[end - size:end].reshape(-1, n - lo))
+                       for lo, size, end in zip(los, sizes, ends)]
+
+    @classmethod
+    def from_dense(cls, S):
+        """The SymGraph of a square, symmetric array S, whose upper triangle it copies.
+
+        S is symmetric when allclose(S, S.T) holds: the same pairs and
+        tolerances, read in PANEL x PANEL squares. A float32 or float64 S keeps
+        its dtype; other input is converted to float64. S is never written.
+        """
+        S = _floating(S)
+        if S.ndim != 2 or S.shape[0] != S.shape[1]:
+            raise ShapeError(f"graph must be square, got {S.shape}")
+        # each block above the diagonal against its mirror, in both orientations;
+        # an exactly equal pair passes without the tolerances
+        n = S.shape[0]
+        for lo in range(0, n, PANEL):
+            for hi in range(lo, n, PANEL):
+                block = S[lo:lo + PANEL, hi:hi + PANEL]
+                mirror = S[hi:hi + PANEL, lo:lo + PANEL].T
+                if np.array_equal(block, mirror):
+                    continue
+                if not (np.allclose(block, mirror, rtol=1e-10, atol=1e-12)
+                        and np.allclose(mirror, block, rtol=1e-10, atol=1e-12)):
+                    raise ParameterError("graph must be symmetric")
+        G = cls(n, S.dtype)
+        for lo, P in G.panels:
+            P[...] = S[lo:lo + len(P), lo:]
+        return G.mirror()
+
+    def mirror(self):
+        """Copy each diagonal block's upper triangle onto its lower one, PANEL
+        columns at a time; returns self."""
+        below = np.tri(PANEL, k=-1, dtype=bool)
+        for _, P in self.panels:
+            m = len(P)
+            for lo in range(0, m, PANEL):
+                hi = min(lo + PANEL, m)
+                P[hi:m, lo:hi] = P[lo:hi, hi:m].T  # rows apart in memory: no temporary
+                square = P[lo:hi, lo:hi]
+                np.copyto(square, square.T, where=below[:hi - lo, :hi - lo])
+        return self
+
+    def __rmatmul__(self, M):
+        """M @ G for an m x n array M, in their result dtype.
+
+        Per panel, M[:, lo:hi] @ P adds the rows the panel holds, and
+        (P[:, right] @ M[:, right].T).T the rows below it, which mirror its columns.
+        """
+        if np.ndim(M) != 2 or M.shape[1] != self.n:
+            raise ShapeError(f"cannot multiply {np.shape(M)} by a {self.n} x {self.n} graph")
+        out = np.empty((M.shape[0], self.n), dtype=np.result_type(M, self.dtype))
+        for lo, P in self.panels:
+            hi = lo + len(P)
+            if lo == 0:  # the first panel spans every column
+                np.matmul(M[:, :hi], P, out=out)
+            else:
+                out[:, lo:] += M[:, lo:hi] @ P
+            if hi < self.n:
+                out[:, lo:hi] += (P[:, hi - lo:] @ M[:, hi:].T).T
+        return out
+
+    def rows(self, lo, hi):
+        """Rows lo:hi of the whole matrix (hi clipped at n), as a fresh array."""
+        hi = min(hi, self.n)
+        out = np.empty((hi - lo, self.n), dtype=self.dtype)
+        for start, P in self.panels:
+            end = start + len(P)
+            a, b = max(lo, start), min(hi, end)
+            if a < b:  # rows the panel holds, from its diagonal on
+                out[a - lo:b - lo, start:] = P[a - start:b - start]
+            if end < hi:  # the panel's columns of the rows below it
+                a = max(lo, end)
+                out[a - lo:, start:end] = P[:, a - start:hi - start].T
+        return out
+
+    def full(self):
+        """The whole n x n matrix, exactly symmetric."""
+        return self.rows(0, self.n)
 
 
 def gaussian_kernel(d2, sigma):
@@ -74,27 +179,32 @@ def gaussian_kernel(d2, sigma):
 
 
 def _upper_triangle(d2):
-    """The strict upper triangle of the square d2, PANEL rows at a time: the part
-    inside the diagonal block (a copy of at most PANEL^2 / 2 entries), then the
-    block right of it (a view)."""
-    n = d2.shape[0]
+    """The strict upper triangle of the SymGraph d2, PANEL rows of a panel at a
+    time: the part inside their diagonal block (a copy of at most PANEL^2 / 2
+    entries), then the part right of it (a view)."""
     above = np.triu(np.ones((PANEL, PANEL), dtype=bool), 1)
-    for lo in range(0, n - 1, PANEL):
-        hi = min(lo + PANEL, n)
-        yield d2[lo:hi, lo:hi][above[:hi - lo, :hi - lo]]
-        if hi < n:
-            yield d2[lo:hi, hi:]
+    for _, P in d2.panels:
+        for lo in range(0, len(P), PANEL):
+            hi = min(lo + PANEL, len(P))
+            if hi - lo > 1:
+                yield P[lo:hi, lo:hi][above[:hi - lo, :hi - lo]]
+            if hi < P.shape[1]:
+                yield P[lo:hi, hi:]
 
 
 def _window_pass(d2, a, b, cap):
     """One pass over d2's upper triangle: (its min, #(v < a), #(v <= b), the values in [a, b]).
 
-    The values are gathered only while there are at most `cap` of them, else None.
+    The values are gathered only while there are at most `cap` of them, else
+    None. The masks of every chunk are written into two buffers of PANEL x n.
     """
     low, lt, le, window = np.inf, 0, 0, []
+    masks = np.empty((2, PANEL * d2.n), dtype=bool)
     for chunk in _upper_triangle(d2):
         low = np.minimum(low, chunk.min())  # NaN propagates
-        below, upto = chunk < a, chunk <= b
+        below, upto = (mask[:chunk.size].reshape(chunk.shape) for mask in masks)
+        np.less(chunk, a, out=below)
+        np.less_equal(chunk, b, out=upto)
         lt += np.count_nonzero(below)
         le += np.count_nonzero(upto)
         if window is not None and le - lt <= cap:
@@ -105,8 +215,8 @@ def _window_pass(d2, a, b, cap):
 
 
 def _middle_pair(d2):
-    """The values at the middle ranks lo <= hi of d2's upper triangle (one rank
-    for an odd count), or None when an entry is NaN or negative.
+    """The values at the middle ranks lo <= hi of the SymGraph d2's upper
+    triangle (one rank for an odd count), or None when an entry is NaN or negative.
 
     Counting passes narrow a value interval [L, U] holding both ranks; the
     values in a window [a, b] are gathered only when they fit in PANEL x n
@@ -117,7 +227,7 @@ def _middle_pair(d2):
     split across a pivot are the largest value below it and the smallest
     above it: one more pass.
     """
-    n = d2.shape[0]
+    n = d2.n
     count = n * (n - 1) // 2
     lo, hi = (count - 1) // 2, count // 2
     cap = PANEL * n
@@ -125,7 +235,10 @@ def _middle_pair(d2):
     while math.gcd(step, n) > 1:  # a step sharing no factor with n visits every column
         step += 1
     i, j = np.divmod(np.arange(0, n * n, step), n)
-    sample = np.sort(d2[i[j > i], j[j > i]])
+    i, j = i[j > i], j[j > i]
+    panel = i // HEIGHT
+    sample = np.sort(np.concatenate([P[i[panel == k] - start, j[panel == k] - start]
+                                     for k, (start, P) in enumerate(d2.panels)]))
     scalar, bits = d2.dtype.type, np.dtype(f"u{d2.dtype.itemsize}")
     L, U, below, inside = scalar(0), scalar(np.inf), 0, count
     while True:
@@ -163,14 +276,13 @@ def _middle_pair(d2):
 
 
 def median_bandwidth(d2):
-    """Median pairwise distance of the n x n squared distances d2; falls back to 1 when degenerate.
+    """Median pairwise distance of the SymGraph d2 of squared distances; falls back to 1 when degenerate.
 
     np.median's value bit for bit, NaN included: the squared distances at the
     two middle ranks of the upper triangle (`_middle_pair`, which makes no
     copy of it) are square-rooted and averaged with np.mean in d2's dtype.
     """
-    n = d2.shape[0]
-    if n < 2:
+    if d2.n < 2:
         raise ParameterError("median heuristic needs at least 2 items")
     pair = _middle_pair(d2)
     if pair is None:
@@ -184,16 +296,22 @@ def median_bandwidth(d2):
 
 
 def visual_similarity(Xatt, bandwidth=None):
-    """Gaussian-kernel similarity of attentive features; unit diagonal.
+    """Gaussian-kernel similarity of attentive features, as a SymGraph; unit diagonal.
 
-    bandwidth=None selects the median heuristic over pairwise distances.
-    Returns (S_v, sigma) with the bandwidth actually used.
+    Each panel's Gram block becomes its distances in place; the median over
+    them all is the bandwidth when `bandwidth` is None; then each panel becomes
+    its kernel. Returns (S_v, sigma) with the bandwidth actually used.
     """
-    d2 = sqdist(Xatt, Xatt)
-    sigma = median_bandwidth(d2) if bandwidth is None else float(bandwidth)
-    Sv = gaussian_kernel(d2, sigma)
-    np.fill_diagonal(Sv, 1.0)
-    return Sv, sigma
+    sq = (Xatt**2).sum(axis=0)
+    G = SymGraph(Xatt.shape[1], Xatt.dtype)
+    for lo, P in G.panels:
+        hi = lo + len(P)
+        _distances(sq[lo:hi], sq[lo:], np.matmul(Xatt[:, lo:hi].T, Xatt[:, lo:], out=P))
+    sigma = median_bandwidth(G) if bandwidth is None else float(bandwidth)
+    for _, P in G.panels:
+        gaussian_kernel(P, sigma)
+        np.fill_diagonal(P, 1.0)  # the diagonal of its diagonal block
+    return G.mirror(), sigma
 
 
 def _floating(A):
@@ -232,56 +350,49 @@ def inv_sqrt_degree(degrees):
 
 
 def normalize(S):
-    """(D^{-1/2} S D^{-1/2}, degrees): symmetric normalization; zero-degree rows stay zero.
+    """(S, degrees): the SymGraph S scaled in place to D^{-1/2} S D^{-1/2}; zero-degree rows stay zero.
 
-    Scales a float32 or float64 array S in place and returns it; other input
-    is converted to float64 first. Both checks run before the first write, so
-    a rejected S is left unchanged.
+    A degree is its row's sum in the panel holding the row plus the column
+    sums, right of their diagonal blocks, of the panels above. The check runs
+    before the first write, so a rejected S is left unchanged.
     """
-    S = _floating(S)
-    if S.ndim != 2 or S.shape[0] != S.shape[1]:
-        raise ShapeError(f"graph must be square, got {S.shape}")
-    # each block above the diagonal against its mirror, in both orientations:
-    # the pairs and tolerances of allclose(S, S.T), read in cache-sized squares;
-    # an exactly equal pair (what build_graph makes) passes without them
-    n = S.shape[0]
-    for lo in range(0, n, PANEL):
-        for hi in range(lo, n, PANEL):
-            block = S[lo:lo + PANEL, hi:hi + PANEL]
-            mirror = S[hi:hi + PANEL, lo:lo + PANEL].T
-            if np.array_equal(block, mirror):
-                continue
-            if not (np.allclose(block, mirror, rtol=1e-10, atol=1e-12)
-                    and np.allclose(mirror, block, rtol=1e-10, atol=1e-12)):
-                raise ParameterError("graph must be symmetric")
-    if S.min() < 0:
+    if S.data.min() < 0:
         raise ParameterError("graph must be nonnegative")
-    degrees = S.sum(axis=1)
+    degrees = np.zeros(S.n, dtype=S.dtype)
+    for lo, P in S.panels:
+        hi = lo + len(P)
+        degrees[lo:hi] += P.sum(axis=1)
+        degrees[hi:] += P[:, len(P):].sum(axis=0)
     inv_sqrt = inv_sqrt_degree(degrees)
-    S *= inv_sqrt[:, None]
-    S *= inv_sqrt[None, :]
-    return S, degrees
+    for lo, P in S.panels:
+        P *= inv_sqrt[lo:lo + len(P), None]
+        P *= inv_sqrt[None, lo:]
+    return S.mirror(), degrees  # the scaling rounds an entry and its mirror apart
 
 
 def similarity(Xatt, Y, config):
-    """(S, sigma): the variant's unnormalized similarity in Xatt's dtype.
+    """(S, sigma): the variant's unnormalized similarity, a SymGraph in Xatt's dtype.
 
     The kernel part is built first and the tag counts are fused into its
-    buffer; sigma is the kernel's bandwidth, or None when the variant has no
+    panels; sigma is the kernel's bandwidth, or None when the variant has no
     kernel, whose similarity is the counts Y^T Y alone.
     """
     Y = np.asarray(Y, dtype=Xatt.dtype)
     uses_visual, uses_tags = PARTS[config.variant]
     if not uses_visual:
-        return Y.T @ Y, None
+        S = SymGraph(Y.shape[1], Y.dtype)
+        for lo, P in S.panels:
+            np.matmul(Y[:, lo:lo + len(P)].T, Y[:, lo:], out=P)
+        return S.mirror(), None
     S, sigma = visual_similarity(Xatt, config.bandwidth)
-    if uses_tags:
-        add_counts(config.mu, S, Y, Y)
+    if uses_tags:  # exact counts on both sides of the diagonal keep it symmetric
+        for lo, P in S.panels:
+            add_counts(config.mu, P, Y[:, lo:lo + len(P)], Y[:, lo:])
     return S, sigma
 
 
 def build_graph(Xatt, Y, config):
-    """(S_tilde, degrees, sigma): the variant's similarity, normalized in its own buffer."""
+    """(S_tilde, degrees, sigma): the variant's similarity, normalized in its own panels."""
     S, sigma = similarity(Xatt, Y, config)
     return (*normalize(S), sigma)
 

@@ -73,9 +73,10 @@ def gcn_layers(H, S_tilde, params, out=None):
     """Both GCN layers on H = Xatt S~: (Z1, Z) = (ReLU(W1 H), (W2 Z1) S~); Z has no activation.
 
     Layer 2 is W2 (Z1 S~) reassociated: W2 Z1 has r << h rows, so the n x n
-    product costs r n^2 multiply-adds instead of h n^2. Z1 is written into
-    `out` when given, an h x n buffer of the product's dtype, so a training
-    loop reuses one buffer for Z1 in every epoch.
+    product costs r n^2 multiply-adds instead of h n^2. S~ is a
+    `graph.SymGraph` or an n x n array: either serves `M @ S~`. Z1 is
+    written into `out` when given, an h x n buffer of the product's dtype,
+    so a training loop reuses one buffer for Z1 in every epoch.
     """
     Z1 = np.matmul(params.W1, H, out=out)
     relu(Z1, out=Z1)  # the ReLU in the product's buffer

@@ -67,8 +67,8 @@ class TagGram:
 def reconstruction_loss(Z, target, k):
     """||k*target - [cos(Z^T, Z)]_+||^2 and its Z gradient.
 
-    `target` is a symmetric n x n array or a `TagGram`; it and the cosines are
-    formed PANEL rows at a time, so no n x n temporary exists. The panels and
+    `target` is a `graph.SymGraph` or a `TagGram`; its rows and the cosines
+    are formed PANEL rows at a time, so no n x n temporary exists. The panels and
     the gradient take Z's dtype, and each panel's squared residuals are summed
     in it into a Python float. The symmetric target makes the residual
     symmetric, so each panel b adds its share 2 N[:, b] dC_b of the gradient
@@ -86,11 +86,10 @@ def reconstruction_loss(Z, target, k):
         C = Nb.T @ N
         np.maximum(C, 0.0, out=C)
         if tags is not None:
-            R = tags[:, lo:lo + PANEL].T @ tags  # a fresh panel, scaled in place
-            R *= k
+            R = tags[:, lo:lo + PANEL].T @ tags
         else:
-            # a view of the target, scaled into a copy
-            R = np.multiply(target[lo:lo + PANEL], k, dtype=N.dtype)
+            R = target.rows(lo, lo + PANEL).astype(N.dtype, copy=False)
+        R *= k  # a fresh panel, scaled in place
         R -= C
         loss += float(np.vdot(R, R))
         R *= C > 0  # clipped entries pass no gradient
@@ -130,11 +129,13 @@ def backprop_all(H, layers, S_tilde, target, Y, B, gcn, head, hp):
     h x n x n one, and r << h. The GCN products and gradients take the
     dtype of S~ and the layers; the loss heads take float64 from their
     parameters. Once dW2 is taken, dZ1 is written into `layers[0]`'s buffer a
-    row panel at a time, each after its ReLU mask is read, so Z1 is
-    overwritten: an epoch holds one h x n array and no h x n mask.
+    row panel at a time, each after its ReLU mask is written into one
+    PANEL x n buffer, so Z1 is overwritten: an epoch holds one h x n array
+    and no h x n mask.
 
     `target` is what the code cosines reconstruct (`reconstruction_loss`):
-    `TagGram(Y)` or an n x n array.
+    `TagGram(Y)` or a `graph.SymGraph`. S~ is a SymGraph or, in tests, an
+    n x n array: the layers only multiply by it.
 
     Returns (LossBreakdown, grads); grads maps the `network.parameters` name
     of each parameter of the GCN and the head to its gradient.
@@ -153,9 +154,10 @@ def backprop_all(H, layers, S_tilde, target, Y, B, gcn, head, hp):
     # dZ is float64 from the heads; S~'s dtype keeps the product from copying S~
     G = dZ.astype(S_tilde.dtype, copy=False) @ S_tilde
     dW2 = G @ Z1.T
+    mask = np.empty((PANEL, Z1.shape[1]), dtype=bool)
     for lo in range(0, Z1.shape[0], PANEL):  # Z1 is spent: layer 1's gradient takes its buffer
         rows = Z1[lo:lo + PANEL]
-        active = rows > 0  # the panel's ReLU mask, taken before the panel is overwritten
+        active = np.greater(rows, 0, out=mask[:len(rows)])  # read before the panel is overwritten
         np.matmul(gcn.W2.T[lo:lo + PANEL], G, out=rows)
         rows *= active
     grads = {"W1": Z1 @ H.T, "W2": dW2, "Wc": hp.lambda3 * dWc}

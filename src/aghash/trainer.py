@@ -1,7 +1,8 @@
 """Adam training loop: each epoch steps the GCN and the classification head once.
 
-Training is full-batch over the training split: the graph layers consume the
-whole n x n normalized graph, which is tractable at the target scale.
+Training is full-batch over the training split: the graph layers multiply by
+the whole n x n normalized graph, held once as its upper triangle
+(`graph.SymGraph`), which is tractable at the target scale.
 """
 
 from dataclasses import asdict, dataclass, fields, replace
@@ -161,7 +162,7 @@ def fit(
         graph_cfg = replace(graph_cfg, bandwidth=sigma)
     if use_attention or sg.PARTS[graph_cfg.variant][1]:  # the codes read the tags
         target = obj.TagGram(Yt)
-    else:  # no tags: the kernel under the training graph's bandwidth, and no classification term
+    else:  # no tags: the kernel SymGraph under the graph's bandwidth, and no classification term
         target = sg.visual_similarity(Xatt, graph_cfg.bandwidth)[0]
         hyper = replace(hyper, lambda3=0.0)
 

@@ -99,25 +99,25 @@ def test_gradient_suite(capfd):
 def test_equation_unit_checks(capfd):
     sigma = 0.9
     X = np.array([[0.0, sigma * np.sqrt(2.0)]])
-    Sv, _ = sg.visual_similarity(X, bandwidth=sigma)
+    Sv = sg.visual_similarity(X, bandwidth=sigma)[0].full()
     kernel_ok = abs(Sv[0, 1] - np.exp(-1.0)) <= 1e-12
 
     rng = np.random.default_rng(0)
     Y = (rng.random((4, 10)) < 0.5).astype(float)
-    Sa = sg.similarity(np.zeros((1, 10)), Y, sg.GraphConfig(variant="aux-only"))[0]
+    Sa = sg.similarity(np.zeros((1, 10)), Y, sg.GraphConfig(variant="aux-only"))[0].full()
     inner_ok = all(
         Sa[i, j] == float(sum(int(Y[k, i]) * int(Y[k, j]) for k in range(4)))
         for i in range(10) for j in range(10)
     )
 
     n = 7
-    St, _ = sg.normalize(np.ones((n, n)))
+    St = sg.normalize(sg.SymGraph.from_dense(np.ones((n, n))))[0].full()
     ones_ok = np.abs(St - 1.0 / n).max() <= 1e-12
 
     eig_ok = True
     for _ in range(50):
         A = rng.random((20, 20))
-        St, _ = sg.normalize(A + A.T)
+        St = sg.normalize(sg.SymGraph.from_dense(A + A.T))[0].full()
         if np.linalg.eigvalsh(St).max() > 1.0 + 1e-8:
             eig_ok = False
             break

@@ -9,6 +9,8 @@ from aghash.network import GcnParams
 
 from conftest import backprop, central_diff, max_rel_err, small_instance
 
+sym = sg.SymGraph.from_dense  # a reconstruction target from a full symmetric array
+
 
 class TestQuantizationLoss:
     def test_zero_at_codes(self):
@@ -36,25 +38,25 @@ class TestQuantizationLoss:
 class TestReconstructionLoss:
     def test_perfect_cosine_match(self):
         Z = np.array([[1.0, 2.0], [0.0, 0.0]])  # columns parallel, cos = 1
-        target = np.ones((2, 2))
+        target = sym(np.ones((2, 2)))
         loss, _ = obj.reconstruction_loss(Z, target, k=1.0)
         assert loss == pytest.approx(0.0, abs=1e-24)
 
     def test_orthogonal_columns(self):
         Z = np.eye(2)
-        loss, _ = obj.reconstruction_loss(Z, np.ones((2, 2)), k=1.0)
+        loss, _ = obj.reconstruction_loss(Z, sym(np.ones((2, 2))), k=1.0)
         # off-diagonal cosine 0 vs target 1: two unit residuals
         assert loss == pytest.approx(2.0, abs=1e-12)
 
     def test_k_scaling(self):
         Z = np.eye(2)
-        loss, _ = obj.reconstruction_loss(Z, np.ones((2, 2)), k=2.0)
+        loss, _ = obj.reconstruction_loss(Z, sym(np.ones((2, 2))), k=2.0)
         # diagonal residual (2-1)^2 twice, off-diagonal 2^2 twice
         assert loss == pytest.approx(10.0, abs=1e-12)
 
     def test_zero_column_contributes_target_only(self):
         Z = np.array([[1.0, 0.0]])
-        loss, dZ = obj.reconstruction_loss(Z, np.ones((2, 2)), k=1.0)
+        loss, dZ = obj.reconstruction_loss(Z, sym(np.ones((2, 2))), k=1.0)
         assert loss == pytest.approx(3.0, abs=1e-12)
         assert np.array_equal(dZ[:, 1], [0.0])
 
@@ -62,7 +64,7 @@ class TestReconstructionLoss:
         rng = np.random.default_rng(1)
         Z = rng.standard_normal((4, 6))
         T = rng.random((6, 6))
-        T = (T + T.T) / 2
+        T = sym((T + T.T) / 2)
         _, dZ = obj.reconstruction_loss(Z, T, k=1.0)
         fd = central_diff(lambda z: obj.reconstruction_loss(z, T, 1.0)[0], Z)
         assert max_rel_err(dZ, fd) < 1e-4
@@ -97,8 +99,9 @@ class TestPanelledReconstruction:
         rng = np.random.default_rng(n)
         Y = (rng.random((3, n)) < 0.4).astype(np.float64)
         Sv, _ = sg.visual_similarity(rng.standard_normal((5, n)), bandwidth=2.0)
-        target, dense = {"aux": (obj.TagGram(Y), Y.T @ Y), "visual": (Sv, Sv),
-                         "augmented": (Sv + Y.T @ Y,) * 2}[part]
+        Svf = Sv.full()
+        target, dense = {"aux": (obj.TagGram(Y), Y.T @ Y), "visual": (Sv, Svf),
+                         "augmented": (sym(Svf + Y.T @ Y), Svf + Y.T @ Y)}[part]
         Z = rng.standard_normal((4, n))
         Z[:, 1::5] = 0.0
         loss, dZ = obj.reconstruction_loss(Z, target, 1.5)
@@ -108,18 +111,18 @@ class TestPanelledReconstruction:
         assert not dZ[:, 1::5].any()  # a zero column has cosine 0 with everything and no gradient
 
     def test_tag_gram_matches_its_array_bit_for_bit(self):
-        # a TagGram's fresh panels are scaled in place, an array target's rows
-        # are copied: the same loss and gradient, and the array is left unchanged
+        # a TagGram's fresh panels and a SymGraph's copied rows are scaled in
+        # place: the same loss and gradient, and the SymGraph is left unchanged
         rng = np.random.default_rng(9)
-        n = 2 * obj.PANEL + 5
+        n = 2 * sg.HEIGHT + 5
         Y = (rng.random((3, n)) < 0.4).astype(np.float64)
-        dense = Y.T @ Y
-        kept = dense.copy()
+        G = sym(Y.T @ Y)
+        kept = G.data.copy()
         Z = rng.standard_normal((4, n))
         loss, dZ = obj.reconstruction_loss(Z, obj.TagGram(Y), 1.5)
-        want, dZ_want = obj.reconstruction_loss(Z, dense, 1.5)
+        want, dZ_want = obj.reconstruction_loss(Z, G, 1.5)
         assert loss == want and dZ.tobytes() == dZ_want.tobytes()
-        assert np.array_equal(dense, kept)
+        assert np.array_equal(G.data, kept)
 
     @pytest.mark.parametrize("part", ["aux", "visual"])
     def test_float32_panels_match_float64(self, part):
@@ -132,7 +135,7 @@ class TestPanelledReconstruction:
         Z = rng.standard_normal((16, n))
 
         def loss_in(dtype):
-            target = obj.TagGram(Y) if part == "aux" else Sv.astype(dtype)
+            target = obj.TagGram(Y) if part == "aux" else sym(Sv.full().astype(dtype))
             return obj.reconstruction_loss(Z.astype(dtype), target, 1.5)
 
         (loss, dZ), (want, dZ_want) = loss_in(np.float32), loss_in(np.float64)
@@ -221,7 +224,7 @@ class TestBackpropAll:
         # the GCN gradients follow S~ and the layers; the head's follow its
         # float64 parameters, and the losses are floats
         inst = small_instance(24)
-        Xatt, St = inst.Xatt.astype(dtype), inst.St.astype(dtype)
+        Xatt, St = inst.Xatt.astype(dtype), sym(inst.St.full().astype(dtype))
         gcn = GcnParams(inst.gcn.W1.astype(dtype), inst.gcn.W2.astype(dtype))
         H = Xatt @ St
         bd, grads = obj.backprop_all(H, net.gcn_layers(H, St, gcn), St, recon_target(Xatt, inst.Y, target),

@@ -360,7 +360,7 @@ class TestFit:
             assert len(calls) == 3 and all(args[3] is target and args[8] is hyper for args in calls)
             if variant == "no-aux":
                 want, sigma = sg.visual_similarity(model.xatt_train)
-                assert sigma == model.graph_cfg.bandwidth and np.array_equal(target, want)
+                assert sigma == model.graph_cfg.bandwidth and np.array_equal(target.full(), want.full())
                 assert hyper == obj.Hyperparams(lambda3=0.0)
             else:
                 assert isinstance(target, obj.TagGram) and np.array_equal(target.Y, aux.data[:, split.train])
@@ -389,6 +389,26 @@ class TestFit:
             tracemalloc.stop()
         assert peak < 2.2 * n * n * 8, f"peak {peak / (n * n * 8):.2f} n x n float64 arrays"
         assert scores == [(n, u)]
+
+    def test_fit_holds_the_graph_once(self):
+        # n large against d', h and r, so S~ dominates fit's peak: it is held as
+        # its triangle, about n^2/2 + n HEIGHT/2 float32 entries (0.56 of an
+        # n x n float32 array here); the fit read 0.82, where the n x n graph
+        # read 1.26
+        n = 2000
+        fm, aux, _ = synth_dataset(n=n, d=16, c=4, sep=2.0, label_noise=0.1, seed=1)
+
+        def fit(items):
+            trainer.fit(fm, aux, np.arange(items), r=8, d_prime=16, hidden=32, cfg=TrainConfig(epochs=2))
+
+        fit(50)  # numpy's lazy imports happen outside the trace
+        tracemalloc.start()
+        try:
+            fit(n)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.9 * n * n * 4, f"peak {peak / (n * n * 4):.2f} n x n float32 arrays"
 
     def test_epochs_share_one_hidden_buffer(self):
         # layer 1's gradient is written into Z1's buffer and the next Z1 into the
