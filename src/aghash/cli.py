@@ -11,13 +11,13 @@ import time
 import warnings
 
 from . import __version__, manifest
-from .errors import AghashError, ConfigError, ParameterError, ShapeError
+from .errors import AghashError, ConfigError, ParameterError, ShapeError, require_sizes
 
 _THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                 "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
 
 # --variant -> (graph variant, attention denoising); `trainer.fit` derives the
-# loss terms from the two
+# reconstruction target from the two
 _VARIANTS = {
     "full": ("augmented", True),
     "no-aux": ("visual-only", False),
@@ -41,9 +41,6 @@ def _add_train_flags(p):
     p.add_argument("--r", type=int, default=32, help="hash code length")
     p.add_argument("--d-prime", type=int, default=512, help="shared attention dimension")
     p.add_argument("--hidden", type=int, default=1024, help="GCN hidden width")
-    p.add_argument("--lambda1", type=float, default=100.0)
-    p.add_argument("--lambda2", type=float, default=1.0)
-    p.add_argument("--lambda3", type=float, default=1.0)
     p.add_argument("--k", type=float, default=1.0, help="reconstruction target scale")
     p.add_argument("--mu", type=float, default=1.0, help="graph fusion weight")
     p.add_argument("--bandwidth", type=float, default=None,
@@ -107,7 +104,7 @@ def build_parser():
     p.add_argument("--aux", required=True)
     p.add_argument("--split", required=True)
     p.add_argument("--labels", required=True, help="full ground-truth label file")
-    p.add_argument("--axis", choices=("epochs", "lambda1", "lambda2", "lambda3", "r"), required=True)
+    p.add_argument("--axis", choices=("epochs", "r"), required=True)
     p.add_argument("--values", required=True, help="comma-separated axis values")
     p.add_argument("--k-eval", type=int, default=100, help="K for MAP@K")
     p.add_argument("--out", required=True, help="CSV file to write")
@@ -217,17 +214,20 @@ def cmd_synth(args):
 
 
 def _fit_kwargs(args):
-    """The keyword arguments of `trainer.fit` that the flags and the ablation variant resolve to."""
+    """The keyword arguments of `trainer.fit` that the flags and the ablation variant resolve to.
+
+    Every setting is checked here, the sizes as `fit` checks them, so a sweep
+    can check all its points before it trains any.
+    """
     from .graph import GraphConfig
-    from .objective import Hyperparams
     from .trainer import TrainConfig
 
+    require_sizes(d_prime=args.d_prime, hidden=args.hidden, r=args.r)
     graph_variant, use_attention = _VARIANTS[args.variant]
     return dict(
         r=args.r, d_prime=args.d_prime, hidden=args.hidden, use_attention=use_attention,
         graph_cfg=GraphConfig(mu=args.mu, bandwidth=args.bandwidth, variant=graph_variant),
-        hyper=Hyperparams(lambda1=args.lambda1, lambda2=args.lambda2, lambda3=args.lambda3, k=args.k),
-        cfg=TrainConfig(lr=args.lr, epochs=args.epochs, seed=args.seed),
+        cfg=TrainConfig(lr=args.lr, epochs=args.epochs, seed=args.seed, k=args.k),
     )
 
 
@@ -249,10 +249,7 @@ def cmd_train(args):
         write_train_log(log, history)
         man["timing"] = {"train_seconds": train_time}
         man["outputs"] = [ckpt, log]
-    final = history[-1]
-    print(f"train: {args.epochs} epochs in {train_time:.2f}s, "
-          f"final total={final.total:.6g} (quan={final.l_quan:.4g}, "
-          f"recons={final.l_recons:.4g}, cl={final.l_cl:.4g})")
+    print(f"train: {args.epochs} epochs in {train_time:.2f}s, final recons={history[-1]:.6g}")
     return 0
 
 

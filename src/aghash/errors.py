@@ -1,4 +1,4 @@
-"""Error types shared across the package, and the value checks of the config types."""
+"""Error types shared across the package, and the value checks of the config types and model sizes."""
 
 import math
 import numbers
@@ -50,3 +50,11 @@ def require_integer(name, value, minimum=None):
             or (minimum is not None and value < minimum)):
         bound = "" if minimum is None else f" >= {minimum}"
         raise ParameterError(f"{name} must be an integer{bound}, got {value!r}")
+
+
+def require_sizes(**sizes):
+    """Raise ShapeError naming the first of the keyword sizes that is not an integer >= 1."""
+    for name, dim in sizes.items():
+        require_integer(name, dim)
+        if dim < 1:
+            raise ShapeError(f"{name} must be >= 1, got {dim}")

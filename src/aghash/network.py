@@ -1,4 +1,4 @@
-"""Two-layer GCN encoder and its classification head.
+"""Two-layer GCN encoder and the checkpoint container.
 
 Forward passes only; gradients live in `objective`.
 """
@@ -10,7 +10,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import FormatError, ShapeError, require_integer
+from .errors import FormatError, require_sizes
 
 CHECKPOINT_MAGIC = b"AGCK"
 CHECKPOINT_VERSION = 6
@@ -26,30 +26,21 @@ class GcnParams:
         return self.W2.shape[0]
 
 
-@dataclass
-class ClsHead:
-    Wc: np.ndarray  # c x r
-
-
-def init_params(d_prime, h, r, c, seed):
+def init_params(d_prime, h, r, seed):
     """He-style init: Gaussian entries with std sqrt(2/fan_in); W1 is drawn h x d'."""
-    for name, dim in (("d_prime", d_prime), ("hidden", h), ("r", r), ("c", c)):
-        require_integer(name, dim)
-        if dim < 1:
-            raise ShapeError(f"{name} must be >= 1, got {dim}")
+    require_sizes(d_prime=d_prime, hidden=h, r=r)
     rng = np.random.default_rng(seed)
 
     def mat(rows, cols):
         return rng.standard_normal((rows, cols)) * np.sqrt(2.0 / cols)
 
-    gcn = GcnParams(mat(h, d_prime), mat(r, h))
-    return gcn, ClsHead(mat(c, r))
+    return GcnParams(mat(h, d_prime), mat(r, h))
 
 
 def parameters(*groups):
     """Ordered name -> array registry over parameter groups.
 
-    A group is any dataclass whose fields are arrays (GcnParams, ClsHead,
+    A group is any dataclass whose fields are arrays (GcnParams,
     attention.AttentionParams); field names are unique across groups.
     """
     return {f.name: getattr(g, f.name) for g in groups for f in fields(g)}
@@ -58,15 +49,6 @@ def parameters(*groups):
 def relu(x, out=None):
     """max(x, 0), written into `out` when given (x itself for an in-place ReLU)."""
     return np.maximum(x, 0.0, out=out)
-
-
-def sigmoid(x):
-    out = np.empty_like(x, dtype=np.float64)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
 
 
 def gcn_layers(H, S_tilde, params, out=None):
@@ -81,13 +63,6 @@ def gcn_layers(H, S_tilde, params, out=None):
     Z1 = np.matmul(params.W1, H, out=out)
     relu(Z1, out=Z1)  # the ReLU in the product's buffer
     return Z1, (params.W2 @ Z1) @ S_tilde
-
-
-def cls_forward(Z, head):
-    """Per-category probabilities sigmoid(Wc z_i)."""
-    if head.Wc.shape[1] != Z.shape[0]:
-        raise ShapeError(f"head is {head.Wc.shape}, codes have r = {Z.shape[0]}")
-    return sigmoid(head.Wc @ Z)
 
 
 # ---------------------------------------------------------------------------

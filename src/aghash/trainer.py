@@ -1,4 +1,4 @@
-"""Adam training loop: each epoch steps the GCN and the classification head once.
+"""Adam training loop: each epoch steps the GCN's two weights once.
 
 Training is full-batch over the training split: the graph layers multiply by
 the whole n x n normalized graph, held once as its upper triangle
@@ -18,8 +18,8 @@ from .data import DatasetSplit, _from_file, reject_entries
 from .errors import FormatError, NumericError, ParameterError, ShapeError, require_finite, require_integer
 
 # the dtype of the attentive features, the graph, both GCN layers, their
-# gradients and Adam states, in fit and in encode_queries alike; the attention,
-# head and loss sums stay float64
+# gradients and Adam states, in fit and in encode_queries alike; the attention
+# and the loss's sum stay float64
 COMPUTE_DTYPE = np.float32
 
 
@@ -28,11 +28,14 @@ class TrainConfig:
     lr: float = 1e-4
     epochs: int = 300
     seed: int = 0
+    k: float = 1.0  # the reconstruction target's scale (`objective.reconstruction_loss`)
 
     def __post_init__(self):
-        require_finite(self, "lr")
+        require_finite(self, "lr", "k")
         if self.lr <= 0:
             raise ParameterError(f"learning rate must be > 0, got {self.lr}")
+        if self.k <= 0:
+            raise ParameterError(f"k must be > 0, got {self.k}")
         require_integer("epochs", self.epochs, 1)
         require_integer("seed", self.seed, 0)
 
@@ -81,7 +84,7 @@ def sign_pm(Z):
 
 @dataclass
 class TrainedModel:
-    """What encoding reads: the head serves only training."""
+    """What encoding reads, which is what a checkpoint holds."""
     attention: att.AttentionParams
     gcn: net.GcnParams
     graph_cfg: sg.GraphConfig  # bandwidth is the resolved one when the graph has a visual kernel
@@ -115,22 +118,22 @@ def fit(
     d_prime=512,
     hidden=1024,
     graph_cfg=sg.GraphConfig(),
-    hyper=obj.Hyperparams(),
     cfg=TrainConfig(),
     use_attention=True,
     epoch_callback=None,
 ):
     """Train the full model on the given split. Returns (TrainedModel, history).
 
-    history is one LossBreakdown per epoch. epoch_callback(epoch, breakdown)
-    is invoked after each epoch when given. The attentive features, the graph,
-    the GCN weights, both layers and their gradients are in COMPUTE_DTYPE.
+    history holds each epoch's reconstruction loss, one float per epoch, and
+    epoch_callback(epoch, loss) is invoked after each epoch when given. The
+    attentive features, the graph, the GCN weights, both layers and their
+    gradients are in COMPUTE_DTYPE.
     The projections and W1 are drawn d' wide, then re-expressed once in the
     k = min(d', d + c) coordinates of the projections' span (`attention.basis`):
     the same model at step 0, since norms and cosines there do not change.
     Training and the returned model see only the k coordinates.
     Codes that read no tags (no attention, no tag part in the graph) reconstruct
-    the visual kernel with no classification term; the others the tags' Gram matrix.
+    the visual kernel; the others the tags' Gram matrix.
     """
     train_idx = np.asarray(train_idx)
     if train_idx.size == 0:
@@ -147,7 +150,7 @@ def fit(
     Yt = np.ascontiguousarray(aux.data[:, train_idx])
 
     # the network first: it checks the dimensions before any n x n work
-    gcn, head = net.init_params(d_prime, hidden, r, aux.c, cfg.seed + 1)
+    gcn = net.init_params(d_prime, hidden, r, cfg.seed + 1)
     apar = att.init_attention(features.d, aux.c, d_prime, cfg.seed)
     Q = att.basis(apar)
     if Q is not None:  # P_x, P_y and W1 in the k coordinates, before the cast
@@ -162,11 +165,10 @@ def fit(
         graph_cfg = replace(graph_cfg, bandwidth=sigma)
     if use_attention or sg.PARTS[graph_cfg.variant][1]:  # the codes read the tags
         target = obj.TagGram(Yt)
-    else:  # no tags: the kernel SymGraph under the graph's bandwidth, and no classification term
+    else:  # no tags: the kernel SymGraph under the graph's bandwidth
         target = sg.visual_similarity(Xatt, graph_cfg.bandwidth)[0]
-        hyper = replace(hyper, lambda3=0.0)
 
-    params = net.parameters(gcn, head)
+    params = net.parameters(gcn)
     states = {name: AdamState.like(param) for name, param in params.items()}
 
     H = Xatt @ St
@@ -175,17 +177,16 @@ def fit(
     for epoch in range(1, cfg.epochs + 1):
         if not np.all(np.isfinite(Z)):
             raise NumericError(f"non-finite encoder output at epoch {epoch}")
-        breakdown, grads = obj.backprop_all(H, (Z1, Z), St, target, Yt, sign_pm(Z), gcn, head, hyper)
-        for term in fields(breakdown):
-            if not np.isfinite(getattr(breakdown, term.name)):
-                raise NumericError(f"non-finite loss term {term.name} at epoch {epoch}")
+        loss, grads = obj.backprop_all(H, (Z1, Z), St, target, gcn, cfg.k)
+        if not np.isfinite(loss):
+            raise NumericError(f"non-finite loss at epoch {epoch}")
 
         for name, grad in grads.items():
             adam_step(params[name], grad, states[name], epoch, cfg.lr)
         Z1, Z = net.gcn_layers(H, St, gcn, out=Z1)  # backprop_all left its gradient in Z1
-        history.append(breakdown)
+        history.append(loss)
         if epoch_callback is not None:
-            epoch_callback(epoch, breakdown)
+            epoch_callback(epoch, loss)
 
     model = TrainedModel(
         attention=apar, gcn=gcn, graph_cfg=graph_cfg, use_attention=use_attention,
@@ -254,9 +255,9 @@ def _propagate(model, xatt_q, Yq):
 
 def write_train_log(path, history):
     with open(path, "w", encoding="ascii") as fh:
-        fh.write("epoch,l_quan,l_recons,l_cl,total\n")
-        for i, b in enumerate(history, start=1):
-            fh.write(f"{i},{b.l_quan:.10g},{b.l_recons:.10g},{b.l_cl:.10g},{b.total:.10g}\n")
+        fh.write("epoch,l_recons\n")
+        for i, loss in enumerate(history, start=1):
+            fh.write(f"{i},{loss:.10g}\n")
 
 
 # parameter groups of a TrainedModel by field

@@ -41,12 +41,9 @@ class SmallInstance:
     Xatt: np.ndarray
     St: np.ndarray
     gcn: net.GcnParams
-    head: net.ClsHead
-    B: np.ndarray
-    hp: obj.Hyperparams
 
 
-def small_instance(seed, n=16, d=8, d_prime=8, h=8, r=4, c=3, hp=None):
+def small_instance(seed, n=16, d=8, d_prime=8, h=8, r=4, c=3):
     """Seeded instance at the gradient-suite dimensions.
 
     As in training, the projections and W1 are drawn d' wide and, when
@@ -56,22 +53,18 @@ def small_instance(seed, n=16, d=8, d_prime=8, h=8, r=4, c=3, hp=None):
     X = rng.standard_normal((d, n))
     Y = (rng.random((c, n)) < 0.4).astype(np.float64)
     apar = att.init_attention(d, c, d_prime, seed + 1)
-    gcn, head = net.init_params(d_prime, h, r, c, seed + 2)
+    gcn = net.init_params(d_prime, h, r, seed + 2)
     Q = att.basis(apar)
     if Q is not None:
         apar = att.AttentionParams(Q.T @ apar.P_x, Q.T @ apar.P_y)
         gcn.W1 = gcn.W1 @ Q
     Xatt = att.denoise(X, Y, apar)
     St, _ = sg.normalize(sg.similarity(Xatt, Y, sg.GraphConfig())[0])
-    _, Z = net.gcn_layers(Xatt @ St, St, gcn)
-    B = np.where(Z >= 0, 1.0, -1.0)
-    return SmallInstance(X=X, Y=Y, apar=apar, Xatt=Xatt, St=St,
-                         gcn=gcn, head=head, B=B,
-                         hp=hp or obj.Hyperparams())
+    return SmallInstance(X=X, Y=Y, apar=apar, Xatt=Xatt, St=St, gcn=gcn)
 
 
-def backprop(inst, gcn=None, head=None, hp=None, target=None):
-    """objective.backprop_all on `inst` after the forward pass it differentiates.
+def backprop(inst, gcn=None, target=None):
+    """objective.backprop_all on `inst` at k = 1 after the forward pass it differentiates.
 
     The reconstruction target defaults to the tags' Gram matrix, the 'aux' target.
     """
@@ -79,7 +72,7 @@ def backprop(inst, gcn=None, head=None, hp=None, target=None):
     H = inst.Xatt @ inst.St
     return obj.backprop_all(
         H, net.gcn_layers(H, inst.St, gcn), inst.St, obj.TagGram(inst.Y) if target is None else target,
-        inst.Y, inst.B, gcn, head or inst.head, hp or inst.hp,
+        gcn, 1.0,
     )
 
 

@@ -9,7 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
-from aghash import cli, manifest, network
+from aghash import cli, manifest, network, trainer
 from aghash import retrieval as rt
 from aghash.data import load_aux, load_split
 from aghash.trainer import load_model
@@ -92,8 +92,8 @@ class TestTrain:
     def test_manifest_records_every_option(self, pipeline):
         man = json.loads((pipeline / "manifest.json").read_text())
         assert sorted(man["config"]) == sorted([
-            "features", "aux", "split", "r", "d-prime", "hidden", "lambda1", "lambda2", "lambda3",
-            "k", "mu", "bandwidth", "lr", "epochs", "variant"])
+            "features", "aux", "split", "r", "d-prime", "hidden", "k", "mu", "bandwidth", "lr",
+            "epochs", "variant"])
         assert man["config"]["d-prime"] == 16 and man["config"]["bandwidth"] is None
 
     @pytest.mark.filterwarnings("always::UserWarning")
@@ -488,15 +488,17 @@ MALFORMED = {
                               "bandwidth 1e+30 is too large: 2 sigma^2 overflows float32"),
     "synth-sep-nan": (lambda p, t: ["synth", "--out", str(t), "--n", "12", "--sep", "nan"],
                       "need a finite sep >= 0, got nan"),
-    "lambda1-nan": (lambda p, t: _train(p, t, "--lambda1", "nan"), "lambda1 must be finite, got nan"),
-    "lambda2-inf": (lambda p, t: _train(p, t, "--lambda2", "inf"), "lambda2 must be finite, got inf"),
-    "lambda3-nan": (lambda p, t: _train(p, t, "--lambda3", "nan"), "lambda3 must be finite, got nan"),
     "k-nan": (lambda p, t: _train(p, t, "--k", "nan"), "k must be finite, got nan"),
+    "k-zero": (lambda p, t: _train(p, t, "--k", "0"), "k must be > 0, got 0.0"),
+    "k-negative": (lambda p, t: _train(p, t, "--k", "-1"), "k must be > 0, got -1.0"),
     "lr-nan": (lambda p, t: _train(p, t, "--lr", "nan"), "lr must be finite, got nan"),
     "config-disc-steps": (lambda p, t: _train(p, t, "--config", _file(t, "c.cfg", "disc-steps = 2\n")),
                           "c.cfg:1: unknown option 'disc-steps'"),
     "config-saturating": (lambda p, t: _train(p, t, "--config", _file(t, "c.cfg", "saturating = 1\n")),
                           "c.cfg:1: unknown option 'saturating'"),
+    # reconstruction is the whole objective: the loss weights are gone with the other terms
+    "config-lambda2": (lambda p, t: _train(p, t, "--config", _file(t, "c.cfg", "lambda2 = 0\n")),
+                       "c.cfg:1: unknown option 'lambda2'"),
     # the compute dtype is a constant of the trainer, not a setting
     "config-dtype": (lambda p, t: _train(p, t, "--config", _file(t, "c.cfg", "dtype = float64\n")),
                      "c.cfg:1: unknown option 'dtype'"),
@@ -549,6 +551,15 @@ def test_malformed_input_is_one_error_line(pipeline, tmp_path, capsys, case):
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:") and message in lines[0], captured.err
     assert not (pipeline / "never.csv").exists() and not (pipeline / "never.csv.manifest.json").exists()
+
+
+def test_sweep_checks_every_point_before_training_any(pipeline, capsys, monkeypatch):
+    # the r = 0 point is refused before the r = 4 point ahead of it trains or a manifest is written
+    calls = []
+    monkeypatch.setattr(trainer, "fit", lambda *args, **kwargs: calls.append(kwargs))
+    code, captured = run(_sweep(pipeline, "--axis", "r", "--values", "4,0"), capsys)
+    assert code == 1 and captured.err == "error: r must be >= 1, got 0\n" and calls == []
+    assert not (pipeline / "never.csv.manifest.json").exists()
 
 
 @pytest.mark.parametrize("case", ["synth-seed-negative", "train-seed-negative"])
@@ -619,6 +630,7 @@ class TestParsing:
         ("train", ["--variant", "recons-sa"]), ("train", ["--disc-steps", "2"]),
         ("train", ["--saturating"]), ("sweep", ["--disc-steps", "2"]), ("sweep", ["--saturating"]),
         ("train", ["--dtype", "float64"]), ("sweep", ["--dtype", "float64"]),
+        ("train", ["--lambda1", "100"]), ("sweep", ["--lambda3", "0"]), ("sweep", ["--axis", "lambda1"]),
     ], ids=lambda v: v if isinstance(v, str) else v[0])
     def test_option_that_changes_no_result_is_rejected(self, capsys, command, extra):
         cli.build_parser().parse_args([command, *_REQUIRED[command]])

@@ -1,6 +1,5 @@
 import re
 import struct
-import warnings
 
 import numpy as np
 import pytest
@@ -8,15 +7,12 @@ import pytest
 from aghash.errors import FormatError, ShapeError
 from aghash.network import (
     CHECKPOINT_VERSION,
-    ClsHead,
     GcnParams,
-    cls_forward,
     gcn_layers,
     init_params,
     load_arrays,
     relu,
     save_arrays,
-    sigmoid,
 )
 
 
@@ -24,44 +20,33 @@ class TestActivations:
     def test_relu_values(self):
         assert np.array_equal(relu(np.array([-2.0, 0.0, 3.0])), [0.0, 0.0, 3.0])
 
-    def test_sigmoid_values(self):
-        assert sigmoid(np.array([0.0]))[0] == 0.5
-        assert sigmoid(np.array([np.log(3.0)]))[0] == pytest.approx(0.75, abs=1e-12)
-
-    def test_sigmoid_extreme_inputs_stable(self):
-        # exp(800) overflows float64: each sign takes the branch whose exponent is <= 0
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            out = sigmoid(np.array([-1e4, -800.0, 800.0, 1e4]))
-        assert np.all(np.isfinite(out))
-        assert out.tolist() == [0.0, 0.0, 1.0, 1.0]
-
-    def test_sigmoid_batch_matches_single(self):
-        x = np.random.default_rng(4).standard_normal((3, 7)) * 10.0
-        singles = [[sigmoid(x[i, j:j + 1])[0] for j in range(7)] for i in range(3)]
-        assert np.array_equal(sigmoid(x), singles)
-
 
 class TestInit:
     def test_shapes(self):
-        gcn, head = init_params(d_prime=10, h=7, r=4, c=3, seed=0)
+        gcn = init_params(d_prime=10, h=7, r=4, seed=0)
         assert gcn.W1.shape == (7, 10) and gcn.W2.shape == (4, 7)
-        assert head.Wc.shape == (3, 4)
 
     def test_deterministic(self):
-        a = init_params(6, 5, 4, 2, seed=9)
-        b = init_params(6, 5, 4, 2, seed=9)
-        assert np.array_equal(a[0].W1, b[0].W1)
-        assert np.array_equal(a[0].W2, b[0].W2)
-        assert np.array_equal(a[1].Wc, b[1].Wc)
+        a = init_params(6, 5, 4, seed=9)
+        b = init_params(6, 5, 4, seed=9)
+        assert np.array_equal(a.W1, b.W1)
+        assert np.array_equal(a.W2, b.W2)
+
+    def test_draws_w1_then_w2(self):
+        # the two weights are the seed's first two draws, so they are those of
+        # every earlier model that drew more parameters after them
+        gcn = init_params(6, 5, 4, seed=9)
+        rng = np.random.default_rng(9)
+        assert np.array_equal(gcn.W1, rng.standard_normal((5, 6)) * np.sqrt(2.0 / 6))
+        assert np.array_equal(gcn.W2, rng.standard_normal((4, 5)) * np.sqrt(2.0 / 5))
 
     def test_scale(self):
-        gcn, _ = init_params(400, 300, 4, 2, seed=1)
+        gcn = init_params(400, 300, 4, seed=1)
         assert gcn.W1.std() == pytest.approx(np.sqrt(2.0 / 400), rel=0.1)
 
     def test_rejects_bad_dims(self):
         with pytest.raises(ShapeError):
-            init_params(0, 5, 4, 2, seed=0)
+            init_params(0, 5, 4, seed=0)
 
 
 class TestGcnForward:
@@ -86,7 +71,7 @@ class TestGcnForward:
     def test_second_layer_can_be_negative(self):
         rng = np.random.default_rng(0)
         Xatt = rng.standard_normal((4, 6))
-        gcn, _ = init_params(4, 5, 3, 2, seed=1)
+        gcn = init_params(4, 5, 3, seed=1)
         S = np.eye(6) / 2
         Z1, Z = gcn_layers(Xatt @ S, S, gcn)
         assert Z1.min() >= 0.0
@@ -97,23 +82,11 @@ class TestGcnForward:
     def test_dtype_follows_inputs(self, dtype):
         rng = np.random.default_rng(2)
         Xatt = rng.standard_normal((4, 6)).astype(dtype)
-        gcn, _ = init_params(4, 5, 3, 2, seed=1)
+        gcn = init_params(4, 5, 3, seed=1)
         params = GcnParams(gcn.W1.astype(dtype), gcn.W2.astype(dtype))
         S = (np.eye(6) / 2).astype(dtype)
         Z1, Z = gcn_layers(Xatt @ S, S, params)
         assert Z1.dtype == Z.dtype == dtype
-
-
-class TestClsForward:
-    def test_hand_value(self):
-        head = ClsHead(Wc=np.array([[1.0, 1.0]]))
-        P = cls_forward(np.array([[0.0], [0.0]]), head)
-        assert P[0, 0] == 0.5
-
-    def test_shape_error(self):
-        head = ClsHead(Wc=np.ones((2, 3)))
-        with pytest.raises(ShapeError):
-            cls_forward(np.ones((4, 5)), head)
 
 
 def _listed(meta):

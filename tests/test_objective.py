@@ -4,35 +4,12 @@ import pytest
 from aghash import graph as sg
 from aghash import network as net
 from aghash import objective as obj
-from aghash.errors import ParameterError, ShapeError
+from aghash.errors import ShapeError
 from aghash.network import GcnParams
 
 from conftest import backprop, central_diff, max_rel_err, small_instance
 
 sym = sg.SymGraph.from_dense  # a reconstruction target from a full symmetric array
-
-
-class TestQuantizationLoss:
-    def test_zero_at_codes(self):
-        B = np.array([[1.0, -1.0], [-1.0, 1.0]])
-        loss, dZ = obj.quantization_loss(B, B.copy())
-        assert loss == 0.0
-        assert np.array_equal(dZ, np.zeros_like(B))
-
-    def test_hand_value(self):
-        B = np.array([[1.0]])
-        Z = np.array([[0.25]])
-        loss, dZ = obj.quantization_loss(B, Z)
-        assert loss == pytest.approx(0.5625)
-        assert dZ[0, 0] == pytest.approx(-1.5)
-
-    def test_gradient(self):
-        rng = np.random.default_rng(0)
-        B = np.where(rng.standard_normal((3, 5)) >= 0, 1.0, -1.0)
-        Z = rng.standard_normal((3, 5))
-        _, dZ = obj.quantization_loss(B, Z)
-        fd = central_diff(lambda z: obj.quantization_loss(B, z)[0], Z)
-        assert max_rel_err(dZ, fd) < 1e-6
 
 
 class TestReconstructionLoss:
@@ -144,69 +121,14 @@ class TestPanelledReconstruction:
         assert np.abs(dZ - dZ_want).max() <= 1e-5 * np.abs(dZ_want).max()
 
 
-class TestClassificationLoss:
-    def test_perfect_predictions(self):
-        Y = np.array([[1.0, 0.0]])
-        loss, dlog = obj.classification_loss(Y.copy(), Y)
-        assert loss == pytest.approx(0.0, abs=1e-9)
-        assert np.array_equal(dlog, np.zeros_like(Y))
-
-    def test_hand_value(self):
-        P = np.array([[0.5]])
-        Y = np.array([[1.0]])
-        loss, dlog = obj.classification_loss(P, Y)
-        assert loss == pytest.approx(np.log(2.0), abs=1e-12)
-        assert dlog[0, 0] == -0.5
-
-    def test_logit_gradient(self):
-        rng = np.random.default_rng(4)
-        logits = rng.standard_normal((3, 7))
-        Y = (rng.random((3, 7)) < 0.5).astype(float)
-        P = net.sigmoid(logits)
-        _, dlog = obj.classification_loss(P, Y)
-        fd = central_diff(lambda L: obj.classification_loss(net.sigmoid(L), Y)[0], logits)
-        assert max_rel_err(dlog, fd) < 1e-6
-
-
-class TestHyperparams:
-    def test_defaults(self):
-        hp = obj.Hyperparams()
-        assert (hp.lambda1, hp.lambda2, hp.lambda3, hp.k) == (100.0, 1.0, 1.0, 1.0)
-
-    def test_validation(self):
-        with pytest.raises(ParameterError):
-            obj.Hyperparams(lambda1=-1.0)
-        with pytest.raises(ParameterError):
-            obj.Hyperparams(k=0.0)
-
-    def test_total_weighting(self):
-        hp = obj.Hyperparams(lambda1=2.0, lambda2=3.0, lambda3=4.0)
-        assert obj.total_loss(10.0, 100.0, 1000.0, hp) == 20.0 + 300.0 + 4000.0
-
-
 class TestBackpropAll:
-    def _loss(self, inst, gcn, head, hp):
-        bd, _ = backprop(inst, gcn=gcn, head=head, hp=hp)
-        return bd.total
-
     def test_network_gradients(self):
         inst = small_instance(20)
         _, grads = backprop(inst)
-        fd_w1 = central_diff(
-            lambda W: self._loss(inst, GcnParams(W1=W, W2=inst.gcn.W2), inst.head, inst.hp),
-            inst.gcn.W1,
-        )
-        fd_w2 = central_diff(
-            lambda W: self._loss(inst, GcnParams(W1=inst.gcn.W1, W2=W), inst.head, inst.hp),
-            inst.gcn.W2,
-        )
-        fd_wc = central_diff(
-            lambda W: self._loss(inst, inst.gcn, net.ClsHead(Wc=W), inst.hp),
-            inst.head.Wc,
-        )
+        fd_w1 = central_diff(lambda W: backprop(inst, gcn=GcnParams(W1=W, W2=inst.gcn.W2))[0], inst.gcn.W1)
+        fd_w2 = central_diff(lambda W: backprop(inst, gcn=GcnParams(W1=inst.gcn.W1, W2=W))[0], inst.gcn.W2)
         assert max_rel_err(grads["W1"], fd_w1) < 1e-4
         assert max_rel_err(grads["W2"], fd_w2) < 1e-4
-        assert max_rel_err(grads["Wc"], fd_wc) < 1e-4
 
     def test_network_gradients_through_the_basis(self):
         # d + c = 6 < d' = 10: the instance is re-expressed in k = 6 coordinates,
@@ -214,24 +136,32 @@ class TestBackpropAll:
         inst = small_instance(26, d=4, c=2, d_prime=10)
         assert inst.gcn.W1.shape == (8, 6) and inst.apar.P_x.shape == (6, 4) and inst.apar.P_y.shape == (6, 2)
         _, grads = backprop(inst)
-        fd_w1 = central_diff(lambda W: backprop(inst, gcn=GcnParams(W1=W, W2=inst.gcn.W2))[0].total,
-                             inst.gcn.W1)
+        fd_w1 = central_diff(lambda W: backprop(inst, gcn=GcnParams(W1=W, W2=inst.gcn.W2))[0], inst.gcn.W1)
         assert max_rel_err(grads["W1"], fd_w1) < 1e-4
+
+    def test_k_scales_the_target(self):
+        # backprop_all's loss is the reconstruction loss at the k it is given
+        inst = small_instance(21)
+        H = inst.Xatt @ inst.St
+        Z = net.gcn_layers(H, inst.St, inst.gcn)[1]
+        target = obj.TagGram(inst.Y)
+        for k in (0.5, 2.0):
+            loss, _ = obj.backprop_all(H, net.gcn_layers(H, inst.St, inst.gcn), inst.St, target, inst.gcn, k)
+            assert loss == obj.reconstruction_loss(Z, target, k)[0]
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("target", ["aux", "visual"])
     def test_gcn_gradients_take_the_forward_dtype(self, dtype, target):
-        # the GCN gradients follow S~ and the layers; the head's follow its
-        # float64 parameters, and the losses are floats
+        # the gradients follow S~ and the layers, and the loss is a float
         inst = small_instance(24)
         Xatt, St = inst.Xatt.astype(dtype), sym(inst.St.full().astype(dtype))
         gcn = GcnParams(inst.gcn.W1.astype(dtype), inst.gcn.W2.astype(dtype))
         H = Xatt @ St
-        bd, grads = obj.backprop_all(H, net.gcn_layers(H, St, gcn), St, recon_target(Xatt, inst.Y, target),
-                                     inst.Y, inst.B, gcn, inst.head, inst.hp)
-        assert grads["W1"].dtype == grads["W2"].dtype == dtype and grads["Wc"].dtype == np.float64
-        assert set(grads) == {"W1", "W2", "Wc"}
-        assert all(type(value) is float for value in vars(bd).values())
+        loss, grads = obj.backprop_all(H, net.gcn_layers(H, St, gcn), St, recon_target(Xatt, inst.Y, target),
+                                       gcn, 1.0)
+        assert grads["W1"].dtype == grads["W2"].dtype == dtype
+        assert set(grads) == {"W1", "W2"}
+        assert type(loss) is float
         if dtype == np.float32:  # the float32 gradients are the float64 ones to float32 rounding
             _, want = backprop(inst, target=recon_target(inst.Xatt, inst.Y, target))
             for name in ("W1", "W2"):

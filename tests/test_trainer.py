@@ -182,6 +182,17 @@ class TestTrainConfig:
             TrainConfig(seed=0.5)
         assert TrainConfig(epochs=np.int64(2), seed=np.uint32(7)).seed == 7
 
+    def test_defaults(self):
+        cfg = TrainConfig()
+        assert (cfg.lr, cfg.epochs, cfg.seed, cfg.k) == (1e-4, 300, 0, 1.0)
+
+    def test_k_must_be_finite_and_positive(self):
+        for k, message in ((0.0, "k must be > 0, got 0.0"), (-1.0, "k must be > 0, got -1.0"),
+                           (float("nan"), "k must be finite, got nan"),
+                           ("1", "k must be a real number, got '1'")):
+            with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+                TrainConfig(k=k)
+
 
 class TestFit:
     def test_history_and_shapes(self):
@@ -189,7 +200,7 @@ class TestFit:
         assert len(history) == 3
         assert model.z_train.shape == (4, 16)
         assert model.xatt_train.shape == (8, 16)
-        assert all(np.isfinite(b.total) for b in history)
+        assert all(type(loss) is float and np.isfinite(loss) for loss in history)
 
     def test_deterministic(self):
         _, _, _, m1, h1 = tiny_fit(seed=5)
@@ -210,7 +221,7 @@ class TestFit:
             fm, aux, split.train, r=8, d_prime=16, hidden=16,
             cfg=TrainConfig(epochs=40, lr=1e-3, seed=3),
         )
-        assert history[-1].total < history[0].total
+        assert history[-1] < history[0]
 
     def test_empty_train_split(self):
         fm, aux, _ = synth_dataset(n=8, d=4, c=2, sep=1.0, label_noise=0.0, seed=0)
@@ -241,7 +252,7 @@ class TestFit:
 
     def test_each_epoch_steps_every_parameter_once(self):
         # the registry's arrays are stepped in place, each once per epoch with t == epoch:
-        # the GCN's W1 and W2 and the head's Wc; the attention projections stay fixed
+        # the GCN's W1 and W2; the attention projections stay fixed
         parameters = net.parameters
         steps, ends, registries = [], [0], []
 
@@ -258,7 +269,7 @@ class TestFit:
         assert len(registries) == 1
         names = {id(param): name for name, param in registries[0].items()}
         ids = {param for param, _ in steps}
-        assert {names[param] for param in ids} == {"W1", "W2", "Wc"}
+        assert {names[param] for param in ids} == {"W1", "W2"}
         assert names[id(model.gcn.W1)] == "W1" and names[id(model.gcn.W2)] == "W2"
         assert id(model.attention.P_x) not in ids and id(model.attention.P_y) not in ids
         for epoch in (1, 2, 3):
@@ -282,7 +293,7 @@ class TestFit:
             return denoise(X, Y, params)
 
         def first_step(*args, **kwargs):  # a copy: training steps W1 in place
-            first.setdefault("W1", args[6].W1.copy())
+            first.setdefault("W1", args[4].W1.copy())
             return backprop_all(*args, **kwargs)
 
         saved = []
@@ -295,7 +306,7 @@ class TestFit:
             saved.append((tmp_path / "model.bin").read_bytes())
             drawn = att.init_attention(6, 2, 8, 19)
             assert all(np.array_equal(a, b) for a, b in zip(first["P"], (drawn.P_x, drawn.P_y)))
-            W1 = net.init_params(8, 8, 4, 2, 20)[0].W1.astype(trainer.COMPUTE_DTYPE)
+            W1 = net.init_params(8, 8, 4, 20).W1.astype(trainer.COMPUTE_DTYPE)
             assert first["W1"].dtype == W1.dtype and np.array_equal(first["W1"], W1)
         assert bases == [None]  # one QR per fit, none per forward
         assert saved[0] == saved[1]
@@ -320,7 +331,7 @@ class TestFit:
         X, Y = fm.data[:, split.train], aux.data[:, split.train]
         apar = att.init_attention(6, 2, 32, seed)
         xatt = (att.denoise(X, Y, apar) if use_attention else att.project(X, Y, apar)[0]).astype(dtype)
-        gcn = net.init_params(32, 8, 4, 2, seed + 1)[0]
+        gcn = net.init_params(32, 8, 4, seed + 1)
         St = sg.build_graph(xatt, Y, sg.GraphConfig())[0]
         Z = net.gcn_layers(xatt @ St, St, net.GcnParams(gcn.W1.astype(dtype), gcn.W2.astype(dtype)))[1]
         assert np.abs(first[0] - Z).max() <= 1e-4 * np.abs(Z).max()
@@ -333,7 +344,7 @@ class TestFit:
     def test_variant_fits_run(self, variant_models):
         for variant in cli._VARIANTS:
             _, _, _, model, history = variant_models[variant]
-            assert np.isfinite(history[-1].total)
+            assert np.isfinite(history[-1])
             if sg.PARTS[model.graph_cfg.variant][0]:  # the graph's kernel resolves the bandwidth
                 assert model.graph_cfg.bandwidth == sg.visual_similarity(model.xatt_train)[1]
             else:
@@ -346,7 +357,7 @@ class TestFit:
     def test_reconstruction_target_is_built_once(self, variants):
         # codes that read the tags, through the attention or the graph, reconstruct
         # their Gram matrix; codes that read none reconstruct the kernel under the
-        # bandwidth the graph resolved, and have no classification term
+        # bandwidth the graph resolved
         for variant in variants:
             calls, backprop_all = [], obj.backprop_all
 
@@ -356,15 +367,13 @@ class TestFit:
 
             with mock.patch.object(obj, "backprop_all", spy):
                 fm, aux, split, model, _ = flags_fit(0, "--variant", variant)
-            target, hyper = calls[0][3], calls[0][8]
-            assert len(calls) == 3 and all(args[3] is target and args[8] is hyper for args in calls)
+            target = calls[0][3]
+            assert len(calls) == 3 and all(args[3] is target for args in calls)
             if variant == "no-aux":
                 want, sigma = sg.visual_similarity(model.xatt_train)
                 assert sigma == model.graph_cfg.bandwidth and np.array_equal(target.full(), want.full())
-                assert hyper == obj.Hyperparams(lambda3=0.0)
             else:
                 assert isinstance(target, obj.TagGram) and np.array_equal(target.Y, aux.data[:, split.train])
-                assert hyper == obj.Hyperparams()
 
     def test_working_set(self):
         # training holds S~ but no n x n reconstruction target: the aux target is
@@ -879,11 +888,11 @@ class TestPersistence:
         p = tmp_path / "log.csv"
         trainer.write_train_log(p, history)
         lines = p.read_text().splitlines()
-        assert lines[0] == "epoch,l_quan,l_recons,l_cl,total"
+        assert lines[0] == "epoch,l_recons"
         assert len(lines) == 4
         first = lines[1].split(",")
         assert first[0] == "1"
-        assert float(first[1]) == pytest.approx(history[0].l_quan, rel=1e-9)
+        assert float(first[1]) == pytest.approx(history[0], rel=1e-9)
 
 
 def _sized_calls():
