@@ -254,6 +254,8 @@ def cmd_train(args):
 
 
 def cmd_encode(args):
+    import numpy as np
+
     from .data import save_aux, AuxSemantics
     from .retrieval import pack, save_codes
     from .trainer import encode_queries, encode_train, load_model
@@ -275,6 +277,9 @@ def cmd_encode(args):
             if idx.size != model.z_train.shape[1]:
                 raise ConfigError(f"checkpoint was trained on {model.z_train.shape[1]} items, "
                                   f"split has {idx.size} training items")
+            if not np.array_equal(aux.data[:, idx], model.y_train):  # the codes are the checkpoint's cached ones
+                raise ConfigError("the split's training items are not the checkpoint's: "
+                                  "their aux tags differ")
             codes = encode_train(model)
         else:
             codes = pack(encode_queries(model, features.data[:, idx], aux.data[:, idx]))

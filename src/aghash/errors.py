@@ -33,12 +33,15 @@ class ConfigError(AghashError):
 
 
 def require_finite(config, *names):
-    """Raise ParameterError naming the first field of `names` that is not a finite real (None passes)."""
+    """Raise ParameterError naming the first field of `names` that is not a finite real.
+
+    None passes; bool is not a real here, as it is not an integer for `require_integer`.
+    """
     for name in names:
         value = getattr(config, name)
         if value is None:
             continue
-        if not isinstance(value, numbers.Real):
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
             raise ParameterError(f"{name} must be a real number, got {value!r}")
         if not math.isfinite(value):
             raise ParameterError(f"{name} must be finite, got {value}")

@@ -90,7 +90,8 @@ class SymGraph:
         tolerances, read in PANEL x PANEL squares. A float32 or float64 S keeps
         its dtype; other input is converted to float64. S is never written.
         """
-        S = _floating(S)
+        S = np.asarray(S)
+        S = S if S.dtype in (np.float32, np.float64) else S.astype(np.float64)
         if S.ndim != 2 or S.shape[0] != S.shape[1]:
             raise ShapeError(f"graph must be square, got {S.shape}")
         # each block above the diagonal against its mirror, in both orientations;
@@ -314,24 +315,11 @@ def visual_similarity(Xatt, bandwidth=None):
     return G.mirror(), sigma
 
 
-def _floating(A):
-    """A as an array, unchanged when it is float32 or float64, else converted to float64."""
-    A = np.asarray(A)
-    return A if A.dtype in (np.float32, np.float64) else A.astype(np.float64)
-
-
-def combine(mu, visual, aux):
-    """The similarity from the parts given: mu*visual + aux, or the one part that is not None.
-
-    Applies alike to matrix panels, to query columns and to scalar self terms.
-    An array `visual` is overwritten with the sum.
-    """
-    if aux is None:
-        return visual  # scale cancels under normalization, so mu is irrelevant here
-    if visual is None:
-        return aux
+def combine(mu, visual, counts):
+    """mu*visual + counts, in `visual`'s buffer when it is an array: the tags' part of every
+    graph's panels, query columns and self terms, where a variant with no kernel passes zeros."""
     visual *= mu
-    visual += aux
+    visual += counts
     return visual
 
 
@@ -373,18 +361,17 @@ def normalize(S):
 def similarity(Xatt, Y, config):
     """(S, sigma): the variant's unnormalized similarity, a SymGraph in Xatt's dtype.
 
-    The kernel part is built first and the tag counts are fused into its
-    panels; sigma is the kernel's bandwidth, or None when the variant has no
-    kernel, whose similarity is the counts Y^T Y alone.
+    The kernel part is built first, zeros when the variant has none, and the
+    tag counts are fused into its panels; sigma is the kernel's bandwidth, or
+    None without a kernel.
     """
     Y = np.asarray(Y, dtype=Xatt.dtype)
     uses_visual, uses_tags = PARTS[config.variant]
-    if not uses_visual:
-        S = SymGraph(Y.shape[1], Y.dtype)
-        for lo, P in S.panels:
-            np.matmul(Y[:, lo:lo + len(P)].T, Y[:, lo:], out=P)
-        return S.mirror(), None
-    S, sigma = visual_similarity(Xatt, config.bandwidth)
+    if uses_visual:
+        S, sigma = visual_similarity(Xatt, config.bandwidth)
+    else:  # mu*0 + counts is the counts alone
+        S, sigma = SymGraph(Y.shape[1], Y.dtype), None
+        S.data.fill(0)
     if uses_tags:  # exact counts on both sides of the diagonal keep it symmetric
         for lo, P in S.panels:
             add_counts(config.mu, P, Y[:, lo:lo + len(P)], Y[:, lo:])
@@ -404,19 +391,19 @@ def query_columns(xatt_q, Yq, xatt_train, y_train, degrees, config):
     more node with an explicit self term. config.bandwidth must be the
     resolved bandwidth of the training graph. Returns (st_col, st_self): the
     m x n normalized similarities to the training items, normalized in the
-    buffer their kernel or tag counts were formed in, and the m normalized
+    buffer their kernel (zeros without one) was formed in, and the m normalized
     self terms, in the features' dtype.
     """
     dtype = np.result_type(xatt_q, xatt_train)
     Yq, y_train = (np.asarray(tags, dtype=dtype) for tags in (Yq, y_train))
     uses_visual, uses_tags = PARTS[config.variant]
-    if not uses_visual:
-        st_col = Yq.T @ y_train
+    if uses_visual:
+        st_col, s_self = gaussian_kernel(sqdist(xatt_q, xatt_train), config.bandwidth), 1.0
     else:
-        st_col = gaussian_kernel(sqdist(xatt_q, xatt_train), config.bandwidth)
-        if uses_tags:
-            add_counts(config.mu, st_col, Yq, y_train)
-    s_self = combine(config.mu, 1.0 if uses_visual else None, (Yq**2).sum(axis=0) if uses_tags else None)
+        st_col, s_self = np.zeros((Yq.shape[1], y_train.shape[1]), dtype=dtype), 0.0
+    if uses_tags:
+        add_counts(config.mu, st_col, Yq, y_train)
+        s_self = combine(config.mu, s_self, (Yq**2).sum(axis=0))
     d_q = st_col.sum(axis=1) + s_self
     safe_dq = np.where(d_q > 0, d_q, 1.0)
     st_col /= np.sqrt(safe_dq)[:, None]

@@ -11,25 +11,27 @@ import numpy as np
 
 from . import attention as att
 from .errors import ShapeError
-
-# rows of the reconstruction target and of the code cosines formed at a time,
-# and of layer 1's gradient
-PANEL = 128
+from .graph import PANEL
 
 
 class TagGram:
-    """The n x n Gram matrix Y^T Y of c x n tags, which `reconstruction_loss`
-    forms a row panel Y[:, rows]^T Y at a time in Z's dtype."""
+    """The n x n Gram matrix Y^T Y of c x n tags, held as the tags in a floating
+    dtype: float32 and float64 stay, others are promoted."""
 
     def __init__(self, Y):
-        self.Y = np.asarray(Y, dtype=np.float64)
-        self.shape = (self.Y.shape[1],) * 2
+        Y = np.asarray(Y)
+        self.Y = Y.astype(np.result_type(Y.dtype, np.float32), copy=False)
+        self.shape = (Y.shape[1],) * 2
+
+    def rows(self, lo, hi):
+        """Rows lo:hi of Y^T Y (hi clipped at n), as a fresh array in the tags' dtype."""
+        return self.Y[:, lo:hi].T @ self.Y
 
 
 def reconstruction_loss(Z, target, k):
     """||k*target - [cos(Z^T, Z)]_+||^2 and its Z gradient.
 
-    `target` is a `graph.SymGraph` or a `TagGram`; its rows and the cosines
+    `target` is a `graph.SymGraph` or a `TagGram`: its `rows` and the cosines
     are formed PANEL rows at a time, so no n x n temporary exists. The panels and
     the gradient take Z's dtype, and each panel's squared residuals are summed
     in it into a Python float. The symmetric target makes the residual
@@ -41,16 +43,12 @@ def reconstruction_loss(Z, target, k):
     if target.shape != (n, n):
         raise ShapeError(f"target is {target.shape}, expected {(n, n)}")
     N, norms = att.unit_columns(Z)
-    tags = target.Y.astype(N.dtype, copy=False) if isinstance(target, TagGram) else None
     loss, dN = 0.0, np.zeros_like(N)
     for lo in range(0, n, PANEL):
         Nb = N[:, lo:lo + PANEL]
         C = Nb.T @ N
         np.maximum(C, 0.0, out=C)
-        if tags is not None:
-            R = tags[:, lo:lo + PANEL].T @ tags
-        else:
-            R = target.rows(lo, lo + PANEL).astype(N.dtype, copy=False)
+        R = target.rows(lo, lo + PANEL).astype(N.dtype, copy=False)
         R *= k  # a fresh panel, scaled in place
         R -= C
         loss += float(np.vdot(R, R))

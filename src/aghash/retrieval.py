@@ -28,6 +28,7 @@ class HashCodes:
     item_ids: list | None = None  # optional; no library code or file format sets it
 
     def __post_init__(self):
+        require_integer("r", self.r, 1)
         packed = np.ascontiguousarray(self.packed, dtype=np.uint64)
         words = (self.r + _WORD_BITS - 1) // _WORD_BITS
         if packed.ndim != 2 or packed.shape[1] != words:

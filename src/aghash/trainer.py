@@ -15,7 +15,8 @@ from . import network as net
 from . import objective as obj
 from . import retrieval
 from .data import DatasetSplit, _from_file, reject_entries
-from .errors import FormatError, NumericError, ParameterError, ShapeError, require_finite, require_integer
+from .errors import (DataError, FormatError, NumericError, ParameterError, ShapeError, require_finite,
+                     require_integer)
 
 # the dtype of the attentive features, the graph, both GCN layers, their
 # gradients and Adam states, in fit and in encode_queries alike; the attention
@@ -100,13 +101,19 @@ class TrainedModel:
         return self.gcn.r
 
 
-def _attentive(X, Y, params, use_attention):
+def _attentive(X, Y, params, use_attention, item):
     """The denoised features, or the bare projection without attention.
 
-    The attention runs in float64; only Xatt is cast to COMPUTE_DTYPE.
+    The attention runs in float64; only Xatt is cast to COMPUTE_DTYPE. A
+    column that overflows on the way is a DataError naming `item(column)`.
     """
-    Xatt = att.denoise(X, Y, params) if use_attention else att.project(X, Y, params)[0]
-    return Xatt.astype(COMPUTE_DTYPE)
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below, by item
+        Xatt = att.denoise(X, Y, params) if use_attention else att.project(X, Y, params)[0]
+        Xatt = Xatt.astype(COMPUTE_DTYPE)
+    bad = np.flatnonzero(~np.all(np.isfinite(Xatt), axis=0))
+    if bad.size:
+        raise DataError(f"attentive features of {item(bad[0])} are not finite in {np.dtype(COMPUTE_DTYPE)}")
+    return Xatt
 
 
 def fit(
@@ -157,14 +164,14 @@ def fit(
         apar = att.AttentionParams(Q.T @ apar.P_x, Q.T @ apar.P_y)
         gcn.W1 = gcn.W1 @ Q
     gcn = net.GcnParams(*(W.astype(COMPUTE_DTYPE) for W in (gcn.W1, gcn.W2)))
-    Xatt = _attentive(X, Yt, apar, use_attention)
+    Xatt = _attentive(X, Yt, apar, use_attention, lambda j: f"item {train_idx[j]}")
     del X  # the d x n float64 features: Xatt is all that training reads
 
     St, degrees, sigma = sg.build_graph(Xatt, Yt, graph_cfg)
     if sigma is not None:  # queries extend the graph with the training kernel
         graph_cfg = replace(graph_cfg, bandwidth=sigma)
     if use_attention or sg.PARTS[graph_cfg.variant][1]:  # the codes read the tags
-        target = obj.TagGram(Yt)
+        target = obj.TagGram(Yt.astype(COMPUTE_DTYPE))
     else:  # no tags: the kernel SymGraph under the graph's bandwidth
         target = sg.visual_similarity(Xatt, graph_cfg.bandwidth)[0]
 
@@ -224,7 +231,7 @@ def encode_queries(model, Xq, Yq):
     reject_entries(~np.isfinite(Yq), "non-finite query aux value at row {}, column {}")
     reject_entries((Yq != 0.0) & (Yq != 1.0), "query aux entry at row {}, column {} is not 0/1")
 
-    xatt_q = _attentive(Xq, model.y_train, model.attention, model.use_attention)
+    xatt_q = _attentive(Xq, model.y_train, model.attention, model.use_attention, "query {}".format)
     z_q = np.empty((model.r, Xq.shape[1]), dtype=COMPUTE_DTYPE)
     panel = max(1, retrieval.BLOCK_BYTES // (model.degrees.size * np.dtype(COMPUTE_DTYPE).itemsize))
     for lo in range(0, Xq.shape[1], panel):

@@ -11,7 +11,7 @@ import pytest
 
 from aghash import cli, manifest, network, trainer
 from aghash import retrieval as rt
-from aghash.data import load_aux, load_split
+from aghash.data import FeatureMatrix, load_aux, load_features, load_split, save_features
 from aghash.trainer import load_model
 from conftest import read_checkpoint
 
@@ -197,6 +197,18 @@ class TestEncode:
         assert codes.n == 40 and codes.r == 8
         man = json.loads((tmp_path / "train.codes.manifest.json").read_text())
         assert man["seed"] is None  # encoding draws no random numbers
+
+    def test_train_subset_of_other_items_is_refused(self, pipeline, tmp_path, capsys):
+        # as many training items as the checkpoint holds, but other ones: the cached codes are not theirs
+        split = load_split(pipeline / "split.json")
+        others = sorted(set(range(60)) - set(split.train.tolist())) + split.train[:20].tolist()
+        aux = load_aux(pipeline / "aux.txt").data
+        assert len(others) == 40 and not np.array_equal(aux[:, others], aux[:, split.train])
+        path = _file(tmp_path, "s.json", json.dumps({"train": others, "query": [], "retrieval": []}))
+        code, captured = run(_encode(pipeline, tmp_path, "train", split=path), capsys)
+        assert code == 1 and captured.err == (
+            "error: the split's training items are not the checkpoint's: their aux tags differ\n")
+        assert not (tmp_path / "out.codes").exists()
 
     def test_query_subset_with_labels(self, pipeline, tmp_path):
         out = self.encode(
@@ -434,6 +446,9 @@ MALFORMED = {
     "checkpoint-mu-string": (lambda p, t: _encode(p, t, checkpoint=_edited(
         p, t, lambda arrays, meta: meta["graph"].update(mu="x"))),
                              "edited.bin: mu must be a real number, got 'x'"),
+    "checkpoint-mu-true": (lambda p, t: _encode(p, t, checkpoint=_edited(
+        p, t, lambda arrays, meta: meta["graph"].update(mu=True))),
+                           "edited.bin: mu must be a real number, got True"),
     # the graph uses a visual kernel, whose bandwidth the checkpoint must hold
     "checkpoint-bandwidth-null": (lambda p, t: _encode(p, t, checkpoint=_edited(
         p, t, lambda arrays, meta: meta["graph"].update(bandwidth=None))),
@@ -551,6 +566,24 @@ def test_malformed_input_is_one_error_line(pipeline, tmp_path, capsys, case):
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:") and message in lines[0], captured.err
     assert not (pipeline / "never.csv").exists() and not (pipeline / "never.csv.manifest.json").exists()
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("train", []), ("train", ["--bandwidth", "3", "--variant", "no-att"]), ("query", []),
+], ids=["train", "train-fixed-bandwidth", "encode-query"])
+def test_features_beyond_float32_are_one_error_line(pipeline, tmp_path, capsys, command, extra):
+    # one value of 1e300 is finite in float64 but not once the attentive features are float32:
+    # the error names the item, with no overflow warning before it and no later misdiagnosis
+    split = load_split(pipeline / "split.json")
+    subset = "train" if command == "train" else "query"
+    X = load_features(pipeline / "features.txt").data.copy()
+    X[0, getattr(split, subset)[1]] = 1e300
+    save_features(tmp_path / "big.txt", FeatureMatrix(X))
+    argv = _train(pipeline, tmp_path, *extra) if command == "train" else _encode(pipeline, tmp_path, "query")
+    argv[argv.index("--features") + 1] = str(tmp_path / "big.txt")
+    item = f"item {split.train[1]}" if command == "train" else "query 1"
+    code, captured = run(argv, capsys)
+    assert code == 1 and captured.err == f"error: attentive features of {item} are not finite in float32\n"
 
 
 def test_sweep_checks_every_point_before_training_any(pipeline, capsys, monkeypatch):

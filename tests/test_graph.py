@@ -269,10 +269,10 @@ class TestFuse:
         assert combine(1.0, np.array([[0.5]]), np.array([[2.0]]))[0, 0] == 2.5
 
     def test_a_missing_part_leaves_the_other_unscaled(self):
-        Sv, Sa = np.full((2, 2), 0.5), np.full((2, 2), 2.0)
-        assert combine(3.0, Sv, None) is Sv and combine(3.0, None, Sa) is Sa
-        assert combine(3.0, 1.0, None) == 1.0 and combine(3.0, 1.0, 2.0) == 5.0
-        assert np.array_equal(Sv, np.full((2, 2), 0.5))
+        # a variant with no kernel passes zeros, in whose buffer its counts come back as they are
+        Sv, Sa = np.zeros((2, 2)), np.full((2, 2), 2.0)
+        assert combine(3.0, Sv, Sa) is Sv and np.array_equal(Sv, Sa)
+        assert combine(3.0, 0.0, 2.0) == 2.0 and combine(3.0, 1.0, 2.0) == 5.0
 
 
 class TestNormalize:
@@ -522,8 +522,8 @@ class TestBuildGraph:
         St, degrees, sigma, target = graph_and_target(X, Y, config, part)
         Sv, median = visual_similarity(X)
         Sv = Sv.full()
-        uses_visual, uses_tags = sg.PARTS[variant]
-        S = combine(0.7, Sv.copy() if uses_visual else None, Y.T @ Y if uses_tags else None)
+        uses_visual = sg.PARTS[variant][0]
+        S = {"augmented": 0.7 * Sv + Y.T @ Y, "visual-only": Sv, "aux-only": Y.T @ Y}[variant]
         assert np.array_equal(similarity(X, Y, config)[0].full(), S)
         want_St, want_degrees = normalize(SymGraph.from_dense(S))
         assert np.array_equal(St.full(), want_St.full()) and np.array_equal(degrees, want_degrees)
@@ -531,7 +531,7 @@ class TestBuildGraph:
         if part is None:
             assert target is None
         else:
-            want = {"visual": Sv, "augmented": combine(0.7, Sv.copy(), Y.T @ Y)}[part]
+            want = {"visual": Sv, "augmented": 0.7 * Sv + Y.T @ Y}[part]
             assert np.array_equal(target.full(), want) and not np.shares_memory(target.data, St.data)
 
     @pytest.mark.parametrize("variant", VARIANTS)
@@ -577,6 +577,8 @@ class TestBuildGraph:
             GraphConfig(variant="sparse")
         with pytest.raises(ParameterError, match="mu must be a real number, got 'x'"):
             GraphConfig(mu="x")
+        with pytest.raises(ParameterError, match="^mu must be a real number, got True$"):
+            GraphConfig(mu=True)
 
 
     @pytest.mark.parametrize("variant", sg.VARIANTS)

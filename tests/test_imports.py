@@ -1,4 +1,5 @@
-"""Every module-level import of the package is used by its module, and every function parameter by its function."""
+"""Every module-level import of the package is used by its module, every function parameter by its
+function, and every module-level private name somewhere in the package."""
 
 import ast
 from pathlib import Path
@@ -47,6 +48,43 @@ def unused_parameters(source):
     return sorted(found)
 
 
+def private_definitions(source):
+    """(line, name) for each private name (one underscore, not a dunder) that `source` binds at module level."""
+    found = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            targets = [(node.lineno, node.name)]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            nodes = node.targets if isinstance(node, ast.Assign) else [node.target]
+            targets = [(sub.lineno, sub.id) for target in nodes for sub in ast.walk(target)
+                       if isinstance(sub, ast.Name)]
+        else:
+            continue
+        found.extend((line, name) for line, name in targets
+                     if name.startswith("_") and not name.startswith("__"))
+    return found
+
+
+def names_read(source):
+    """The names `source` reads: loaded names, attributes, and names imported from another module."""
+    read = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            read.update(alias.name for alias in node.names)
+    return read
+
+
+def unread_private_names(sources):
+    """(module, line, name) for each module-level private name of `sources` (module -> source) read in none."""
+    read = set().union(*(names_read(source) for source in sources.values()))
+    return sorted((module, line, name) for module, source in sources.items()
+                  for line, name in private_definitions(source) if name not in read)
+
+
 def test_detects_an_unused_import():
     source = "import os\nimport sys as system\nfrom json import dumps, loads\nprint(os.sep, loads)\n"
     assert unused_imports(source) == [(2, "system"), (3, "dumps")]
@@ -68,3 +106,15 @@ def test_detects_an_unused_parameter():
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
 def test_every_function_parameter_is_read(path):
     assert unused_parameters(path.read_text(encoding="utf-8")) == []
+
+
+def test_detects_an_unread_private_name():
+    sources = {"a": "_A = 1\n_B: int = 2\n__all__ = []\ndef _f():\n    return _A\nclass _C:\n    pass\n",
+               "b": "from a import _C\n_x, (_y, z) = 1, (2, 3)\nprint(_y)\n"}
+    assert unread_private_names(sources) == [("a", 2, "_B"), ("a", 4, "_f"), ("b", 2, "_x")]
+
+
+def test_every_module_level_private_name_is_read():
+    # a private helper left without callers by a deletion is dead code
+    sources = {path.name: path.read_text(encoding="utf-8") for path in MODULES}
+    assert unread_private_names(sources) == []

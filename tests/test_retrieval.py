@@ -122,6 +122,16 @@ class TestPackUnpack:
         with pytest.raises(DataError):
             rt.HashCodes(packed=np.array([[1 << 10]], dtype=np.uint64), r=4)
 
+    @pytest.mark.parametrize("r", [0, -5, 2.5, True, "8", None], ids=["0", "-5", "2.5", "True", "str", "None"])
+    def test_code_length_must_be_a_positive_integer(self, r):
+        # save_codes would write a header such as '3 0' or '3 True' that load_codes refuses
+        with pytest.raises(ParameterError, match=f"^r must be an integer >= 1, got {re.escape(repr(r))}$"):
+            rt.HashCodes(np.zeros((3, 1), dtype=np.uint64), r)
+
+    def test_packing_no_bits_is_refused(self):
+        with pytest.raises(ParameterError, match="^r must be an integer >= 1, got 0$"):
+            rt.pack(np.ones((0, 3)))
+
     def test_item_ids_length_checked_when_given(self):
         packed = np.zeros((2, 1), dtype=np.uint64)
         assert rt.HashCodes(packed, 8, ["a", "b"]).n == 2

@@ -16,7 +16,7 @@ from aghash import network as net
 from aghash import objective as obj
 from aghash import retrieval
 from aghash import trainer
-from aghash.data import make_split, synth_dataset
+from aghash.data import FeatureMatrix, make_split, synth_dataset
 from aghash.errors import AghashError, DataError, FormatError, NumericError, ParameterError, ShapeError
 from aghash.trainer import AdamState, TrainConfig, adam_step, sign_pm
 from conftest import read_checkpoint
@@ -180,6 +180,8 @@ class TestTrainConfig:
             TrainConfig(seed=-1)
         with pytest.raises(ParameterError, match="seed must be an integer >= 0, got 0.5"):
             TrainConfig(seed=0.5)
+        with pytest.raises(ParameterError, match="^lr must be a real number, got True$"):
+            TrainConfig(lr=True)
         assert TrainConfig(epochs=np.int64(2), seed=np.uint32(7)).seed == 7
 
     def test_defaults(self):
@@ -189,12 +191,24 @@ class TestTrainConfig:
     def test_k_must_be_finite_and_positive(self):
         for k, message in ((0.0, "k must be > 0, got 0.0"), (-1.0, "k must be > 0, got -1.0"),
                            (float("nan"), "k must be finite, got nan"),
-                           ("1", "k must be a real number, got '1'")):
+                           ("1", "k must be a real number, got '1'"), (True, "k must be a real number, got True")):
             with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
                 TrainConfig(k=k)
 
 
 class TestFit:
+    @pytest.mark.parametrize("use_attention", [True, False])
+    def test_features_beyond_float32_are_a_data_error(self, monkeypatch, use_attention):
+        # finite in float64, not in the float32 attentive features: the item is named before
+        # any graph work, and no overflow warning escapes
+        fm, aux, _ = synth_dataset(n=24, d=6, c=2, sep=4.0, label_noise=0.0, seed=0)
+        X = fm.data.copy()
+        X[3, 5] = 1e300
+        fm = FeatureMatrix(X)
+        monkeypatch.setattr(sg, "build_graph", mock.Mock(side_effect=AssertionError("graph built")))
+        with pytest.raises(DataError, match="^attentive features of item 5 are not finite in float32$"):
+            trainer.fit(fm, aux, np.arange(2, 18), r=4, d_prime=8, hidden=8, use_attention=use_attention)
+
     def test_history_and_shapes(self):
         fm, aux, split, model, history = tiny_fit()
         assert len(history) == 3
@@ -510,6 +524,14 @@ class TestEncoding:
         one = trainer.encode_queries(model, Xq[:, :1], Yq[:, :1])[:, 0]
         assert np.array_equal(one, batch[:, 0])
         assert set(np.unique(batch)) <= {-1.0, 1.0}
+
+    @pytest.mark.parametrize("use_attention", [True, False])
+    def test_query_features_beyond_float32_are_a_data_error(self, use_attention):
+        fm, aux, split, model, _ = tiny_fit(seed=12, use_attention=use_attention)
+        Xq = fm.data[:, split.query].copy()
+        Xq[2, 1] = 1e300
+        with pytest.raises(DataError, match="^attentive features of query 1 are not finite in float32$"):
+            trainer.encode_queries(model, Xq, aux.data[:, split.query])
 
     def test_non_finite_output_is_numeric_error(self):
         # sign_pm would read a NaN output as a -1 bit
@@ -833,11 +855,13 @@ class TestPersistence:
         (lambda meta: meta.update(use_attention=1), FormatError,
          "use_attention must be true or false, got 1"),
         (lambda meta: meta["graph"].update(mu="x"), ParameterError, "mu must be a real number, got 'x'"),
+        (lambda meta: meta["graph"].update(mu=True), ParameterError, "mu must be a real number, got True"),
         (lambda meta: meta["graph"].update(variant="bogus"), ParameterError,
          "unknown graph variant 'bogus'"),
         (lambda meta: meta["graph"].update(bandwidth=-1), ParameterError,
          "fixed bandwidth must be > 0, got -1"),
-    ], ids=["use-attention-string", "use-attention-integer", "mu-string", "variant-bogus", "bandwidth-negative"])
+    ], ids=["use-attention-string", "use-attention-integer", "mu-string", "mu-true", "variant-bogus",
+            "bandwidth-negative"])
     def test_meta_of_the_wrong_type(self, tmp_path, edit, error, message):
         p = self.edited(tmp_path, lambda arrays, meta: edit(meta))
         with pytest.raises(error, match=re.escape(f"{p}: ") + ".*" + re.escape(message)):
