@@ -29,7 +29,7 @@ print(f"trained {len(history)} epochs, "
       f"reconstruction loss {history[0]:.1f} -> {history[-1]:.1f}")
 
 # Out-of-sample items are encoded inductively: each one extends the training
-# graph by a single column and is propagated through both GCN layers.
+# graph by a single column and is propagated over both hops of the graph.
 Bq = encode_queries(model, features.data[:, split.query], aux.data[:, split.query])
 Bd = encode_queries(model, features.data[:, split.retrieval], aux.data[:, split.retrieval])
 

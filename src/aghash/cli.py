@@ -258,7 +258,7 @@ def cmd_encode(args):
 
     from .data import save_aux, AuxSemantics
     from .retrieval import pack, save_codes
-    from .trainer import encode_queries, encode_train, load_model
+    from .trainer import _attentive, encode_queries, encode_train, load_model
 
     if args.labels_out and not args.labels:
         raise ConfigError("--labels-out needs --labels, the full label file to slice")
@@ -280,6 +280,12 @@ def cmd_encode(args):
             if not np.array_equal(aux.data[:, idx], model.y_train):  # the codes are the checkpoint's cached ones
                 raise ConfigError("the split's training items are not the checkpoint's: "
                                   "their aux tags differ")
+            # the attentive features as fit forms them; the tolerance admits only rounding
+            xatt = _attentive(features.data[:, idx], model.y_train, model.attention, model.use_attention,
+                              lambda j: f"item {idx[j]}")
+            if not np.allclose(xatt, model.xatt_train, rtol=1e-5, atol=1e-5 * np.abs(model.xatt_train).max()):
+                raise ConfigError("the split's training items are not the checkpoint's: "
+                                  "their features differ")
             codes = encode_train(model)
         else:
             codes = pack(encode_queries(model, features.data[:, idx], aux.data[:, idx]))

@@ -1,6 +1,7 @@
-"""Two-layer GCN encoder and the checkpoint container.
+"""The GCN encoder's two weights and the checkpoint container.
 
-Forward passes only; gradients live in `objective`.
+The encoder is linear, Z = W2 W1 (Xatt S~^2) (`trainer.fit`); its gradients
+live in `objective`.
 """
 
 import json
@@ -13,7 +14,7 @@ import numpy as np
 from .errors import FormatError, require_sizes
 
 CHECKPOINT_MAGIC = b"AGCK"
-CHECKPOINT_VERSION = 6
+CHECKPOINT_VERSION = 7
 
 
 @dataclass
@@ -44,25 +45,6 @@ def parameters(*groups):
     attention.AttentionParams); field names are unique across groups.
     """
     return {f.name: getattr(g, f.name) for g in groups for f in fields(g)}
-
-
-def relu(x, out=None):
-    """max(x, 0), written into `out` when given (x itself for an in-place ReLU)."""
-    return np.maximum(x, 0.0, out=out)
-
-
-def gcn_layers(H, S_tilde, params, out=None):
-    """Both GCN layers on H = Xatt S~: (Z1, Z) = (ReLU(W1 H), (W2 Z1) S~); Z has no activation.
-
-    Layer 2 is W2 (Z1 S~) reassociated: W2 Z1 has r << h rows, so the n x n
-    product costs r n^2 multiply-adds instead of h n^2. S~ is a
-    `graph.SymGraph` or an n x n array: either serves `M @ S~`. Z1 is
-    written into `out` when given, an h x n buffer of the product's dtype,
-    so a training loop reuses one buffer for Z1 in every epoch.
-    """
-    Z1 = np.matmul(params.W1, H, out=out)
-    relu(Z1, out=Z1)  # the ReLU in the product's buffer
-    return Z1, (params.W2 @ Z1) @ S_tilde
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ The objective is l_recons alone: the code cosines reconstruct k times a
 similarity target. The paper's quantization and classification terms are not
 trained, since neither moved MAP@100 beyond the spread between seeds (README,
 Defaults). All gradients are exact (finite-difference checked) with
-subgradient 0 at ReLU/clip kinks.
+subgradient 0 at the clip's kink.
 """
 
 import numpy as np
@@ -63,34 +63,21 @@ def reconstruction_loss(Z, target, k):
 # ---------------------------------------------------------------------------
 
 
-def backprop_all(H, layers, S_tilde, target, gcn, k):
-    """The reconstruction loss and its exact gradients for the GCN's weights.
+def backprop_all(H2, Z, target, gcn, k):
+    """The reconstruction loss and its exact gradients for the GCN's two weights.
 
-    Differentiates a forward pass computed by the caller: H = Xatt S~ and
-    `layers` = (Z1, Z) = network.gcn_layers(H, S~, gcn), Z = (W2 Z1) S~. S~
-    is symmetric, so with G = dZ S~ layer 2 gives dW2 = G Z1^T and
-    dZ1 = W2^T G: one r x n x n product where (W2^T dZ) S~ would take an
-    h x n x n one, and r << h. Every product and gradient takes the dtype of
-    S~ and the layers; dZ is in Z's, so G needs no cast. Once dW2 is taken,
-    dZ1 is written into `layers[0]`'s buffer a row panel at a time, each after
-    its ReLU mask is written into one PANEL x n buffer, so Z1 is overwritten:
-    an epoch holds one h x n array and no h x n mask.
+    Differentiates the linear encoder Z = W2 W1 H2 computed by the caller,
+    with H2 = Xatt S~^2 formed once per fit. Both gradients go through the
+    r x k matrix A = dZ H2^T: dW1 = W2^T A and dW2 = A W1^T, so no h x n
+    array and no graph product is formed. They take the dtype of H2, Z and
+    the weights.
 
     `target` is what the code cosines reconstruct, scaled by k
-    (`reconstruction_loss`): `TagGram(Y)` or a `graph.SymGraph`. S~ is a
-    SymGraph or, in tests, an n x n array: the layers only multiply by it.
+    (`reconstruction_loss`): `TagGram(Y)` or a `graph.SymGraph`.
 
     Returns (l_recons, grads); grads maps the `network.parameters` names W1
     and W2 to their gradients.
     """
-    Z1, Z = layers
     loss, dZ = reconstruction_loss(Z, target, k)
-    G = dZ @ S_tilde
-    dW2 = G @ Z1.T
-    mask = np.empty((PANEL, Z1.shape[1]), dtype=bool)
-    for lo in range(0, Z1.shape[0], PANEL):  # Z1 is spent: layer 1's gradient takes its buffer
-        rows = Z1[lo:lo + PANEL]
-        active = np.greater(rows, 0, out=mask[:len(rows)])  # read before the panel is overwritten
-        np.matmul(gcn.W2.T[lo:lo + PANEL], G, out=rows)
-        rows *= active
-    return loss, {"W1": Z1 @ H.T, "W2": dW2}
+    A = dZ @ H2.T
+    return loss, {"W1": gcn.W2.T @ A, "W2": A @ gcn.W1.T}

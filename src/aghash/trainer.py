@@ -1,8 +1,11 @@
 """Adam training loop: each epoch steps the GCN's two weights once.
 
-Training is full-batch over the training split: the graph layers multiply by
-the whole n x n normalized graph, held once as its upper triangle
-(`graph.SymGraph`), which is tractable at the target scale.
+The encoder is linear, Z = W2 W1 (Xatt S~^2), after Wu et al., Simplifying
+Graph Convolutional Networks (ICML 2019): with no ReLU between the layers the
+two hops of propagation, H1 = Xatt S~ and H2 = H1 S~, are formed once per fit
+with the whole n x n normalized graph, held once as its upper triangle
+(`graph.SymGraph`). An epoch then multiplies the r x k matrix W = W2 W1 by
+H2: it forms no h x n array and no graph product.
 """
 
 from dataclasses import asdict, dataclass, fields, replace
@@ -18,9 +21,9 @@ from .data import DatasetSplit, _from_file, reject_entries
 from .errors import (DataError, FormatError, NumericError, ParameterError, ShapeError, require_finite,
                      require_integer)
 
-# the dtype of the attentive features, the graph, both GCN layers, their
-# gradients and Adam states, in fit and in encode_queries alike; the attention
-# and the loss's sum stay float64
+# the dtype of the attentive features, the graph, both propagations, the GCN
+# weights, their gradients and Adam states, in fit and in encode_queries alike;
+# the attention and the loss's sum stay float64
 COMPUTE_DTYPE = np.float32
 
 
@@ -91,7 +94,7 @@ class TrainedModel:
     graph_cfg: sg.GraphConfig  # bandwidth is the resolved one when the graph has a visual kernel
     use_attention: bool
     xatt_train: np.ndarray  # k x n, in the coordinates of the projections' span
-    w2z1_train: np.ndarray  # r x n: W2 Z1, layer 2 before its graph product
+    wh1_train: np.ndarray  # r x n: W2 W1 H1, the codes before their last graph product
     z_train: np.ndarray  # r x n
     degrees: np.ndarray  # length n
     y_train: np.ndarray  # c x n
@@ -133,8 +136,10 @@ def fit(
 
     history holds each epoch's reconstruction loss, one float per epoch, and
     epoch_callback(epoch, loss) is invoked after each epoch when given. The
-    attentive features, the graph, the GCN weights, both layers and their
-    gradients are in COMPUTE_DTYPE.
+    attentive features, the graph, both propagations, the GCN weights and
+    their gradients are in COMPUTE_DTYPE. `hidden` is the inner width h of
+    W = W2 W1 (h x k, then r x h): it sets the draw and Adam's path, but no
+    array an epoch forms is h wide over the n items.
     The projections and W1 are drawn d' wide, then re-expressed once in the
     k = min(d', d + c) coordinates of the projections' span (`attention.basis`):
     the same model at step 0, since norms and cosines there do not change.
@@ -178,26 +183,28 @@ def fit(
     params = net.parameters(gcn)
     states = {name: AdamState.like(param) for name, param in params.items()}
 
-    H = Xatt @ St
-    Z1, Z = net.gcn_layers(H, St, gcn)
+    H1 = Xatt @ St  # the only two graph products of the fit
+    H2 = H1 @ St
+    Z = np.empty((gcn.r, H2.shape[1]), dtype=COMPUTE_DTYPE)  # every epoch's codes, in one buffer
     history = []
     for epoch in range(1, cfg.epochs + 1):
+        np.matmul(gcn.W2 @ gcn.W1, H2, out=Z)
         if not np.all(np.isfinite(Z)):
             raise NumericError(f"non-finite encoder output at epoch {epoch}")
-        loss, grads = obj.backprop_all(H, (Z1, Z), St, target, gcn, cfg.k)
+        loss, grads = obj.backprop_all(H2, Z, target, gcn, cfg.k)
         if not np.isfinite(loss):
             raise NumericError(f"non-finite loss at epoch {epoch}")
 
         for name, grad in grads.items():
             adam_step(params[name], grad, states[name], epoch, cfg.lr)
-        Z1, Z = net.gcn_layers(H, St, gcn, out=Z1)  # backprop_all left its gradient in Z1
         history.append(loss)
         if epoch_callback is not None:
             epoch_callback(epoch, loss)
 
+    W = gcn.W2 @ gcn.W1  # the trained weights' product
     model = TrainedModel(
         attention=apar, gcn=gcn, graph_cfg=graph_cfg, use_attention=use_attention,
-        xatt_train=Xatt, w2z1_train=gcn.W2 @ Z1, z_train=Z, degrees=degrees, y_train=Yt,
+        xatt_train=Xatt, wh1_train=W @ H1, z_train=np.matmul(W, H2, out=Z), degrees=degrees, y_train=Yt,
     )
     return model, history
 
@@ -212,13 +219,13 @@ def encode_queries(model, Xq, Yq):
 
     Each query gets a one-column extension of the training graph (with an
     explicit self term), is normalized against the cached training degrees,
-    and is propagated through both GCN layers. Layer 2 is reassociated as in
-    `network.gcn_layers`: z_q = (W2 Z1_train) st_col^T + (W2 z1_q) st_self,
-    from the cached r x n W2 Z1_train, so no h x m x n product is formed.
+    and is propagated over both hops: h1_q = Xatt st_col^T + xatt_q st_self,
+    then z_q = (W H1) st_col^T + (W h1_q) st_self with W = W2 W1, from the
+    cached r x n W H1, so no h x m product is formed.
     The attention runs once for all m queries; the graph columns and both
-    layers run a panel of queries at a time, as many as fit one n-wide
+    hops run a panel of queries at a time, as many as fit one n-wide
     COMPUTE_DTYPE array in `retrieval.BLOCK_BYTES`, so the panel's buffers
-    are that size whatever m is. The columns and layers are in
+    are that size whatever m is. The columns and hops are in
     COMPUTE_DTYPE, as in fit.
     """
     Xq = np.asarray(Xq, dtype=np.float64)
@@ -233,26 +240,26 @@ def encode_queries(model, Xq, Yq):
 
     xatt_q = _attentive(Xq, model.y_train, model.attention, model.use_attention, "query {}".format)
     z_q = np.empty((model.r, Xq.shape[1]), dtype=COMPUTE_DTYPE)
+    W = model.gcn.W2 @ model.gcn.W1
     panel = max(1, retrieval.BLOCK_BYTES // (model.degrees.size * np.dtype(COMPUTE_DTYPE).itemsize))
     for lo in range(0, Xq.shape[1], panel):
         cols = slice(lo, lo + panel)
-        z_q[:, cols] = _propagate(model, xatt_q[:, cols], Yq[:, cols])
+        z_q[:, cols] = _propagate(model, W, xatt_q[:, cols], Yq[:, cols])
     bad = np.flatnonzero(~np.all(np.isfinite(z_q), axis=0))
     if bad.size:  # sign_pm would read NaN as -1 bits
         raise NumericError(f"non-finite encoder output for query {bad[0]}")
     return sign_pm(z_q)
 
 
-def _propagate(model, xatt_q, Yq):
-    """The r x m layer-2 outputs of m queries from their attentive features.
+def _propagate(model, W, xatt_q, Yq):
+    """The r x m outputs of m queries from their attentive features; W = W2 W1.
 
-    The queries' graph columns are freed on return; the ReLU runs in layer 1's buffer.
+    The queries' graph columns are freed on return.
     """
     st_col, st_self = sg.query_columns(xatt_q, Yq, model.xatt_train, model.y_train, model.degrees,
                                        model.graph_cfg)
-    z1_q = model.gcn.W1 @ (model.xatt_train @ st_col.T + xatt_q * st_self)
-    net.relu(z1_q, out=z1_q)
-    return model.w2z1_train @ st_col.T + (model.gcn.W2 @ z1_q) * st_self
+    h1_q = model.xatt_train @ st_col.T + xatt_q * st_self
+    return model.wh1_train @ st_col.T + (W @ h1_q) * st_self
 
 
 # ---------------------------------------------------------------------------
@@ -272,11 +279,11 @@ _GROUPS = {"attention": att.AttentionParams, "gcn": net.GcnParams}
 _CACHED = [f.name for f in fields(TrainedModel) if f.type is np.ndarray]
 # every saved array, in file order, with its dimensions: a checkpoint's meta holds their sizes
 _SHAPES = {"P_x": ("k", "d"), "P_y": ("k", "c"), "W1": ("h", "k"), "W2": ("r", "h"),
-           "xatt_train": ("k", "n"), "w2z1_train": ("r", "n"), "z_train": ("r", "n"),
+           "xatt_train": ("k", "n"), "wh1_train": ("r", "n"), "z_train": ("r", "n"),
            "degrees": ("n",), "y_train": ("c", "n")}
 _DIMS = sorted({symbol for symbols in _SHAPES.values() for symbol in symbols})
 # the arrays fit returns in COMPUTE_DTYPE; the file holds them as float64, which is exact
-_COMPUTED = ("W1", "W2", "xatt_train", "w2z1_train", "z_train", "degrees")
+_COMPUTED = ("W1", "W2", "xatt_train", "wh1_train", "z_train", "degrees")
 
 
 def save_model(path, model):

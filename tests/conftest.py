@@ -63,17 +63,20 @@ def small_instance(seed, n=16, d=8, d_prime=8, h=8, r=4, c=3):
     return SmallInstance(X=X, Y=Y, apar=apar, Xatt=Xatt, St=St, gcn=gcn)
 
 
+def forward(inst, gcn=None):
+    """(H2, Z) of the linear encoder on `inst`: H2 = Xatt S~^2 and Z = W2 W1 H2."""
+    gcn = gcn or inst.gcn
+    H2 = (inst.Xatt @ inst.St) @ inst.St
+    return H2, (gcn.W2 @ gcn.W1) @ H2
+
+
 def backprop(inst, gcn=None, target=None):
     """objective.backprop_all on `inst` at k = 1 after the forward pass it differentiates.
 
     The reconstruction target defaults to the tags' Gram matrix, the 'aux' target.
     """
     gcn = gcn or inst.gcn
-    H = inst.Xatt @ inst.St
-    return obj.backprop_all(
-        H, net.gcn_layers(H, inst.St, gcn), inst.St, obj.TagGram(inst.Y) if target is None else target,
-        gcn, 1.0,
-    )
+    return obj.backprop_all(*forward(inst, gcn), obj.TagGram(inst.Y) if target is None else target, gcn, 1.0)
 
 
 def read_checkpoint(path):

@@ -210,6 +210,30 @@ class TestEncode:
             "error: the split's training items are not the checkpoint's: their aux tags differ\n")
         assert not (tmp_path / "out.codes").exists()
 
+    @pytest.mark.filterwarnings("ignore:.*have no auxiliary semantics")
+    def test_train_subset_with_an_item_of_the_same_tags_is_refused(self, tmp_path, capsys):
+        # one training item swapped for an outside item with the same tags: the
+        # tags agree with the checkpoint's, the features do not (the split's
+        # cached codes were written for the other item)
+        data, run_dir = tmp_path / "data", tmp_path / "run"
+        data.mkdir(), run_dir.mkdir()
+        assert cli.main(["synth", "--out", str(data), "--n", "200", "--d", "8", "--c", "3", "--sep", "2",
+                         "--noise", "0.1", "--train-size", "80", "--query-size", "40", "--seed", "1"]) == 0
+        assert cli.main(_train(data, run_dir, "--r", "8", "--d-prime", "16", "--hidden", "16",
+                               "--epochs", "3")) == 0
+        split, aux = load_split(data / "split.json"), load_aux(data / "aux.txt").data
+        train = split.train.tolist()
+        outside = sorted(set(range(200)) - set(train))
+        j, item = next((j, i) for j, t in enumerate(train) for i in outside
+                       if np.array_equal(aux[:, i], aux[:, t]))
+        train[j] = item
+        path = _file(tmp_path, "s.json", json.dumps({"train": train, "query": [], "retrieval": []}))
+        code, captured = run(_encode(data, tmp_path, "train", checkpoint=str(run_dir / "checkpoint.bin"),
+                                     split=path), capsys)
+        assert code == 1 and captured.err == (
+            "error: the split's training items are not the checkpoint's: their features differ\n")
+        assert not (tmp_path / "out.codes").exists()
+
     def test_query_subset_with_labels(self, pipeline, tmp_path):
         out = self.encode(
             pipeline, tmp_path, "query",
@@ -345,6 +369,12 @@ def _checkpoint(meta=b"{}", version=network.CHECKPOINT_VERSION):
     return b"AGCK" + struct.pack("<II", version, len(meta)) + meta + bytes(8)
 
 
+def _retagged(p, version):
+    """The pipeline's checkpoint bytes under another format version."""
+    raw = (p / "checkpoint.bin").read_bytes()
+    return raw[:4] + struct.pack("<I", version) + raw[8:]
+
+
 def _edited(p, tmp, edit):
     """The pipeline's checkpoint after edit(arrays, meta) changed its contents."""
     arrays, meta = read_checkpoint(p / "checkpoint.bin")
@@ -434,6 +464,9 @@ MALFORMED = {
                              "c: unsupported checkpoint version 4"),
     "checkpoint-version-5": (lambda p, t: _encode(p, t, checkpoint=_file(t, "c", _checkpoint(version=5))),
                              "c: unsupported checkpoint version 5"),
+    # the two-layer ReLU model's format: its weights and cached W2 Z1 are not this model's
+    "checkpoint-version-6": (lambda p, t: _encode(p, t, checkpoint=_file(t, "c", _retagged(p, 6))),
+                             "c: unsupported checkpoint version 6"),
     "checkpoint-not-finite": (lambda p, t: _encode(p, t, checkpoint=_edited(
         p, t, lambda arrays, meta: arrays["W1"].__setitem__((0, 0), np.nan))),
                               "edited.bin: checkpoint array 'W1' is not finite"),

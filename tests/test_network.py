@@ -7,18 +7,10 @@ import pytest
 from aghash.errors import FormatError, ShapeError
 from aghash.network import (
     CHECKPOINT_VERSION,
-    GcnParams,
-    gcn_layers,
     init_params,
     load_arrays,
-    relu,
     save_arrays,
 )
-
-
-class TestActivations:
-    def test_relu_values(self):
-        assert np.array_equal(relu(np.array([-2.0, 0.0, 3.0])), [0.0, 0.0, 3.0])
 
 
 class TestInit:
@@ -47,46 +39,6 @@ class TestInit:
     def test_rejects_bad_dims(self):
         with pytest.raises(ShapeError):
             init_params(0, 5, 4, seed=0)
-
-
-class TestGcnForward:
-    def test_identity_graph_and_weights(self):
-        n, d = 3, 2
-        Xatt = np.array([[1.0, -1.0, 2.0], [0.5, 3.0, -4.0]])
-        params = GcnParams(W1=np.eye(d), W2=np.eye(d))
-        S = np.eye(n)
-        Z1, Z = gcn_layers(Xatt @ S, S, params)
-        assert np.array_equal(Z1, relu(Xatt))
-        assert np.array_equal(Z, relu(Xatt))
-
-    def test_hand_computed_chain(self):
-        # one node, scalar everything: Z1 = relu(2 * 3 * 0.5) = 3; Z = -1 * 3 * 0.5
-        Xatt = np.array([[3.0]])
-        params = GcnParams(W1=np.array([[2.0]]), W2=np.array([[-1.0]]))
-        S = np.array([[0.5]])
-        Z1, Z = gcn_layers(Xatt @ S, S, params)
-        assert Z1[0, 0] == 3.0
-        assert Z[0, 0] == -1.5
-
-    def test_second_layer_can_be_negative(self):
-        rng = np.random.default_rng(0)
-        Xatt = rng.standard_normal((4, 6))
-        gcn = init_params(4, 5, 3, seed=1)
-        S = np.eye(6) / 2
-        Z1, Z = gcn_layers(Xatt @ S, S, gcn)
-        assert Z1.min() >= 0.0
-        assert Z.min() < 0.0  # no activation on the output layer
-
-
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_dtype_follows_inputs(self, dtype):
-        rng = np.random.default_rng(2)
-        Xatt = rng.standard_normal((4, 6)).astype(dtype)
-        gcn = init_params(4, 5, 3, seed=1)
-        params = GcnParams(gcn.W1.astype(dtype), gcn.W2.astype(dtype))
-        S = (np.eye(6) / 2).astype(dtype)
-        Z1, Z = gcn_layers(Xatt @ S, S, params)
-        assert Z1.dtype == Z.dtype == dtype
 
 
 def _listed(meta):

@@ -1,13 +1,14 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from aghash import graph as sg
-from aghash import network as net
 from aghash import objective as obj
 from aghash.errors import ShapeError
 from aghash.network import GcnParams
 
-from conftest import backprop, central_diff, max_rel_err, small_instance
+from conftest import backprop, central_diff, forward, max_rel_err, small_instance
 
 sym = sg.SymGraph.from_dense  # a reconstruction target from a full symmetric array
 
@@ -121,48 +122,48 @@ class TestPanelledReconstruction:
         assert np.abs(dZ - dZ_want).max() <= 1e-5 * np.abs(dZ_want).max()
 
 
+def check_gradients(inst, target, dtype):
+    """backprop_all's gradients on `inst` in dtype against float64 central
+    differences of its loss, with the reconstruction target by kind."""
+    T = recon_target(inst.Xatt, inst.Y, target)
+    low = replace(inst, Xatt=inst.Xatt.astype(dtype), St=sym(inst.St.full().astype(dtype)),
+                  gcn=GcnParams(inst.gcn.W1.astype(dtype), inst.gcn.W2.astype(dtype)))
+    loss, grads = backprop(low, target=T if target == "aux" else sym(T.full().astype(dtype)))
+    assert type(loss) is float and set(grads) == {"W1", "W2"}
+    for name in ("W1", "W2"):
+        assert grads[name].dtype == dtype
+        fd = central_diff(lambda P: backprop(inst, gcn=replace(inst.gcn, **{name: P}), target=T)[0],
+                          getattr(inst.gcn, name))
+        if dtype == np.float64:
+            assert max_rel_err(grads[name], fd) < 1e-4, name
+        else:  # the float64 gradients to float32 rounding
+            assert np.abs(grads[name] - fd).max() <= 1e-4 * np.abs(fd).max(), name
+
+
 class TestBackpropAll:
     def test_network_gradients(self):
-        inst = small_instance(20)
-        _, grads = backprop(inst)
-        fd_w1 = central_diff(lambda W: backprop(inst, gcn=GcnParams(W1=W, W2=inst.gcn.W2))[0], inst.gcn.W1)
-        fd_w2 = central_diff(lambda W: backprop(inst, gcn=GcnParams(W1=inst.gcn.W1, W2=W))[0], inst.gcn.W2)
-        assert max_rel_err(grads["W1"], fd_w1) < 1e-4
-        assert max_rel_err(grads["W2"], fd_w2) < 1e-4
+        check_gradients(small_instance(20), "aux", np.float64)
 
     def test_network_gradients_through_the_basis(self):
         # d + c = 6 < d' = 10: the instance is re-expressed in k = 6 coordinates,
         # so W1 is h x 6 and the projections R_x, R_y are 6 x 4 and 6 x 2
         inst = small_instance(26, d=4, c=2, d_prime=10)
         assert inst.gcn.W1.shape == (8, 6) and inst.apar.P_x.shape == (6, 4) and inst.apar.P_y.shape == (6, 2)
-        _, grads = backprop(inst)
-        fd_w1 = central_diff(lambda W: backprop(inst, gcn=GcnParams(W1=W, W2=inst.gcn.W2))[0], inst.gcn.W1)
-        assert max_rel_err(grads["W1"], fd_w1) < 1e-4
-
-    def test_k_scales_the_target(self):
-        # backprop_all's loss is the reconstruction loss at the k it is given
-        inst = small_instance(21)
-        H = inst.Xatt @ inst.St
-        Z = net.gcn_layers(H, inst.St, inst.gcn)[1]
-        target = obj.TagGram(inst.Y)
-        for k in (0.5, 2.0):
-            loss, _ = obj.backprop_all(H, net.gcn_layers(H, inst.St, inst.gcn), inst.St, target, inst.gcn, k)
-            assert loss == obj.reconstruction_loss(Z, target, k)[0]
+        for target in ("aux", "visual"):
+            for dtype in (np.float32, np.float64):
+                check_gradients(inst, target, dtype)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("target", ["aux", "visual"])
     def test_gcn_gradients_take_the_forward_dtype(self, dtype, target):
-        # the gradients follow S~ and the layers, and the loss is a float
-        inst = small_instance(24)
-        Xatt, St = inst.Xatt.astype(dtype), sym(inst.St.full().astype(dtype))
-        gcn = GcnParams(inst.gcn.W1.astype(dtype), inst.gcn.W2.astype(dtype))
-        H = Xatt @ St
-        loss, grads = obj.backprop_all(H, net.gcn_layers(H, St, gcn), St, recon_target(Xatt, inst.Y, target),
-                                       gcn, 1.0)
-        assert grads["W1"].dtype == grads["W2"].dtype == dtype
-        assert set(grads) == {"W1", "W2"}
-        assert type(loss) is float
-        if dtype == np.float32:  # the float32 gradients are the float64 ones to float32 rounding
-            _, want = backprop(inst, target=recon_target(inst.Xatt, inst.Y, target))
-            for name in ("W1", "W2"):
-                assert np.abs(grads[name] - want[name]).max() <= 1e-4 * np.abs(want[name]).max()
+        # the gradients follow H2, Z and the weights, and the loss is a float
+        check_gradients(small_instance(24), target, dtype)
+
+    def test_k_scales_the_target(self):
+        # backprop_all's loss is the reconstruction loss at the k it is given
+        inst = small_instance(21)
+        H2, Z = forward(inst)
+        target = obj.TagGram(inst.Y)
+        for k in (0.5, 2.0):
+            loss, _ = obj.backprop_all(H2, Z, target, inst.gcn, k)
+            assert loss == obj.reconstruction_loss(Z, target, k)[0]

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 import struct
@@ -76,8 +77,9 @@ def same_codes_tolerance(model, z_batch):
     """How far two calls' outputs for the same items may differ: inner * eps * max|z|.
 
     An output is a chain of COMPUTE_DTYPE products: the query kernel (inner
-    length k), its row sums and its product with xatt_train (n each), W1
-    (k) and W2 (h); the other term's product with w2z1_train (n) is shorter.
+    length k), its row sums and its product with xatt_train (n each),
+    W = W2 W1 (h) and W's product with the first hop (k); the other term's
+    product with wh1_train (n) is shorter.
     A computed sum of L products is within L u |x|.|y| of the exact one, u =
     eps / 2 (Higham, Accuracy and Stability of Numerical Algorithms, 2002,
     sec. 3.1), and to first order the lengths along a chain add up. The
@@ -307,7 +309,7 @@ class TestFit:
             return denoise(X, Y, params)
 
         def first_step(*args, **kwargs):  # a copy: training steps W1 in place
-            first.setdefault("W1", args[4].W1.copy())
+            first.setdefault("W1", args[3].W1.copy())
             return backprop_all(*args, **kwargs)
 
         saved = []
@@ -333,8 +335,8 @@ class TestFit:
         seed, dtype = 22, trainer.COMPUTE_DTYPE
         backprop_all, first = obj.backprop_all, []
 
-        def first_step(*args, **kwargs):  # the layers the first step differentiates
-            first.append(args[1][1].copy())
+        def first_step(*args, **kwargs):  # the codes the first step differentiates
+            first.append(args[1].copy())
             return backprop_all(*args, **kwargs)
 
         with mock.patch.object(obj, "backprop_all", first_step):
@@ -347,7 +349,7 @@ class TestFit:
         xatt = (att.denoise(X, Y, apar) if use_attention else att.project(X, Y, apar)[0]).astype(dtype)
         gcn = net.init_params(32, 8, 4, seed + 1)
         St = sg.build_graph(xatt, Y, sg.GraphConfig())[0]
-        Z = net.gcn_layers(xatt @ St, St, net.GcnParams(gcn.W1.astype(dtype), gcn.W2.astype(dtype)))[1]
+        Z = (gcn.W2.astype(dtype) @ gcn.W1.astype(dtype)) @ ((xatt @ St) @ St)
         assert np.abs(first[0] - Z).max() <= 1e-4 * np.abs(Z).max()
 
     def test_epoch_callback(self):
@@ -381,8 +383,8 @@ class TestFit:
 
             with mock.patch.object(obj, "backprop_all", spy):
                 fm, aux, split, model, _ = flags_fit(0, "--variant", variant)
-            target = calls[0][3]
-            assert len(calls) == 3 and all(args[3] is target for args in calls)
+            target = calls[0][2]
+            assert len(calls) == 3 and all(args[2] is target for args in calls)
             if variant == "no-aux":
                 want, sigma = sg.visual_similarity(model.xatt_train)
                 assert sigma == model.graph_cfg.bandwidth and np.array_equal(target.full(), want.full())
@@ -433,25 +435,39 @@ class TestFit:
             tracemalloc.stop()
         assert peak < 0.9 * n * n * 4, f"peak {peak / (n * n * 4):.2f} n x n float32 arrays"
 
-    def test_epochs_share_one_hidden_buffer(self):
-        # layer 1's gradient is written into Z1's buffer and the next Z1 into the
-        # same one: an epoch holds one h x n float32 array, not Z1, dZ1 and the
-        # next Z1 side by side, and that one dominates fit's peak when h is large;
-        # the ReLU mask is taken a row panel at a time (an h x n bool mask read 2.80)
-        n, hidden = 300, 2048
+    @pytest.mark.parametrize("epochs", [1, 5])
+    def test_two_graph_products_per_fit(self, epochs):
+        # both hops are formed once: no epoch multiplies by the graph
+        products, rmatmul = [], sg.SymGraph.__rmatmul__
+
+        def count(graph, M):
+            products.append(np.shape(M))
+            return rmatmul(graph, M)
+
+        with mock.patch.object(sg.SymGraph, "__rmatmul__", count):
+            _, _, _, model, history = tiny_fit(cfg=TrainConfig(epochs=epochs, lr=1e-3))
+        assert len(history) == epochs
+        assert products == [model.xatt_train.shape] * 2
+
+    def test_hidden_width_adds_no_hidden_by_n_array(self):
+        # h sets only W1 (h x k), W2 (r x h), their draws, gradients and Adam
+        # states: a 3-epoch fit at h = 2048 peaks less than one h x n float32
+        # array above the same fit at h = 16 (measured 0.45; a ReLU layer's
+        # h x n output alone is one, and the two-layer ReLU GCN read 1.44)
+        n = 600
         fm, aux, _ = synth_dataset(n=n, d=32, c=4, sep=2.0, label_noise=0.1, seed=1)
 
-        def fit(epochs):
-            trainer.fit(fm, aux, np.arange(n), d_prime=64, hidden=hidden, cfg=TrainConfig(epochs=epochs))
+        def peak(hidden):
+            trainer.fit(fm, aux, np.arange(n), d_prime=64, hidden=hidden, cfg=TrainConfig(epochs=1))
+            tracemalloc.start()  # numpy's lazy imports happened in the untraced fit
+            try:
+                trainer.fit(fm, aux, np.arange(n), d_prime=64, hidden=hidden, cfg=TrainConfig(epochs=3))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
 
-        fit(1)  # numpy's lazy imports happen outside the trace
-        tracemalloc.start()
-        try:
-            fit(3)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 2.6 * hidden * n * 4, f"peak {peak / (hidden * n * 4):.2f} h x n float32 arrays"
+        grown = peak(2048) - peak(16)
+        assert grown < 2048 * n * 4, f"peak grew {grown / (2048 * n * 4):.2f} h x n float32 arrays"
 
     @pytest.mark.parametrize("n, hidden, bound", [
         (2000, 32, 2000 * 2000 * 4), (500, 2048, 2048 * 500 * 8),
@@ -504,10 +520,11 @@ class TestFit:
         X, Y = fm.data[:, split.train], aux.data[:, split.train]
         xatt = att.denoise(X, Y, model.attention).astype(trainer.COMPUTE_DTYPE)
         St, _, _ = sg.build_graph(xatt, Y, model.graph_cfg)
-        Z1, Z = net.gcn_layers(xatt @ St, St, model.gcn)
+        H1 = xatt @ St
+        W = model.gcn.W2 @ model.gcn.W1
         assert np.array_equal(model.xatt_train, xatt)
-        assert np.array_equal(model.gcn.W2 @ Z1, model.w2z1_train)
-        assert np.array_equal(Z, model.z_train)
+        assert np.array_equal(W @ H1, model.wh1_train)
+        assert np.array_equal(W @ (H1 @ St), model.z_train)
 
 
 class TestEncoding:
@@ -536,7 +553,7 @@ class TestEncoding:
     def test_non_finite_output_is_numeric_error(self):
         # sign_pm would read a NaN output as a -1 bit
         fm, aux, split, model, _ = tiny_fit(seed=12)
-        model.w2z1_train[0, 3] = np.nan
+        model.wh1_train[0, 3] = np.nan
         with pytest.raises(NumericError, match="non-finite encoder output for query 0"):
             trainer.encode_queries(model, fm.data[:, split.query], aux.data[:, split.query])
 
@@ -587,26 +604,20 @@ class TestEncoding:
             assert_same_codes(model, batch[:, j], z_batch[:, j], one[:, 0], z_one[:, 0])
 
     def test_columns_and_layers_run_in_compute_dtype(self, monkeypatch):
-        # float64 query features, tags and degrees: the graph columns and the
-        # layer-1 input are COMPUTE_DTYPE, so no float64 copy of a training array forms
-        # layer 1's ReLU runs in its product's buffer, so no second h x m array forms
+        # float64 query features, tags and degrees: the graph columns, and so
+        # both hops, are COMPUTE_DTYPE, so no float64 copy of a training array forms
         fm, aux, _, model, _ = tiny_fit(seed=21)
         panel_of(monkeypatch, model, 3)
-        query_columns, relu, seen = sg.query_columns, net.relu, []
+        query_columns, seen = sg.query_columns, []
 
         def columns(*args):
             out = query_columns(*args)
             seen.extend(np.asarray(a).dtype for a in out)
             return out
 
-        def layer(x, out=None):
-            assert out is x
-            seen.append(x.dtype)
-            return relu(x, out=out)
-
-        with mock.patch.object(sg, "query_columns", columns), mock.patch.object(net, "relu", layer):
+        with mock.patch.object(sg, "query_columns", columns):
             codes, z = encode_pre_sign(model, fm.data[:, :7], aux.data[:, :7])
-        assert seen == [trainer.COMPUTE_DTYPE] * 9 and z.dtype == trainer.COMPUTE_DTYPE
+        assert seen == [trainer.COMPUTE_DTYPE] * 6 and z.dtype == trainer.COMPUTE_DTYPE
 
     def test_attention_runs_once_per_call(self, monkeypatch):
         # the attention dedupes y_train on each run, so it runs for all m queries at once
@@ -636,22 +647,21 @@ class TestEncoding:
                 tracemalloc.stop()
         assert peaks[1] < 1.2 * peaks[0], f"peaks {peaks} bytes for 16 and 128 queries"
 
-    def test_training_item_roundtrips_through_inductive_rule(self):
-        # encoding a training item as if out-of-sample should usually agree
-        # with its transductive code; check exact agreement on an easy fit
-        fm, aux, _ = synth_dataset(n=30, d=6, c=2, sep=10.0, label_noise=0.0, seed=13)
-        split = make_split(30, (20, 5), seed=13)
-        model, _ = trainer.fit(
-            fm, aux, split.train, r=8, d_prime=16, hidden=16,
-            cfg=TrainConfig(epochs=60, lr=1e-3, seed=13),
-        )
-        train_codes = retrieval.unpack(trainer.encode_train(model))
-        j = 0
-        idx = split.train[j]
-        q = trainer.encode_queries(model, fm.data[:, idx:idx + 1], aux.data[:, idx:idx + 1])[:, 0]
-        # self-extension differs from the transductive graph, so require
-        # agreement on most bits rather than all
-        assert (q == train_codes[:, j]).mean() >= 0.75
+    def test_training_item_roundtrips_through_inductive_rule(self, noisy_fits):
+        # each training item encoded as a query, its own column added to the
+        # training graph, mostly keeps its training code: measured 0.994-0.997
+        # of bits and 0.90-0.95 of whole codes on the noisy setting
+        for seed, fit in noisy_fits.items():
+            bits, codes = inductive_agreement(*fit)
+            assert bits >= 0.98 and codes >= 0.85, f"seed {seed}: bits {bits:.4f}, codes {codes:.4f}"
+
+    def test_inductive_agreement_can_fail(self, noisy_fits):
+        # without the cached first hop W H1 the queries lose the training
+        # graph's second hop, and the agreement falls below both bounds
+        for seed, (model, fm, aux, split) in noisy_fits.items():
+            broken = dataclasses.replace(model, wh1_train=np.zeros_like(model.wh1_train))
+            bits, codes = inductive_agreement(broken, fm, aux, split)
+            assert bits < 0.98 and codes < 0.85, f"seed {seed}: bits {bits:.4f}, codes {codes:.4f}"
 
     def test_shape_errors(self):
         _, _, _, model, _ = tiny_fit(seed=14)
@@ -685,6 +695,29 @@ class TestEncoding:
             fm, aux, split, model, _ = variant_models[variant]
             codes = trainer.encode_queries(model, fm.data[:, split.query], aux.data[:, split.query])
             assert codes.shape == (4, 4)
+
+
+def inductive_agreement(model, fm, aux, split):
+    """(share of bits, share of whole codes) where the inductive codes of the
+    training items equal their training codes."""
+    train = retrieval.unpack(trainer.encode_train(model))
+    inductive = trainer.encode_queries(model, fm.data[:, split.train], aux.data[:, split.train])
+    same = inductive == train
+    return same.mean(), same.all(axis=0).mean()
+
+
+@pytest.fixture(scope="module")
+def noisy_fits():
+    """seed -> (model, features, aux, split) of the full model in the acceptance
+    gates' noisy setting, at seeds 1, 2 and 3."""
+    fits = {}
+    for seed in (1, 2, 3):
+        fm, aux, _ = synth_dataset(n=600, d=32, c=4, sep=2.0, label_noise=0.1, seed=seed)
+        split = make_split(600, (300, 150), seed=seed)
+        model, _ = trainer.fit(fm, aux, split.train, r=16, d_prime=64, hidden=128,
+                               cfg=TrainConfig(epochs=150, lr=1e-3, seed=seed))
+        fits[seed] = (model, fm, aux, split)
+    return fits
 
 
 @pytest.fixture(scope="module")
@@ -780,7 +813,7 @@ class TestPersistence:
 
     @pytest.mark.parametrize("name, shape, expected", [
         ("P_x", (8,), ("k", "d")), ("P_y", (7, 2), (8, 2)), ("W1", (8, 7), (8, 8)),
-        ("W2", (4, 9), (4, 8)), ("xatt_train", (7, 16), (8, 16)), ("w2z1_train", (4, 15), (4, 16)),
+        ("W2", (4, 9), (4, 8)), ("xatt_train", (7, 16), (8, 16)), ("wh1_train", (4, 15), (4, 16)),
         ("z_train", (3, 16), (4, 16)), ("degrees", (15,), (16,)), ("degrees", (16, 1), (16,)),
         ("y_train", (2, 17), (2, 16)), ("y_train", (3, 16), (2, 16)),
     ], ids=str)
@@ -808,7 +841,7 @@ class TestPersistence:
 
     @pytest.mark.parametrize("name, value", [
         ("P_x", np.nan), ("P_y", np.inf), ("W1", np.nan), ("W2", -np.inf), ("xatt_train", np.nan),
-        ("w2z1_train", np.inf), ("z_train", np.nan), ("degrees", np.nan), ("y_train", -np.inf),
+        ("wh1_train", np.inf), ("z_train", np.nan), ("degrees", np.nan), ("y_train", -np.inf),
         ("W1", 1e300), ("degrees", 1e39),  # finite on disk, beyond float32 where fit computes them
         # a signalling NaN (quiet bit clear), as one flipped exponent bit can make: its cast is "invalid"
         ("W2", np.frombuffer(bytes.fromhex("010000000000f07f"), "<f8")[0]),
@@ -843,10 +876,10 @@ class TestPersistence:
         assert meta["dims"] == TINY_DIMS
         raw = json.dumps(meta, sort_keys=True).encode()
         arrays = [model.attention.P_x, model.attention.P_y, model.gcn.W1, model.gcn.W2, model.xatt_train,
-                  model.w2z1_train, model.z_train, model.degrees, model.y_train]
-        assert list(trainer._SHAPES) == ["P_x", "P_y", "W1", "W2", "xatt_train", "w2z1_train",
+                  model.wh1_train, model.z_train, model.degrees, model.y_train]
+        assert list(trainer._SHAPES) == ["P_x", "P_y", "W1", "W2", "xatt_train", "wh1_train",
                                          "z_train", "degrees", "y_train"]
-        assert p.read_bytes() == (b"AGCK" + struct.pack("<II", 6, len(raw)) + raw
+        assert p.read_bytes() == (b"AGCK" + struct.pack("<II", 7, len(raw)) + raw
                                   + b"".join(a.astype("<f8").tobytes() for a in arrays))
 
     @pytest.mark.parametrize("edit, error, message", [
@@ -888,7 +921,7 @@ class TestPersistence:
         except AghashError:
             pass
 
-    @pytest.mark.parametrize("version", [1, 3, 4, 5])
+    @pytest.mark.parametrize("version", [1, 3, 4, 5, 6])
     def test_version_1_checkpoint_rejected(self, tmp_path, version):
         _, _, _, model, _ = tiny_fit(seed=18)
         p = tmp_path / "model.bin"
