@@ -254,11 +254,9 @@ def cmd_train(args):
 
 
 def cmd_encode(args):
-    import numpy as np
-
     from .data import save_aux, AuxSemantics
     from .retrieval import pack, save_codes
-    from .trainer import _attentive, encode_queries, encode_train, load_model
+    from .trainer import encode_queries, encode_train, load_model
 
     if args.labels_out and not args.labels:
         raise ConfigError("--labels-out needs --labels, the full label file to slice")
@@ -273,20 +271,8 @@ def cmd_encode(args):
         inputs.append(args.labels)
     with _recorded(args, args.out + ".manifest.json", inputs) as man:
         start = time.perf_counter()
-        if args.subset == "train":
-            if idx.size != model.z_train.shape[1]:
-                raise ConfigError(f"checkpoint was trained on {model.z_train.shape[1]} items, "
-                                  f"split has {idx.size} training items")
-            if not np.array_equal(aux.data[:, idx], model.y_train):  # the codes are the checkpoint's cached ones
-                raise ConfigError("the split's training items are not the checkpoint's: "
-                                  "their aux tags differ")
-            # the attentive features as fit forms them; the tolerance admits only rounding
-            xatt = _attentive(features.data[:, idx], model.y_train, model.attention, model.use_attention,
-                              lambda j: f"item {idx[j]}")
-            if not np.allclose(xatt, model.xatt_train, rtol=1e-5, atol=1e-5 * np.abs(model.xatt_train).max()):
-                raise ConfigError("the split's training items are not the checkpoint's: "
-                                  "their features differ")
-            codes = encode_train(model)
+        if args.subset == "train":  # the checkpoint's cached codes, once the items are its own
+            codes = encode_train(model, features.data[:, idx], aux.data[:, idx])
         else:
             codes = pack(encode_queries(model, features.data[:, idx], aux.data[:, idx]))
         encode_time = time.perf_counter() - start

@@ -18,8 +18,8 @@ from . import network as net
 from . import objective as obj
 from . import retrieval
 from .data import DatasetSplit, _from_file, reject_entries
-from .errors import (DataError, FormatError, NumericError, ParameterError, ShapeError, require_finite,
-                     require_integer)
+from .errors import (ConfigError, DataError, FormatError, NumericError, ParameterError, ShapeError,
+                     require_finite, require_integer)
 
 # the dtype of the attentive features, the graph, both propagations, the GCN
 # weights, their gradients and Adam states, in fit and in encode_queries alike;
@@ -209,8 +209,22 @@ def fit(
     return model, history
 
 
-def encode_train(model):
-    """Packed codes for the training items: sgn of the cached GCN outputs."""
+def encode_train(model, X, Y):
+    """Packed codes for the training items, given their d x n features and c x n aux.
+
+    The codes are the signs of the cached GCN outputs, so the items must be the
+    ones the model was fit on, in its order: a ConfigError when their number,
+    their tags or their attentive features (formed as fit forms them, to a
+    tolerance that admits only rounding) differ.
+    """
+    n = model.z_train.shape[1]
+    if X.shape[1] != n:
+        raise ConfigError(f"checkpoint was trained on {n} items, split has {X.shape[1]} training items")
+    if not np.array_equal(Y, model.y_train):
+        raise ConfigError("the split's training items are not the checkpoint's: their aux tags differ")
+    xatt = _attentive(X, model.y_train, model.attention, model.use_attention, "training item {}".format)
+    if not np.allclose(xatt, model.xatt_train, rtol=1e-5, atol=1e-5 * np.abs(model.xatt_train).max()):
+        raise ConfigError("the split's training items are not the checkpoint's: their features differ")
     return retrieval.pack(sign_pm(model.z_train))
 
 

@@ -529,8 +529,8 @@ class TestFit:
 
 class TestEncoding:
     def test_train_codes_match_signs(self):
-        _, _, _, model, _ = tiny_fit(seed=11)
-        codes = trainer.encode_train(model)
+        fm, aux, split, model, _ = tiny_fit(seed=11)
+        codes = trainer.encode_train(model, fm.data[:, split.train], aux.data[:, split.train])
         assert np.array_equal(retrieval.unpack(codes), sign_pm(model.z_train))
 
     def test_query_matches_batch(self):
@@ -700,7 +700,7 @@ class TestEncoding:
 def inductive_agreement(model, fm, aux, split):
     """(share of bits, share of whole codes) where the inductive codes of the
     training items equal their training codes."""
-    train = retrieval.unpack(trainer.encode_train(model))
+    train = retrieval.unpack(trainer.encode_train(model, fm.data[:, split.train], aux.data[:, split.train]))
     inductive = trainer.encode_queries(model, fm.data[:, split.train], aux.data[:, split.train])
     same = inductive == train
     return same.mean(), same.all(axis=0).mean()
