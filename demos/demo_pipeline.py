@@ -18,8 +18,8 @@ print(f"dataset: {features.d} dims x {features.n} items, {aux.c} categories")
 print(f"split: {len(split.train)} train / {len(split.query)} query / {len(split.retrieval)} db")
 
 # Train 16-bit codes. The objective is reconstruction alone: the code
-# cosines reconstruct the tags' Gram matrix Y^T Y. Smaller widths and a
-# higher learning rate than the defaults keep the demo fast.
+# cosines reconstruct the tags' centred Gram matrix Y^T Y - m 11^T. Smaller
+# widths and a higher learning rate than the defaults keep the demo fast.
 model, history = fit(
     features, aux, split.train,
     r=16, d_prime=64, hidden=128,

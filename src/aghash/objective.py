@@ -1,60 +1,69 @@
 """The reconstruction loss and its hand-derived reverse-mode gradients.
 
-The objective is l_recons alone: the code cosines reconstruct k times a
-similarity target. The paper's quantization and classification terms are not
-trained, since neither moved MAP@100 beyond the spread between seeds (README,
-Defaults). All gradients are exact (finite-difference checked) with
-subgradient 0 at the clip's kink.
+The objective is l_recons alone: the inner products of the unit code columns
+reconstruct k times a low-rank similarity target. The paper's quantization and
+classification terms are not trained, since neither moved MAP@100 beyond the
+spread between seeds (README, Defaults). The target is T = F^T diag(w) F with
+F = [G; 1^T], so the squared error is a function of the Gram matrices N N^T,
+N F^T and F F^T of the unit codes N and of F, after the code-inner-product
+objective of Liu et al., Supervised Hashing with Kernels (CVPR 2012): an
+epoch forms no n x n array.
+All gradients are exact (finite-difference checked); a zero code column takes
+gradient 0.
 """
 
 import numpy as np
 
 from . import attention as att
 from .errors import ShapeError
-from .graph import PANEL
 
 
-class TagGram:
-    """The n x n Gram matrix Y^T Y of c x n tags, held as the tags in a floating
-    dtype: float32 and float64 stay, others are promoted."""
+class LowRankTarget:
+    """The n x n target G^T G - m 11^T of a rows x n factor G, never formed.
 
-    def __init__(self, Y):
-        Y = np.asarray(Y)
-        self.Y = Y.astype(np.result_type(Y.dtype, np.float32), copy=False)
-        self.shape = (Y.shape[1],) * 2
+    m is the mean off-diagonal entry of G^T G, (||G 1||^2 - ||G||_F^2) / (n (n - 1)),
+    or 0 at n = 1, so the target's mean off-diagonal entry is 0. It is held as
+    F = [G; 1^T] in float64, for the loss's Gram matrices, and in `dtype`, for
+    its gradient; w = (1, ..., 1, -m) makes it F^T diag(w) F, and `sq_norm` is
+    its squared norm sum_ij w_i w_j (F F^T)_ij^2.
+    """
 
-    def rows(self, lo, hi):
-        """Rows lo:hi of Y^T Y (hi clipped at n), as a fresh array in the tags' dtype."""
-        return self.Y[:, lo:hi].T @ self.Y
+    def __init__(self, G, dtype=np.float64):
+        G = np.asarray(G, dtype=np.float64)
+        rows, n = G.shape
+        s = G.sum(axis=1)
+        m = (s @ s - np.vdot(G, G)) / (n * (n - 1)) if n > 1 else 0.0
+        self.F = np.vstack([G, np.ones((1, n))])
+        self.F_grad = self.F.astype(dtype, copy=False)
+        self.w = np.append(np.ones(rows), -m)
+        FF = self.F @ self.F.T
+        self.sq_norm = float(self.w @ (FF * FF) @ self.w)
+        self.shape = (n, n)
 
 
 def reconstruction_loss(Z, target, k):
-    """||k*target - [cos(Z^T, Z)]_+||^2 and its Z gradient.
+    """||N^T N - k T||^2 and its Z gradient, N the unit columns of Z, T a LowRankTarget.
 
-    `target` is a `graph.SymGraph` or a `TagGram`: its `rows` and the cosines
-    are formed PANEL rows at a time, so no n x n temporary exists. The panels and
-    the gradient take Z's dtype, and each panel's squared residuals are summed
-    in it into a Python float. The symmetric target makes the residual
-    symmetric, so each panel b adds its share 2 N[:, b] dC_b of the gradient
-    N (dC + dC^T). Cosine with a zero column is 0; the clip boundary takes
-    subgradient 0.
+    With D = k w the loss is ||N N^T||^2 - 2 sum_j D_j ||N f_j||^2 + k^2 ||T||^2,
+    f_j the rows of F, from the r x r and r x (rows + 1) Gram matrices formed
+    in float64. The N gradient 4 (N N^T) N - 4 (N F^T D) F and the Z gradient
+    take Z's dtype, so the work is O(n r (r + rows)) and no array is wider
+    than r x n. A zero column has inner product 0 with everything and no
+    gradient.
     """
     n = Z.shape[1]
     if target.shape != (n, n):
         raise ShapeError(f"target is {target.shape}, expected {(n, n)}")
     N, norms = att.unit_columns(Z)
-    loss, dN = 0.0, np.zeros_like(N)
-    for lo in range(0, n, PANEL):
-        Nb = N[:, lo:lo + PANEL]
-        C = Nb.T @ N
-        np.maximum(C, 0.0, out=C)
-        R = target.rows(lo, lo + PANEL).astype(N.dtype, copy=False)
-        R *= k  # a fresh panel, scaled in place
-        R -= C
-        loss += float(np.vdot(R, R))
-        R *= C > 0  # clipped entries pass no gradient
-        dN += Nb @ R
-    dN *= -4.0  # dC = -2R, counted once for C and once for C^T
+    N64 = N.astype(np.float64)
+    NN, NF = N64 @ N64.T, N64 @ target.F.T
+    del N64  # the gradient is formed in N's dtype
+    D = k * target.w
+    loss = float(np.vdot(NN, NN) - 2.0 * ((NF * NF).sum(axis=0) @ D) + k * k * target.sq_norm)
+    NF *= D
+    dN = NN.astype(N.dtype) @ N
+    dN -= NF.astype(N.dtype) @ target.F_grad.astype(N.dtype, copy=False)
+    dN *= 4.0
     return loss, att.unit_columns_grad(N, norms, dN)
 
 
@@ -72,8 +81,8 @@ def backprop_all(H2, Z, target, gcn, k):
     array and no graph product is formed. They take the dtype of H2, Z and
     the weights.
 
-    `target` is what the code cosines reconstruct, scaled by k
-    (`reconstruction_loss`): `TagGram(Y)` or a `graph.SymGraph`.
+    `target` is the `LowRankTarget` the codes' inner products reconstruct,
+    scaled by k (`reconstruction_loss`).
 
     Returns (l_recons, grads); grads maps the `network.parameters` names W1
     and W2 to their gradients.

@@ -5,7 +5,8 @@ Graph Convolutional Networks (ICML 2019): with no ReLU between the layers the
 two hops of propagation, H1 = Xatt S~ and H2 = H1 S~, are formed once per fit
 with the whole n x n normalized graph, held once as its upper triangle
 (`graph.SymGraph`). An epoch then multiplies the r x k matrix W = W2 W1 by
-H2: it forms no h x n array and no graph product.
+H2 and takes the loss through Gram matrices (`objective`): it forms no h x n
+array, no n x n array and no graph product.
 """
 
 from dataclasses import asdict, dataclass, fields, replace
@@ -144,8 +145,10 @@ def fit(
     k = min(d', d + c) coordinates of the projections' span (`attention.basis`):
     the same model at step 0, since norms and cosines there do not change.
     Training and the returned model see only the k coordinates.
-    Codes that read no tags (no attention, no tag part in the graph) reconstruct
-    the visual kernel; the others the tags' Gram matrix.
+    The codes' inner products reconstruct a centred low-rank Gram matrix
+    (`objective.LowRankTarget`, formed once): the tags' for codes that read
+    them, through the attention or the graph, and the attentive features'
+    cosines for codes that read none. The graph is the fit's only n x n array.
     """
     train_idx = np.asarray(train_idx)
     if train_idx.size == 0:
@@ -175,10 +178,10 @@ def fit(
     St, degrees, sigma = sg.build_graph(Xatt, Yt, graph_cfg)
     if sigma is not None:  # queries extend the graph with the training kernel
         graph_cfg = replace(graph_cfg, bandwidth=sigma)
-    if use_attention or sg.PARTS[graph_cfg.variant][1]:  # the codes read the tags
-        target = obj.TagGram(Yt.astype(COMPUTE_DTYPE))
-    else:  # no tags: the kernel SymGraph under the graph's bandwidth
-        target = sg.visual_similarity(Xatt, graph_cfg.bandwidth)[0]
+    # codes that read the tags, through the attention or the graph, reconstruct
+    # their Gram matrix; codes that read none their attentive features' cosines
+    G = Yt if use_attention or sg.PARTS[graph_cfg.variant][1] else att.unit_columns(Xatt)[0]
+    target = obj.LowRankTarget(G, COMPUTE_DTYPE)
 
     params = net.parameters(gcn)
     states = {name: AdamState.like(param) for name, param in params.items()}

@@ -13,7 +13,7 @@ from aghash import trainer
 
 def central_diff(f, P, eps=1e-4):
     """Central finite differences of scalar f over every entry of P."""
-    P = np.asarray(P, dtype=np.float64)
+    P = np.ascontiguousarray(P, dtype=np.float64)  # so that ravel() below is a view
     grad = np.zeros_like(P)
     flat = grad.ravel()
     base = P.ravel()
@@ -73,10 +73,10 @@ def forward(inst, gcn=None):
 def backprop(inst, gcn=None, target=None):
     """objective.backprop_all on `inst` at k = 1 after the forward pass it differentiates.
 
-    The reconstruction target defaults to the tags' Gram matrix, the 'aux' target.
+    The reconstruction target defaults to the tags' centred Gram matrix, the 'aux' target.
     """
     gcn = gcn or inst.gcn
-    return obj.backprop_all(*forward(inst, gcn), obj.TagGram(inst.Y) if target is None else target, gcn, 1.0)
+    return obj.backprop_all(*forward(inst, gcn), obj.LowRankTarget(inst.Y) if target is None else target, gcn, 1.0)
 
 
 def read_checkpoint(path):

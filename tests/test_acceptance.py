@@ -20,7 +20,7 @@ from aghash.data import make_split, synth_dataset
 from aghash.graph import GraphConfig
 from aghash.trainer import TrainConfig
 
-from conftest import backprop, central_diff, small_instance
+from conftest import backprop, central_diff, max_rel_err, small_instance
 
 
 def report(capfd, name, ok, detail):
@@ -29,44 +29,16 @@ def report(capfd, name, ok, detail):
     assert ok, f"{name}: {detail}"
 
 
-def _entry_rel_err(a, b, floor=1e-7):
-    scale = np.maximum(np.maximum(np.abs(a), np.abs(b)), floor)
-    return np.abs(a - b) / scale
-
-
-def grad_check(analytic, f, base, eps=1e-4, tol=1e-4):
-    """Worst relative error vs central differences over differentiable entries.
-
-    Entries where the difference quotient has not converged (values at eps and
-    eps/5 disagree) sit on a ReLU/clip kink where the one-sided derivatives
-    differ; finite differences are meaningless there, so those entries are
-    excluded. Returns (worst error, number of excluded entries).
-    """
-    fd = central_diff(f, base, eps=eps)
-    err = _entry_rel_err(np.asarray(analytic, dtype=np.float64), fd)
-    kinks = 0
-    for idx in zip(*np.nonzero(err > tol)):
-        flat = base.copy()
-        plus = flat.copy()
-        plus[idx] += eps / 5
-        minus = flat.copy()
-        minus[idx] -= eps / 5
-        fd_small = (f(plus) - f(minus)) / (2 * eps / 5)
-        if _entry_rel_err(np.asarray(fd[idx]), np.asarray(fd_small)) > tol:
-            kinks += 1
-            err[idx] = 0.0
-    return float(err.max()), kinks
-
-
 # ---------------------------------------------------------------------------
 # 1. gradient suite
 # ---------------------------------------------------------------------------
 
 
 def test_gradient_suite(capfd):
+    # with no clip and no ReLU the loss is smooth wherever no code column is
+    # zero, so every entry of every gradient is checked
     start = time.perf_counter()
     worst = 0.0
-    kinks_total = 0
     for seed in range(20):
         inst = small_instance(seed)
 
@@ -79,14 +51,12 @@ def test_gradient_suite(capfd):
             (grads["W2"], lambda P: loss(net.GcnParams(W1=inst.gcn.W1, W2=P)), inst.gcn.W2),
         ]
         for analytic, f, base in checks:
-            err, kinks = grad_check(analytic, f, base)
-            worst = max(worst, err)
-            kinks_total += kinks
+            worst = max(worst, max_rel_err(analytic, central_diff(f, base)))
     elapsed = time.perf_counter() - start
     ok = worst < 1e-4 and elapsed < 120.0
     report(capfd, "gradient-suite", ok,
-           f"20 instances, max relative error {worst:.3g} (< 1e-4) with "
-           f"{kinks_total} kink entries excluded, {elapsed:.1f}s (< 120s)")
+           f"20 instances, max relative error {worst:.3g} (< 1e-4) over every entry, "
+           f"{elapsed:.1f}s (< 120s)")
 
 
 # ---------------------------------------------------------------------------

@@ -1,134 +1,185 @@
+import itertools
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from aghash import attention as att
 from aghash import graph as sg
+from aghash import network as net
 from aghash import objective as obj
 from aghash.errors import ShapeError
 from aghash.network import GcnParams
 
 from conftest import backprop, central_diff, forward, max_rel_err, small_instance
 
-sym = sg.SymGraph.from_dense  # a reconstruction target from a full symmetric array
+
+def tags(rng, n, c=3):
+    return (rng.random((c, n)) < 0.4).astype(np.float64)
 
 
-class TestReconstructionLoss:
-    def test_perfect_cosine_match(self):
-        Z = np.array([[1.0, 2.0], [0.0, 0.0]])  # columns parallel, cos = 1
-        target = sym(np.ones((2, 2)))
-        loss, _ = obj.reconstruction_loss(Z, target, k=1.0)
-        assert loss == pytest.approx(0.0, abs=1e-24)
-
-    def test_orthogonal_columns(self):
-        Z = np.eye(2)
-        loss, _ = obj.reconstruction_loss(Z, sym(np.ones((2, 2))), k=1.0)
-        # off-diagonal cosine 0 vs target 1: two unit residuals
-        assert loss == pytest.approx(2.0, abs=1e-12)
-
-    def test_k_scaling(self):
-        Z = np.eye(2)
-        loss, _ = obj.reconstruction_loss(Z, sym(np.ones((2, 2))), k=2.0)
-        # diagonal residual (2-1)^2 twice, off-diagonal 2^2 twice
-        assert loss == pytest.approx(10.0, abs=1e-12)
-
-    def test_zero_column_contributes_target_only(self):
-        Z = np.array([[1.0, 0.0]])
-        loss, dZ = obj.reconstruction_loss(Z, sym(np.ones((2, 2))), k=1.0)
-        assert loss == pytest.approx(3.0, abs=1e-12)
-        assert np.array_equal(dZ[:, 1], [0.0])
-
-    def test_cosine_gradient(self):
-        rng = np.random.default_rng(1)
-        Z = rng.standard_normal((4, 6))
-        T = rng.random((6, 6))
-        T = sym((T + T.T) / 2)
-        _, dZ = obj.reconstruction_loss(Z, T, k=1.0)
-        fd = central_diff(lambda z: obj.reconstruction_loss(z, T, 1.0)[0], Z)
-        assert max_rel_err(dZ, fd) < 1e-4
-
-    def test_bad_shape(self):
-        with pytest.raises(ShapeError):
-            obj.reconstruction_loss(np.ones((2, 3)), np.ones((2, 2)), 1.0)
+def factor(rng, n, kind):
+    """A target factor by kind: 'tags' a c x n 0/1 matrix, 'features' the unit columns of k x n features."""
+    return tags(rng, n) if kind == "tags" else att.unit_columns(rng.standard_normal((5, n)))[0]
 
 
-def recon_target(Xatt, Y, target):
-    """The target `fit` builds, by kind: 'aux' the tags' Gram matrix, 'visual' the features' kernel."""
-    return obj.TagGram(Y) if target == "aux" else sg.visual_similarity(Xatt)[0]
+def dense_loss(Z, G, k):
+    """||N^T N - k (G^T G - m 11^T)||^2 and its Z gradient, every n x n matrix formed whole in float64.
 
-
-def dense_reconstruction_loss(Z, T, k):
-    """The reconstruction loss and its gradient with every n x n matrix formed whole."""
+    m is the mean off-diagonal entry of G^T G (0 at n = 1) and N holds Z's unit
+    columns, a zero column staying zero with zero gradient.
+    """
+    Z, G = np.asarray(Z, dtype=np.float64), np.asarray(G, dtype=np.float64)
+    n = Z.shape[1]
     norms = np.sqrt((Z**2).sum(axis=0))
     safe = np.where(norms > 0, norms, 1.0)
     N = Z / safe
-    C = N.T @ N
-    R = k * T - np.maximum(C, 0.0)
-    dC = np.where(C > 0, -2.0 * R, 0.0)
-    dN = N @ (dC + dC.T)
+    K = G.T @ G
+    m = K[~np.eye(n, dtype=bool)].mean() if n > 1 else 0.0
+    R = N.T @ N - k * (K - m)
+    dN = 4.0 * N @ R  # 2 N (R + R^T) with R symmetric
     dZ = (dN - N * (N * dN).sum(axis=0)) / safe
     return float((R**2).sum()), np.where(norms > 0, dZ, 0.0)
 
 
+class TestLowRankTarget:
+    @pytest.mark.parametrize("kind", ["tags", "features"])
+    @pytest.mark.parametrize("n", [1, 2, 37])
+    def test_offset_and_norm_are_the_dense_ones(self, kind, n):
+        G = factor(np.random.default_rng(n), n, kind)
+        T = obj.LowRankTarget(G)
+        K = G.T @ G
+        m = K[~np.eye(n, dtype=bool)].mean() if n > 1 else 0.0
+        dense = K - m
+        assert T.shape == (n, n) and T.F.dtype == np.float64
+        assert np.allclose(T.F.T @ np.diag(T.w) @ T.F, dense, rtol=1e-12, atol=1e-12)
+        assert T.sq_norm == pytest.approx(float((dense**2).sum()), rel=1e-12)
+        if n > 1:  # centred: the off-diagonal entries average 0
+            assert abs(dense[~np.eye(n, dtype=bool)].mean()) < 1e-12
+
+    def test_gradient_factor_takes_the_given_dtype(self):
+        Y = tags(np.random.default_rng(2), 9)
+        T = obj.LowRankTarget(Y.astype(np.int64), np.float32)
+        assert T.F.dtype == np.float64 and T.F_grad.dtype == np.float32
+        assert np.array_equal(T.F_grad, T.F)  # 0/1 tags and ones are exact in float32
+
+
+class TestReconstructionLoss:
+    def test_perfect_cosine_match(self):
+        # unit columns e1, e1 and (-1/2, sqrt(3)/2) sum to a vector of squared
+        # norm 3 = n, so their off-diagonal cosines average 0: reconstructing
+        # their own cosines leaves no offset to miss
+        Z = np.array([[1.0, 2.0, -0.5], [0.0, 0.0, np.sqrt(3.0) / 2.0]])
+        loss, _ = obj.reconstruction_loss(Z, obj.LowRankTarget(att.unit_columns(Z)[0]), k=1.0)
+        assert loss == pytest.approx(0.0, abs=1e-24)
+
+    def test_orthogonal_columns(self):
+        # G^T G = I has mean off-diagonal 0, so the target is I, the codes' Gram
+        loss, dZ = obj.reconstruction_loss(np.eye(2), obj.LowRankTarget(np.eye(2)), k=1.0)
+        assert loss == pytest.approx(0.0, abs=1e-24) and not dZ.any()
+
+    def test_codes_equal_to_their_factor_miss_only_the_offset(self):
+        # G = N: the residual is m 11^T everywhere, so the loss is (m n)^2
+        rng = np.random.default_rng(3)
+        Z = rng.standard_normal((4, 6))
+        N = att.unit_columns(Z)[0]
+        K = N.T @ N
+        m = K[~np.eye(6, dtype=bool)].mean()
+        loss, _ = obj.reconstruction_loss(Z, obj.LowRankTarget(N), k=1.0)
+        assert loss == pytest.approx((m * 6) ** 2, rel=1e-10)
+
+    def test_k_scaling(self):
+        # orthogonal unit codes against the identity at k = 2: (1 - 2)^2 twice
+        loss, _ = obj.reconstruction_loss(np.eye(2), obj.LowRankTarget(np.eye(2)), k=2.0)
+        assert loss == pytest.approx(2.0, abs=1e-12)
+
+    def test_zero_column_contributes_target_only(self):
+        # the target is I; the zero column's inner products are 0, so only its
+        # diagonal target entry is missed, and it gets no gradient
+        Z = np.array([[1.0, 0.0]])
+        loss, dZ = obj.reconstruction_loss(Z, obj.LowRankTarget(np.eye(2)), k=1.0)
+        assert loss == pytest.approx(1.0, abs=1e-12)
+        assert np.array_equal(dZ[:, 1], [0.0])
+
+    def test_single_item(self):
+        # n = 1: no offset, and the one unit column's Gram is 1 whatever Z is
+        Z = np.array([[3.0], [4.0]])
+        G = np.array([[1.0], [1.0]])
+        loss, dZ = obj.reconstruction_loss(Z, obj.LowRankTarget(G), k=1.5)
+        assert loss == pytest.approx((1.0 - 1.5 * 2.0) ** 2, rel=1e-14)
+        assert np.abs(dZ).max() < 1e-14
+
+    def test_cosine_gradient(self):
+        # float64 central differences of the loss over every entry of the
+        # nonzero columns, for both factors, in float32 and float64, at n = 1
+        # and at n = 9 with a zero column, which has no derivative and gets 0
+        for n, kind, dtype in itertools.product([1, 9], ["tags", "features"], [np.float32, np.float64]):
+            rng = np.random.default_rng(40 + n)
+            G = factor(rng, n, kind)
+            T = obj.LowRankTarget(G)
+            Z = rng.standard_normal((4, n))
+            if n > 1:
+                Z[:, 1] = 0.0
+            live = np.any(Z != 0, axis=0)
+            _, dZ = obj.reconstruction_loss(Z.astype(dtype), obj.LowRankTarget(G, dtype), 0.7)
+
+            def loss(cols):
+                W = Z.copy()
+                W[:, live] = cols
+                return obj.reconstruction_loss(W, T, 0.7)[0]
+
+            fd = central_diff(loss, Z[:, live])
+            assert not dZ[:, ~live].any()
+            if dtype == np.float64:
+                assert max_rel_err(dZ[:, live], fd) < 1e-4, (n, kind)
+            else:  # the float64 derivatives to float32 rounding
+                assert np.abs(dZ[:, live] - fd).max() <= 1e-4 * max(np.abs(fd).max(), 1.0), (n, kind)
+
+    def test_bad_shape(self):
+        with pytest.raises(ShapeError):
+            obj.reconstruction_loss(np.ones((2, 3)), obj.LowRankTarget(np.ones((1, 2))), 1.0)
+
+
 class TestPanelledReconstruction:
-    @pytest.mark.parametrize("n", [1, obj.PANEL - 1, obj.PANEL, obj.PANEL + 1, 3 * obj.PANEL + 7])
+    """The Gram form against every n x n matrix formed whole, at sizes on both
+    sides of graph.PANEL, the row panels the graph is built in."""
+
+    @pytest.mark.parametrize("n", [1, sg.PANEL - 1, sg.PANEL, sg.PANEL + 1, 3 * sg.PANEL + 7])
     @pytest.mark.parametrize("part", ["aux", "visual", "augmented"])
     def test_matches_dense(self, part, n):
+        # the factor of each part: the tags, the unit features, or both stacked,
+        # whose Gram matrix is the sum of theirs. Zero columns included; float32
+        # codes get the float64 loss and gradient to float32 rounding. At n = 1
+        # the one column's gradient is 0 up to rounding.
         rng = np.random.default_rng(n)
-        Y = (rng.random((3, n)) < 0.4).astype(np.float64)
-        Sv, _ = sg.visual_similarity(rng.standard_normal((5, n)), bandwidth=2.0)
-        Svf = Sv.full()
-        target, dense = {"aux": (obj.TagGram(Y), Y.T @ Y), "visual": (Sv, Svf),
-                         "augmented": (sym(Svf + Y.T @ Y), Svf + Y.T @ Y)}[part]
+        Y, Nx = factor(rng, n, "tags"), factor(rng, n, "features")
+        G = {"aux": Y, "visual": Nx, "augmented": np.vstack([Y, Nx])}[part]
         Z = rng.standard_normal((4, n))
         Z[:, 1::5] = 0.0
-        loss, dZ = obj.reconstruction_loss(Z, target, 1.5)
-        want, dZ_want = dense_reconstruction_loss(Z, dense, 1.5)
-        assert loss == pytest.approx(want, rel=1e-12)
-        assert np.allclose(dZ, dZ_want, rtol=1e-10, atol=1e-12 * np.abs(dZ_want).max())
-        assert not dZ[:, 1::5].any()  # a zero column has cosine 0 with everything and no gradient
+        want, dZ_want = dense_loss(Z, G, 1.5)
+        scale = max(np.abs(dZ_want).max(), 1.0)
+        for dtype, rel in [(np.float64, 1e-12), (np.float32, 1e-5)]:
+            loss, dZ = obj.reconstruction_loss(Z.astype(dtype), obj.LowRankTarget(G, dtype), 1.5)
+            assert type(loss) is float and dZ.dtype == dtype
+            assert loss == pytest.approx(want, rel=rel), dtype
+            assert np.abs(dZ - dZ_want).max() <= rel * scale, dtype
+            assert not dZ[:, 1::5].any()  # a zero column has inner product 0 with everything and no gradient
 
-    def test_tag_gram_matches_its_array_bit_for_bit(self):
-        # a TagGram's fresh panels and a SymGraph's copied rows are scaled in
-        # place: the same loss and gradient, and the SymGraph is left unchanged
-        rng = np.random.default_rng(9)
-        n = 2 * sg.HEIGHT + 5
-        Y = (rng.random((3, n)) < 0.4).astype(np.float64)
-        G = sym(Y.T @ Y)
-        kept = G.data.copy()
-        Z = rng.standard_normal((4, n))
-        loss, dZ = obj.reconstruction_loss(Z, obj.TagGram(Y), 1.5)
-        want, dZ_want = obj.reconstruction_loss(Z, G, 1.5)
-        assert loss == want and dZ.tobytes() == dZ_want.tobytes()
-        assert np.array_equal(G.data, kept)
 
-    @pytest.mark.parametrize("part", ["aux", "visual"])
-    def test_float32_panels_match_float64(self, part):
-        # fit's float32 codes form their panels and sums in float32: the loss
-        # and gradient are the float64 ones to float32 rounding, in Z's dtype
-        rng = np.random.default_rng(29)
-        n = 3 * obj.PANEL + 7
-        Y = (rng.random((4, n)) < 0.4).astype(np.float64)
-        Sv, _ = sg.visual_similarity(rng.standard_normal((5, n)), bandwidth=2.0)
-        Z = rng.standard_normal((16, n))
-
-        def loss_in(dtype):
-            target = obj.TagGram(Y) if part == "aux" else sym(Sv.full().astype(dtype))
-            return obj.reconstruction_loss(Z.astype(dtype), target, 1.5)
-
-        (loss, dZ), (want, dZ_want) = loss_in(np.float32), loss_in(np.float64)
-        assert dZ.dtype == np.float32 and dZ_want.dtype == np.float64
-        assert type(loss) is float and loss == pytest.approx(want, rel=1e-5)
-        assert np.abs(dZ - dZ_want).max() <= 1e-5 * np.abs(dZ_want).max()
+def recon_target(Xatt, Y, target, dtype=np.float64):
+    """The target `fit` builds, by kind: 'aux' the tags' centred Gram matrix,
+    'visual' the attentive features' centred cosines."""
+    return obj.LowRankTarget(Y if target == "aux" else att.unit_columns(Xatt)[0], dtype)
 
 
 def check_gradients(inst, target, dtype):
     """backprop_all's gradients on `inst` in dtype against float64 central
     differences of its loss, with the reconstruction target by kind."""
     T = recon_target(inst.Xatt, inst.Y, target)
-    low = replace(inst, Xatt=inst.Xatt.astype(dtype), St=sym(inst.St.full().astype(dtype)),
+    low = replace(inst, Xatt=inst.Xatt.astype(dtype), St=sg.SymGraph.from_dense(inst.St.full().astype(dtype)),
                   gcn=GcnParams(inst.gcn.W1.astype(dtype), inst.gcn.W2.astype(dtype)))
-    loss, grads = backprop(low, target=T if target == "aux" else sym(T.full().astype(dtype)))
+    loss, grads = backprop(low, target=recon_target(inst.Xatt, inst.Y, target, dtype))
     assert type(loss) is float and set(grads) == {"W1", "W2"}
     for name in ("W1", "W2"):
         assert grads[name].dtype == dtype
@@ -163,7 +214,29 @@ class TestBackpropAll:
         # backprop_all's loss is the reconstruction loss at the k it is given
         inst = small_instance(21)
         H2, Z = forward(inst)
-        target = obj.TagGram(inst.Y)
+        target = obj.LowRankTarget(inst.Y)
         for k in (0.5, 2.0):
             loss, _ = obj.backprop_all(H2, Z, target, inst.gcn, k)
             assert loss == obj.reconstruction_loss(Z, target, k)[0]
+
+    def test_an_epoch_forms_no_panel_of_the_target(self):
+        # one backprop_all at n = 4000 allocates only r x n and smaller arrays:
+        # its traced peak stays below one graph.PANEL x n float32 panel (2 MiB),
+        # which the row-panelled loss formed several of (it read 6.4 MiB; this
+        # form 1.0 MiB)
+        n, r, c, k = 4000, 16, 4, 8
+        rng = np.random.default_rng(5)
+        target = obj.LowRankTarget(tags(rng, n, c), np.float32)
+        H2 = rng.standard_normal((k, n)).astype(np.float32)
+        gcn = net.GcnParams(rng.standard_normal((8, k)).astype(np.float32),
+                            rng.standard_normal((r, 8)).astype(np.float32))
+        Z = (gcn.W2 @ gcn.W1) @ H2
+        obj.backprop_all(H2, Z, target, gcn, 1.0)  # numpy's lazy imports happen outside the trace
+        tracemalloc.start()
+        try:
+            obj.backprop_all(H2, Z, target, gcn, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        bound = sg.PANEL * n * np.dtype(np.float32).itemsize
+        assert peak < bound, f"peak {peak / bound:.2f} PANEL x n float32 panels"

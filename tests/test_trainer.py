@@ -372,8 +372,8 @@ class TestFit:
     ])
     def test_reconstruction_target_is_built_once(self, variants):
         # codes that read the tags, through the attention or the graph, reconstruct
-        # their Gram matrix; codes that read none reconstruct the kernel under the
-        # bandwidth the graph resolved
+        # their centred Gram matrix; codes that read none the centred cosines of
+        # their attentive features
         for variant in variants:
             calls, backprop_all = [], obj.backprop_all
 
@@ -385,11 +385,24 @@ class TestFit:
                 fm, aux, split, model, _ = flags_fit(0, "--variant", variant)
             target = calls[0][2]
             assert len(calls) == 3 and all(args[2] is target for args in calls)
-            if variant == "no-aux":
-                want, sigma = sg.visual_similarity(model.xatt_train)
-                assert sigma == model.graph_cfg.bandwidth and np.array_equal(target.full(), want.full())
-            else:
-                assert isinstance(target, obj.TagGram) and np.array_equal(target.Y, aux.data[:, split.train])
+            G = att.unit_columns(model.xatt_train)[0] if variant == "no-aux" else aux.data[:, split.train]
+            want = obj.LowRankTarget(G, trainer.COMPUTE_DTYPE)
+            assert isinstance(target, obj.LowRankTarget) and target.F_grad.dtype == trainer.COMPUTE_DTYPE
+            assert np.array_equal(target.F, want.F) and np.array_equal(target.w, want.w)
+
+    @pytest.mark.parametrize("variant", list(cli._VARIANTS))
+    def test_one_graph_per_fit(self, variant):
+        # the normalized graph is the fit's only SymGraph: no variant's
+        # reconstruction target is a second one
+        made, init = [], sg.SymGraph.__init__
+
+        def count(graph, n, dtype):
+            made.append(n)
+            init(graph, n, dtype)
+
+        with mock.patch.object(sg.SymGraph, "__init__", count):
+            _, _, split, _, _ = flags_fit(0, "--variant", variant)
+        assert made == [len(split.train)]
 
     def test_working_set(self):
         # training holds S~ but no n x n reconstruction target: the aux target is
