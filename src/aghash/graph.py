@@ -66,7 +66,7 @@ class SymGraph:
     fewer in the last panel) and columns lo to n, that is its diagonal block
     whole, kept exactly symmetric, then the block right of it. The panels are
     views into one buffer, `data`, of about n^2/2 + n HEIGHT/2 entries.
-    `M @ G` is the product with the whole matrix; `rows` and `full` form it.
+    `M @ G` is the product with the whole matrix; `full` forms it.
     `similarity` builds one panel by panel; a full array enters only through
     `from_dense`.
     """
@@ -143,23 +143,15 @@ class SymGraph:
                 out[:, lo:hi] += (P[:, hi - lo:] @ M[:, hi:].T).T
         return out
 
-    def rows(self, lo, hi):
-        """Rows lo:hi of the whole matrix (hi clipped at n), as a fresh array."""
-        hi = min(hi, self.n)
-        out = np.empty((hi - lo, self.n), dtype=self.dtype)
-        for start, P in self.panels:
-            end = start + len(P)
-            a, b = max(lo, start), min(hi, end)
-            if a < b:  # rows the panel holds, from its diagonal on
-                out[a - lo:b - lo, start:] = P[a - start:b - start]
-            if end < hi:  # the panel's columns of the rows below it
-                a = max(lo, end)
-                out[a - lo:, start:end] = P[:, a - start:hi - start].T
-        return out
-
     def full(self):
-        """The whole n x n matrix, exactly symmetric."""
-        return self.rows(0, self.n)
+        """The whole n x n matrix, exactly symmetric: each panel's rows, and
+        their mirror below the panel."""
+        out = np.empty(self.shape, dtype=self.dtype)
+        for lo, P in self.panels:
+            hi = lo + len(P)
+            out[lo:hi, lo:] = P
+            out[hi:, lo:hi] = P[:, len(P):].T
+        return out
 
 
 def gaussian_kernel(d2, sigma):

@@ -23,9 +23,9 @@ class LowRankTarget:
 
     m is the mean off-diagonal entry of G^T G, (||G 1||^2 - ||G||_F^2) / (n (n - 1)),
     or 0 at n = 1, so the target's mean off-diagonal entry is 0. It is held as
-    F = [G; 1^T] in float64, for the loss's Gram matrices, and in `dtype`, for
-    its gradient; w = (1, ..., 1, -m) makes it F^T diag(w) F, and `sq_norm` is
-    its squared norm sum_ij w_i w_j (F F^T)_ij^2.
+    F = [G; 1^T] in float64, for the loss's Gram matrices, and in `dtype`, the
+    codes' dtype, for its gradient; w = (1, ..., 1, -m) makes it
+    F^T diag(w) F, and `sq_norm` is its squared norm sum_ij w_i w_j (F F^T)_ij^2.
     """
 
     def __init__(self, G, dtype=np.float64):
@@ -57,12 +57,12 @@ def reconstruction_loss(Z, target, k):
     N, norms = att.unit_columns(Z)
     N64 = N.astype(np.float64)
     NN, NF = N64 @ N64.T, N64 @ target.F.T
-    del N64  # the gradient is formed in N's dtype
+    del N64  # freed before the r x n arrays of the gradient are formed
     D = k * target.w
     loss = float(np.vdot(NN, NN) - 2.0 * ((NF * NF).sum(axis=0) @ D) + k * k * target.sq_norm)
     NF *= D
     dN = NN.astype(N.dtype) @ N
-    dN -= NF.astype(N.dtype) @ target.F_grad.astype(N.dtype, copy=False)
+    dN -= NF.astype(N.dtype) @ target.F_grad
     dN *= 4.0
     return loss, att.unit_columns_grad(N, norms, dN)
 

@@ -460,16 +460,6 @@ class TestSymGraph:
                 F = G.full()
                 assert np.array_equal(F, F.T)
 
-    def test_rows_are_the_full_rows(self):
-        # row ranges inside one panel, across panel edges, and past n
-        n = 2 * sg.HEIGHT + 37
-        A = np.random.default_rng(3).random((n, n))
-        G = SymGraph.from_dense(A + A.T)
-        F = G.full()
-        for lo, hi in [(0, 1), (0, sg.PANEL), (sg.PANEL, 2 * sg.PANEL), (sg.HEIGHT - 5, sg.HEIGHT + 5),
-                       (10, 2 * sg.HEIGHT + 3), (n - sg.PANEL + 9, n + sg.PANEL), (0, n)]:
-            assert np.array_equal(G.rows(lo, hi), F[lo:hi])
-
     def test_storage_is_the_triangle(self):
         # about n^2/2 + n HEIGHT/2 entries in one buffer, the panels its views
         n = 3 * sg.HEIGHT + 17

@@ -24,6 +24,12 @@ def factor(rng, n, kind):
     return tags(rng, n) if kind == "tags" else att.unit_columns(rng.standard_normal((5, n)))[0]
 
 
+def offdiag_mean(K):
+    """The mean off-diagonal entry of a square K, 0 when it has none."""
+    n = K.shape[0]
+    return K[~np.eye(n, dtype=bool)].mean() if n > 1 else 0.0
+
+
 def dense_loss(Z, G, k):
     """||N^T N - k (G^T G - m 11^T)||^2 and its Z gradient, every n x n matrix formed whole in float64.
 
@@ -36,8 +42,7 @@ def dense_loss(Z, G, k):
     safe = np.where(norms > 0, norms, 1.0)
     N = Z / safe
     K = G.T @ G
-    m = K[~np.eye(n, dtype=bool)].mean() if n > 1 else 0.0
-    R = N.T @ N - k * (K - m)
+    R = N.T @ N - k * (K - offdiag_mean(K))
     dN = 4.0 * N @ R  # 2 N (R + R^T) with R symmetric
     dZ = (dN - N * (N * dN).sum(axis=0)) / safe
     return float((R**2).sum()), np.where(norms > 0, dZ, 0.0)
@@ -50,13 +55,10 @@ class TestLowRankTarget:
         G = factor(np.random.default_rng(n), n, kind)
         T = obj.LowRankTarget(G)
         K = G.T @ G
-        m = K[~np.eye(n, dtype=bool)].mean() if n > 1 else 0.0
-        dense = K - m
+        dense = K - offdiag_mean(K)
         assert T.shape == (n, n) and T.F.dtype == np.float64
         assert np.allclose(T.F.T @ np.diag(T.w) @ T.F, dense, rtol=1e-12, atol=1e-12)
         assert T.sq_norm == pytest.approx(float((dense**2).sum()), rel=1e-12)
-        if n > 1:  # centred: the off-diagonal entries average 0
-            assert abs(dense[~np.eye(n, dtype=bool)].mean()) < 1e-12
 
     def test_gradient_factor_takes_the_given_dtype(self):
         Y = tags(np.random.default_rng(2), 9)
@@ -84,10 +86,8 @@ class TestReconstructionLoss:
         rng = np.random.default_rng(3)
         Z = rng.standard_normal((4, 6))
         N = att.unit_columns(Z)[0]
-        K = N.T @ N
-        m = K[~np.eye(6, dtype=bool)].mean()
         loss, _ = obj.reconstruction_loss(Z, obj.LowRankTarget(N), k=1.0)
-        assert loss == pytest.approx((m * 6) ** 2, rel=1e-10)
+        assert loss == pytest.approx((offdiag_mean(N.T @ N) * 6) ** 2, rel=1e-10)
 
     def test_k_scaling(self):
         # orthogonal unit codes against the identity at k = 2: (1 - 2)^2 twice

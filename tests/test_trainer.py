@@ -405,9 +405,9 @@ class TestFit:
         assert made == [len(split.train)]
 
     def test_working_set(self):
-        # training holds S~ but no n x n reconstruction target: the aux target is
-        # formed from the tags a row panel at a time, and the attention scores
-        # are n x u over the u distinct tag columns
+        # training holds S~ but no n x n reconstruction target: the loss reads
+        # the tags through their Gram matrices, and the attention scores are
+        # n x u over the u distinct tag columns
         n = 600
         fm, aux, _ = synth_dataset(n=n, d=32, c=4, sep=2.0, label_noise=0.1, seed=1)
         u = np.unique(aux.data, axis=1).shape[1]
@@ -487,9 +487,10 @@ class TestFit:
     ], ids=["no-n-by-n", "no-float64-h-by-n"])
     def test_epoch_forms_no_graph_copy_or_float64_hidden_array(self, n, hidden, bound):
         # S~ and the layers exist before an epoch starts. Within one, the loss
-        # works in row panels and the GCN products stay in S~'s dtype, so the
-        # epoch's new arrays stay below one float32 n x n array when n is large
-        # against h, and below one float64 h x n array when h is large against n
+        # forms only Gram matrices and r x n arrays, and the GCN products stay
+        # in S~'s dtype, so the epoch's new arrays stay below one float32 n x n
+        # array when n is large against h, and below one float64 h x n array
+        # when h is large against n
         fm, aux, _ = synth_dataset(n=n, d=16, c=4, sep=2.0, label_noise=0.1, seed=1)
         peaks = []
 
