@@ -1,9 +1,11 @@
 """Augmented semantic graph: visual + auxiliary similarity, fusion, normalization.
 
-Also the one-column extension of the training graph for out-of-sample queries.
-The graph takes the dtype of the attentive features, float32 or float64; the
-tags, 0/1 entries whose counts are exact in either, are cast to it. It is held
-once, as its upper triangle in row panels (`SymGraph`).
+Also the similarities of out-of-sample queries to the training items, which
+are taken only through their product with an operand the caller caches
+(`query_products`). The graph takes the dtype of the attentive features,
+float32 or float64; the tags, 0/1 entries whose counts are exact in either,
+are cast to it. It is held once, as its upper triangle in row panels
+(`SymGraph`).
 """
 
 import math
@@ -159,6 +161,9 @@ def gaussian_kernel(d2, sigma):
 
     2 sigma^2 is rounded to d2's dtype, in which it must be neither 0 (the
     kernel would be 0/0 where d2 is 0) nor infinite (the kernel would be all ones).
+    Division is sign-symmetric, so d2 / -(2 sigma^2) is -(d2 / (2 sigma^2)) bit
+    for bit; a quotient beyond the dtype's range (a subnormal 2 sigma^2) is
+    -inf, whose exponential is the kernel's limit 0.
     """
     with np.errstate(over="ignore"):
         two_var = d2.dtype.type(2.0 * np.float64(sigma) ** 2)
@@ -166,8 +171,8 @@ def gaussian_kernel(d2, sigma):
         raise ParameterError(f"bandwidth {sigma} is too small: 2 sigma^2 is 0 in {d2.dtype}")
     if not np.isfinite(two_var):
         raise ParameterError(f"bandwidth {sigma} is too large: 2 sigma^2 overflows {d2.dtype}")
-    np.negative(d2, out=d2)
-    d2 /= two_var
+    with np.errstate(over="ignore"):
+        np.divide(d2, -two_var, out=d2)
     return np.exp(d2, out=d2)
 
 
@@ -309,7 +314,8 @@ def visual_similarity(Xatt, bandwidth=None):
 
 def combine(mu, visual, counts):
     """mu*visual + counts, in `visual`'s buffer when it is an array: the tags' part of every
-    graph's panels, query columns and self terms, where a variant with no kernel passes zeros."""
+    graph's panels and of the queries' products and self terms, where a variant with no
+    kernel passes zeros."""
     visual *= mu
     visual += counts
     return visual
@@ -376,30 +382,53 @@ def build_graph(Xatt, Y, config):
     return (*normalize(S), sigma)
 
 
-def query_columns(xatt_q, Yq, xatt_train, y_train, degrees, config):
-    """Normalized one-column extensions of the training graph for m queries.
+def _kernel_products(xatt_q, xatt_train, R, sigma, panel, G):
+    """G <- K R^T for the m x n Gaussian kernel K of the queries' attentive features
+    against the training items', `panel` rows of K at a time in one reused buffer.
 
-    Each query joins the n training items (with their cached degrees) as one
-    more node with an explicit self term. config.bandwidth must be the
-    resolved bandwidth of the training graph. Returns (st_col, st_self): the
-    m x n normalized similarities to the training items, normalized in the
-    buffer their kernel (zeros without one) was formed in, and the m normalized
-    self terms, in the features' dtype.
+    One product of augmented operands, [-2 x_q; ||x_q||^2; 1]^T [X; 1^T; ||x_i||^2],
+    gives each panel's squared distances, clipped at 0 as `sqdist` clips them.
+    The buffers are freed on return, before the caller forms anything m x p.
+    """
+    (k, m), n = xatt_q.shape, xatt_train.shape[1]
+    B = np.concatenate([xatt_train, np.ones((1, n), dtype=G.dtype),
+                        (xatt_train**2).sum(axis=0, keepdims=True)])
+    sq = (xatt_q**2).sum(axis=0)
+    A = np.empty((k + 2, min(panel, m)), dtype=G.dtype)
+    A[k + 1] = 1.0
+    K = np.empty((A.shape[1], n), dtype=G.dtype)
+    for lo in range(0, m, panel):
+        hi = min(lo + panel, m)
+        a = A[:, :hi - lo]
+        np.multiply(xatt_q[:, lo:hi], -2.0, out=a[:k])
+        a[k] = sq[lo:hi]
+        d2 = np.matmul(a.T, B, out=K[:hi - lo])
+        gaussian_kernel(np.maximum(d2, 0.0, out=d2), sigma)
+        np.matmul(d2, R.T, out=G[lo:hi])
+
+
+def query_products(xatt_q, Yq, xatt_train, y_train, R, config, panel):
+    """(G, s): the m queries' similarity rows to the n training items, times R^T, and their self terms.
+
+    Each query joins the training items as one more node. Its unnormalized
+    similarity row, the variant's fusion of the kernel and the tag counts as
+    in `similarity`, is formed only inside the product G = S_q R^T (m x p)
+    with the caller's p x n operand R; s holds the m self terms, the same
+    fusion of the kernel's 1 and ||y_q||^2. config.bandwidth must be the
+    resolved bandwidth of the training graph.
+    The kernel is formed `panel` queries at a time (`_kernel_products`); the
+    tag counts enter as Yq^T (Y R^T), so no variant forms an m x n array of
+    them, and a variant with no kernel none at all. G and s are in the
+    features' dtype.
     """
     dtype = np.result_type(xatt_q, xatt_train)
-    Yq, y_train = (np.asarray(tags, dtype=dtype) for tags in (Yq, y_train))
+    R, Yq, y_train = (np.asarray(a, dtype=dtype) for a in (R, Yq, y_train))
     uses_visual, uses_tags = PARTS[config.variant]
+    G = np.zeros((xatt_q.shape[1], R.shape[0]), dtype=dtype)
+    s = np.full(xatt_q.shape[1], float(uses_visual), dtype=dtype)
     if uses_visual:
-        st_col, s_self = gaussian_kernel(sqdist(xatt_q, xatt_train), config.bandwidth), 1.0
-    else:
-        st_col, s_self = np.zeros((Yq.shape[1], y_train.shape[1]), dtype=dtype), 0.0
+        _kernel_products(xatt_q, xatt_train, R, config.bandwidth, panel, G)
     if uses_tags:
-        add_counts(config.mu, st_col, Yq, y_train)
-        s_self = combine(config.mu, s_self, (Yq**2).sum(axis=0))
-    d_q = st_col.sum(axis=1) + s_self
-    safe_dq = np.where(d_q > 0, d_q, 1.0)
-    st_col /= np.sqrt(safe_dq)[:, None]
-    st_col *= inv_sqrt_degree(degrees)[None, :]
-    st_col[d_q == 0, :] = 0.0
-    st_self = np.where(d_q > 0, s_self / safe_dq, 0.0)
-    return st_col, st_self
+        combine(config.mu, G, Yq.T @ (y_train @ R.T))
+        combine(config.mu, s, (Yq**2).sum(axis=0))
+    return G, s

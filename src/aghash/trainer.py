@@ -6,7 +6,10 @@ two hops of propagation, H1 = Xatt S~ and H2 = H1 S~, are formed once per fit
 with the whole n x n normalized graph, held once as its upper triangle
 (`graph.SymGraph`). An epoch then multiplies the r x k matrix W = W2 W1 by
 H2 and takes the loss through Gram matrices (`objective`): it forms no h x n
-array, no n x n array and no graph product.
+array, no n x n array and no graph product. Being linear, the encoder maps a
+query's similarity row to its code through one (2r+1) x n operand formed per
+`encode_queries` call, as Liu et al., Hashing with Graphs (ICML 2011), encode
+out-of-sample items.
 """
 
 from dataclasses import asdict, dataclass, fields, replace
@@ -234,15 +237,21 @@ def encode_train(model, X, Y):
 def encode_queries(model, Xq, Yq):
     """Inductive codes for out-of-sample items, given d x m features and c x m aux.
 
-    Each query gets a one-column extension of the training graph (with an
-    explicit self term), is normalized against the cached training degrees,
-    and is propagated over both hops: h1_q = Xatt st_col^T + xatt_q st_self,
-    then z_q = (W H1) st_col^T + (W h1_q) st_self with W = W2 W1, from the
-    cached r x n W H1, so no h x m product is formed.
-    The attention runs once for all m queries; the graph columns and both
-    hops run a panel of queries at a time, as many as fit one n-wide
-    COMPUTE_DTYPE array in `retrieval.BLOCK_BYTES`, so the panel's buffers
-    are that size whatever m is. The columns and hops are in
+    Each query joins the training graph as one more node, with an explicit
+    self term s, normalized against the cached training degrees D. Its
+    normalized column is st_col = k_q D^{-1/2} / sqrt(d_q) and its self term
+    st_self = s / d_q, where k_q is its unnormalized similarity row and
+    d_q = k_q 1 + s. It is propagated over both hops: h1_q = Xatt st_col^T +
+    xatt_q st_self, then z_q = (W H1) st_col^T + (W h1_q) st_self with
+    W = W2 W1. Reassociated, every n-long sum is one product G = k_q R^T with
+    the (2r+1) x n operand R = [W H1 D^{-1/2}; W Xatt D^{-1/2}; 1^T], formed
+    once per call from the cached r x n W H1 (`wh1_train`):
+    z_q = G_1 / sqrt(d_q) + (G_2 / sqrt(d_q) + W xatt_q st_self) st_self, and
+    d_q = G_3 + s. So neither st_col nor an h x m product is formed.
+    The attention runs once for all m queries; the kernel rows are formed a
+    panel of queries at a time (`graph.query_products`), as many as fit one
+    n-wide COMPUTE_DTYPE array in `retrieval.BLOCK_BYTES`, so the panel's
+    buffer is that size whatever m is. Everything after the attention is in
     COMPUTE_DTYPE, as in fit.
     """
     Xq = np.asarray(Xq, dtype=np.float64)
@@ -256,27 +265,22 @@ def encode_queries(model, Xq, Yq):
     reject_entries((Yq != 0.0) & (Yq != 1.0), "query aux entry at row {}, column {} is not 0/1")
 
     xatt_q = _attentive(Xq, model.y_train, model.attention, model.use_attention, "query {}".format)
-    z_q = np.empty((model.r, Xq.shape[1]), dtype=COMPUTE_DTYPE)
-    W = model.gcn.W2 @ model.gcn.W1
-    panel = max(1, retrieval.BLOCK_BYTES // (model.degrees.size * np.dtype(COMPUTE_DTYPE).itemsize))
-    for lo in range(0, Xq.shape[1], panel):
-        cols = slice(lo, lo + panel)
-        z_q[:, cols] = _propagate(model, W, xatt_q[:, cols], Yq[:, cols])
+    W, r, n = model.gcn.W2 @ model.gcn.W1, model.r, model.degrees.size
+    isd = sg.inv_sqrt_degree(model.degrees)
+    R = np.concatenate([model.wh1_train * isd, (W @ model.xatt_train) * isd,
+                        np.ones((1, n), dtype=COMPUTE_DTYPE)])
+    panel = max(1, retrieval.BLOCK_BYTES // (n * np.dtype(COMPUTE_DTYPE).itemsize))
+    G, s = sg.query_products(xatt_q, Yq, model.xatt_train, model.y_train, R, model.graph_cfg, panel)
+    # d_q = 0 only where k_q and s are all 0, so G's rows are 0 too and the code reads 0 there
+    d_q = G[:, 2 * r] + s
+    safe = np.where(d_q > 0, d_q, 1.0)
+    root = np.sqrt(safe)[:, None]
+    st_self = s / safe
+    z_q = (G[:, :r] / root).T + ((G[:, r:2 * r] / root).T + (W @ xatt_q) * st_self) * st_self
     bad = np.flatnonzero(~np.all(np.isfinite(z_q), axis=0))
     if bad.size:  # sign_pm would read NaN as -1 bits
         raise NumericError(f"non-finite encoder output for query {bad[0]}")
     return sign_pm(z_q)
-
-
-def _propagate(model, W, xatt_q, Yq):
-    """The r x m outputs of m queries from their attentive features; W = W2 W1.
-
-    The queries' graph columns are freed on return.
-    """
-    st_col, st_self = sg.query_columns(xatt_q, Yq, model.xatt_train, model.y_train, model.degrees,
-                                       model.graph_cfg)
-    h1_q = model.xatt_train @ st_col.T + xatt_q * st_self
-    return model.wh1_train @ st_col.T + (W @ h1_q) * st_self
 
 
 # ---------------------------------------------------------------------------

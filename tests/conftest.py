@@ -79,6 +79,42 @@ def backprop(inst, gcn=None, target=None):
     return obj.backprop_all(*forward(inst, gcn), obj.LowRankTarget(inst.Y) if target is None else target, gcn, 1.0)
 
 
+def one_column_extension(model, Xq, Yq, dtype=np.float64):
+    """(st_col, st_self, h1_q, z_q) of the explicit one-column extension, the
+    reference `trainer.encode_queries` reassociates, in `dtype`.
+
+    Each query is one more node of the training graph: its m x n normalized
+    column st_col, formed whole, and self term st_self; then both hops,
+    h1_q = Xatt st_col^T + xatt_q st_self and z_q = (W H1) st_col^T +
+    (W h1_q) st_self with W = W2 W1. The model's arrays and the queries'
+    attentive features are cast to `dtype` (exactly, for float64).
+    """
+    xatt_q = trainer._attentive(Xq, model.y_train, model.attention, model.use_attention,
+                                "query {}".format).astype(dtype)
+    xatt_train, y_train, degrees, wh1_train, W1, W2 = (
+        np.asarray(a, dtype=dtype) for a in (model.xatt_train, model.y_train, model.degrees,
+                                              model.wh1_train, model.gcn.W1, model.gcn.W2))
+    Yq = np.asarray(Yq, dtype=dtype)
+    config = model.graph_cfg
+    uses_visual, uses_tags = sg.PARTS[config.variant]
+    if uses_visual:
+        st_col, s_self = sg.gaussian_kernel(sg.sqdist(xatt_q, xatt_train), config.bandwidth), 1.0
+    else:
+        st_col, s_self = np.zeros((Yq.shape[1], y_train.shape[1]), dtype=dtype), 0.0
+    if uses_tags:
+        st_col = config.mu * st_col + Yq.T @ y_train
+        s_self = config.mu * s_self + (Yq**2).sum(axis=0)
+    d_q = st_col.sum(axis=1) + s_self
+    safe_dq = np.where(d_q > 0, d_q, 1.0)
+    st_col /= np.sqrt(safe_dq)[:, None]
+    st_col *= sg.inv_sqrt_degree(degrees)[None, :]
+    st_col[d_q == 0, :] = 0.0
+    st_self = np.where(d_q > 0, s_self / safe_dq, 0.0)
+    h1_q = xatt_train @ st_col.T + xatt_q * st_self
+    z_q = wh1_train @ st_col.T + ((W2 @ W1) @ h1_q) * st_self
+    return st_col, st_self, h1_q, z_q
+
+
 def read_checkpoint(path):
     """(array name -> array, meta) of a saved model, read with only the container's own checks."""
     arrays, meta = net.load_arrays(path, lambda meta: [

@@ -19,7 +19,7 @@ from aghash.graph import (
     gaussian_kernel,
     median_bandwidth,
     normalize,
-    query_columns,
+    query_products,
     similarity,
     sqdist,
     visual_similarity,
@@ -121,6 +121,27 @@ class TestVisualSimilarity:
         want = np.exp(-d2 / (2.0 * 1.3**2))
         K = gaussian_kernel(d2, 1.3)
         assert K is d2 and np.array_equal(K, want)
+
+    @pytest.mark.parametrize("dtype, sigmas", [(np.float32, (1e-20, 1e-3, 0.7, 1.3, 1e15)),
+                                               (np.float64, (1e-160, 1e-3, 0.7, 1.3, 1e150))])
+    def test_gaussian_kernel_is_the_two_step_formula(self, dtype, sigmas):
+        # d2 / -(2 sigma^2) in one pass is -d2, then / (2 sigma^2), bit for bit:
+        # zeros, subnormals, large values and infinities, and a subnormal
+        # 2 sigma^2 (the first sigma) whose quotients overflow to -inf
+        info = np.finfo(dtype)
+        values = np.array([0.0, info.smallest_subnormal, 7 * info.smallest_subnormal,
+                           info.smallest_normal / 3, info.smallest_normal, 1e-30, 0.5, 1.0, 2.0,
+                           3.7, 1e4, 1e30, info.max / 2, info.max, np.inf], dtype=dtype)
+        for sigma in sigmas:
+            want = values.copy()
+            two_var = dtype(2.0 * np.float64(sigma) ** 2)
+            with np.errstate(over="ignore"):
+                np.negative(want, out=want)
+                want /= two_var
+            np.exp(want, out=want)
+            got = gaussian_kernel(values.copy(), sigma)
+            bits = np.dtype(f"u{info.bits // 8}")
+            assert np.array_equal(got.view(bits), want.view(bits)), sigma
 
     def test_median_heuristic_value(self):
         X = np.array([[0.0, 1.0, 3.0]])
@@ -592,47 +613,87 @@ class TestBuildGraph:
             assert abs(sigma_c - sigma) <= 1e-6 * sigma
 
 
+def query_inputs(seed, m, n, k=16, c=4, dtype=np.float64):
+    """Random (xatt_q, Yq, xatt_train, y_train, R) of m queries against n
+    training items, the features in `dtype`, the tags and the 9 x n operand R float64."""
+    rng = np.random.default_rng(seed)
+    xatt_q, xatt_train = (rng.standard_normal((k, size)).astype(dtype) for size in (m, n))
+    Yq, y_train = ((rng.random((c, size)) < 0.4).astype(float) for size in (m, n))
+    return xatt_q, Yq, xatt_train, y_train, rng.standard_normal((9, n))
+
+
 class TestQueryColumns:
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_products_of_the_explicit_rows(self, variant):
+        # G = S_q R^T for the rows mu*kernel + counts formed whole, and the
+        # self terms mu*1 + |y_q|^2, whatever the panel; with R = I, G is S_q
+        m, n = 23, 40
+        xatt_q, Yq, xatt_train, y_train, R = query_inputs(3, m, n)
+        config = GraphConfig(mu=0.7, bandwidth=2.0, variant=variant)
+        uses_visual, uses_tags = sg.PARTS[variant]
+        rows = gaussian_kernel(sqdist(xatt_q, xatt_train), 2.0) if uses_visual else np.zeros((m, n))
+        self_terms = np.full(m, float(uses_visual))
+        if uses_tags:
+            rows, self_terms = 0.7 * rows + Yq.T @ y_train, 0.7 * self_terms + Yq.sum(axis=0)
+        for panel in (1, 5, m):
+            G, s = query_products(xatt_q, Yq, xatt_train, y_train, R, config, panel)
+            assert G.shape == (m, 9) and np.allclose(G, rows @ R.T, rtol=1e-12, atol=1e-12)
+            assert np.array_equal(s, self_terms)
+        G, _ = query_products(xatt_q, Yq, xatt_train, y_train, np.eye(n), config, 5)
+        assert np.allclose(G, rows, rtol=1e-12, atol=1e-12)
+
+    def test_kernel_of_a_training_item_is_at_most_one(self):
+        # a query equal to a training item: its squared distance, formed by one
+        # product, rounds below 0 for some items (measured 43 of 300 here),
+        # where the clip keeps the kernel at 1
+        rng = np.random.default_rng(3)
+        X = (3.0 * rng.standard_normal((8, 300))).astype(np.float32)
+        no_tags = np.zeros((2, 300))
+        config = GraphConfig(bandwidth=1.0, variant="visual-only")
+        G, s = query_products(X, no_tags, X, no_tags, np.eye(300), config, 64)
+        assert G.dtype == np.float32 and G.max() == 1.0 and np.all(s == 1.0)
+        assert np.diag(G).min() > 1.0 - 1e-4
+
     def test_visual_only_forms_no_tag_counts(self):
-        # the kernel's m x n buffer and its sqdist panel; no m x n tag counts beside it
+        # the kernel's m x n buffer; no m x n tag counts beside it
         m, n = 1024, 2000
-        rng = np.random.default_rng(12)
-        xatt_q, xatt_train = rng.standard_normal((16, m)), rng.standard_normal((16, n))
-        Yq, y_train = (rng.random((4, m)) < 0.4).astype(float), (rng.random((4, n)) < 0.4).astype(float)
-        degrees = rng.random(n) * n
+        xatt_q, Yq, xatt_train, y_train, R = query_inputs(12, m, n)
         config = GraphConfig(bandwidth=4.0, variant="visual-only")
-        query_columns(xatt_q[:, :9], Yq[:, :9], xatt_train, y_train, degrees, config)  # lazy imports
-        _, peak = traced_peak(query_columns, xatt_q, Yq, xatt_train, y_train, degrees, config)
+        query_products(xatt_q[:, :9], Yq[:, :9], xatt_train, y_train, R, config, m)  # lazy imports
+        _, peak = traced_peak(query_products, xatt_q, Yq, xatt_train, y_train, R, config, m)
         assert peak < 1.3 * m * n * 8, f"peak {peak / (m * n * 8):.3f} m x n float64 arrays"
+
+    def test_aux_only_forms_no_m_by_n_array(self):
+        # the tag counts enter through Y R^T: no variant without a kernel forms a row panel
+        m, n = 1024, 2000
+        xatt_q, Yq, xatt_train, y_train, R = query_inputs(13, m, n)
+        config = GraphConfig(variant="aux-only")
+        query_products(xatt_q[:, :9], Yq[:, :9], xatt_train, y_train, R, config, m)  # lazy imports
+        _, peak = traced_peak(query_products, xatt_q, Yq, xatt_train, y_train, R, config, m)
+        assert peak < 0.1 * m * n * 8, f"peak {peak / (m * n * 8):.3f} m x n float64 arrays"
 
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_dtype_follows_features(self, variant):
-        # float64 tags and degrees, as a model holds them, leave float32 columns
-        # float32; the float32 columns are the float64 ones to float32 rounding
+        # float64 tags and operand, as a caller may hold them, leave float32
+        # products float32; they are the float64 ones to float32 rounding
         m, n = 5, 40
-        rng = np.random.default_rng(14)
-        xatt_q, xatt_train = rng.standard_normal((6, m)), rng.standard_normal((6, n))
-        Yq, y_train = (rng.random((3, m)) < 0.4).astype(float), (rng.random((3, n)) < 0.4).astype(float)
-        degrees = rng.random(n) * n
+        xatt_q, Yq, xatt_train, y_train, R = query_inputs(14, m, n, k=6, c=3)
+        R = np.abs(R)  # no cancellation in the products the rounding is compared on
         config = GraphConfig(bandwidth=2.0, variant=variant)
-        col64, self64 = query_columns(xatt_q, Yq, xatt_train, y_train, degrees, config)
-        col, self_ = query_columns(xatt_q.astype(np.float32), Yq, xatt_train.astype(np.float32),
-                                   y_train, degrees.astype(np.float32), config)
-        assert col64.dtype == np.asarray(self64).dtype == np.float64
-        assert col.dtype == np.asarray(self_).dtype == np.float32
-        assert np.allclose(col, col64, rtol=1e-5, atol=1e-7)
-        assert np.allclose(self_, self64, rtol=1e-5, atol=1e-7)
+        G64, s64 = query_products(xatt_q, Yq, xatt_train, y_train, R, config, 2)
+        G, s = query_products(xatt_q.astype(np.float32), Yq, xatt_train.astype(np.float32),
+                              y_train, R, config, 2)
+        assert G64.dtype == s64.dtype == np.float64
+        assert G.dtype == s.dtype == np.float32
+        assert np.allclose(G, G64, rtol=1e-5, atol=1e-7)
+        assert np.allclose(s, s64, rtol=1e-5, atol=1e-7)
 
     def test_float32_columns_form_no_float64_tag_counts(self):
-        # float32 features: the m x n kernel and the m x n tag counts are both
-        # float32 whatever the tags' dtype; float64 counts would make the peak 3
+        # float32 features: the m x n kernel is float32 whatever the tags' and
+        # the operand's dtype; a float64 panel beside it would make the peak 3
         m, n = 1024, 2000
-        rng = np.random.default_rng(15)
-        xatt_q = rng.standard_normal((16, m)).astype(np.float32)
-        xatt_train = rng.standard_normal((16, n)).astype(np.float32)
-        Yq, y_train = (rng.random((4, m)) < 0.4).astype(float), (rng.random((4, n)) < 0.4).astype(float)
-        degrees = (rng.random(n) * n).astype(np.float32)
+        xatt_q, Yq, xatt_train, y_train, R = query_inputs(15, m, n, dtype=np.float32)
         config = GraphConfig(bandwidth=4.0)
-        query_columns(xatt_q[:, :9], Yq[:, :9], xatt_train, y_train, degrees, config)  # lazy imports
-        _, peak = traced_peak(query_columns, xatt_q, Yq, xatt_train, y_train, degrees, config)
+        query_products(xatt_q[:, :9], Yq[:, :9], xatt_train, y_train, R, config, m)  # lazy imports
+        _, peak = traced_peak(query_products, xatt_q, Yq, xatt_train, y_train, R, config, m)
         assert peak < 2.3 * m * n * 4, f"peak {peak / (m * n * 4):.3f} m x n float32 arrays"

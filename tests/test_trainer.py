@@ -20,7 +20,7 @@ from aghash import trainer
 from aghash.data import FeatureMatrix, make_split, synth_dataset
 from aghash.errors import AghashError, DataError, FormatError, NumericError, ParameterError, ShapeError
 from aghash.trainer import AdamState, TrainConfig, adam_step, sign_pm
-from conftest import read_checkpoint
+from conftest import one_column_extension, read_checkpoint
 
 
 def tiny_fit(seed=0, **overrides):
@@ -76,20 +76,25 @@ def model_arrays(model):
 def same_codes_tolerance(model, z_batch):
     """How far two calls' outputs for the same items may differ: inner * eps * max|z|.
 
-    An output is a chain of COMPUTE_DTYPE products: the query kernel (inner
-    length k), its row sums and its product with xatt_train (n each),
-    W = W2 W1 (h) and W's product with the first hop (k); the other term's
-    product with wh1_train (n) is shorter.
+    An output is a chain of COMPUTE_DTYPE products: the query's squared
+    distances, one product of augmented operands (inner length k + 2); the
+    kernel's product with the operand R (n), whose rows W Xatt take W's
+    product with xatt_train (k) and W = W2 W1 (h); and W's product with the
+    query's own features (k). The other rows of R scale the cached wh1_train,
+    a shorter chain.
     A computed sum of L products is within L u |x|.|y| of the exact one, u =
     eps / 2 (Higham, Accuracy and Stability of Numerical Algorithms, 2002,
-    sec. 3.1), and to first order the lengths along a chain add up. The
-    batched and the one-column calls may each order their sums differently,
-    so they differ by at most 2 L u |x|.|y| = L eps |x|.|y|, L = 2n + 2k + h,
-    with max|z| standing for the magnitudes |x|.|y|. Measured on the variant
-    models: at most 1.8 eps max|z|, against L = 56 there.
+    sec. 3.1), and to first order the lengths along a chain add up. Two
+    calls may each order their sums differently, so they differ by at most
+    2 L u |x|.|y| = L eps |x|.|y|, L = n + 2k + h + 2, with max|z| standing
+    for the magnitudes |x|.|y|; the same bound holds between one call and the
+    float64 one-column extension (`conftest.one_column_extension`), whose own
+    rounding is negligible. Measured on the variant models: at most
+    2.2 eps max|z| between two calls and 1.6 against the reference, against
+    L = 42 there.
     """
     k, n = model.xatt_train.shape
-    inner = 2 * n + 2 * k + model.gcn.W1.shape[0]
+    inner = n + 2 * k + model.gcn.W1.shape[0] + 2
     return inner * np.finfo(trainer.COMPUTE_DTYPE).eps * np.abs(z_batch).max()
 
 
@@ -618,20 +623,76 @@ class TestEncoding:
             assert_same_codes(model, batch[:, j], z_batch[:, j], one[:, 0], z_one[:, 0])
 
     def test_columns_and_layers_run_in_compute_dtype(self, monkeypatch):
-        # float64 query features, tags and degrees: the graph columns, and so
-        # both hops, are COMPUTE_DTYPE, so no float64 copy of a training array forms
+        # float64 query features, tags and degrees: the operand R, the products
+        # and the self terms are COMPUTE_DTYPE, so no float64 copy of a training array forms
         fm, aux, _, model, _ = tiny_fit(seed=21)
         panel_of(monkeypatch, model, 3)
-        query_columns, seen = sg.query_columns, []
+        query_products, seen = sg.query_products, []
 
-        def columns(*args):
-            out = query_columns(*args)
-            seen.extend(np.asarray(a).dtype for a in out)
+        def products(xatt_q, Yq, xatt_train, y_train, R, config, panel):
+            out = query_products(xatt_q, Yq, xatt_train, y_train, R, config, panel)
+            seen.extend([R.dtype, panel, *(a.dtype for a in out)])
             return out
 
-        with mock.patch.object(sg, "query_columns", columns):
+        with mock.patch.object(sg, "query_products", products):
             codes, z = encode_pre_sign(model, fm.data[:, :7], aux.data[:, :7])
-        assert seen == [trainer.COMPUTE_DTYPE] * 6 and z.dtype == trainer.COMPUTE_DTYPE
+        assert seen == [trainer.COMPUTE_DTYPE, 3, trainer.COMPUTE_DTYPE, trainer.COMPUTE_DTYPE]
+        assert z.dtype == trainer.COMPUTE_DTYPE
+
+    @pytest.mark.parametrize("variant", [*cli._VARIANTS, "basis"])
+    def test_codes_match_the_one_column_extension(self, variant_models, variant):
+        # the two products reassociate the explicit column and both hops; the
+        # training items as queries include squared distances that round below 0
+        fm, aux, split, model, _ = variant_models[variant]
+        for idx in (split.query, split.train, np.arange(fm.n)):
+            Xq, Yq = fm.data[:, idx], aux.data[:, idx]
+            codes, z = encode_pre_sign(model, Xq, Yq)
+            z_ref = one_column_extension(model, Xq, Yq)[3]
+            assert_same_codes(model, sign_pm(z_ref), z_ref, codes, z)
+
+    def test_query_with_no_degree_codes_all_ones(self, variant_models):
+        # an aux-only query with no tags has no similarity and no self term:
+        # d_q = 0, its output is 0 and its code all +1, as in the reference
+        fm, aux, split, model, _ = variant_models["only-sa"]
+        Xq, Yq = fm.data[:, split.query], aux.data[:, split.query].copy()
+        Yq[:, 1] = 0.0
+        codes, z = encode_pre_sign(model, Xq, Yq)
+        z_ref = one_column_extension(model, Xq, Yq)[3]
+        assert np.all(z[:, 1] == 0.0) and np.all(z_ref[:, 1] == 0.0) and np.all(codes[:, 1] == 1.0)
+        assert_same_codes(model, sign_pm(z_ref), z_ref, codes, z)
+
+    def test_mu_zero_matches_the_one_column_extension(self):
+        # mu = 0 drops the kernel from the augmented graph; an untagged query
+        # then has d_q = 0 and codes all +1
+        fm, aux, split, model, _ = tiny_fit(seed=22, graph_cfg=sg.GraphConfig(mu=0.0))
+        Xq, Yq = fm.data[:, split.query], aux.data[:, split.query].copy()
+        Yq[:, 0] = 0.0
+        codes, z = encode_pre_sign(model, Xq, Yq)
+        z_ref = one_column_extension(model, Xq, Yq)[3]
+        assert np.all(z[:, 0] == 0.0) and np.all(codes[:, 0] == 1.0)
+        assert_same_codes(model, sign_pm(z_ref), z_ref, codes, z)
+
+    @pytest.mark.parametrize("variant", ["full", "no-aux"])
+    def test_tiny_bandwidth_gives_the_reference_codes(self, variant_models, variant):
+        # 2 sigma^2 = 2e-40 is subnormal in float32, where 1 / (2 sigma^2)
+        # overflows: every kernel entry of an item unlike the training items is
+        # 0, with no warning, and the codes are the reference's
+        fm, aux, split, model, _ = variant_models[variant]
+        model = dataclasses.replace(model, graph_cfg=dataclasses.replace(model.graph_cfg, bandwidth=1e-20))
+        Xq, Yq = fm.data[:, split.query], aux.data[:, split.query]
+        codes, z = encode_pre_sign(model, Xq, Yq)
+        z_ref = one_column_extension(model, Xq, Yq)[3]
+        assert np.all(np.isfinite(z))
+        assert_same_codes(model, sign_pm(z_ref), z_ref, codes, z)
+
+    @pytest.mark.parametrize("sigma, message", [
+        (1e-30, "bandwidth 1e-30 is too small: 2 sigma^2 is 0 in float32"),
+        (1e30, "bandwidth 1e+30 is too large: 2 sigma^2 overflows float32")])
+    def test_bandwidth_out_of_float32_is_a_parameter_error(self, variant_models, sigma, message):
+        fm, aux, split, model, _ = variant_models["full"]
+        model = dataclasses.replace(model, graph_cfg=dataclasses.replace(model.graph_cfg, bandwidth=sigma))
+        with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+            trainer.encode_queries(model, fm.data[:, split.query], aux.data[:, split.query])
 
     def test_attention_runs_once_per_call(self, monkeypatch):
         # the attention dedupes y_train on each run, so it runs for all m queries at once
