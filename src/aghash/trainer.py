@@ -245,9 +245,10 @@ def encode_queries(model, Xq, Yq):
     xatt_q st_self, then z_q = (W H1) st_col^T + (W h1_q) st_self with
     W = W2 W1. Reassociated, every n-long sum is one product G = k_q R^T with
     the (2r+1) x n operand R = [W H1 D^{-1/2}; W Xatt D^{-1/2}; 1^T], formed
-    once per call from the cached r x n W H1 (`wh1_train`):
-    z_q = G_1 / sqrt(d_q) + (G_2 / sqrt(d_q) + W xatt_q st_self) st_self, and
-    d_q = G_3 + s. So neither st_col nor an h x m product is formed.
+    once per call from the cached r x n W H1 (`wh1_train`). With G_1, G_2
+    and G_3 its r, r and 1 columns, d_q = G_3 + s and
+    z_q = G_1 / sqrt(d_q) + (G_2 / sqrt(d_q) + W xatt_q st_self) st_self,
+    so neither st_col nor an h x m product is formed.
     The attention runs once for all m queries; the kernel rows are formed a
     panel of queries at a time (`graph.query_products`), as many as fit one
     n-wide COMPUTE_DTYPE array in `retrieval.BLOCK_BYTES`, so the panel's
