@@ -79,16 +79,17 @@ def backprop(inst, gcn=None, target=None):
     return obj.backprop_all(*forward(inst, gcn), obj.LowRankTarget(inst.Y) if target is None else target, gcn, 1.0)
 
 
-def one_column_extension(model, Xq, Yq, dtype=np.float64):
+def one_column_extension(model, Xq, Yq):
     """(st_col, st_self, h1_q, z_q) of the explicit one-column extension, the
-    reference `trainer.encode_queries` reassociates, in `dtype`.
+    reference `trainer.encode_queries` reassociates, in float64.
 
     Each query is one more node of the training graph: its m x n normalized
     column st_col, formed whole, and self term st_self; then both hops,
     h1_q = Xatt st_col^T + xatt_q st_self and z_q = (W H1) st_col^T +
     (W h1_q) st_self with W = W2 W1. The model's arrays and the queries'
-    attentive features are cast to `dtype` (exactly, for float64).
+    attentive features are cast to float64, exactly.
     """
+    dtype = np.float64
     xatt_q = trainer._attentive(Xq, model.y_train, model.attention, model.use_attention,
                                 "query {}".format).astype(dtype)
     xatt_train, y_train, degrees, wh1_train, W1, W2 = (

@@ -682,7 +682,6 @@ class TestEncoding:
         Xq, Yq = fm.data[:, split.query], aux.data[:, split.query]
         codes, z = encode_pre_sign(model, Xq, Yq)
         z_ref = one_column_extension(model, Xq, Yq)[3]
-        assert np.all(np.isfinite(z))
         assert_same_codes(model, sign_pm(z_ref), z_ref, codes, z)
 
     @pytest.mark.parametrize("sigma, message", [
