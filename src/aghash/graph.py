@@ -56,18 +56,15 @@ def _distances(a, b, d2):
     return np.maximum(d2, 0.0, out=d2)
 
 
-def sqdist(A, B):
-    """Squared Euclidean distances between the columns of A and of B, clipped at 0."""
-    return _distances((A**2).sum(axis=0), (B**2).sum(axis=0), A.T @ B)
-
-
 class SymGraph:
     """A symmetric n x n matrix held once, as its upper triangle in row panels.
 
     `panels` lists (lo, P): P holds rows lo to lo + len(P) (HEIGHT of them,
     fewer in the last panel) and columns lo to n, that is its diagonal block
-    whole, kept exactly symmetric, then the block right of it. The panels are
-    views into one buffer, `data`, of about n^2/2 + n HEIGHT/2 entries.
+    whole, kept exactly symmetric, then the block right of it: about
+    n^2/2 + n HEIGHT/2 entries in all. Each panel is an array of its own, so
+    the graph needs no contiguous n^2/2 block of memory and its panels can
+    take the holes that freed arrays leave in the heap.
     `M @ G` is the product with the whole matrix; `full` forms it.
     `similarity` builds one panel by panel; a full array enters only through
     `from_dense`.
@@ -77,12 +74,8 @@ class SymGraph:
 
     def __init__(self, n, dtype):
         self.n, self.shape, self.dtype = n, (n, n), np.dtype(dtype)
-        los = range(0, n, HEIGHT)
-        sizes = [min(HEIGHT, n - lo) * (n - lo) for lo in los]
-        self.data = np.empty(sum(sizes), dtype=dtype)
-        ends = np.cumsum(sizes)
-        self.panels = [(lo, self.data[end - size:end].reshape(-1, n - lo))
-                       for lo, size, end in zip(los, sizes, ends)]
+        self.panels = [(lo, np.empty((min(HEIGHT, n - lo), n - lo), dtype=dtype))
+                       for lo in range(0, n, HEIGHT)]
 
     @classmethod
     def from_dense(cls, S):
@@ -342,7 +335,7 @@ def normalize(S):
     sums, right of their diagonal blocks, of the panels above. The check runs
     before the first write, so a rejected S is left unchanged.
     """
-    if S.data.min() < 0:
+    if min(P.min() for _, P in S.panels) < 0:
         raise ParameterError("graph must be nonnegative")
     degrees = np.zeros(S.n, dtype=S.dtype)
     for lo, P in S.panels:
@@ -369,7 +362,8 @@ def similarity(Xatt, Y, config):
         S, sigma = visual_similarity(Xatt, config.bandwidth)
     else:  # mu*0 + counts is the counts alone
         S, sigma = SymGraph(Y.shape[1], Y.dtype), None
-        S.data.fill(0)
+        for _, P in S.panels:
+            P.fill(0)
     if uses_tags:  # exact counts on both sides of the diagonal keep it symmetric
         for lo, P in S.panels:
             add_counts(config.mu, P, Y[:, lo:lo + len(P)], Y[:, lo:])
@@ -387,7 +381,7 @@ def _kernel_products(xatt_q, xatt_train, R, sigma, panel, G):
     against the training items', `panel` rows of K at a time in one reused buffer.
 
     One product of augmented operands, [-2 x_q; ||x_q||^2; 1]^T [X; 1^T; ||x_i||^2],
-    gives each panel's squared distances, clipped at 0 as `sqdist` clips them.
+    gives each panel's squared distances, clipped at 0.
     The buffers are freed on return, before the caller forms anything m x p.
     """
     (k, m), n = xatt_q.shape, xatt_train.shape[1]

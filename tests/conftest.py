@@ -79,6 +79,12 @@ def backprop(inst, gcn=None, target=None):
     return obj.backprop_all(*forward(inst, gcn), obj.LowRankTarget(inst.Y) if target is None else target, gcn, 1.0)
 
 
+def sqdist(A, B):
+    """Squared Euclidean distances between the columns of A and of B, clipped at 0,
+    through the graph's own fix-up of the products A^T B."""
+    return sg._distances((A**2).sum(axis=0), (B**2).sum(axis=0), A.T @ B)
+
+
 def one_column_extension(model, Xq, Yq):
     """(st_col, st_self, h1_q, z_q) of the explicit one-column extension, the
     reference `trainer.encode_queries` reassociates, in float64.
@@ -99,7 +105,7 @@ def one_column_extension(model, Xq, Yq):
     config = model.graph_cfg
     uses_visual, uses_tags = sg.PARTS[config.variant]
     if uses_visual:
-        st_col, s_self = sg.gaussian_kernel(sg.sqdist(xatt_q, xatt_train), config.bandwidth), 1.0
+        st_col, s_self = sg.gaussian_kernel(sqdist(xatt_q, xatt_train), config.bandwidth), 1.0
     else:
         st_col, s_self = np.zeros((Yq.shape[1], y_train.shape[1]), dtype=dtype), 0.0
     if uses_tags:

@@ -21,9 +21,9 @@ from aghash.graph import (
     normalize,
     query_products,
     similarity,
-    sqdist,
     visual_similarity,
 )
+from conftest import sqdist
 
 
 def triangle(d2):
@@ -402,9 +402,9 @@ class TestNormalize:
         S = A + A.T
         SymGraph.from_dense(S[:3, :3])  # numpy's lazy imports happen outside the trace
         G, peak = traced_peak(SymGraph.from_dense, S)
-        stored = (n * n + n * sg.HEIGHT) / 2
-        assert G.data.size <= stored and G.data.nbytes == G.data.size * 8
-        assert peak < G.data.nbytes + 0.08 * n * n * 8, f"peak {peak / (n * n * 8):.2f} n x n float64"
+        entries = sum(P.size for _, P in G.panels)
+        assert entries <= (n * n + n * sg.HEIGHT) / 2 and all(P.dtype == np.float64 for _, P in G.panels)
+        assert peak < entries * 8 + 0.08 * n * n * 8, f"peak {peak / (n * n * 8):.2f} n x n float64"
         assert np.array_equal(G.full(), S)
 
     @pytest.mark.parametrize("bad", ["asymmetric", "negative"])
@@ -421,10 +421,10 @@ class TestNormalize:
                 SymGraph.from_dense(S)
         else:
             G = SymGraph.from_dense(S)
-            G0 = G.data.copy()
+            G0 = [P.copy() for _, P in G.panels]
             with pytest.raises(ParameterError, match="graph must be nonnegative"):
                 normalize(G)
-            assert np.array_equal(G.data, G0)
+            assert all(np.array_equal(P, P0) for (_, P), P0 in zip(G.panels, G0))
         assert np.array_equal(S, S0)
 
     def test_symmetry_preserved_random(self):
@@ -482,12 +482,13 @@ class TestSymGraph:
                 assert np.array_equal(F, F.T)
 
     def test_storage_is_the_triangle(self):
-        # about n^2/2 + n HEIGHT/2 entries in one buffer, the panels its views
+        # about n^2/2 + n HEIGHT/2 entries, each panel an array of its own
         n = 3 * sg.HEIGHT + 17
         G = SymGraph(n, np.float32)
-        assert n * (n + 1) / 2 <= G.data.size <= (n * n + n * sg.HEIGHT) / 2
+        assert n * (n + 1) / 2 <= sum(P.size for _, P in G.panels) <= (n * n + n * sg.HEIGHT) / 2
         assert [lo for lo, _ in G.panels] == list(range(0, n, sg.HEIGHT))
-        assert all(P.base is G.data and P.shape == (min(sg.HEIGHT, n - lo), n - lo) for lo, P in G.panels)
+        assert all(P.base is None and P.flags.c_contiguous and P.shape == (min(sg.HEIGHT, n - lo), n - lo)
+                   for lo, P in G.panels)
 
     def test_product_shape_error(self):
         G = SymGraph.from_dense(np.eye(4))
@@ -508,7 +509,7 @@ class TestBuildGraph:
             St, degrees, sigma = build_graph(X, Y, config)
             S, s2 = similarity(X, Y, config)
             want_St, want_degrees = normalize(S)
-            assert sigma == s2 and np.array_equal(St.data, want_St.data)
+            assert sigma == s2 and np.array_equal(St.full(), want_St.full())
             assert np.array_equal(degrees, want_degrees)
 
     def test_visual_only_similarity_is_the_kernel(self):
@@ -543,7 +544,8 @@ class TestBuildGraph:
             assert target is None
         else:
             want = {"visual": Sv, "augmented": 0.7 * Sv + Y.T @ Y}[part]
-            assert np.array_equal(target.full(), want) and not np.shares_memory(target.data, St.data)
+            assert np.array_equal(target.full(), want) and not any(
+                np.shares_memory(P, Q) for _, P in target.panels for _, Q in St.panels)
 
     @pytest.mark.parametrize("variant", VARIANTS)
     @pytest.mark.parametrize("part", [None, "visual", "augmented"])
